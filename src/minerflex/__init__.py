@@ -44,17 +44,23 @@ from .oracle import (
     grid_mc_optimum,
     lp_deployment_oracle,
 )
-from .programs import BernoulliEps, ConstantEps, ProgramSpec, UniformEps, independent_sampler
+from .programs import (
+    BernoulliEps,
+    ConstantEps,
+    PriceResponsiveModel,
+    ProgramSpec,
+    TruncatedExponential,
+    UniformEps,
+    fit_lambda,
+    independent_sampler,
+    price_responsive_eps,
+)
 from .regulation import (
     RegInstance,
     RegJointModel,
-    TruncatedExponential,
     expected_reg_cost,
-    fit_lambda,
     sample_joint,
     solve_reg_profile,
-    truncexp_mean,
-    truncexp_pdf,
 )
 from .sgd import (
     SgdConfig,
@@ -67,14 +73,12 @@ from .sgd import (
 )
 from .single_machine import ProgramStats, RiskConfig, best_program, profile_risk, risk_aware_solve
 from .traces import (
-    PriceResponsiveModel,
     SynthesisSpec,
     TraceRecord,
     estimate_stats,
     load_synthesis_spec,
     load_traces,
     per_slot_rewards,
-    price_responsive_eps,
     synthesize_traces,
     write_traces,
 )

@@ -24,18 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .deployment import SlotBatch
 from .errors import InvalidInputError, MinerflexError, NumericalError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
-from .fleet import MachineType
+from .fleet import MachineType, parse_machines
 from .online import OgdConfig, per_round_costs, run_online
 from .oracle import compare_strategies, draw_effective_samples, mc_expected_cost
-from .programs import BernoulliEps, ConstantEps, ProgramSpec, UniformEps
+from .programs import ProgramSpec, TruncatedExponential, fit_lambda, independent_sampler, parse_eps_model
 from .regulation import (
     RegInstance,
     RegJointModel,
-    TruncatedExponential,
     expected_reg_cost,
-    fit_lambda,
+    joint_pair,
     sample_joint,
     solve_reg_profile,
 )
@@ -116,20 +116,6 @@ def _out_dir(args) -> Path:
 # ── Config interpretation ────────────────────────────────────────────────
 
 
-def _eps_model(cfg: dict):
-    kind = cfg.get("kind")
-    if kind == "truncexp":
-        lam = float(cfg["lambda"]) if "lambda" in cfg else fit_lambda(float(cfg["mean"]))
-        return TruncatedExponential(lam)
-    if kind == "bernoulli":
-        return BernoulliEps(float(cfg["prob"]))
-    if kind == "constant":
-        return ConstantEps(float(cfg["value"]))
-    if kind == "uniform":
-        return UniformEps(float(cfg.get("lo", 0.0)), float(cfg.get("hi", 1.0)))
-    raise InvalidInputError(f"unknown eps model kind {kind!r}")
-
-
 def _load_programs_config(path: Path):
     cfg = _load_json(path)
     entries = cfg.get("programs")
@@ -137,7 +123,7 @@ def _load_programs_config(path: Path):
         raise InvalidInputError(f"{path}: 'programs' list is required")
     programs = []
     for entry in entries:
-        model = _eps_model(entry["eps"]) if "eps" in entry else None
+        model = parse_eps_model(entry["eps"]) if "eps" in entry else None
         programs.append(
             ProgramSpec(
                 id=str(entry["id"]),
@@ -173,24 +159,11 @@ def _parametric_fleet(machines: list[MachineType], economics) -> FleetSpec:
 def _build_sampler(programs: list[ProgramSpec], joint_cfg):
     """Joint raw-deployment sampler over all programs, honoring a reg pair."""
     n = len(programs)
-    index = {p.id: i for i, p in enumerate(programs)}
     joint = None
     if joint_cfg is not None:
-        up_i, dn_i = index.get(joint_cfg["up"]), index.get(joint_cfg["down"])
-        if up_i is None or dn_i is None:
-            raise InvalidInputError("joint block names unknown program ids")
-        up_m, dn_m = programs[up_i].eps_model, programs[dn_i].eps_model
-        if not isinstance(up_m, TruncatedExponential) or not isinstance(dn_m, TruncatedExponential):
-            raise InvalidInputError("joint programs must use truncexp eps models")
-        joint = (up_i, dn_i, RegJointModel(float(joint_cfg["theta"]), up_m, dn_m))
-    independent = [
-        (i, p.eps_model)
-        for i, p in enumerate(programs)
-        if joint is None or i not in (joint[0], joint[1])
-    ]
-    for i, model in independent:
-        if model is None:
-            raise InvalidInputError(f"program {programs[i].id!r} has no eps model")
+        joint = joint_pair(programs, float(joint_cfg["theta"]), joint_cfg["up"], joint_cfg["down"])
+    rest = [i for i in range(n) if joint is None or i not in joint[:2]]
+    independent = independent_sampler([programs[i] for i in rest])
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.zeros((size, n))
@@ -198,8 +171,8 @@ def _build_sampler(programs: list[ProgramSpec], joint_cfg):
             pair = sample_joint(joint[2], rng, size)
             out[:, joint[0]] = pair[:, 0]
             out[:, joint[1]] = pair[:, 1]
-        for i, model in independent:
-            out[:, i] = model.sample(rng, size)
+        if rest:
+            out[:, rest] = independent(rng, size)
         return out
 
     return sampler
@@ -262,12 +235,9 @@ def cmd_solve_offline(args) -> int:
         fleets, programs_seq, samples, _ = _slot_inputs(
             records, machines, programs, args.clamp_negative_rewards
         )
-        from .online import _RoundArrays
-
         cap = fleets[0].total_capacity_mw
-        arrays = _RoundArrays(fleets, programs_seq, samples, cap)
         hours = np.array([r.timestamp.hour for r in records])
-        costs = arrays.costs_for(report.hour_profiles)
+        costs = SlotBatch(fleets, programs_seq, samples, cap).costs_for(report.hour_profiles)
         bound = suboptimality_bound(
             args.iterations, n, float(max(f.rewards[-1] for f in fleets)),
             float(max(max(p.price for p in ps) for ps in programs_seq)), cap,
@@ -306,18 +276,7 @@ def cmd_solve_reg(args) -> int:
     out = _out_dir(args)
     cfg_path = _resolve(args.config)
     cfg = _load_json(cfg_path)
-    machines = [
-        MachineType(
-            id=str(m["id"]),
-            capacity_mw=float(m["capacity_mw"]),
-            energy_intensity=(
-                float(m["energy_intensity_mwh_per_coin"]) if "energy_intensity_mwh_per_coin" in m else None
-            ),
-            reward=float(m["reward"]) if "reward" in m else None,
-        )
-        for m in cfg["fleet"]
-    ]
-    fleet = _parametric_fleet(machines, cfg.get("economics"))
+    fleet = _parametric_fleet(parse_machines(cfg["fleet"], cfg_path), cfg.get("economics"))
     lam_up = float(cfg["lambda_up"]) if "lambda_up" in cfg else fit_lambda(float(cfg["mean_up"]))
     lam_dn = float(cfg["lambda_dn"]) if "lambda_dn" in cfg else fit_lambda(float(cfg["mean_dn"]))
     inst = RegInstance(

@@ -8,9 +8,10 @@ greedy: fill the lowest-reward machine types first. The resulting cost,
                    + sum_i c_i (r_{k_c} eps_i - p_i),
 
 is piecewise affine and convex in c (the pointwise max over the per-type
-affine surrogates evaluated by :func:`cost_fixed_k`). All functions here are
-pure; sign convention is cost = lost mining margin minus program revenue, so
-negative cost is profit relative to mining-only operation.
+affine surrogates evaluated by :func:`cost_fixed_k`); :func:`slot_cost`
+evaluates it for one fleet or a :class:`SlotBatch` of slots. All functions
+here are pure; sign convention is cost = lost mining margin minus program
+revenue, so negative cost is profit relative to mining-only operation.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError
 from .fleet import FleetSpec
-from .programs import ProgramSpec, prices_of
+from .programs import DIRECTIONS, ProgramSpec, prices_of
 
 # Absolute float guard for deployment totals at the feasible-set edges.
 EDGE_GUARD = 1e-12
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def as_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(getattr(x, "epsilon", getattr(x, "c", x)), dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
@@ -89,24 +90,45 @@ class Allocation:
         return float(self.d.sum())
 
 
-def effective_epsilon(sample, directions: Sequence[str]) -> DeploymentSample:
+def flip_down(eps: np.ndarray, down: np.ndarray) -> np.ndarray:
     """Map raw deployment rates to effective load-reduction fractions.
 
     Holding headroom for a down program reduces consumption by (1 - eps) * c,
-    so down components flip eps -> 1 - eps; up components pass through.
+    so entries where the mask ``down`` (broadcast against ``eps``) is set
+    flip eps -> 1 - eps; up entries pass through. Returns a new array.
     """
-    eps = _as_vector(sample, "sample")
+    return np.where(down, 1.0 - eps, eps)
+
+
+def effective_epsilon(sample, directions: Sequence[str]) -> DeploymentSample:
+    """Validated :func:`flip_down` of one raw deployment-rate vector."""
+    eps = as_vector(sample, "sample")
     if len(directions) != eps.size:
         raise InvalidInputError(
             f"got {eps.size} deployment rates for {len(directions)} directions"
         )
-    out = eps.copy()
-    for i, direction in enumerate(directions):
-        if direction == "down":
-            out[i] = 1.0 - out[i]
-        elif direction != "up":
+    for direction in directions:
+        if direction not in DIRECTIONS:
             raise InvalidInputError(f"unknown direction {direction!r}")
-    return DeploymentSample(out)
+    return DeploymentSample(flip_down(eps, np.asarray(directions) == "down"))
+
+
+def project_simplex(x: np.ndarray, cap: float) -> np.ndarray:
+    """Euclidean projection onto {c >= 0, sum c <= cap}.
+
+    Clip to the nonnegative orthant first; if the sum constraint still
+    binds, the projection lands on the simplex face and is found by the
+    usual sort-and-threshold shift. Inputs are not validated.
+    """
+    clipped = np.maximum(x, 0.0)
+    if clipped.sum() <= cap:
+        return clipped
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - cap
+    j = np.arange(1, x.size + 1)
+    rho = np.nonzero(u - css / j > 0.0)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(x - tau, 0.0)
 
 
 def _clamp_total(total: float, cap: float) -> float:
@@ -145,23 +167,61 @@ def _check_profile_feasible(c: np.ndarray, fleet: FleetSpec):
         raise InfeasibleError(f"profile total {total} exceeds fleet capacity {cap}")
 
 
+def slot_piece(fleet, deployed):
+    """Clip deployment totals onto [0, cap] and locate their cost piece.
+
+    On piece k (type k partially deployed) the slot cost is
+    prefix_k + r_k d - p.c, with subgradient r_k eps - p. ``fleet`` is a
+    :class:`FleetSpec`, whose tables serve every total, or a
+    :class:`SlotBatch`, whose row t serves row t of ``deployed`` ((T,) or
+    (T, B)). Returns the clipped totals and an index into the fleet tables.
+    """
+    # minimum/maximum, not np.clip: same values, far less per-call overhead
+    cum = fleet.cum_capacities
+    if cum.ndim == 1:
+        d = np.minimum(np.maximum(deployed, 0.0), cum[-1])
+        return d, np.searchsorted(cum, d, side="left")
+    tail = (1,) * (np.ndim(deployed) - 1)
+    rows = np.arange(cum.shape[0]).reshape(-1, *tail)
+    d = np.minimum(np.maximum(deployed, 0.0), cum[:, -1].reshape(-1, *tail))
+    k = (cum.reshape(*cum.shape, *tail) < d[:, None]).sum(axis=1)
+    return d, (rows, k)
+
+
+def slot_cost(fleet, eps, prices, c):
+    """(prefix_k + r_k d - p.c, r_k) at totals d = eps.c; unvalidated.
+
+    ``eps`` and ``prices`` are one slot's (N,) vectors, (S, N) samples, or a
+    :class:`SlotBatch`'s (T, N) rows; ``c`` is a profile (N,) or profiles as
+    columns (N, B). See :func:`slot_piece` for ``fleet``.
+    """
+    d, k = slot_piece(fleet, eps @ c)
+    slope, cost = fleet.rewards[k], fleet.prefix_costs[k]
+    # (T, B) candidate batches are large: free each temporary as early as
+    # possible and work in place, so no more than four are alive at once.
+    del k
+    cost += slope * d
+    del d
+    cost -= prices @ c
+    return cost, slope
+
+
 def realized_cost(fleet: FleetSpec, programs: Sequence[ProgramSpec], profile, sample) -> float:
     """Cost of the slot under the optimal (greedy) machine deployment.
 
     ``sample`` must already hold effective load-reduction fractions, i.e.
     down-program components passed through :func:`effective_epsilon`.
     """
-    c = _as_vector(profile, "profile")
-    eps = _as_vector(sample, "sample")
+    c = as_vector(profile, "profile")
+    eps = as_vector(sample, "sample")
     p = prices_of(programs)
     if not (c.size == eps.size == p.size):
         raise InvalidInputError(
             f"dimension mismatch: profile {c.size}, sample {eps.size}, programs {p.size}"
         )
     _check_profile_feasible(c, fleet)
-    total = _clamp_total(float(eps @ c), fleet.total_capacity_mw)
-    k0 = int(np.searchsorted(fleet.cum_capacities, total, side="left"))
-    return float(fleet.prefix_costs[k0] + fleet.rewards[k0] * total - p @ c)
+    _clamp_total(float(eps @ c), fleet.total_capacity_mw)  # raises beyond the float guard
+    return float(slot_cost(fleet, eps, p, c)[0])
 
 
 def cost_fixed_k(
@@ -176,8 +236,8 @@ def cost_fixed_k(
         raise InvalidInputError(
             f"k_prime must be in [1, {fleet.n_types}], got {k_prime}"
         )
-    c = _as_vector(profile, "profile")
-    eps = _as_vector(sample, "sample")
+    c = as_vector(profile, "profile")
+    eps = as_vector(sample, "sample")
     p = prices_of(programs)
     k0 = k_prime - 1
     total = float(eps @ c)
@@ -192,9 +252,76 @@ def realized_cost_batch(
     ``eps`` has shape (S, N); validation is the caller's job (hot path for
     the Monte Carlo oracles).
     """
-    c = _as_vector(profile, "profile")
-    totals = eps @ c
-    cap = fleet.total_capacity_mw
-    np.clip(totals, 0.0, cap, out=totals)
-    k0 = np.searchsorted(fleet.cum_capacities, totals, side="left")
-    return fleet.prefix_costs[k0] + fleet.rewards[k0] * totals - float(prices @ c)
+    return slot_cost(fleet, eps, prices, as_vector(profile, "profile"))[0]
+
+
+class SlotBatch:
+    """Per-slot effective rates, prices and fleet tables for vectorized costs.
+
+    Rates and prices are zeroed where ``missing_masks[t]`` marks a program
+    absent. Fleets may differ in type count (reward ties merge); rows are
+    padded by repeating the last reward with zero extra capacity, which
+    leaves costs unchanged.
+    """
+
+    def __init__(self, fleets, programs_seq, samples, cap, missing_masks=None):
+        T = len(fleets)
+        if not (len(programs_seq) == len(samples) == T):
+            raise InvalidInputError("per-round inputs must have equal length")
+        if T == 0:
+            raise InvalidInputError("need at least one round")
+        n = len(programs_seq[0])
+        kmax = max(f.n_types for f in fleets)
+        self.T, self.n, self.fleets = T, n, list(fleets)
+        raw = np.zeros((T, n))
+        down = np.zeros((T, n), dtype=bool)
+        absent = np.zeros((T, n), dtype=bool)
+        self.prices = np.zeros((T, n))
+        self.rewards = np.zeros((T, kmax))
+        self.cum_capacities = np.zeros((T, kmax))
+        self.prefix_costs = np.zeros((T, kmax))
+        for t, (fleet, programs, sample) in enumerate(zip(fleets, programs_seq, samples)):
+            if len(programs) != n:
+                raise InvalidInputError(
+                    f"round {t}: expected {n} programs, got {len(programs)}"
+                )
+            if abs(fleet.total_capacity_mw - cap) > 1e-6 * max(1.0, cap):
+                raise InvalidInputError(
+                    f"round {t}: fleet capacity {fleet.total_capacity_mw} != cap {cap}"
+                )
+            row = as_vector(sample, "sample")
+            if row.size != n:
+                raise InvalidInputError(f"round {t}: got {row.size} deployment rates for {n} programs")
+            raw[t] = row
+            down[t] = [spec.direction == "down" for spec in programs]
+            if missing_masks is not None and missing_masks[t] is not None:
+                absent[t] = np.asarray(missing_masks[t], dtype=bool)
+            self.prices[t] = prices_of(programs)
+            k = fleet.n_types
+            self.rewards[t, :k] = fleet.rewards
+            self.rewards[t, k:] = fleet.rewards[-1]
+            self.cum_capacities[t, :k] = fleet.cum_capacities
+            self.cum_capacities[t, k:] = fleet.cum_capacities[-1]
+            self.prefix_costs[t, :k] = fleet.prefix_costs
+            self.prefix_costs[t, k:] = fleet.prefix_costs[-1]
+        if not np.all((raw >= 0.0) & (raw <= 1.0)):
+            raise InvalidInputError("epsilon components must lie in [0,1]")
+        self.eps = flip_down(raw, down)
+        self.eps[absent] = 0.0
+        self.prices[absent] = 0.0
+
+    def cost_and_subgradient(self, t: int, c: np.ndarray) -> tuple[float, np.ndarray]:
+        """Slot t's cost at profile c and the subgradient r_k eps_t - p_t."""
+        cost, slope = slot_cost(self.fleets[t], self.eps[t], self.prices[t], c)
+        return float(cost), slope * self.eps[t] - self.prices[t]
+
+    def costs_for(self, candidates: np.ndarray) -> np.ndarray:
+        """(T, B) per-slot costs for a (B, N) batch of profiles."""
+        return slot_cost(self, self.eps, self.prices, np.atleast_2d(candidates).T)[0]
+
+    def total_costs(self, candidates: np.ndarray) -> np.ndarray:
+        return self.costs_for(candidates).sum(axis=0)
+
+    def total_subgradient(self, c: np.ndarray) -> np.ndarray:
+        _, k = slot_piece(self, self.eps @ c)
+        return (self.rewards[k][:, None] * self.eps - self.prices).sum(axis=0)

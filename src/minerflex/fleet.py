@@ -150,18 +150,23 @@ def canonicalize(machines: Iterable[MachineType]) -> FleetSpec:
 
 
 def load_fleet_config(path) -> list[MachineType]:
-    """Read a fleet config: a JSON list of machine descriptions.
+    """Read a fleet config: a JSON list of machine descriptions (see :func:`parse_machines`)."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if isinstance(raw, dict):
+        raw = raw.get("machines", raw)
+    return parse_machines(raw, path)
+
+
+def parse_machines(raw, source) -> list[MachineType]:
+    """Machine types from a JSON list read from ``source`` (named in errors).
 
     Each entry needs ``id``, ``capacity_mw`` and either
     ``energy_intensity_mwh_per_coin`` (rewards computed per slot from
     traces) or an explicit ``reward`` for parametric runs.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
-    if isinstance(raw, dict):
-        raw = raw.get("machines", raw)
     if not isinstance(raw, list) or not raw:
-        raise InvalidInputError(f"{path}: expected a non-empty list of machines")
+        raise InvalidInputError(f"{source}: expected a non-empty list of machines")
     out = []
     for i, entry in enumerate(raw):
         try:
@@ -178,7 +183,7 @@ def load_fleet_config(path) -> list[MachineType]:
                 )
             )
         except KeyError as exc:
-            raise InvalidInputError(f"{path}: machine #{i} missing field {exc}") from None
+            raise InvalidInputError(f"{source}: machine #{i} missing field {exc}") from None
     return out
 
 

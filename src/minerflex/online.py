@@ -15,11 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .deployment import Profile, effective_epsilon
+from .deployment import Profile, SlotBatch, project_simplex
 from .errors import InvalidInputError
 from .fleet import FleetSpec
-from .programs import ProgramSpec, directions_of, prices_of
-from .sgd import _project, default_diameter, default_grad_bound
+from .programs import ProgramSpec
+from .sgd import default_diameter, default_grad_bound
 
 
 @dataclass(frozen=True)
@@ -96,97 +96,22 @@ def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
     if not np.all(np.isfinite(g)):
         raise InvalidInputError("gradient must be finite")
     eta = cfg.diameter / (cfg.grad_bound * math.sqrt(t))
-    return Profile(_project(c - eta * g, cfg.cap))
+    return Profile(project_simplex(c - eta * g, cfg.cap))
 
 
-class _RoundArrays:
-    """Padded per-round arrays for vectorized cost sums over a horizon.
-
-    Fleets may differ in type count (reward ties merge); rows are padded by
-    repeating the last reward with zero extra capacity, which leaves costs
-    unchanged.
-    """
-
-    def __init__(self, fleets, programs_seq, samples, cap, missing_masks=None):
-        T = len(fleets)
-        if not (len(programs_seq) == len(samples) == T):
-            raise InvalidInputError("per-round inputs must have equal length")
-        if T == 0:
-            raise InvalidInputError("need at least one round")
-        n = len(programs_seq[0])
-        kmax = max(f.n_types for f in fleets)
-        self.T, self.n = T, n
-        self.eps = np.zeros((T, n))
-        self.prices = np.zeros((T, n))
-        self.rewards = np.zeros((T, kmax))
-        self.cumcaps = np.zeros((T, kmax))
-        self.prefix = np.zeros((T, kmax))
-        for t, (fleet, programs, sample) in enumerate(zip(fleets, programs_seq, samples)):
-            if len(programs) != n:
-                raise InvalidInputError(
-                    f"round {t}: expected {n} programs, got {len(programs)}"
-                )
-            if abs(fleet.total_capacity_mw - cap) > 1e-6 * max(1.0, cap):
-                raise InvalidInputError(
-                    f"round {t}: fleet capacity {fleet.total_capacity_mw} != cap {cap}"
-                )
-            eff = effective_epsilon(sample, directions_of(programs)).epsilon.copy()
-            p = prices_of(programs)
-            if missing_masks is not None and missing_masks[t] is not None:
-                absent = np.asarray(missing_masks[t], dtype=bool)
-                eff[absent] = 0.0
-                p = p.copy()
-                p[absent] = 0.0
-            self.eps[t] = eff
-            self.prices[t] = p
-            k = fleet.n_types
-            self.rewards[t, :k] = fleet.rewards
-            self.rewards[t, k:] = fleet.rewards[-1]
-            self.cumcaps[t, :k] = fleet.cum_capacities
-            self.cumcaps[t, k:] = fleet.cum_capacities[-1]
-            self.prefix[t, :k] = fleet.prefix_costs
-            self.prefix[t, k:] = fleet.prefix_costs[-1]
-        self._rows = np.arange(T)
-
-    def round_cost_and_grad(self, t: int, c: np.ndarray) -> tuple[float, np.ndarray]:
-        deployed = float(np.clip(self.eps[t] @ c, 0.0, self.cumcaps[t, -1]))
-        k0 = int(np.searchsorted(self.cumcaps[t], deployed, side="left"))
-        cost = self.prefix[t, k0] + self.rewards[t, k0] * deployed - self.prices[t] @ c
-        grad = self.rewards[t, k0] * self.eps[t] - self.prices[t]
-        return float(cost), grad
-
-    def costs_for(self, candidates: np.ndarray) -> np.ndarray:
-        """(T, B) per-round costs for a (B, N) batch of profiles."""
-        cand = np.atleast_2d(candidates)
-        deployed = self.eps @ cand.T
-        np.clip(deployed, 0.0, self.cumcaps[:, -1:], out=deployed)
-        k0 = (self.cumcaps[:, :, None] < deployed[:, None, :]).sum(axis=1)
-        rows = self._rows[:, None]
-        return self.prefix[rows, k0] + self.rewards[rows, k0] * deployed - self.prices @ cand.T
-
-    def total_costs(self, candidates: np.ndarray) -> np.ndarray:
-        return self.costs_for(candidates).sum(axis=0)
-
-    def total_subgradient(self, c: np.ndarray) -> np.ndarray:
-        deployed = self.eps @ c
-        np.clip(deployed, 0.0, self.cumcaps[:, -1], out=deployed)
-        k0 = (self.cumcaps < deployed[:, None]).sum(axis=1)
-        return (self.rewards[self._rows, k0, None] * self.eps - self.prices).sum(axis=0)
-
-
-def _refined_minimum(arrays: _RoundArrays, cap: float, starts: list[np.ndarray]):
+def _refined_minimum(batch: SlotBatch, cap: float, starts: list[np.ndarray]):
     """Subgradient descent from several starts, then shrinking-grid polish."""
-    n = arrays.n
-    g_bound = math.sqrt(n) * max(float(arrays.rewards.max()), float(arrays.prices.max()), 1.0)
+    n = batch.n
+    g_bound = math.sqrt(n) * max(float(batch.rewards.max()), float(batch.prices.max()), 1.0)
     d = default_diameter(n, cap)
 
     best_c, best_v = None, math.inf
     for start in starts:
         c = start.copy()
         for j in range(1, 601):
-            g = arrays.total_subgradient(c) / arrays.T
-            c = _project(c - d / (g_bound * math.sqrt(j)) * g, cap)
-            v = float(arrays.total_costs(c[None, :])[0])
+            g = batch.total_subgradient(c) / batch.T
+            c = project_simplex(c - d / (g_bound * math.sqrt(j)) * g, cap)
+            v = float(batch.total_costs(c[None, :])[0])
             if v < best_v:
                 best_v, best_c = v, c.copy()
 
@@ -199,8 +124,8 @@ def _refined_minimum(arrays: _RoundArrays, cap: float, starts: list[np.ndarray])
         mesh = np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1).reshape(-1, n)
         for _ in range(6):
             cand = best_c[None, :] + hw * mesh
-            cand = np.array([_project(x, cap) for x in cand])
-            vals = arrays.total_costs(cand)
+            cand = np.array([project_simplex(x, cap) for x in cand])
+            vals = batch.total_costs(cand)
             i = int(np.argmin(vals))
             if vals[i] < best_v:
                 best_v, best_c = float(vals[i]), cand[i]
@@ -211,8 +136,8 @@ def _refined_minimum(arrays: _RoundArrays, cap: float, starts: list[np.ndarray])
                 grid = np.linspace(0.0, cap, 201)
                 cand = np.repeat(best_c[None, :], grid.size, axis=0)
                 cand[:, i] = grid
-                cand = np.array([_project(x, cap) for x in cand])
-                vals = arrays.total_costs(cand)
+                cand = np.array([project_simplex(x, cap) for x in cand])
+                vals = batch.total_costs(cand)
                 j = int(np.argmin(vals))
                 if vals[j] < best_v:
                     best_v, best_c = float(vals[j]), cand[j]
@@ -228,11 +153,11 @@ def hindsight_optimum(
     missing_masks=None,
 ) -> Profile:
     """Best fixed profile against the whole revealed sequence."""
-    arrays = _RoundArrays(fleet_per_round, programs_per_round, revealed_samples, cap, missing_masks)
-    n = arrays.n
+    batch = SlotBatch(fleet_per_round, programs_per_round, revealed_samples, cap, missing_masks)
+    n = batch.n
     starts = [np.zeros(n), np.full(n, cap / (2.0 * n))]
     starts += [cap * np.eye(n)[i] for i in range(n)]
-    best_c, _ = _refined_minimum(arrays, cap, starts)
+    best_c, _ = _refined_minimum(batch, cap, starts)
     return Profile(best_c)
 
 
@@ -250,10 +175,10 @@ def run_online(
     round index when no timestamps are supplied. Each learner runs its own
     step-size clock over its own subsequence.
     """
-    arrays = _RoundArrays(
+    batch = SlotBatch(
         fleet_per_round, programs_per_round, revealed_samples, cfg.cap, missing_masks
     )
-    T, n = arrays.T, arrays.n
+    T, n = batch.T, batch.n
     if timestamps is not None and len(timestamps) != T:
         raise InvalidInputError("timestamps must match the number of rounds")
 
@@ -267,17 +192,17 @@ def run_online(
         else:
             h = t % cfg.learners
         c = states[h]
-        cost, grad = arrays.round_cost_and_grad(t, c)
+        cost, grad = batch.cost_and_subgradient(t, c)
         outcomes.append(RoundOutcome(Profile(c.copy()), cost, grad))
         total_cost += cost
         clocks[h] += 1
         eta = cfg.diameter / (cfg.grad_bound * math.sqrt(clocks[h]))
-        states[h] = _project(c - eta * grad, cfg.cap)
+        states[h] = project_simplex(c - eta * grad, cfg.cap)
 
     hindsight = hindsight_optimum(
         fleet_per_round, programs_per_round, revealed_samples, cfg.cap, missing_masks
     )
-    hindsight_cost = float(arrays.total_costs(hindsight.c[None, :])[0])
+    hindsight_cost = float(batch.total_costs(hindsight.c[None, :])[0])
     static = total_cost - hindsight_cost
     report = RegretReport(
         static_regret=static,
@@ -292,6 +217,6 @@ def per_round_costs(
     fleet_per_round, programs_per_round, revealed_samples, cap, profile, missing_masks=None
 ) -> np.ndarray:
     """Cost of holding one fixed profile in every round (for regret curves)."""
-    arrays = _RoundArrays(fleet_per_round, programs_per_round, revealed_samples, cap, missing_masks)
+    batch = SlotBatch(fleet_per_round, programs_per_round, revealed_samples, cap, missing_masks)
     c = np.asarray(getattr(profile, "c", profile), dtype=float)
-    return arrays.costs_for(c[None, :])[:, 0]
+    return batch.costs_for(c[None, :])[:, 0]

@@ -16,10 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deployment import Profile, _as_vector, realized_cost_batch
+from .deployment import Profile, SlotBatch, as_vector, flip_down, realized_cost_batch
 from .errors import InvalidInputError, ModelViolationError
 from .fleet import FleetSpec, MachineType, canonicalize
-from .online import _RoundArrays
 from .programs import ProgramSpec, directions_of, prices_of
 from .sgd import SgdConfig, solve as sgd_solve
 from .traces import TraceRecord, per_slot_rewards, programs_for_record
@@ -70,8 +69,8 @@ def lp_deployment_oracle(
     """
     if fleet.n_types > 6:
         raise InvalidInputError("vertex enumeration is limited to K <= 6")
-    c = _as_vector(profile, "profile")
-    eps = _as_vector(sample, "sample")
+    c = as_vector(profile, "profile")
+    eps = as_vector(sample, "sample")
     p = prices_of(programs)
     total = float(eps @ c)
     caps = fleet.capacities
@@ -100,11 +99,7 @@ def draw_effective_samples(
     """Common-random-number sample block, direction-transformed."""
     rng = np.random.default_rng(seed)
     raw = np.asarray(sampler(rng, count), dtype=float)
-    down = np.array([d == "down" for d in directions])
-    if down.any():
-        raw = raw.copy()
-        raw[:, down] = 1.0 - raw[:, down]
-    return raw
+    return flip_down(raw, np.asarray(directions) == "down")
 
 
 def mc_expected_cost(
@@ -242,7 +237,7 @@ def compare_strategies(
     programs_seq = [programs_for_record(r, programs) for r in recs]
     samples = [r.deployment_array()[0] for r in recs]
     cap = fleets[0].total_capacity_mw
-    arrays = _RoundArrays(fleets, programs_seq, samples, cap)
+    batch = SlotBatch(fleets, programs_seq, samples, cap)
     eps_rows = np.array(samples)
 
     zeros = np.zeros(n)
@@ -262,7 +257,7 @@ def compare_strategies(
         return sgd_solve(fleet, train_programs, _resampling_sampler(eps_rows[rows]), cfg).profile.c
 
     def pick(cands: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-        costs = arrays.costs_for(np.array(cands))[rows].sum(axis=0)
+        costs = batch.costs_for(np.array(cands))[rows].sum(axis=0)
         return cands[int(np.argmin(costs))]
 
     all_rows = np.arange(len(recs))
@@ -282,10 +277,10 @@ def compare_strategies(
 
     per_slot = {
         "none": np.zeros(len(recs)),
-        "even_split": -arrays.costs_for(even[None, :])[:, 0],
-        "fixed_profile": -arrays.costs_for(fixed[None, :])[:, 0],
+        "even_split": -batch.costs_for(even[None, :])[:, 0],
+        "fixed_profile": -batch.costs_for(fixed[None, :])[:, 0],
     }
-    hourly_costs = arrays.costs_for(hour_profiles)
+    hourly_costs = batch.costs_for(hour_profiles)
     per_slot["optimized"] = -hourly_costs[all_rows, hours]
 
     return StrategyReport(

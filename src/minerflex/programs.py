@@ -4,11 +4,13 @@ A program pays ``price`` $/MWh on committed capacity and, when deployed,
 forces a load adjustment in its ``direction``: "up" programs reduce
 consumption by eps * c, "down" programs hold headroom c and end up reducing
 consumption by (1 - eps) * c. Deployment-rate models expose
-``mean() / variance() / sample(rng, size)`` over eps in [0, 1].
+``mean() / variance() / sample(rng, size)`` over eps in [0, 1], except the
+price-responsive model, whose deployment follows the real-time price.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +19,12 @@ import numpy as np
 from .errors import InvalidInputError
 
 DIRECTIONS = ("up", "down")
+EPS_KINDS = ("truncexp", "bernoulli", "constant", "uniform", "price_responsive")
+
+# Below this rate the truncated-exponential closed forms hit catastrophic
+# cancellation; switch to series expansions (error O(lambda^5) for the mean,
+# O(lambda^4) for the variance, far below the 1e-9 acceptance tolerance).
+_SERIES_LAMBDA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,8 @@ class BernoulliEps:
         return self.prob * (1.0 - self.prob)
 
     def sample(self, rng: np.random.Generator, size=None):
-        return (rng.random(size) < self.prob).astype(float)
+        deployed = rng.random(size) < self.prob
+        return float(deployed) if size is None else deployed.astype(float)
 
 
 @dataclass(frozen=True)
@@ -104,16 +113,118 @@ class UniformEps:
         return rng.uniform(self.lo, self.hi, size)
 
 
+@dataclass(frozen=True)
+class TruncatedExponential:
+    """Exponential distribution truncated to [0, 1] with rate ``lam``."""
+
+    lam: float
+
+    def __post_init__(self):
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise InvalidInputError(f"lam must be a positive finite real, got {self.lam}")
+
+    def pdf(self, x):
+        """Density lam * exp(-lam x) / (1 - exp(-lam)), zero outside [0, 1]."""
+        x = np.asarray(x, dtype=float)
+        dens = self.lam * np.exp(-self.lam * x) / -math.expm1(-self.lam)
+        out = np.where((x >= 0.0) & (x <= 1.0), dens, 0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def mean(self) -> float:
+        if self.lam < _SERIES_LAMBDA:
+            return 0.5 - self.lam / 12.0 + self.lam**3 / 720.0
+        return 1.0 / self.lam - 1.0 / math.expm1(self.lam)
+
+    def variance(self) -> float:
+        # The closed form cancels catastrophically for small rates (three
+        # O(1/lam^2) terms nearly annihilate), so the series branch extends
+        # well past the mean's switch point.
+        lam = self.lam
+        if lam < 0.05:
+            return 1.0 / 12.0 - lam**2 / 240.0 + lam**4 / 6048.0 - lam**6 / 172800.0
+        ex2 = (2.0 / lam**2 - math.exp(-lam) * (1.0 + 2.0 / lam + 2.0 / lam**2)) / -math.expm1(-lam)
+        return ex2 - self.mean() ** 2
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """Inverse-CDF draw: x = -log(1 - u (1 - e^-lam)) / lam."""
+        u = rng.random(size)
+        x = -np.log1p(u * math.expm1(-self.lam)) / self.lam
+        return float(x) if size is None else x
+
+
+def fit_lambda(target_mean: float) -> float:
+    """Rate whose truncated-exponential mean equals ``target_mean``.
+
+    The mean decreases strictly from 1/2 (lam -> 0) to 0 (lam -> inf), so
+    bisection converges; targets at or above 1/2 are infeasible.
+    """
+    if not 0.0 < target_mean < 0.5:
+        raise InvalidInputError(
+            f"target mean must lie in (0, 0.5), got {target_mean}"
+        )
+    lo, hi = 1e-12, 1.0
+    while TruncatedExponential(hi).mean() > target_mean:
+        hi *= 2.0
+        if hi > 1e9:
+            raise InvalidInputError(f"no rate reaches mean {target_mean}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        m = TruncatedExponential(mid).mean()
+        if abs(m - target_mean) <= 1e-12:
+            return mid
+        if m > target_mean:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class PriceResponsiveModel:
+    """All-or-nothing deployment triggered by the real-time price (no ``sample``)."""
+
+    threshold: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise InvalidInputError(f"threshold must be finite, got {self.threshold}")
+
+
+def price_responsive_eps(model: PriceResponsiveModel, rt_price: float) -> float:
+    """1.0 when the real-time price strictly exceeds the threshold, else 0.0."""
+    return 1.0 if rt_price > model.threshold else 0.0
+
+
+def parse_eps_model(cfg: dict):
+    """Deployment-rate model from a ``{"kind": ..., <params>}`` config block."""
+    kind = cfg.get("kind")
+    if kind == "truncexp":
+        lam = float(cfg["lambda"]) if "lambda" in cfg else fit_lambda(float(cfg["mean"]))
+        return TruncatedExponential(lam)
+    if kind == "bernoulli":
+        return BernoulliEps(float(cfg["prob"]))
+    if kind == "constant":
+        return ConstantEps(float(cfg["value"]))
+    if kind == "uniform":
+        return UniformEps(float(cfg.get("lo", 0.0)), float(cfg.get("hi", 1.0)))
+    if kind == "price_responsive":
+        return PriceResponsiveModel(float(cfg["threshold"]))
+    raise InvalidInputError(f"unknown eps model kind {kind!r}; expected one of {EPS_KINDS}")
+
+
 def independent_sampler(programs: Sequence[ProgramSpec]):
     """Joint sampler drawing each program's raw eps independently.
 
     Returns ``sampler(rng, size) -> (size, N) array``. Every program must
-    carry an ``eps_model``.
+    carry an ``eps_model`` that can be sampled without real-time prices.
     """
     models = []
     for p in programs:
-        if p.eps_model is None:
-            raise InvalidInputError(f"program {p.id!r} has no eps_model attached")
+        if p.eps_model is None or isinstance(p.eps_model, PriceResponsiveModel):
+            raise InvalidInputError(
+                f"program {p.id!r} has no sampled eps_model attached "
+                "(price_responsive deployment needs real-time prices from traces)"
+            )
         models.append(p.eps_model)
 
     def sampler(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -15,89 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import Profile
+from .deployment import Profile, project_simplex
 from .errors import InfeasibleError, InvalidInputError
 from .fleet import FleetSpec
-
-# Below this rate the closed forms hit catastrophic cancellation; switch to
-# series expansions (error O(lambda^5) for the mean, O(lambda^4) for the
-# variance, far below the 1e-9 acceptance tolerance).
-_SERIES_LAMBDA = 1e-4
-
-
-@dataclass(frozen=True)
-class TruncatedExponential:
-    """Exponential distribution truncated to [0, 1] with rate ``lam``."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InvalidInputError(f"lam must be a positive finite real, got {self.lam}")
-
-    def pdf(self, x):
-        """Density lam * exp(-lam x) / (1 - exp(-lam)), zero outside [0, 1]."""
-        x = np.asarray(x, dtype=float)
-        dens = self.lam * np.exp(-self.lam * x) / -math.expm1(-self.lam)
-        out = np.where((x >= 0.0) & (x <= 1.0), dens, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def mean(self) -> float:
-        if self.lam < _SERIES_LAMBDA:
-            return 0.5 - self.lam / 12.0 + self.lam**3 / 720.0
-        return 1.0 / self.lam - 1.0 / math.expm1(self.lam)
-
-    def variance(self) -> float:
-        # The closed form cancels catastrophically for small rates (three
-        # O(1/lam^2) terms nearly annihilate), so the series branch extends
-        # well past the mean's switch point.
-        lam = self.lam
-        if lam < 0.05:
-            return 1.0 / 12.0 - lam**2 / 240.0 + lam**4 / 6048.0 - lam**6 / 172800.0
-        ex2 = (2.0 / lam**2 - math.exp(-lam) * (1.0 + 2.0 / lam + 2.0 / lam**2)) / -math.expm1(-lam)
-        return ex2 - self.mean() ** 2
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF draw: x = -log(1 - u (1 - e^-lam)) / lam."""
-        u = rng.random(size)
-        x = -np.log1p(u * math.expm1(-self.lam)) / self.lam
-        return float(x) if size is None else x
-
-
-def truncexp_pdf(dist: TruncatedExponential, x):
-    return dist.pdf(x)
-
-
-def truncexp_mean(dist: TruncatedExponential) -> float:
-    return dist.mean()
-
-
-def fit_lambda(target_mean: float) -> float:
-    """Rate whose truncated-exponential mean equals ``target_mean``.
-
-    The mean decreases strictly from 1/2 (lam -> 0) to 0 (lam -> inf), so
-    bisection converges; targets at or above 1/2 are infeasible.
-    """
-    if not 0.0 < target_mean < 0.5:
-        raise InvalidInputError(
-            f"target mean must lie in (0, 0.5), got {target_mean}"
-        )
-    lo, hi = 1e-12, 1.0
-    while TruncatedExponential(hi).mean() > target_mean:
-        hi *= 2.0
-        if hi > 1e9:
-            raise InvalidInputError(f"no rate reaches mean {target_mean}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = TruncatedExponential(mid).mean()
-        if abs(m - target_mean) <= 1e-12:
-            return mid
-        if m > target_mean:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
+from .programs import TruncatedExponential
 
 @dataclass(frozen=True)
 class RegJointModel:
@@ -129,6 +50,20 @@ def sample_joint(model: RegJointModel, rng: np.random.Generator, size=None):
     out[~down_deployed, 0] = ups[~down_deployed]
     out[down_deployed, 1] = downs[down_deployed]
     return out
+
+
+def joint_pair(programs, theta: float, up_id: str, down_id: str):
+    """(up index, down index, joint model) of a checked reg-up/reg-down pair.
+
+    ``programs`` carry ``id`` and ``eps_model``; both must be truncexp.
+    """
+    index = {p.id: i for i, p in enumerate(programs)}
+    if up_id not in index or down_id not in index:
+        raise InvalidInputError("joint block names unknown program ids")
+    up, down = programs[index[up_id]].eps_model, programs[index[down_id]].eps_model
+    if not (isinstance(up, TruncatedExponential) and isinstance(down, TruncatedExponential)):
+        raise InvalidInputError("joint programs must use truncexp eps models")
+    return index[up_id], index[down_id], RegJointModel(theta, up, down)
 
 
 def joint_sampler(model: RegJointModel):
@@ -188,12 +123,12 @@ def _up_base(inst: RegInstance, c_up: float, c_dn: float) -> float:
     return c_up * (r1 * inst.model.up.mean() - inst.p_up) + c_dn * (r1 - inst.p_dn)
 
 
-def _down_cost_within_first(inst, c_up, c_dn):
+def down_cost_within_first(inst, c_up, c_dn):
     """Down case, c_dn <= cap_1: the first machine type always absorbs it."""
     return _down_base(inst, c_up, c_dn)
 
 
-def _down_cost_beyond_first(inst, c_up, c_dn):
+def down_cost_beyond_first(inst, c_up, c_dn):
     """Down case, c_dn > cap_1: reduction spills into the second type for small eps_dn."""
     cap1 = float(inst.fleet.capacities[0])
     r1, r2 = (float(v) for v in inst.fleet.rewards)
@@ -202,12 +137,12 @@ def _down_cost_beyond_first(inst, c_up, c_dn):
     return _down_base(inst, c_up, c_dn) + (r1 - r2) * spill
 
 
-def _up_cost_within_first(inst, c_up, c_dn):
+def up_cost_within_first(inst, c_up, c_dn):
     """Up case, c_up + c_dn <= cap_1: the first type always suffices."""
     return _up_base(inst, c_up, c_dn)
 
 
-def _up_cost_straddling(inst, c_up, c_dn):
+def up_cost_straddling(inst, c_up, c_dn):
     """Up case, c_up + c_dn > cap_1 > c_dn: spill for large eps_up only."""
     cap1 = float(inst.fleet.capacities[0])
     r1, r2 = (float(v) for v in inst.fleet.rewards)
@@ -217,7 +152,7 @@ def _up_cost_straddling(inst, c_up, c_dn):
     return _up_base(inst, c_up, c_dn) + (r1 - r2) * spill
 
 
-def _up_cost_beyond_first(inst, c_up, c_dn):
+def up_cost_beyond_first(inst, c_up, c_dn):
     """Up case, c_dn >= cap_1: the second type is always partially deployed."""
     r1, r2 = (float(v) for v in inst.fleet.rewards)
     cap1 = float(inst.fleet.capacities[0])
@@ -235,16 +170,16 @@ def expected_reg_cost(inst: RegInstance, c_up: float, c_dn: float) -> float:
     cap1 = float(inst.fleet.capacities[0])
 
     if c_dn <= cap1:
-        down = _down_cost_within_first(inst, c_up, c_dn)
+        down = down_cost_within_first(inst, c_up, c_dn)
     else:
-        down = _down_cost_beyond_first(inst, c_up, c_dn)
+        down = down_cost_beyond_first(inst, c_up, c_dn)
 
     if c_up + c_dn <= cap1:
-        up = _up_cost_within_first(inst, c_up, c_dn)
+        up = up_cost_within_first(inst, c_up, c_dn)
     elif c_dn >= cap1:
-        up = _up_cost_beyond_first(inst, c_up, c_dn)
+        up = up_cost_beyond_first(inst, c_up, c_dn)
     else:
-        up = _up_cost_straddling(inst, c_up, c_dn)
+        up = up_cost_straddling(inst, c_up, c_dn)
 
     theta = inst.model.theta
     return theta * down + (1.0 - theta) * up
@@ -271,8 +206,6 @@ def solve_reg_profile(inst: RegInstance, grid_points: int = 100) -> Profile:
     difference gradients on the (convex) closed form; returns whichever
     candidate evaluates best.
     """
-    from .sgd import _project  # local import to avoid a cycle at module load
-
     cap = inst.fleet.total_capacity_mw
     best_v, cu, cd = _grid_best(inst, grid_points)
     c = np.array([cu, cd])
@@ -289,12 +222,12 @@ def solve_reg_profile(inst: RegInstance, grid_points: int = 100) -> Profile:
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            hi = _project(c + e, cap)
-            lo = _project(c - e, cap)
+            hi = project_simplex(c + e, cap)
+            lo = project_simplex(c - e, cap)
             denom = hi[i] - lo[i]
             g[i] = (f(hi) - f(lo)) / denom if denom > 0 else 0.0
         step = cap / (scale * math.sqrt(j))
-        c = _project(c - step * g, cap)
+        c = project_simplex(c - step * g, cap)
         v = f(c)
         if v < best_v:
             best_v, cu, cd = v, float(c[0]), float(c[1])

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deployment import Profile, _as_vector
+from .deployment import Profile, as_vector, flip_down, project_simplex, slot_piece
 from .errors import InvalidInputError
 from .fleet import FleetSpec
 from .programs import ProgramSpec, prices_of
@@ -71,41 +71,22 @@ def suboptimality_bound(
     return 3.0 * d * g / (2.0 * math.sqrt(iterations))
 
 
-def _project(x: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {c >= 0, sum c <= cap}.
-
-    Clip to the nonnegative orthant first; if the sum constraint still
-    binds, the projection lands on the simplex face and is found by the
-    usual sort-and-threshold shift.
-    """
-    clipped = np.maximum(x, 0.0)
-    if clipped.sum() <= cap:
-        return clipped
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - cap
-    j = np.arange(1, x.size + 1)
-    rho = np.nonzero(u - css / j > 0.0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(x - tau, 0.0)
-
-
 def project_feasible(point, cap: float) -> Profile:
     """Project an arbitrary point onto the feasible capacity set."""
-    x = _as_vector(point, "point")
+    x = as_vector(point, "point")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"point must be finite, got {x}")
     if cap < 0:
         raise InvalidInputError(f"cap must be >= 0, got {cap}")
-    return Profile(_project(x, cap))
+    return Profile(project_simplex(x, cap))
 
 
 def _batch_subgradient(
     fleet: FleetSpec, prices: np.ndarray, eps: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Average subgradient r_{k_c} * eps - p over the sample rows of eps."""
-    totals = np.clip(eps @ c, 0.0, fleet.total_capacity_mw)
-    k0 = np.searchsorted(fleet.cum_capacities, totals, side="left")
-    return (fleet.rewards[k0, None] * eps).mean(axis=0) - prices
+    """Average subgradient r_k * eps - p over the sample rows of eps."""
+    _, k = slot_piece(fleet, eps @ c)
+    return (fleet.rewards[k, None] * eps).mean(axis=0) - prices
 
 
 def sample_subgradient(
@@ -119,10 +100,10 @@ def sample_subgradient(
     if isinstance(samples, np.ndarray):
         eps = np.atleast_2d(np.asarray(samples, dtype=float))
     else:
-        eps = np.array([_as_vector(s, "sample") for s in samples], dtype=float)
+        eps = np.array([as_vector(s, "sample") for s in samples], dtype=float)
     if eps.size == 0:
         raise InvalidInputError("samples must be nonempty")
-    c = _as_vector(profile, "profile")
+    c = as_vector(profile, "profile")
     p = prices_of(programs)
     if eps.shape[1] != c.size or c.size != p.size:
         raise InvalidInputError(
@@ -169,10 +150,9 @@ def solve(
                 f"sampler returned shape {eps.shape}, expected {(config.batch, n)}"
             )
         if down.any():
-            eps = eps.copy()
-            eps[:, down] = 1.0 - eps[:, down]
+            eps = flip_down(eps, down)
         grad = _batch_subgradient(fleet, p, eps, c)
-        c = _project(c - (num / math.sqrt(j)) * grad, cap)
+        c = project_simplex(c - (num / math.sqrt(j)) * grad, cap)
         if trajectory is not None:
             trajectory.append(c.copy())
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import InvalidInputError, ModelViolationError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
-from .programs import ProgramSpec
-from .regulation import RegJointModel, TruncatedExponential, fit_lambda, sample_joint
+from .programs import PriceResponsiveModel, ProgramSpec, parse_eps_model, price_responsive_eps
+from .regulation import joint_pair, sample_joint
 from .single_machine import ProgramStats
 
 MARKET_HEADER = ["timestamp", "rt_price", "coin_price"]
@@ -45,22 +45,6 @@ class TraceRecord:
         missing = np.array([d is None for d in self.deployment])
         eps = np.array([0.0 if d is None else d for d in self.deployment])
         return eps, missing
-
-
-@dataclass(frozen=True)
-class PriceResponsiveModel:
-    """All-or-nothing deployment triggered by the real-time price."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.threshold):
-            raise InvalidInputError(f"threshold must be finite, got {self.threshold}")
-
-
-def price_responsive_eps(model: PriceResponsiveModel, rt_price: float) -> float:
-    """1.0 when the real-time price strictly exceeds the threshold, else 0.0."""
-    return 1.0 if rt_price > model.threshold else 0.0
 
 
 def _parse_timestamp(raw: str, path, line: int) -> datetime:
@@ -233,8 +217,7 @@ class SynthProgram:
     id: str
     direction: str
     price: PriceBlock
-    eps_kind: str
-    eps_param: float
+    eps_model: object
 
 
 @dataclass(frozen=True)
@@ -255,25 +238,12 @@ def load_synthesis_spec(path) -> SynthesisSpec:
     try:
         programs = []
         for p in cfg["programs"]:
-            eps = p["eps"]
-            kind = eps["kind"]
-            if kind == "truncexp":
-                param = float(eps["lambda"]) if "lambda" in eps else fit_lambda(float(eps["mean"]))
-            elif kind == "price_responsive":
-                param = float(eps["threshold"])
-            elif kind == "bernoulli":
-                param = float(eps["prob"])
-            elif kind == "constant":
-                param = float(eps["value"])
-            else:
-                raise InvalidInputError(f"unknown eps kind {kind!r}")
             programs.append(
                 SynthProgram(
                     id=str(p["id"]),
                     direction=str(p.get("direction", "up")),
                     price=PriceBlock.from_config(p["price"], f"program {p['id']}"),
-                    eps_kind=kind,
-                    eps_param=param,
+                    eps_model=parse_eps_model(p["eps"]),
                 )
             )
         joint = cfg.get("joint")
@@ -301,20 +271,9 @@ def synthesize_traces(spec: SynthesisSpec, seed: int) -> list[TraceRecord]:
     if spec.hours < 1:
         raise InvalidInputError(f"synthesis needs at least one hour, got {spec.hours}")
     rng = np.random.default_rng(seed)
-    by_id = {p.id: i for i, p in enumerate(spec.programs)}
-    joint_model = None
+    joint = None
     if spec.joint_theta is not None:
-        if spec.joint_up not in by_id or spec.joint_down not in by_id:
-            raise InvalidInputError("joint block names unknown program ids")
-        up = spec.programs[by_id[spec.joint_up]]
-        dn = spec.programs[by_id[spec.joint_down]]
-        if up.eps_kind != "truncexp" or dn.eps_kind != "truncexp":
-            raise InvalidInputError("joint programs must use truncexp deployment models")
-        joint_model = RegJointModel(
-            theta=spec.joint_theta,
-            up=TruncatedExponential(up.eps_param),
-            down=TruncatedExponential(dn.eps_param),
-        )
+        joint = joint_pair(spec.programs, spec.joint_theta, spec.joint_up, spec.joint_down)
 
     records = []
     for h in range(spec.hours):
@@ -324,21 +283,17 @@ def synthesize_traces(spec: SynthesisSpec, seed: int) -> list[TraceRecord]:
         coin = spec.coin_price.draw(rng, hour)
         prices = [p.price.draw(rng, hour) for p in spec.programs]
         eps: list[Optional[float]] = [None] * len(spec.programs)
-        if joint_model is not None:
-            e_up, e_dn = sample_joint(joint_model, rng)
-            eps[by_id[spec.joint_up]] = float(e_up)
-            eps[by_id[spec.joint_down]] = float(e_dn)
+        if joint is not None:
+            e_up, e_dn = sample_joint(joint[2], rng)
+            eps[joint[0]] = float(e_up)
+            eps[joint[1]] = float(e_dn)
         for i, p in enumerate(spec.programs):
             if eps[i] is not None:
                 continue
-            if p.eps_kind == "truncexp":
-                eps[i] = float(TruncatedExponential(p.eps_param).sample(rng))
-            elif p.eps_kind == "bernoulli":
-                eps[i] = float(rng.random() < p.eps_param)
-            elif p.eps_kind == "constant":
-                eps[i] = p.eps_param
-            else:  # price_responsive
-                eps[i] = price_responsive_eps(PriceResponsiveModel(p.eps_param), rt)
+            if isinstance(p.eps_model, PriceResponsiveModel):
+                eps[i] = price_responsive_eps(p.eps_model, rt)
+            else:
+                eps[i] = float(p.eps_model.sample(rng))
         records.append(
             TraceRecord(
                 timestamp=ts,

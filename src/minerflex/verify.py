@@ -14,23 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import cost_fixed_k, realized_cost, realized_cost_batch
+from .deployment import cost_fixed_k, flip_down, realized_cost, realized_cost_batch
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, run_online
 from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
-from .programs import ProgramSpec
+from .programs import ProgramSpec, TruncatedExponential, fit_lambda
 from .regulation import (
     RegInstance,
     RegJointModel,
-    TruncatedExponential,
+    down_cost_beyond_first,
+    down_cost_within_first,
     expected_reg_cost,
-    fit_lambda,
     sample_joint,
-    _down_cost_beyond_first,
-    _down_cost_within_first,
-    _up_cost_beyond_first,
-    _up_cost_straddling,
-    _up_cost_within_first,
+    up_cost_beyond_first,
+    up_cost_straddling,
+    up_cost_within_first,
 )
 from .sgd import SgdConfig, project_feasible, solve as sgd_solve
 from .single_machine import ProgramStats, RiskConfig, best_program, risk_aware_solve
@@ -179,8 +177,7 @@ def check_regulation_mc(seed=6, samples=200_000) -> CheckResult:
     for theta in (0.3, 0.5, 0.7):
         inst = _reg_instance(theta)
         raw = sample_joint(inst.model, rng, samples)
-        eff = raw.copy()
-        eff[:, 1] = 1.0 - eff[:, 1]
+        eff = flip_down(raw, np.array([False, True]))
         prices = np.array([inst.p_up, inst.p_dn])
         for c_up, c_dn in ((40.0, 40.0), (120.0, 60.0), (30.0, 190.0), (0.0, 250.0)):
             costs = realized_cost_batch(inst.fleet, prices, eff, np.array([c_up, c_dn]))
@@ -199,16 +196,16 @@ def check_regulation_continuity() -> CheckResult:
     cap1 = float(inst.fleet.capacities[0])
     worst = 0.0
     for c_up in (0.0, 30.0, 90.0):
-        a = _down_cost_within_first(inst, c_up, cap1)
-        b = _down_cost_beyond_first(inst, c_up, cap1)
+        a = down_cost_within_first(inst, c_up, cap1)
+        b = down_cost_beyond_first(inst, c_up, cap1)
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     for c_dn in (20.0, 80.0, 140.0):
-        a = _up_cost_within_first(inst, cap1 - c_dn, c_dn)
-        b = _up_cost_straddling(inst, cap1 - c_dn, c_dn)
+        a = up_cost_within_first(inst, cap1 - c_dn, c_dn)
+        b = up_cost_straddling(inst, cap1 - c_dn, c_dn)
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     for c_up in (15.0, 70.0):
-        a = _up_cost_straddling(inst, c_up, cap1)
-        b = _up_cost_beyond_first(inst, c_up, cap1)
+        a = up_cost_straddling(inst, c_up, cap1)
+        b = up_cost_beyond_first(inst, c_up, cap1)
         worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     return CheckResult(
         "regulation cost continuity across regions",

@@ -46,18 +46,16 @@ from minerflex import (
     solve,
     suboptimality_bound,
     synthesize_traces,
-    truncexp_mean,
 )
-from minerflex.deployment import realized_cost_batch
-from minerflex.online import _RoundArrays
+from minerflex.deployment import SlotBatch, realized_cost_batch
 from minerflex.oracle import draw_effective_samples, mc_expected_cost
 from minerflex.programs import prices_of
 from minerflex.regulation import (
-    _down_cost_beyond_first,
-    _down_cost_within_first,
-    _up_cost_beyond_first,
-    _up_cost_straddling,
-    _up_cost_within_first,
+    down_cost_beyond_first,
+    down_cost_within_first,
+    up_cost_beyond_first,
+    up_cost_straddling,
+    up_cost_within_first,
 )
 from minerflex.traces import load_synthesis_spec
 
@@ -209,16 +207,16 @@ def test_criterion_4_regulation_closed_form():
     )
     worst_rel = 0.0
     for c_up in (0.0, 30.0, 70.0, 99.0):
-        a = _down_cost_within_first(inst, c_up, cap1)
-        b = _down_cost_beyond_first(inst, c_up, cap1)
+        a = down_cost_within_first(inst, c_up, cap1)
+        b = down_cost_beyond_first(inst, c_up, cap1)
         worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(a)))
     for c_dn in (10.0, 60.0, 120.0, 149.0):
-        a = _up_cost_within_first(inst, cap1 - c_dn, c_dn)
-        b = _up_cost_straddling(inst, cap1 - c_dn, c_dn)
+        a = up_cost_within_first(inst, cap1 - c_dn, c_dn)
+        b = up_cost_straddling(inst, cap1 - c_dn, c_dn)
         worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(a)))
     for c_up in (10.0, 50.0, 99.0):
-        a = _up_cost_straddling(inst, c_up, cap1)
-        b = _up_cost_beyond_first(inst, c_up, cap1)
+        a = up_cost_straddling(inst, c_up, cap1)
+        b = up_cost_beyond_first(inst, c_up, cap1)
         worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(a)))
     elapsed = time.time() - t0
     report(
@@ -374,7 +372,7 @@ def test_criterion_7_online_regret():
 
         def prefix_regret(t):
             prefix_opt = hindsight_optimum(fleets[:t], programs_seq[:t], samples[:t], 250.0)
-            arrays = _RoundArrays(fleets[:t], programs_seq[:t], samples[:t], 250.0)
+            arrays = SlotBatch(fleets[:t], programs_seq[:t], samples[:t], 250.0)
             return float(played[:t].sum() - arrays.total_costs(prefix_opt.c[None, :])[0])
 
         r_quarter = prefix_regret(horizon // 4)
@@ -424,12 +422,12 @@ def test_criterion_9_distribution_utilities():
     for lam in np.geomspace(1e-4, 50.0, 25):
         dist = TruncatedExponential(float(lam))
         val, _ = integrate.quad(lambda x: x * dist.pdf(x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-        worst_mean = max(worst_mean, abs(truncexp_mean(dist) - val))
+        worst_mean = max(worst_mean, abs(dist.mean() - val))
 
     worst_fit = 0.0
     for target in list(np.linspace(0.02, 0.48, 24)) + [0.18, 0.27]:
         lam = fit_lambda(float(target))
-        worst_fit = max(worst_fit, abs(truncexp_mean(TruncatedExponential(lam)) - target))
+        worst_fit = max(worst_fit, abs(TruncatedExponential(lam).mean() - target))
 
     rng = np.random.default_rng(109)
     model = RegJointModel(0.5, TruncatedExponential(fit_lambda(0.18)), TruncatedExponential(fit_lambda(0.27)))

@@ -50,12 +50,33 @@ def test_validation_error_exit_code(tmp_path):
     assert proc.returncode == 2
     assert "error" in proc.stderr
 
+    # a price-responsive program cannot be sampled without real-time prices
+    programs = tmp_path / "programs.json"
+    programs.write_text(json.dumps({
+        "economics": {"coin_price": 20000, "electricity_price": 50},
+        "programs": [{"id": "presp", "price": 12.0, "eps": {"kind": "price_responsive", "threshold": 60}}],
+    }))
+    proc = run_cli(
+        "solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", programs,
+        "--out", tmp_path / "p", check=False,
+    )
+    assert proc.returncode == 2
+    assert "presp" in proc.stderr
+
 
 def test_malformed_config_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     proc = run_cli("solve-reg", "--config", bad, "--out", tmp_path / "o", check=False)
     assert proc.returncode == 2
+
+    reg = json.loads((CONFIGS / "reg.json").read_text())
+    del reg["fleet"][1]["capacity_mw"]
+    no_capacity = tmp_path / "reg.json"
+    no_capacity.write_text(json.dumps(reg))
+    proc = run_cli("solve-reg", "--config", no_capacity, "--out", tmp_path / "r", check=False)
+    assert proc.returncode == 2
+    assert str(no_capacity) in proc.stderr and "machine #1" in proc.stderr
 
 
 def test_config_dir_env_var(tmp_path):

@@ -16,8 +16,9 @@ from minerflex import (
     fleet_from_rewards,
     realized_cost,
 )
-from minerflex.deployment import realized_cost_batch
-from minerflex.programs import prices_of
+from minerflex.deployment import SlotBatch, realized_cost_batch
+from minerflex.programs import directions_of, prices_of
+from minerflex.sgd import sample_subgradient
 
 from conftest import random_instance
 
@@ -209,6 +210,39 @@ def test_batch_matches_scalar(rng):
         batch = realized_cost_batch(fleet, prices_of(programs), eps, c)
         single = [realized_cost(fleet, programs, c, row) for row in eps]
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-9)
+
+    # SlotBatch: a fleet per slot (2 or 3 types), a down program, missing programs
+    fleets, programs_seq, samples, masks = [], [], [], []
+    for t in range(12):
+        caps = [150.0, 100.0] if t % 2 else [90.0, 60.0, 100.0]
+        rewards = np.sort(rng.uniform(0.0, 200.0, len(caps))) + np.arange(len(caps)) * 1e-6
+        fleets.append(fleet_from_rewards(caps, rewards))
+        programs_seq.append([
+            ProgramSpec(id=f"p{i}", price=float(rng.uniform(0.0, 60.0)), direction="down" if i == 1 else "up")
+            for i in range(3)
+        ])
+        samples.append(rng.uniform(0.0, 1.0, 3))
+        masks.append(np.array([False, t % 2 == 0, True]) if t % 3 == 0 else None)
+    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
+    cands = np.array([[60.0, 80.0, 40.0], [100.0, 100.0, 50.0]])
+    costs = batch.costs_for(cands)
+    for b, c in enumerate(cands):
+        total_grad = np.zeros(3)
+        for t, (fleet, programs) in enumerate(zip(fleets, programs_seq)):
+            eff = effective_epsilon(samples[t], directions_of(programs)).epsilon.copy()
+            if masks[t] is not None:
+                eff[masks[t]] = 0.0
+                programs = [
+                    ProgramSpec(p.id, 0.0 if absent else p.price, p.direction)
+                    for p, absent in zip(programs, masks[t])
+                ]
+            cost = realized_cost(fleet, programs, c, eff)
+            grad = sample_subgradient(fleet, programs, c, eff[None, :])
+            round_cost, round_grad = batch.cost_and_subgradient(t, c)
+            np.testing.assert_allclose([costs[t, b], round_cost], cost, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(round_grad, grad, rtol=0, atol=1e-9)
+            total_grad += grad
+        np.testing.assert_allclose(batch.total_subgradient(c), total_grad, rtol=0, atol=1e-9)
 
 
 def test_sample_and_profile_validation():

@@ -14,7 +14,8 @@ from minerflex import (
     regret_bound,
     run_online,
 )
-from minerflex.online import _RoundArrays, per_round_costs
+from minerflex.deployment import SlotBatch
+from minerflex.online import per_round_costs
 
 
 def random_rounds(rng, horizon, caps=(150.0, 100.0), r_max=200.0, p_max=60.0, n=2):
@@ -81,7 +82,7 @@ def test_stationary_convergence(rng):
     cfg = OgdConfig.from_bounds(400, 2, 250.0, 200.0, 60.0, learners=1)
     outcomes, report = run_online(fleets, programs_seq, samples, cfg)
     # average regret decays and the late profiles approach the per-round argmin
-    arrays = _RoundArrays(fleets[:1], programs_seq[:1], samples[:1], 250.0)
+    arrays = SlotBatch(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 501)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
@@ -153,7 +154,7 @@ def test_hindsight_matches_dense_grid(rng):
     for _ in range(3):
         fleets, programs_seq, samples = random_rounds(rng, 50)
         profile = hindsight_optimum(fleets, programs_seq, samples, 250.0)
-        arrays = _RoundArrays(fleets, programs_seq, samples, 250.0)
+        arrays = SlotBatch(fleets, programs_seq, samples, 250.0)
         value = float(arrays.total_costs(profile.c[None, :])[0])
         axis = np.linspace(0.0, 250.0, 500)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -165,7 +166,7 @@ def test_hindsight_matches_dense_grid(rng):
 def test_hindsight_identical_rounds_single_round_argmin(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 30)
     profile = hindsight_optimum(fleets, programs_seq, samples, 250.0)
-    arrays = _RoundArrays(fleets[:1], programs_seq[:1], samples[:1], 250.0)
+    arrays = SlotBatch(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 800)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
@@ -177,7 +178,7 @@ def test_hindsight_identical_rounds_single_round_argmin(rng):
 def test_hindsight_three_programs_beats_coarse_grid(rng):
     fleets, programs_seq, samples = random_rounds(rng, 40, n=3)
     profile = hindsight_optimum(fleets, programs_seq, samples, 250.0)
-    arrays = _RoundArrays(fleets, programs_seq, samples, 250.0)
+    arrays = SlotBatch(fleets, programs_seq, samples, 250.0)
     value = float(arrays.total_costs(profile.c[None, :])[0])
     axis = np.linspace(0.0, 250.0, 80)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -195,6 +196,10 @@ def test_run_online_validates_dimensions(rng):
     fleets, programs_seq, samples = random_rounds(rng, 5)
     programs_seq[3] = programs_seq[3][:1]
     cfg = OgdConfig.from_bounds(5, 2, 250.0, 200.0, 60.0)
+    with pytest.raises(InvalidInputError):
+        run_online(fleets, programs_seq, samples, cfg)
+    fleets, programs_seq, samples = random_rounds(rng, 5)
+    samples[2] = np.array([1.5, 0.2])
     with pytest.raises(InvalidInputError):
         run_online(fleets, programs_seq, samples, cfg)
 

@@ -131,7 +131,7 @@ def test_compare_strategies_dominance_and_baseline():
 def test_compare_strategies_zero_prices():
     spec = synth_spec(hours=72)
     zero_programs = tuple(
-        type(p)(p.id, p.direction, type(p.price)((0.0,) * 24), p.eps_kind, p.eps_param)
+        type(p)(p.id, p.direction, type(p.price)((0.0,) * 24), p.eps_model)
         for p in spec.programs
     )
     spec = type(spec)(

@@ -18,16 +18,14 @@ from minerflex import (
     realized_cost,
     sample_joint,
     solve_reg_profile,
-    truncexp_mean,
-    truncexp_pdf,
 )
 from minerflex.deployment import realized_cost_batch
 from minerflex.regulation import (
-    _down_cost_beyond_first,
-    _down_cost_within_first,
-    _up_cost_beyond_first,
-    _up_cost_straddling,
-    _up_cost_within_first,
+    down_cost_beyond_first,
+    down_cost_within_first,
+    up_cost_beyond_first,
+    up_cost_straddling,
+    up_cost_within_first,
 )
 from minerflex.fleet import FleetSpec, MachineType
 
@@ -72,9 +70,9 @@ def quadrature_reg_cost(inst, c_up, c_dn):
 
 def test_pdf_support_and_value():
     dist = TruncatedExponential(1.0)
-    assert truncexp_pdf(dist, -0.1) == 0.0
-    assert truncexp_pdf(dist, 1.1) == 0.0
-    assert truncexp_pdf(dist, 0.0) == pytest.approx(1.0 / (1.0 - math.exp(-1.0)))
+    assert dist.pdf(-0.1) == 0.0
+    assert dist.pdf(1.1) == 0.0
+    assert dist.pdf(0.0) == pytest.approx(1.0 / (1.0 - math.exp(-1.0)))
 
 
 @pytest.mark.parametrize("lam", [1e-4, 0.01, 0.5, 1.0, 3.0, 10.0, 50.0])
@@ -88,19 +86,19 @@ def test_pdf_normalizes(lam):
 def test_mean_matches_quadrature(lam):
     dist = TruncatedExponential(lam)
     val, _ = integrate.quad(lambda x: x * dist.pdf(x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-    assert truncexp_mean(dist) == pytest.approx(val, abs=1e-10)
+    assert dist.mean() == pytest.approx(val, abs=1e-10)
 
 
 def test_mean_limits():
-    assert truncexp_mean(TruncatedExponential(1e-9)) == pytest.approx(0.5, abs=1e-9)
-    assert truncexp_mean(TruncatedExponential(1.0)) == pytest.approx(0.4180232931306735, abs=1e-10)
-    assert truncexp_mean(TruncatedExponential(50.0)) == pytest.approx(1.0 / 50.0, rel=1e-3)
+    assert TruncatedExponential(1e-9).mean() == pytest.approx(0.5, abs=1e-9)
+    assert TruncatedExponential(1.0).mean() == pytest.approx(0.4180232931306735, abs=1e-10)
+    assert TruncatedExponential(50.0).mean() == pytest.approx(1.0 / 50.0, rel=1e-3)
 
 
 @pytest.mark.parametrize("lam", [1e-4, 0.5, 1.0, 5.0, 30.0])
 def test_variance_matches_quadrature(lam):
     dist = TruncatedExponential(lam)
-    m = truncexp_mean(dist)
+    m = dist.mean()
     val, _ = integrate.quad(
         lambda x: (x - m) ** 2 * dist.pdf(x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13
     )
@@ -132,14 +130,14 @@ def test_partial_moments_match_quadrature(lam, rng):
 def test_fit_lambda_targets():
     for target in (0.18, 0.27):
         lam = fit_lambda(target)
-        assert truncexp_mean(TruncatedExponential(lam)) == pytest.approx(target, abs=1e-10)
+        assert TruncatedExponential(lam).mean() == pytest.approx(target, abs=1e-10)
 
 
 def test_fit_lambda_round_trip(rng):
     for _ in range(50):
         target = float(rng.uniform(0.01, 0.49))
         lam = fit_lambda(target)
-        assert truncexp_mean(TruncatedExponential(lam)) == pytest.approx(target, abs=1e-9)
+        assert TruncatedExponential(lam).mean() == pytest.approx(target, abs=1e-9)
 
 
 def test_fit_lambda_rejects_out_of_range():
@@ -223,8 +221,8 @@ def test_reg_cost_continuity_at_down_boundary():
     inst = make_instance()
     cap1 = float(inst.fleet.capacities[0])
     for c_up in (0.0, 25.0, 60.0, 99.0):
-        a = _down_cost_within_first(inst, c_up, cap1)
-        b = _down_cost_beyond_first(inst, c_up, cap1)
+        a = down_cost_within_first(inst, c_up, cap1)
+        b = down_cost_beyond_first(inst, c_up, cap1)
         assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
 
 
@@ -236,13 +234,13 @@ def test_reg_cost_continuity_at_up_boundaries():
         c_up = cap1 - c_dn
         if c_up <= 0:
             continue
-        a = _up_cost_within_first(inst, c_up, c_dn)
-        b = _up_cost_straddling(inst, c_up, c_dn)
+        a = up_cost_within_first(inst, c_up, c_dn)
+        b = up_cost_straddling(inst, c_up, c_dn)
         assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
     # c_dn = cap_1: straddling vs always-beyond
     for c_up in (10.0, 50.0, 99.0):
-        a = _up_cost_straddling(inst, c_up, cap1)
-        b = _up_cost_beyond_first(inst, c_up, cap1)
+        a = up_cost_straddling(inst, c_up, cap1)
+        b = up_cost_beyond_first(inst, c_up, cap1)
         assert abs(a - b) <= 1e-7 * max(1.0, abs(a))
 
 
@@ -272,14 +270,14 @@ def test_equal_rewards_collapse_heterogeneity_terms():
     )
     model = RegJointModel(0.5, TruncatedExponential(2.0), TruncatedExponential(3.0))
     inst = RegInstance(fleet=fleet, p_up=15.0, p_dn=10.0, model=model)
-    assert _down_cost_beyond_first(inst, 30.0, 200.0) == pytest.approx(
-        _down_cost_within_first(inst, 30.0, 200.0)
+    assert down_cost_beyond_first(inst, 30.0, 200.0) == pytest.approx(
+        down_cost_within_first(inst, 30.0, 200.0)
     )
-    assert _up_cost_straddling(inst, 100.0, 80.0) == pytest.approx(
-        _up_cost_within_first(inst, 100.0, 80.0)
+    assert up_cost_straddling(inst, 100.0, 80.0) == pytest.approx(
+        up_cost_within_first(inst, 100.0, 80.0)
     )
-    assert _up_cost_beyond_first(inst, 40.0, 200.0) == pytest.approx(
-        _up_cost_within_first(inst, 40.0, 200.0)
+    assert up_cost_beyond_first(inst, 40.0, 200.0) == pytest.approx(
+        up_cost_within_first(inst, 40.0, 200.0)
     )
 
 

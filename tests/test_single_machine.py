@@ -11,7 +11,7 @@ from minerflex import (
     profile_risk,
     risk_aware_solve,
 )
-from minerflex.sgd import _project
+from minerflex.deployment import project_simplex
 
 
 def axis_grid_best(programs, r, cap, points=1000):
@@ -63,7 +63,7 @@ def projected_gradient_oracle(programs, r, cap, w, iters=40000):
     c = np.zeros(len(programs))
     lip = float(2.0 * b.max() + 1.0)
     for _ in range(iters):
-        c = _project(c - (a + 2.0 * b * c) / lip, cap)
+        c = project_simplex(c - (a + 2.0 * b * c) / lip, cap)
     return c
 
 

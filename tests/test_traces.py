@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minerflex import (
+    ConstantEps,
     InvalidInputError,
     MachineType,
     ModelViolationError,
@@ -19,9 +20,9 @@ from minerflex import (
     per_slot_rewards,
     price_responsive_eps,
     synthesize_traces,
-    truncexp_mean,
     write_traces,
 )
+from minerflex.programs import EPS_KINDS, parse_eps_model
 from minerflex.traces import MARKET_HEADER, AS_HEADER, PriceBlock, SynthProgram, SynthesisSpec, TraceRecord
 
 
@@ -46,9 +47,9 @@ def make_records(n=5, eps=lambda i: (0.5, None)):
 
 def synth_spec(hours=24, joint=True):
     programs = (
-        SynthProgram("presp", "up", PriceBlock((12.0,) * 24, 1.0, 0.0, 100.0), "price_responsive", 60.0),
-        SynthProgram("regup", "up", PriceBlock((15.0,) * 24, 1.0, 0.0, 100.0), "truncexp", fit_lambda(0.18)),
-        SynthProgram("regdn", "down", PriceBlock((9.0,) * 24, 1.0, 0.0, 100.0), "truncexp", fit_lambda(0.27)),
+        SynthProgram("presp", "up", PriceBlock((12.0,) * 24, 1.0, 0.0, 100.0), PriceResponsiveModel(60.0)),
+        SynthProgram("regup", "up", PriceBlock((15.0,) * 24, 1.0, 0.0, 100.0), TruncatedExponential(fit_lambda(0.18))),
+        SynthProgram("regdn", "down", PriceBlock((9.0,) * 24, 1.0, 0.0, 100.0), TruncatedExponential(fit_lambda(0.27))),
     )
     return SynthesisSpec(
         start=datetime(2022, 4, 4, tzinfo=UTC),
@@ -60,6 +61,23 @@ def synth_spec(hours=24, joint=True):
         joint_up="regup" if joint else None,
         joint_down="regdn" if joint else None,
     )
+
+
+def test_registry_models_sample_scalar_and_vector(rng):
+    examples = [
+        {"kind": "truncexp", "mean": 0.18},
+        {"kind": "truncexp", "lambda": 3.0},
+        {"kind": "bernoulli", "prob": 0.3},
+        {"kind": "constant", "value": 0.4},
+        {"kind": "uniform", "lo": 0.1, "hi": 0.6},
+    ]
+    # price_responsive has no sample: its deployment follows the real-time price
+    assert {cfg["kind"] for cfg in examples} | {"price_responsive"} == set(EPS_KINDS)
+    for cfg in examples:
+        model = parse_eps_model(cfg)
+        x = model.sample(rng)
+        assert isinstance(x, float) and 0.0 <= x <= 1.0, cfg
+        assert np.shape(model.sample(rng, 5)) == (5,), cfg
 
 
 def test_price_responsive_strict_threshold():
@@ -161,7 +179,7 @@ def test_synthesize_deterministic(tmp_path):
 
 
 def test_synthesize_constant_prices():
-    programs = (SynthProgram("p", "up", PriceBlock((10.0,) * 24), "constant", 0.5),)
+    programs = (SynthProgram("p", "up", PriceBlock((10.0,) * 24), ConstantEps(0.5)),)
     spec = SynthesisSpec(
         start=datetime(2022, 1, 1, tzinfo=UTC),
         hours=48,
@@ -215,7 +233,7 @@ def test_load_synthesis_spec(tmp_path):
     spec = load_synthesis_spec(path)
     assert spec.hours == 12
     assert spec.joint_theta == 0.4
-    assert truncexp_mean(TruncatedExponential(spec.programs[1].eps_param)) == pytest.approx(0.18, abs=1e-9)
+    assert spec.programs[1].eps_model.mean() == pytest.approx(0.18, abs=1e-9)
     records = synthesize_traces(spec, seed=0)
     assert len(records) == 12
 
