@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .deployment import SlotBatch
 from .errors import InvalidInputError, MinerflexError, NumericalError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
 from .fleet import MachineType, parse_machines
@@ -42,6 +41,7 @@ from .regulation import (
 from .sgd import SgdConfig, solve as sgd_solve, suboptimality_bound
 from .single_machine import ProgramStats, RiskConfig, profile_risk, risk_aware_solve
 from .traces import (
+    deployment_for,
     estimate_stats,
     load_synthesis_spec,
     load_traces,
@@ -183,7 +183,7 @@ def _slot_inputs(records, machines, programs, clamp):
     programs_seq = [programs_for_record(r, programs) for r in records]
     samples, masks = [], []
     for r in records:
-        eps, missing = r.deployment_array()
+        eps, missing = deployment_for(r, programs)
         samples.append(eps)
         masks.append(missing if missing.any() else None)
     return fleets, programs_seq, samples, masks
@@ -224,27 +224,19 @@ def cmd_solve_offline(args) -> int:
     if args.traces_market:
         market, asf = _resolve(args.traces_market), _resolve(args.traces_as)
         inputs.update({"traces_market": market, "traces_as": asf})
-        records = [r for r in load_traces(market, asf) if all(d is not None for d in r.deployment)]
-        if len(records) < 24:
-            raise InvalidInputError("need at least 24 fully observed trace slots")
         report = compare_strategies(
-            records, machines, programs,
+            load_traces(market, asf), machines, programs,
             clamp_negative=args.clamp_negative_rewards,
             sgd_iterations=args.iterations, sgd_batch=args.batch, seed=args.seed,
         )
-        fleets, programs_seq, samples, _ = _slot_inputs(
-            records, machines, programs, args.clamp_negative_rewards
-        )
-        cap = fleets[0].total_capacity_mw
-        hours = np.array([r.timestamp.hour for r in records])
-        costs = SlotBatch(fleets, programs_seq, samples, cap).costs_for(report.hour_profiles)
+        batch = report.batch
+        hours = np.array([ts.hour for ts in report.timestamps])
         bound = suboptimality_bound(
-            args.iterations, n, float(max(f.rewards[-1] for f in fleets)),
-            float(max(max(p.price for p in ps) for ps in programs_seq)), cap,
+            args.iterations, n, float(batch.rewards.max()), float(batch.prices.max()), batch.cap
         )
         for h in range(24):
             rows_h = np.nonzero(hours == h)[0]
-            in_sample = float(costs[rows_h, h].mean()) if rows_h.size else math.nan
+            in_sample = float(report.hour_costs[rows_h, h].mean()) if rows_h.size else math.nan
             rows.append([h, *map(float, report.hour_profiles[h]), in_sample, bound])
     else:
         fleet = _parametric_fleet(machines, economics)

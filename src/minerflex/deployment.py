@@ -113,22 +113,27 @@ def effective_epsilon(sample, directions: Sequence[str]) -> DeploymentSample:
     return DeploymentSample(flip_down(eps, np.asarray(directions) == "down"))
 
 
-def project_simplex(x: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {c >= 0, sum c <= cap}.
+def project_simplex(x: np.ndarray, cap) -> np.ndarray:
+    """Euclidean projection of a vector, or of each row of x, onto {c >= 0, sum c <= cap}.
 
-    Clip to the nonnegative orthant first; if the sum constraint still
-    binds, the projection lands on the simplex face and is found by the
-    usual sort-and-threshold shift. Inputs are not validated.
+    ``cap`` is a scalar or a column of per-row caps. Clip to the
+    nonnegative orthant first; where the sum constraint still binds, the
+    projection lands on the simplex face and is found by the usual
+    sort-and-threshold shift (Duchi et al. 2008). Inputs are not validated.
     """
     clipped = np.maximum(x, 0.0)
-    if clipped.sum() <= cap:
+    over = clipped.sum(-1, keepdims=True) > cap
+    if not np.count_nonzero(over):
         return clipped
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - cap
-    j = np.arange(1, x.size + 1)
-    rho = np.nonzero(u - css / j > 0.0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(x - tau, 0.0)
+    u = np.sort(x, -1)[..., ::-1]
+    css = u.cumsum(-1) - cap
+    n = x.shape[-1]
+    # rho: the last index where the shifted sorted entry stays positive
+    rho = n - 1 - (u - css / np.arange(1, n + 1) > 0.0)[..., ::-1].argmax(-1)[..., None]
+    # a vector takes its threshold by plain indexing: take_along_axis costs
+    # more per call than the rest of the shift (hot in 1-D descent loops)
+    tau = (css[rho] if x.ndim == 1 else np.take_along_axis(css, rho, -1)) / (rho + 1.0)
+    return np.where(over, np.maximum(x - tau, 0.0), clipped)
 
 
 def _clamp_total(total: float, cap: float) -> float:
@@ -173,8 +178,9 @@ def slot_piece(fleet, deployed):
     On piece k (type k partially deployed) the slot cost is
     prefix_k + r_k d - p.c, with subgradient r_k eps - p. ``fleet`` is a
     :class:`FleetSpec`, whose tables serve every total, or a
-    :class:`SlotBatch`, whose row t serves row t of ``deployed`` ((T,) or
-    (T, B)). Returns the clipped totals and an index into the fleet tables.
+    :class:`FleetStack` (such as a :class:`SlotBatch`), whose row t serves
+    row t of ``deployed`` ((T,) or (T, B)). Returns the clipped totals and
+    an index into the fleet tables.
     """
     # minimum/maximum, not np.clip: same values, far less per-call overhead
     cum = fleet.cum_capacities
@@ -255,13 +261,30 @@ def realized_cost_batch(
     return slot_cost(fleet, eps, prices, as_vector(profile, "profile"))[0]
 
 
-class SlotBatch:
+class FleetStack:
+    """The tables of several fleets as rows of (F, K) arrays.
+
+    Fleets may differ in type count (reward ties merge); rows are padded by
+    repeating the last reward with zero extra capacity, which leaves costs
+    unchanged.
+    """
+
+    def __init__(self, fleets: Sequence[FleetSpec]):
+        kmax = max(f.n_types for f in fleets)
+
+        def padded(row: np.ndarray) -> np.ndarray:
+            return row if row.size == kmax else np.append(row, np.full(kmax - row.size, row[-1]))
+
+        self.rewards = np.array([padded(f.rewards) for f in fleets])
+        self.cum_capacities = np.array([padded(f.cum_capacities) for f in fleets])
+        self.prefix_costs = np.array([padded(f.prefix_costs) for f in fleets])
+
+
+class SlotBatch(FleetStack):
     """Per-slot effective rates, prices and fleet tables for vectorized costs.
 
     Rates and prices are zeroed where ``missing_masks[t]`` marks a program
-    absent. Fleets may differ in type count (reward ties merge); rows are
-    padded by repeating the last reward with zero extra capacity, which
-    leaves costs unchanged.
+    absent.
     """
 
     def __init__(self, fleets, programs_seq, samples, cap, missing_masks=None):
@@ -271,15 +294,11 @@ class SlotBatch:
         if T == 0:
             raise InvalidInputError("need at least one round")
         n = len(programs_seq[0])
-        kmax = max(f.n_types for f in fleets)
-        self.T, self.n, self.fleets = T, n, list(fleets)
+        self.T, self.n, self.cap, self.fleets = T, n, cap, list(fleets)
         raw = np.zeros((T, n))
         down = np.zeros((T, n), dtype=bool)
         absent = np.zeros((T, n), dtype=bool)
         self.prices = np.zeros((T, n))
-        self.rewards = np.zeros((T, kmax))
-        self.cum_capacities = np.zeros((T, kmax))
-        self.prefix_costs = np.zeros((T, kmax))
         for t, (fleet, programs, sample) in enumerate(zip(fleets, programs_seq, samples)):
             if len(programs) != n:
                 raise InvalidInputError(
@@ -297,13 +316,7 @@ class SlotBatch:
             if missing_masks is not None and missing_masks[t] is not None:
                 absent[t] = np.asarray(missing_masks[t], dtype=bool)
             self.prices[t] = prices_of(programs)
-            k = fleet.n_types
-            self.rewards[t, :k] = fleet.rewards
-            self.rewards[t, k:] = fleet.rewards[-1]
-            self.cum_capacities[t, :k] = fleet.cum_capacities
-            self.cum_capacities[t, k:] = fleet.cum_capacities[-1]
-            self.prefix_costs[t, :k] = fleet.prefix_costs
-            self.prefix_costs[t, k:] = fleet.prefix_costs[-1]
+        super().__init__(self.fleets)
         if not np.all((raw >= 0.0) & (raw <= 1.0)):
             raise InvalidInputError("epsilon components must lie in [0,1]")
         self.eps = flip_down(raw, down)

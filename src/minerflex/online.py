@@ -99,9 +99,11 @@ def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
     return Profile(project_simplex(c - eta * g, cfg.cap))
 
 
-def _refined_minimum(batch: SlotBatch, cap: float, starts: list[np.ndarray]):
+def _refined_minimum(batch: SlotBatch, cap: float):
     """Subgradient descent from several starts, then shrinking-grid polish."""
     n = batch.n
+    starts = [np.zeros(n), np.full(n, cap / (2.0 * n))]
+    starts += [cap * np.eye(n)[i] for i in range(n)]
     g_bound = math.sqrt(n) * max(float(batch.rewards.max()), float(batch.prices.max()), 1.0)
     d = default_diameter(n, cap)
 
@@ -124,7 +126,7 @@ def _refined_minimum(batch: SlotBatch, cap: float, starts: list[np.ndarray]):
         mesh = np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1).reshape(-1, n)
         for _ in range(6):
             cand = best_c[None, :] + hw * mesh
-            cand = np.array([project_simplex(x, cap) for x in cand])
+            cand = project_simplex(cand, cap)
             vals = batch.total_costs(cand)
             i = int(np.argmin(vals))
             if vals[i] < best_v:
@@ -136,13 +138,13 @@ def _refined_minimum(batch: SlotBatch, cap: float, starts: list[np.ndarray]):
                 grid = np.linspace(0.0, cap, 201)
                 cand = np.repeat(best_c[None, :], grid.size, axis=0)
                 cand[:, i] = grid
-                cand = np.array([project_simplex(x, cap) for x in cand])
+                cand = project_simplex(cand, cap)
                 vals = batch.total_costs(cand)
                 j = int(np.argmin(vals))
                 if vals[j] < best_v:
                     best_v, best_c = float(vals[j]), cand[j]
 
-    return best_c, best_v
+    return best_c
 
 
 def hindsight_optimum(
@@ -154,11 +156,7 @@ def hindsight_optimum(
 ) -> Profile:
     """Best fixed profile against the whole revealed sequence."""
     batch = SlotBatch(fleet_per_round, programs_per_round, revealed_samples, cap, missing_masks)
-    n = batch.n
-    starts = [np.zeros(n), np.full(n, cap / (2.0 * n))]
-    starts += [cap * np.eye(n)[i] for i in range(n)]
-    best_c, _ = _refined_minimum(batch, cap, starts)
-    return Profile(best_c)
+    return Profile(_refined_minimum(batch, cap))
 
 
 def run_online(
@@ -199,9 +197,7 @@ def run_online(
         eta = cfg.diameter / (cfg.grad_bound * math.sqrt(clocks[h]))
         states[h] = project_simplex(c - eta * grad, cfg.cap)
 
-    hindsight = hindsight_optimum(
-        fleet_per_round, programs_per_round, revealed_samples, cfg.cap, missing_masks
-    )
+    hindsight = Profile(_refined_minimum(batch, cfg.cap))
     hindsight_cost = float(batch.total_costs(hindsight.c[None, :])[0])
     static = total_cost - hindsight_cost
     report = RegretReport(

@@ -20,8 +20,9 @@ from .deployment import Profile, SlotBatch, as_vector, flip_down, realized_cost_
 from .errors import InvalidInputError, ModelViolationError
 from .fleet import FleetSpec, MachineType, canonicalize
 from .programs import ProgramSpec, directions_of, prices_of
-from .sgd import SgdConfig, solve as sgd_solve
-from .traces import TraceRecord, per_slot_rewards, programs_for_record
+from .sgd import ResampledLearner, solve_bank
+from .sgd import solve as sgd_solve  # noqa: F401  (the benchmark's tracing test rebinds this alias)
+from .traces import TraceRecord, deployment_for, per_slot_rewards, programs_for_record
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,19 @@ STRATEGIES = ("optimized", "fixed_profile", "even_split", "none")
 
 @dataclass(frozen=True)
 class StrategyReport:
-    """Mean hourly profit per strategy over the evaluated window."""
+    """Mean hourly profit per strategy over the evaluated window.
+
+    ``hour_costs[t, h]`` is slot t's cost under hour h's profile, and
+    ``batch`` the evaluated slots.
+    """
 
     mean_profit: dict[str, float]
     slot_profits: dict[str, np.ndarray]
     hour_profiles: np.ndarray
     fixed_profile: np.ndarray
     timestamps: tuple
+    hour_costs: np.ndarray
+    batch: SlotBatch
 
 
 def lp_deployment_oracle(
@@ -195,14 +202,6 @@ def _mean_reward_fleet(
     return canonicalize(machines)
 
 
-def _resampling_sampler(eps_rows: np.ndarray):
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.integers(0, eps_rows.shape[0], size)
-        return eps_rows[idx]
-
-    return sampler
-
-
 def compare_strategies(
     records: Sequence[TraceRecord],
     fleet_config: Sequence[MachineType],
@@ -226,7 +225,9 @@ def compare_strategies(
     if window is not None:
         start, end = window
         recs = [r for r in recs if start <= r.timestamp < end]
-    recs = [r for r in recs if all(d is not None for d in r.deployment)]
+    columns = [deployment_for(r, programs) for r in recs]
+    observed = [i for i, (_, missing) in enumerate(columns) if not missing.any()]
+    recs = [recs[i] for i in observed]
     if len(recs) < 24:
         raise InvalidInputError(
             f"need at least 24 fully observed slots in the window, got {len(recs)}"
@@ -235,7 +236,7 @@ def compare_strategies(
     n = len(programs)
     fleets = [per_slot_rewards(r, fleet_config, clamp_negative) for r in recs]
     programs_seq = [programs_for_record(r, programs) for r in recs]
-    samples = [r.deployment_array()[0] for r in recs]
+    samples = [columns[i][0] for i in observed]
     cap = fleets[0].total_capacity_mw
     batch = SlotBatch(fleets, programs_seq, samples, cap)
     eps_rows = np.array(samples)
@@ -243,36 +244,33 @@ def compare_strategies(
     zeros = np.zeros(n)
     even = np.full(n, cap / n)
 
-    def train(rows: np.ndarray, train_seed: int) -> np.ndarray:
+    def learner(rows: np.ndarray, learner_seed: int) -> ResampledLearner:
         sub = [recs[i] for i in rows]
+        mean_prices = np.mean([[q.price for q in programs_seq[i]] for i in rows], axis=0)
         fleet = _mean_reward_fleet(sub, fleet_config, clamp_negative)
-        mean_prices = np.mean(
-            [[r.as_prices[r.program_ids.index(p.id)] for p in programs] for r in sub], axis=0
-        )
-        train_programs = [
-            ProgramSpec(id=p.id, price=float(q), direction=p.direction)
-            for p, q in zip(programs, mean_prices)
-        ]
-        cfg = SgdConfig(iterations=sgd_iterations, batch=sgd_batch, seed=train_seed)
-        return sgd_solve(fleet, train_programs, _resampling_sampler(eps_rows[rows]), cfg).profile.c
+        return ResampledLearner(fleet, mean_prices, eps_rows[rows], learner_seed)
 
     def pick(cands: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         costs = batch.costs_for(np.array(cands))[rows].sum(axis=0)
         return cands[int(np.argmin(costs))]
 
+    # One pooled learner, then one per hour of day with at least two slots.
     all_rows = np.arange(len(recs))
-    fixed = pick([train(all_rows, seed), zeros, even], all_rows)
-
     hours = np.array([r.timestamp.hour for r in recs])
+    hour_rows = [all_rows[hours == h] for h in range(24)]
+    learners = [learner(all_rows, seed)]
+    learners += [learner(rows, seed + 1 + h) for h, rows in enumerate(hour_rows) if rows.size >= 2]
+    trained = iter(solve_bank(learners, directions_of(programs), sgd_iterations, sgd_batch))
+
+    fixed = pick([next(trained), zeros, even], all_rows)
     hour_profiles = np.zeros((24, n))
-    for h in range(24):
-        rows = all_rows[hours == h]
+    for h, rows in enumerate(hour_rows):
         if rows.size == 0:
             hour_profiles[h] = fixed
             continue
         cands = [zeros, even, fixed]
         if rows.size >= 2:
-            cands.insert(0, train(rows, seed + 1 + h))
+            cands.insert(0, next(trained))
         hour_profiles[h] = pick(cands, rows)
 
     per_slot = {
@@ -280,8 +278,8 @@ def compare_strategies(
         "even_split": -batch.costs_for(even[None, :])[:, 0],
         "fixed_profile": -batch.costs_for(fixed[None, :])[:, 0],
     }
-    hourly_costs = batch.costs_for(hour_profiles)
-    per_slot["optimized"] = -hourly_costs[all_rows, hours]
+    hour_costs = batch.costs_for(hour_profiles)
+    per_slot["optimized"] = -hour_costs[all_rows, hours]
 
     return StrategyReport(
         mean_profit={k: float(v.mean()) for k, v in per_slot.items()},
@@ -289,4 +287,6 @@ def compare_strategies(
         hour_profiles=hour_profiles,
         fixed_profile=fixed,
         timestamps=tuple(r.timestamp for r in recs),
+        hour_costs=hour_costs,
+        batch=batch,
     )

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deployment import Profile, as_vector, flip_down, project_simplex, slot_piece
+from .deployment import FleetStack, Profile, as_vector, flip_down, project_simplex, slot_piece
 from .errors import InvalidInputError
 from .fleet import FleetSpec
 from .programs import ProgramSpec, prices_of
@@ -81,12 +81,15 @@ def project_feasible(point, cap: float) -> Profile:
     return Profile(project_simplex(x, cap))
 
 
-def _batch_subgradient(
-    fleet: FleetSpec, prices: np.ndarray, eps: np.ndarray, c: np.ndarray
-) -> np.ndarray:
-    """Average subgradient r_k * eps - p over the sample rows of eps."""
-    _, k = slot_piece(fleet, eps @ c)
-    return (fleet.rewards[k, None] * eps).mean(axis=0) - prices
+def _batch_subgradient(fleet, prices: np.ndarray, eps: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Average subgradient r_k * eps - p over the sample rows of eps.
+
+    One learner: a :class:`FleetSpec`, (N,) prices, (B, N) samples and an
+    (N,) profile. A bank: a :class:`FleetStack`, (L, N) prices, (L, B, N)
+    samples and (L, N) profiles, one learner per row.
+    """
+    _, k = slot_piece(fleet, (eps @ c[..., None])[..., 0])
+    return (fleet.rewards[k][..., None] * eps).mean(axis=-2) - prices
 
 
 def sample_subgradient(
@@ -110,6 +113,25 @@ def sample_subgradient(
             f"dimension mismatch: samples {eps.shape}, profile {c.size}, programs {p.size}"
         )
     return _batch_subgradient(fleet, p, eps, c)
+
+
+def _descend(fleet, prices, num, cap, iterations: int, draw, trajectory=None) -> np.ndarray:
+    """Projected subgradient steps c <- P(c - num/sqrt(j) g_j) from c = 0.
+
+    ``draw(j)`` returns iteration j's effective samples; shapes follow
+    :func:`_batch_subgradient`, and for a bank ``num`` and ``cap`` are
+    (L, 1) columns. Appends each iterate to ``trajectory`` when given and
+    returns the iterate average.
+    """
+    c = np.zeros(prices.shape)
+    acc = np.zeros(prices.shape)
+    for j in range(1, iterations + 1):
+        acc += c
+        grad = _batch_subgradient(fleet, prices, draw(j), c)
+        c = project_simplex(c - (num / math.sqrt(j)) * grad, cap)
+        if trajectory is not None:
+            trajectory.append(c.copy())
+    return acc / iterations
 
 
 def solve(
@@ -136,27 +158,91 @@ def solve(
         if config.step_scale is not None
         else default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(p.max()))
     )
-
     rng = np.random.default_rng(config.seed)
-    c = np.zeros(n)
-    acc = np.zeros(n)
-    trajectory: list[np.ndarray] | None = [c.copy()] if record_trajectory else None
 
-    for j in range(1, config.iterations + 1):
-        acc += c
+    def draw(j: int) -> np.ndarray:
         eps = np.asarray(sampler(rng, config.batch), dtype=float)
         if eps.shape != (config.batch, n):
             raise InvalidInputError(
                 f"sampler returned shape {eps.shape}, expected {(config.batch, n)}"
             )
-        if down.any():
-            eps = flip_down(eps, down)
-        grad = _batch_subgradient(fleet, p, eps, c)
-        c = project_simplex(c - (num / math.sqrt(j)) * grad, cap)
-        if trajectory is not None:
-            trajectory.append(c.copy())
+        return flip_down(eps, down) if down.any() else eps
 
+    trajectory: list[np.ndarray] | None = [np.zeros(n)] if record_trajectory else None
+    average = _descend(fleet, p, num, cap, config.iterations, draw, trajectory)
     bound = suboptimality_bound(
         config.iterations, n, float(fleet.rewards[-1]), float(p.max()), cap
     )
-    return SgdResult(profile=Profile(acc / config.iterations), bound=bound, trajectory=trajectory)
+    return SgdResult(profile=Profile(average), bound=bound, trajectory=trajectory)
+
+
+@dataclass(frozen=True)
+class ResampledLearner:
+    """One learner of a bank: its fleet, prices and raw deployment rows.
+
+    The learner trains on draws with replacement from ``rows`` (J, N),
+    using its own generator ``np.random.default_rng(seed)``.
+    """
+
+    fleet: FleetSpec
+    prices: np.ndarray
+    rows: np.ndarray
+    seed: int
+
+
+# Iterations whose resample indices are drawn in one Generator.integers call;
+# drawing the whole run at once would hold an (iterations, L, B, N) sample
+# block. Bounded integers take 32-bit halves of the generator's 64-bit
+# outputs and keep the spare half in the generator state, so an (m, B) block
+# is the same stream as m calls of size B.
+_DRAW_CHUNK = 64
+
+
+def solve_bank(
+    learners: Sequence[ResampledLearner],
+    directions: Sequence[str],
+    iterations: int,
+    batch: int,
+) -> np.ndarray:
+    """Train independent resampling learners together as one (L, N) iterate.
+
+    Row l of the result equals :func:`solve` run on learner l alone, with
+    ``SgdConfig(iterations, batch, seed=learner.seed)`` and a sampler that
+    draws ``rows[rng.integers(0, J, batch)]``: same step numerator D / G,
+    same generator stream, same arithmetic per row.
+    """
+    config = SgdConfig(iterations=iterations, batch=batch)  # validates both
+    n = len(directions)
+    if not learners:
+        raise InvalidInputError("need at least one learner")
+    for lr in learners:
+        if np.ndim(lr.rows) != 2 or len(lr.rows) == 0 or np.shape(lr.rows)[1] != n:
+            raise InvalidInputError(f"learner rows must be (J >= 1, {n}), got {np.shape(lr.rows)}")
+        if np.shape(lr.prices) != (n,):
+            raise InvalidInputError(f"learner prices must be ({n},), got {np.shape(lr.prices)}")
+    stack = FleetStack([lr.fleet for lr in learners])
+    prices = np.array([lr.prices for lr in learners], dtype=float)
+    caps = np.array([[lr.fleet.total_capacity_mw] for lr in learners])
+    nums = np.array(
+        [
+            [default_diameter(n, lr.fleet.total_capacity_mw)
+             / default_grad_bound(n, float(lr.fleet.rewards[-1]), float(np.max(lr.prices)))]
+            for lr in learners
+        ]
+    )
+    sizes = [len(lr.rows) for lr in learners]
+    offsets = np.cumsum([0, *sizes[:-1]])[None, :, None]
+    table = flip_down(np.concatenate([lr.rows for lr in learners]), np.asarray(directions) == "down")
+    rngs = [np.random.default_rng(lr.seed) for lr in learners]
+    chunk = None
+
+    def draw(j: int) -> np.ndarray:
+        nonlocal chunk
+        i = (j - 1) % _DRAW_CHUNK
+        if i == 0:
+            m = min(_DRAW_CHUNK, iterations - j + 1)
+            idx = np.stack([rng.integers(0, size, (m, batch)) for rng, size in zip(rngs, sizes)], axis=1)
+            chunk = table[idx + offsets]
+        return chunk[i]
+
+    return _descend(stack, prices, nums, caps, config.iterations, draw)

@@ -40,12 +40,6 @@ class TraceRecord:
     as_prices: tuple[float, ...]
     deployment: tuple[Optional[float], ...]
 
-    def deployment_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eps array with zeros at holes, boolean missing mask)."""
-        missing = np.array([d is None for d in self.deployment])
-        eps = np.array([0.0 if d is None else d for d in self.deployment])
-        return eps, missing
-
 
 def _parse_timestamp(raw: str, path, line: int) -> datetime:
     try:
@@ -363,14 +357,34 @@ def per_slot_rewards(
     return canonicalize(machines)
 
 
+def _columns(record: TraceRecord, programs: Sequence[ProgramSpec]) -> list[int]:
+    """The record's column of each configured program, matched by id."""
+    idx = {pid: i for i, pid in enumerate(record.program_ids)}
+    for p in programs:
+        if p.id not in idx:
+            raise InvalidInputError(f"record has no program {p.id!r}")
+    return [idx[p.id] for p in programs]
+
+
 def programs_for_record(
     record: TraceRecord, base_programs: Sequence[ProgramSpec]
 ) -> list[ProgramSpec]:
     """Bind per-slot prices from a record onto configured program specs."""
-    idx = {pid: i for i, pid in enumerate(record.program_ids)}
-    out = []
-    for p in base_programs:
-        if p.id not in idx:
-            raise InvalidInputError(f"record has no program {p.id!r}")
-        out.append(ProgramSpec(id=p.id, price=record.as_prices[idx[p.id]], direction=p.direction))
-    return out
+    return [
+        ProgramSpec(id=p.id, price=record.as_prices[i], direction=p.direction)
+        for p, i in zip(base_programs, _columns(record, base_programs))
+    ]
+
+
+def deployment_for(
+    record: TraceRecord, programs: Sequence[ProgramSpec]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(eps with zeros at holes, boolean missing mask) of the configured programs.
+
+    Columns follow the programs' order, matched by id like the prices of
+    :func:`programs_for_record`.
+    """
+    deps = [record.deployment[i] for i in _columns(record, programs)]
+    missing = np.array([d is None for d in deps])
+    eps = np.array([0.0 if d is None else d for d in deps])
+    return eps, missing

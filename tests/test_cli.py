@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import minerflex
+from minerflex.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -288,3 +289,37 @@ def test_manifest_covers_inputs(traces_dir, tmp_path):
     assert len(manifest["input_digests"]) == 4
     for digest in manifest["input_digests"].values():
         assert len(digest) == 64
+
+
+def test_program_columns_follow_configured_ids(traces_dir, tmp_path):
+    # the traces list presp, regup; configs may name them in any order or subset
+    cfg = json.loads((CONFIGS / "programs.json").read_text())
+    configs = {
+        "given": CONFIGS / "programs.json",
+        "reversed": tmp_path / "reversed.json",
+        "subset": tmp_path / "subset.json",
+    }
+    configs["reversed"].write_text(json.dumps(dict(cfg, programs=cfg["programs"][::-1])))
+    configs["subset"].write_text(json.dumps(dict(cfg, programs=cfg["programs"][1:])))
+    traces = ["--traces-market", traces_dir / "market.csv", "--traces-as", traces_dir / "as.csv"]
+    for name, programs in configs.items():
+        common = ["--fleet", CONFIGS / "fleet.json", "--programs", programs, *traces, "--seed", 4]
+        for command in ("compare-strategies", "solve-offline", "simulate-online"):
+            extra = [] if command == "simulate-online" else ["--iterations", 300]
+            argv = [command, *common, *extra, "--out", tmp_path / name / command]
+            assert main([str(a) for a in argv]) == 0, (name, command)
+
+    def profits(name):
+        summary = json.loads((tmp_path / name / "compare-strategies" / "summary.json").read_text())
+        return summary["mean_profit"]
+
+    def profiles(name):
+        lines = (tmp_path / name / "solve-offline" / "profiles.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        return {col: [float(line.split(",")[i]) for line in lines[1:]] for i, col in enumerate(header)}
+
+    assert profits("reversed") == pytest.approx(profits("given"), rel=1e-9)
+    given, rev = profiles("given"), profiles("reversed")
+    for col in ("c_presp", "c_regup", "expected_cost"):
+        assert rev[col] == pytest.approx(given[col], rel=1e-9, abs=1e-9)
+    assert set(profiles("subset")) == {"hour", "c_regup", "expected_cost", "bound"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,15 @@ from minerflex import (
     solve,
     step_size,
     suboptimality_bound,
+    synthesize_traces,
 )
+from minerflex.deployment import project_simplex
+from minerflex.fleet import MachineType, canonicalize
+from minerflex.sgd import ResampledLearner, default_diameter, default_grad_bound, solve_bank
+from minerflex.traces import PriceBlock
 
 from conftest import random_instance
+from test_traces import synth_spec
 
 
 def feasible_grid(cap, n, step):
@@ -220,3 +227,162 @@ def test_config_validation():
         SgdConfig(iterations=1, batch=0)
     with pytest.raises(InvalidInputError):
         SgdConfig(iterations=1, step_scale=-1.0)
+
+
+# ── The learner bank against the serial loop it replaced ─────────────────
+
+
+def reference_projection(x, cap):
+    """The 1-D sort-and-threshold projection, one vector at a time."""
+    clipped = np.maximum(x, 0.0)
+    if clipped.sum() <= cap:
+        return clipped
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - cap
+    j = np.arange(1, x.size + 1)
+    rho = np.nonzero(u - css / j > 0.0)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(x - tau, 0.0)
+
+
+def reference_solve(fleet, prices, down, sampler, cfg):
+    """Serial projected SGD, one learner, as a plain loop (the iterate average)."""
+    n = prices.size
+    cap = fleet.total_capacity_mw
+    num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(prices.max()))
+    rng = np.random.default_rng(cfg.seed)
+    c = np.zeros(n)
+    acc = np.zeros(n)
+    for j in range(1, cfg.iterations + 1):
+        acc += c
+        eps = np.asarray(sampler(rng, cfg.batch), dtype=float)
+        if down.any():
+            eps = np.where(down, 1.0 - eps, eps)
+        d = np.minimum(np.maximum(eps @ c, 0.0), fleet.cum_capacities[-1])
+        k = np.searchsorted(fleet.cum_capacities, d, side="left")
+        grad = (fleet.rewards[k, None] * eps).mean(axis=0) - prices
+        c = reference_projection(c - (num / math.sqrt(j)) * grad, cap)
+    return acc / cfg.iterations
+
+
+def resampling_sampler(rows):
+    def sampler(rng, size):
+        return rows[rng.integers(0, rows.shape[0], size)]
+
+    return sampler
+
+
+def clamped_mean_fleet(records, machines):
+    """Each machine's net reward floored at 0 and averaged over the slots."""
+    rewards = [
+        float(np.mean([max(r.coin_price / m.energy_intensity - r.rt_price, 0.0) for r in records]))
+        for m in machines
+    ]
+    return canonicalize(
+        [MachineType(m.id, m.capacity_mw, m.energy_intensity, reward=q) for m, q in zip(machines, rewards)]
+    )
+
+
+def hot_afternoon_learners(seed):
+    """Pooled and per-hour learners on a week whose afternoons price mining out.
+
+    Real-time prices near 170 $/MWh floor the two older machine types at
+    zero reward, so their mean-reward fleets merge them into one type.
+    """
+    hourly = [40.0] * 10 + [170.0] * 7 + [40.0] * 7
+    spec = dataclasses.replace(
+        synth_spec(hours=72), rt_price=PriceBlock(tuple(hourly), 4.0, 1.0, 200.0)
+    )
+    records = synthesize_traces(spec, seed=seed)
+    machines = [
+        MachineType("new", 100.0, energy_intensity=110.0),
+        MachineType("old", 150.0, energy_intensity=130.0),
+        MachineType("older", 60.0, energy_intensity=150.0),
+    ]
+    ids = list(records[0].program_ids)
+    order = [ids.index(p.id) for p in spec.programs]
+    groups = [(records, seed)] + [
+        ([r for r in records if r.timestamp.hour == h], seed + 1 + h) for h in range(24)
+    ]
+    learners = []
+    for recs, learner_seed in groups:
+        rows = np.array([[r.deployment[i] for i in order] for r in recs])
+        prices = np.mean([[r.as_prices[i] for i in order] for r in recs], axis=0)
+        learners.append(ResampledLearner(clamped_mean_fleet(recs, machines), prices, rows, learner_seed))
+    return learners, [p.direction for p in spec.programs]
+
+
+def test_bank_matches_serial_reference_per_learner():
+    learners, directions = hot_afternoon_learners(seed=31)
+    # merged-reward afternoon hours sit beside 3-type hours
+    assert {lr.fleet.n_types for lr in learners} == {2, 3}
+    assert "down" in directions
+    # hand-made learners: one machine type, a single resample row, 13 rows
+    rows = learners[0].rows
+    learners.append(ResampledLearner(fleet_from_rewards([310.0], [40.0]), np.array([30.0, 20.0, 9.0]), rows[:1], 5))
+    learners.append(ResampledLearner(fleet_from_rewards([60.0, 250.0], [0.0, 90.0]), np.array([3.0, 40.0, 12.0]), rows[:13], 6))
+    down = np.array(directions) == "down"
+    for iterations, batch in ((150, 7), (64, 8)):  # across and exactly at a draw chunk
+        bank = solve_bank(learners, directions, iterations, batch)
+        assert bank.shape == (len(learners), len(directions))
+        for lr, row in zip(learners, bank):
+            cfg = SgdConfig(iterations=iterations, batch=batch, seed=lr.seed)
+            ref = reference_solve(lr.fleet, lr.prices, down, resampling_sampler(lr.rows), cfg)
+            assert np.array_equal(row, ref)
+
+
+def test_solve_matches_serial_reference(two_type_fleet):
+    programs = [ProgramSpec(id="a", price=30.0), ProgramSpec(id="b", price=10.0, direction="down")]
+    prices = np.array([30.0, 10.0])
+    down = np.array([False, True])
+    sampler = lambda r, m: r.uniform(0, 1, (m, 2))
+    for cfg in (SgdConfig(iterations=300, batch=3, seed=7), SgdConfig(iterations=97, batch=10, seed=1)):
+        result = solve(two_type_fleet, programs, sampler, cfg)
+        assert np.array_equal(result.profile.c, reference_solve(two_type_fleet, prices, down, sampler, cfg))
+
+
+def test_bank_validation():
+    fleet = fleet_from_rewards([100.0], [50.0])
+    good = ResampledLearner(fleet, np.array([10.0]), np.array([[0.5]]), 0)
+    with pytest.raises(InvalidInputError):
+        solve_bank([], ["up"], 10, 2)
+    with pytest.raises(InvalidInputError):
+        solve_bank([good], ["up"], 0, 2)
+    with pytest.raises(InvalidInputError):
+        solve_bank([dataclasses.replace(good, rows=np.zeros((0, 1)))], ["up"], 10, 2)
+    with pytest.raises(InvalidInputError):
+        solve_bank([good], ["up", "up"], 10, 2)
+    with pytest.raises(InvalidInputError):
+        solve_bank([dataclasses.replace(good, prices=np.array([1.0, 2.0]))], ["up"], 10, 2)
+
+
+def test_rowwise_projection_matches_per_row_calls(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        cap = float(rng.uniform(1.0, 300.0))
+        rows = int(rng.integers(1, 8))
+        # scales mix rows inside the capped simplex with rows far outside it
+        x = rng.uniform(-cap, 2.0 * cap, (rows, n)) * rng.choice([1e-3, 0.2, 1.0, 1e3], (rows, 1))
+        out = project_simplex(x, cap)
+        for i in range(rows):
+            assert np.array_equal(out[i], project_simplex(x[i], cap))
+            assert np.array_equal(out[i], reference_projection(x[i], cap))
+        caps = rng.uniform(1.0, 300.0, (rows, 1))
+        out = project_simplex(x, caps)
+        for i in range(rows):
+            assert np.array_equal(out[i], reference_projection(x[i], caps[i, 0]))
+
+
+def test_chunked_integer_draws_match_per_call_draws():
+    """solve_bank draws (m, B) index blocks; they must be the per-call stream.
+
+    2**31 + 1 rejects about half of its 32-bit candidates, and odd batches
+    leave a spare half-word between calls: both must carry over identically.
+    """
+    for size in (1, 5, 7, 13, 168, 8760, 2**31 + 1):
+        for batch in (1, 7, 8):
+            one, block = np.random.default_rng(size + batch), np.random.default_rng(size + batch)
+            per_call = np.array([one.integers(0, size, batch) for _ in range(150)])
+            chunked = np.concatenate([block.integers(0, size, (m, batch)) for m in (64, 64, 22)])
+            assert np.array_equal(per_call, chunked)
+            assert one.bit_generator.state == block.bit_generator.state
