@@ -18,12 +18,13 @@ import math
 import os
 import sys
 import time
-from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import load_config
 from .errors import InvalidInputError, MinerflexError, NumericalError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
 from .fleet import MachineType, parse_machines
@@ -45,6 +46,7 @@ from .traces import (
     estimate_stats,
     load_synthesis_spec,
     load_traces,
+    parse_timestamp,
     per_slot_rewards,
     programs_for_record,
     synthesize_traces,
@@ -53,9 +55,13 @@ from .traces import (
 from .verify import run_verify
 
 CONFIG_DIR_ENV = "MINERFLEX_CONFIG_DIR"
+# Arguments naming input files: resolved, recorded and digested in the manifest.
+INPUT_ARGS = ("spec", "fleet", "programs", "config", "traces_market", "traces_as")
+# Arguments that make sense only together.
+PAIRED_ARGS = (("traces_market", "traces_as"), ("window_start", "window_end"))
 
 
-# ── Small IO helpers ─────────────────────────────────────────────────────
+# ── Output writing ───────────────────────────────────────────────────────
 
 
 def _resolve(path: str) -> Path:
@@ -65,20 +71,6 @@ def _resolve(path: str) -> Path:
         if base and (Path(base) / p).exists():
             return Path(base) / p
     return p
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_json(path: Path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _write_csv(path: Path, header, rows):
@@ -94,45 +86,87 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _finish(out_dir: Path, command: str, inputs: dict, outputs: list[str], seed, t0: float):
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "seed": seed,
-        "config_paths": {k: str(v) for k, v in inputs.items()},
-        "input_digests": {str(v): _sha256(Path(v)) for v in inputs.values()},
-        "outputs": outputs,
-        "wall_clock_s": round(time.time() - t0, 3),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+def _write_outputs(out: Path, outputs: dict) -> list[str]:
+    """Write a command's outputs into ``out``; return the file names in order.
+
+    Each key is a file name, or a tuple of names one writer fills. Each value
+    is a JSON object (``dict``), a CSV ``(header, rows)`` pair, or a writer
+    called with the paths of its key's names.
+    """
+    names = []
+    for key, content in outputs.items():
+        paths = [out / name for name in ((key,) if isinstance(key, str) else key)]
+        if callable(content):
+            content(*paths)
+        elif isinstance(content, dict):
+            _write_json(paths[0], content)
+        else:
+            _write_csv(paths[0], *content)
+        names += [path.name for path in paths]
+    return names
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _FailedWithOutputs(NumericalError):
+    """A command failure reported after the command's outputs are written."""
+
+    def __init__(self, message: str, outputs: dict):
+        super().__init__(message)
+        self.outputs = outputs
 
 
 # ── Config interpretation ────────────────────────────────────────────────
 
 
-def _load_programs_config(path: Path):
-    cfg = _load_json(path)
+def _economics(cfg: dict):
+    economics = cfg.get("economics")
+    if economics is None:
+        return None
+    return float(economics["coin_price"]), float(economics["electricity_price"])
+
+
+def _parse_programs(cfg: dict):
+    """(programs, checked joint pair or None, economics or None) of a programs config."""
     entries = cfg.get("programs")
     if not entries:
-        raise InvalidInputError(f"{path}: 'programs' list is required")
-    programs = []
-    for entry in entries:
-        model = parse_eps_model(entry["eps"]) if "eps" in entry else None
-        programs.append(
-            ProgramSpec(
-                id=str(entry["id"]),
-                price=float(entry.get("price", 0.0)),
-                direction=str(entry.get("direction", "up")),
-                eps_model=model,
-            )
+        raise InvalidInputError("'programs' list is required")
+    programs = [
+        ProgramSpec(
+            id=str(entry["id"]),
+            price=float(entry.get("price", 0.0)),
+            direction=str(entry.get("direction", "up")),
+            eps_model=parse_eps_model(entry["eps"]) if "eps" in entry else None,
         )
-    return programs, cfg.get("joint"), cfg.get("economics")
+        for entry in entries
+    ]
+    joint = cfg.get("joint")
+    if joint is not None:
+        joint = joint_pair(programs, float(joint["theta"]), joint["up"], joint["down"])
+    return programs, joint, _economics(cfg)
+
+
+def _parse_reg(cfg: dict) -> RegInstance:
+    fleet = _parametric_fleet(parse_machines(cfg["fleet"]), _economics(cfg))
+    lam_up = float(cfg["lambda_up"]) if "lambda_up" in cfg else fit_lambda(float(cfg["mean_up"]))
+    lam_dn = float(cfg["lambda_dn"]) if "lambda_dn" in cfg else fit_lambda(float(cfg["mean_dn"]))
+    return RegInstance(
+        fleet=fleet,
+        p_up=float(cfg["p_up"]),
+        p_dn=float(cfg["p_dn"]),
+        model=RegJointModel(float(cfg["theta"]), TruncatedExponential(lam_up), TruncatedExponential(lam_dn)),
+    )
+
+
+def _parse_risk(cfg: dict, with_stats: bool):
+    """(reward rate, cap, risk weight, program ids, stats or None) of a risk config."""
+    entries = cfg["programs"]
+    stats = None
+    if with_stats:
+        stats = [
+            ProgramStats(price=float(p["price"]), mean_eps=float(p["mean_eps"]), var_eps=float(p["var_eps"]))
+            for p in entries
+        ]
+    ids = [str(p["id"]) for p in entries]
+    return float(cfg["reward_rate"]), float(cfg["cap"]), float(cfg.get("risk_weight", 0.0)), ids, stats
 
 
 def _parametric_fleet(machines: list[MachineType], economics) -> FleetSpec:
@@ -141,27 +175,30 @@ def _parametric_fleet(machines: list[MachineType], economics) -> FleetSpec:
         if m.reward is not None:
             resolved.append(m)
             continue
-        if economics is None:
+        if economics is None or m.energy_intensity is None:
             raise InvalidInputError(
-                f"machine {m.id!r} has no reward; supply an 'economics' block "
-                "(coin_price, electricity_price) or per-machine rewards"
+                f"machine {m.id!r} has no reward; supply per-machine rewards, or "
+                "energy intensities and an 'economics' block (coin_price, electricity_price)"
             )
-        r = net_reward(
-            mining_revenue_rate(float(economics["coin_price"]), m.energy_intensity),
-            float(economics["electricity_price"]),
-        )
+        coin_price, electricity_price = economics
+        r = net_reward(mining_revenue_rate(coin_price, m.energy_intensity), electricity_price)
         resolved.append(
             MachineType(id=m.id, capacity_mw=m.capacity_mw, energy_intensity=m.energy_intensity, reward=r)
         )
     return canonicalize(resolved)
 
 
-def _build_sampler(programs: list[ProgramSpec], joint_cfg):
+def _load_fleet_inputs(args):
+    """Machines, programs, joint pair, economics and traces (None without --traces-market)."""
+    machines = load_fleet_config(args.fleet)
+    programs, joint, economics = load_config(args.programs, _parse_programs)
+    records = load_traces(args.traces_market, args.traces_as) if args.traces_market else None
+    return machines, programs, joint, economics, records
+
+
+def _build_sampler(programs: list[ProgramSpec], joint):
     """Joint raw-deployment sampler over all programs, honoring a reg pair."""
     n = len(programs)
-    joint = None
-    if joint_cfg is not None:
-        joint = joint_pair(programs, float(joint_cfg["theta"]), joint_cfg["up"], joint_cfg["down"])
     rest = [i for i in range(n) if joint is None or i not in joint[:2]]
     independent = independent_sampler([programs[i] for i in rest])
 
@@ -178,54 +215,31 @@ def _build_sampler(programs: list[ProgramSpec], joint_cfg):
     return sampler
 
 
-def _slot_inputs(records, machines, programs, clamp):
-    fleets = [per_slot_rewards(r, machines, clamp) for r in records]
-    programs_seq = [programs_for_record(r, programs) for r in records]
-    samples, masks = [], []
-    for r in records:
-        eps, missing = deployment_for(r, programs)
-        samples.append(eps)
-        masks.append(missing if missing.any() else None)
-    return fleets, programs_seq, samples, masks
-
-
 # ── Commands ─────────────────────────────────────────────────────────────
+# Each command loads its inputs (paths already resolved), solves, and returns
+# its outputs in order; ``main`` writes them and the manifest.
 
 
-def cmd_synthesize(args) -> int:
-    t0 = time.time()
-    out = _out_dir(args)
-    spec_path = _resolve(args.spec)
-    spec = load_synthesis_spec(spec_path)
+def cmd_synthesize(args) -> dict:
+    spec = load_synthesis_spec(args.spec)
     records = synthesize_traces(spec, args.seed)
-    write_traces(records, out / "market.csv", out / "as.csv")
-    _write_json(
-        out / "summary.json",
-        {
+    return {
+        ("market.csv", "as.csv"): partial(write_traces, records),
+        "summary.json": {
             "records": len(records),
             "programs": [p.id for p in spec.programs],
             "start": records[0].timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
         },
-    )
-    _finish(out, "synthesize-traces", {"spec": spec_path}, ["market.csv", "as.csv", "summary.json"], args.seed, t0)
-    return 0
+    }
 
 
-def cmd_solve_offline(args) -> int:
-    t0 = time.time()
-    out = _out_dir(args)
-    fleet_path, programs_path = _resolve(args.fleet), _resolve(args.programs)
-    machines = load_fleet_config(fleet_path)
-    programs, joint_cfg, economics = _load_programs_config(programs_path)
-    inputs = {"fleet": fleet_path, "programs": programs_path}
+def cmd_solve_offline(args) -> dict:
+    machines, programs, joint, economics, records = _load_fleet_inputs(args)
     n = len(programs)
-
     rows = []
-    if args.traces_market:
-        market, asf = _resolve(args.traces_market), _resolve(args.traces_as)
-        inputs.update({"traces_market": market, "traces_as": asf})
+    if records is not None:
         report = compare_strategies(
-            load_traces(market, asf), machines, programs,
+            records, machines, programs,
             clamp_negative=args.clamp_negative_rewards,
             sgd_iterations=args.iterations, sgd_batch=args.batch, seed=args.seed,
         )
@@ -240,7 +254,7 @@ def cmd_solve_offline(args) -> int:
             rows.append([h, *map(float, report.hour_profiles[h]), in_sample, bound])
     else:
         fleet = _parametric_fleet(machines, economics)
-        sampler = _build_sampler(programs, joint_cfg)
+        sampler = _build_sampler(programs, joint)
         cfg = SgdConfig(iterations=args.iterations, batch=args.batch, seed=args.seed)
         result = sgd_solve(fleet, programs, sampler, cfg)
         eff = draw_effective_samples(sampler, [p.direction for p in programs], 20000, args.seed + 1)
@@ -249,93 +263,51 @@ def cmd_solve_offline(args) -> int:
             rows.append([h, *map(float, result.profile.c), value, result.bound])
 
     header = ["hour", *[f"c_{p.id}" for p in programs], "expected_cost", "bound"]
-    _write_csv(out / "profiles.csv", header, rows)
-    _write_json(
-        out / "summary.json",
-        {
+    return {
+        "profiles.csv": (header, rows),
+        "summary.json": {
             "iterations": args.iterations,
             "batch": args.batch,
             "programs": [p.id for p in programs],
             "bound": rows[0][-1],
         },
-    )
-    _finish(out, "solve-offline", inputs, ["profiles.csv", "summary.json"], args.seed, t0)
-    return 0
+    }
 
 
-def cmd_solve_reg(args) -> int:
-    t0 = time.time()
-    out = _out_dir(args)
-    cfg_path = _resolve(args.config)
-    cfg = _load_json(cfg_path)
-    fleet = _parametric_fleet(parse_machines(cfg["fleet"], cfg_path), cfg.get("economics"))
-    lam_up = float(cfg["lambda_up"]) if "lambda_up" in cfg else fit_lambda(float(cfg["mean_up"]))
-    lam_dn = float(cfg["lambda_dn"]) if "lambda_dn" in cfg else fit_lambda(float(cfg["mean_dn"]))
-    inst = RegInstance(
-        fleet=fleet,
-        p_up=float(cfg["p_up"]),
-        p_dn=float(cfg["p_dn"]),
-        model=RegJointModel(float(cfg["theta"]), TruncatedExponential(lam_up), TruncatedExponential(lam_dn)),
-    )
-    profile = solve_reg_profile(inst)
-    value = expected_reg_cost(inst, float(profile.c[0]), float(profile.c[1]))
-    _write_csv(
-        out / "profile.csv",
-        ["c_up", "c_dn", "expected_cost"],
-        [[float(profile.c[0]), float(profile.c[1]), value]],
-    )
-    _write_json(
-        out / "summary.json",
-        {
+def cmd_solve_reg(args) -> dict:
+    inst = load_config(args.config, _parse_reg)
+    c_up, c_dn = map(float, solve_reg_profile(inst).c)
+    value = expected_reg_cost(inst, c_up, c_dn)
+    return {
+        "profile.csv": (["c_up", "c_dn", "expected_cost"], [[c_up, c_dn, value]]),
+        "summary.json": {
             "theta": inst.model.theta,
-            "lambda_up": lam_up,
-            "lambda_dn": lam_dn,
+            "lambda_up": inst.model.up.lam,
+            "lambda_dn": inst.model.down.lam,
             "expected_cost": value,
             "expected_profit": -value,
         },
-    )
-    _finish(out, "solve-reg", {"config": cfg_path}, ["profile.csv", "summary.json"], args.seed, t0)
-    return 0
+    }
 
 
-def cmd_solve_risk(args) -> int:
-    t0 = time.time()
-    out = _out_dir(args)
-    cfg_path = _resolve(args.config)
-    cfg = _load_json(cfg_path)
-    inputs = {"config": cfg_path}
-    r = float(cfg["reward_rate"])
-    cap = float(cfg["cap"])
-    weight = float(args.risk_weight if args.risk_weight is not None else cfg.get("risk_weight", 0.0))
-
-    ids = [str(p["id"]) for p in cfg["programs"]]
-    if args.traces_market:
-        market, asf = _resolve(args.traces_market), _resolve(args.traces_as)
-        inputs.update({"traces_market": market, "traces_as": asf})
-        records = load_traces(market, asf)
+def cmd_solve_risk(args) -> dict:
+    from_traces = bool(args.traces_market)
+    r, cap, weight, ids, stats = load_config(args.config, partial(_parse_risk, with_stats=not from_traces))
+    if args.risk_weight is not None:
+        weight = args.risk_weight
+    if from_traces:
+        records = load_traces(args.traces_market, args.traces_as)
         stats = []
         for pid in ids:
             if not records or pid not in records[0].program_ids:
                 raise InvalidInputError(f"traces carry no program {pid!r}")
             stats.append(estimate_stats(records, records[0].program_ids.index(pid)))
-    else:
-        stats = [
-            ProgramStats(
-                price=float(p["price"]), mean_eps=float(p["mean_eps"]), var_eps=float(p["var_eps"])
-            )
-            for p in cfg["programs"]
-        ]
 
     profile = risk_aware_solve(stats, r, cap, RiskConfig(weight))
     exp_cost, var = profile_risk(stats, r, profile)
-    _write_csv(
-        out / "profile.csv",
-        ["program_id", "capacity_mw"],
-        [[pid, float(c)] for pid, c in zip(ids, profile.c)],
-    )
-    _write_json(
-        out / "summary.json",
-        {
+    return {
+        "profile.csv": (["program_id", "capacity_mw"], [[pid, float(c)] for pid, c in zip(ids, profile.c)]),
+        "summary.json": {
             "risk_weight": weight,
             "reward_rate": r,
             "expected_cost": exp_cost,
@@ -346,24 +318,20 @@ def cmd_solve_risk(args) -> int:
                 for pid, s in zip(ids, stats)
             ],
         },
-    )
-    _finish(out, "solve-risk", inputs, ["profile.csv", "summary.json"], args.seed, t0)
-    return 0
+    }
 
 
-def cmd_simulate_online(args) -> int:
-    t0 = time.time()
-    out = _out_dir(args)
-    fleet_path, programs_path = _resolve(args.fleet), _resolve(args.programs)
-    market, asf = _resolve(args.traces_market), _resolve(args.traces_as)
-    machines = load_fleet_config(fleet_path)
-    programs, _, _ = _load_programs_config(programs_path)
-    records = load_traces(market, asf)
+def cmd_simulate_online(args) -> dict:
+    machines, programs, _, _, records = _load_fleet_inputs(args)
     if not records:
         raise InvalidInputError("traces are empty")
-    fleets, programs_seq, samples, masks = _slot_inputs(
-        records, machines, programs, args.clamp_negative_rewards
-    )
+    fleets = [per_slot_rewards(r, machines, args.clamp_negative_rewards) for r in records]
+    programs_seq = [programs_for_record(r, programs) for r in records]
+    samples, masks = [], []
+    for r in records:
+        eps, missing = deployment_for(r, programs)
+        samples.append(eps)
+        masks.append(missing if missing.any() else None)
     cap = fleets[0].total_capacity_mw
     r_max = float(max(f.rewards[-1] for f in fleets))
     p_max = float(max(max(p.price for p in ps) for ps in programs_seq))
@@ -377,26 +345,15 @@ def cmd_simulate_online(args) -> int:
     hindsight_costs = per_round_costs(
         fleets, programs_seq, samples, cap, report.hindsight_profile, missing_masks=masks
     )
-    rows = []
-    cum = 0.0
+    rows, cum = [], 0.0
     for t, outcome in enumerate(outcomes):
         cum += outcome.cost_incurred - float(hindsight_costs[t])
-        rows.append(
-            [
-                t,
-                timestamps[t].hour,
-                *map(float, outcome.profile_played.c),
-                outcome.cost_incurred,
-                cum,
-                cum / (t + 1),
-                report.bound,
-            ]
-        )
+        rows.append([t, timestamps[t].hour, *map(float, outcome.profile_played.c),
+                     outcome.cost_incurred, cum, cum / (t + 1), report.bound])
     header = ["round", "hour", *[f"c_{p.id}" for p in programs], "cost", "cum_regret", "avg_regret", "bound"]
-    _write_csv(out / "rounds.csv", header, rows)
-    _write_json(
-        out / "summary.json",
-        {
+    return {
+        "rounds.csv": (header, rows),
+        "summary.json": {
             "rounds": len(outcomes),
             "learners": args.learners,
             "static_regret": report.static_regret,
@@ -404,99 +361,54 @@ def cmd_simulate_online(args) -> int:
             "bound": report.bound,
             "hindsight_profile": [float(x) for x in report.hindsight_profile.c],
         },
-    )
-    _finish(
-        out,
-        "simulate-online",
-        {"fleet": fleet_path, "programs": programs_path, "traces_market": market, "traces_as": asf},
-        ["rounds.csv", "summary.json"],
-        args.seed,
-        t0,
-    )
-    return 0
+    }
 
 
-def cmd_compare(args) -> int:
-    t0 = time.time()
-    out = _out_dir(args)
-    fleet_path, programs_path = _resolve(args.fleet), _resolve(args.programs)
-    market, asf = _resolve(args.traces_market), _resolve(args.traces_as)
-    machines = load_fleet_config(fleet_path)
-    programs, _, _ = _load_programs_config(programs_path)
-    records = load_traces(market, asf)
-    window = None
-    if args.window_start or args.window_end:
-        if not (args.window_start and args.window_end):
-            raise InvalidInputError("--window-start and --window-end must be given together")
-        parse = lambda s: datetime.fromisoformat(s.replace("Z", "+00:00")).astimezone(timezone.utc)
-        window = (parse(args.window_start), parse(args.window_end))
+def cmd_compare(args) -> dict:
+    machines, programs, _, _, records = _load_fleet_inputs(args)
     report = compare_strategies(
-        records,
-        machines,
-        programs,
-        window=window,
-        clamp_negative=args.clamp_negative_rewards,
-        sgd_iterations=args.iterations,
-        seed=args.seed,
+        records, machines, programs,
+        window=(args.window_start, args.window_end) if args.window_start else None,
+        clamp_negative=args.clamp_negative_rewards, sgd_iterations=args.iterations, seed=args.seed,
     )
-    _write_csv(
-        out / "strategies.csv",
-        ["strategy", "mean_profit_per_hour"],
-        [[k, report.mean_profit[k]] for k in ("optimized", "fixed_profile", "even_split", "none")],
-    )
+    strategies = ("optimized", "fixed_profile", "even_split", "none")
     slot_rows = [
-        [
-            ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-            float(report.slot_profits["optimized"][i]),
-            float(report.slot_profits["fixed_profile"][i]),
-            float(report.slot_profits["even_split"][i]),
-            float(report.slot_profits["none"][i]),
-        ]
+        [ts.strftime("%Y-%m-%dT%H:%M:%SZ"), *(float(report.slot_profits[k][i]) for k in strategies)]
         for i, ts in enumerate(report.timestamps)
     ]
-    _write_csv(
-        out / "slots.csv",
-        ["timestamp", "profit_optimized", "profit_fixed", "profit_even_split", "profit_none"],
-        slot_rows,
-    )
-    _write_json(
-        out / "summary.json",
-        {
+    return {
+        "strategies.csv": (
+            ["strategy", "mean_profit_per_hour"], [[k, report.mean_profit[k]] for k in strategies]
+        ),
+        "slots.csv": (
+            ["timestamp", "profit_optimized", "profit_fixed", "profit_even_split", "profit_none"],
+            slot_rows,
+        ),
+        "summary.json": {
             "slots": len(report.timestamps),
             "mean_profit": report.mean_profit,
             "fixed_profile": [float(x) for x in report.fixed_profile],
         },
-    )
-    _finish(
-        out,
-        "compare-strategies",
-        {"fleet": fleet_path, "programs": programs_path, "traces_market": market, "traces_as": asf},
-        ["strategies.csv", "slots.csv", "summary.json"],
-        args.seed,
-        t0,
-    )
-    return 0
+    }
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
-    out = _out_dir(args)
+def cmd_verify(args) -> dict:
     results = run_verify(fast=args.fast, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
     failed = [r for r in results if not r.passed]
-    _write_csv(
-        out / "checks.csv",
-        ["check", "status", "detail"],
-        [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results],
-    )
-    _write_json(out / "summary.json", {"checks": len(results), "failed": len(failed)})
-    _finish(out, "verify", {}, ["checks.csv", "summary.json"], args.seed, t0)
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    outputs = {
+        "checks.csv": (
+            ["check", "status", "detail"],
+            [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results],
+        ),
+        "summary.json": {"checks": len(results), "failed": len(failed)},
+    }
     if failed:
-        raise NumericalError(f"{len(failed)} verification checks failed")
-    return 0
+        raise _FailedWithOutputs(f"{len(failed)} verification checks failed", outputs)
+    return outputs
 
 
 # ── Parser and entry point ───────────────────────────────────────────────
@@ -521,20 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory (one manifest per run)")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
+    def fleet_inputs(p, traces_required):
+        p.add_argument("--fleet", required=True, help="fleet config JSON")
+        p.add_argument("--programs", required=True, help="programs config JSON")
+        p.add_argument("--traces-market", required=traces_required, help="market CSV")
+        p.add_argument("--traces-as", required=traces_required, help="ancillary-service CSV")
+        p.add_argument("--clamp-negative-rewards", action="store_true",
+                       help="floor negative net rewards at 0 instead of failing")
+
     p = sub.add_parser("synthesize-traces", help="generate synthetic market/AS trace CSVs")
     p.add_argument("--spec", required=True, help="synthesis spec JSON")
     common(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("solve-offline", help="stochastic subgradient profile optimization")
-    p.add_argument("--fleet", required=True, help="fleet config JSON")
-    p.add_argument("--programs", required=True, help="programs config JSON")
-    p.add_argument("--traces-market", help="market CSV (per-hour empirical mode)")
-    p.add_argument("--traces-as", help="ancillary-service CSV")
+    fleet_inputs(p, traces_required=False)
     p.add_argument("--iterations", type=int, default=10000, help="SGD iterations J (default 10000)")
     p.add_argument("--batch", type=int, default=10, help="samples per iteration M (default 10)")
-    p.add_argument("--clamp-negative-rewards", action="store_true",
-                   help="floor negative net rewards at 0 instead of failing")
     common(p)
     p.set_defaults(func=cmd_solve_offline)
 
@@ -553,25 +468,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve_risk)
 
     p = sub.add_parser("simulate-online", help="online gradient descent over a trace")
-    p.add_argument("--fleet", required=True)
-    p.add_argument("--programs", required=True)
-    p.add_argument("--traces-market", required=True)
-    p.add_argument("--traces-as", required=True)
+    fleet_inputs(p, traces_required=True)
     p.add_argument("--learners", type=int, default=24, help="per-hour learner bank size (default 24)")
-    p.add_argument("--clamp-negative-rewards", action="store_true")
     common(p)
     p.set_defaults(func=cmd_simulate_online)
 
     p = sub.add_parser("compare-strategies", help="optimized vs fixed vs even-split vs none")
-    p.add_argument("--fleet", required=True)
-    p.add_argument("--programs", required=True)
-    p.add_argument("--traces-market", required=True)
-    p.add_argument("--traces-as", required=True)
-    p.add_argument("--window-start", help="ISO timestamp, inclusive")
-    p.add_argument("--window-end", help="ISO timestamp, exclusive")
+    fleet_inputs(p, traces_required=True)
+    p.add_argument("--window-start", type=parse_timestamp, help="ISO timestamp, inclusive")
+    p.add_argument("--window-end", type=parse_timestamp, help="ISO timestamp, exclusive")
     p.add_argument("--iterations", type=int, default=2000,
                    help="training iterations per profile (default 2000)")
-    p.add_argument("--clamp-negative-rewards", action="store_true")
     common(p)
     p.set_defaults(func=cmd_compare)
 
@@ -586,16 +493,39 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "traces_market", None) and not getattr(args, "traces_as", None):
-        parser.error("--traces-market requires --traces-as")
+    for first, second in PAIRED_ARGS:
+        if bool(getattr(args, first, None)) != bool(getattr(args, second, None)):
+            flags = [f"--{name.replace('_', '-')}" for name in (first, second)]
+            parser.error(f"{flags[0]} and {flags[1]} must be given together")
     try:
-        return args.func(args)
+        t0 = time.time()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs = {name: _resolve(getattr(args, name)) for name in INPUT_ARGS if getattr(args, name, None)}
+        vars(args).update(inputs)
+        try:
+            outputs, failure = args.func(args), None
+        except _FailedWithOutputs as exc:
+            outputs, failure = exc.outputs, exc
+        names = _write_outputs(out, outputs)
+        manifest = {
+            "command": args.command,
+            "tool_version": __version__,
+            "seed": args.seed,
+            "config_paths": {k: str(v) for k, v in inputs.items()},
+            "input_digests": {str(v): hashlib.sha256(v.read_bytes()).hexdigest() for v in inputs.values()},
+            "outputs": names,
+            "wall_clock_s": round(time.time() - t0, 3),
+        }
+        _write_json(out / "manifest.json", manifest)
+        if failure is not None:
+            raise failure
+        return 0
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MinerflexError, FileNotFoundError, KeyError) as exc:
-        detail = f"missing config key {exc}" if isinstance(exc, KeyError) else str(exc)
-        print(f"error: {detail}", file=sys.stderr)
+    except (MinerflexError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected numeric blowups
         print(f"error: {exc}", file=sys.stderr)

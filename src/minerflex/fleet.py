@@ -10,7 +10,6 @@ merged).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import load_config
 from .errors import InvalidInputError, ModelViolationError
 
 
@@ -151,22 +151,24 @@ def canonicalize(machines: Iterable[MachineType]) -> FleetSpec:
 
 def load_fleet_config(path) -> list[MachineType]:
     """Read a fleet config: a JSON list of machine descriptions (see :func:`parse_machines`)."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    return load_config(path, _parse_fleet)
+
+
+def _parse_fleet(raw) -> list[MachineType]:
     if isinstance(raw, dict):
         raw = raw.get("machines", raw)
-    return parse_machines(raw, path)
+    return parse_machines(raw)
 
 
-def parse_machines(raw, source) -> list[MachineType]:
-    """Machine types from a JSON list read from ``source`` (named in errors).
+def parse_machines(raw) -> list[MachineType]:
+    """Machine types from a decoded JSON list of machine descriptions.
 
     Each entry needs ``id``, ``capacity_mw`` and either
     ``energy_intensity_mwh_per_coin`` (rewards computed per slot from
     traces) or an explicit ``reward`` for parametric runs.
     """
     if not isinstance(raw, list) or not raw:
-        raise InvalidInputError(f"{source}: expected a non-empty list of machines")
+        raise InvalidInputError("expected a non-empty list of machines")
     out = []
     for i, entry in enumerate(raw):
         try:
@@ -183,7 +185,7 @@ def parse_machines(raw, source) -> list[MachineType]:
                 )
             )
         except KeyError as exc:
-            raise InvalidInputError(f"{source}: machine #{i} missing field {exc}") from None
+            raise InvalidInputError(f"machine #{i} missing field {exc}") from None
     return out
 
 

@@ -10,7 +10,6 @@ and one record is one hourly slot.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import load_config
 from .errors import InvalidInputError, ModelViolationError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
 from .programs import PriceResponsiveModel, ProgramSpec, parse_eps_model, price_responsive_eps
@@ -41,14 +41,19 @@ class TraceRecord:
     deployment: tuple[Optional[float], ...]
 
 
-def _parse_timestamp(raw: str, path, line: int) -> datetime:
-    try:
-        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError:
-        raise TraceFormatError(path, line, f"bad timestamp {raw!r}") from None
+def parse_timestamp(raw: str) -> datetime:
+    """UTC datetime from ISO-8601 text; a trailing ``Z`` or no zone means UTC."""
+    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def _parse_timestamp(raw: str, path, line: int) -> datetime:
+    try:
+        return parse_timestamp(raw)
+    except ValueError:
+        raise TraceFormatError(path, line, f"bad timestamp {raw!r}") from None
 
 
 def _parse_price(raw: str, field: str, path, line: int) -> float:
@@ -227,32 +232,32 @@ class SynthesisSpec:
 
 
 def load_synthesis_spec(path) -> SynthesisSpec:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    try:
-        programs = []
-        for p in cfg["programs"]:
-            programs.append(
-                SynthProgram(
-                    id=str(p["id"]),
-                    direction=str(p.get("direction", "up")),
-                    price=PriceBlock.from_config(p["price"], f"program {p['id']}"),
-                    eps_model=parse_eps_model(p["eps"]),
-                )
+    return load_config(path, _parse_synthesis_spec)
+
+
+def _parse_synthesis_spec(cfg: dict) -> SynthesisSpec:
+    """Synthesis spec from its decoded JSON (see ``configs/synthesis_week.json``)."""
+    programs = []
+    for p in cfg["programs"]:
+        programs.append(
+            SynthProgram(
+                id=str(p["id"]),
+                direction=str(p.get("direction", "up")),
+                price=PriceBlock.from_config(p["price"], f"program {p['id']}"),
+                eps_model=parse_eps_model(p["eps"]),
             )
-        joint = cfg.get("joint")
-        return SynthesisSpec(
-            start=_parse_timestamp(cfg["start"], path, 0),
-            hours=int(cfg["hours"]),
-            coin_price=PriceBlock.from_config(cfg["coin_price"], "coin_price"),
-            rt_price=PriceBlock.from_config(cfg["rt_price"], "rt_price"),
-            programs=tuple(programs),
-            joint_theta=float(joint["theta"]) if joint else None,
-            joint_up=str(joint["up"]) if joint else None,
-            joint_down=str(joint["down"]) if joint else None,
         )
-    except KeyError as exc:
-        raise InvalidInputError(f"{path}: missing synthesis field {exc}") from None
+    joint = cfg.get("joint")
+    return SynthesisSpec(
+        start=parse_timestamp(cfg["start"]),
+        hours=int(cfg["hours"]),
+        coin_price=PriceBlock.from_config(cfg["coin_price"], "coin_price"),
+        rt_price=PriceBlock.from_config(cfg["rt_price"], "rt_price"),
+        programs=tuple(programs),
+        joint_theta=float(joint["theta"]) if joint else None,
+        joint_up=str(joint["up"]) if joint else None,
+        joint_down=str(joint["down"]) if joint else None,
+    )
 
 
 def synthesize_traces(spec: SynthesisSpec, seed: int) -> list[TraceRecord]:

@@ -35,11 +35,28 @@ def read_csvs(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     proc = run_cli("solve-offline", check=False)
     assert proc.returncode == 1
     proc = run_cli("no-such-command", check=False)
     assert proc.returncode == 1
+
+    fleet_programs = ["--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json"]
+    traces = ["--traces-market", tmp_path / "market.csv", "--traces-as", tmp_path / "as.csv"]
+    usage_errors = [
+        # a lone --traces-* flag would otherwise run parametric and ignore it
+        ["solve-offline", *fleet_programs, *traces[:2]],
+        ["solve-offline", *fleet_programs, *traces[2:]],
+        ["solve-risk", "--config", CONFIGS / "risk.json", *traces[2:]],
+        ["compare-strategies", *fleet_programs, *traces, "--window-start", "yesterday",
+         "--window-end", "2022-04-05T00:00:00Z"],
+        ["compare-strategies", *fleet_programs, *traces, "--window-start", "2022-04-05T00:00:00Z"],
+    ]
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in [*argv, "--out", tmp_path / "o"]])
+        assert exc.value.code == 1, argv
+    assert not (tmp_path / "o").exists()
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -65,19 +82,55 @@ def test_validation_error_exit_code(tmp_path):
     assert "presp" in proc.stderr
 
 
-def test_malformed_config_exit_code(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    proc = run_cli("solve-reg", "--config", bad, "--out", tmp_path / "o", check=False)
-    assert proc.returncode == 2
+# Every shipped config, the command that reads it, a required field and a
+# numeric field (paths into the decoded JSON) and the message a missing field gives.
+MALFORMED_CONFIGS = {
+    "fleet": ("fleet.json", ["solve-offline", "--programs", CONFIGS / "programs.json", "--fleet"],
+              (1, "capacity_mw"), (0, "capacity_mw"), "machine #1 missing field 'capacity_mw'"),
+    "programs": ("programs.json", ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs"],
+                 ("programs", 0, "id"), ("programs", 0, "price"), "missing field 'id'"),
+    "reg": ("reg.json", ["solve-reg", "--config"],
+            ("fleet", 1, "capacity_mw"), ("theta",), "machine #1 missing field 'capacity_mw'"),
+    "risk": ("risk.json", ["solve-risk", "--config"],
+             ("reward_rate",), ("cap",), "missing field 'reward_rate'"),
+    "spec": ("synthesis_week.json", ["synthesize-traces", "--spec"],
+             ("hours",), ("hours",), "missing field 'hours'"),
+}
 
-    reg = json.loads((CONFIGS / "reg.json").read_text())
-    del reg["fleet"][1]["capacity_mw"]
-    no_capacity = tmp_path / "reg.json"
-    no_capacity.write_text(json.dumps(reg))
-    proc = run_cli("solve-reg", "--config", no_capacity, "--out", tmp_path / "r", check=False)
-    assert proc.returncode == 2
-    assert str(no_capacity) in proc.stderr and "machine #1" in proc.stderr
+
+def _edit(cfg, path, value=None):
+    """Copy of ``cfg`` with the field at ``path`` set to ``value`` (deleted when None)."""
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+def test_malformed_config_exit_code(tmp_path, capsys):
+    failures = []
+    for name, (shipped, argv, required, numeric, missing_msg) in MALFORMED_CONFIGS.items():
+        text = (CONFIGS / shipped).read_text()
+        cfg = json.loads(text)
+        defects = {
+            "bad_json": (text[: len(text) // 2], None),
+            "wrong_type": (json.dumps(cfg[0] if isinstance(cfg, list) else [cfg]), None),
+            "missing_field": (json.dumps(_edit(cfg, required)), missing_msg),
+            "non_numeric": (json.dumps(_edit(cfg, numeric, "x")), None),
+            "nan_literal": (json.dumps(_edit(cfg, numeric, float("nan"))), "NaN"),
+        }
+        for defect, (content, message) in defects.items():
+            path = tmp_path / f"{name}-{defect}.json"
+            path.write_text(content)
+            rc = main([str(a) for a in [*argv, path, "--out", tmp_path / "o"]])
+            err = capsys.readouterr().err
+            if rc != 2 or str(path) not in err or (message and message not in err):
+                failures.append(f"{name}/{defect}: exit {rc}: {err.strip()}")
+    assert not failures, "\n".join(failures)
 
 
 def test_config_dir_env_var(tmp_path):
@@ -110,6 +163,26 @@ def test_config_dir_env_var(tmp_path):
     proc = solve_risk(tmp_path / "no_env", base_env)
     assert proc.returncode == 2, proc.stderr
     assert "risk.json" in proc.stderr
+
+
+def test_failed_verify_still_writes_its_outputs(tmp_path, monkeypatch, capsys):
+    from minerflex import cli
+    from minerflex.verify import CheckResult
+
+    results = [CheckResult("holds", True, "ok"), CheckResult("breaks", False, "off by one")]
+    monkeypatch.setattr(cli, "run_verify", lambda fast, seed: results)
+    out = tmp_path / "o"
+    assert main(["verify", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL  breaks" in captured.out and "1/2 checks passed" in captured.out
+    assert "1 verification checks failed" in captured.err
+    assert (out / "checks.csv").read_text().splitlines() == [
+        "check,status,detail", "holds,PASS,ok", "breaks,FAIL,off by one",
+    ]
+    assert json.loads((out / "summary.json").read_text()) == {"checks": 2, "failed": 1}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["outputs"] == ["checks.csv", "summary.json"]
 
 
 def test_synthesize_deterministic(tmp_path):

@@ -4,15 +4,39 @@ from pathlib import Path
 import minerflex
 
 
+def _modules():
+    for path in sorted(Path(minerflex.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text())
+
+
 def test_no_cross_module_private_imports():
     """No module imports another module's private (underscore) names."""
     offenders = []
-    for path in sorted(Path(minerflex.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
                 offenders += [
                     f"{path.name}: from .{node.module} import {alias.name}"
                     for alias in node.names
                     if alias.name.startswith("_")
+                ]
+    assert not offenders
+
+
+def test_only_the_config_boundary_decodes_json():
+    """Only ``config.load_config`` decodes JSON, so every bad config fails the same way."""
+    offenders = []
+    for path, tree in _modules():
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads"):
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    offenders.append(f"{path.name}:{node.lineno}: json.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                offenders += [
+                    f"{path.name}:{node.lineno}: from json import {alias.name}"
+                    for alias in node.names
+                    if alias.name in ("load", "loads")
                 ]
     assert not offenders

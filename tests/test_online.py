@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -14,8 +15,10 @@ from minerflex import (
     regret_bound,
     run_online,
 )
-from minerflex.deployment import SlotBatch
+from minerflex import verify
+from minerflex.deployment import Profile, SlotBatch
 from minerflex.online import per_round_costs
+from minerflex.verify import check_online_regret
 
 
 def random_rounds(rng, horizon, caps=(150.0, 100.0), r_max=200.0, p_max=60.0, n=2):
@@ -220,3 +223,19 @@ def test_ogd_config_validation():
         OgdConfig(horizon=1, grad_bound=-1.0, diameter=1.0, cap=1.0)
     with pytest.raises(InvalidInputError):
         OgdConfig(horizon=1, grad_bound=1.0, diameter=1.0, cap=1.0, learners=0)
+
+
+def test_verify_regret_check_accepts_negative_static_regret():
+    # Run 4 of this seed ends with static regret -15,626 $: the adaptive learner
+    # beats every fixed profile, and its hindsight profile is still the best fixed one.
+    assert check_online_regret(seed=109010, runs=5).passed
+
+
+def test_verify_regret_check_rejects_a_hindsight_profile_that_is_not_best(monkeypatch):
+    def no_participation_hindsight(*args, **kwargs):
+        outcomes, report = run_online(*args, **kwargs)
+        return outcomes, dataclasses.replace(report, hindsight_profile=Profile(np.zeros(2)))
+
+    assert check_online_regret(seed=10, runs=1, horizon=50).passed
+    monkeypatch.setattr(verify, "run_online", no_participation_hindsight)
+    assert not check_online_regret(seed=10, runs=1, horizon=50).passed
