@@ -30,7 +30,6 @@ from .fleet import (
 from .online import (
     OgdConfig,
     RegretReport,
-    RoundOutcome,
     hindsight_optimum,
     ogd_step,
     regret_bound,

@@ -42,13 +42,11 @@ from .regulation import (
 from .sgd import SgdConfig, solve as sgd_solve, suboptimality_bound
 from .single_machine import ProgramStats, RiskConfig, profile_risk, risk_aware_solve
 from .traces import (
-    deployment_for,
     estimate_stats,
     load_synthesis_spec,
     load_traces,
     parse_timestamp,
-    per_slot_rewards,
-    programs_for_record,
+    slot_batch,
     synthesize_traces,
     write_traces,
 )
@@ -323,38 +321,23 @@ def cmd_solve_risk(args) -> dict:
 
 def cmd_simulate_online(args) -> dict:
     machines, programs, _, _, records = _load_fleet_inputs(args)
-    if not records:
-        raise InvalidInputError("traces are empty")
-    fleets = [per_slot_rewards(r, machines, args.clamp_negative_rewards) for r in records]
-    programs_seq = [programs_for_record(r, programs) for r in records]
-    samples, masks = [], []
-    for r in records:
-        eps, missing = deployment_for(r, programs)
-        samples.append(eps)
-        masks.append(missing if missing.any() else None)
-    cap = fleets[0].total_capacity_mw
-    r_max = float(max(f.rewards[-1] for f in fleets))
-    p_max = float(max(max(p.price for p in ps) for ps in programs_seq))
+    batch = slot_batch(records, machines, programs, args.clamp_negative_rewards)
+    r_max, p_max = float(batch.rewards.max()), float(batch.quoted_prices.max())
     cfg = OgdConfig.from_bounds(
-        len(records), len(programs), cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners
+        batch.T, len(programs), batch.cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners
     )
     timestamps = [r.timestamp for r in records]
-    outcomes, report = run_online(
-        fleets, programs_seq, samples, cfg, timestamps=timestamps, missing_masks=masks
-    )
-    hindsight_costs = per_round_costs(
-        fleets, programs_seq, samples, cap, report.hindsight_profile, missing_masks=masks
-    )
-    rows, cum = [], 0.0
-    for t, outcome in enumerate(outcomes):
-        cum += outcome.cost_incurred - float(hindsight_costs[t])
-        rows.append([t, timestamps[t].hour, *map(float, outcome.profile_played.c),
-                     outcome.cost_incurred, cum, cum / (t + 1), report.bound])
+    played, costs, report = run_online(batch, cfg, timestamps=timestamps)
+    cum = np.cumsum(costs - per_round_costs(batch, report.hindsight_profile))
+    rows = [
+        [t, ts.hour, *c, cost, regret, regret / (t + 1), report.bound]
+        for t, (ts, c, cost, regret) in enumerate(zip(timestamps, played.tolist(), costs.tolist(), cum.tolist()))
+    ]
     header = ["round", "hour", *[f"c_{p.id}" for p in programs], "cost", "cum_regret", "avg_regret", "bound"]
     return {
         "rounds.csv": (header, rows),
         "summary.json": {
-            "rounds": len(outcomes),
+            "rounds": batch.T,
             "learners": args.learners,
             "static_regret": report.static_regret,
             "average_regret": report.average_regret,

@@ -16,7 +16,9 @@ revenue, so negative cost is profit relative to mining-only operation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -262,70 +264,93 @@ def realized_cost_batch(
 
 
 class FleetStack:
-    """The tables of several fleets as rows of (F, K) arrays.
+    """The tables of several fleets as rows of (F, K) arrays, by ascending reward.
 
-    Fleets may differ in type count (reward ties merge); rows are padded by
-    repeating the last reward with zero extra capacity, which leaves costs
-    unchanged.
+    A type of zero capacity changes no cost, so a fleet with fewer types is padded by
+    repeating its last reward with zero capacity. Cumulative capacities and prefix
+    costs are :class:`FleetSpec`'s float operations, row by row.
     """
 
-    def __init__(self, fleets: Sequence[FleetSpec]):
-        kmax = max(f.n_types for f in fleets)
+    def __init__(self, rewards: np.ndarray, capacities: np.ndarray):
+        self.rewards, self.capacities = np.ascontiguousarray(rewards), np.ascontiguousarray(capacities)
+        self.cum_capacities = np.cumsum(self.capacities, axis=1)
+        rc, cc = np.zeros_like(self.rewards), np.zeros_like(self.rewards)
+        rc[:, 1:] = np.cumsum(self.rewards * self.capacities, axis=1)[:, :-1]
+        cc[:, 1:] = self.cum_capacities[:, :-1]
+        self.prefix_costs = rc - self.rewards * cc
 
-        def padded(row: np.ndarray) -> np.ndarray:
-            return row if row.size == kmax else np.append(row, np.full(kmax - row.size, row[-1]))
+    @staticmethod
+    def of(fleets: Sequence[FleetSpec]) -> "FleetStack":
+        k = max(f.n_types for f in fleets)
 
-        self.rewards = np.array([padded(f.rewards) for f in fleets])
-        self.cum_capacities = np.array([padded(f.cum_capacities) for f in fleets])
-        self.prefix_costs = np.array([padded(f.prefix_costs) for f in fleets])
+        def padded(row: np.ndarray, fill: float) -> np.ndarray:
+            return row if row.size == k else np.append(row, [fill] * (k - row.size))
+
+        return FleetStack(
+            np.array([padded(f.rewards, f.rewards[-1]) for f in fleets]),
+            np.array([padded(f.capacities, 0.0) for f in fleets]),
+        )
 
 
 class SlotBatch(FleetStack):
-    """Per-slot effective rates, prices and fleet tables for vectorized costs.
+    """Per-slot fleet tables, effective rates and prices for vectorized costs.
 
-    Rates and prices are zeroed where ``missing_masks[t]`` marks a program
-    absent.
+    Built by :func:`minerflex.traces.slot_batch` or :meth:`from_arrays`.
+    ``quoted_prices`` are the prices as given; ``eps`` (the effective
+    ``raw_eps``) and ``prices`` are zeroed where ``missing``.
     """
 
     def __init__(self, fleets, programs_seq, samples, cap, missing_masks=None):
-        T = len(fleets)
-        if not (len(programs_seq) == len(samples) == T):
-            raise InvalidInputError("per-round inputs must have equal length")
-        if T == 0:
-            raise InvalidInputError("need at least one round")
-        n = len(programs_seq[0])
-        self.T, self.n, self.cap, self.fleets = T, n, cap, list(fleets)
-        raw = np.zeros((T, n))
-        down = np.zeros((T, n), dtype=bool)
-        absent = np.zeros((T, n), dtype=bool)
-        self.prices = np.zeros((T, n))
-        for t, (fleet, programs, sample) in enumerate(zip(fleets, programs_seq, samples)):
-            if len(programs) != n:
-                raise InvalidInputError(
-                    f"round {t}: expected {n} programs, got {len(programs)}"
-                )
-            if abs(fleet.total_capacity_mw - cap) > 1e-6 * max(1.0, cap):
-                raise InvalidInputError(
-                    f"round {t}: fleet capacity {fleet.total_capacity_mw} != cap {cap}"
-                )
-            row = as_vector(sample, "sample")
-            if row.size != n:
-                raise InvalidInputError(f"round {t}: got {row.size} deployment rates for {n} programs")
-            raw[t] = row
-            down[t] = [spec.direction == "down" for spec in programs]
-            if missing_masks is not None and missing_masks[t] is not None:
-                absent[t] = np.asarray(missing_masks[t], dtype=bool)
-            self.prices[t] = prices_of(programs)
-        super().__init__(self.fleets)
-        if not np.all((raw >= 0.0) & (raw <= 1.0)):
+        """Adapter from one canonical fleet, program list and raw rate vector per slot."""
+        if not len(fleets) == len(programs_seq) == len(samples) > 0:
+            raise InvalidInputError("need at least one round and equal-length per-round inputs")
+        n, raw = len(programs_seq[0]), [as_vector(sample, "sample") for sample in samples]
+        for t, (programs, row) in enumerate(zip(programs_seq, raw)):
+            if not len(programs) == row.size == n:
+                raise InvalidInputError(f"round {t}: expected {n} programs and deployment rates")
+        masks = [None] * len(fleets) if missing_masks is None else missing_masks
+        stack = FleetStack.of(fleets)
+        prices = np.array([prices_of(programs) for programs in programs_seq])
+        down = np.array([[spec.direction == "down" for spec in programs] for programs in programs_seq])
+        missing = np.array([np.zeros(n, dtype=bool) if m is None else m for m in masks], dtype=bool)
+        self._bind(stack.rewards, stack.capacities, prices, np.array(raw), down, missing, cap)
+
+    @classmethod
+    def from_arrays(cls, rewards, capacities, prices, raw_eps, down, missing) -> "SlotBatch":
+        """From (T, K) fleet tables and (T, N) columns; ``cap`` is slot 0's exact capacity sum."""
+        batch = cls.__new__(cls)
+        batch._bind(rewards, capacities, prices, raw_eps, down, missing, None)
+        return batch
+
+    def _bind(self, rewards, capacities, prices, raw_eps, down, missing, cap):
+        # C order keeps every sum over slots sequential, whatever layout the caller left
+        prices, raw_eps, down, missing = map(np.ascontiguousarray, (prices, raw_eps, down, missing))
+        T, n = raw_eps.shape
+        if T == 0 or {prices.shape, down.shape, missing.shape} != {(T, n)} or not len(rewards) == len(capacities) == T:
+            raise InvalidInputError("slot tables need at least one round and one row per round")
+        FleetStack.__init__(self, rewards, capacities)
+        self.T, self.n, self.cap = T, n, math.fsum(capacities[0]) if cap is None else cap
+        totals = self.cum_capacities[:, -1]
+        off = np.flatnonzero(np.abs(totals - self.cap) > 1e-6 * max(1.0, self.cap))
+        if off.size:
+            raise InvalidInputError(f"round {off[0]}: fleet capacity {totals[off[0]]} != cap {self.cap}")
+        if not np.all((raw_eps >= 0.0) & (raw_eps <= 1.0)):
             raise InvalidInputError("epsilon components must lie in [0,1]")
-        self.eps = flip_down(raw, down)
-        self.eps[absent] = 0.0
-        self.prices[absent] = 0.0
+        self.quoted_prices, self.raw_eps, self.down, self.missing = prices, raw_eps, down, missing
+        self.eps = np.where(missing, 0.0, flip_down(raw_eps, down))
+        self.prices = np.where(missing, 0.0, prices)
+
+    def take(self, rows) -> "SlotBatch":
+        """The batch of the selected slots, in order."""
+        tables = (self.rewards, self.capacities, self.quoted_prices, self.raw_eps, self.down, self.missing)
+        return SlotBatch.from_arrays(*(table[rows] for table in tables))
 
     def cost_and_subgradient(self, t: int, c: np.ndarray) -> tuple[float, np.ndarray]:
         """Slot t's cost at profile c and the subgradient r_k eps_t - p_t."""
-        cost, slope = slot_cost(self.fleets[t], self.eps[t], self.prices[t], c)
+        row = SimpleNamespace(
+            rewards=self.rewards[t], cum_capacities=self.cum_capacities[t], prefix_costs=self.prefix_costs[t]
+        )
+        cost, slope = slot_cost(row, self.eps[t], self.prices[t], c)
         return float(cost), slope * self.eps[t] - self.prices[t]
 
     def costs_for(self, candidates: np.ndarray) -> np.ndarray:

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .deployment import Profile, SlotBatch, project_simplex
 from .errors import InvalidInputError
-from .fleet import FleetSpec
-from .programs import ProgramSpec
 from .sgd import default_diameter, default_grad_bound
 
 
@@ -64,13 +61,6 @@ class OgdConfig:
 
 
 @dataclass(frozen=True)
-class RoundOutcome:
-    profile_played: Profile
-    cost_incurred: float
-    gradient: np.ndarray
-
-
-@dataclass(frozen=True)
 class RegretReport:
     static_regret: float
     average_regret: float
@@ -99,9 +89,9 @@ def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
     return Profile(project_simplex(c - eta * g, cfg.cap))
 
 
-def _refined_minimum(batch: SlotBatch, cap: float):
-    """Subgradient descent from several starts, then shrinking-grid polish."""
-    n = batch.n
+def hindsight_optimum(batch: SlotBatch) -> Profile:
+    """Best fixed profile over the whole sequence: multi-start subgradient descent, then a grid polish."""
+    n, cap = batch.n, batch.cap
     starts = [np.zeros(n), np.full(n, cap / (2.0 * n))]
     starts += [cap * np.eye(n)[i] for i in range(n)]
     g_bound = math.sqrt(n) * max(float(batch.rewards.max()), float(batch.prices.max()), 1.0)
@@ -144,45 +134,28 @@ def _refined_minimum(batch: SlotBatch, cap: float):
                 if vals[j] < best_v:
                     best_v, best_c = float(vals[j]), cand[j]
 
-    return best_c
-
-
-def hindsight_optimum(
-    fleet_per_round: Sequence[FleetSpec],
-    programs_per_round: Sequence[Sequence[ProgramSpec]],
-    revealed_samples: Sequence,
-    cap: float,
-    missing_masks=None,
-) -> Profile:
-    """Best fixed profile against the whole revealed sequence."""
-    batch = SlotBatch(fleet_per_round, programs_per_round, revealed_samples, cap, missing_masks)
-    return Profile(_refined_minimum(batch, cap))
+    return Profile(best_c)
 
 
 def run_online(
-    fleet_per_round: Sequence[FleetSpec],
-    programs_per_round: Sequence[Sequence[ProgramSpec]],
-    revealed_samples: Sequence,
-    cfg: OgdConfig,
-    timestamps=None,
-    missing_masks=None,
-) -> tuple[list[RoundOutcome], RegretReport]:
+    batch: SlotBatch, cfg: OgdConfig, timestamps=None
+) -> tuple[np.ndarray, np.ndarray, RegretReport]:
     """Play the whole sequence with per-hour learners and account regret.
 
     Rounds are keyed to learners by timestamp hour (mod bank size) or by
     round index when no timestamps are supplied. Each learner runs its own
-    step-size clock over its own subsequence.
+    step-size clock over its own subsequence. Returns the (T, N) profiles
+    played, the (T,) costs incurred and the regret report.
     """
-    batch = SlotBatch(
-        fleet_per_round, programs_per_round, revealed_samples, cfg.cap, missing_masks
-    )
     T, n = batch.T, batch.n
     if timestamps is not None and len(timestamps) != T:
         raise InvalidInputError("timestamps must match the number of rounds")
+    if abs(batch.cap - cfg.cap) > 1e-6 * max(1.0, cfg.cap):
+        raise InvalidInputError(f"batch capacity {batch.cap} != cap {cfg.cap}")
 
     states = [np.zeros(n) for _ in range(cfg.learners)]
     clocks = [0] * cfg.learners
-    outcomes: list[RoundOutcome] = []
+    played, costs = np.empty((T, n)), np.empty(T)
     total_cost = 0.0
     for t in range(T):
         if timestamps is not None:
@@ -191,13 +164,13 @@ def run_online(
             h = t % cfg.learners
         c = states[h]
         cost, grad = batch.cost_and_subgradient(t, c)
-        outcomes.append(RoundOutcome(Profile(c.copy()), cost, grad))
+        played[t], costs[t] = c, cost
         total_cost += cost
         clocks[h] += 1
         eta = cfg.diameter / (cfg.grad_bound * math.sqrt(clocks[h]))
         states[h] = project_simplex(c - eta * grad, cfg.cap)
 
-    hindsight = Profile(_refined_minimum(batch, cfg.cap))
+    hindsight = hindsight_optimum(batch)
     hindsight_cost = float(batch.total_costs(hindsight.c[None, :])[0])
     static = total_cost - hindsight_cost
     report = RegretReport(
@@ -206,13 +179,10 @@ def run_online(
         hindsight_profile=hindsight,
         bound=1.5 * cfg.grad_bound * cfg.diameter * math.sqrt(T),
     )
-    return outcomes, report
+    return played, costs, report
 
 
-def per_round_costs(
-    fleet_per_round, programs_per_round, revealed_samples, cap, profile, missing_masks=None
-) -> np.ndarray:
+def per_round_costs(batch: SlotBatch, profile) -> np.ndarray:
     """Cost of holding one fixed profile in every round (for regret curves)."""
-    batch = SlotBatch(fleet_per_round, programs_per_round, revealed_samples, cap, missing_masks)
     c = np.asarray(getattr(profile, "c", profile), dtype=float)
     return batch.costs_for(c[None, :])[:, 0]

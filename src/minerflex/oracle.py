@@ -17,12 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .deployment import Profile, SlotBatch, as_vector, flip_down, realized_cost_batch
-from .errors import InvalidInputError, ModelViolationError
+from .errors import InvalidInputError
 from .fleet import FleetSpec, MachineType, canonicalize
 from .programs import ProgramSpec, directions_of, prices_of
 from .sgd import ResampledLearner, solve_bank
 from .sgd import solve as sgd_solve  # noqa: F401  (the benchmark's tracing test rebinds this alias)
-from .traces import TraceRecord, deployment_for, per_slot_rewards, programs_for_record
+from .traces import TraceRecord, reward_matrix, slot_batch
 
 
 @dataclass(frozen=True)
@@ -175,31 +175,18 @@ def grid_mc_optimum(
 # ── Strategy comparison ──────────────────────────────────────────────────
 
 
-def _mean_reward_fleet(
-    recs: Sequence[TraceRecord], fleet_config: Sequence[MachineType], clamp: bool
-) -> FleetSpec:
-    """Fleet with each machine's reward averaged over the training slots.
+def _mean_reward_fleet(rewards: np.ndarray, fleet_config: Sequence[MachineType]) -> FleetSpec:
+    """Fleet with each machine's reward averaged over the rows of ``rewards``.
 
     Works machine-by-machine (not through per-slot canonical fleets, which
-    may merge types) so every configured machine keeps its identity.
+    may merge types) so every configured machine keeps its identity. Rows
+    add up in record order.
     """
-    sums = np.zeros(len(fleet_config))
-    for rec in recs:
-        for i, m in enumerate(fleet_config):
-            if m.energy_intensity is None:
-                raise InvalidInputError(f"machine {m.id!r} has no energy_intensity")
-            r = rec.coin_price / m.energy_intensity - rec.rt_price
-            if r < 0 and not clamp:
-                raise ModelViolationError(
-                    f"machine {m.id!r} has negative net reward {r:.3f} in the window"
-                )
-            sums[i] += max(r, 0.0) if clamp else r
-    means = sums / len(recs)
-    machines = [
+    means = np.add.accumulate(rewards, axis=0)[-1] / len(rewards)
+    return canonicalize(
         MachineType(id=m.id, capacity_mw=m.capacity_mw, energy_intensity=m.energy_intensity, reward=float(r))
         for m, r in zip(fleet_config, means)
-    ]
-    return canonicalize(machines)
+    )
 
 
 def compare_strategies(
@@ -225,30 +212,25 @@ def compare_strategies(
     if window is not None:
         start, end = window
         recs = [r for r in recs if start <= r.timestamp < end]
-    columns = [deployment_for(r, programs) for r in recs]
-    observed = [i for i, (_, missing) in enumerate(columns) if not missing.any()]
-    recs = [recs[i] for i in observed]
-    if len(recs) < 24:
+    observed = []
+    if recs:
+        batch = slot_batch(recs, fleet_config, programs, clamp_negative)
+        observed = np.flatnonzero(~batch.missing.any(axis=1))
+    if len(observed) < 24:
         raise InvalidInputError(
-            f"need at least 24 fully observed slots in the window, got {len(recs)}"
+            f"need at least 24 fully observed slots in the window, got {len(observed)}"
         )
+    batch = batch.take(observed)
+    recs = [recs[i] for i in observed]
+    rewards = reward_matrix(recs, fleet_config, clamp_negative)
 
-    n = len(programs)
-    fleets = [per_slot_rewards(r, fleet_config, clamp_negative) for r in recs]
-    programs_seq = [programs_for_record(r, programs) for r in recs]
-    samples = [columns[i][0] for i in observed]
-    cap = fleets[0].total_capacity_mw
-    batch = SlotBatch(fleets, programs_seq, samples, cap)
-    eps_rows = np.array(samples)
-
+    n, cap = len(programs), batch.cap
     zeros = np.zeros(n)
     even = np.full(n, cap / n)
 
     def learner(rows: np.ndarray, learner_seed: int) -> ResampledLearner:
-        sub = [recs[i] for i in rows]
-        mean_prices = np.mean([[q.price for q in programs_seq[i]] for i in rows], axis=0)
-        fleet = _mean_reward_fleet(sub, fleet_config, clamp_negative)
-        return ResampledLearner(fleet, mean_prices, eps_rows[rows], learner_seed)
+        fleet = _mean_reward_fleet(rewards[rows], fleet_config)
+        return ResampledLearner(fleet, np.mean(batch.prices[rows], axis=0), batch.raw_eps[rows], learner_seed)
 
     def pick(cands: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         costs = batch.costs_for(np.array(cands))[rows].sum(axis=0)

@@ -220,7 +220,7 @@ def solve_bank(
             raise InvalidInputError(f"learner rows must be (J >= 1, {n}), got {np.shape(lr.rows)}")
         if np.shape(lr.prices) != (n,):
             raise InvalidInputError(f"learner prices must be ({n},), got {np.shape(lr.prices)}")
-    stack = FleetStack([lr.fleet for lr in learners])
+    stack = FleetStack.of([lr.fleet for lr in learners])
     prices = np.array([lr.prices for lr in learners], dtype=float)
     caps = np.array([[lr.fleet.total_capacity_mw] for lr in learners])
     nums = np.array(

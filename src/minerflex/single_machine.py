@@ -10,6 +10,7 @@ the capacity multiplier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,8 +35,9 @@ class ProgramStats:
     var_slack: float = 0.0
 
     def __post_init__(self):
-        if self.price < 0:
-            raise InvalidInputError(f"price must be >= 0, got {self.price}")
+        # non-finite mean_eps and var_eps fail their range checks below
+        if not (0.0 <= self.price < math.inf and math.isfinite(self.var_slack)):
+            raise InvalidInputError(f"need a finite price >= 0 and var_slack, got {self.price}, {self.var_slack}")
         if not 0.0 <= self.mean_eps <= 1.0:
             raise InvalidInputError(f"mean_eps must be in [0,1], got {self.mean_eps}")
         limit = self.mean_eps * (1.0 - self.mean_eps) * (1.0 + self.var_slack) + 1e-12
@@ -53,8 +55,8 @@ class RiskConfig:
     risk_weight: float = 0.0
 
     def __post_init__(self):
-        if self.risk_weight < 0:
-            raise InvalidInputError(f"risk_weight must be >= 0, got {self.risk_weight}")
+        if not 0.0 <= self.risk_weight < math.inf:
+            raise InvalidInputError(f"risk_weight must be finite and >= 0, got {self.risk_weight}")
 
 
 def _unit_costs(programs: Sequence[ProgramStats], r: float) -> np.ndarray:

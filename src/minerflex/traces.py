@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import load_config
+from .deployment import SlotBatch
 from .errors import InvalidInputError, ModelViolationError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
 from .programs import PriceResponsiveModel, ProgramSpec, parse_eps_model, price_responsive_eps
@@ -226,9 +227,11 @@ class SynthesisSpec:
     coin_price: PriceBlock
     rt_price: PriceBlock
     programs: tuple[SynthProgram, ...]
-    joint_theta: float | None = None
-    joint_up: str | None = None
-    joint_down: str | None = None
+    joint: tuple | None = None  # a checked regulation pair from regulation.joint_pair
+
+    def __post_init__(self):
+        if self.hours < 1:
+            raise InvalidInputError(f"synthesis needs at least one hour, got {self.hours}")
 
 
 def load_synthesis_spec(path) -> SynthesisSpec:
@@ -254,9 +257,7 @@ def _parse_synthesis_spec(cfg: dict) -> SynthesisSpec:
         coin_price=PriceBlock.from_config(cfg["coin_price"], "coin_price"),
         rt_price=PriceBlock.from_config(cfg["rt_price"], "rt_price"),
         programs=tuple(programs),
-        joint_theta=float(joint["theta"]) if joint else None,
-        joint_up=str(joint["up"]) if joint else None,
-        joint_down=str(joint["down"]) if joint else None,
+        joint=joint_pair(programs, float(joint["theta"]), str(joint["up"]), str(joint["down"])) if joint else None,
     )
 
 
@@ -267,12 +268,8 @@ def synthesize_traces(spec: SynthesisSpec, seed: int) -> list[TraceRecord]:
     reg-up/down model; price-responsive programs derive their deployment
     from the drawn real-time price.
     """
-    if spec.hours < 1:
-        raise InvalidInputError(f"synthesis needs at least one hour, got {spec.hours}")
     rng = np.random.default_rng(seed)
-    joint = None
-    if spec.joint_theta is not None:
-        joint = joint_pair(spec.programs, spec.joint_theta, spec.joint_up, spec.joint_down)
+    joint = spec.joint
 
     records = []
     for h in range(spec.hours):
@@ -393,3 +390,45 @@ def deployment_for(
     missing = np.array([d is None for d in deps])
     eps = np.array([0.0 if d is None else d for d in deps])
     return eps, missing
+
+
+def reward_matrix(records: Sequence[TraceRecord], fleet_config, clamp_negative=False) -> np.ndarray:
+    """(T, M) rewards of the configured machines; the float ops and errors of :func:`per_slot_rewards`."""
+    no_intensity = np.array([m.energy_intensity is None for m in fleet_config])
+    intensity = np.array([m.energy_intensity for m in fleet_config], dtype=float)  # None -> nan
+    coin = np.array([r.coin_price for r in records], dtype=float)
+    rewards = coin[:, None] / intensity - np.array([r.rt_price for r in records], dtype=float)[:, None]
+    bad = no_intensity | (coin < 0.0)[:, None] | ((rewards < 0.0) & (not clamp_negative))
+    if bad.any():  # exactly where the scalar path raises: let it raise its own error
+        per_slot_rewards(records[int(np.argmax(bad.any(axis=1)))], fleet_config, clamp_negative)
+    return np.where(rewards < 0.0, 0.0, rewards) if clamp_negative else rewards
+
+
+def slot_batch(records: Sequence[TraceRecord], fleet_config, programs, clamp_negative=False) -> SlotBatch:
+    """One row per record; costs and errors equal those of the per-record scalar path.
+
+    Each row is :func:`canonicalize` without the merge: machines in (reward,
+    id) order, each exact tie summing its capacities in that order onto its
+    last member and zeroing the rest, which changes no cost.
+    """
+    if not records:
+        raise InvalidInputError("traces are empty")
+    if any(r.program_ids != records[0].program_ids for r in records):
+        raise InvalidInputError("all records must share the same program ids")
+    cols = _columns(records[0], programs)
+    rewards = reward_matrix(records, fleet_config, clamp_negative)
+    id_rank = np.unique([m.id for m in fleet_config], return_inverse=True)[1]
+    order = np.lexsort((np.broadcast_to(id_rank, rewards.shape), rewards))
+    rewards = np.take_along_axis(rewards, order, axis=1)
+    capacities = np.array([m.capacity_mw for m in fleet_config], dtype=float)[order]
+    for j in range(1, rewards.shape[1]):
+        tie = rewards[:, j] == rewards[:, j - 1]
+        capacities[tie, j], capacities[tie, j - 1] = capacities[tie, j - 1] + capacities[tie, j], 0.0
+    prices = np.array([r.as_prices for r in records], dtype=float)[:, cols]
+    if (prices < 0.0).any():  # the scalar path raises the program's own error
+        programs_for_record(records[int(np.argmax((prices < 0.0).any(axis=1)))], programs)
+    deployment = np.array([r.deployment for r in records], dtype=object)[:, cols]
+    missing = deployment == None  # noqa: E711  (elementwise on an object array)
+    raw_eps = np.where(missing, 0.0, deployment).astype(float)
+    down = np.broadcast_to([p.direction == "down" for p in programs], missing.shape)
+    return SlotBatch.from_arrays(rewards, capacities, prices, raw_eps, down, missing)

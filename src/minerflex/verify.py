@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import cost_fixed_k, flip_down, realized_cost, realized_cost_batch
+from .deployment import SlotBatch, cost_fixed_k, flip_down, realized_cost, realized_cost_batch
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, run_online
 from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
@@ -325,13 +325,13 @@ def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
             )
             samples.append(rng.uniform(0.0, 1.0, 2))
         cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=1)
-        outcomes, report = run_online(fleets, programs_seq, samples, cfg)
+        played, _, report = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
         ok &= report.static_regret <= report.bound
         # Static regret may be negative: an adaptive learner can beat every fixed
         # profile. What must hold is that the hindsight profile is the best fixed
         # one, so no played profile held fixed costs less over the horizon. Slot
         # cost of a fixed c (up programs): max_k(prefix_k + r_k * eps.c) - p.c.
-        c = np.array([o.profile_played.c for o in outcomes] + [report.hindsight_profile.c])
+        c = np.vstack([played, report.hindsight_profile.c])
         deployed = (np.asarray(samples) @ c.T)[:, None, :]  # (T, 1, P)
         prefix = np.array([f.prefix_costs for f in fleets])[:, :, None]  # (T, K, 1)
         rewards = np.array([f.rewards for f in fleets])[:, :, None]

@@ -338,8 +338,7 @@ def test_criterion_7_online_regret():
     worst_ratio = -math.inf
     all_bounded = True
     for _ in range(200):
-        fleets, programs_seq, samples = _bounded_rounds(rng, horizon)
-        _, rep = run_online(fleets, programs_seq, samples, cfg)
+        _, _, rep = run_online(SlotBatch(*_bounded_rounds(rng, horizon), 250.0), cfg)
         all_bounded &= rep.static_regret <= bound
         worst_ratio = max(worst_ratio, rep.static_regret / bound)
 
@@ -367,12 +366,11 @@ def test_criterion_7_online_regret():
         fleets *= horizon
         programs_seq *= horizon
         samples *= horizon
-        outcomes, rep = run_online(fleets, programs_seq, samples, cfg)
-        played = np.array([o.cost_incurred for o in outcomes])
+        _, played, rep = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
 
         def prefix_regret(t):
-            prefix_opt = hindsight_optimum(fleets[:t], programs_seq[:t], samples[:t], 250.0)
             arrays = SlotBatch(fleets[:t], programs_seq[:t], samples[:t], 250.0)
+            prefix_opt = hindsight_optimum(arrays)
             return float(played[:t].sum() - arrays.total_costs(prefix_opt.c[None, :])[0])
 
         r_quarter = prefix_regret(horizon // 4)

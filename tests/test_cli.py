@@ -81,6 +81,17 @@ def test_validation_error_exit_code(tmp_path):
     assert proc.returncode == 2
     assert "presp" in proc.stderr
 
+    # a non-finite risk weight would reach summary.json as an invalid JSON literal
+    for weight in ("nan", "inf"):
+        out = tmp_path / f"risk-{weight}"
+        proc = run_cli(
+            "solve-risk", "--config", CONFIGS / "risk.json", "--risk-weight", weight, "--out", out,
+            check=False,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "risk_weight" in proc.stderr
+        assert not (out / "summary.json").exists()
+
 
 # Every shipped config, the command that reads it, a required field and a
 # numeric field (paths into the decoded JSON) and the message a missing field gives.
@@ -95,6 +106,14 @@ MALFORMED_CONFIGS = {
              ("reward_rate",), ("cap",), "missing field 'reward_rate'"),
     "spec": ("synthesis_week.json", ["synthesize-traces", "--spec"],
              ("hours",), ("hours",), "missing field 'hours'"),
+}
+# Defects only the parser's own checks catch: config name -> defect -> (path, value, message).
+SEMANTIC_DEFECTS = {
+    "spec": {
+        "zero_hours": (("hours",), 0, "at least one hour"),
+        "joint_unknown_program": (("joint",), {"theta": 0.5, "up": "regup", "down": "nope"},
+                                  "unknown program"),
+    },
 }
 
 
@@ -123,6 +142,8 @@ def test_malformed_config_exit_code(tmp_path, capsys):
             "non_numeric": (json.dumps(_edit(cfg, numeric, "x")), None),
             "nan_literal": (json.dumps(_edit(cfg, numeric, float("nan"))), "NaN"),
         }
+        for defect, (field, value, message) in SEMANTIC_DEFECTS.get(name, {}).items():
+            defects[defect] = (json.dumps(_edit(cfg, field, value)), message)
         for defect, (content, message) in defects.items():
             path = tmp_path / f"{name}-{defect}.json"
             path.write_text(content)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import minerflex
@@ -40,3 +43,19 @@ def test_only_the_config_boundary_decodes_json():
                     if alias.name in ("load", "loads")
                 ]
     assert not offenders
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The runtime dependency is numpy only; scipy may serve the tests, never the package."""
+    import_root = str(Path(minerflex.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": f"{import_root}{os.pathsep}{inherited}" if inherited else import_root,
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, minerflex.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -74,23 +74,23 @@ def test_ogd_step_outputs_feasible(rng):
 
 
 def test_single_round_regret_nonnegative(rng):
-    fleets, programs_seq, samples = random_rounds(rng, 1)
+    batch = SlotBatch(*random_rounds(rng, 1), 250.0)
     cfg = OgdConfig.from_bounds(1, 2, 250.0, 200.0, 60.0, learners=1)
-    _, report = run_online(fleets, programs_seq, samples, cfg)
+    _, _, report = run_online(batch, cfg)
     assert report.static_regret >= -1e-6 * max(1.0, abs(report.static_regret))
 
 
 def test_stationary_convergence(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 400)
     cfg = OgdConfig.from_bounds(400, 2, 250.0, 200.0, 60.0, learners=1)
-    outcomes, report = run_online(fleets, programs_seq, samples, cfg)
+    played, _, report = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
     # average regret decays and the late profiles approach the per-round argmin
     arrays = SlotBatch(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 501)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
     best = float(arrays.total_costs(grid).min())
-    late = outcomes[-1].profile_played.c
+    late = played[-1]
     late_cost = float(arrays.total_costs(late[None, :])[0])
     eta_late = cfg.diameter / (cfg.grad_bound * math.sqrt(400))
     assert late_cost - best <= cfg.grad_bound * (eta_late * cfg.grad_bound + 3.0)
@@ -103,23 +103,25 @@ def test_stationary_interior_kink_convergence():
     # after, so the optimum sits at the interior kink c = cap_1.
     fleet = fleet_from_rewards([150.0, 100.0], [50.0, 180.0])
     horizon = 600
-    fleets = [fleet] * horizon
-    programs_seq = [[ProgramSpec(id="p", price=100.0)]] * horizon
-    samples = [np.array([1.0])] * horizon
+    batch = SlotBatch([fleet] * horizon, [[ProgramSpec(id="p", price=100.0)]] * horizon,
+                      [np.array([1.0])] * horizon, 250.0)
     cfg = OgdConfig.from_bounds(horizon, 1, 250.0, 180.0, 100.0, learners=1)
-    outcomes, _ = run_online(fleets, programs_seq, samples, cfg)
+    played, _, _ = run_online(batch, cfg)
     eta_late = cfg.diameter / (cfg.grad_bound * math.sqrt(horizon))
-    for outcome in outcomes[-20:]:
-        assert abs(outcome.profile_played.c[0] - 150.0) <= 3.0 * eta_late * cfg.grad_bound
+    for c in played[-20:]:
+        assert abs(c[0] - 150.0) <= 3.0 * eta_late * cfg.grad_bound
 
 
 def test_static_regret_below_bound_random(rng):
     for _ in range(10):
-        fleets, programs_seq, samples = random_rounds(rng, 120)
+        batch = SlotBatch(*random_rounds(rng, 120), 250.0)
         cfg = OgdConfig.from_bounds(120, 2, 250.0, 200.0, 60.0, learners=1)
-        _, report = run_online(fleets, programs_seq, samples, cfg)
+        played, _, report = run_online(batch, cfg)
         assert report.static_regret <= report.bound
-        assert report.static_regret >= -1e-6 * max(1.0, abs(report.static_regret))
+        # Static regret itself may be negative (an adaptive learner can beat every
+        # fixed profile); the hindsight profile must still be the best fixed one.
+        totals = batch.total_costs(np.vstack([played, report.hindsight_profile.c]))
+        assert totals[-1] <= totals[:-1].min() + 1e-6 * max(1.0, abs(totals[-1]))
 
 
 def test_per_hour_isolation(rng):
@@ -128,26 +130,22 @@ def test_per_hour_isolation(rng):
     start = datetime(2022, 1, 1, tzinfo=timezone.utc)
     stamps = [start + timedelta(hours=i) for i in range(horizon)]
     cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=24)
-    outcomes, _ = run_online(fleets, programs_seq, samples, cfg, timestamps=stamps)
+    played, _, _ = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg, timestamps=stamps)
 
     # shuffle whole rounds while keeping each hour's internal order
     order = np.arange(horizon)
     blocks = order.reshape(4, 24).T.reshape(-1)  # interleave days
     shuffled = [int(i) for i in blocks]
-    outcomes2, _ = run_online(
+    shuffled_batch = SlotBatch(
         [fleets[i] for i in shuffled],
         [programs_seq[i] for i in shuffled],
         [samples[i] for i in shuffled],
-        cfg,
-        timestamps=[stamps[i] for i in shuffled],
+        250.0,
     )
+    played2, _, _ = run_online(shuffled_batch, cfg, timestamps=[stamps[i] for i in shuffled])
     for hour in range(24):
-        seq1 = [o.profile_played.c for i, o in enumerate(outcomes) if stamps[i].hour == hour]
-        seq2 = [
-            o.profile_played.c
-            for i, o in enumerate(outcomes2)
-            if stamps[shuffled[i]].hour == hour
-        ]
+        seq1 = [c for i, c in enumerate(played) if stamps[i].hour == hour]
+        seq2 = [c for i, c in enumerate(played2) if stamps[shuffled[i]].hour == hour]
         assert len(seq1) == len(seq2) == 4
         for a, b in zip(seq1, seq2):
             np.testing.assert_array_equal(a, b)
@@ -155,9 +153,8 @@ def test_per_hour_isolation(rng):
 
 def test_hindsight_matches_dense_grid(rng):
     for _ in range(3):
-        fleets, programs_seq, samples = random_rounds(rng, 50)
-        profile = hindsight_optimum(fleets, programs_seq, samples, 250.0)
-        arrays = SlotBatch(fleets, programs_seq, samples, 250.0)
+        arrays = SlotBatch(*random_rounds(rng, 50), 250.0)
+        profile = hindsight_optimum(arrays)
         value = float(arrays.total_costs(profile.c[None, :])[0])
         axis = np.linspace(0.0, 250.0, 500)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -168,7 +165,7 @@ def test_hindsight_matches_dense_grid(rng):
 
 def test_hindsight_identical_rounds_single_round_argmin(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 30)
-    profile = hindsight_optimum(fleets, programs_seq, samples, 250.0)
+    profile = hindsight_optimum(SlotBatch(fleets, programs_seq, samples, 250.0))
     arrays = SlotBatch(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 800)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -179,9 +176,8 @@ def test_hindsight_identical_rounds_single_round_argmin(rng):
 
 
 def test_hindsight_three_programs_beats_coarse_grid(rng):
-    fleets, programs_seq, samples = random_rounds(rng, 40, n=3)
-    profile = hindsight_optimum(fleets, programs_seq, samples, 250.0)
-    arrays = SlotBatch(fleets, programs_seq, samples, 250.0)
+    arrays = SlotBatch(*random_rounds(rng, 40, n=3), 250.0)
+    profile = hindsight_optimum(arrays)
     value = float(arrays.total_costs(profile.c[None, :])[0])
     axis = np.linspace(0.0, 250.0, 80)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -190,8 +186,7 @@ def test_hindsight_three_programs_beats_coarse_grid(rng):
 
 
 def test_per_round_costs_shape(rng):
-    fleets, programs_seq, samples = random_rounds(rng, 7)
-    costs = per_round_costs(fleets, programs_seq, samples, 250.0, np.array([50.0, 50.0]))
+    costs = per_round_costs(SlotBatch(*random_rounds(rng, 7), 250.0), np.array([50.0, 50.0]))
     assert costs.shape == (7,)
 
 
@@ -200,20 +195,26 @@ def test_run_online_validates_dimensions(rng):
     programs_seq[3] = programs_seq[3][:1]
     cfg = OgdConfig.from_bounds(5, 2, 250.0, 200.0, 60.0)
     with pytest.raises(InvalidInputError):
-        run_online(fleets, programs_seq, samples, cfg)
+        run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
     fleets, programs_seq, samples = random_rounds(rng, 5)
     samples[2] = np.array([1.5, 0.2])
     with pytest.raises(InvalidInputError):
-        run_online(fleets, programs_seq, samples, cfg)
+        run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
+    with pytest.raises(InvalidInputError):
+        run_online(SlotBatch(*random_rounds(rng, 5), 250.0), cfg, timestamps=[])
+    with pytest.raises(InvalidInputError):
+        run_online(SlotBatch(*random_rounds(rng, 5, caps=(100.0, 100.0)), 200.0), cfg)
 
 
 def test_missing_programs_are_skipped(rng):
     fleets, programs_seq, samples = random_rounds(rng, 6)
     masks = [None] * 6
     masks[2] = np.array([False, True])
+    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
     cfg = OgdConfig.from_bounds(6, 2, 250.0, 200.0, 60.0, learners=1)
-    outcomes, _ = run_online(fleets, programs_seq, samples, cfg, missing_masks=masks)
-    assert outcomes[2].gradient[1] == 0.0
+    played, _, _ = run_online(batch, cfg)
+    assert batch.cost_and_subgradient(2, played[2])[1][1] == 0.0
+    assert batch.cost_and_subgradient(2, np.array([40.0, 60.0]))[1][1] == 0.0
 
 
 def test_ogd_config_validation():
@@ -233,8 +234,8 @@ def test_verify_regret_check_accepts_negative_static_regret():
 
 def test_verify_regret_check_rejects_a_hindsight_profile_that_is_not_best(monkeypatch):
     def no_participation_hindsight(*args, **kwargs):
-        outcomes, report = run_online(*args, **kwargs)
-        return outcomes, dataclasses.replace(report, hindsight_profile=Profile(np.zeros(2)))
+        played, costs, report = run_online(*args, **kwargs)
+        return played, costs, dataclasses.replace(report, hindsight_profile=Profile(np.zeros(2)))
 
     assert check_online_regret(seed=10, runs=1, horizon=50).passed
     monkeypatch.setattr(verify, "run_online", no_participation_hindsight)

@@ -140,9 +140,7 @@ def test_compare_strategies_zero_prices():
         coin_price=spec.coin_price,
         rt_price=spec.rt_price,
         programs=zero_programs,
-        joint_theta=spec.joint_theta,
-        joint_up=spec.joint_up,
-        joint_down=spec.joint_down,
+        joint=spec.joint,
     )
     records = synthesize_traces(spec, seed=2)
     programs = [ProgramSpec(id=p.id, price=0.0, direction=p.direction) for p in spec.programs]

@@ -238,13 +238,17 @@ def test_program_stats_validation():
         ProgramStats(price=1.0, mean_eps=1.5, var_eps=0.0)
     with pytest.raises(InvalidInputError):
         ProgramStats(price=1.0, mean_eps=0.5, var_eps=0.3)  # above 0.25 bound
+    for bad in ({"price": math.nan}, {"price": math.inf}, {"var_slack": math.inf}):
+        with pytest.raises(InvalidInputError):
+            ProgramStats(**{"price": 1.0, "mean_eps": 0.5, "var_eps": 0.1, **bad})
     # unbiased small-sample estimates may exceed the bound with slack:
     # alternating 0/1 at n=1000 gives exactly 0.25 * 1000/999
     ProgramStats(price=1.0, mean_eps=0.5, var_eps=0.25 * 1000.0 / 999.0, var_slack=1.0 / 999.0)
 
 
 def test_risk_config_validation():
-    with pytest.raises(InvalidInputError):
-        RiskConfig(-1e-3)
+    for weight in (-1e-3, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            RiskConfig(weight)
     with pytest.raises(InvalidInputError):
         best_program([], 10.0, 100.0)

@@ -22,8 +22,20 @@ from minerflex import (
     synthesize_traces,
     write_traces,
 )
-from minerflex.programs import EPS_KINDS, parse_eps_model
-from minerflex.traces import MARKET_HEADER, AS_HEADER, PriceBlock, SynthProgram, SynthesisSpec, TraceRecord
+from minerflex.deployment import SlotBatch
+from minerflex.programs import EPS_KINDS, ProgramSpec, parse_eps_model
+from minerflex.regulation import joint_pair
+from minerflex.traces import (
+    AS_HEADER,
+    MARKET_HEADER,
+    PriceBlock,
+    SynthProgram,
+    SynthesisSpec,
+    TraceRecord,
+    deployment_for,
+    programs_for_record,
+    slot_batch,
+)
 
 
 UTC = timezone.utc
@@ -57,9 +69,7 @@ def synth_spec(hours=24, joint=True):
         coin_price=PriceBlock((20000.0,) * 24, 250.0, 15000.0, 25000.0),
         rt_price=PriceBlock((55.0,) * 24, 10.0, 1.0, 105.0),
         programs=programs,
-        joint_theta=0.5 if joint else None,
-        joint_up="regup" if joint else None,
-        joint_down="regdn" if joint else None,
+        joint=joint_pair(programs, 0.5, "regup", "regdn") if joint else None,
     )
 
 
@@ -232,7 +242,7 @@ def test_load_synthesis_spec(tmp_path):
     path.write_text(json.dumps(cfg))
     spec = load_synthesis_spec(path)
     assert spec.hours == 12
-    assert spec.joint_theta == 0.4
+    assert spec.joint[:2] == (1, 2) and spec.joint[2].theta == 0.4
     assert spec.programs[1].eps_model.mean() == pytest.approx(0.18, abs=1e-9)
     records = synthesize_traces(spec, seed=0)
     assert len(records) == 12
@@ -310,3 +320,126 @@ def test_per_slot_rewards_clamp_and_merge():
     assert fleet.n_types == 1
     assert fleet.machines[0].reward == 0.0
     assert fleet.total_capacity_mw == 250.0
+
+
+# ── Column-built slot tables against the per-record scalar path ─────────
+
+
+def _edge_records(rng, hours=72):
+    """Hourly records from 11:00: clamped afternoons, blank eps cells, three programs."""
+    start = datetime(2022, 4, 4, 11, tzinfo=UTC)
+    records = []
+    for t in range(hours):
+        ts = start + t * (datetime(2022, 1, 1, 1) - datetime(2022, 1, 1))
+        afternoon = 13 <= ts.hour <= 16
+        deployment = tuple(
+            None if (t + i) % 5 == 0 else float(rng.choice([0.0, 1.0, rng.uniform()]))
+            for i in range(3)
+        )
+        records.append(
+            TraceRecord(
+                timestamp=ts,
+                rt_price=float(rng.uniform(190.0, 260.0) if afternoon else rng.uniform(20.0, 60.0)),
+                coin_price=float(rng.uniform(19000.0, 21000.0)),
+                program_ids=("presp", "regup", "regdn"),
+                as_prices=tuple(float(x) for x in rng.uniform(5.0, 40.0, 3)),
+                deployment=deployment,
+            )
+        )
+    return records
+
+
+EDGE_FLEETS = {
+    "shipped": [MachineType("s19", 100.0, energy_intensity=110.0),
+                MachineType("s9", 150.0, energy_intensity=130.0)],
+    # equal intensities tie every slot; ids out of order and 0.1 + 0.2 + 0.3
+    # make the merged capacity depend on the (reward, id) sum order, and the
+    # exact total 1.45 of the three merged types differs from their float sum
+    "ties": [MachineType("c", 0.3, energy_intensity=110.0),
+             MachineType("b", 0.2, energy_intensity=110.0),
+             MachineType("a", 0.1, energy_intensity=110.0),
+             MachineType("e", 0.7, energy_intensity=120.0),
+             MachineType("d", 0.15, energy_intensity=130.0)],
+}
+EDGE_PROGRAMS = {
+    "given": ["presp", "regup", "regdn"],
+    "reversed": ["regdn", "regup", "presp"],
+    "subset": ["regdn", "presp"],
+}
+
+
+def _programs(ids):
+    return [ProgramSpec(id=i, price=0.0, direction="down" if i == "regdn" else "up") for i in ids]
+
+
+def _scalar_batch(records, machines, programs, clamp):
+    fleets = [per_slot_rewards(r, machines, clamp) for r in records]
+    columns = [deployment_for(r, programs) for r in records]
+    return SlotBatch(
+        fleets,
+        [programs_for_record(r, programs) for r in records],
+        [eps for eps, _ in columns],
+        fleets[0].total_capacity_mw,
+        [missing for _, missing in columns],
+    )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_slot_batch_matches_scalar_path_bitwise(rng):
+    records = _edge_records(rng)
+    checked = 0
+    for fleet_name, machines in EDGE_FLEETS.items():
+        for config, ids in EDGE_PROGRAMS.items():
+            programs = _programs(ids)
+            fast = slot_batch(records, machines, programs, clamp_negative=True)
+            ref = _scalar_batch(records, machines, programs, clamp=True)
+            where = f"{fleet_name}/{config}"
+            assert fast.cap == ref.cap, where
+            # fleet tables differ in layout (ties stay as zero-capacity types), costs may not
+            for name in ("raw_eps", "eps", "prices", "quoted_prices", "missing"):
+                assert _same_bits(getattr(fast, name), getattr(ref, name)), f"{where}: {name}"
+            cands = rng.dirichlet(np.ones(len(ids) + 1), 16)[:, :-1] * fast.cap
+            assert _same_bits(fast.costs_for(cands), ref.costs_for(cands)), where
+            for c in cands[:4]:
+                assert _same_bits(fast.total_subgradient(c), ref.total_subgradient(c)), where
+                for t in range(fast.T):
+                    cost, grad = fast.cost_and_subgradient(t, c)
+                    ref_cost, ref_grad = ref.cost_and_subgradient(t, c)
+                    assert cost == ref_cost and _same_bits(grad, ref_grad), f"{where}: slot {t}"
+            checked += 1
+    assert checked == 6
+    # the fixture does hold clamped ties and blank cells, and slot 0's exact
+    # capacity total is not its float sum
+    ties = slot_batch(records, EDGE_FLEETS["ties"], _programs(["regdn"]), clamp_negative=True)
+    assert (ties.rewards[:, -1] == 0.0).any() and ties.missing.any()
+    assert ties.cap == 1.45 != ties.cum_capacities[0, -1]
+
+
+def test_slot_batch_keeps_the_scalar_errors(rng):
+    records = _edge_records(rng, hours=30)
+    no_intensity = [*EDGE_FLEETS["shipped"], MachineType("bare", 10.0, reward=5.0)]
+    negative_coin = list(records)
+    negative_coin[7] = TraceRecord(**{**vars(records[7]), "coin_price": -1.0})
+    # a NaN intensity raises nothing on either path, so the coin error must still surface
+    nan_intensity = [MachineType("nan", 10.0, energy_intensity=math.nan), *EDGE_FLEETS["shipped"]]
+    cases = [
+        (records[3:], EDGE_FLEETS["ties"], False),  # afternoon rewards below zero, unclamped
+        (negative_coin, EDGE_FLEETS["shipped"], True),
+        (records, no_intensity, True),
+        (negative_coin, nan_intensity, True),
+    ]
+    programs = _programs(EDGE_PROGRAMS["given"])
+    for recs, machines, clamp in cases:
+        with pytest.raises(Exception) as scalar:
+            _scalar_batch(recs, machines, programs, clamp)
+        with pytest.raises(Exception) as fast:
+            slot_batch(recs, machines, programs, clamp)
+        assert type(fast.value) is type(scalar.value)
+        assert str(fast.value) == str(scalar.value)
+    with pytest.raises(InvalidInputError, match="same program ids"):
+        slot_batch([records[0], TraceRecord(**{**vars(records[1]), "program_ids": ("a", "b", "c")})],
+                   EDGE_FLEETS["shipped"], programs)
