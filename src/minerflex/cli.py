@@ -343,6 +343,7 @@ def cmd_simulate_online(args) -> dict:
             "average_regret": report.average_regret,
             "bound": report.bound,
             "hindsight_profile": [float(x) for x in report.hindsight_profile.c],
+            "hindsight_gap": report.hindsight_gap,
         },
     }
 

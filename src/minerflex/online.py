@@ -4,7 +4,9 @@ Protocol per round: commit a profile, then observe (eps, r, p), suffer the
 realized cost, and update with the exact subgradient of that round's cost at
 the committed point. A bank of independent learners keyed by hour of day
 captures the strong diurnal structure of ancillary prices; static regret is
-always measured against the single best fixed profile in hindsight.
+always measured against the single best fixed profile in hindsight. That
+profile is exact: the total cost is polyhedral in the profile, so a
+cutting-plane solve finds its minimum and certifies it with a lower bound.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class RegretReport:
     static_regret: float
     average_regret: float
     hindsight_profile: Profile
+    hindsight_gap: float
     bound: float
 
 
@@ -89,52 +92,97 @@ def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
     return Profile(project_simplex(c - eta * g, cfg.cap))
 
 
-def hindsight_optimum(batch: SlotBatch) -> Profile:
-    """Best fixed profile over the whole sequence: multi-start subgradient descent, then a grid polish."""
+# Kelley iterations before the solve stops and reports the gap it reached.
+MAX_CUTS = 200
+# Relative optimality gap at which the cutting-plane solve stops.
+GAP_TOL = 1e-9
+
+
+def _master(b: np.ndarray, g: np.ndarray, cap: float) -> tuple[np.ndarray, float]:
+    """Minimize the cutting-plane model max_j(b_j + g_j.c) over {c >= 0, sum c <= cap}.
+
+    Dense tableau simplex with Bland's rule on the epigraph LP, written with
+    u = c / cap and the deepest cut j* eliminating the free variable z, so that
+    the slacks of the other cuts and of sum u <= 1 form a feasible first basis.
+    Returns the minimizer and a lower bound from the duals: the reduced costs
+    lambda of the cut slacks sum to one in every basis, and any such lambda,
+    clipped at zero and renormalized, bounds the model below by
+    lambda.b + cap min(0, min_i (lambda g)_i), so pivot rounding can loosen
+    the bound but never make it invalid.
+    """
+    m, n = g.shape
+    top = int(np.argmax(b))
+    rest = np.delete(np.arange(m), top)
+    # scaled, every entry is O(1), so the pivot tests below can use absolute tolerances
+    scale = max(float(np.abs(b - b[top]).max()), cap * float(np.abs(g).max()), 1.0)
+    gs, bs = cap * g / scale, (b - b[top]) / scale
+    # columns: u (n), cut slacks s (m), capacity slack; last column the right-hand side
+    tab = np.zeros((m + 1, n + m + 2))
+    tab[:-2, :n] = gs[rest] - gs[top]
+    tab[np.arange(m - 1), n + rest] = 1.0
+    tab[:-2, n + top] = -1.0
+    tab[:-2, -1] = -bs[rest]
+    tab[-2, :n] = 1.0
+    tab[-2, n + m] = 1.0
+    tab[-2, -1] = 1.0
+    tab[-1, :n] = gs[top]
+    tab[-1, n + top] = 1.0
+    basis = np.append(n + rest, n + m)
+    # Bland's rule cannot cycle in exact arithmetic; the bound stops a float one
+    for _ in range(50 * (n + m + 1)):
+        entering = np.flatnonzero(tab[-1, :-1] < -1e-12)
+        if not entering.size:
+            break
+        e = entering[0]
+        col = tab[:-1, e]
+        rows = np.flatnonzero(col > 1e-12)
+        ratios = tab[rows, -1] / col[rows]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        r = tied[np.argmin(basis[tied])]
+        tab[r] /= tab[r, e]
+        tab -= np.outer(tab[:, e], tab[r]) * (np.arange(m + 1) != r)[:, None]
+        basis[r] = e
+    u = np.zeros(n + m + 1)
+    u[basis] = tab[:-1, -1]
+    lam = np.maximum(tab[-1, n : n + m], 0.0)
+    lam /= lam.sum()
+    slope = lam @ g
+    return cap * u[:n], float(lam @ b) + cap * min(0.0, float(slope.min()))
+
+
+def hindsight_optimum(batch: SlotBatch) -> tuple[Profile, float]:
+    """Best fixed profile over the whole sequence, with a certified optimality gap.
+
+    The total cost F(c) = sum_t max_k(prefix_tk + r_tk eps_t.c) - p_t.c is
+    convex and polyhedral, so Kelley's cutting-plane method (Kelley 1960)
+    minimizes it exactly over {c >= 0, sum c <= cap}: each evaluated point
+    adds the cut F(c_j) + g_j.(c - c_j), and the next point minimizes the max
+    of the cuts. Cuts start at the feasible-set vertices, so that model is
+    bounded from the first iteration. Its minimum is a lower bound on the
+    optimum, so the returned gap, the best value found minus that bound,
+    bounds how far the profile is from optimal. The solve stops once the gap
+    is within ``GAP_TOL`` of the best value, or after ``MAX_CUTS`` cuts.
+    """
     n, cap = batch.n, batch.cap
-    starts = [np.zeros(n), np.full(n, cap / (2.0 * n))]
-    starts += [cap * np.eye(n)[i] for i in range(n)]
-    g_bound = math.sqrt(n) * max(float(batch.rewards.max()), float(batch.prices.max()), 1.0)
-    d = default_diameter(n, cap)
-
-    best_c, best_v = None, math.inf
-    for start in starts:
-        c = start.copy()
-        for j in range(1, 601):
-            g = batch.total_subgradient(c) / batch.T
-            c = project_simplex(c - d / (g_bound * math.sqrt(j)) * g, cap)
-            v = float(batch.total_costs(c[None, :])[0])
-            if v < best_v:
-                best_v, best_c = v, c.copy()
-
-    if n <= 3:
-        # Grid refinement: convexity keeps the minimizer within one cell of
-        # the incumbent at each level, so shrinking boxes stay valid.
-        pts = 17
-        hw = cap / 4.0
-        offsets = np.linspace(-1.0, 1.0, pts)
-        mesh = np.stack(np.meshgrid(*([offsets] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        for _ in range(6):
-            cand = best_c[None, :] + hw * mesh
-            cand = project_simplex(cand, cap)
-            vals = batch.total_costs(cand)
-            i = int(np.argmin(vals))
-            if vals[i] < best_v:
-                best_v, best_c = float(vals[i]), cand[i]
-            hw *= 2.5 / (pts - 1)
-    else:
-        for _ in range(3):
-            for i in range(n):
-                grid = np.linspace(0.0, cap, 201)
-                cand = np.repeat(best_c[None, :], grid.size, axis=0)
-                cand[:, i] = grid
-                cand = project_simplex(cand, cap)
-                vals = batch.total_costs(cand)
-                j = int(np.argmin(vals))
-                if vals[j] < best_v:
-                    best_v, best_c = float(vals[j]), cand[j]
-
-    return Profile(best_c)
+    points = project_simplex(np.vstack([np.zeros(n), cap * np.eye(n)]), cap)
+    values = batch.total_costs(points)
+    slopes = np.array([batch.total_subgradient(c) for c in points])
+    best = int(np.argmin(values))
+    best_c, best_v = points[best], float(values[best])
+    b = values - np.einsum("ij,ij->i", slopes, points)
+    for _ in range(MAX_CUTS):
+        c, bound = _master(b, slopes, cap)
+        gap = max(best_v - bound, 0.0)
+        if gap <= GAP_TOL * max(1.0, abs(best_v)):
+            break
+        c = project_simplex(c, cap)
+        v = float(batch.total_costs(c[None, :])[0])
+        g = batch.total_subgradient(c)
+        if v < best_v:
+            best_c, best_v = c, v
+        slopes = np.vstack([slopes, g])
+        b = np.append(b, v - g @ c)
+    return Profile(best_c), gap
 
 
 def run_online(
@@ -170,13 +218,14 @@ def run_online(
         eta = cfg.diameter / (cfg.grad_bound * math.sqrt(clocks[h]))
         states[h] = project_simplex(c - eta * grad, cfg.cap)
 
-    hindsight = hindsight_optimum(batch)
+    hindsight, gap = hindsight_optimum(batch)
     hindsight_cost = float(batch.total_costs(hindsight.c[None, :])[0])
     static = total_cost - hindsight_cost
     report = RegretReport(
         static_regret=static,
         average_regret=static / T,
         hindsight_profile=hindsight,
+        hindsight_gap=gap,
         bound=1.5 * cfg.grad_bound * cfg.diameter * math.sqrt(T),
     )
     return played, costs, report

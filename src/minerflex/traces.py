@@ -50,11 +50,15 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _parse_timestamp(raw: str, path, line: int) -> datetime:
-    try:
-        return parse_timestamp(raw)
-    except ValueError:
-        raise TraceFormatError(path, line, f"bad timestamp {raw!r}") from None
+def _parse_timestamp(raw: str, path, line: int, parsed: dict[str, datetime]) -> datetime:
+    """:func:`parse_timestamp` memoized in ``parsed``; a bad string names its own file and line."""
+    ts = parsed.get(raw)
+    if ts is None:
+        try:
+            ts = parsed[raw] = parse_timestamp(raw)
+        except ValueError:
+            raise TraceFormatError(path, line, f"bad timestamp {raw!r}") from None
+    return ts
 
 
 def _parse_price(raw: str, field: str, path, line: int) -> float:
@@ -79,6 +83,8 @@ def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) 
     warning and gets sorted.
     """
     market: dict[datetime, tuple[float, float]] = {}
+    # both files repeat the market timestamps: parse each distinct string once
+    parsed: dict[str, datetime] = {}
     with open(market_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -90,7 +96,7 @@ def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) 
                 continue
             if len(row) != 3:
                 raise TraceFormatError(market_path, line, f"expected 3 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], market_path, line)
+            ts = _parse_timestamp(row[0], market_path, line, parsed)
             if ts in market:
                 raise TraceFormatError(market_path, line, f"duplicate timestamp {row[0]}")
             if prev is not None and ts < prev:
@@ -113,7 +119,7 @@ def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) 
                 continue
             if len(row) != 4:
                 raise TraceFormatError(as_path, line, f"expected 4 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], as_path, line)
+            ts = _parse_timestamp(row[0], as_path, line, parsed)
             pid = row[1]
             if pid not in seen_ids:
                 seen_ids.append(pid)

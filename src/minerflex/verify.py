@@ -331,13 +331,15 @@ def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
         # profile. What must hold is that the hindsight profile is the best fixed
         # one, so no played profile held fixed costs less over the horizon. Slot
         # cost of a fixed c (up programs): max_k(prefix_k + r_k * eps.c) - p.c.
+        # The solver's certified gap must close to the same tolerance.
         c = np.vstack([played, report.hindsight_profile.c])
         deployed = (np.asarray(samples) @ c.T)[:, None, :]  # (T, 1, P)
         prefix = np.array([f.prefix_costs for f in fleets])[:, :, None]  # (T, K, 1)
         rewards = np.array([f.rewards for f in fleets])[:, :, None]
         prices = np.array([[p.price for p in ps] for ps in programs_seq])  # (T, N)
         totals = ((prefix + rewards * deployed).max(axis=1) - prices @ c.T).sum(axis=0)
-        ok &= bool(totals[-1] <= totals[:-1].min() + 1e-6 * max(1.0, abs(totals[-1])))
+        tol = 1e-6 * max(1.0, abs(totals[-1]))
+        ok &= bool(totals[-1] <= totals[:-1].min() + tol and report.hindsight_gap <= tol)
         worst_frac = max(worst_frac, report.static_regret / report.bound)
     return CheckResult(
         "online regret within the worst-case bound",

@@ -370,7 +370,7 @@ def test_criterion_7_online_regret():
 
         def prefix_regret(t):
             arrays = SlotBatch(fleets[:t], programs_seq[:t], samples[:t], 250.0)
-            prefix_opt = hindsight_optimum(arrays)
+            prefix_opt, _ = hindsight_optimum(arrays)
             return float(played[:t].sum() - arrays.total_costs(prefix_opt.c[None, :])[0])
 
         r_quarter = prefix_regret(horizon // 4)

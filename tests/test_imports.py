@@ -45,17 +45,39 @@ def test_only_the_config_boundary_decodes_json():
     assert not offenders
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """The runtime dependency is numpy only; scipy may serve the tests, never the package."""
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
     import_root = str(Path(minerflex.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = {
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": f"{import_root}{os.pathsep}{inherited}" if inherited else import_root,
     }
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, minerflex.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The runtime dependency is numpy only; scipy may serve the tests, never the package."""
+    proc = _fresh_python("import sys, minerflex.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_simulate_online_run_leaves_scipy_unloaded(tmp_path):
+    """A solver that imported scipy lazily would pass the import-only test; a whole run must not load it."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    traces = tmp_path / "traces"
+    synthesize = ["synthesize-traces", "--spec", str(configs / "synthesis_week.json"), "--seed", "3",
+                  "--out", str(traces)]
+    simulate = ["simulate-online", "--fleet", str(configs / "fleet.json"),
+                "--programs", str(configs / "programs.json"), "--traces-market", str(traces / "market.csv"),
+                "--traces-as", str(traces / "as.csv"), "--out", str(tmp_path / "online")]
+    proc = _fresh_python(
+        "import sys\n"
+        "from minerflex.cli import main\n"
+        f"assert main({synthesize!r}) == 0 and main({simulate!r}) == 0\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "online" / "rounds.csv").exists()
+    assert proc.stdout.strip().splitlines()[-1] == "False"

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from minerflex import (
     InvalidInputError,
@@ -154,7 +155,7 @@ def test_per_hour_isolation(rng):
 def test_hindsight_matches_dense_grid(rng):
     for _ in range(3):
         arrays = SlotBatch(*random_rounds(rng, 50), 250.0)
-        profile = hindsight_optimum(arrays)
+        profile, _ = hindsight_optimum(arrays)
         value = float(arrays.total_costs(profile.c[None, :])[0])
         axis = np.linspace(0.0, 250.0, 500)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -165,7 +166,7 @@ def test_hindsight_matches_dense_grid(rng):
 
 def test_hindsight_identical_rounds_single_round_argmin(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 30)
-    profile = hindsight_optimum(SlotBatch(fleets, programs_seq, samples, 250.0))
+    profile, _ = hindsight_optimum(SlotBatch(fleets, programs_seq, samples, 250.0))
     arrays = SlotBatch(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 800)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -177,12 +178,70 @@ def test_hindsight_identical_rounds_single_round_argmin(rng):
 
 def test_hindsight_three_programs_beats_coarse_grid(rng):
     arrays = SlotBatch(*random_rounds(rng, 40, n=3), 250.0)
-    profile = hindsight_optimum(arrays)
+    profile, _ = hindsight_optimum(arrays)
     value = float(arrays.total_costs(profile.c[None, :])[0])
     axis = np.linspace(0.0, 250.0, 80)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
     assert value <= float(arrays.total_costs(grid).min()) + 1e-6
+
+
+def lp_hindsight_value(batch):
+    """Minimum total cost by HiGHS on the epigraph LP in (c, z_1..z_T).
+
+    z_t >= prefix_tk + (r_tk eps_t - p_t).c for every slot t and machine type k,
+    c >= 0 and sum c <= cap; the objective is sum z_t.
+    """
+    T, n, K = batch.T, batch.n, batch.rewards.shape[1]
+    slopes = batch.rewards[:, :, None] * batch.eps[:, None, :] - batch.prices[:, None, :]
+    a_ub = np.block([
+        [slopes.reshape(T * K, n), -np.repeat(np.eye(T), K, axis=0)],
+        [np.ones((1, n)), np.zeros((1, T))],
+    ])
+    b_ub = np.append(-batch.prefix_costs.reshape(-1), batch.cap)
+    objective = np.append(np.zeros(n), np.ones(T))
+    res = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * n + [(None, None)] * T, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _oracle_cases():
+    for n in (1, 2, 3, 5):
+        for horizon in (1, 50, 200):
+            rng = np.random.default_rng(1000 * n + horizon)
+            batch = SlotBatch(*random_rounds(rng, horizon, p_max=150.0, n=n), 250.0)
+            yield pytest.param(batch, id=f"random-n{n}-T{horizon}")
+    rng = np.random.default_rng(7)
+    fleets, programs_seq, samples = random_rounds(rng, 60, p_max=150.0, n=3)
+    masks = [rng.random(3) < 0.3 if t % 4 == 0 else None for t in range(60)]
+    yield pytest.param(SlotBatch(fleets, programs_seq, samples, 250.0, masks), id="missing")
+    fleets, programs_seq, samples = random_rounds(rng, 80, p_max=150.0, n=2)
+    programs_seq = [[ps[0], dataclasses.replace(ps[1], direction="down")] for ps in programs_seq]
+    yield pytest.param(SlotBatch(fleets, programs_seq, samples, 250.0), id="down")
+    # this seed's one repeated slot has its optimum at a kink inside the c_2 edge
+    stationary = stationary_rounds(np.random.default_rng(9), 100, p_max=150.0)
+    yield pytest.param(SlotBatch(*stationary, 250.0), id="stationary")
+    fleet = fleet_from_rewards([150.0, 100.0], [50.0, 180.0])
+    kink = SlotBatch([fleet] * 600, [[ProgramSpec(id="p", price=100.0)]] * 600, [np.array([1.0])] * 600, 250.0)
+    yield pytest.param(kink, id="interior-kink")
+    # zero rates and zero prices: every profile costs the same
+    fleets, programs_seq, _ = random_rounds(rng, 30, n=2)
+    free = [[dataclasses.replace(spec, price=0.0) for spec in ps] for ps in programs_seq]
+    yield pytest.param(SlotBatch(fleets, free, [np.zeros(2)] * 30, 250.0), id="flat")
+
+
+@pytest.mark.parametrize("batch", _oracle_cases())
+def test_hindsight_matches_lp_oracle(batch):
+    profile, gap = hindsight_optimum(batch)
+    star = lp_hindsight_value(batch)
+    tol = 1e-9 * max(1.0, abs(star))
+    value = float(batch.total_costs(profile.c[None, :])[0])
+    assert abs(value - star) <= tol
+    # the certificate bounds the true suboptimality and closes at the stopping tolerance
+    assert value - star - tol <= gap <= 1e-9 * max(1.0, abs(value))
+    again, gap_again = hindsight_optimum(batch)
+    assert again.c.tobytes() == profile.c.tobytes()
+    assert np.float64(gap_again).tobytes() == np.float64(gap).tobytes()
 
 
 def test_per_round_costs_shape(rng):

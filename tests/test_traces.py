@@ -142,6 +142,21 @@ def test_load_rejects_nan_and_bad_header(tmp_path):
         load_traces(m, a)
 
 
+def test_load_names_the_as_file_and_line_of_a_bad_timestamp(tmp_path):
+    # the market rows parse cleanly first, so a shared parse cache must not hide the bad as.csv row
+    m, a = tmp_path / "market.csv", tmp_path / "as.csv"
+    m.write_text("timestamp,rt_price,coin_price\n2022-04-04T01:00:00Z,50.0,20000.0\n")
+    a.write_text(
+        "timestamp,program_id,price,epsilon\n"
+        "2022-04-04T01:00:00Z,regup,15.0,\n"
+        "2022-04-04T01:00:00Q,presp,12.0,\n"
+    )
+    with pytest.raises(TraceFormatError) as err:
+        load_traces(m, a)
+    assert (err.value.path, err.value.line) == (a, 3)
+    assert "bad timestamp" in str(err.value) and f"{a}:3" in str(err.value)
+
+
 def test_load_warns_and_sorts_on_disorder(tmp_path):
     m, a = tmp_path / "market.csv", tmp_path / "as.csv"
     m.write_text(
