@@ -73,7 +73,7 @@ from .sgd import (
 from .single_machine import ProgramStats, RiskConfig, best_program, profile_risk, risk_aware_solve
 from .traces import (
     SynthesisSpec,
-    TraceRecord,
+    Traces,
     estimate_stats,
     load_synthesis_spec,
     load_traces,

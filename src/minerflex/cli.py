@@ -190,8 +190,8 @@ def _load_fleet_inputs(args):
     """Machines, programs, joint pair, economics and traces (None without --traces-market)."""
     machines = load_fleet_config(args.fleet)
     programs, joint, economics = load_config(args.programs, _parse_programs)
-    records = load_traces(args.traces_market, args.traces_as) if args.traces_market else None
-    return machines, programs, joint, economics, records
+    traces = load_traces(args.traces_market, args.traces_as) if args.traces_market else None
+    return machines, programs, joint, economics, traces
 
 
 def _build_sampler(programs: list[ProgramSpec], joint):
@@ -220,24 +220,24 @@ def _build_sampler(programs: list[ProgramSpec], joint):
 
 def cmd_synthesize(args) -> dict:
     spec = load_synthesis_spec(args.spec)
-    records = synthesize_traces(spec, args.seed)
+    traces = synthesize_traces(spec, args.seed)
     return {
-        ("market.csv", "as.csv"): partial(write_traces, records),
+        ("market.csv", "as.csv"): partial(write_traces, traces),
         "summary.json": {
-            "records": len(records),
+            "records": len(traces),
             "programs": [p.id for p in spec.programs],
-            "start": records[0].timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "start": traces.timestamps[0].strftime("%Y-%m-%dT%H:%M:%SZ"),
         },
     }
 
 
 def cmd_solve_offline(args) -> dict:
-    machines, programs, joint, economics, records = _load_fleet_inputs(args)
+    machines, programs, joint, economics, traces = _load_fleet_inputs(args)
     n = len(programs)
     rows = []
-    if records is not None:
+    if traces is not None:
         report = compare_strategies(
-            records, machines, programs,
+            traces, machines, programs,
             clamp_negative=args.clamp_negative_rewards,
             sgd_iterations=args.iterations, sgd_batch=args.batch, seed=args.seed,
         )
@@ -294,12 +294,12 @@ def cmd_solve_risk(args) -> dict:
     if args.risk_weight is not None:
         weight = args.risk_weight
     if from_traces:
-        records = load_traces(args.traces_market, args.traces_as)
+        traces = load_traces(args.traces_market, args.traces_as)
         stats = []
         for pid in ids:
-            if not records or pid not in records[0].program_ids:
+            if pid not in traces.program_ids:
                 raise InvalidInputError(f"traces carry no program {pid!r}")
-            stats.append(estimate_stats(records, records[0].program_ids.index(pid)))
+            stats.append(estimate_stats(traces, traces.program_ids.index(pid)))
 
     profile = risk_aware_solve(stats, r, cap, RiskConfig(weight))
     exp_cost, var = profile_risk(stats, r, profile)
@@ -320,18 +320,17 @@ def cmd_solve_risk(args) -> dict:
 
 
 def cmd_simulate_online(args) -> dict:
-    machines, programs, _, _, records = _load_fleet_inputs(args)
-    batch = slot_batch(records, machines, programs, args.clamp_negative_rewards)
+    machines, programs, _, _, traces = _load_fleet_inputs(args)
+    batch = slot_batch(traces, machines, programs, args.clamp_negative_rewards)
     r_max, p_max = float(batch.rewards.max()), float(batch.quoted_prices.max())
     cfg = OgdConfig.from_bounds(
         batch.T, len(programs), batch.cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners
     )
-    timestamps = [r.timestamp for r in records]
-    played, costs, report = run_online(batch, cfg, timestamps=timestamps)
+    played, costs, report = run_online(batch, cfg, timestamps=traces.timestamps)
     cum = np.cumsum(costs - per_round_costs(batch, report.hindsight_profile))
     rows = [
         [t, ts.hour, *c, cost, regret, regret / (t + 1), report.bound]
-        for t, (ts, c, cost, regret) in enumerate(zip(timestamps, played.tolist(), costs.tolist(), cum.tolist()))
+        for t, (ts, c, cost, regret) in enumerate(zip(traces.timestamps, played.tolist(), costs.tolist(), cum.tolist()))
     ]
     header = ["round", "hour", *[f"c_{p.id}" for p in programs], "cost", "cum_regret", "avg_regret", "bound"]
     return {
@@ -349,9 +348,9 @@ def cmd_simulate_online(args) -> dict:
 
 
 def cmd_compare(args) -> dict:
-    machines, programs, _, _, records = _load_fleet_inputs(args)
+    machines, programs, _, _, traces = _load_fleet_inputs(args)
     report = compare_strategies(
-        records, machines, programs,
+        traces, machines, programs,
         window=(args.window_start, args.window_end) if args.window_start else None,
         clamp_negative=args.clamp_negative_rewards, sgd_iterations=args.iterations, seed=args.seed,
     )

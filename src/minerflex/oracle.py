@@ -22,7 +22,7 @@ from .fleet import FleetSpec, MachineType, canonicalize
 from .programs import ProgramSpec, directions_of, prices_of
 from .sgd import ResampledLearner, solve_bank
 from .sgd import solve as sgd_solve  # noqa: F401  (the benchmark's tracing test rebinds this alias)
-from .traces import TraceRecord, reward_matrix, slot_batch
+from .traces import Traces, reward_matrix, slot_batch
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def _mean_reward_fleet(rewards: np.ndarray, fleet_config: Sequence[MachineType])
 
     Works machine-by-machine (not through per-slot canonical fleets, which
     may merge types) so every configured machine keeps its identity. Rows
-    add up in record order.
+    add up in slot order.
     """
     means = np.add.accumulate(rewards, axis=0)[-1] / len(rewards)
     return canonicalize(
@@ -190,7 +190,7 @@ def _mean_reward_fleet(rewards: np.ndarray, fleet_config: Sequence[MachineType])
 
 
 def compare_strategies(
-    records: Sequence[TraceRecord],
+    traces: Traces,
     fleet_config: Sequence[MachineType],
     programs: Sequence[ProgramSpec],
     window: tuple | None = None,
@@ -208,21 +208,20 @@ def compare_strategies(
     minimizes the realized in-sample cost, so the reported ordering reflects
     genuinely better optimization rather than sampling luck.
     """
-    recs = list(records)
     if window is not None:
         start, end = window
-        recs = [r for r in recs if start <= r.timestamp < end]
+        traces = traces.take(np.flatnonzero([start <= ts < end for ts in traces.timestamps]))
     observed = []
-    if recs:
-        batch = slot_batch(recs, fleet_config, programs, clamp_negative)
+    if len(traces):
+        batch = slot_batch(traces, fleet_config, programs, clamp_negative)
         observed = np.flatnonzero(~batch.missing.any(axis=1))
     if len(observed) < 24:
         raise InvalidInputError(
             f"need at least 24 fully observed slots in the window, got {len(observed)}"
         )
     batch = batch.take(observed)
-    recs = [recs[i] for i in observed]
-    rewards = reward_matrix(recs, fleet_config, clamp_negative)
+    traces = traces.take(observed)
+    rewards = reward_matrix(traces, fleet_config, clamp_negative)
 
     n, cap = len(programs), batch.cap
     zeros = np.zeros(n)
@@ -237,8 +236,8 @@ def compare_strategies(
         return cands[int(np.argmin(costs))]
 
     # One pooled learner, then one per hour of day with at least two slots.
-    all_rows = np.arange(len(recs))
-    hours = np.array([r.timestamp.hour for r in recs])
+    all_rows = np.arange(len(traces))
+    hours = np.array([ts.hour for ts in traces.timestamps])
     hour_rows = [all_rows[hours == h] for h in range(24)]
     learners = [learner(all_rows, seed)]
     learners += [learner(rows, seed + 1 + h) for h, rows in enumerate(hour_rows) if rows.size >= 2]
@@ -256,7 +255,7 @@ def compare_strategies(
         hour_profiles[h] = pick(cands, rows)
 
     per_slot = {
-        "none": np.zeros(len(recs)),
+        "none": np.zeros(len(traces)),
         "even_split": -batch.costs_for(even[None, :])[:, 0],
         "fixed_profile": -batch.costs_for(fixed[None, :])[:, 0],
     }
@@ -268,7 +267,7 @@ def compare_strategies(
         slot_profits=per_slot,
         hour_profiles=hour_profiles,
         fixed_profile=fixed,
-        timestamps=tuple(r.timestamp for r in recs),
+        timestamps=traces.timestamps,
         hour_costs=hour_costs,
         batch=batch,
     )

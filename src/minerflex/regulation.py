@@ -66,15 +66,6 @@ def joint_pair(programs, theta: float, up_id: str, down_id: str):
     return index[up_id], index[down_id], RegJointModel(theta, up, down)
 
 
-def joint_sampler(model: RegJointModel):
-    """Adapter for :func:`minerflex.sgd.solve`: sampler(rng, m) -> (m, 2) raw draws."""
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return sample_joint(model, rng, size)
-
-    return sampler
-
-
 @dataclass(frozen=True)
 class RegInstance:
     """Two-type fleet participating only in reg-up (index 0) and reg-down (1)."""

@@ -3,8 +3,8 @@
 Two CSV layouts mirror the upstream market sources: a market file with
 ``timestamp,rt_price,coin_price`` rows and a long-format ancillary-service
 file with ``timestamp,program_id,price,epsilon`` rows (epsilon may be
-blank when a deployment observation is missing). Records join on timestamp
-and one record is one hourly slot.
+blank when a deployment observation is missing). The files join on
+timestamp into one :class:`Traces` table with one row per hourly slot.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,16 +30,47 @@ MARKET_HEADER = ["timestamp", "rt_price", "coin_price"]
 AS_HEADER = ["timestamp", "program_id", "price", "epsilon"]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One hourly market observation across all configured programs."""
+@dataclass(frozen=True, eq=False)
+class Traces:
+    """Hourly market observations as columns: row t is one slot, column i program ``program_ids[i]``.
 
-    timestamp: datetime
-    rt_price: float
-    coin_price: float
+    ``rt_price`` and ``coin_price`` are ``(T,)``; ``as_prices`` and
+    ``deployment`` are ``(T, P)``. ``deployment`` is ``nan`` where a cell
+    was not observed (the loader rejects non-finite rates, so ``nan`` only
+    ever means missing).
+    """
+
+    timestamps: tuple[datetime, ...]
+    rt_price: np.ndarray
+    coin_price: np.ndarray
     program_ids: tuple[str, ...]
-    as_prices: tuple[float, ...]
-    deployment: tuple[Optional[float], ...]
+    as_prices: np.ndarray
+    deployment: np.ndarray
+
+    def __post_init__(self):
+        T, P = len(self.timestamps), len(self.program_ids)
+        rows, cells = {self.rt_price.shape, self.coin_price.shape}, {self.as_prices.shape, self.deployment.shape}
+        if rows != {(T,)} or cells != {(T, P)}:
+            raise InvalidInputError(f"trace columns need {T} rows and {P} program columns")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def take(self, rows) -> "Traces":
+        """The slots at integer indices ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Traces(
+            tuple(self.timestamps[t] for t in rows), self.rt_price[rows], self.coin_price[rows],
+            self.program_ids, self.as_prices[rows], self.deployment[rows],
+        )
+
+    def columns(self, programs: Sequence[ProgramSpec]) -> list[int]:
+        """The column of each configured program, matched by id."""
+        idx = {pid: i for i, pid in enumerate(self.program_ids)}
+        for p in programs:
+            if p.id not in idx:
+                raise InvalidInputError(f"traces have no program {p.id!r}")
+        return [idx[p.id] for p in programs]
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -47,7 +78,10 @@ def parse_timestamp(raw: str) -> datetime:
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:  # e.g. 9999-12-31T23:00-05:00 falls past year 9999 in UTC
+        raise ValueError(f"{raw!r} is out of range in UTC") from None
 
 
 def _parse_timestamp(raw: str, path, line: int, parsed: dict[str, datetime]) -> datetime:
@@ -75,112 +109,93 @@ def _format_ts(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) -> list[TraceRecord]:
+def _read_rows(path, header: list[str]):
+    """(line, fields) of each non-blank row under ``header``; read, decode and csv errors name the file."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            got = next(reader, None)
+            if got != header:
+                raise TraceFormatError(path, 1, f"expected header {header}, got {got}")
+            for line, row in enumerate(reader, start=2):
+                if row:
+                    if len(row) != len(header):
+                        raise TraceFormatError(path, line, f"expected {len(header)} fields, got {len(row)}")
+                    yield line, row
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # the caller's own errors never reach here
+        raise TraceFormatError(path, 0, f"cannot read trace file ({exc})") from None
+
+
+def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) -> Traces:
     """Read and join the market and ancillary-service CSV files.
 
-    Every market timestamp must carry a price row for every program.
-    Records come back in timestamp order; an out-of-order file triggers a
-    warning and gets sorted.
+    Every market timestamp must carry a price row for every program; rows
+    at other timestamps are ignored. Slots come back in timestamp order; an
+    out-of-order file triggers a warning and gets sorted.
     """
     market: dict[datetime, tuple[float, float]] = {}
     # both files repeat the market timestamps: parse each distinct string once
     parsed: dict[str, datetime] = {}
-    with open(market_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MARKET_HEADER:
-            raise TraceFormatError(market_path, 1, f"expected header {MARKET_HEADER}, got {header}")
-        prev = None
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise TraceFormatError(market_path, line, f"expected 3 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], market_path, line, parsed)
-            if ts in market:
-                raise TraceFormatError(market_path, line, f"duplicate timestamp {row[0]}")
-            if prev is not None and ts < prev:
-                warnings.warn(f"{market_path}:{line}: timestamps out of order; sorting")
-            prev = ts
-            market[ts] = (
-                _parse_price(row[1], "rt_price", market_path, line),
-                _parse_price(row[2], "coin_price", market_path, line),
-            )
+    prev = None
+    for line, row in _read_rows(market_path, MARKET_HEADER):
+        ts = _parse_timestamp(row[0], market_path, line, parsed)
+        if ts in market:
+            raise TraceFormatError(market_path, line, f"duplicate timestamp {row[0]}")
+        if prev is not None and ts < prev:
+            warnings.warn(f"{market_path}:{line}: timestamps out of order; sorting")
+        prev = ts
+        market[ts] = (
+            _parse_price(row[1], "rt_price", market_path, line),
+            _parse_price(row[2], "coin_price", market_path, line),
+        )
 
-    as_rows: dict[tuple[datetime, str], tuple[float, Optional[float]]] = {}
-    seen_ids: list[str] = []
-    with open(as_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != AS_HEADER:
-            raise TraceFormatError(as_path, 1, f"expected header {AS_HEADER}, got {header}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceFormatError(as_path, line, f"expected 4 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], as_path, line, parsed)
-            pid = row[1]
-            if pid not in seen_ids:
-                seen_ids.append(pid)
-            price = _parse_price(row[2], "price", as_path, line)
-            eps: Optional[float] = None
-            if row[3] != "":
-                eps = _parse_price(row[3], "epsilon", as_path, line)
-                if not 0.0 <= eps <= 1.0:
-                    raise TraceFormatError(
-                        as_path, line, f"epsilon must be in [0,1], got {row[3]}"
-                    )
-            key = (ts, pid)
-            if key in as_rows:
-                raise TraceFormatError(as_path, line, f"duplicate (timestamp, program) {row[:2]}")
-            as_rows[key] = (price, eps)
+    as_rows: dict[tuple[datetime, str], tuple[float, float]] = {}
+    for line, row in _read_rows(as_path, AS_HEADER):
+        key = (_parse_timestamp(row[0], as_path, line, parsed), row[1])
+        price = _parse_price(row[2], "price", as_path, line)
+        eps = math.nan
+        if row[3] != "":
+            eps = _parse_price(row[3], "epsilon", as_path, line)
+            if not 0.0 <= eps <= 1.0:
+                raise TraceFormatError(as_path, line, f"epsilon must be in [0,1], got {row[3]}")
+        if key in as_rows:
+            raise TraceFormatError(as_path, line, f"duplicate (timestamp, program) {row[:2]}")
+        as_rows[key] = (price, eps)
 
-    ids = tuple(program_ids) if program_ids is not None else tuple(sorted(seen_ids))
-    records = []
-    for ts in sorted(market):
-        rt, coin = market[ts]
-        prices, deps = [], []
+    ids = tuple(program_ids) if program_ids is not None else tuple(sorted({pid for _, pid in as_rows}))
+    stamps = sorted(market)
+    cells = []
+    for ts in stamps:
+        cells.append(market[ts])
         for pid in ids:
             if (ts, pid) not in as_rows:
-                raise TraceFormatError(
-                    as_path, 0, f"missing program {pid!r} at {_format_ts(ts)}"
-                )
-            price, eps = as_rows[(ts, pid)]
-            prices.append(price)
-            deps.append(eps)
-        records.append(
-            TraceRecord(
-                timestamp=ts,
-                rt_price=rt,
-                coin_price=coin,
-                program_ids=ids,
-                as_prices=tuple(prices),
-                deployment=tuple(deps),
-            )
-        )
-    return records
+                raise TraceFormatError(as_path, 0, f"missing program {pid!r} at {_format_ts(ts)}")
+            cells.append(as_rows[ts, pid])
+    # one (T, 1 + P, 2) table: each slot's (rt, coin) pair, then its (price, eps) per program
+    table = np.array(cells, dtype=float).reshape(len(stamps), 1 + len(ids), 2)
+    rt, coin = np.ascontiguousarray(table[:, 0].T)
+    as_prices, deployment = np.ascontiguousarray(table[:, 1:].transpose(2, 0, 1))
+    return Traces(tuple(stamps), rt, coin, ids, as_prices, deployment)
 
 
-def write_traces(records: Sequence[TraceRecord], market_path, as_path):
+def write_traces(traces: Traces, market_path, as_path):
     """Write the two-file CSV representation; floats keep full precision."""
-    if not records:
-        raise InvalidInputError("cannot write an empty record list")
-    if any(r.program_ids != records[0].program_ids for r in records):
-        raise InvalidInputError("all records must share the same program ids")
+    if not len(traces):
+        raise InvalidInputError("cannot write empty traces")
+    stamps = [_format_ts(ts) for ts in traces.timestamps]
     with open(market_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MARKET_HEADER)
-        for rec in records:
-            writer.writerow([_format_ts(rec.timestamp), repr(rec.rt_price), repr(rec.coin_price)])
+        for ts, rt, coin in zip(stamps, traces.rt_price.tolist(), traces.coin_price.tolist()):
+            writer.writerow([ts, repr(rt), repr(coin)])
     with open(as_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AS_HEADER)
-        for rec in records:
-            for pid, price, eps in zip(rec.program_ids, rec.as_prices, rec.deployment):
-                writer.writerow(
-                    [_format_ts(rec.timestamp), pid, repr(price), "" if eps is None else repr(eps)]
-                )
+        for ts, prices, deps in zip(stamps, traces.as_prices.tolist(), traces.deployment.tolist()):
+            for pid, price, eps in zip(traces.program_ids, prices, deps):
+                writer.writerow([ts, pid, repr(price), "" if math.isnan(eps) else repr(eps)])
 
 
 # ── Synthesis ────────────────────────────────────────────────────────────
@@ -267,8 +282,8 @@ def _parse_synthesis_spec(cfg: dict) -> SynthesisSpec:
     )
 
 
-def synthesize_traces(spec: SynthesisSpec, seed: int) -> list[TraceRecord]:
-    """Deterministic synthetic trace: one record per hour from ``spec.start``.
+def synthesize_traces(spec: SynthesisSpec, seed: int) -> Traces:
+    """Deterministic synthetic trace: one slot per hour from ``spec.start``.
 
     Regulation pairs named in the joint block draw through the mixed
     reg-up/down model; price-responsive programs derive their deployment
@@ -276,58 +291,42 @@ def synthesize_traces(spec: SynthesisSpec, seed: int) -> list[TraceRecord]:
     """
     rng = np.random.default_rng(seed)
     joint = spec.joint
-
-    records = []
-    for h in range(spec.hours):
-        ts = spec.start + timedelta(hours=h)
+    paired = list(joint[:2]) if joint else []
+    timestamps = tuple(spec.start + timedelta(hours=h) for h in range(spec.hours))
+    rt, coin = np.empty(spec.hours), np.empty(spec.hours)
+    as_prices = np.empty((spec.hours, len(spec.programs)))
+    deployment = np.empty_like(as_prices)
+    for h, ts in enumerate(timestamps):
         hour = ts.hour
-        rt = spec.rt_price.draw(rng, hour)
-        coin = spec.coin_price.draw(rng, hour)
-        prices = [p.price.draw(rng, hour) for p in spec.programs]
-        eps: list[Optional[float]] = [None] * len(spec.programs)
-        if joint is not None:
-            e_up, e_dn = sample_joint(joint[2], rng)
-            eps[joint[0]] = float(e_up)
-            eps[joint[1]] = float(e_dn)
+        rt[h] = spec.rt_price.draw(rng, hour)
+        coin[h] = spec.coin_price.draw(rng, hour)
+        as_prices[h] = [p.price.draw(rng, hour) for p in spec.programs]
+        if joint:
+            deployment[h, paired] = sample_joint(joint[2], rng)
         for i, p in enumerate(spec.programs):
-            if eps[i] is not None:
+            if i in paired:
                 continue
             if isinstance(p.eps_model, PriceResponsiveModel):
-                eps[i] = price_responsive_eps(p.eps_model, rt)
+                deployment[h, i] = price_responsive_eps(p.eps_model, rt[h])
             else:
-                eps[i] = float(p.eps_model.sample(rng))
-        records.append(
-            TraceRecord(
-                timestamp=ts,
-                rt_price=rt,
-                coin_price=coin,
-                program_ids=tuple(p.id for p in spec.programs),
-                as_prices=tuple(prices),
-                deployment=tuple(eps),
-            )
-        )
-    return records
+                deployment[h, i] = p.eps_model.sample(rng)
+    return Traces(timestamps, rt, coin, tuple(p.id for p in spec.programs), as_prices, deployment)
 
 
 # ── Statistics and per-slot model building ──────────────────────────────
 
 
-def estimate_stats(records: Sequence[TraceRecord], program_index: int) -> ProgramStats:
+def estimate_stats(traces: Traces, program_index: int) -> ProgramStats:
     """Sample mean/unbiased variance of a program's observed deployment."""
-    eps = [
-        r.deployment[program_index]
-        for r in records
-        if r.deployment[program_index] is not None
-    ]
-    if len(eps) < 2:
+    column = traces.deployment[:, program_index]
+    arr = column[~np.isnan(column)]
+    if arr.size < 2:
         raise InvalidInputError(
-            f"need at least 2 deployment observations for program {program_index}, got {len(eps)}"
+            f"need at least 2 deployment observations for program {program_index}, got {arr.size}"
         )
-    arr = np.array(eps)
-    prices = np.array([r.as_prices[program_index] for r in records])
     n = arr.size
     return ProgramStats(
-        price=float(prices.mean()),
+        price=float(traces.as_prices[:, program_index].mean()),
         mean_eps=float(arr.mean()),
         var_eps=float(arr.var(ddof=1)),
         var_slack=1.0 / (n - 1),
@@ -335,23 +334,23 @@ def estimate_stats(records: Sequence[TraceRecord], program_index: int) -> Progra
 
 
 def per_slot_rewards(
-    record: TraceRecord,
+    traces: Traces,
+    t: int,
     fleet_config: Sequence[MachineType],
     clamp_negative: bool = False,
 ) -> FleetSpec:
-    """Canonical fleet for one slot from coin economics and the RT price."""
+    """Canonical fleet for slot t from coin economics and the RT price."""
+    coin, rt = float(traces.coin_price[t]), float(traces.rt_price[t])
     machines = []
     for m in fleet_config:
         if m.energy_intensity is None:
             raise InvalidInputError(f"machine {m.id!r} has no energy_intensity")
-        r = net_reward(
-            mining_revenue_rate(record.coin_price, m.energy_intensity), record.rt_price
-        )
+        r = net_reward(mining_revenue_rate(coin, m.energy_intensity), rt)
         if r < 0:
             if not clamp_negative:
                 raise ModelViolationError(
                     f"machine {m.id!r} has negative net reward {r:.3f} at "
-                    f"{_format_ts(record.timestamp)}; pass clamp_negative to floor at 0"
+                    f"{_format_ts(traces.timestamps[t])}; pass clamp_negative to floor at 0"
                 )
             r = 0.0
         machines.append(
@@ -365,64 +364,51 @@ def per_slot_rewards(
     return canonicalize(machines)
 
 
-def _columns(record: TraceRecord, programs: Sequence[ProgramSpec]) -> list[int]:
-    """The record's column of each configured program, matched by id."""
-    idx = {pid: i for i, pid in enumerate(record.program_ids)}
-    for p in programs:
-        if p.id not in idx:
-            raise InvalidInputError(f"record has no program {p.id!r}")
-    return [idx[p.id] for p in programs]
-
-
 def programs_for_record(
-    record: TraceRecord, base_programs: Sequence[ProgramSpec]
+    traces: Traces, t: int, base_programs: Sequence[ProgramSpec]
 ) -> list[ProgramSpec]:
-    """Bind per-slot prices from a record onto configured program specs."""
+    """Bind slot t's prices onto configured program specs."""
     return [
-        ProgramSpec(id=p.id, price=record.as_prices[i], direction=p.direction)
-        for p, i in zip(base_programs, _columns(record, base_programs))
+        ProgramSpec(id=p.id, price=float(traces.as_prices[t, i]), direction=p.direction)
+        for p, i in zip(base_programs, traces.columns(base_programs))
     ]
 
 
 def deployment_for(
-    record: TraceRecord, programs: Sequence[ProgramSpec]
+    traces: Traces, t: int, programs: Sequence[ProgramSpec]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(eps with zeros at holes, boolean missing mask) of the configured programs.
+    """(eps with zeros at holes, boolean missing mask) of the configured programs at slot t.
 
     Columns follow the programs' order, matched by id like the prices of
     :func:`programs_for_record`.
     """
-    deps = [record.deployment[i] for i in _columns(record, programs)]
-    missing = np.array([d is None for d in deps])
-    eps = np.array([0.0 if d is None else d for d in deps])
-    return eps, missing
+    deps = traces.deployment[t, traces.columns(programs)]
+    missing = np.isnan(deps)
+    return np.where(missing, 0.0, deps), missing
 
 
-def reward_matrix(records: Sequence[TraceRecord], fleet_config, clamp_negative=False) -> np.ndarray:
+def reward_matrix(traces: Traces, fleet_config, clamp_negative=False) -> np.ndarray:
     """(T, M) rewards of the configured machines; the float ops and errors of :func:`per_slot_rewards`."""
     no_intensity = np.array([m.energy_intensity is None for m in fleet_config])
     intensity = np.array([m.energy_intensity for m in fleet_config], dtype=float)  # None -> nan
-    coin = np.array([r.coin_price for r in records], dtype=float)
-    rewards = coin[:, None] / intensity - np.array([r.rt_price for r in records], dtype=float)[:, None]
-    bad = no_intensity | (coin < 0.0)[:, None] | ((rewards < 0.0) & (not clamp_negative))
+    rewards = traces.coin_price[:, None] / intensity - traces.rt_price[:, None]
+    bad = no_intensity | (traces.coin_price < 0.0)[:, None] | ((rewards < 0.0) & (not clamp_negative))
     if bad.any():  # exactly where the scalar path raises: let it raise its own error
-        per_slot_rewards(records[int(np.argmax(bad.any(axis=1)))], fleet_config, clamp_negative)
+        per_slot_rewards(traces, int(np.argmax(bad.any(axis=1))), fleet_config, clamp_negative)
     return np.where(rewards < 0.0, 0.0, rewards) if clamp_negative else rewards
 
 
-def slot_batch(records: Sequence[TraceRecord], fleet_config, programs, clamp_negative=False) -> SlotBatch:
-    """One row per record; costs and errors equal those of the per-record scalar path.
+def slot_batch(traces: Traces, fleet_config, programs, clamp_negative=False) -> SlotBatch:
+    """One row per slot; costs and errors equal those of the per-slot scalar path.
 
     Each row is :func:`canonicalize` without the merge: machines in (reward,
     id) order, each exact tie summing its capacities in that order onto its
     last member and zeroing the rest, which changes no cost.
     """
-    if not records:
+    if not len(traces):
         raise InvalidInputError("traces are empty")
-    if any(r.program_ids != records[0].program_ids for r in records):
-        raise InvalidInputError("all records must share the same program ids")
-    cols = _columns(records[0], programs)
-    rewards = reward_matrix(records, fleet_config, clamp_negative)
+    cols = traces.columns(programs)
+    rewards = reward_matrix(traces, fleet_config, clamp_negative)
     id_rank = np.unique([m.id for m in fleet_config], return_inverse=True)[1]
     order = np.lexsort((np.broadcast_to(id_rank, rewards.shape), rewards))
     rewards = np.take_along_axis(rewards, order, axis=1)
@@ -430,11 +416,10 @@ def slot_batch(records: Sequence[TraceRecord], fleet_config, programs, clamp_neg
     for j in range(1, rewards.shape[1]):
         tie = rewards[:, j] == rewards[:, j - 1]
         capacities[tie, j], capacities[tie, j - 1] = capacities[tie, j - 1] + capacities[tie, j], 0.0
-    prices = np.array([r.as_prices for r in records], dtype=float)[:, cols]
+    prices = traces.as_prices[:, cols]
     if (prices < 0.0).any():  # the scalar path raises the program's own error
-        programs_for_record(records[int(np.argmax((prices < 0.0).any(axis=1)))], programs)
-    deployment = np.array([r.deployment for r in records], dtype=object)[:, cols]
-    missing = deployment == None  # noqa: E711  (elementwise on an object array)
-    raw_eps = np.where(missing, 0.0, deployment).astype(float)
+        programs_for_record(traces, int(np.argmax((prices < 0.0).any(axis=1))), programs)
+    deployment = traces.deployment[:, cols]
+    missing = np.isnan(deployment)
     down = np.broadcast_to([p.direction == "down" for p in programs], missing.shape)
-    return SlotBatch.from_arrays(rewards, capacities, prices, raw_eps, down, missing)
+    return SlotBatch.from_arrays(rewards, capacities, prices, np.where(missing, 0.0, deployment), down, missing)

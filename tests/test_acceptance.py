@@ -392,11 +392,11 @@ def test_criterion_7_online_regret():
 def test_criterion_8_strategy_dominance():
     t0 = time.time()
     spec = load_synthesis_spec(CONFIGS / "synthesis_week.json")
-    records = synthesize_traces(spec, seed=17)
-    assert len(records) == 168
+    traces = synthesize_traces(spec, seed=17)
+    assert len(traces) == 168
     machines = load_fleet_config(CONFIGS / "fleet.json")
     programs = [ProgramSpec(id="presp", price=12.0), ProgramSpec(id="regup", price=26.0)]
-    rep = compare_strategies(records, machines, programs, sgd_iterations=2000, seed=7)
+    rep = compare_strategies(traces, machines, programs, sgd_iterations=2000, seed=7)
     mp = rep.mean_profit
     margin = (mp["optimized"] - mp["even_split"]) / max(abs(mp["even_split"]), 1e-9)
     elapsed = time.time() - t0

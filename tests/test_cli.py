@@ -93,6 +93,27 @@ def test_validation_error_exit_code(tmp_path):
         assert not (out / "summary.json").exists()
 
 
+def test_unreadable_trace_exit_code(traces_dir, tmp_path, capsys):
+    # files the csv reader cannot decode or split must fail like any bad trace: exit 2, file named
+    market, as_csv = (traces_dir / name for name in ("market.csv", "as.csv"))
+    non_utf8 = tmp_path / "non-utf8-market.csv"
+    non_utf8.write_bytes(market.read_bytes().replace(b"\n", b"\xff\n", 5))
+    huge_field = tmp_path / "huge-field-as.csv"
+    huge_field.write_text(as_csv.read_text() + "2022-04-04T00:00:00Z,regup,1.0," + "9" * 200_000 + "\n")
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    cases = {non_utf8: (non_utf8, as_csv), huge_field: (market, huge_field), directory: (directory, as_csv)}
+    failures = []
+    for bad, (m, a) in cases.items():
+        argv = ["simulate-online", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+                "--traces-market", m, "--traces-as", a, "--out", tmp_path / "o"]
+        rc = main([str(x) for x in argv])
+        err = capsys.readouterr().err
+        if rc != 2 or str(bad) not in err:
+            failures.append(f"{bad.name}: exit {rc}: {err.strip()}")
+    assert not failures, "\n".join(failures)
+
+
 # Every shipped config, the command that reads it, a required field and a
 # numeric field (paths into the decoded JSON) and the message a missing field gives.
 MALFORMED_CONFIGS = {
@@ -113,6 +134,7 @@ SEMANTIC_DEFECTS = {
         "zero_hours": (("hours",), 0, "at least one hour"),
         "joint_unknown_program": (("joint",), {"theta": 0.5, "up": "regup", "down": "nope"},
                                   "unknown program"),
+        "start_past_year_9999_in_utc": (("start",), "9999-12-31T23:00:00-05:00", "out of range"),
     },
 }
 
@@ -310,6 +332,24 @@ def test_simulate_online_ten_rounds(traces_dir, tmp_path):
     assert len(rows) == 10
     assert all(float(r["cum_regret"]) >= -1e-6 for r in rows)
     assert len({r["bound"] for r in rows}) == 1
+
+
+def test_as_rows_outside_the_market_timestamps_are_ignored(traces_dir, tmp_path):
+    # the market file sets the slots; ancillary-service rows at other hours join nothing
+    (tmp_path / "market.csv").write_bytes((traces_dir / "market.csv").read_bytes())
+    extra = "".join(
+        f"{ts},{pid},13.5,0.25\n"
+        for ts in ("2022-04-03T23:00:00Z", "2030-01-01T00:00:00Z") for pid in ("presp", "regup")
+    )
+    (tmp_path / "as.csv").write_text((traces_dir / "as.csv").read_text() + extra)
+    outputs = {}
+    for name, traces in (("given", traces_dir), ("extra", tmp_path)):
+        out = tmp_path / name
+        argv = ["simulate-online", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+                "--traces-market", traces / "market.csv", "--traces-as", traces / "as.csv", "--out", out]
+        assert main([str(a) for a in argv]) == 0, name
+        outputs[name] = {**read_csvs(out), "summary.json": (out / "summary.json").read_bytes()}
+    assert outputs["extra"] == outputs["given"]
 
 
 def test_solve_offline_traces_mode(traces_dir, tmp_path):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from minerflex import (
 )
 from minerflex.fleet import MachineType
 from minerflex.programs import ConstantEps, independent_sampler
-from minerflex.regulation import joint_sampler
+from minerflex.regulation import sample_joint
 
 from conftest import random_instance
 from test_traces import synth_spec
@@ -83,7 +85,7 @@ def test_grid_mc_matches_reg_closed_form(two_type_fleet):
         ProgramSpec(id="up", price=15.0, direction="up"),
         ProgramSpec(id="dn", price=10.0, direction="down"),
     ]
-    res = grid_mc_optimum(fleet, programs, joint_sampler(model), GridSpec(60, 30000, seed=9))
+    res = grid_mc_optimum(fleet, programs, partial(sample_joint, model), GridSpec(60, 30000, seed=9))
     closed = expected_reg_cost(inst, float(res.profile.c[0]), float(res.profile.c[1]))
     assert abs(res.value - closed) <= 3.0 * res.stderr
 
@@ -116,9 +118,9 @@ def base_programs():
 
 
 def test_compare_strategies_dominance_and_baseline():
-    records = synthesize_traces(synth_spec(hours=96), seed=21)
+    traces = synthesize_traces(synth_spec(hours=96), seed=21)
     report = compare_strategies(
-        records, fleet_config(), base_programs(), sgd_iterations=800, seed=5
+        traces, fleet_config(), base_programs(), sgd_iterations=800, seed=5
     )
     mp = report.mean_profit
     assert mp["none"] == 0.0
@@ -142,19 +144,19 @@ def test_compare_strategies_zero_prices():
         programs=zero_programs,
         joint=spec.joint,
     )
-    records = synthesize_traces(spec, seed=2)
+    traces = synthesize_traces(spec, seed=2)
     programs = [ProgramSpec(id=p.id, price=0.0, direction=p.direction) for p in spec.programs]
-    report = compare_strategies(records, fleet_config(), programs, sgd_iterations=400, seed=1)
+    report = compare_strategies(traces, fleet_config(), programs, sgd_iterations=400, seed=1)
     assert report.mean_profit["optimized"] == pytest.approx(0.0, abs=1e-9)
     assert report.mean_profit["none"] == 0.0
     assert report.mean_profit["even_split"] <= 1e-9
 
 
 def test_compare_strategies_window_filter():
-    records = synthesize_traces(synth_spec(hours=120), seed=21)
-    window = (records[24].timestamp, records[72].timestamp)
+    traces = synthesize_traces(synth_spec(hours=120), seed=21)
+    window = (traces.timestamps[24], traces.timestamps[72])
     report = compare_strategies(
-        records, fleet_config(), base_programs(), window=window, sgd_iterations=200, seed=5
+        traces, fleet_config(), base_programs(), window=window, sgd_iterations=200, seed=5
     )
     assert len(report.timestamps) == 48
-    assert report.timestamps[0] == records[24].timestamp
+    assert report.timestamps[0] == traces.timestamps[24]

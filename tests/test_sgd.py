@@ -272,10 +272,10 @@ def resampling_sampler(rows):
     return sampler
 
 
-def clamped_mean_fleet(records, machines):
+def clamped_mean_fleet(traces, machines):
     """Each machine's net reward floored at 0 and averaged over the slots."""
     rewards = [
-        float(np.mean([max(r.coin_price / m.energy_intensity - r.rt_price, 0.0) for r in records]))
+        float(np.mean(np.maximum(traces.coin_price / m.energy_intensity - traces.rt_price, 0.0)))
         for m in machines
     ]
     return canonicalize(
@@ -293,22 +293,22 @@ def hot_afternoon_learners(seed):
     spec = dataclasses.replace(
         synth_spec(hours=72), rt_price=PriceBlock(tuple(hourly), 4.0, 1.0, 200.0)
     )
-    records = synthesize_traces(spec, seed=seed)
+    traces = synthesize_traces(spec, seed=seed)
     machines = [
         MachineType("new", 100.0, energy_intensity=110.0),
         MachineType("old", 150.0, energy_intensity=130.0),
         MachineType("older", 60.0, energy_intensity=150.0),
     ]
-    ids = list(records[0].program_ids)
-    order = [ids.index(p.id) for p in spec.programs]
-    groups = [(records, seed)] + [
-        ([r for r in records if r.timestamp.hour == h], seed + 1 + h) for h in range(24)
-    ]
+    order = traces.columns(spec.programs)
+    hours = np.array([ts.hour for ts in traces.timestamps])
+    groups = [(np.arange(len(traces)), seed)] + [(np.flatnonzero(hours == h), seed + 1 + h) for h in range(24)]
     learners = []
-    for recs, learner_seed in groups:
-        rows = np.array([[r.deployment[i] for i in order] for r in recs])
-        prices = np.mean([[r.as_prices[i] for i in order] for r in recs], axis=0)
-        learners.append(ResampledLearner(clamped_mean_fleet(recs, machines), prices, rows, learner_seed))
+    for slots, learner_seed in groups:
+        sub = traces.take(slots)
+        # C order, like the SlotBatch columns compare_strategies hands its learners
+        rows = np.ascontiguousarray(sub.deployment[:, order])
+        prices = np.ascontiguousarray(sub.as_prices[:, order]).mean(axis=0)
+        learners.append(ResampledLearner(clamped_mean_fleet(sub, machines), prices, rows, learner_seed))
     return learners, [p.direction for p in spec.programs]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from datetime import datetime, timezone
@@ -31,7 +32,7 @@ from minerflex.traces import (
     PriceBlock,
     SynthProgram,
     SynthesisSpec,
-    TraceRecord,
+    Traces,
     deployment_for,
     programs_for_record,
     slot_batch,
@@ -39,22 +40,39 @@ from minerflex.traces import (
 
 
 UTC = timezone.utc
+NAN = math.nan
 
 
-def make_records(n=5, eps=lambda i: (0.5, None)):
-    records = []
-    for i in range(n):
-        records.append(
-            TraceRecord(
-                timestamp=datetime(2022, 4, 4, i % 24, tzinfo=UTC),
-                rt_price=50.0 + i,
-                coin_price=20000.0 - 3.0 * i,
-                program_ids=("regup", "presp"),
-                as_prices=(15.5 + i, 11.25),
-                deployment=eps(i),
-            )
-        )
-    return records
+def make_traces(n=5, eps=lambda i: (0.5, NAN)):
+    i = np.arange(n)
+    return Traces(
+        timestamps=tuple(datetime(2022, 4, 4, t % 24, tzinfo=UTC) for t in range(n)),
+        rt_price=50.0 + i,
+        coin_price=20000.0 - 3.0 * i,
+        program_ids=("regup", "presp"),
+        as_prices=np.column_stack([15.5 + i, np.full(n, 11.25)]),
+        deployment=np.array([eps(t) for t in range(n)], dtype=float).reshape(n, 2),
+    )
+
+
+def one_slot(rt_price, coin_price):
+    return Traces(
+        (datetime(2022, 4, 4, tzinfo=UTC),), np.array([rt_price]), np.array([coin_price]),
+        ("p",), np.array([[10.0]]), np.array([[0.5]]),
+    )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_traces(a, b):
+    """Equal timestamps and ids, and every column equal bit for bit (nan holes included)."""
+    columns = ("rt_price", "coin_price", "as_prices", "deployment")
+    return (a.timestamps, a.program_ids) == (b.timestamps, b.program_ids) and all(
+        _same_bits(getattr(a, name), getattr(b, name)) for name in columns
+    )
 
 
 def synth_spec(hours=24, joint=True):
@@ -98,28 +116,32 @@ def test_price_responsive_strict_threshold():
 
 
 def test_round_trip_identity(tmp_path):
-    records = make_records(6, eps=lambda i: (0.125 * i % 1.0, None if i % 2 else 0.75))
+    traces = make_traces(6, eps=lambda i: (0.125 * i % 1.0, NAN if i % 2 else 0.75))
     m, a = tmp_path / "market.csv", tmp_path / "as.csv"
-    write_traces(records, m, a)
+    write_traces(traces, m, a)
     loaded = load_traces(m, a, program_ids=("regup", "presp"))
-    assert loaded == records
+    assert same_traces(loaded, traces)
 
 
 def test_load_empty_files_with_header(tmp_path):
     m, a = tmp_path / "market.csv", tmp_path / "as.csv"
     m.write_text(",".join(MARKET_HEADER) + "\n")
     a.write_text(",".join(AS_HEADER) + "\n")
-    assert load_traces(m, a) == []
+    traces = load_traces(m, a)
+    assert len(traces) == 0 and traces.program_ids == ()
+    assert traces.rt_price.shape == traces.coin_price.shape == (0,)
+    assert traces.as_prices.shape == traces.deployment.shape == (0, 0)
+    assert load_traces(m, a, program_ids=("regup",)).deployment.shape == (0, 1)
 
 
 def test_load_single_row(tmp_path):
     m, a = tmp_path / "market.csv", tmp_path / "as.csv"
     m.write_text("timestamp,rt_price,coin_price\n2022-04-04T01:00:00Z,50.0,20000.0\n")
     a.write_text("timestamp,program_id,price,epsilon\n2022-04-04T01:00:00Z,regup,15.0,0.25\n")
-    records = load_traces(m, a)
-    assert len(records) == 1
-    assert records[0].rt_price == 50.0
-    assert records[0].deployment == (0.25,)
+    traces = load_traces(m, a)
+    assert len(traces) == 1
+    assert traces.rt_price.tolist() == [50.0]
+    assert traces.deployment.tolist() == [[0.25]]
 
 
 def test_load_rejects_out_of_range_epsilon(tmp_path):
@@ -139,6 +161,10 @@ def test_load_rejects_nan_and_bad_header(tmp_path):
         load_traces(m, a)
     m.write_text("time,rt,coin\n")
     with pytest.raises(TraceFormatError):
+        load_traces(m, a)
+    # valid ISO text whose UTC value is past year 9999
+    m.write_text("timestamp,rt_price,coin_price\n9999-12-31T23:00:00-05:00,50.0,20000.0\n")
+    with pytest.raises(TraceFormatError, match="bad timestamp"):
         load_traces(m, a)
 
 
@@ -170,8 +196,9 @@ def test_load_warns_and_sorts_on_disorder(tmp_path):
         "2022-04-04T02:00:00Z,regup,15.0,\n"
     )
     with pytest.warns(UserWarning, match="out of order"):
-        records = load_traces(m, a)
-    assert [r.timestamp.hour for r in records] == [1, 2]
+        traces = load_traces(m, a)
+    assert [ts.hour for ts in traces.timestamps] == [1, 2]
+    assert traces.rt_price.tolist() == [50.0, 51.0]
 
 
 def test_load_rejects_missing_program_row(tmp_path):
@@ -193,9 +220,9 @@ def test_synthesize_deterministic(tmp_path):
     spec = synth_spec()
     a = synthesize_traces(spec, seed=7)
     b = synthesize_traces(spec, seed=7)
-    assert a == b
+    assert same_traces(a, b)
     c = synthesize_traces(spec, seed=8)
-    assert a != c
+    assert not same_traces(a, c)
     # file-level determinism
     write_traces(a, tmp_path / "m1.csv", tmp_path / "a1.csv")
     write_traces(b, tmp_path / "m2.csv", tmp_path / "a2.csv")
@@ -212,17 +239,17 @@ def test_synthesize_constant_prices():
         rt_price=PriceBlock((55.0,) * 24),
         programs=programs,
     )
-    records = synthesize_traces(spec, seed=1)
-    assert {r.rt_price for r in records} == {55.0}
-    assert {r.as_prices[0] for r in records} == {10.0}
-    assert {r.deployment[0] for r in records} == {0.5}
+    traces = synthesize_traces(spec, seed=1)
+    assert set(traces.rt_price.tolist()) == {55.0}
+    assert set(traces.as_prices[:, 0].tolist()) == {10.0}
+    assert set(traces.deployment[:, 0].tolist()) == {0.5}
 
 
 def test_synthesize_regulation_means_match():
     spec = synth_spec(hours=10**5)
-    records = synthesize_traces(spec, seed=3)
-    eps_up = np.array([r.deployment[1] for r in records])
-    eps_dn = np.array([r.deployment[2] for r in records])
+    traces = synthesize_traces(spec, seed=3)
+    eps_up = traces.deployment[:, 1]
+    eps_dn = traces.deployment[:, 2]
     for col, expect in ((eps_up, 0.5 * 0.18), (eps_dn, 0.5 * 0.27)):
         se = col.std(ddof=1) / math.sqrt(col.size)
         assert abs(col.mean() - expect) <= 3.0 * se
@@ -232,9 +259,8 @@ def test_synthesize_regulation_means_match():
 
 def test_synthesize_price_responsive_consistency():
     spec = synth_spec(hours=2000)
-    records = synthesize_traces(spec, seed=11)
-    for r in records:
-        assert r.deployment[0] == (1.0 if r.rt_price > 60.0 else 0.0)
+    traces = synthesize_traces(spec, seed=11)
+    assert np.array_equal(traces.deployment[:, 0], np.where(traces.rt_price > 60.0, 1.0, 0.0))
 
 
 def test_load_synthesis_spec(tmp_path):
@@ -259,19 +285,19 @@ def test_load_synthesis_spec(tmp_path):
     assert spec.hours == 12
     assert spec.joint[:2] == (1, 2) and spec.joint[2].theta == 0.4
     assert spec.programs[1].eps_model.mean() == pytest.approx(0.18, abs=1e-9)
-    records = synthesize_traces(spec, seed=0)
-    assert len(records) == 12
+    traces = synthesize_traces(spec, seed=0)
+    assert len(traces) == 12
 
 
 def test_estimate_stats_all_zero():
-    records = make_records(10, eps=lambda i: (0.0, None))
-    stats = estimate_stats(records, 0)
+    traces = make_traces(10, eps=lambda i: (0.0, NAN))
+    stats = estimate_stats(traces, 0)
     assert stats.mean_eps == 0.0 and stats.var_eps == 0.0
 
 
 def test_estimate_stats_alternating():
-    records = make_records(1000, eps=lambda i: (float(i % 2), None))
-    stats = estimate_stats(records, 0)
+    traces = make_traces(1000, eps=lambda i: (float(i % 2), NAN))
+    stats = estimate_stats(traces, 0)
     assert stats.mean_eps == pytest.approx(0.5)
     assert stats.var_eps == pytest.approx(0.25 * 1000.0 / 999.0, rel=1e-12)
 
@@ -280,34 +306,26 @@ def test_estimate_stats_truncexp_consistency(rng):
     lam = fit_lambda(0.18)
     dist = TruncatedExponential(lam)
     draws = dist.sample(rng, 20000)
-    records = make_records(20000, eps=lambda i: (float(draws[i]), None))
-    stats = estimate_stats(records, 0)
+    traces = make_traces(20000, eps=lambda i: (float(draws[i]), NAN))
+    stats = estimate_stats(traces, 0)
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(stats.mean_eps - 0.18) <= 3.0 * se
 
 
 def test_estimate_stats_requires_observations():
-    records = make_records(5, eps=lambda i: (None, 0.5))
+    traces = make_traces(5, eps=lambda i: (NAN, 0.5))
     with pytest.raises(InvalidInputError):
-        estimate_stats(records, 0)
+        estimate_stats(traces, 0)
     with pytest.raises(InvalidInputError):
-        estimate_stats(records[:1], 1)
+        estimate_stats(traces.take([0]), 1)
 
 
 def test_per_slot_rewards_worked_example():
-    rec = TraceRecord(
-        timestamp=datetime(2022, 4, 4, tzinfo=UTC),
-        rt_price=50.0,
-        coin_price=20000.0,
-        program_ids=("p",),
-        as_prices=(10.0,),
-        deployment=(0.5,),
-    )
     config = [
         MachineType("new", 100.0, energy_intensity=110.0),
         MachineType("old", 150.0, energy_intensity=130.0),
     ]
-    fleet = per_slot_rewards(rec, config)
+    fleet = per_slot_rewards(one_slot(50.0, 20000.0), 0, config)
     np.testing.assert_allclose(fleet.capacities, [150.0, 100.0])
     np.testing.assert_allclose(
         fleet.rewards, [20000.0 / 130.0 - 50.0, 20000.0 / 110.0 - 50.0]
@@ -317,51 +335,39 @@ def test_per_slot_rewards_worked_example():
 
 
 def test_per_slot_rewards_clamp_and_merge():
-    rec = TraceRecord(
-        timestamp=datetime(2022, 4, 4, tzinfo=UTC),
-        rt_price=50.0,
-        coin_price=0.0,
-        program_ids=("p",),
-        as_prices=(10.0,),
-        deployment=(0.5,),
-    )
+    traces = one_slot(50.0, 0.0)
     config = [
         MachineType("new", 100.0, energy_intensity=110.0),
         MachineType("old", 150.0, energy_intensity=130.0),
     ]
     with pytest.raises(ModelViolationError):
-        per_slot_rewards(rec, config)
-    fleet = per_slot_rewards(rec, config, clamp_negative=True)
+        per_slot_rewards(traces, 0, config)
+    fleet = per_slot_rewards(traces, 0, config, clamp_negative=True)
     assert fleet.n_types == 1
     assert fleet.machines[0].reward == 0.0
     assert fleet.total_capacity_mw == 250.0
 
 
-# ── Column-built slot tables against the per-record scalar path ─────────
+# ── Column-built slot tables against the per-slot scalar path ───────────
 
 
-def _edge_records(rng, hours=72):
-    """Hourly records from 11:00: clamped afternoons, blank eps cells, three programs."""
+def _edge_traces(rng, hours=72):
+    """Hourly slots from 11:00: clamped afternoons, blank eps cells, three programs."""
     start = datetime(2022, 4, 4, 11, tzinfo=UTC)
-    records = []
+    stamps, rt, coin, prices, deployment = [], [], [], [], []
     for t in range(hours):
         ts = start + t * (datetime(2022, 1, 1, 1) - datetime(2022, 1, 1))
         afternoon = 13 <= ts.hour <= 16
-        deployment = tuple(
-            None if (t + i) % 5 == 0 else float(rng.choice([0.0, 1.0, rng.uniform()]))
+        deployment.append([
+            NAN if (t + i) % 5 == 0 else float(rng.choice([0.0, 1.0, rng.uniform()]))
             for i in range(3)
-        )
-        records.append(
-            TraceRecord(
-                timestamp=ts,
-                rt_price=float(rng.uniform(190.0, 260.0) if afternoon else rng.uniform(20.0, 60.0)),
-                coin_price=float(rng.uniform(19000.0, 21000.0)),
-                program_ids=("presp", "regup", "regdn"),
-                as_prices=tuple(float(x) for x in rng.uniform(5.0, 40.0, 3)),
-                deployment=deployment,
-            )
-        )
-    return records
+        ])
+        stamps.append(ts)
+        rt.append(float(rng.uniform(190.0, 260.0) if afternoon else rng.uniform(20.0, 60.0)))
+        coin.append(float(rng.uniform(19000.0, 21000.0)))
+        prices.append(rng.uniform(5.0, 40.0, 3))
+    return Traces(tuple(stamps), np.array(rt), np.array(coin), ("presp", "regup", "regdn"),
+                  np.array(prices), np.array(deployment))
 
 
 EDGE_FLEETS = {
@@ -387,31 +393,27 @@ def _programs(ids):
     return [ProgramSpec(id=i, price=0.0, direction="down" if i == "regdn" else "up") for i in ids]
 
 
-def _scalar_batch(records, machines, programs, clamp):
-    fleets = [per_slot_rewards(r, machines, clamp) for r in records]
-    columns = [deployment_for(r, programs) for r in records]
+def _scalar_batch(traces, machines, programs, clamp):
+    slots = range(len(traces))
+    fleets = [per_slot_rewards(traces, t, machines, clamp) for t in slots]
+    columns = [deployment_for(traces, t, programs) for t in slots]
     return SlotBatch(
         fleets,
-        [programs_for_record(r, programs) for r in records],
+        [programs_for_record(traces, t, programs) for t in slots],
         [eps for eps, _ in columns],
         fleets[0].total_capacity_mw,
         [missing for _, missing in columns],
     )
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def test_slot_batch_matches_scalar_path_bitwise(rng):
-    records = _edge_records(rng)
+    traces = _edge_traces(rng)
     checked = 0
     for fleet_name, machines in EDGE_FLEETS.items():
         for config, ids in EDGE_PROGRAMS.items():
             programs = _programs(ids)
-            fast = slot_batch(records, machines, programs, clamp_negative=True)
-            ref = _scalar_batch(records, machines, programs, clamp=True)
+            fast = slot_batch(traces, machines, programs, clamp_negative=True)
+            ref = _scalar_batch(traces, machines, programs, clamp=True)
             where = f"{fleet_name}/{config}"
             assert fast.cap == ref.cap, where
             # fleet tables differ in layout (ties stay as zero-capacity types), costs may not
@@ -429,32 +431,33 @@ def test_slot_batch_matches_scalar_path_bitwise(rng):
     assert checked == 6
     # the fixture does hold clamped ties and blank cells, and slot 0's exact
     # capacity total is not its float sum
-    ties = slot_batch(records, EDGE_FLEETS["ties"], _programs(["regdn"]), clamp_negative=True)
+    ties = slot_batch(traces, EDGE_FLEETS["ties"], _programs(["regdn"]), clamp_negative=True)
     assert (ties.rewards[:, -1] == 0.0).any() and ties.missing.any()
     assert ties.cap == 1.45 != ties.cum_capacities[0, -1]
 
 
 def test_slot_batch_keeps_the_scalar_errors(rng):
-    records = _edge_records(rng, hours=30)
+    traces = _edge_traces(rng, hours=30)
     no_intensity = [*EDGE_FLEETS["shipped"], MachineType("bare", 10.0, reward=5.0)]
-    negative_coin = list(records)
-    negative_coin[7] = TraceRecord(**{**vars(records[7]), "coin_price": -1.0})
+    coin = traces.coin_price.copy()
+    coin[7] = -1.0
+    negative_coin = dataclasses.replace(traces, coin_price=coin)
     # a NaN intensity raises nothing on either path, so the coin error must still surface
     nan_intensity = [MachineType("nan", 10.0, energy_intensity=math.nan), *EDGE_FLEETS["shipped"]]
     cases = [
-        (records[3:], EDGE_FLEETS["ties"], False),  # afternoon rewards below zero, unclamped
+        (traces.take(range(3, len(traces))), EDGE_FLEETS["ties"], False),  # afternoon rewards below zero, unclamped
         (negative_coin, EDGE_FLEETS["shipped"], True),
-        (records, no_intensity, True),
+        (traces, no_intensity, True),
         (negative_coin, nan_intensity, True),
     ]
     programs = _programs(EDGE_PROGRAMS["given"])
-    for recs, machines, clamp in cases:
+    for case, machines, clamp in cases:
         with pytest.raises(Exception) as scalar:
-            _scalar_batch(recs, machines, programs, clamp)
+            _scalar_batch(case, machines, programs, clamp)
         with pytest.raises(Exception) as fast:
-            slot_batch(recs, machines, programs, clamp)
+            slot_batch(case, machines, programs, clamp)
         assert type(fast.value) is type(scalar.value)
         assert str(fast.value) == str(scalar.value)
-    with pytest.raises(InvalidInputError, match="same program ids"):
-        slot_batch([records[0], TraceRecord(**{**vars(records[1]), "program_ids": ("a", "b", "c")})],
-                   EDGE_FLEETS["shipped"], programs)
+    # slots cannot disagree on their programs: the table has one id per column
+    with pytest.raises(InvalidInputError, match="3 program columns"):
+        dataclasses.replace(traces, program_ids=("a", "b", "c"), as_prices=traces.as_prices[:, :2])
