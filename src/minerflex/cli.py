@@ -43,6 +43,7 @@ from .sgd import SgdConfig, solve as sgd_solve, suboptimality_bound
 from .single_machine import ProgramStats, RiskConfig, profile_risk, risk_aware_solve
 from .traces import (
     estimate_stats,
+    format_timestamp,
     load_synthesis_spec,
     load_traces,
     parse_timestamp,
@@ -76,6 +77,13 @@ def _write_csv(path: Path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+
+
+def _write_columns(header, columns, path: Path):
+    """Write a CSV from columns whose cells are already formatted strings."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _write_json(path: Path, obj):
@@ -226,7 +234,7 @@ def cmd_synthesize(args) -> dict:
         "summary.json": {
             "records": len(traces),
             "programs": [p.id for p in spec.programs],
-            "start": traces.timestamps[0].strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "start": format_timestamp(traces.timestamps[0]),
         },
     }
 
@@ -327,14 +335,20 @@ def cmd_simulate_online(args) -> dict:
         batch.T, len(programs), batch.cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners
     )
     played, costs, report = run_online(batch, cfg, timestamps=traces.timestamps)
+    T = batch.T
     cum = np.cumsum(costs - per_round_costs(batch, report.hindsight_profile))
-    rows = [
-        [t, ts.hour, *c, cost, regret, regret / (t + 1), report.bound]
-        for t, (ts, c, cost, regret) in enumerate(zip(traces.timestamps, played.tolist(), costs.tolist(), cum.tolist()))
+    # each cell as _write_csv formats it (repr for floats, str for ints), one column at a
+    # time; the cells are made as the rows are written, so they never all exist at once
+    columns = [
+        map(str, range(T)),
+        (str(ts.hour) for ts in traces.timestamps),
+        *(map(repr, column) for column in played.T.tolist()),
+        *(map(repr, column.tolist()) for column in (costs, cum, cum / np.arange(1, T + 1))),
+        [repr(report.bound)] * T,
     ]
     header = ["round", "hour", *[f"c_{p.id}" for p in programs], "cost", "cum_regret", "avg_regret", "bound"]
     return {
-        "rounds.csv": (header, rows),
+        "rounds.csv": partial(_write_columns, header, columns),
         "summary.json": {
             "rounds": batch.T,
             "learners": args.learners,
@@ -356,7 +370,7 @@ def cmd_compare(args) -> dict:
     )
     strategies = ("optimized", "fixed_profile", "even_split", "none")
     slot_rows = [
-        [ts.strftime("%Y-%m-%dT%H:%M:%SZ"), *(float(report.slot_profits[k][i]) for k in strategies)]
+        [format_timestamp(ts), *(float(report.slot_profits[k][i]) for k in strategies)]
         for i, ts in enumerate(report.timestamps)
     ]
     return {

@@ -17,8 +17,8 @@ revenue, so negative cost is profit relative to mining-only operation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -345,13 +345,30 @@ class SlotBatch(FleetStack):
         tables = (self.rewards, self.capacities, self.quoted_prices, self.raw_eps, self.down, self.missing)
         return SlotBatch.from_arrays(*(table[rows] for table in tables))
 
-    def cost_and_subgradient(self, t: int, c: np.ndarray) -> tuple[float, np.ndarray]:
-        """Slot t's cost at profile c and the subgradient r_k eps_t - p_t."""
-        row = SimpleNamespace(
-            rewards=self.rewards[t], cum_capacities=self.cum_capacities[t], prefix_costs=self.prefix_costs[t]
-        )
-        cost, slope = slot_cost(row, self.eps[t], self.prices[t], c)
-        return float(cost), slope * self.eps[t] - self.prices[t]
+    def cost_and_subgradient(self, rows, c: np.ndarray):
+        """Costs and subgradients r_k eps - p of slots at profiles, one profile per slot.
+
+        ``rows`` is one slot t with c an (N,) profile, giving a float and an
+        (N,) subgradient, or R slots (an index array or a slice) with c an
+        (R, N) array, giving (R,) costs and (R, N) subgradients. Both forms do
+        slot t's arithmetic in the same order, so they agree bit for bit.
+        """
+        eps, prices = self.eps[rows], self.prices[rows]
+        if c.ndim == 1:
+            # one slot in Python floats: the same IEEE operations, far less per-call overhead
+            cum = self.cum_capacities[rows].tolist()
+            d = min(max(float(eps @ c), 0.0), cum[-1])
+            k = bisect_left(cum, d)  # the first type whose cumulative capacity reaches d
+            slope = float(self.rewards[rows, k])
+            return float(self.prefix_costs[rows, k]) + slope * d - float(prices @ c), slope * eps - prices
+        # a stacked matmul sums each row dot in the order of the 1-D eps @ c
+        d = (eps[:, None, :] @ c[:, :, None])[:, 0, 0]
+        cum = self.cum_capacities[rows]
+        d = np.minimum(np.maximum(d, 0.0), cum[:, -1])
+        k = (np.arange(len(d)), (cum < d[:, None]).sum(1))
+        slope = self.rewards[rows][k]
+        cost = self.prefix_costs[rows][k] + slope * d - (prices[:, None, :] @ c[:, :, None])[:, 0, 0]
+        return cost, slope[:, None] * eps - prices
 
     def costs_for(self, candidates: np.ndarray) -> np.ndarray:
         """(T, B) per-slot costs for a (B, N) batch of profiles."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .deployment import Profile, SlotBatch, project_simplex
 from .errors import InvalidInputError
-from .sgd import default_diameter, default_grad_bound
+from .sgd import default_diameter, default_grad_bound, step_size
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
     g = np.asarray(gradient, dtype=float)
     if not np.all(np.isfinite(g)):
         raise InvalidInputError("gradient must be finite")
-    eta = cfg.diameter / (cfg.grad_bound * math.sqrt(t))
-    return Profile(project_simplex(c - eta * g, cfg.cap))
+    return Profile(project_simplex(c - step_size(t, cfg.diameter, cfg.grad_bound) * g, cfg.cap))
 
 
 # Kelley iterations before the solve stops and reports the gap it reached.
@@ -185,6 +184,40 @@ def hindsight_optimum(batch: SlotBatch) -> tuple[Profile, float]:
     return Profile(best_c), gap
 
 
+def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, N) profiles the learner bank plays and the (T,) costs it incurs.
+
+    Wave j holds every learner's j-th round, so one step size serves the whole
+    wave. Within a wave, learners go by falling round count (then index); the
+    learners still active in wave j are then the first ones of that ranking, so
+    each wave's iterates are a leading block of rows. Every slot's arithmetic is
+    the same as stepping its learner alone.
+    """
+    T, n = batch.T, batch.n
+    keys = np.arange(T) if timestamps is None else np.array([ts.hour for ts in timestamps])
+    learner = keys % cfg.learners
+    counts = np.bincount(learner, minlength=cfg.learners)
+    # step[t]: how many rounds round t's learner has played before it
+    step = np.empty(T, dtype=int)
+    step[np.argsort(learner, kind="stable")] = np.arange(T) - np.repeat(np.cumsum(counts) - counts, counts)
+    # the slots wave by wave; each wave's slots are indexed from the batch as they
+    # come, since a wave-ordered copy of the batch raised peak memory
+    order = np.lexsort((learner, -counts[learner], step))
+
+    states = np.zeros((np.count_nonzero(counts), n))
+    played, costs = np.empty((T, n)), np.empty(T)
+    start = 0
+    for j, size in enumerate(np.bincount(step).tolist(), start=1):
+        # a one-slot wave steps a vector: 1-D dots and projection cost less per call
+        rows, live = (order[start], 0) if size == 1 else (order[start : start + size], slice(size))
+        c = states[live]
+        cost, grad = batch.cost_and_subgradient(rows, c)
+        played[rows], costs[rows] = c, cost
+        states[live] = project_simplex(c - step_size(j, cfg.diameter, cfg.grad_bound) * grad, cfg.cap)
+        start += size
+    return played, costs
+
+
 def run_online(
     batch: SlotBatch, cfg: OgdConfig, timestamps=None
 ) -> tuple[np.ndarray, np.ndarray, RegretReport]:
@@ -195,32 +228,17 @@ def run_online(
     step-size clock over its own subsequence. Returns the (T, N) profiles
     played, the (T,) costs incurred and the regret report.
     """
-    T, n = batch.T, batch.n
+    T = batch.T
     if timestamps is not None and len(timestamps) != T:
         raise InvalidInputError("timestamps must match the number of rounds")
     if abs(batch.cap - cfg.cap) > 1e-6 * max(1.0, cfg.cap):
         raise InvalidInputError(f"batch capacity {batch.cap} != cap {cfg.cap}")
 
-    states = [np.zeros(n) for _ in range(cfg.learners)]
-    clocks = [0] * cfg.learners
-    played, costs = np.empty((T, n)), np.empty(T)
-    total_cost = 0.0
-    for t in range(T):
-        if timestamps is not None:
-            h = timestamps[t].hour % cfg.learners
-        else:
-            h = t % cfg.learners
-        c = states[h]
-        cost, grad = batch.cost_and_subgradient(t, c)
-        played[t], costs[t] = c, cost
-        total_cost += cost
-        clocks[h] += 1
-        eta = cfg.diameter / (cfg.grad_bound * math.sqrt(clocks[h]))
-        states[h] = project_simplex(c - eta * grad, cfg.cap)
-
+    played, costs = _play_waves(batch, cfg, timestamps)
     hindsight, gap = hindsight_optimum(batch)
     hindsight_cost = float(batch.total_costs(hindsight.c[None, :])[0])
-    static = total_cost - hindsight_cost
+    # costs summed in round order, as a running total would
+    static = float(np.cumsum(costs)[-1]) - hindsight_cost
     report = RegretReport(
         static_regret=static,
         average_regret=static / T,

@@ -157,7 +157,8 @@ def grid_mc_optimum(
     means = (float(r[0]) * eff.mean(axis=0) - prices) @ points.T
     eff32 = eff.astype(np.float32)
     s = grid.mc_samples
-    block = max(16, 24_000_000 // s)
+    # about 1M float32 entries per block: larger blocks only raise peak memory
+    block = max(16, 1_000_000 // s)
     for lo in range(0, points.shape[0], block):
         chunk32 = points[lo : lo + block].T.astype(np.float32)
         deployed = eff32 @ chunk32

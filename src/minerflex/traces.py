@@ -105,8 +105,12 @@ def _parse_price(raw: str, field: str, path, line: int) -> float:
     return value
 
 
-def _format_ts(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def format_timestamp(ts: datetime) -> str:
+    """UTC ISO-8601 text that :func:`parse_timestamp` reads back to ``ts``.
+
+    The year has four digits, and microseconds appear only when non-zero.
+    """
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
 def _read_rows(path, header: list[str]):
@@ -171,7 +175,7 @@ def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) 
         cells.append(market[ts])
         for pid in ids:
             if (ts, pid) not in as_rows:
-                raise TraceFormatError(as_path, 0, f"missing program {pid!r} at {_format_ts(ts)}")
+                raise TraceFormatError(as_path, 0, f"missing program {pid!r} at {format_timestamp(ts)}")
             cells.append(as_rows[ts, pid])
     # one (T, 1 + P, 2) table: each slot's (rt, coin) pair, then its (price, eps) per program
     table = np.array(cells, dtype=float).reshape(len(stamps), 1 + len(ids), 2)
@@ -184,7 +188,7 @@ def write_traces(traces: Traces, market_path, as_path):
     """Write the two-file CSV representation; floats keep full precision."""
     if not len(traces):
         raise InvalidInputError("cannot write empty traces")
-    stamps = [_format_ts(ts) for ts in traces.timestamps]
+    stamps = [format_timestamp(ts) for ts in traces.timestamps]
     with open(market_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MARKET_HEADER)
@@ -350,7 +354,7 @@ def per_slot_rewards(
             if not clamp_negative:
                 raise ModelViolationError(
                     f"machine {m.id!r} has negative net reward {r:.3f} at "
-                    f"{_format_ts(traces.timestamps[t])}; pass clamp_negative to floor at 0"
+                    f"{format_timestamp(traces.timestamps[t])}; pass clamp_negative to floor at 0"
                 )
             r = 0.0
         machines.append(

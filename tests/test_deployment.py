@@ -254,3 +254,44 @@ def test_sample_and_profile_validation():
         Profile(np.array([-1.0]))
     p = Profile(np.array([-1e-13, 2.0]))  # tiny negative clamps to zero
     assert p.c[0] == 0.0
+
+
+def test_stacked_matmul_row_dots_match_vector_dots(rng):
+    # SlotBatch.cost_and_subgradient dots each row of a slice through one stacked
+    # matmul and a single slot through 1-D @; the two forms agree only while numpy
+    # and its BLAS sum a (1, N) @ (N, 1) product in the order of a 1-D dot.
+    for n in range(1, 6):
+        a = rng.uniform(0.0, 1.0, (400, n)) * rng.choice([1e-9, 1.0, 1e6], (400, n))
+        c = rng.uniform(0.0, 250.0, (400, n))
+        a[::7] = np.round(a[::7], 1)  # exact tenths, as coarse trace rates are
+        stacked = (a[:, None, :] @ c[:, :, None])[:, 0, 0]
+        single = np.array([row @ col for row, col in zip(a, c)])
+        assert stacked.tobytes() == single.tobytes(), f"N={n}"
+
+
+def test_slot_rows_match_one_slot_calls(rng):
+    # 2- and 3-type fleets (padded), a down program, missing programs; profiles at
+    # zero, inside the simplex, on its face and with deployment past the first type
+    fleets, programs_seq, samples, masks = [], [], [], []
+    for t in range(40):
+        caps = [150.0, 100.0] if t % 2 else [90.0, 60.0, 100.0]
+        rewards = np.sort(rng.uniform(0.0, 200.0, len(caps))) + np.arange(len(caps)) * 1e-6
+        fleets.append(fleet_from_rewards(caps, rewards))
+        programs_seq.append([
+            ProgramSpec(id=f"p{i}", price=float(rng.uniform(0.0, 60.0)), direction="down" if i == 1 else "up")
+            for i in range(3)
+        ])
+        samples.append(np.where(rng.random(3) < 0.2, 1.0, rng.uniform(0.0, 1.0, 3)))
+        masks.append(rng.random(3) < 0.25 if t % 3 == 0 else None)
+    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
+    profiles = rng.dirichlet(np.ones(4), 40)[:, :3] * 250.0
+    profiles[::5] = 0.0
+    profiles[1::5] = [250.0, 0.0, 0.0]
+    for rows in (slice(0, 40), slice(3, 4), slice(7, 31)):
+        costs, grads = batch.cost_and_subgradient(rows, profiles[rows])
+        assert costs.shape == (rows.stop - rows.start,) and grads.shape == (len(costs), 3)
+        for i, t in enumerate(range(rows.start, rows.stop)):
+            cost, grad = batch.cost_and_subgradient(t, profiles[t])
+            assert isinstance(cost, float)
+            assert np.float64(cost).tobytes() == costs[i].tobytes(), f"slot {t}"
+            assert grad.tobytes() == grads[i].tobytes(), f"slot {t}"

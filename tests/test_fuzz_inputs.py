@@ -83,14 +83,21 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 rates = st.one_of(st.floats(0.0, 1.0), st.just(math.nan))
 
 
+# gaps between slots in microseconds: sub-second ones, and whole seconds up to about 4 months
+gap_us = st.one_of(st.integers(1, 10**6), st.integers(1, 10**7).map(lambda s: s * 10**6))
+
+
 @st.composite
 def trace_tables(draw):
-    """Traces of 1-6 whole-second UTC slots, 0-3 programs, any finite prices and nan holes."""
+    """Traces of 1-6 UTC slots from year 1 on, 0-3 programs, any finite prices and nan holes.
+
+    Slots fall on whole seconds or between them.
+    """
     T, P = draw(st.integers(1, 6)), draw(st.integers(0, 3))
     ids = draw(st.lists(st.text("abcxyz_-.019", min_size=1, max_size=5), min_size=P, max_size=P, unique=True))
-    gaps = draw(st.lists(st.integers(1, 10**7), min_size=T, max_size=T))
-    start = datetime(1990, 1, 1, tzinfo=timezone.utc)
-    stamps = tuple(start + timedelta(seconds=s) for s in np.cumsum(gaps).tolist())
+    gaps = draw(st.lists(gap_us, min_size=T, max_size=T))
+    start = datetime(draw(st.integers(1, 2100)), 1, 1, tzinfo=timezone.utc)
+    stamps = tuple(start + timedelta(microseconds=us) for us in np.cumsum(gaps).tolist())
 
     def column(n, elements):
         return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)

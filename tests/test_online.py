@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from minerflex import (
     run_online,
 )
 from minerflex import verify
-from minerflex.deployment import Profile, SlotBatch
+from minerflex.deployment import Profile, SlotBatch, project_simplex, slot_cost
 from minerflex.online import per_round_costs
 from minerflex.verify import check_online_regret
 
@@ -39,6 +40,60 @@ def random_rounds(rng, horizon, caps=(150.0, 100.0), r_max=200.0, p_max=60.0, n=
 def stationary_rounds(rng, horizon, caps=(150.0, 100.0), r_max=200.0, p_max=60.0, n=2):
     fleets, programs_seq, samples = random_rounds(rng, 1, caps, r_max, p_max, n)
     return fleets * horizon, programs_seq * horizon, samples * horizon
+
+
+def serial_run_online(batch, cfg, timestamps=None):
+    """Reference learner loop: one round at a time, each learner with its own step clock.
+
+    Slot t's cost goes through ``slot_cost`` on slot t's fleet row, the step is
+    eta = D / (G sqrt(clock)), the projection is 1-D, and the incurred costs are
+    summed in round order. Returns the played profiles, the costs and their total.
+    """
+    T, n = batch.T, batch.n
+    states = [np.zeros(n) for _ in range(cfg.learners)]
+    clocks = [0] * cfg.learners
+    played, costs = np.empty((T, n)), np.empty(T)
+    total = 0.0
+    for t in range(T):
+        h = (t if timestamps is None else timestamps[t].hour) % cfg.learners
+        c = states[h]
+        row = SimpleNamespace(
+            rewards=batch.rewards[t], cum_capacities=batch.cum_capacities[t], prefix_costs=batch.prefix_costs[t]
+        )
+        cost, slope = slot_cost(row, batch.eps[t], batch.prices[t], c)
+        played[t], costs[t] = c, cost
+        total += float(cost)
+        clocks[h] += 1
+        eta = cfg.diameter / (cfg.grad_bound * math.sqrt(clocks[h]))
+        states[h] = project_simplex(c - eta * (slope * batch.eps[t] - batch.prices[t]), cfg.cap)
+    return played, costs, total
+
+
+def assert_matches_serial(batch, cfg, timestamps=None):
+    """``run_online`` equals :func:`serial_run_online` bit for bit, regret report included."""
+    played, costs, report = run_online(batch, cfg, timestamps)
+    ref_played, ref_costs, ref_total = serial_run_online(batch, cfg, timestamps)
+    assert played.tobytes() == ref_played.tobytes()
+    assert costs.tobytes() == ref_costs.tobytes()
+    static = ref_total - float(batch.total_costs(report.hindsight_profile.c[None, :])[0])
+    assert np.float64(report.static_regret).tobytes() == np.float64(static).tobytes()
+    assert np.float64(report.average_regret).tobytes() == np.float64(static / batch.T).tobytes()
+    assert report.bound == 1.5 * cfg.grad_bound * cfg.diameter * math.sqrt(batch.T)
+
+
+def test_waves_match_the_serial_loop(rng):
+    # 3-type fleets, a down program, missing cells and slots that skip hours and
+    # fall between them, so the learners play unequal round counts
+    horizon = 150
+    fleets, programs_seq, samples = random_rounds(rng, horizon, caps=(90.0, 60.0, 100.0), p_max=150.0, n=3)
+    programs_seq = [[ps[0], dataclasses.replace(ps[1], direction="down"), ps[2]] for ps in programs_seq]
+    masks = [rng.random(3) < 0.3 if t % 4 == 0 else None for t in range(horizon)]
+    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
+    start = datetime(2022, 3, 1, 17, tzinfo=timezone.utc)
+    stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.choice([20, 60, 150], horizon))]
+    for learners, timestamps in ((24, stamps), (7, stamps), (5, None), (1, None), (40, None)):
+        cfg = OgdConfig.from_bounds(horizon, 3, 250.0, 200.0, 150.0, learners=learners)
+        assert_matches_serial(batch, cfg, timestamps)
 
 
 def test_regret_bound_values():

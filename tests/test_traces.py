@@ -123,6 +123,24 @@ def test_round_trip_identity(tmp_path):
     assert same_traces(loaded, traces)
 
 
+def test_round_trip_keeps_sub_second_and_early_timestamps(tmp_path):
+    stamps = (
+        datetime(999, 1, 1, tzinfo=UTC),
+        datetime(2022, 4, 4, 0, 0, 0, 200000, tzinfo=UTC),
+        datetime(2022, 4, 4, 0, 0, 0, 700000, tzinfo=UTC),
+        datetime(2022, 4, 4, 0, 0, 1, tzinfo=UTC),
+    )
+    traces = dataclasses.replace(make_traces(4), timestamps=stamps)
+    m, a = tmp_path / "market.csv", tmp_path / "as.csv"
+    write_traces(traces, m, a)
+    written = [line.split(",")[0] for line in m.read_text().splitlines()[1:]]
+    # whole seconds keep the old bytes; the loader reads every line back
+    assert written == [
+        "0999-01-01T00:00:00Z", "2022-04-04T00:00:00.200000Z", "2022-04-04T00:00:00.700000Z", "2022-04-04T00:00:01Z",
+    ]
+    assert same_traces(load_traces(m, a, program_ids=("regup", "presp")), traces)
+
+
 def test_load_empty_files_with_header(tmp_path):
     m, a = tmp_path / "market.csv", tmp_path / "as.csv"
     m.write_text(",".join(MARKET_HEADER) + "\n")
