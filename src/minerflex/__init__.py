@@ -48,6 +48,7 @@ from .programs import (
     ConstantEps,
     PriceResponsiveModel,
     ProgramSpec,
+    Sampler,
     TruncatedExponential,
     UniformEps,
     fit_lambda,

@@ -30,13 +30,12 @@ from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_ra
 from .fleet import MachineType, parse_machines
 from .online import OgdConfig, per_round_costs, run_online
 from .oracle import compare_strategies, draw_effective_samples, mc_expected_cost
-from .programs import ProgramSpec, TruncatedExponential, fit_lambda, independent_sampler, parse_eps_model
+from .programs import ProgramSpec, Sampler, TruncatedExponential, fit_lambda, independent_sampler, parse_eps_model
 from .regulation import (
     RegInstance,
     RegJointModel,
     expected_reg_cost,
     joint_pair,
-    sample_joint,
     solve_reg_profile,
 )
 from .sgd import SgdConfig, solve as sgd_solve, suboptimality_bound
@@ -203,22 +202,26 @@ def _load_fleet_inputs(args):
 
 
 def _build_sampler(programs: list[ProgramSpec], joint):
-    """Joint raw-deployment sampler over all programs, honoring a reg pair."""
+    """Joint raw-deployment sampler over all programs, honoring a reg pair.
+
+    The pair's uniforms come first, then the other programs' in order.
+    """
     n = len(programs)
     rest = [i for i in range(n) if joint is None or i not in joint[:2]]
     independent = independent_sampler([programs[i] for i in rest])
+    head = 0 if joint is None else joint[2].width
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.zeros((size, n))
+    def from_uniform(u: np.ndarray) -> np.ndarray:
+        out = np.zeros((*u.shape[:-2], u.shape[-1], n))
         if joint is not None:
-            pair = sample_joint(joint[2], rng, size)
-            out[:, joint[0]] = pair[:, 0]
-            out[:, joint[1]] = pair[:, 1]
+            pair = joint[2].from_uniform(u[..., :head, :])
+            out[..., joint[0]] = pair[..., 0]
+            out[..., joint[1]] = pair[..., 1]
         if rest:
-            out[:, rest] = independent(rng, size)
+            out[..., rest] = independent.from_uniform(u[..., head:, :])
         return out
 
-    return sampler
+    return Sampler(head + independent.width, from_uniform)
 
 
 # ── Commands ─────────────────────────────────────────────────────────────

@@ -61,6 +61,10 @@ class OgdConfig:
             learners=learners,
         )
 
+    def regret_bound(self, rounds: int) -> float:
+        """Worst-case static regret (3/2) G D sqrt(T) of the step schedule over T rounds."""
+        return 1.5 * self.grad_bound * self.diameter * math.sqrt(rounds)
+
 
 @dataclass(frozen=True)
 class RegretReport:
@@ -72,12 +76,10 @@ class RegretReport:
 
 
 def regret_bound(T: int, N: int, cap: float, r_max: float, p_max: float) -> float:
-    """Worst-case static regret (3/2) G D sqrt(T) of the step schedule."""
+    """:meth:`OgdConfig.regret_bound` for the default D and G of N programs."""
     if min(T, N) < 1 or min(cap, r_max, p_max) <= 0:
         raise InvalidInputError("all regret-bound arguments must be positive")
-    g = default_grad_bound(N, r_max, p_max)
-    d = default_diameter(N, cap)
-    return 1.5 * g * d * math.sqrt(T)
+    return OgdConfig.from_bounds(T, N, cap, r_max, p_max).regret_bound(T)
 
 
 def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
@@ -244,7 +246,7 @@ def run_online(
         average_regret=static / T,
         hindsight_profile=hindsight,
         hindsight_gap=gap,
-        bound=1.5 * cfg.grad_bound * cfg.diameter * math.sqrt(T),
+        bound=cfg.regret_bound(T),
     )
     return played, costs, report
 

@@ -6,13 +6,19 @@ consumption by eps * c, "down" programs hold headroom c and end up reducing
 consumption by (1 - eps) * c. Deployment-rate models expose
 ``mean() / variance() / sample(rng, size)`` over eps in [0, 1], except the
 price-responsive model, whose deployment follows the real-time price.
+
+A sampled model is a transform of uniform doubles: it takes ``width`` of
+them per value (1, or 0 for a constant), and ``sample(rng, size)`` is
+``from_uniform(rng.random(size))``. Joint samplers are built the same way
+(see :class:`Sampler`), which lets a solver draw many calls' worth of
+uniforms in one ``rng.random`` block and get the same stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -58,6 +64,7 @@ class BernoulliEps:
     """All-or-nothing deployment: eps = 1 with probability ``prob``."""
 
     prob: float
+    width: ClassVar[int] = 1
 
     def __post_init__(self):
         if not 0.0 <= self.prob <= 1.0:
@@ -69,14 +76,19 @@ class BernoulliEps:
     def variance(self) -> float:
         return self.prob * (1.0 - self.prob)
 
+    def from_uniform(self, u):
+        # 1.0 or 0.0; a float u stays a Python float, an array a float64 array
+        return (u < self.prob) * 1.0
+
     def sample(self, rng: np.random.Generator, size=None):
-        deployed = rng.random(size) < self.prob
-        return float(deployed) if size is None else deployed.astype(float)
+        x = self.from_uniform(rng.random(size))
+        return float(x) if size is None else x
 
 
 @dataclass(frozen=True)
 class ConstantEps:
     value: float
+    width: ClassVar[int] = 0
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -88,6 +100,10 @@ class ConstantEps:
     def variance(self) -> float:
         return 0.0
 
+    def from_uniform(self, u):
+        """``value`` in the shape of ``u``, whose entries are not read."""
+        return np.full(np.shape(u), self.value)
+
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
             return self.value
@@ -98,6 +114,7 @@ class ConstantEps:
 class UniformEps:
     lo: float = 0.0
     hi: float = 1.0
+    width: ClassVar[int] = 1
 
     def __post_init__(self):
         if not 0.0 <= self.lo <= self.hi <= 1.0:
@@ -109,8 +126,12 @@ class UniformEps:
     def variance(self) -> float:
         return (self.hi - self.lo) ** 2 / 12.0
 
+    def from_uniform(self, u):
+        # Generator.uniform's own formula, so sample() keeps its stream and bits
+        return self.lo + (self.hi - self.lo) * u
+
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.uniform(self.lo, self.hi, size)
+        return self.from_uniform(rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -118,6 +139,7 @@ class TruncatedExponential:
     """Exponential distribution truncated to [0, 1] with rate ``lam``."""
 
     lam: float
+    width: ClassVar[int] = 1
 
     def __post_init__(self):
         if not (self.lam > 0 and math.isfinite(self.lam)):
@@ -145,10 +167,12 @@ class TruncatedExponential:
         ex2 = (2.0 / lam**2 - math.exp(-lam) * (1.0 + 2.0 / lam + 2.0 / lam**2)) / -math.expm1(-lam)
         return ex2 - self.mean() ** 2
 
+    def from_uniform(self, u):
+        """Inverse CDF: x = -log(1 - u (1 - e^-lam)) / lam."""
+        return -np.log1p(u * math.expm1(-self.lam)) / self.lam
+
     def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF draw: x = -log(1 - u (1 - e^-lam)) / lam."""
-        u = rng.random(size)
-        x = -np.log1p(u * math.expm1(-self.lam)) / self.lam
+        x = self.from_uniform(rng.random(size))
         return float(x) if size is None else x
 
 
@@ -212,11 +236,30 @@ def parse_eps_model(cfg: dict):
     raise InvalidInputError(f"unknown eps model kind {kind!r}; expected one of {EPS_KINDS}")
 
 
-def independent_sampler(programs: Sequence[ProgramSpec]):
+class Sampler:
+    """Raw deployment vectors as a transform of ``width`` uniform doubles per vector.
+
+    ``from_uniform(u)`` maps a (..., width, B) block of uniforms to (..., B, N)
+    raw rates; ``sampler(rng, size)`` is ``from_uniform(rng.random((width, size)))``,
+    an (size, N) array. So m calls of size B draw the generator stream of one
+    ``rng.random((m, width, B))`` block, value for value.
+    """
+
+    def __init__(self, width: int, from_uniform: Callable[[np.ndarray], np.ndarray]):
+        self.width = width
+        self.from_uniform = from_uniform
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.from_uniform(rng.random((self.width, size)))
+
+
+def independent_sampler(programs: Sequence[ProgramSpec]) -> Sampler:
     """Joint sampler drawing each program's raw eps independently.
 
-    Returns ``sampler(rng, size) -> (size, N) array``. Every program must
-    carry an ``eps_model`` that can be sampled without real-time prices.
+    Program i's model reads the next ``width`` rows of uniforms, in program
+    order: the stream of one ``model.sample(rng, size)`` call per program.
+    Every program must carry an ``eps_model`` that can be sampled without
+    real-time prices.
     """
     models = []
     for p in programs:
@@ -227,8 +270,13 @@ def independent_sampler(programs: Sequence[ProgramSpec]):
             )
         models.append(p.eps_model)
 
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        cols = [np.asarray(m.sample(rng, size), dtype=float) for m in models]
-        return np.column_stack(cols)
+    rows = np.cumsum([0] + [m.width for m in models])
 
-    return sampler
+    def from_uniform(u: np.ndarray) -> np.ndarray:
+        out = np.empty((*u.shape[:-2], u.shape[-1], len(models)))
+        for i, m in enumerate(models):
+            # a width-0 model reads only the shape of the column it fills
+            out[..., i] = m.from_uniform(u[..., rows[i], :] if m.width else out[..., i])
+        return out
+
+    return Sampler(int(rows[-1]), from_uniform)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,29 +28,37 @@ class RegJointModel:
     theta: float
     up: TruncatedExponential
     down: TruncatedExponential
+    # uniform rows per batch of draws: the direction, then up, then down
+    width: ClassVar[int] = 3
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidInputError(f"theta must be in [0,1], got {self.theta}")
 
+    def from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """(..., B, 2) raw (eps_up, eps_dn) draws from a (..., 3, B) block of uniforms.
+
+        Row 0 picks the direction; rows 1 and 2 are the up and down rates,
+        drawn whichever direction deploys, so the stream layout is fixed.
+        """
+        down_deployed = u[..., 0, :] < self.theta
+        out = np.zeros((*down_deployed.shape, 2))
+        out[..., 0] = np.where(down_deployed, 0.0, self.up.from_uniform(u[..., 1, :]))
+        out[..., 1] = np.where(down_deployed, self.down.from_uniform(u[..., 2, :]), 0.0)
+        return out
+
 
 def sample_joint(model: RegJointModel, rng: np.random.Generator, size=None):
     """Draw raw (eps_up, eps_dn); exactly one component is nonzero.
 
-    With ``size`` given, returns a (size, 2) array; otherwise a 2-tuple.
+    With ``size`` given, returns a (size, 2) array, ``model.from_uniform`` of
+    one (3, size) block; otherwise a 2-tuple from one or two draws.
     """
     if size is None:
         if rng.random() < model.theta:
             return 0.0, model.down.sample(rng)
         return model.up.sample(rng), 0.0
-    down_deployed = rng.random(size) < model.theta
-    out = np.zeros((size, 2))
-    # Draw both streams unconditionally to keep the stream layout fixed.
-    ups = model.up.sample(rng, size)
-    downs = model.down.sample(rng, size)
-    out[~down_deployed, 0] = ups[~down_deployed]
-    out[down_deployed, 1] = downs[down_deployed]
-    return out
+    return model.from_uniform(rng.random((model.width, size)))
 
 
 def joint_pair(programs, theta: float, up_id: str, down_id: str):

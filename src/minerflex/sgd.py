@@ -89,7 +89,8 @@ def _batch_subgradient(fleet, prices: np.ndarray, eps: np.ndarray, c: np.ndarray
     samples and (L, N) profiles, one learner per row.
     """
     _, k = slot_piece(fleet, (eps @ c[..., None])[..., 0])
-    return (fleet.rewards[k][..., None] * eps).mean(axis=-2) - prices
+    # mean(axis=-2)'s own sum and division, without its per-call overhead
+    return np.add.reduce(fleet.rewards[k][..., None] * eps, axis=-2) / eps.shape[-2] - prices
 
 
 def sample_subgradient(
@@ -115,23 +116,47 @@ def sample_subgradient(
     return _batch_subgradient(fleet, p, eps, c)
 
 
-def _descend(fleet, prices, num, cap, iterations: int, draw, trajectory=None) -> np.ndarray:
+def _descend(fleet, prices, num, cap, iterations: int, blocks, trajectory=None) -> np.ndarray:
     """Projected subgradient steps c <- P(c - num/sqrt(j) g_j) from c = 0.
 
-    ``draw(j)`` returns iteration j's effective samples; shapes follow
-    :func:`_batch_subgradient`, and for a bank ``num`` and ``cap`` are
-    (L, 1) columns. Appends each iterate to ``trajectory`` when given and
-    returns the iterate average.
+    ``blocks`` yields arrays whose leading axis runs over consecutive
+    iterations, each entry holding that iteration's effective samples;
+    shapes follow :func:`_batch_subgradient`, and for a bank ``num`` and
+    ``cap`` are (L, 1) columns. Appends each iterate to ``trajectory`` when
+    given and returns the iterate average.
     """
     c = np.zeros(prices.shape)
     acc = np.zeros(prices.shape)
-    for j in range(1, iterations + 1):
-        acc += c
-        grad = _batch_subgradient(fleet, prices, draw(j), c)
-        c = project_simplex(c - (num / math.sqrt(j)) * grad, cap)
-        if trajectory is not None:
-            trajectory.append(c.copy())
+    j = 0
+    for block in blocks:
+        for eps in block:
+            j += 1
+            acc += c
+            grad = _batch_subgradient(fleet, prices, eps, c)
+            # (D/G)/sqrt(j), not step_size's D/(G sqrt(j)): on the shipped
+            # parametric fleet the two round apart in 2,598 of the first
+            # 10,000 steps, so switching would change every solve's bits
+            c = project_simplex(c - (num / math.sqrt(j)) * grad, cap)
+            if trajectory is not None:
+                trajectory.append(c.copy())
     return acc / iterations
+
+
+# Iterations whose samples are drawn in one generator call; drawing the
+# whole run at once would hold an (iterations, L, B, N) sample block.
+_DRAW_CHUNK = 64
+
+
+def _chunks(iterations: int) -> list[int]:
+    """Sizes of the draw blocks that cover ``iterations``, in order."""
+    return [min(_DRAW_CHUNK, iterations - start) for start in range(0, iterations, _DRAW_CHUNK)]
+
+
+def _shaped(samples, shape: tuple[int, ...]) -> np.ndarray:
+    eps = np.asarray(samples, dtype=float)
+    if eps.shape != shape:
+        raise InvalidInputError(f"sampler returned shape {eps.shape}, expected {shape}")
+    return eps
 
 
 def solve(
@@ -145,7 +170,10 @@ def solve(
 
     ``sampler(rng, m)`` must draw m i.i.d. raw deployment vectors, shape
     (m, N); down-program components are direction-flipped here before the
-    subgradient is formed. Starts from c = 0 (no participation).
+    subgradient is formed. A sampler with ``width`` and ``from_uniform``
+    (a :class:`~minerflex.programs.Sampler`) is drawn for up to 64
+    iterations from one ``rng.random`` block, which is the stream of one
+    call per iteration. Starts from c = 0 (no participation).
     """
     n = len(programs)
     if n == 0:
@@ -159,17 +187,19 @@ def solve(
         else default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(p.max()))
     )
     rng = np.random.default_rng(config.seed)
+    batch, width = config.batch, getattr(sampler, "width", None)
 
-    def draw(j: int) -> np.ndarray:
-        eps = np.asarray(sampler(rng, config.batch), dtype=float)
-        if eps.shape != (config.batch, n):
-            raise InvalidInputError(
-                f"sampler returned shape {eps.shape}, expected {(config.batch, n)}"
-            )
+    def draw(m: int) -> np.ndarray:
+        if width is None:
+            eps = np.array([_shaped(sampler(rng, batch), (batch, n)) for _ in range(m)])
+        else:
+            # one block of uniforms is the stream of m sampler calls
+            eps = _shaped(sampler.from_uniform(rng.random((m, width, batch))), (m, batch, n))
         return flip_down(eps, down) if down.any() else eps
 
+    blocks = map(draw, _chunks(config.iterations))
     trajectory: list[np.ndarray] | None = [np.zeros(n)] if record_trajectory else None
-    average = _descend(fleet, p, num, cap, config.iterations, draw, trajectory)
+    average = _descend(fleet, p, num, cap, config.iterations, blocks, trajectory)
     bound = suboptimality_bound(
         config.iterations, n, float(fleet.rewards[-1]), float(p.max()), cap
     )
@@ -188,14 +218,6 @@ class ResampledLearner:
     prices: np.ndarray
     rows: np.ndarray
     seed: int
-
-
-# Iterations whose resample indices are drawn in one Generator.integers call;
-# drawing the whole run at once would hold an (iterations, L, B, N) sample
-# block. Bounded integers take 32-bit halves of the generator's 64-bit
-# outputs and keep the spare half in the generator state, so an (m, B) block
-# is the same stream as m calls of size B.
-_DRAW_CHUNK = 64
 
 
 def solve_bank(
@@ -234,15 +256,11 @@ def solve_bank(
     offsets = np.cumsum([0, *sizes[:-1]])[None, :, None]
     table = flip_down(np.concatenate([lr.rows for lr in learners]), np.asarray(directions) == "down")
     rngs = [np.random.default_rng(lr.seed) for lr in learners]
-    chunk = None
-
-    def draw(j: int) -> np.ndarray:
-        nonlocal chunk
-        i = (j - 1) % _DRAW_CHUNK
-        if i == 0:
-            m = min(_DRAW_CHUNK, iterations - j + 1)
-            idx = np.stack([rng.integers(0, size, (m, batch)) for rng, size in zip(rngs, sizes)], axis=1)
-            chunk = table[idx + offsets]
-        return chunk[i]
-
-    return _descend(stack, prices, nums, caps, config.iterations, draw)
+    # Bounded integers take 32-bit halves of the generator's 64-bit outputs and
+    # keep the spare half in the generator state, so an (m, B) block of
+    # resample indices is the same stream as m calls of size B.
+    blocks = (
+        table[np.stack([rng.integers(0, size, (m, batch)) for rng, size in zip(rngs, sizes)], axis=1) + offsets]
+        for m in _chunks(iterations)
+    )
+    return _descend(stack, prices, nums, caps, config.iterations, blocks)

@@ -18,7 +18,7 @@ from .deployment import SlotBatch, cost_fixed_k, flip_down, realized_cost, reali
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, run_online
 from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
-from .programs import ProgramSpec, TruncatedExponential, fit_lambda
+from .programs import ProgramSpec, TruncatedExponential, fit_lambda, independent_sampler
 from .regulation import (
     RegInstance,
     RegJointModel,
@@ -288,13 +288,10 @@ def check_sgd_convergence(seed=9, fast=False) -> CheckResult:
     up = TruncatedExponential(fit_lambda(0.18))
     dn = TruncatedExponential(fit_lambda(0.27))
     programs = [
-        ProgramSpec(id="a", price=24.0),
-        ProgramSpec(id="b", price=30.0),
+        ProgramSpec(id="a", price=24.0, eps_model=up),
+        ProgramSpec(id="b", price=30.0, eps_model=dn),
     ]
-
-    def sampler(rng, m):
-        return np.column_stack([up.sample(rng, m), dn.sample(rng, m)])
-
+    sampler = independent_sampler(programs)
     iters = 2000 if fast else 5000
     result = sgd_solve(fleet, programs, sampler, SgdConfig(iterations=iters, batch=10, seed=seed))
     grid = grid_mc_optimum(

@@ -35,6 +35,7 @@ from minerflex import (
     fleet_from_rewards,
     grid_mc_optimum,
     hindsight_optimum,
+    independent_sampler,
     load_fleet_config,
     lp_deployment_oracle,
     profile_risk,
@@ -144,12 +145,10 @@ def test_criterion_2_piecewise_structure():
 def test_criterion_3_sgd_convergence():
     t0 = time.time()
     fleet = fleet_from_rewards(PAPER_CAPS, PAPER_REWARDS)
-    programs = [ProgramSpec(id="a", price=24.0), ProgramSpec(id="b", price=30.0)]
     up = TruncatedExponential(fit_lambda(0.18))
     dn = TruncatedExponential(fit_lambda(0.27))
-
-    def sampler(rng, m):
-        return np.column_stack([up.sample(rng, m), dn.sample(rng, m)])
+    programs = [ProgramSpec(id="a", price=24.0, eps_model=up), ProgramSpec(id="b", price=30.0, eps_model=dn)]
+    sampler = independent_sampler(programs)
 
     result = solve(fleet, programs, sampler, SgdConfig(iterations=10**4, batch=10, seed=103))
     grid = grid_mc_optimum(
