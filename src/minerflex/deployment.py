@@ -135,8 +135,8 @@ def project_simplex(x: np.ndarray, cap) -> np.ndarray:
             return np.array(clipped)
         u = sorted(v, reverse=True)
         css = [s - cap for s in accumulate(u)]
-        # rho as below: the last index where the shifted entry stays positive, else the last
-        rho = next((i for i in range(len(u) - 1, -1, -1) if u[i] - css[i] / (i + 1) > 0.0), len(u) - 1)
+        # rho as below: the last index where the shifted entry stays positive, else 0
+        rho = next((i for i in range(len(u) - 1, 0, -1) if u[i] - css[i] / (i + 1) > 0.0), 0)
         tau = css[rho] / (rho + 1.0)
         return np.array([0.0 if d <= 0.0 else d for d in (e - tau for e in v)])
     clipped = np.maximum(x, 0.0)
@@ -146,8 +146,11 @@ def project_simplex(x: np.ndarray, cap) -> np.ndarray:
     u = np.sort(x, -1)[..., ::-1]
     css = u.cumsum(-1) - cap
     n = x.shape[-1]
-    # rho: the last index where the shifted sorted entry stays positive
-    rho = n - 1 - (u - css / np.arange(1, n + 1) > 0.0)[..., ::-1].argmax(-1)[..., None]
+    # rho: the last index where the shifted sorted entry stays positive, else 0. Index 0
+    # is positive unless cap is 0 (or vanishes against u_0); then tau = u_0 - cap gives zeros.
+    positive = u - css / np.arange(1, n + 1) > 0.0
+    positive[..., 0] = True
+    rho = n - 1 - positive[..., ::-1].argmax(-1)[..., None]
     tau = np.take_along_axis(css, rho, -1) / (rho + 1.0)
     return np.where(over, np.maximum(x - tau, 0.0), clipped)
 

@@ -10,10 +10,14 @@ timestamp into one :class:`Traces` table with one row per hourly slot.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import operator
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain, compress, cycle, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +32,8 @@ from .single_machine import ProgramStats
 
 MARKET_HEADER = ["timestamp", "rt_price", "coin_price"]
 AS_HEADER = ["timestamp", "program_id", "price", "epsilon"]
+# rows read and checked at a time; bounds the text held at once
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,93 +119,239 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
-def _read_rows(path, header: list[str]):
-    """(line, fields) of each non-blank row under ``header``; read, decode and csv errors name the file."""
+@contextmanager
+def _csv_reader(path, header: list[str]):
+    """A csv reader past ``header``; read, decode and csv errors in the block name the file."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             got = next(reader, None)
             if got != header:
                 raise TraceFormatError(path, 1, f"expected header {header}, got {got}")
-            for line, row in enumerate(reader, start=2):
-                if row:
-                    if len(row) != len(header):
-                        raise TraceFormatError(path, line, f"expected {len(header)} fields, got {len(row)}")
-                    yield line, row
+            yield reader
     except FileNotFoundError:
         raise
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # the caller's own errors never reach here
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # the block's own errors are none of these
         raise TraceFormatError(path, 0, f"cannot read trace file ({exc})") from None
+
+
+def _read_chunks(path, header: list[str]):
+    """(lines, rows) blocks of up to :data:`CHUNK_ROWS` csv records under ``header``, blank ones dropped."""
+    with _csv_reader(path, header) as reader:
+        line = 2
+        while rows := list(islice(reader, CHUNK_ROWS)):
+            lines = range(line, line + len(rows))
+            line += len(rows)
+            if not all(rows):
+                lines = [n for n, row in zip(lines, rows) if row]
+                rows = [row for row in rows if row]
+            if rows:
+                yield lines, rows
+
+
+def _read_rows(path, header: list[str]):
+    """(line, fields) of each non-blank row under ``header``; a wrong field count raises."""
+    with _csv_reader(path, header) as reader:
+        for line, row in enumerate(reader, start=2):
+            if row:
+                if len(row) != len(header):
+                    raise TraceFormatError(path, line, f"expected {len(header)} fields, got {len(row)}")
+                yield line, row
+
+
+def _floats(column) -> np.ndarray:
+    """A text column parsed by ``float()``'s own grammar; a bad entry raises ValueError."""
+    return np.fromiter(map(float, column), float, len(column))
+
+
+def _warn_disorder(path, line: int) -> None:
+    warnings.warn(f"{path}:{line}: timestamps out of order; sorting")
+
+
+def _market_columns(path, parsed: dict[str, datetime]):
+    """(timestamps, rt_price, coin_price, out-of-order lines) in file order, or None if a row check fails."""
+    stamps: list[datetime] = []
+    rt, coin, disorder = [], [], []
+    try:
+        for lines, rows in _read_chunks(path, MARKET_HEADER):
+            if set(map(len, rows)) != {len(MARKET_HEADER)}:
+                return None
+            raws, rt_text, coin_text = zip(*rows)
+            try:
+                block = list(map(parse_timestamp, raws))
+                rt.append(_floats(rt_text))
+                coin.append(_floats(coin_text))
+            except ValueError:
+                return None
+            if not (np.isfinite(rt[-1]).all() and np.isfinite(coin[-1]).all()):
+                return None
+            parsed.update(zip(raws, block))
+            # each stamp against the row before it (the file's first against itself)
+            before = (stamps[-1:] or block[:1]) + block[:-1]
+            disorder.extend(compress(lines, map(operator.lt, block, before)))
+            stamps += block
+    except TraceFormatError:  # unreadable: the row checks raise it after checking the rows before it
+        return None
+    if len(set(stamps)) != len(stamps):
+        return None
+    return stamps, _concat(rt), _concat(coin), disorder
+
+
+def _raise_market_error(path, parsed: dict[str, datetime]):
+    """Check the market file row by row: warn where it is out of order and raise at the first bad line."""
+    seen, prev = set(), None
+    for line, row in _read_rows(path, MARKET_HEADER):
+        ts = _parse_timestamp(row[0], path, line, parsed)
+        if ts in seen:
+            raise TraceFormatError(path, line, f"duplicate timestamp {row[0]}")
+        if prev is not None and ts < prev:
+            _warn_disorder(path, line)
+        seen.add(ts)
+        prev = ts
+        _parse_price(row[1], "rt_price", path, line)
+        _parse_price(row[2], "coin_price", path, line)
+    raise AssertionError(f"{path}: a column check failed where no row check does")
+
+
+def _as_columns(path, parsed: dict[str, datetime], slot: dict[datetime, int], program: dict[str, int]):
+    """Each row's (slot, program index, price, epsilon) as columns and the (slot, program) row counts.
+
+    Rows at timestamps the market lacks get new slots after its own, and new
+    program ids new indices. None if a row check fails or a cell repeats.
+    """
+    slot_of = {raw: slot[ts] for raw, ts in parsed.items()}
+    slots, programs, prices, eps = [], [], [], []
+    try:
+        for _, rows in _read_chunks(path, AS_HEADER):
+            if set(map(len, rows)) != {len(AS_HEADER)}:
+                return None
+            raws, ids, price_text, eps_text = zip(*rows)
+            try:
+                for raw in set(raws).difference(slot_of):
+                    slot_of[raw] = slot.setdefault(parse_timestamp(raw), len(slot))
+                prices.append(_floats(price_text))
+                eps.append(_floats([text or "nan" for text in eps_text]))  # blank: not observed
+            except ValueError:
+                return None
+            rates = eps[-1]
+            if (
+                not np.isfinite(prices[-1]).all()
+                or np.count_nonzero(np.isnan(rates)) != eps_text.count("")
+                or np.isinf(rates).any()
+                or ((rates < 0.0) | (rates > 1.0)).any()
+            ):
+                return None
+            for pid in sorted(set(ids).difference(program)):
+                program[pid] = len(program)
+            slots.append(np.fromiter(map(slot_of.__getitem__, raws), np.intp, len(raws)))
+            programs.append(np.fromiter(map(program.__getitem__, ids), np.intp, len(ids)))
+    except TraceFormatError:  # unreadable: the row checks raise it after checking the rows before it
+        return None
+    slots, programs = _concat(slots, np.intp), _concat(programs, np.intp)
+    counts = np.bincount(slots * len(program) + programs, minlength=len(slot) * len(program))
+    if counts.max(initial=0) > 1:  # a duplicate (timestamp, program) cell
+        return None
+    return slots, programs, _concat(prices), _concat(eps), counts.reshape(len(slot), len(program))
+
+
+def _raise_as_error(path, parsed: dict[str, datetime]):
+    """Check the ancillary-service file row by row and raise at the first bad line."""
+    seen = set()
+    for line, row in _read_rows(path, AS_HEADER):
+        key = (_parse_timestamp(row[0], path, line, parsed), row[1])
+        _parse_price(row[2], "price", path, line)
+        if row[3] != "":
+            eps = _parse_price(row[3], "epsilon", path, line)
+            if not 0.0 <= eps <= 1.0:
+                raise TraceFormatError(path, line, f"epsilon must be in [0,1], got {row[3]}")
+        if key in seen:
+            raise TraceFormatError(path, line, f"duplicate (timestamp, program) {row[:2]}")
+        seen.add(key)
+    raise AssertionError(f"{path}: a column check failed where no row check does")
+
+
+def _concat(parts: list[np.ndarray], dtype=float) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
 def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) -> Traces:
     """Read and join the market and ancillary-service CSV files.
 
     Every market timestamp must carry a price row for every program; rows
-    at other timestamps are ignored. Slots come back in timestamp order; an
-    out-of-order file triggers a warning and gets sorted.
+    at other timestamps are checked and then ignored. Slots come back in
+    timestamp order; an out-of-order file triggers a warning and gets sorted.
+
+    Each file is read :data:`CHUNK_ROWS` rows at a time and checked a column
+    at a time. Where a check fails, the file is checked again row by row, so
+    the error names the first bad line.
     """
-    market: dict[datetime, tuple[float, float]] = {}
     # both files repeat the market timestamps: parse each distinct string once
     parsed: dict[str, datetime] = {}
-    prev = None
-    for line, row in _read_rows(market_path, MARKET_HEADER):
-        ts = _parse_timestamp(row[0], market_path, line, parsed)
-        if ts in market:
-            raise TraceFormatError(market_path, line, f"duplicate timestamp {row[0]}")
-        if prev is not None and ts < prev:
-            warnings.warn(f"{market_path}:{line}: timestamps out of order; sorting")
-        prev = ts
-        market[ts] = (
-            _parse_price(row[1], "rt_price", market_path, line),
-            _parse_price(row[2], "coin_price", market_path, line),
-        )
+    market = _market_columns(market_path, parsed)
+    if market is None:
+        _raise_market_error(market_path, parsed)
+    stamps, rt, coin, disorder = market
+    for line in disorder:
+        _warn_disorder(market_path, line)
+    if disorder:
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)
+        stamps = [stamps[i] for i in order]
+        rt, coin = rt[order], coin[order]
+    T = len(stamps)
+    slot = dict(zip(stamps, range(T)))
 
-    as_rows: dict[tuple[datetime, str], tuple[float, float]] = {}
-    for line, row in _read_rows(as_path, AS_HEADER):
-        key = (_parse_timestamp(row[0], as_path, line, parsed), row[1])
-        price = _parse_price(row[2], "price", as_path, line)
-        eps = math.nan
-        if row[3] != "":
-            eps = _parse_price(row[3], "epsilon", as_path, line)
-            if not 0.0 <= eps <= 1.0:
-                raise TraceFormatError(as_path, line, f"epsilon must be in [0,1], got {row[3]}")
-        if key in as_rows:
-            raise TraceFormatError(as_path, line, f"duplicate (timestamp, program) {row[:2]}")
-        as_rows[key] = (price, eps)
+    program: dict[str, int] = {}
+    for pid in program_ids or ():
+        program.setdefault(pid, len(program))
+    cells = _as_columns(as_path, parsed, slot, program)
+    if cells is None:
+        _raise_as_error(as_path, parsed)
+    slots, programs, prices, eps, counts = cells
 
-    ids = tuple(program_ids) if program_ids is not None else tuple(sorted({pid for _, pid in as_rows}))
-    stamps = sorted(market)
-    cells = []
-    for ts in stamps:
-        cells.append(market[ts])
-        for pid in ids:
-            if (ts, pid) not in as_rows:
-                raise TraceFormatError(as_path, 0, f"missing program {pid!r} at {format_timestamp(ts)}")
-            cells.append(as_rows[ts, pid])
-    # one (T, 1 + P, 2) table: each slot's (rt, coin) pair, then its (price, eps) per program
-    table = np.array(cells, dtype=float).reshape(len(stamps), 1 + len(ids), 2)
-    rt, coin = np.ascontiguousarray(table[:, 0].T)
-    as_prices, deployment = np.ascontiguousarray(table[:, 1:].transpose(2, 0, 1))
-    return Traces(tuple(stamps), rt, coin, ids, as_prices, deployment)
+    ids = tuple(program_ids) if program_ids is not None else tuple(sorted(program))
+    columns = [program[pid] for pid in ids]
+    missing = counts[:T, columns] == 0
+    if missing.any():
+        t, i = divmod(int(np.argmax(missing)), len(ids))
+        raise TraceFormatError(as_path, 0, f"missing program {ids[i]!r} at {format_timestamp(stamps[t])}")
+    market_rows = slots < T
+    as_prices, deployment = np.empty((2, T, len(program)))
+    as_prices[slots[market_rows], programs[market_rows]] = prices[market_rows]
+    deployment[slots[market_rows], programs[market_rows]] = eps[market_rows]
+    return Traces(tuple(stamps), rt, coin, ids, as_prices[:, columns], deployment[:, columns])
 
 
 def write_traces(traces: Traces, market_path, as_path):
-    """Write the two-file CSV representation; floats keep full precision."""
+    """Write the two-file CSV representation; floats keep full precision.
+
+    Each file is one ``writelines`` over its columns. Timestamps and float
+    reprs never need csv quoting; each program id is quoted, where it must
+    be, once by the csv writer.
+    """
     if not len(traces):
         raise InvalidInputError("cannot write empty traces")
-    stamps = [format_timestamp(ts) for ts in traces.timestamps]
+    stamps = list(map(format_timestamp, traces.timestamps))
     with open(market_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MARKET_HEADER)
-        for ts, rt, coin in zip(stamps, traces.rt_price.tolist(), traces.coin_price.tolist()):
-            writer.writerow([ts, repr(rt), repr(coin)])
+        fh.write(",".join(MARKET_HEADER) + "\n")
+        fh.writelines(map("{},{!r},{!r}\n".format, stamps, traces.rt_price.tolist(), traces.coin_price.tolist()))
+    ids = list(map(_csv_field, traces.program_ids))
+    rates = traces.deployment.ravel().tolist()
     with open(as_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AS_HEADER)
-        for ts, prices, deps in zip(stamps, traces.as_prices.tolist(), traces.deployment.tolist()):
-            for pid, price, eps in zip(traces.program_ids, prices, deps):
-                writer.writerow([ts, pid, repr(price), "" if math.isnan(eps) else repr(eps)])
+        fh.write(",".join(AS_HEADER) + "\n")
+        fh.writelines(map(
+            "{},{},{!r},{}\n".format,
+            chain.from_iterable(map(repeat, stamps, repeat(len(ids)))),  # one row per (slot, program)
+            cycle(ids),
+            traces.as_prices.ravel().tolist(),
+            ["" if math.isnan(eps) else repr(eps) for eps in rates],  # blank: not observed
+        ))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as the csv writer writes it among other fields of a row."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([text, ""])
+    return line.getvalue()[: -len(",\n")]
 
 
 # ── Synthesis ────────────────────────────────────────────────────────────
@@ -230,11 +382,6 @@ class PriceBlock:
             lo=float(cfg.get("min", 0.0)),
             hi=float(cfg.get("max", math.inf)),
         )
-
-    def draw(self, rng: np.random.Generator, hour: int) -> float:
-        # Always consume a draw so the stream layout is sd-independent.
-        x = float(rng.normal(self.hourly_mean[hour], self.sd))
-        return min(max(x, self.lo), self.hi)
 
 
 @dataclass(frozen=True)
@@ -297,23 +444,33 @@ def synthesize_traces(spec: SynthesisSpec, seed: int) -> Traces:
     joint = spec.joint
     paired = list(joint[:2]) if joint else []
     timestamps = tuple(spec.start + timedelta(hours=h) for h in range(spec.hours))
-    rt, coin = np.empty(spec.hours), np.empty(spec.hours)
-    as_prices = np.empty((spec.hours, len(spec.programs)))
-    deployment = np.empty_like(as_prices)
-    for h, ts in enumerate(timestamps):
-        hour = ts.hour
-        rt[h] = spec.rt_price.draw(rng, hour)
-        coin[h] = spec.coin_price.draw(rng, hour)
-        as_prices[h] = [p.price.draw(rng, hour) for p in spec.programs]
+    # price columns: rt, coin, then each program's; one normal draw per column every hour,
+    # even at sd 0, so the stream layout does not depend on the sds
+    blocks = [spec.rt_price, spec.coin_price, *(p.price for p in spec.programs)]
+    means = np.array([b.hourly_mean for b in blocks]).T
+    sds, lo, hi = (np.array([getattr(b, f) for b in blocks]) for f in ("sd", "lo", "hi"))
+    if (sds < 0.0).any():  # rng.normal's own check, which standard_normal does not make
+        raise ValueError("scale < 0")
+    unpaired = [(i, p.eps_model) for i, p in enumerate(spec.programs) if i not in paired]
+    responsive = [(i, m) for i, m in unpaired if isinstance(m, PriceResponsiveModel)]  # set by rt, no draw
+    sampled = [(i, m) for i, m in unpaired if not isinstance(m, PriceResponsiveModel)]
+    z = np.empty((spec.hours, len(blocks)))
+    deployment = np.empty((spec.hours, len(spec.programs)))
+    for h in range(spec.hours):
+        # the stream of one rng.normal(mean, sd) per column, in column order
+        rng.standard_normal(out=z[h])
         if joint:
             deployment[h, paired] = sample_joint(joint[2], rng)
-        for i, p in enumerate(spec.programs):
-            if i in paired:
-                continue
-            if isinstance(p.eps_model, PriceResponsiveModel):
-                deployment[h, i] = price_responsive_eps(p.eps_model, rt[h])
-            else:
-                deployment[h, i] = p.eps_model.sample(rng)
+        for i, model in sampled:
+            deployment[h, i] = model.sample(rng)
+    prices = means[[ts.hour for ts in timestamps]] + sds * z  # normal's own loc + scale * z
+    # min(max(x, lo), hi) as Python evaluates it, signed zeros included
+    prices = np.where(lo > prices, lo, prices)
+    prices = np.where(hi < prices, hi, prices)
+    rt, coin = np.ascontiguousarray(prices[:, :2].T)
+    for i, model in responsive:
+        deployment[:, i] = [price_responsive_eps(model, r) for r in rt.tolist()]
+    as_prices = np.ascontiguousarray(prices[:, 2:])
     return Traces(timestamps, rt, coin, tuple(p.id for p in spec.programs), as_prices, deployment)
 
 

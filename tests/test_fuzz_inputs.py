@@ -4,18 +4,22 @@ Kept in its own module so the rest of the suite collects where Hypothesis
 is not installed.
 """
 
+import csv
 import math
 import warnings
+from unittest import mock
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from minerflex import MinerflexError, Traces, load_traces, write_traces  # noqa: E402
-from test_traces import same_traces  # noqa: E402
+import minerflex.traces as traces_module  # noqa: E402
+from minerflex.traces import AS_HEADER, CHUNK_ROWS, MARKET_HEADER, format_timestamp  # noqa: E402
+from test_traces import load_outcome, same_outcome, same_traces, serial_load_traces  # noqa: E402
 
 MARKET = (
     "timestamp,rt_price,coin_price\n"
@@ -88,13 +92,13 @@ gap_us = st.one_of(st.integers(1, 10**6), st.integers(1, 10**7).map(lambda s: s 
 
 
 @st.composite
-def trace_tables(draw):
+def trace_tables(draw, id_text=st.text("abcxyz_-.019", min_size=1, max_size=5)):
     """Traces of 1-6 UTC slots from year 1 on, 0-3 programs, any finite prices and nan holes.
 
     Slots fall on whole seconds or between them.
     """
     T, P = draw(st.integers(1, 6)), draw(st.integers(0, 3))
-    ids = draw(st.lists(st.text("abcxyz_-.019", min_size=1, max_size=5), min_size=P, max_size=P, unique=True))
+    ids = draw(st.lists(id_text, min_size=P, max_size=P, unique=True))
     gaps = draw(st.lists(gap_us, min_size=T, max_size=T))
     start = datetime(draw(st.integers(1, 2100)), 1, 1, tzinfo=timezone.utc)
     stamps = tuple(start + timedelta(microseconds=us) for us in np.cumsum(gaps).tolist())
@@ -114,3 +118,148 @@ def test_written_traces_load_back_bit_for_bit(fuzz_dir, traces):
     market, as_csv = fuzz_dir / "round-market.csv", fuzz_dir / "round-as.csv"
     write_traces(traces, market, as_csv)
     assert same_traces(load_traces(market, as_csv, program_ids=traces.program_ids), traces)
+
+
+def csv_row_writer(traces, market_path, as_path):
+    """The reference: ``write_traces`` one csv.writer row at a time, as it was before the columnar write."""
+    stamps = [format_timestamp(ts) for ts in traces.timestamps]
+    with open(market_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MARKET_HEADER)
+        for ts, rt, coin in zip(stamps, traces.rt_price.tolist(), traces.coin_price.tolist()):
+            writer.writerow([ts, repr(rt), repr(coin)])
+    with open(as_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(AS_HEADER)
+        for ts, prices, deps in zip(stamps, traces.as_prices.tolist(), traces.deployment.tolist()):
+            for pid, price, eps in zip(traces.program_ids, prices, deps):
+                writer.writerow([ts, pid, repr(price), "" if math.isnan(eps) else repr(eps)])
+
+
+@FUZZ
+@given(traces=trace_tables(id_text=st.text(',"\n\r ab\t\'', max_size=4)))
+def test_written_bytes_match_the_csv_row_writer(fuzz_dir, traces):
+    # program ids with commas, quotes, line breaks, blanks or nothing at all get the csv writer's quoting
+    write_traces(traces, fuzz_dir / "w-market.csv", fuzz_dir / "w-as.csv")
+    csv_row_writer(traces, fuzz_dir / "r-market.csv", fuzz_dir / "r-as.csv")
+    for name in ("market.csv", "as.csv"):
+        assert (fuzz_dir / f"w-{name}").read_bytes() == (fuzz_dir / f"r-{name}").read_bytes()
+
+
+# ── The columnar loader against the row-at-a-time reference ──────────────
+
+program_id_lists = st.sampled_from([None, ("presp", "regup"), ("regup",), ("regup", "presp", "x")])
+
+
+def assert_loaders_agree(market, as_csv, program_ids):
+    got = load_outcome(load_traces, market, as_csv, program_ids)
+    want = load_outcome(serial_load_traces, market, as_csv, program_ids)
+    assert same_outcome(got, want), (got, want)
+    result, caught = want
+    event("loaded" if isinstance(result, Traces) else result[1].split(": ", 1)[-1][:24])
+    event(f"{min(len(caught), 2)} warnings")
+
+
+@FUZZ
+@given(market_edits=splices, as_edits=splices, program_ids=program_id_lists)
+def test_mutated_trace_text_loads_as_the_row_reference_does(fuzz_dir, market_edits, as_edits, program_ids):
+    market, as_csv = fuzz_dir / "ref-market.csv", fuzz_dir / "ref-as.csv"
+    market.write_bytes(mutate(MARKET, market_edits))
+    as_csv.write_bytes(mutate(AS, as_edits))
+    assert_loaders_agree(market, as_csv, program_ids)
+
+
+def long_texts(rows: int, seed: int) -> tuple[list[bytes], list[bytes]]:
+    """Market and as.csv lines (headers first) for ``rows`` hourly slots and two programs.
+
+    The as file also holds two slots after the market's last one, which the loaders must
+    check and then ignore. About one epsilon in five is blank.
+    """
+    rng = np.random.default_rng(seed)
+    start = datetime(2021, 12, 31, 20, tzinfo=timezone.utc)
+    stamps = [(start + timedelta(hours=h)).strftime("%Y-%m-%dT%H:%M:%SZ") for h in range(rows + 2)]
+    rt, coin = rng.normal(40.0, 20.0, rows).tolist(), rng.uniform(1e4, 3e4, rows).tolist()
+    market = [b"timestamp,rt_price,coin_price"] + [f"{ts},{r!r},{c!r}".encode() for ts, r, c in zip(stamps, rt, coin)]
+    as_lines = [b"timestamp,program_id,price,epsilon"]
+    for ts in stamps:
+        for pid in ("presp", "regup"):
+            eps = "" if rng.random() < 0.2 else repr(float(rng.random()))
+            as_lines.append(f"{ts},{pid},{float(rng.uniform(5.0, 40.0))!r},{eps}".encode())
+    return market, as_lines
+
+
+LINE_TOKENS = TOKENS + [b"presp", b"2021-12-31T20:00:00Z", b"2021-12-31T20:00:00+00:00"]
+# whole field values: non-finite or out-of-range numbers, float() grammar corners, blanks, other ids and stamps
+FIELD_TOKENS = [b"nan", b"NaN", b"inf", b"-inf", b"1e400", b"-0.25", b"1.5", b"-0.0", b"1_0", b" 0.5 ", b"", b"regup",
+                b"2021-12-31T20:00:00+00:00", b"2021-12-31T21:00:00Z"]
+
+
+@st.composite
+def line_edits(draw, chunk: int):
+    """Up to three edits of a list of lines: copy, drop, swap, blank, quote, set a field or splice bytes.
+
+    A quote opened at a field start runs that field on over the lines after it. Lines
+    are picked in the second chunk, around the first chunk boundary or anywhere.
+    """
+    index = st.one_of(st.integers(chunk + 1, 2 * chunk + 8), st.integers(max(chunk - 2, 1), chunk + 3),
+                      st.integers(1, 2 * chunk + 8))
+    kind = st.sampled_from(["copy", "drop", "swap", "blank", "quote", "field", "splice"])
+    at, token, value = st.integers(0, 40), st.sampled_from(LINE_TOKENS), st.sampled_from(FIELD_TOKENS)
+    edit = st.tuples(kind, index, index, at, token, value)
+    return draw(st.lists(edit, max_size=3))
+
+
+def edit_lines(lines: list[bytes], edits) -> bytes:
+    lines = list(lines)
+    for kind, i, j, at, token, value in edits:
+        i, j = 1 + (i - 1) % (len(lines) - 1), 1 + (j - 1) % (len(lines) - 1)  # never the header
+        if kind == "copy":
+            lines.insert(j, lines[i])
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "blank":
+            lines.insert(j, b"")
+        elif kind == "quote":
+            lines[i] = lines[i].replace(b",", b',"', 1)
+        elif kind == "field":
+            fields = lines[i].split(b",")
+            fields[at % len(fields)] = value
+            lines[i] = b",".join(fields)
+        else:
+            lines[i] = lines[i][:at] + token + lines[i][at + 1:]
+    return b"\n".join(lines) + b"\n"
+
+
+def check_edited_long_files(fuzz_dir, rows, seed, market_edits, as_edits, program_ids):
+    market_lines, as_lines = long_texts(rows, seed)
+    market, as_csv = fuzz_dir / "long-market.csv", fuzz_dir / "long-as.csv"
+    market.write_bytes(edit_lines(market_lines, market_edits))
+    as_csv.write_bytes(edit_lines(as_lines, as_edits))
+    assert_loaders_agree(market, as_csv, program_ids)
+
+
+observed_ids = st.sampled_from([None, ("presp", "regup"), ("regup",)])
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(
+    rows=st.integers(CHUNK_ROWS // 2 - 4, CHUNK_ROWS + 6), seed=st.integers(0, 3),
+    market_edits=st.one_of(st.just([]), line_edits(CHUNK_ROWS)), as_edits=line_edits(CHUNK_ROWS),
+    program_ids=observed_ids,
+)
+def test_long_files_load_as_the_row_reference_does(fuzz_dir, rows, seed, market_edits, as_edits, program_ids):
+    # market files of one or two chunks, as.csv files of two or three; defects land in any of them
+    check_edited_long_files(fuzz_dir, rows, seed, market_edits, as_edits, program_ids)
+
+
+@settings(FUZZ, max_examples=300)
+@given(data=st.data(), chunk=st.sampled_from([1, 2, 5, 16]), rows=st.integers(1, 40), seed=st.integers(0, 3),
+       program_ids=observed_ids)
+def test_short_chunks_load_as_the_row_reference_does(fuzz_dir, data, chunk, rows, seed, program_ids):
+    # the same files cut into many small chunks, so every kind of defect meets a chunk boundary
+    market_edits = data.draw(st.one_of(st.just([]), line_edits(chunk)))  # often a clean market, so as.csv is read
+    as_edits = data.draw(line_edits(chunk))
+    with mock.patch.object(traces_module, "CHUNK_ROWS", chunk):
+        check_edited_long_files(fuzz_dir, rows, seed, market_edits, as_edits, program_ids)

@@ -34,17 +34,19 @@ def vectors_and_caps(draw):
         x = np.abs(x)
     x *= scale
     total = float(np.maximum(x, 0.0).sum())
-    kind = draw(st.sampled_from(["binding", "exact", "slack", "free"]))
+    kind = draw(st.sampled_from(["binding", "exact", "slack", "free", "zero"]))
     if kind == "binding" and total > 0.0:
         cap = total * draw(st.floats(0.01, 0.99))
     elif kind == "exact":
         cap = total
     elif kind == "slack":
         cap = total * draw(st.floats(1.0, 3.0)) + scale
-    else:
+    elif kind == "free":
         cap = scale * draw(st.floats(0.01, 10.0))
+    else:
+        cap = 0.0
     note(f"{kind}: sum of positive parts {total!r}, cap {cap!r}")
-    return x, max(cap, 1e-9 * scale)
+    return x, cap if kind == "zero" else max(cap, 1e-9 * scale)
 
 
 @PROPERTY

@@ -73,6 +73,14 @@ def test_projection_clips_negatives():
     np.testing.assert_allclose(project_feasible(np.array([-5.0, 30.0]), 100.0).c, [0.0, 30.0])
 
 
+def test_projection_onto_cap_zero_is_the_origin():
+    # no sorted entry stays positive at cap 0, so rho falls back to 0 and tau is the largest entry
+    for x in ([1.0, 2.0], [3.0, -1.0, 2.0, 0.5, 4.0, 1.0, 2.0, 0.0, 1.5]):  # the Python-float and numpy paths
+        assert project_feasible(np.array(x), 0.0).c.tolist() == [0.0] * len(x)
+    rows = project_simplex(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([[0.0], [1.0]]))
+    assert rows.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
 def test_projection_grid_oracle_random(rng):
     for _ in range(10):
         x = rng.uniform(-100.0, 400.0, 2)
@@ -225,7 +233,12 @@ def test_averaged_iterate_gap_within_bound(two_type_fleet):
         return realized_cost(two_type_fleet, programs, c, eps)
 
     axis = np.linspace(0.0, 250.0, 801)
-    best = min(cost(np.array([a, b])) for a in axis for b in axis if a + b <= 250.0 + 1e-9)
+    a, b = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    grid = np.column_stack([a, b])[a + b <= 250.0 + 1e-9]
+    # the realized cost over the whole grid as a max of affines: max_k(prefix_k + r_k * eps.c) - p.c
+    fleet, prices = two_type_fleet, np.array([p.price for p in programs])
+    affines = fleet.prefix_costs[:, None] + fleet.rewards[:, None] * (grid @ eps)
+    best = float((affines.max(axis=0) - grid @ prices).min())
     for iters in (100, 2000):
         result = solve(two_type_fleet, programs, sampler, SgdConfig(iterations=iters, batch=1, seed=3))
         assert cost(result.profile.c) - best <= result.bound
@@ -251,7 +264,8 @@ def reference_projection(x, cap):
     u = np.sort(x)[::-1]
     css = np.cumsum(u) - cap
     j = np.arange(1, x.size + 1)
-    rho = np.nonzero(u - css / j > 0.0)[0][-1]
+    positive = np.nonzero(u - css / j > 0.0)[0]
+    rho = positive[-1] if positive.size else 0  # none at cap 0: tau = u_0, the largest entry
     tau = css[rho] / (rho + 1.0)
     return np.maximum(x - tau, 0.0)
 

@@ -1,7 +1,11 @@
+import csv
 import dataclasses
+import itertools
 import json
 import math
-from datetime import datetime, timezone
+import warnings
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from minerflex import (
     synthesize_traces,
     write_traces,
 )
+import minerflex.traces as traces_module
 from minerflex.deployment import SlotBatch
 from minerflex.programs import EPS_KINDS, ProgramSpec, parse_eps_model
 from minerflex.regulation import joint_pair
@@ -34,6 +39,8 @@ from minerflex.traces import (
     SynthesisSpec,
     Traces,
     deployment_for,
+    format_timestamp,
+    parse_timestamp,
     programs_for_record,
     slot_batch,
 )
@@ -73,6 +80,114 @@ def same_traces(a, b):
     return (a.timestamps, a.program_ids) == (b.timestamps, b.program_ids) and all(
         _same_bits(getattr(a, name), getattr(b, name)) for name in columns
     )
+
+
+# ── The row-at-a-time loader the columnar one replaced ───────────────────
+
+
+def _serial_read_rows(path, header):
+    """(line, fields) of each non-blank row under ``header``; read, decode and csv errors name the file."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            got = next(reader, None)
+            if got != header:
+                raise TraceFormatError(path, 1, f"expected header {header}, got {got}")
+            for line, row in enumerate(reader, start=2):
+                if row:
+                    if len(row) != len(header):
+                        raise TraceFormatError(path, line, f"expected {len(header)} fields, got {len(row)}")
+                    yield line, row
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # the caller's own errors never reach here
+        raise TraceFormatError(path, 0, f"cannot read trace file ({exc})") from None
+
+
+def _serial_parse_timestamp(raw, path, line, parsed):
+    ts = parsed.get(raw)
+    if ts is None:
+        try:
+            ts = parsed[raw] = parse_timestamp(raw)
+        except ValueError:
+            raise TraceFormatError(path, line, f"bad timestamp {raw!r}") from None
+    return ts
+
+
+def _serial_parse_price(raw, field, path, line):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise TraceFormatError(path, line, f"bad {field} {raw!r}") from None
+    if not math.isfinite(value):
+        raise TraceFormatError(path, line, f"{field} must be finite, got {raw!r}")
+    return value
+
+
+def serial_load_traces(market_path, as_path, program_ids=None):
+    """The reference: ``load_traces`` one Python record at a time, as it was before the columnar read."""
+    market = {}
+    # both files repeat the market timestamps: parse each distinct string once
+    parsed = {}
+    prev = None
+    for line, row in _serial_read_rows(market_path, MARKET_HEADER):
+        ts = _serial_parse_timestamp(row[0], market_path, line, parsed)
+        if ts in market:
+            raise TraceFormatError(market_path, line, f"duplicate timestamp {row[0]}")
+        if prev is not None and ts < prev:
+            warnings.warn(f"{market_path}:{line}: timestamps out of order; sorting")
+        prev = ts
+        market[ts] = (
+            _serial_parse_price(row[1], "rt_price", market_path, line),
+            _serial_parse_price(row[2], "coin_price", market_path, line),
+        )
+
+    as_rows = {}
+    for line, row in _serial_read_rows(as_path, AS_HEADER):
+        key = (_serial_parse_timestamp(row[0], as_path, line, parsed), row[1])
+        price = _serial_parse_price(row[2], "price", as_path, line)
+        eps = math.nan
+        if row[3] != "":
+            eps = _serial_parse_price(row[3], "epsilon", as_path, line)
+            if not 0.0 <= eps <= 1.0:
+                raise TraceFormatError(as_path, line, f"epsilon must be in [0,1], got {row[3]}")
+        if key in as_rows:
+            raise TraceFormatError(as_path, line, f"duplicate (timestamp, program) {row[:2]}")
+        as_rows[key] = (price, eps)
+
+    ids = tuple(program_ids) if program_ids is not None else tuple(sorted({pid for _, pid in as_rows}))
+    stamps = sorted(market)
+    cells = []
+    for ts in stamps:
+        cells.append(market[ts])
+        for pid in ids:
+            if (ts, pid) not in as_rows:
+                raise TraceFormatError(as_path, 0, f"missing program {pid!r} at {format_timestamp(ts)}")
+            cells.append(as_rows[ts, pid])
+    # one (T, 1 + P, 2) table: each slot's (rt, coin) pair, then its (price, eps) per program
+    table = np.array(cells, dtype=float).reshape(len(stamps), 1 + len(ids), 2)
+    rt, coin = np.ascontiguousarray(table[:, 0].T)
+    as_prices, deployment = np.ascontiguousarray(table[:, 1:].transpose(2, 0, 1))
+    return Traces(tuple(stamps), rt, coin, ids, as_prices, deployment)
+
+
+def load_outcome(loader, market_path, as_path, program_ids=None):
+    """(the loaded traces, or the exception's type and text; each warning's category and text)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = loader(market_path, as_path, program_ids)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def same_outcome(a, b):
+    """Two :func:`load_outcome` results agree: the same bits, or the same error, and the same warnings."""
+    (got, got_warnings), (want, want_warnings) = a, b
+    if isinstance(want, Traces):
+        return isinstance(got, Traces) and same_traces(got, want) and got_warnings == want_warnings
+    return (got, got_warnings) == (want, want_warnings)
 
 
 def synth_spec(hours=24, joint=True):
@@ -201,6 +316,72 @@ def test_load_names_the_as_file_and_line_of_a_bad_timestamp(tmp_path):
     assert "bad timestamp" in str(err.value) and f"{a}:3" in str(err.value)
 
 
+def test_load_names_a_bad_row_before_an_unreadable_one(tmp_path):
+    # The reader fails at row 300 of 5000: at a quote that is never closed, once its field outgrows
+    # the csv field limit, or at the decoder block holding an undecodable byte. The rows read
+    # before the failure are checked first.
+    m, a = tmp_path / "market.csv", tmp_path / "as.csv"
+    a.write_text(",".join(AS_HEADER) + "\n")
+    start = datetime(2022, 4, 4, tzinfo=UTC)
+    rows = [f"{format_timestamp(start + timedelta(minutes=i))},{40.0 + i / 7!r},20000.0" for i in range(5000)]
+    for defect in (',"', ",\xe9"):
+        unreadable = rows[:299] + [rows[299].replace(",", defect, 1)] + rows[300:]
+        bad_first = unreadable[:9] + ["x,50.0,20000.0"] + unreadable[10:]
+        cases = [(unreadable, f"{m}:0: cannot read trace file"), (bad_first, f"{m}:11: bad timestamp 'x'")]
+        for lines, message in cases:
+            m.write_bytes("\n".join([",".join(MARKET_HEADER), *lines, ""]).encode("latin-1"))
+            outcome = load_outcome(load_traces, m, a)
+            assert same_outcome(outcome, load_outcome(serial_load_traces, m, a))
+            assert outcome[0][0] is TraceFormatError and outcome[0][1].startswith(message)
+
+
+def test_rows_at_timestamps_the_market_lacks_are_checked_then_ignored(tmp_path):
+    m, a = tmp_path / "market.csv", tmp_path / "as.csv"
+    m.write_text("timestamp,rt_price,coin_price\n2022-04-04T01:00:00Z,50.0,20000.0\n")
+    header, kept = "timestamp,program_id,price,epsilon\n", "2022-04-04T01:00:00Z,regup,15.0,0.25\n"
+    cases = {
+        "2022-04-04T05:00:00Z,regup,16.0,\n2022-04-04T05:00:00Z,other,1.0,1.0\n": None,
+        "2022-04-04T05:00:00Z,regup,oops,\n": "3: bad price 'oops'",
+        "2022-04-04T05:00:00Z,regup,16.0,1.5\n": "3: epsilon must be in [0,1]",
+        # the same instant written two ways is one cell
+        "2022-04-04T05:00:00Z,regup,16.0,\n2022-04-04T05:00:00+00:00,regup,17.0,\n":
+            "4: duplicate (timestamp, program)",
+    }
+    for extra, error in cases.items():
+        a.write_text(header + kept + extra)
+        outcome = load_outcome(load_traces, m, a, ("regup",))
+        assert same_outcome(outcome, load_outcome(serial_load_traces, m, a, ("regup",)))
+        if error is None:
+            assert outcome[0].deployment.tolist() == [[0.25]] and len(outcome[0]) == 1
+        else:
+            assert outcome[0][0] is TraceFormatError and outcome[0][1].startswith(f"{a}:{error}")
+
+
+def write_csv(path, header, rows):
+    path.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_field_values_load_as_the_row_reference_does(tmp_path, chunk):
+    # every value check, in the first block and in a later one: the same bits or the same error
+    m, a = tmp_path / "market.csv", tmp_path / "as.csv"
+    stamps = [f"2022-04-04T{h:02d}:00:00Z" for h in range(8)]
+    market = [[ts, repr(40.0 + h), "20000.0"] for h, ts in enumerate(stamps)]
+    as_rows = [[ts, pid, repr(10.0 + h), "" if h % 3 == 0 else repr(h / 10)]
+               for h, ts in enumerate(stamps) for pid in "ab"]
+    values = ["nan", "NaN", " nan ", "inf", "-inf", "1e400", "-0.25", "1.5", "-0.0", "1_0", " 0.5 ", "", "0x1p-2", "x"]
+    fields = [(MARKET_HEADER, 1), (MARKET_HEADER, 2), (AS_HEADER, 2), (AS_HEADER, 3)]
+    with mock.patch.object(traces_module, "CHUNK_ROWS", chunk):
+        for (header, field), first, value in itertools.product(fields, (True, False), values):
+            market_rows, as_csv_rows = [list(r) for r in market], [list(r) for r in as_rows]
+            rows = market_rows if header is MARKET_HEADER else as_csv_rows
+            rows[1 if first else -2][field] = value
+            write_csv(m, MARKET_HEADER, market_rows)
+            write_csv(a, AS_HEADER, as_csv_rows)
+            got, want = load_outcome(load_traces, m, a), load_outcome(serial_load_traces, m, a)
+            assert same_outcome(got, want), (header[field], first, value, got, want)
+
+
 def test_load_warns_and_sorts_on_disorder(tmp_path):
     m, a = tmp_path / "market.csv", tmp_path / "as.csv"
     m.write_text(
@@ -246,6 +427,12 @@ def test_synthesize_deterministic(tmp_path):
     write_traces(b, tmp_path / "m2.csv", tmp_path / "a2.csv")
     assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
     assert (tmp_path / "a1.csv").read_bytes() == (tmp_path / "a2.csv").read_bytes()
+
+
+def test_synthesize_rejects_a_negative_sd():
+    spec = dataclasses.replace(synth_spec(), rt_price=PriceBlock((55.0,) * 24, -1.0))
+    with pytest.raises(ValueError, match="scale < 0"):
+        synthesize_traces(spec, seed=7)
 
 
 def test_synthesize_constant_prices():
