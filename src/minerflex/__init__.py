@@ -59,6 +59,7 @@ from .regulation import (
     RegInstance,
     RegJointModel,
     expected_reg_cost,
+    expected_reg_gradient,
     sample_joint,
     solve_reg_profile,
 )

@@ -285,7 +285,8 @@ def cmd_solve_offline(args) -> dict:
 
 def cmd_solve_reg(args) -> dict:
     inst = load_config(args.config, _parse_reg)
-    c_up, c_dn = map(float, solve_reg_profile(inst).c)
+    profile, gap = solve_reg_profile(inst)
+    c_up, c_dn = map(float, profile.c)
     value = expected_reg_cost(inst, c_up, c_dn)
     return {
         "profile.csv": (["c_up", "c_dn", "expected_cost"], [[c_up, c_dn, value]]),
@@ -295,6 +296,7 @@ def cmd_solve_reg(args) -> dict:
             "lambda_dn": inst.model.down.lam,
             "expected_cost": value,
             "expected_profit": -value,
+            "gap": gap,
         },
     }
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cutting import minimize
 from .deployment import Profile, SlotBatch, project_simplex
 from .errors import InvalidInputError
 from .sgd import default_diameter, default_grad_bound, step_size
@@ -93,97 +94,18 @@ def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
     return Profile(project_simplex(c - step_size(t, cfg.diameter, cfg.grad_bound) * g, cfg.cap))
 
 
-# Kelley iterations before the solve stops and reports the gap it reached.
-MAX_CUTS = 200
-# Relative optimality gap at which the cutting-plane solve stops.
-GAP_TOL = 1e-9
-
-
-def _master(b: np.ndarray, g: np.ndarray, cap: float) -> tuple[np.ndarray, float]:
-    """Minimize the cutting-plane model max_j(b_j + g_j.c) over {c >= 0, sum c <= cap}.
-
-    Dense tableau simplex with Bland's rule on the epigraph LP, written with
-    u = c / cap and the deepest cut j* eliminating the free variable z, so that
-    the slacks of the other cuts and of sum u <= 1 form a feasible first basis.
-    Returns the minimizer and a lower bound from the duals: the reduced costs
-    lambda of the cut slacks sum to one in every basis, and any such lambda,
-    clipped at zero and renormalized, bounds the model below by
-    lambda.b + cap min(0, min_i (lambda g)_i), so pivot rounding can loosen
-    the bound but never make it invalid.
-    """
-    m, n = g.shape
-    top = int(np.argmax(b))
-    rest = np.delete(np.arange(m), top)
-    # scaled, every entry is O(1), so the pivot tests below can use absolute tolerances
-    scale = max(float(np.abs(b - b[top]).max()), cap * float(np.abs(g).max()), 1.0)
-    gs, bs = cap * g / scale, (b - b[top]) / scale
-    # columns: u (n), cut slacks s (m), capacity slack; last column the right-hand side
-    tab = np.zeros((m + 1, n + m + 2))
-    tab[:-2, :n] = gs[rest] - gs[top]
-    tab[np.arange(m - 1), n + rest] = 1.0
-    tab[:-2, n + top] = -1.0
-    tab[:-2, -1] = -bs[rest]
-    tab[-2, :n] = 1.0
-    tab[-2, n + m] = 1.0
-    tab[-2, -1] = 1.0
-    tab[-1, :n] = gs[top]
-    tab[-1, n + top] = 1.0
-    basis = np.append(n + rest, n + m)
-    # Bland's rule cannot cycle in exact arithmetic; the bound stops a float one
-    for _ in range(50 * (n + m + 1)):
-        entering = np.flatnonzero(tab[-1, :-1] < -1e-12)
-        if not entering.size:
-            break
-        e = entering[0]
-        col = tab[:-1, e]
-        rows = np.flatnonzero(col > 1e-12)
-        ratios = tab[rows, -1] / col[rows]
-        tied = rows[ratios <= ratios.min() + 1e-12]
-        r = tied[np.argmin(basis[tied])]
-        tab[r] /= tab[r, e]
-        tab -= np.outer(tab[:, e], tab[r]) * (np.arange(m + 1) != r)[:, None]
-        basis[r] = e
-    u = np.zeros(n + m + 1)
-    u[basis] = tab[:-1, -1]
-    lam = np.maximum(tab[-1, n : n + m], 0.0)
-    lam /= lam.sum()
-    slope = lam @ g
-    return cap * u[:n], float(lam @ b) + cap * min(0.0, float(slope.min()))
-
-
 def hindsight_optimum(batch: SlotBatch) -> tuple[Profile, float]:
     """Best fixed profile over the whole sequence, with a certified optimality gap.
 
     The total cost F(c) = sum_t max_k(prefix_tk + r_tk eps_t.c) - p_t.c is
-    convex and polyhedral, so Kelley's cutting-plane method (Kelley 1960)
-    minimizes it exactly over {c >= 0, sum c <= cap}: each evaluated point
-    adds the cut F(c_j) + g_j.(c - c_j), and the next point minimizes the max
-    of the cuts. Cuts start at the feasible-set vertices, so that model is
-    bounded from the first iteration. Its minimum is a lower bound on the
-    optimum, so the returned gap, the best value found minus that bound,
-    bounds how far the profile is from optimal. The solve stops once the gap
-    is within ``GAP_TOL`` of the best value, or after ``MAX_CUTS`` cuts.
+    convex and polyhedral, so the cutting-plane core minimizes it exactly.
     """
-    n, cap = batch.n, batch.cap
-    points = project_simplex(np.vstack([np.zeros(n), cap * np.eye(n)]), cap)
-    values = batch.total_costs(points)
-    slopes = np.array([batch.total_subgradient(c) for c in points])
-    best = int(np.argmin(values))
-    best_c, best_v = points[best], float(values[best])
-    b = values - np.einsum("ij,ij->i", slopes, points)
-    for _ in range(MAX_CUTS):
-        c, bound = _master(b, slopes, cap)
-        gap = max(best_v - bound, 0.0)
-        if gap <= GAP_TOL * max(1.0, abs(best_v)):
-            break
-        c = project_simplex(c, cap)
-        v = float(batch.total_costs(c[None, :])[0])
-        g = batch.total_subgradient(c)
-        if v < best_v:
-            best_c, best_v = c, v
-        slopes = np.vstack([slopes, g])
-        b = np.append(b, v - g @ c)
-    return Profile(best_c), gap
+    c, _, gap = minimize(
+        lambda points: (batch.total_costs(points), np.array([batch.total_subgradient(c) for c in points])),
+        batch.n,
+        batch.cap,
+    )
+    return Profile(c), gap
 
 
 def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .deployment import Profile, project_simplex
+from .cutting import minimize
+from .deployment import Profile
 from .errors import InfeasibleError, InvalidInputError
 from .fleet import FleetSpec
 from .programs import TruncatedExponential
@@ -107,25 +108,16 @@ def _partial_moments(lam: float, a: float, b: float) -> tuple[float, float]:
 
 
 # The five case expressions below are each valid on their named region; the
-# region selector lives in expected_reg_cost. Keeping them separate lets the
-# tests check continuity across region boundaries by evaluating both sides.
-
-
-def _down_base(inst: RegInstance, c_up: float, c_dn: float) -> float:
-    # Down deployed: load reduction is (1 - eps_dn) c_dn, none from reg-up.
-    r1 = float(inst.fleet.rewards[0])
-    return -inst.p_up * c_up + c_dn * (r1 * (1.0 - inst.model.down.mean()) - inst.p_dn)
-
-
-def _up_base(inst: RegInstance, c_up: float, c_dn: float) -> float:
-    # Up deployed: reduction is eps_up c_up plus the full c_dn headroom.
-    r1 = float(inst.fleet.rewards[0])
-    return c_up * (r1 * inst.model.up.mean() - inst.p_up) + c_dn * (r1 - inst.p_dn)
+# region selector _cases serves both the cost and its gradient. Keeping them
+# separate lets the tests check continuity across region boundaries by
+# evaluating both sides.
 
 
 def down_cost_within_first(inst, c_up, c_dn):
     """Down case, c_dn <= cap_1: the first machine type always absorbs it."""
-    return _down_base(inst, c_up, c_dn)
+    # load reduction is (1 - eps_dn) c_dn, none from reg-up
+    r1 = float(inst.fleet.rewards[0])
+    return -inst.p_up * c_up + c_dn * (r1 * (1.0 - inst.model.down.mean()) - inst.p_dn)
 
 
 def down_cost_beyond_first(inst, c_up, c_dn):
@@ -134,12 +126,14 @@ def down_cost_beyond_first(inst, c_up, c_dn):
     r1, r2 = (float(v) for v in inst.fleet.rewards)
     p0, m1 = _partial_moments(inst.model.down.lam, 0.0, 1.0 - cap1 / c_dn)
     spill = (cap1 - c_dn) * p0 + c_dn * m1
-    return _down_base(inst, c_up, c_dn) + (r1 - r2) * spill
+    return down_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
 
 
 def up_cost_within_first(inst, c_up, c_dn):
     """Up case, c_up + c_dn <= cap_1: the first type always suffices."""
-    return _up_base(inst, c_up, c_dn)
+    # load reduction is eps_up c_up plus the full c_dn headroom
+    r1 = float(inst.fleet.rewards[0])
+    return c_up * (r1 * inst.model.up.mean() - inst.p_up) + c_dn * (r1 - inst.p_dn)
 
 
 def up_cost_straddling(inst, c_up, c_dn):
@@ -149,7 +143,7 @@ def up_cost_straddling(inst, c_up, c_dn):
     t = (cap1 - c_dn) / c_up
     p0, m1 = _partial_moments(inst.model.up.lam, t, 1.0)
     spill = (cap1 - c_dn) * p0 - c_up * m1
-    return _up_base(inst, c_up, c_dn) + (r1 - r2) * spill
+    return up_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
 
 
 def up_cost_beyond_first(inst, c_up, c_dn):
@@ -157,79 +151,60 @@ def up_cost_beyond_first(inst, c_up, c_dn):
     r1, r2 = (float(v) for v in inst.fleet.rewards)
     cap1 = float(inst.fleet.capacities[0])
     spill = cap1 - c_dn - c_up * inst.model.up.mean()
-    return _up_base(inst, c_up, c_dn) + (r1 - r2) * spill
+    return up_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
+
+
+def _cases(inst: RegInstance, c_up: float, c_dn: float):
+    """The down-case and up-case expressions valid at a feasible (c_up, c_dn)."""
+    cap = inst.fleet.total_capacity_mw
+    if c_up < 0 or c_dn < 0 or c_up + c_dn > cap + 1e-9 * max(1.0, cap):
+        raise InfeasibleError(f"profile ({c_up}, {c_dn}) infeasible for fleet capacity {cap}")
+    cap1 = float(inst.fleet.capacities[0])
+    down = down_cost_within_first if c_dn <= cap1 else down_cost_beyond_first
+    if c_up + c_dn <= cap1:
+        return down, up_cost_within_first
+    return down, up_cost_beyond_first if c_dn >= cap1 else up_cost_straddling
 
 
 def expected_reg_cost(inst: RegInstance, c_up: float, c_dn: float) -> float:
     """Closed-form expected slot cost of committing (c_up, c_dn)."""
-    cap = inst.fleet.total_capacity_mw
-    if c_up < 0 or c_dn < 0 or c_up + c_dn > cap + 1e-9 * max(1.0, cap):
-        raise InfeasibleError(
-            f"profile ({c_up}, {c_dn}) infeasible for fleet capacity {cap}"
-        )
-    cap1 = float(inst.fleet.capacities[0])
-
-    if c_dn <= cap1:
-        down = down_cost_within_first(inst, c_up, c_dn)
-    else:
-        down = down_cost_beyond_first(inst, c_up, c_dn)
-
-    if c_up + c_dn <= cap1:
-        up = up_cost_within_first(inst, c_up, c_dn)
-    elif c_dn >= cap1:
-        up = up_cost_beyond_first(inst, c_up, c_dn)
-    else:
-        up = up_cost_straddling(inst, c_up, c_dn)
-
+    down, up = _cases(inst, c_up, c_dn)
     theta = inst.model.theta
-    return theta * down + (1.0 - theta) * up
+    return theta * down(inst, c_up, c_dn) + (1.0 - theta) * up(inst, c_up, c_dn)
 
 
-def _grid_best(inst: RegInstance, points: int) -> tuple[float, float, float]:
-    cap = inst.fleet.total_capacity_mw
-    axis = np.linspace(0.0, cap, points)
-    best = (math.inf, 0.0, 0.0)
-    for cu in axis:
-        for cd in axis:
-            if cu + cd > cap:
-                break
-            v = expected_reg_cost(inst, cu, cd)
-            if v < best[0]:
-                best = (v, cu, cd)
-    return best
+def expected_reg_gradient(inst: RegInstance, c_up: float, c_dn: float) -> np.ndarray:
+    """Gradient E[r_k(eps) eps_eff] - p of :func:`expected_reg_cost`.
 
-
-def solve_reg_profile(inst: RegInstance, grid_points: int = 100) -> Profile:
-    """Minimize the closed-form expected cost over the feasible set.
-
-    Coarse grid scan for a basin, then projected gradient with central-
-    difference gradients on the (convex) closed form; returns whichever
-    candidate evaluates best.
+    eps_eff is (0, 1 - eps_dn) with reg-down deployed and (eps_up, 1) with
+    reg-up deployed. The marginal reward r_k is r_1 until the first type runs
+    out and r_2 beyond, so each spill region subtracts (r_1 - r_2) times the
+    partial moments of eps_eff over it.
     """
-    cap = inst.fleet.total_capacity_mw
-    best_v, cu, cd = _grid_best(inst, grid_points)
-    c = np.array([cu, cd])
-    h = 1e-6 * max(cap, 1.0)
-    scale = max(
-        abs(float(inst.fleet.rewards[-1])), inst.p_up, inst.p_dn, 1.0
-    )
+    down, up = _cases(inst, c_up, c_dn)
+    cap1 = float(inst.fleet.capacities[0])
+    r1, r2 = (float(v) for v in inst.fleet.rewards)
+    model = inst.model
+    g_down = np.array([-inst.p_up, r1 * (1.0 - model.down.mean()) - inst.p_dn])
+    if down is down_cost_beyond_first:  # spill while eps_dn < 1 - cap_1 / c_dn
+        p0, m1 = _partial_moments(model.down.lam, 0.0, 1.0 - cap1 / c_dn)
+        g_down[1] -= (r1 - r2) * (p0 - m1)
+    g_up = np.array([r1 * model.up.mean() - inst.p_up, r1 - inst.p_dn])
+    if up is up_cost_straddling:  # spill while eps_up > (cap_1 - c_dn) / c_up
+        p0, m1 = _partial_moments(model.up.lam, (cap1 - c_dn) / c_up, 1.0)
+        g_up -= (r1 - r2) * np.array([m1, p0])
+    elif up is up_cost_beyond_first:
+        g_up -= (r1 - r2) * np.array([model.up.mean(), 1.0])
+    return model.theta * g_down + (1.0 - model.theta) * g_up
 
-    def f(x):
-        return expected_reg_cost(inst, float(x[0]), float(x[1]))
 
-    for j in range(1, 401):
-        g = np.zeros(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            hi = project_simplex(c + e, cap)
-            lo = project_simplex(c - e, cap)
-            denom = hi[i] - lo[i]
-            g[i] = (f(hi) - f(lo)) / denom if denom > 0 else 0.0
-        step = cap / (scale * math.sqrt(j))
-        c = project_simplex(c - step * g, cap)
-        v = f(c)
-        if v < best_v:
-            best_v, cu, cd = v, float(c[0]), float(c[1])
+def solve_reg_profile(inst: RegInstance) -> tuple[Profile, float]:
+    """Exact minimum of the convex, C^1 expected cost over the feasible set, with a certified gap."""
 
-    return Profile(np.array([cu, cd]))
+    def evaluate(points):
+        pairs = points.tolist()
+        return (np.array([expected_reg_cost(inst, *c) for c in pairs]),
+                np.array([expected_reg_gradient(inst, *c) for c in pairs]))
+
+    c, _, gap = minimize(evaluate, 2, inst.fleet.total_capacity_mw)
+    return Profile(c), gap

@@ -376,12 +376,12 @@ class PriceBlock:
             means = (float(cfg["mean"]),) * 24
         else:
             raise InvalidInputError(f"{name}: need 'mean' or 'hourly_mean'")
-        return cls(
-            hourly_mean=means,
-            sd=float(cfg.get("sd", 0.0)),
-            lo=float(cfg.get("min", 0.0)),
-            hi=float(cfg.get("max", math.inf)),
-        )
+        sd, lo, hi = float(cfg.get("sd", 0.0)), float(cfg.get("min", 0.0)), float(cfg.get("max", math.inf))
+        if sd < 0:
+            raise InvalidInputError(f"{name}: sd must be >= 0, got {sd}")
+        if lo > hi:
+            raise InvalidInputError(f"{name}: min {lo} exceeds max {hi}")
+        return cls(hourly_mean=means, sd=sd, lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,8 @@ SEMANTIC_DEFECTS = {
         "joint_unknown_program": (("joint",), {"theta": 0.5, "up": "regup", "down": "nope"},
                                   "unknown program"),
         "start_past_year_9999_in_utc": (("start",), "9999-12-31T23:00:00-05:00", "out of range"),
+        "negative_sd": (("rt_price", "sd"), -1, "sd must be >= 0"),
+        "min_above_max": (("coin_price", "min"), 23000, "exceeds max"),
     },
 }
 

@@ -64,7 +64,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_simulate_online_run_leaves_scipy_unloaded(tmp_path):
-    """A solver that imported scipy lazily would pass the import-only test; a whole run must not load it."""
+    """A solver that imported scipy lazily would pass the import-only test; whole runs must not load it."""
     configs = Path(__file__).resolve().parent.parent / "configs"
     traces = tmp_path / "traces"
     synthesize = ["synthesize-traces", "--spec", str(configs / "synthesis_week.json"), "--seed", "3",
@@ -72,12 +72,14 @@ def test_simulate_online_run_leaves_scipy_unloaded(tmp_path):
     simulate = ["simulate-online", "--fleet", str(configs / "fleet.json"),
                 "--programs", str(configs / "programs.json"), "--traces-market", str(traces / "market.csv"),
                 "--traces-as", str(traces / "as.csv"), "--out", str(tmp_path / "online")]
+    solve_reg = ["solve-reg", "--config", str(configs / "reg.json"), "--out", str(tmp_path / "reg")]
     proc = _fresh_python(
         "import sys\n"
         "from minerflex.cli import main\n"
-        f"assert main({synthesize!r}) == 0 and main({simulate!r}) == 0\n"
+        f"assert main({synthesize!r}) == 0 and main({simulate!r}) == 0 and main({solve_reg!r}) == 0\n"
         "print('scipy' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "online" / "rounds.csv").exists()
+    assert (tmp_path / "reg" / "profile.csv").exists()
     assert proc.stdout.strip().splitlines()[-1] == "False"

@@ -13,6 +13,7 @@ from minerflex import (
     TruncatedExponential,
     effective_epsilon,
     expected_reg_cost,
+    expected_reg_gradient,
     fit_lambda,
     fleet_from_rewards,
     realized_cost,
@@ -21,6 +22,7 @@ from minerflex import (
 )
 from minerflex.deployment import realized_cost_batch
 from minerflex.regulation import (
+    _cases,
     down_cost_beyond_first,
     down_cost_within_first,
     up_cost_beyond_first,
@@ -281,6 +283,45 @@ def test_equal_rewards_collapse_heterogeneity_terms():
     )
 
 
+# Each case expression's region as (c_dn range, c_up range given c_dn), in units of
+# the first type's capacity cap1 and the fleet capacity cap.
+REGIONS = {
+    down_cost_within_first: lambda cap1, cap: ((0.0, cap1), lambda cd: (0.0, cap - cd)),
+    down_cost_beyond_first: lambda cap1, cap: ((cap1, cap), lambda cd: (0.0, cap - cd)),
+    up_cost_within_first: lambda cap1, cap: ((0.0, cap1), lambda cd: (0.0, cap1 - cd)),
+    up_cost_straddling: lambda cap1, cap: ((0.0, cap1), lambda cd: (cap1 - cd, cap - cd)),
+    up_cost_beyond_first: lambda cap1, cap: ((cap1, cap), lambda cd: (0.0, cap - cd)),
+}
+
+
+def _inside(lo_hi, rng):
+    lo, hi = lo_hi
+    return float(lo + (hi - lo) * rng.uniform(0.05, 0.95))
+
+
+@pytest.mark.parametrize("case", list(REGIONS), ids=lambda f: f.__name__)
+def test_reg_gradient_matches_central_differences(case, rng):
+    cap1, cap = 150.0, 250.0
+    dn_range, up_range = REGIONS[case](cap1, cap)
+    h = 1e-4
+    for _ in range(20):
+        inst = make_instance(
+            theta=float(rng.uniform()), mean_up=float(rng.uniform(0.05, 0.45)),
+            mean_dn=float(rng.uniform(0.05, 0.45)), p_up=float(rng.uniform(0.0, 120.0)),
+            p_dn=float(rng.uniform(0.0, 120.0)),
+        )
+        assert float(inst.fleet.capacities[0]) == cap1
+        c_dn = _inside(dn_range, rng)
+        c_up = _inside(up_range(c_dn), rng)
+        assert case in _cases(inst, c_up, c_dn)
+        grad = expected_reg_gradient(inst, c_up, c_dn)
+        fd = [
+            (expected_reg_cost(inst, c_up + h, c_dn) - expected_reg_cost(inst, c_up - h, c_dn)) / (2 * h),
+            (expected_reg_cost(inst, c_up, c_dn + h) - expected_reg_cost(inst, c_up, c_dn - h)) / (2 * h),
+        ]
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
 def test_reg_cost_rejects_infeasible():
     inst = make_instance()
     with pytest.raises(InfeasibleError):
@@ -301,13 +342,13 @@ def test_reg_instance_requires_two_types():
 
 def test_solve_reg_zero_prices_no_participation():
     inst = make_instance(p_up=0.0, p_dn=0.0)
-    profile = solve_reg_profile(inst)
+    profile, _ = solve_reg_profile(inst)
     np.testing.assert_allclose(profile.c, [0.0, 0.0], atol=1e-9)
 
 
 def test_solve_reg_dominant_up_price():
     inst = make_instance(p_up=140.0, p_dn=0.0)
-    profile = solve_reg_profile(inst)
+    profile, _ = solve_reg_profile(inst)
     cap = inst.fleet.total_capacity_mw
     assert profile.c[0] == pytest.approx(cap, rel=1e-6)
     assert profile.c[1] == pytest.approx(0.0, abs=1e-6)
@@ -319,7 +360,7 @@ def test_solve_reg_dominant_up_price():
 )
 def test_solve_reg_matches_dense_grid(theta, p_up, p_dn):
     inst = make_instance(theta=theta, p_up=p_up, p_dn=p_dn)
-    profile = solve_reg_profile(inst)
+    profile, _ = solve_reg_profile(inst)
     value = expected_reg_cost(inst, *profile.c)
     cap = inst.fleet.total_capacity_mw
     axis = np.linspace(0.0, cap, 200)
@@ -331,3 +372,31 @@ def test_solve_reg_matches_dense_grid(theta, p_up, p_dn):
     )
     scale = cap * max(float(inst.fleet.rewards[-1]), inst.p_up, inst.p_dn)
     assert value <= best + 1e-6 * scale
+
+
+def random_instance(rng):
+    caps = rng.uniform(20.0, 300.0, 2)
+    rewards = rng.uniform(20.0, 200.0, 2)
+    model = RegJointModel(
+        theta=float(rng.uniform()),
+        up=TruncatedExponential(fit_lambda(float(rng.uniform(0.03, 0.47)))),
+        down=TruncatedExponential(fit_lambda(float(rng.uniform(0.03, 0.47)))),
+    )
+    return RegInstance(
+        fleet=fleet_from_rewards(caps.tolist(), rewards.tolist()),
+        p_up=float(rng.uniform(0.0, 150.0)), p_dn=float(rng.uniform(0.0, 150.0)), model=model,
+    )
+
+
+def test_solve_reg_gap_certifies_against_dense_grid():
+    """The gap is within tolerance, and value - gap is a valid lower bound on the grid minimum."""
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        inst = random_instance(rng)
+        profile, gap = solve_reg_profile(inst)
+        value = expected_reg_cost(inst, *profile.c)
+        assert 0.0 <= gap <= 1e-9 * max(1.0, abs(value))
+        cap = inst.fleet.total_capacity_mw
+        axis = np.linspace(0.0, cap, 200).tolist()
+        best = min(expected_reg_cost(inst, cu, cd) for cu in axis for cd in axis if cu + cd <= cap)
+        assert value - gap <= best
