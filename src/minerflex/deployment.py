@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError
-from .fleet import FleetSpec
+from .fleet import FleetSpec, fleet_tables
 from .programs import DIRECTIONS, ProgramSpec, prices_of
 
 # Absolute float guard for deployment totals at the feasible-set edges.
@@ -182,10 +182,18 @@ def critical_type(fleet: FleetSpec, total_deployed: float) -> int:
     return int(np.searchsorted(fleet.cum_capacities, total, side="left")) + 1
 
 
+def _check_sizes(c: np.ndarray, eps: np.ndarray, p: np.ndarray):
+    if not (c.size == eps.size == p.size):
+        raise InvalidInputError(
+            f"dimension mismatch: profile {c.size}, sample {eps.size}, programs {p.size}"
+        )
+
+
 def _check_profile_feasible(c: np.ndarray, fleet: FleetSpec):
-    if np.any(c < 0.0):
+    values = c.tolist()
+    if any(v < 0.0 for v in values):
         raise InfeasibleError(f"profile has negative components: {c}")
-    total = float(c.sum())
+    total = list(accumulate(values, initial=0.0))[-1]  # c.sum()'s order for fewer than 8 entries
     cap = fleet.total_capacity_mw
     if total > cap + max(EDGE_GUARD, 1e-9 * cap):
         raise InfeasibleError(f"profile total {total} exceeds fleet capacity {cap}")
@@ -231,22 +239,43 @@ def slot_cost(fleet, eps, prices, c):
     return cost, slope
 
 
+def _piece_cost(cum, rewards, prefix_costs, deployed: float, revenue: float, k=None):
+    """One slot's cost prefix_k + r_k d - revenue and its slope r_k, in Python floats.
+
+    One fleet's tables (``cum`` a list) and the slot's dots ``deployed`` = eps.c
+    and ``revenue`` = p.c. The piece k is the first type whose cumulative
+    capacity reaches d, the total clipped onto [0, cap] (as in :func:`slot_piece`);
+    a given 0-based k prices the unclipped total on that piece instead. The float
+    operations are :func:`slot_cost`'s, in its order. The dots stay numpy's: on
+    some BLAS kernels a short dot is a chain of fused multiply-adds, which Python
+    floats cannot repeat.
+    """
+    if k is None:
+        deployed = min(max(deployed, 0.0), cum[-1])
+        k = bisect_left(cum, deployed)
+    slope = float(rewards[k])
+    return float(prefix_costs[k]) + slope * deployed - revenue, slope
+
+
 def realized_cost(fleet: FleetSpec, programs: Sequence[ProgramSpec], profile, sample) -> float:
     """Cost of the slot under the optimal (greedy) machine deployment.
 
     ``sample`` must already hold effective load-reduction fractions, i.e.
     down-program components passed through :func:`effective_epsilon`.
+    ``profile`` and ``sample`` must be finite.
     """
     c = as_vector(profile, "profile")
     eps = as_vector(sample, "sample")
     p = prices_of(programs)
-    if not (c.size == eps.size == p.size):
-        raise InvalidInputError(
-            f"dimension mismatch: profile {c.size}, sample {eps.size}, programs {p.size}"
-        )
+    _check_sizes(c, eps, p)
+    for name, x in (("profile", c), ("sample", eps)):
+        if not all(map(math.isfinite, x.tolist())):
+            raise InvalidInputError(f"{name} components must be finite, got {x}")
     _check_profile_feasible(c, fleet)
-    _clamp_total(float(eps @ c), fleet.total_capacity_mw)  # raises beyond the float guard
-    return float(slot_cost(fleet, eps, p, c)[0])
+    deployed = float(eps @ c)
+    _clamp_total(deployed, fleet.total_capacity_mw)  # raises beyond the float guard
+    cum = fleet.cum_capacities.tolist()
+    return _piece_cost(cum, fleet.rewards, fleet.prefix_costs, deployed, float(p @ c))[0]
 
 
 def cost_fixed_k(
@@ -264,9 +293,8 @@ def cost_fixed_k(
     c = as_vector(profile, "profile")
     eps = as_vector(sample, "sample")
     p = prices_of(programs)
-    k0 = k_prime - 1
-    total = float(eps @ c)
-    return float(fleet.prefix_costs[k0] + fleet.rewards[k0] * total - p @ c)
+    _check_sizes(c, eps, p)
+    return _piece_cost(None, fleet.rewards, fleet.prefix_costs, float(eps @ c), float(p @ c), k_prime - 1)[0]
 
 
 def realized_cost_batch(
@@ -285,16 +313,14 @@ class FleetStack:
 
     A type of zero capacity changes no cost, so a fleet with fewer types is padded by
     repeating its last reward with zero capacity. Cumulative capacities and prefix
-    costs are :class:`FleetSpec`'s float operations, row by row.
+    costs come from :func:`~minerflex.fleet.fleet_tables`, column by column, so
+    row f holds fleet f's :class:`FleetSpec` tables bit for bit.
     """
 
     def __init__(self, rewards: np.ndarray, capacities: np.ndarray):
         self.rewards, self.capacities = np.ascontiguousarray(rewards), np.ascontiguousarray(capacities)
-        self.cum_capacities = np.cumsum(self.capacities, axis=1)
-        rc, cc = np.zeros_like(self.rewards), np.zeros_like(self.rewards)
-        rc[:, 1:] = np.cumsum(self.rewards * self.capacities, axis=1)[:, :-1]
-        cc[:, 1:] = self.cum_capacities[:, :-1]
-        self.prefix_costs = rc - self.rewards * cc
+        cum, prefix = fleet_tables(self.rewards.T, self.capacities.T)
+        self.cum_capacities, self.prefix_costs = np.column_stack(cum), np.column_stack(prefix)
 
     @staticmethod
     def of(fleets: Sequence[FleetSpec]) -> "FleetStack":
@@ -372,12 +398,11 @@ class SlotBatch(FleetStack):
         """
         eps, prices = self.eps[rows], self.prices[rows]
         if c.ndim == 1:
-            # one slot in Python floats: the same IEEE operations, far less per-call overhead
             cum = self.cum_capacities[rows].tolist()
-            d = min(max(float(eps @ c), 0.0), cum[-1])
-            k = bisect_left(cum, d)  # the first type whose cumulative capacity reaches d
-            slope = float(self.rewards[rows, k])
-            return float(self.prefix_costs[rows, k]) + slope * d - float(prices @ c), slope * eps - prices
+            cost, slope = _piece_cost(
+                cum, self.rewards[rows], self.prefix_costs[rows], float(eps @ c), float(prices @ c)
+            )
+            return cost, slope * eps - prices
         # a stacked matmul sums each row dot in the order of the 1-D eps @ c
         d = (eps[:, None, :] @ c[:, :, None])[:, 0, 0]
         cum = self.cum_capacities[rows]

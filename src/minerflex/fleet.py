@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,49 +51,49 @@ class MachineType:
 class FleetSpec:
     """Canonical fleet: machines sorted by strictly ascending reward.
 
-    Build via :func:`canonicalize`; the constructor trusts its inputs.
+    Build via :func:`canonicalize`; the constructor trusts its inputs. The
+    read-only per-type tables ``rewards``, ``capacities``, ``cum_capacities``
+    and ``prefix_costs`` (see :func:`fleet_tables`) are built on construction.
     Instances are immutable and safe to share across threads.
     """
 
     machines: tuple[MachineType, ...]
     total_capacity_mw: float
 
+    def __post_init__(self):
+        rewards = [float(m.reward) for m in self.machines]
+        capacities = [float(m.capacity_mw) for m in self.machines]
+        cum, prefix = fleet_tables(rewards, capacities)
+        for name, table in (
+            ("rewards", rewards), ("capacities", capacities), ("cum_capacities", cum), ("prefix_costs", prefix)
+        ):
+            arr = np.array(table, dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def n_types(self) -> int:
         return len(self.machines)
 
-    @cached_property
-    def rewards(self) -> np.ndarray:
-        r = np.array([m.reward for m in self.machines], dtype=float)
-        r.setflags(write=False)
-        return r
 
-    @cached_property
-    def capacities(self) -> np.ndarray:
-        c = np.array([m.capacity_mw for m in self.machines], dtype=float)
-        c.setflags(write=False)
-        return c
+def fleet_tables(rewards, capacities) -> tuple[list, list]:
+    """Cumulative capacities and prefix costs of machine types in ascending reward order.
 
-    @cached_property
-    def cum_capacities(self) -> np.ndarray:
-        cc = np.cumsum(self.capacities)
-        cc.setflags(write=False)
-        return cc
+    ``rewards`` and ``capacities`` hold one entry per type: floats for one fleet,
+    or for a stack of F fleets one length-F column per type. The tables are
 
-    @cached_property
-    def prefix_costs(self) -> np.ndarray:
-        """prefix_costs[q] = sum_{k<q} (r_k - r_q) * cap_k, 0-based q.
+        cum[q] = cap_0 + ... + cap_q
+        prefix[q] = sum_{k<q} r_k cap_k - r_q sum_{k<q} cap_k = sum_{k<q} (r_k - r_q) cap_k,
 
-        The constant part of the realized cost when type q is the one
-        partially deployed; types below q run at zero, so their reward
-        differential against r_q is sunk.
-        """
-        r, cap = self.rewards, self.capacities
-        rc = np.concatenate(([0.0], np.cumsum(r * cap)[:-1]))
-        cc = np.concatenate(([0.0], self.cum_capacities[:-1]))
-        pc = rc - r * cc
-        pc.setflags(write=False)
-        return pc
+    the constant part of the realized cost when type q is the one partially
+    deployed (types below q run at zero, so their reward differential against
+    r_q is sunk). Both sums run type by type, which is the float arithmetic of a
+    ``cumsum`` along the types.
+    """
+    cum = list(accumulate(capacities))
+    paid = [0.0, *accumulate(r * cap for r, cap in zip(rewards, capacities))]
+    below = [0.0, *cum]
+    return cum, [rc - r * cc for rc, r, cc in zip(paid, rewards, below)]
 
 
 def mining_revenue_rate(coin_price: float, energy_intensity: float) -> float:

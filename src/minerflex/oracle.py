@@ -157,13 +157,17 @@ def grid_mc_optimum(
     means = (float(r[0]) * eff.mean(axis=0) - prices) @ points.T
     eff32 = eff.astype(np.float32)
     s = grid.mc_samples
-    # about 1M float32 entries per block: larger blocks only raise peak memory
+    # about 1M float32 entries per block: larger blocks only raise peak memory.
+    # Each hinge is written into one buffer, a contiguous (s, b) view per block.
     block = max(16, 1_000_000 // s)
+    buffer = np.empty(s * min(block, points.shape[0]), dtype=np.float32)
     for lo in range(0, points.shape[0], block):
         chunk32 = points[lo : lo + block].T.astype(np.float32)
         deployed = eff32 @ chunk32
+        hinge = buffer[: deployed.size].reshape(deployed.shape)
         for jump, brk in zip(jumps, breaks):
-            hinge = np.maximum(deployed - np.float32(brk), np.float32(0.0))
+            np.subtract(deployed, np.float32(brk), out=hinge)
+            np.maximum(hinge, np.float32(0.0), out=hinge)
             means[lo : lo + chunk32.shape[1]] += float(jump) * hinge.mean(
                 axis=0, dtype=np.float64
             )

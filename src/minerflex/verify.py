@@ -54,6 +54,11 @@ def _random_instance(rng, k_max=4, n_max=3):
     return fleet, programs, c, raw
 
 
+def _uniform(u, lo, hi):
+    # Generator.uniform(lo, hi) maps each double u of the stream to lo + (hi - lo) * u
+    return lo + (hi - lo) * u
+
+
 def _simpson_arr(ys, xs):
     # composite Simpson; xs must have odd length with uniform spacing
     h = xs[1] - xs[0]
@@ -308,33 +313,46 @@ def check_sgd_convergence(seed=9, fast=False) -> CheckResult:
     )
 
 
+def regret_slots(rng, horizon: int) -> SlotBatch:
+    """One run of :func:`check_online_regret`: ``horizon`` random slots.
+
+    Each slot takes six doubles of the generator's stream, in order: the two
+    rewards of a 150 + 100 MW fleet, the prices of two up programs and their
+    deployment rates. One ``(horizon, 6)`` block holds them all, scaled as
+    ``rng.uniform`` scales them, so every value is what one ``rng.uniform``
+    call per slot and quantity would return.
+    """
+    u = rng.random((horizon, 6))
+    rewards = np.sort(_uniform(u[:, 0:2], 0.0, 200.0), axis=1) + np.array([0.0, 1e-9])
+    flags = np.zeros((horizon, 2), dtype=bool)
+    caps = np.tile([150.0, 100.0], (horizon, 1))
+    return SlotBatch.from_arrays(
+        rewards, caps, _uniform(u[:, 2:4], 0.0, 60.0), _uniform(u[:, 4:6], 0.0, 1.0), flags, flags
+    )
+
+
 def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
     rng = np.random.default_rng(seed)
     ok = True
     worst_frac = 0.0
     for _ in range(runs):
-        fleets, programs_seq, samples = [], [], []
-        for _ in range(horizon):
-            rewards = np.sort(rng.uniform(0.0, 200.0, 2)) + np.array([0.0, 1e-9])
-            fleets.append(fleet_from_rewards([150.0, 100.0], rewards))
-            programs_seq.append(
-                [ProgramSpec(id=f"p{i}", price=float(rng.uniform(0.0, 60.0))) for i in range(2)]
-            )
-            samples.append(rng.uniform(0.0, 1.0, 2))
+        batch = regret_slots(rng, horizon)
         cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=1)
-        played, _, report = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
+        played, _, report = run_online(batch, cfg)
         ok &= report.static_regret <= report.bound
         # Static regret may be negative: an adaptive learner can beat every fixed
         # profile. What must hold is that the hindsight profile is the best fixed
         # one, so no played profile held fixed costs less over the horizon. Slot
-        # cost of a fixed c (up programs): max_k(prefix_k + r_k * eps.c) - p.c.
+        # cost of a fixed c (up programs): max_k(prefix_k + r_k * eps.c) - p.c, where
+        # prefix_0 = 0 and prefix_1 = (r_0 - r_1) cap_0, written r_0 cap_0 - r_1 cap_0.
         # The solver's certified gap must close to the same tolerance.
         c = np.vstack([played, report.hindsight_profile.c])
-        deployed = (np.asarray(samples) @ c.T)[:, None, :]  # (T, 1, P)
-        prefix = np.array([f.prefix_costs for f in fleets])[:, :, None]  # (T, K, 1)
-        rewards = np.array([f.rewards for f in fleets])[:, :, None]
-        prices = np.array([[p.price for p in ps] for ps in programs_seq])  # (T, N)
-        totals = ((prefix + rewards * deployed).max(axis=1) - prices @ c.T).sum(axis=0)
+        rewards, caps = batch.rewards, batch.capacities
+        prefix = np.zeros((horizon, 2, 1))
+        prefix[:, 1, 0] = rewards[:, 0] * caps[:, 0] - rewards[:, 1] * caps[:, 0]
+        deployed = (batch.raw_eps @ c.T)[:, None, :]  # (T, 1, P)
+        affines = prefix + rewards[:, :, None] * deployed  # (T, K, P)
+        totals = (affines.max(axis=1) - batch.quoted_prices @ c.T).sum(axis=0)
         tol = 1e-6 * max(1.0, abs(totals[-1]))
         ok &= bool(totals[-1] <= totals[:-1].min() + tol and report.hindsight_gap <= tol)
         worst_frac = max(worst_frac, report.static_regret / report.bound)

@@ -16,7 +16,7 @@ from minerflex import (
     fleet_from_rewards,
     realized_cost,
 )
-from minerflex.deployment import SlotBatch, realized_cost_batch
+from minerflex.deployment import SlotBatch, realized_cost_batch, slot_cost
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
 
@@ -162,6 +162,50 @@ def test_cost_fixed_k_range_check(two_type_fleet):
     programs = [ProgramSpec(id="p", price=5.0)]
     with pytest.raises(InvalidInputError):
         cost_fixed_k(two_type_fleet, programs, np.array([1.0]), np.array([0.5]), 3)
+
+
+def test_cost_fixed_k_rejects_mismatched_sizes(two_type_fleet):
+    one = [ProgramSpec(id="p", price=5.0)]
+    two = one + [ProgramSpec(id="q", price=7.0)]
+    for programs, c, eps in ((one, [1.0, 2.0], [0.5]), (one, [1.0], [0.5, 0.5]), (one, [1.0, 2.0], [0.5, 0.5]),
+                             (two, [1.0], [0.5])):
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            cost_fixed_k(two_type_fleet, programs, np.array(c), np.array(eps), 1)
+
+
+def test_realized_cost_rejects_non_finite_inputs(two_type_fleet):
+    # numpy's searchsorted puts nan past the last type (an IndexError) and bisect puts it first
+    programs = [ProgramSpec(id="a", price=20.0), ProgramSpec(id="b", price=7.0)]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="^profile .*finite"):
+            realized_cost(two_type_fleet, programs, np.array([bad, 10.0]), np.array([0.5, 0.5]))
+        with pytest.raises(InvalidInputError, match="^sample .*finite"):
+            realized_cost(two_type_fleet, programs, np.array([10.0, 10.0]), np.array([0.5, bad]))
+
+
+def test_one_slot_costs_match_slot_cost_bit_for_bit(rng):
+    # realized_cost against slot_cost's numpy path; cost_fixed_k against its numpy formula
+    for k in range(1, 5):
+        for n in range(1, 4):
+            for trial in range(150):
+                caps = np.where(rng.random(k) < 0.15, 0.0, rng.uniform(1.0, 100.0, k))
+                caps += caps.sum() == 0.0  # some capacity in every fleet
+                fleet = fleet_from_rewards(caps, np.sort(rng.uniform(0.0, 200.0, k)))
+                programs = [ProgramSpec(id=f"p{i}", price=float(rng.uniform(0.0, 60.0))) for i in range(n)]
+                eps = np.where(rng.random(n) < 0.2, rng.choice([0.0, 1.0], n), rng.uniform(0.0, 1.0, n))
+                c = rng.dirichlet(np.ones(n + 1))[:n] * fleet.total_capacity_mw
+                if trial % 10 == 0:  # a total exactly on the first break
+                    eps, c = np.ones(n), np.append(fleet.cum_capacities[0], np.zeros(n - 1))
+                elif trial % 10 == 1:  # the whole fleet, or nothing
+                    c = np.append(fleet.total_capacity_mw * (trial % 20 == 1), np.zeros(n - 1))
+                p = prices_of(programs)
+                expected = slot_cost(fleet, eps, p, c)[0]
+                cost = realized_cost(fleet, programs, c, eps)
+                assert isinstance(cost, float)
+                assert np.float64(cost).tobytes() == np.float64(expected).tobytes(), (k, n, trial)
+                for kp in range(1, fleet.n_types + 1):
+                    expected = fleet.prefix_costs[kp - 1] + fleet.rewards[kp - 1] * float(eps @ c) - p @ c
+                    assert np.float64(cost_fixed_k(fleet, programs, c, eps, kp)).tobytes() == expected.tobytes()
 
 
 def test_max_of_affines_property(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minerflex import (
+    FleetSpec,
     InvalidInputError,
     MachineType,
     ModelViolationError,
@@ -12,6 +13,7 @@ from minerflex import (
     mining_revenue_rate,
     net_reward,
 )
+from minerflex.deployment import FleetStack
 
 
 def test_revenue_rate_paper_example():
@@ -123,6 +125,42 @@ def test_machine_validation():
 def test_prefix_costs(two_type_fleet):
     np.testing.assert_allclose(two_type_fleet.prefix_costs, [0.0, (94.0 - 150.0) * 150.0])
     np.testing.assert_allclose(two_type_fleet.cum_capacities, [150.0, 250.0])
+
+
+def numpy_tables(fleet):
+    """The fleet tables as numpy expressions: the lazily built tables of earlier versions."""
+    r = np.array([m.reward for m in fleet.machines], dtype=float)
+    cap = np.array([m.capacity_mw for m in fleet.machines], dtype=float)
+    cum = np.cumsum(cap)
+    rc = np.concatenate(([0.0], np.cumsum(r * cap)[:-1]))
+    cc = np.concatenate(([0.0], cum[:-1]))
+    return {"rewards": r, "capacities": cap, "cum_capacities": cum, "prefix_costs": rc - r * cc}
+
+
+def test_tables_match_numpy_expressions_bit_for_bit(rng):
+    fleets = []
+    for _ in range(300):
+        k = int(rng.integers(1, 8))
+        # few distinct rewards, so canonicalize merges ties; some zero capacities
+        rewards = rng.choice([3.0, 94.0, 150.0, *rng.uniform(0.0, 200.0, 3)], k)
+        caps = np.where(rng.random(k) < 0.2, 0.0, rng.uniform(0.0, 300.0, k) * rng.choice([1e-3, 1.0, 1e4], k))
+        fleets.append(canonicalize(MachineType(f"m{i}", c, reward=r) for i, (c, r) in enumerate(zip(caps, rewards))))
+    # built directly, as the regulation tests do: equal rewards and a zero capacity kept apart
+    fleets.append(FleetSpec((MachineType("a", 150.0, reward=120.0), MachineType("b", 100.0, reward=120.0)), 250.0))
+    fleets.append(FleetSpec((MachineType("a", 0.0, reward=7.5), MachineType("b", 80.0, reward=20)), 80.0))
+    assert any("+" in m.id for f in fleets for m in f.machines)  # merged ties
+    assert any(m.capacity_mw == 0.0 for f in fleets[:-2] for m in f.machines)
+    stack = FleetStack.of(fleets)
+    for f, fleet in enumerate(fleets):
+        for name, expected in numpy_tables(fleet).items():
+            table = getattr(fleet, name)
+            assert table.dtype == np.float64 and table.shape == (fleet.n_types,), name
+            assert table.tobytes() == expected.tobytes(), name
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+            # a stack row holds the same tables, padded past the fleet's own types
+            assert getattr(stack, name)[f, : fleet.n_types].tobytes() == expected.tobytes(), name
 
 
 def test_load_fleet_config(tmp_path):

@@ -340,6 +340,33 @@ def test_ogd_config_validation():
         OgdConfig(horizon=1, grad_bound=1.0, diameter=1.0, cap=1.0, learners=0)
 
 
+@pytest.mark.parametrize("horizon", [1, 7, 200])
+def test_regret_block_draws_match_per_slot_draws(horizon):
+    # check_online_regret draws each run as one (T, 6) block; the check used to
+    # draw every slot with scalar rng.uniform calls and build one fleet per slot
+    ref_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(3):
+        ref = SlotBatch(*random_rounds(ref_rng, horizon), 250.0)
+        batch = verify.regret_slots(rng, horizon)
+        tables = ("rewards", "capacities", "cum_capacities", "prefix_costs", "quoted_prices",
+                  "raw_eps", "down", "missing", "eps", "prices")
+        for name in tables:
+            a, b = getattr(batch, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert (batch.T, batch.n, batch.cap) == (ref.T, ref.n, ref.cap)
+        cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=1)
+        played, costs, report = run_online(batch, cfg)
+        ref_played, ref_costs, ref_report = run_online(ref, cfg)
+        assert played.tobytes() == ref_played.tobytes()
+        assert costs.tobytes() == ref_costs.tobytes()
+        assert report.hindsight_profile.c.tobytes() == ref_report.hindsight_profile.c.tobytes()
+        fields = ("static_regret", "average_regret", "hindsight_gap", "bound")
+        assert [np.float64(getattr(report, f)).tobytes() for f in fields] == [
+            np.float64(getattr(ref_report, f)).tobytes() for f in fields
+        ]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_verify_regret_check_accepts_negative_static_regret():
     # Run 4 of this seed ends with static regret -15,626 $: the adaptive learner
     # beats every fixed profile, and its hindsight profile is still the best fixed one.

@@ -19,7 +19,8 @@ from minerflex import (
     synthesize_traces,
 )
 from minerflex.fleet import MachineType
-from minerflex.programs import ConstantEps, independent_sampler
+from minerflex.oracle import draw_effective_samples, feasibility_grid, mc_expected_cost
+from minerflex.programs import ConstantEps, directions_of, independent_sampler, prices_of
 from minerflex.regulation import sample_joint
 
 from conftest import random_instance
@@ -100,6 +101,51 @@ def test_grid_mc_deterministic(two_type_fleet):
     r2 = grid_mc_optimum(two_type_fleet, programs, sampler, GridSpec(51, 500, seed=12))
     assert np.array_equal(r1.profile.c, r2.profile.c)
     assert r1.value == r2.value
+
+
+def allocating_grid_mc_optimum(fleet, programs, sampler, grid):
+    """grid_mc_optimum as first written: fresh float32 hinge arrays for every break."""
+    eff = draw_effective_samples(sampler, directions_of(programs), grid.mc_samples, grid.seed)
+    points = feasibility_grid(fleet.total_capacity_mw, len(programs), grid.points_per_axis)
+    r = fleet.rewards
+    means = (float(r[0]) * eff.mean(axis=0) - prices_of(programs)) @ points.T
+    eff32 = eff.astype(np.float32)
+    block = max(16, 1_000_000 // grid.mc_samples)
+    for lo in range(0, points.shape[0], block):
+        chunk32 = points[lo : lo + block].T.astype(np.float32)
+        deployed = eff32 @ chunk32
+        for jump, brk in zip(np.diff(r), fleet.cum_capacities[:-1]):
+            hinge = np.maximum(deployed - np.float32(brk), np.float32(0.0))
+            means[lo : lo + chunk32.shape[1]] += float(jump) * hinge.mean(axis=0, dtype=np.float64)
+    best = int(np.argmin(means))
+    value, stderr = mc_expected_cost(fleet, programs, points[best], eff)
+    return points[best], value, stderr
+
+
+@pytest.mark.parametrize(
+    "caps, rewards, n, points, samples",
+    [
+        ([150.0, 100.0], [103.8, 131.8], 1, 401, 5000),  # two blocks and a short one
+        ([90.0, 60.0, 100.0], [40.0, 95.0, 170.0], 1, 41, 70000),  # 16-point blocks
+        ([90.0, 60.0, 100.0], [40.0, 95.0, 170.0], 2, 41, 5000),
+        ([80.0], [120.0], 2, 21, 3000),  # no breaks at all
+        ([50.0, 0.0, 70.0, 30.0], [10.0, 60.0, 61.0, 150.0], 3, 21, 4000),  # a zero-capacity type
+    ],
+)
+def test_grid_mc_matches_the_allocating_loop(caps, rewards, n, points, samples):
+    fleet = fleet_from_rewards(caps, rewards)
+    lams = (0.5, 2.0, 6.0)
+    programs = [
+        ProgramSpec(f"p{i}", 10.0 + 7.0 * i, "down" if i == 1 else "up", TruncatedExponential(lams[i]))
+        for i in range(n)
+    ]
+    sampler = independent_sampler(programs)
+    grid = GridSpec(points, samples, seed=3)
+    res = grid_mc_optimum(fleet, programs, sampler, grid)
+    profile, value, stderr = allocating_grid_mc_optimum(fleet, programs, sampler, grid)
+    assert res.profile.c.tobytes() == profile.tobytes()
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    assert np.float64(res.stderr).tobytes() == np.float64(stderr).tobytes()
 
 
 def fleet_config():
