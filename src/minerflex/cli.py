@@ -500,6 +500,8 @@ def main(argv=None) -> int:
             flags = [f"--{name.replace('_', '-')}" for name in (first, second)]
             parser.error(f"{flags[0]} and {flags[1]} must be given together")
     try:
+        if args.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {args.seed}")
         t0 = time.time()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

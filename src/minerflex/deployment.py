@@ -334,6 +334,24 @@ class FleetStack:
             np.array([padded(f.capacities, 0.0) for f in fleets]),
         )
 
+    def row_costs(self, eps, prices, c, rows=slice(None)):
+        """Costs prefix_k + r_k d - p.c and slopes r_k of fleet rows, one profile per row.
+
+        ``rows`` picks R fleets (an index array or a slice; all by default), and
+        row i of the (R, N) ``eps``, ``prices`` and ``c`` serves fleet ``rows[i]``,
+        at d = eps.c clipped onto [0, cap] of that fleet, so rows may differ in
+        capacity. Each row takes the arithmetic of the one-slot
+        :func:`realized_cost` in its order, so the two agree bit for bit.
+        """
+        # a stacked matmul sums each row dot in the order of the 1-D eps @ c
+        d = (eps[:, None, :] @ c[:, :, None])[:, 0, 0]
+        cum = self.cum_capacities[rows]
+        d = np.minimum(np.maximum(d, 0.0), cum[:, -1])
+        k = (np.arange(len(d)), (cum < d[:, None]).sum(1))
+        slope = self.rewards[rows][k]
+        revenue = (prices[:, None, :] @ c[:, :, None])[:, 0, 0]
+        return self.prefix_costs[rows][k] + slope * d - revenue, slope
+
 
 class SlotBatch(FleetStack):
     """Per-slot fleet tables, effective rates and prices for vectorized costs.
@@ -393,8 +411,9 @@ class SlotBatch(FleetStack):
 
         ``rows`` is one slot t with c an (N,) profile, giving a float and an
         (N,) subgradient, or R slots (an index array or a slice) with c an
-        (R, N) array, giving (R,) costs and (R, N) subgradients. Both forms do
-        slot t's arithmetic in the same order, so they agree bit for bit.
+        (R, N) array, giving (R,) costs and (R, N) subgradients through
+        :meth:`row_costs`. Both forms do slot t's arithmetic in the same order,
+        so they agree bit for bit.
         """
         eps, prices = self.eps[rows], self.prices[rows]
         if c.ndim == 1:
@@ -403,13 +422,7 @@ class SlotBatch(FleetStack):
                 cum, self.rewards[rows], self.prefix_costs[rows], float(eps @ c), float(prices @ c)
             )
             return cost, slope * eps - prices
-        # a stacked matmul sums each row dot in the order of the 1-D eps @ c
-        d = (eps[:, None, :] @ c[:, :, None])[:, 0, 0]
-        cum = self.cum_capacities[rows]
-        d = np.minimum(np.maximum(d, 0.0), cum[:, -1])
-        k = (np.arange(len(d)), (cum < d[:, None]).sum(1))
-        slope = self.rewards[rows][k]
-        cost = self.prefix_costs[rows][k] + slope * d - (prices[:, None, :] @ c[:, :, None])[:, 0, 0]
+        cost, slope = self.row_costs(eps, prices, c, rows)
         return cost, slope[:, None] * eps - prices
 
     def costs_for(self, candidates: np.ndarray) -> np.ndarray:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .deployment import SlotBatch, cost_fixed_k, flip_down, realized_cost, realized_cost_batch
+from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, realized_cost_batch
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, run_online
 from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
@@ -41,17 +42,78 @@ class CheckResult:
     detail: str
 
 
-def _random_instance(rng, k_max=4, n_max=3):
+def _random_instance(rng, segment=False, k_max=4, n_max=3):
+    """One random slot as plain float lists: (caps, rewards, prices, raw, c).
+
+    K and N take one ``rng.integers`` call each. Every later value comes from
+    one ``rng.random`` block, scaled as the ``rng.uniform`` call it stands for
+    would scale it, in this order: K capacities in [1, 100), K rewards in
+    [0, 200) (sorted, the i-th raised by i * 1e-6 so none tie), N prices in
+    [0, 60), N raw rates, N profile entries, then the share of the fleet's
+    capacity (a ``math.fsum``) the profile is scaled to. With ``segment``,
+    2N + 2 more doubles give the ends a and b of a segment of profiles and
+    then their shares, and (a, b) are appended to the tuple.
+    """
     k = int(rng.integers(1, k_max + 1))
     n = int(rng.integers(1, n_max + 1))
-    caps = rng.uniform(1.0, 100.0, k)
-    rewards = np.sort(rng.uniform(0.0, 200.0, k)) + np.arange(k) * 1e-6
-    fleet = fleet_from_rewards(caps, rewards)
-    programs = [ProgramSpec(id=f"p{i}", price=float(rng.uniform(0.0, 60.0))) for i in range(n)]
-    raw = rng.uniform(0.0, 1.0, n)
-    c = rng.uniform(0.0, 1.0, n)
-    c *= rng.uniform(0.0, 1.0) * fleet.total_capacity_mw / max(c.sum(), 1e-12)
-    return fleet, programs, c, raw
+    u = iter(rng.random(2 * k + 3 * n + 1 + (2 * n + 2 if segment else 0)).tolist())
+
+    def take(count, lo, hi):
+        return [_uniform(next(u), lo, hi) for _ in range(count)]
+
+    caps = take(k, 1.0, 100.0)
+    rewards = [r + i * 1e-6 for i, r in enumerate(sorted(take(k, 0.0, 200.0)))]
+    prices = take(n, 0.0, 60.0)
+    raw, c = take(n, 0.0, 1.0), take(n, 0.0, 1.0)
+    cap = math.fsum(caps)
+    drawn = caps, rewards, prices, raw, _scaled(c, next(u), cap)
+    if segment:
+        a, b = take(n, 0.0, 1.0), take(n, 0.0, 1.0)
+        drawn += _scaled(a, next(u), cap), _scaled(b, next(u), cap)
+    return drawn
+
+
+def _scaled(v, share, cap):
+    """``v *= uniform(0, 1) * cap / max(v.sum(), 1e-12)``, from the share's double.
+
+    numpy sums fewer than 8 entries left to right.
+    """
+    factor = _uniform(share, 0.0, 1.0) * cap / max(list(accumulate(v))[-1], 1e-12)
+    return [x * factor for x in v]
+
+
+# Instances drawn and costed per pass. The float lists of 2,000 instances held at
+# once leave about 2 MB of heap that the process keeps, on top of verify's peak
+# memory later on; passes of 256 reuse one pass's heap at about the same speed.
+DRAW_PASS = 256
+
+
+def _drawn_by_shape(rng, count, segment=False):
+    """Draw ``count`` instances in passes of :data:`DRAW_PASS`; yield each pass's groups.
+
+    A group stacks the pass's instances of one (K, N) shape, in draw order: one
+    (G, K) or (G, N) array per field of :func:`_random_instance`.
+    """
+    for start in range(0, count, DRAW_PASS):
+        groups = {}
+        for _ in range(min(DRAW_PASS, count - start)):
+            inst = _random_instance(rng, segment)
+            groups.setdefault((len(inst[0]), len(inst[2])), []).append(inst)
+        yield from (tuple(map(np.array, zip(*group))) for group in groups.values())
+
+
+def _max_of_affines(caps, rewards, prices, eps, c):
+    """Each row's max over its own K affine surrogates prefix_k + r_k d - p.c, d = eps.c.
+
+    prefix_k = sum_{j<k} r_j cap_j - r_k sum_{j<k} cap_j comes from numpy cumsums
+    over the row's types, not from the fleet tables under test.
+    """
+    prefix = np.zeros_like(rewards)
+    below = np.cumsum(caps, axis=1)[:, :-1]
+    prefix[:, 1:] = np.cumsum(rewards * caps, axis=1)[:, :-1] - rewards[:, 1:] * below
+    deployed = (eps[:, None, :] @ c[:, :, None])[:, 0]
+    revenue = (prices[:, None, :] @ c[:, :, None])[:, 0]
+    return (prefix + rewards * deployed - revenue).max(axis=1)
 
 
 def _uniform(u, lo, hi):
@@ -69,7 +131,9 @@ def check_greedy_deployment(seed=0, instances=200) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        fleet, programs, c, raw = _random_instance(rng)
+        caps, rewards, prices, raw, c = _random_instance(rng)
+        fleet = fleet_from_rewards(caps, rewards)
+        programs = [ProgramSpec(id=f"p{i}", price=price) for i, price in enumerate(prices)]
         greedy = realized_cost(fleet, programs, c, raw)
         oracle = lp_deployment_oracle(fleet, programs, c, raw)
         worst = max(worst, abs(greedy - oracle))
@@ -83,13 +147,10 @@ def check_greedy_deployment(seed=0, instances=200) -> CheckResult:
 def check_max_of_affines(seed=1, points=2000) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(points):
-        fleet, programs, c, raw = _random_instance(rng)
-        cost = realized_cost(fleet, programs, c, raw)
-        best = max(
-            cost_fixed_k(fleet, programs, c, raw, k) for k in range(1, fleet.n_types + 1)
-        )
-        worst = max(worst, abs(cost - best))
+    for caps, rewards, prices, raw, c in _drawn_by_shape(rng, points):
+        cost = FleetStack(rewards, caps).row_costs(raw, prices, c)[0]
+        best = _max_of_affines(caps, rewards, prices, raw, c)
+        worst = max(worst, float(np.abs(cost - best).max()))
     return CheckResult(
         "piecewise cost = max of affine surrogates",
         worst <= 1e-9,
@@ -100,19 +161,13 @@ def check_max_of_affines(seed=1, points=2000) -> CheckResult:
 def check_midpoint_convexity(seed=2, segments=2000) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    for _ in range(segments):
-        fleet, programs, _, raw = _random_instance(rng)
-        n = len(programs)
-        cap = fleet.total_capacity_mw
-        a = rng.uniform(0.0, 1.0, n)
-        b = rng.uniform(0.0, 1.0, n)
-        a *= rng.uniform(0.0, 1.0) * cap / max(a.sum(), 1e-12)
-        b *= rng.uniform(0.0, 1.0) * cap / max(b.sum(), 1e-12)
-        mid = 0.5 * (a + b)
-        gap = realized_cost(fleet, programs, mid, raw) - 0.5 * (
-            realized_cost(fleet, programs, a, raw) + realized_cost(fleet, programs, b, raw)
-        )
-        worst = max(worst, gap)
+    for caps, rewards, prices, raw, _, a, b in _drawn_by_shape(rng, segments, segment=True):
+        # cost the midpoints, then a, then b: three rows per instance, one call
+        rows = np.tile(np.arange(len(caps)), 3)
+        points = np.concatenate([0.5 * (a + b), a, b])
+        costs = FleetStack(rewards, caps).row_costs(raw[rows], prices[rows], points, rows)[0]
+        mid, at_a, at_b = costs.reshape(3, -1)
+        worst = max(worst, float((mid - 0.5 * (at_a + at_b)).max()))
     return CheckResult(
         "midpoint convexity of the slot cost",
         worst <= 1e-9,

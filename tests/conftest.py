@@ -18,7 +18,12 @@ def rng():
 
 
 def random_instance(rng, k_max=4, n_max=3, cap_scale=100.0):
-    """Random small (fleet, programs, profile, effective eps) quadruple."""
+    """Random small (fleet, programs, profile, effective eps) quadruple.
+
+    At the default sizes this is the scalar draw that ``verify._random_instance``
+    replaces with one block per instance; ``test_verify_draws.py`` holds the two
+    to the same stream.
+    """
     k = int(rng.integers(1, k_max + 1))
     n = int(rng.integers(1, n_max + 1))
     caps = rng.uniform(1.0, cap_scale, k)

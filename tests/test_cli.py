@@ -114,6 +114,33 @@ def test_unreadable_trace_exit_code(traces_dir, tmp_path, capsys):
     assert not failures, "\n".join(failures)
 
 
+def test_negative_seed_exit_code(traces_dir, tmp_path, capsys):
+    # every command takes --seed; a negative one is a validation error, not a
+    # numerical failure deep in numpy or a run recorded under that seed
+    fleet_programs = ["--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json"]
+    traces = ["--traces-market", traces_dir / "market.csv", "--traces-as", traces_dir / "as.csv"]
+    commands = [
+        ["synthesize-traces", "--spec", CONFIGS / "synthesis_week.json"],
+        ["solve-offline", *fleet_programs],
+        ["solve-offline", *fleet_programs, *traces],
+        ["solve-reg", "--config", CONFIGS / "reg.json"],
+        ["solve-risk", "--config", CONFIGS / "risk.json"],
+        ["simulate-online", *fleet_programs, *traces],
+        ["compare-strategies", *fleet_programs, *traces],
+        ["verify", "--fast"],
+    ]
+    failures = []
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"o{i}"
+        rc = main([str(a) for a in [*argv, "--seed", "-1", "--out", out]])
+        err = capsys.readouterr().err
+        if rc != 2 or "seed must be >= 0, got -1" not in err or out.exists():
+            failures.append(f"{argv[0]}: exit {rc}: {err.strip()}")
+    assert not failures, "\n".join(failures)
+    proc = run_cli("solve-reg", "--config", CONFIGS / "reg.json", "--seed", "-3", "--out", tmp_path / "p", check=False)
+    assert proc.returncode == 2 and "seed must be >= 0, got -3" in proc.stderr
+
+
 # Every shipped config, the command that reads it, a required field and a
 # numeric field (paths into the decoded JSON) and the message a missing field gives.
 MALFORMED_CONFIGS = {

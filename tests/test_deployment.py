@@ -16,7 +16,7 @@ from minerflex import (
     fleet_from_rewards,
     realized_cost,
 )
-from minerflex.deployment import SlotBatch, realized_cost_batch, slot_cost
+from minerflex.deployment import FleetStack, SlotBatch, realized_cost_batch, slot_cost
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
 
@@ -339,3 +339,47 @@ def test_slot_rows_match_one_slot_calls(rng):
             assert isinstance(cost, float)
             assert np.float64(cost).tobytes() == costs[i].tobytes(), f"slot {t}"
             assert grad.tobytes() == grads[i].tobytes(), f"slot {t}"
+
+
+
+def test_fleet_stack_row_costs_match_one_slot_cost(rng):
+    # rows of different capacity totals (which no SlotBatch can hold), K of 1-4
+    # padded to one width, N of 1-3; deployment totals exactly on every break,
+    # at zero, at the fleet's full capacity and inside
+    fleets = []
+    for k in range(1, 5):
+        for _ in range(3):
+            rewards = np.sort(rng.uniform(0.0, 200.0, k)) + np.arange(k) * 1e-6
+            fleets.append(fleet_from_rewards(rng.uniform(1.0, 100.0, k), rewards))
+    stack = FleetStack.of(fleets)
+    assert len(set(stack.cum_capacities[:, -1].tolist())) == len(fleets)
+    for n in range(1, 4):
+        rows, eps, prices, profiles, full = [], [], [], [], []
+        for f, fleet in enumerate(fleets):
+            cap = fleet.total_capacity_mw
+            full.append(len(rows) + fleet.n_types)
+            # one program deploys exactly c[0]: zero, each break (the last is the full capacity)
+            for d in [0.0, *fleet.cum_capacities.tolist()]:
+                rows.append(f)
+                eps.append(np.append(1.0, rng.uniform(0.0, 1.0, n - 1)))
+                profiles.append(np.append(d, np.zeros(n - 1)))
+            for c in rng.dirichlet(np.ones(n + 1), 4)[:, :n] * cap:
+                rows.append(f)
+                eps.append(rng.uniform(0.0, 1.0, n))
+                profiles.append(c)
+        rows, eps, profiles = np.array(rows), np.array(eps), np.array(profiles)
+        prices = rng.uniform(0.0, 60.0, eps.shape)
+        assert [float(eps[i] @ profiles[i]) for i in full] == stack.cum_capacities[:, -1].tolist()
+        perm = rng.permutation(len(rows))
+        calls = [
+            (rows[perm], perm, stack.row_costs(eps[perm], prices[perm], profiles[perm], rows[perm])),
+            (np.arange(len(fleets)), full, stack.row_costs(eps[full], prices[full], profiles[full])),
+        ]
+        for fleet_rows, picked, (costs, slopes) in calls:
+            assert costs.shape == slopes.shape == (len(picked),)
+            for i, (f, t) in enumerate(zip(fleet_rows, picked)):
+                fleet, c, e = fleets[f], profiles[t], eps[t]
+                programs = [ProgramSpec(id=f"p{j}", price=float(x)) for j, x in enumerate(prices[t])]
+                cost = realized_cost(fleet, programs, c, e)
+                assert np.float64(cost).tobytes() == costs[i].tobytes(), f"N={n}, fleet {f}, row {t}"
+                assert slopes[i] == fleet.rewards[critical_type(fleet, float(e @ c)) - 1], f"N={n}, row {t}"

@@ -1,0 +1,157 @@
+"""verify's block-drawn random instances against the scalar draws they replace.
+
+The three piecewise-cost checks (greedy deployment, max of affines, midpoint
+convexity) draw each instance from one ``rng.random`` block and cost whole
+groups of instances through ``FleetStack.row_costs``. The scalar references
+here draw with one ``rng.uniform`` call per quantity (``conftest.random_instance``
+is the scalar instance draw) and cost one slot at a time, as the checks used
+to. A check's detail alone cannot pin the stream: the max-of-affines detail
+reads 0.000e+00 whatever the instances are, so the drawn arrays and the
+generator state are compared too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from minerflex import ProgramSpec, cost_fixed_k, fleet_from_rewards, lp_deployment_oracle, realized_cost
+from minerflex import verify
+from minerflex.programs import prices_of
+from minerflex.verify import CheckResult
+
+from conftest import random_instance
+
+
+def scalar_segment(rng):
+    """The midpoint check's scalar draw: an instance, then the ends a and b of a segment."""
+    fleet, programs, c, raw = random_instance(rng)
+    n = len(programs)
+    cap = fleet.total_capacity_mw
+    a = rng.uniform(0.0, 1.0, n)
+    b = rng.uniform(0.0, 1.0, n)
+    a *= rng.uniform(0.0, 1.0) * cap / max(a.sum(), 1e-12)
+    b *= rng.uniform(0.0, 1.0) * cap / max(b.sum(), 1e-12)
+    return fleet, programs, c, raw, a, b
+
+
+def scalar_greedy(seed, instances):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(instances):
+        fleet, programs, c, raw = random_instance(rng)
+        greedy = realized_cost(fleet, programs, c, raw)
+        oracle = lp_deployment_oracle(fleet, programs, c, raw)
+        worst = max(worst, abs(greedy - oracle))
+    return CheckResult(
+        "greedy deployment vs LP vertex oracle",
+        worst <= 1e-9,
+        f"max |diff| = {worst:.3e} over {instances} instances",
+    )
+
+
+def scalar_max_of_affines(seed, points):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(points):
+        fleet, programs, c, raw = random_instance(rng)
+        cost = realized_cost(fleet, programs, c, raw)
+        best = max(cost_fixed_k(fleet, programs, c, raw, k) for k in range(1, fleet.n_types + 1))
+        worst = max(worst, abs(cost - best))
+    return CheckResult(
+        "piecewise cost = max of affine surrogates",
+        worst <= 1e-9,
+        f"max |diff| = {worst:.3e} over {points} points",
+    )
+
+
+def scalar_midpoint(seed, segments):
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    for _ in range(segments):
+        fleet, programs, _, raw, a, b = scalar_segment(rng)
+        mid = 0.5 * (a + b)
+        gap = realized_cost(fleet, programs, mid, raw) - 0.5 * (
+            realized_cost(fleet, programs, a, raw) + realized_cost(fleet, programs, b, raw)
+        )
+        worst = max(worst, gap)
+    return CheckResult(
+        "midpoint convexity of the slot cost",
+        worst <= 1e-9,
+        f"max violation = {worst:.3e} over {segments} segments",
+    )
+
+
+def as_tuple(result):
+    return result.name, bool(result.passed), result.detail
+
+
+@pytest.mark.parametrize("segment", [False, True], ids=["instance", "segment"])
+@pytest.mark.parametrize("seed", range(6))
+def test_drawn_arrays_and_stream_match_scalar_draws(seed, segment):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    shapes = set()
+    for i in range(400):
+        if segment:
+            fleet, programs, *ref_vectors = scalar_segment(ref_rng)
+        else:
+            fleet, programs, *ref_vectors = random_instance(ref_rng)
+        caps, rewards, prices, raw, c, *ends = verify._random_instance(rng, segment=segment)
+        ref = [fleet.capacities, fleet.rewards, prices_of(programs), ref_vectors[1], ref_vectors[0], *ref_vectors[2:]]
+        got = [caps, rewards, prices, raw, c, *ends]
+        assert len(got) == len(ref), f"instance {i}"
+        for name, x, y in zip(("caps", "rewards", "prices", "raw", "c", "a", "b"), ref, got):
+            assert np.asarray(y, dtype=float).tobytes() == np.asarray(x).tobytes(), f"instance {i}: {name}"
+        assert math.fsum(caps) == fleet.total_capacity_mw
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, f"instance {i}"
+        shapes.add((len(caps), len(prices)))
+    assert shapes == {(k, n) for k in range(1, 5) for n in range(1, 4)}
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
+@pytest.mark.parametrize("seed", range(6))
+def test_checks_match_scalar_checks(seed, fast):
+    # the sizes and seed offsets of run_verify
+    greedy, points = (100, 800) if fast else (200, 2000)
+    assert as_tuple(verify.check_greedy_deployment(seed, greedy)) == as_tuple(scalar_greedy(seed, greedy))
+    assert as_tuple(verify.check_max_of_affines(seed + 1, points)) == as_tuple(
+        scalar_max_of_affines(seed + 1, points)
+    )
+    assert as_tuple(verify.check_midpoint_convexity(seed + 2, points)) == as_tuple(
+        scalar_midpoint(seed + 2, points)
+    )
+
+
+def test_max_of_affines_reference_matches_surrogates():
+    # the check's reference, row by row, is the max over the instance's own K
+    # surrogates of cost_fixed_k, bit for bit
+    rng = np.random.default_rng(11)
+    for caps, rewards, prices, raw, c in verify._drawn_by_shape(rng, 600):
+        best = verify._max_of_affines(caps, rewards, prices, raw, c)
+        assert best.shape == (len(caps),)
+        for i in range(len(caps)):
+            fleet = fleet_from_rewards(caps[i], rewards[i])
+            programs = [ProgramSpec(id=f"p{j}", price=float(p)) for j, p in enumerate(prices[i])]
+            ref = max(cost_fixed_k(fleet, programs, c[i], raw[i], k) for k in range(1, fleet.n_types + 1))
+            assert np.float64(ref).tobytes() == best[i].tobytes(), f"row {i} of K={caps.shape[1]}"
+
+
+def test_drawn_by_shape_groups_every_instance_once_in_draw_order():
+    # more than one pass, the last one short
+    count = 2 * verify.DRAW_PASS + 37
+    ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
+    drawn = [verify._random_instance(ref_rng, segment=True) for _ in range(count)]
+    groups = list(verify._drawn_by_shape(rng, count, segment=True))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sum(len(g[0]) for g in groups) == count
+    seen = 0
+    for start in range(0, count, verify.DRAW_PASS):
+        passed = drawn[start : start + verify.DRAW_PASS]
+        shapes = list(dict.fromkeys((len(inst[0]), len(inst[2])) for inst in passed))
+        for shape, group in zip(shapes, groups[seen : seen + len(shapes)]):
+            members = [inst for inst in passed if (len(inst[0]), len(inst[2])) == shape]
+            assert group[0].shape[1] == shape[0] and group[2].shape[1] == shape[1]
+            for field, stacked in enumerate(group):
+                assert np.array([inst[field] for inst in members]).tobytes() == stacked.tobytes()
+        seen += len(shapes)
+    assert seen == len(groups)
