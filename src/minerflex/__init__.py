@@ -31,8 +31,6 @@ from .online import (
     OgdConfig,
     RegretReport,
     hindsight_optimum,
-    ogd_step,
-    regret_bound,
     run_online,
 )
 from .oracle import (

@@ -171,7 +171,11 @@ def _parse_risk(cfg: dict, with_stats: bool):
             for p in entries
         ]
     ids = [str(p["id"]) for p in entries]
-    return float(cfg["reward_rate"]), float(cfg["cap"]), float(cfg.get("risk_weight", 0.0)), ids, stats
+    r, cap = float(cfg["reward_rate"]), float(cfg["cap"])
+    for name, value in (("reward_rate", r), ("cap", cap)):
+        if value < 0.0:
+            raise InvalidInputError(f"{name} must be >= 0, got {value}")
+    return r, cap, float(cfg.get("risk_weight", 0.0)), ids, stats
 
 
 def _parametric_fleet(machines: list[MachineType], economics) -> FleetSpec:

@@ -356,41 +356,20 @@ class FleetStack:
 class SlotBatch(FleetStack):
     """Per-slot fleet tables, effective rates and prices for vectorized costs.
 
-    Built by :func:`minerflex.traces.slot_batch` or :meth:`from_arrays`.
-    ``quoted_prices`` are the prices as given; ``eps`` (the effective
-    ``raw_eps``) and ``prices`` are zeroed where ``missing``.
+    Built from (T, K) fleet tables and (T, N) columns, as
+    :func:`minerflex.traces.slot_batch` builds it; ``cap`` is slot 0's exact
+    capacity sum. ``quoted_prices`` are the prices as given; ``eps`` (the
+    effective ``raw_eps``) and ``prices`` are zeroed where ``missing``.
     """
 
-    def __init__(self, fleets, programs_seq, samples, cap, missing_masks=None):
-        """Adapter from one canonical fleet, program list and raw rate vector per slot."""
-        if not len(fleets) == len(programs_seq) == len(samples) > 0:
-            raise InvalidInputError("need at least one round and equal-length per-round inputs")
-        n, raw = len(programs_seq[0]), [as_vector(sample, "sample") for sample in samples]
-        for t, (programs, row) in enumerate(zip(programs_seq, raw)):
-            if not len(programs) == row.size == n:
-                raise InvalidInputError(f"round {t}: expected {n} programs and deployment rates")
-        masks = [None] * len(fleets) if missing_masks is None else missing_masks
-        stack = FleetStack.of(fleets)
-        prices = np.array([prices_of(programs) for programs in programs_seq])
-        down = np.array([[spec.direction == "down" for spec in programs] for programs in programs_seq])
-        missing = np.array([np.zeros(n, dtype=bool) if m is None else m for m in masks], dtype=bool)
-        self._bind(stack.rewards, stack.capacities, prices, np.array(raw), down, missing, cap)
-
-    @classmethod
-    def from_arrays(cls, rewards, capacities, prices, raw_eps, down, missing) -> "SlotBatch":
-        """From (T, K) fleet tables and (T, N) columns; ``cap`` is slot 0's exact capacity sum."""
-        batch = cls.__new__(cls)
-        batch._bind(rewards, capacities, prices, raw_eps, down, missing, None)
-        return batch
-
-    def _bind(self, rewards, capacities, prices, raw_eps, down, missing, cap):
+    def __init__(self, rewards, capacities, prices, raw_eps, down, missing):
         # C order keeps every sum over slots sequential, whatever layout the caller left
         prices, raw_eps, down, missing = map(np.ascontiguousarray, (prices, raw_eps, down, missing))
         T, n = raw_eps.shape
         if T == 0 or {prices.shape, down.shape, missing.shape} != {(T, n)} or not len(rewards) == len(capacities) == T:
             raise InvalidInputError("slot tables need at least one round and one row per round")
-        FleetStack.__init__(self, rewards, capacities)
-        self.T, self.n, self.cap = T, n, math.fsum(capacities[0]) if cap is None else cap
+        super().__init__(rewards, capacities)
+        self.T, self.n, self.cap = T, n, math.fsum(capacities[0])
         totals = self.cum_capacities[:, -1]
         off = np.flatnonzero(np.abs(totals - self.cap) > 1e-6 * max(1.0, self.cap))
         if off.size:
@@ -404,7 +383,7 @@ class SlotBatch(FleetStack):
     def take(self, rows) -> "SlotBatch":
         """The batch of the selected slots, in order."""
         tables = (self.rewards, self.capacities, self.quoted_prices, self.raw_eps, self.down, self.missing)
-        return SlotBatch.from_arrays(*(table[rows] for table in tables))
+        return SlotBatch(*(table[rows] for table in tables))
 
     def cost_and_subgradient(self, rows, c: np.ndarray):
         """Costs and subgradients r_k eps - p of slots at profiles, one profile per slot.

@@ -76,24 +76,6 @@ class RegretReport:
     bound: float
 
 
-def regret_bound(T: int, N: int, cap: float, r_max: float, p_max: float) -> float:
-    """:meth:`OgdConfig.regret_bound` for the default D and G of N programs."""
-    if min(T, N) < 1 or min(cap, r_max, p_max) <= 0:
-        raise InvalidInputError("all regret-bound arguments must be positive")
-    return OgdConfig.from_bounds(T, N, cap, r_max, p_max).regret_bound(T)
-
-
-def ogd_step(current, gradient, t: int, cfg: OgdConfig) -> Profile:
-    """One projected descent step with eta_t = D / (G sqrt(t))."""
-    if t < 1:
-        raise InvalidInputError(f"round index must be >= 1, got {t}")
-    c = np.asarray(getattr(current, "c", current), dtype=float)
-    g = np.asarray(gradient, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise InvalidInputError("gradient must be finite")
-    return Profile(project_simplex(c - step_size(t, cfg.diameter, cfg.grad_bound) * g, cfg.cap))
-
-
 def hindsight_optimum(batch: SlotBatch) -> tuple[Profile, float]:
     """Best fixed profile over the whole sequence, with a certified optimality gap.
 

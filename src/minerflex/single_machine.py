@@ -108,6 +108,8 @@ def risk_aware_solve(
     """
     if not programs:
         raise InvalidInputError("need at least one program")
+    if not (r >= 0.0 and cap >= 0.0):  # a negative cap would never close the bracket below
+        raise InvalidInputError(f"reward and cap must be >= 0, got {r}, {cap}")
     w = risk.risk_weight
     a = _unit_costs(programs, r)
     b = np.array([w * r**2 * s.var_eps for s in programs])

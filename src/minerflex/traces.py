@@ -535,19 +535,6 @@ def programs_for_record(
     ]
 
 
-def deployment_for(
-    traces: Traces, t: int, programs: Sequence[ProgramSpec]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(eps with zeros at holes, boolean missing mask) of the configured programs at slot t.
-
-    Columns follow the programs' order, matched by id like the prices of
-    :func:`programs_for_record`.
-    """
-    deps = traces.deployment[t, traces.columns(programs)]
-    missing = np.isnan(deps)
-    return np.where(missing, 0.0, deps), missing
-
-
 def reward_matrix(traces: Traces, fleet_config, clamp_negative=False) -> np.ndarray:
     """(T, M) rewards of the configured machines; the float ops and errors of :func:`per_slot_rewards`."""
     no_intensity = np.array([m.energy_intensity is None for m in fleet_config])
@@ -583,4 +570,4 @@ def slot_batch(traces: Traces, fleet_config, programs, clamp_negative=False) -> 
     deployment = traces.deployment[:, cols]
     missing = np.isnan(deployment)
     down = np.broadcast_to([p.direction == "down" for p in programs], missing.shape)
-    return SlotBatch.from_arrays(rewards, capacities, prices, np.where(missing, 0.0, deployment), down, missing)
+    return SlotBatch(rewards, capacities, prices, np.where(missing, 0.0, deployment), down, missing)

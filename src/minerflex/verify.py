@@ -381,9 +381,7 @@ def regret_slots(rng, horizon: int) -> SlotBatch:
     rewards = np.sort(_uniform(u[:, 0:2], 0.0, 200.0), axis=1) + np.array([0.0, 1e-9])
     flags = np.zeros((horizon, 2), dtype=bool)
     caps = np.tile([150.0, 100.0], (horizon, 1))
-    return SlotBatch.from_arrays(
-        rewards, caps, _uniform(u[:, 2:4], 0.0, 60.0), _uniform(u[:, 4:6], 0.0, 1.0), flags, flags
-    )
+    return SlotBatch(rewards, caps, _uniform(u[:, 2:4], 0.0, 60.0), _uniform(u[:, 4:6], 0.0, 1.0), flags, flags)
 
 
 def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:

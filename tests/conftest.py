@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from minerflex import ProgramSpec, fleet_from_rewards
+from minerflex import InvalidInputError, ProgramSpec, fleet_from_rewards
+from minerflex.deployment import FleetStack, SlotBatch, as_vector
+from minerflex.programs import prices_of
 
 
 @pytest.fixture
@@ -37,3 +39,26 @@ def random_instance(rng, k_max=4, n_max=3, cap_scale=100.0):
     c = rng.uniform(0.0, 1.0, n)
     c *= rng.uniform(0.0, 1.0) * fleet.total_capacity_mw / max(c.sum(), 1e-12)
     return fleet, programs, c, raw
+
+
+def slot_batch_of(fleets, programs_seq, samples, cap, missing_masks=None):
+    """A :class:`SlotBatch` from one canonical fleet, program list and raw rate vector per slot.
+
+    ``cap`` must be the batch's own capacity, slot 0's exact capacity sum;
+    ``missing_masks`` holds one boolean mask or None per slot.
+    """
+    if not len(fleets) == len(programs_seq) == len(samples) > 0:
+        raise InvalidInputError("need at least one round and equal-length per-round inputs")
+    n, raw = len(programs_seq[0]), [as_vector(sample, "sample") for sample in samples]
+    for t, (programs, row) in enumerate(zip(programs_seq, raw)):
+        if not len(programs) == row.size == n:
+            raise InvalidInputError(f"round {t}: expected {n} programs and deployment rates")
+    masks = [None] * len(fleets) if missing_masks is None else missing_masks
+    stack = FleetStack.of(fleets)
+    prices = np.array([prices_of(programs) for programs in programs_seq])
+    down = np.array([[spec.direction == "down" for spec in programs] for programs in programs_seq])
+    missing = np.array([np.zeros(n, dtype=bool) if m is None else m for m in masks], dtype=bool)
+    batch = SlotBatch(stack.rewards, stack.capacities, prices, np.array(raw), down, missing)
+    if batch.cap != cap:
+        raise InvalidInputError(f"fleet capacity {batch.cap} != cap {cap}")
+    return batch

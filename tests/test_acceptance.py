@@ -40,7 +40,6 @@ from minerflex import (
     lp_deployment_oracle,
     profile_risk,
     realized_cost,
-    regret_bound,
     risk_aware_solve,
     run_online,
     sample_joint,
@@ -48,7 +47,7 @@ from minerflex import (
     suboptimality_bound,
     synthesize_traces,
 )
-from minerflex.deployment import SlotBatch, realized_cost_batch
+from minerflex.deployment import realized_cost_batch
 from minerflex.oracle import draw_effective_samples, mc_expected_cost
 from minerflex.programs import prices_of
 from minerflex.regulation import (
@@ -59,6 +58,8 @@ from minerflex.regulation import (
     up_cost_within_first,
 )
 from minerflex.traces import load_synthesis_spec
+
+from conftest import slot_batch_of
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -331,13 +332,13 @@ def _bounded_rounds(rng, horizon, r_max=200.0, p_max=60.0):
 def test_criterion_7_online_regret():
     t0 = time.time()
     horizon, n = 500, 2
-    bound = regret_bound(horizon, n, 250.0, 200.0, 60.0)
     cfg = OgdConfig.from_bounds(horizon, n, 250.0, 200.0, 60.0, learners=1)
+    bound = cfg.regret_bound(horizon)
     rng = np.random.default_rng(108)
     worst_ratio = -math.inf
     all_bounded = True
     for _ in range(200):
-        _, _, rep = run_online(SlotBatch(*_bounded_rounds(rng, horizon), 250.0), cfg)
+        _, _, rep = run_online(slot_batch_of(*_bounded_rounds(rng, horizon), 250.0), cfg)
         all_bounded &= rep.static_regret <= bound
         worst_ratio = max(worst_ratio, rep.static_regret / bound)
 
@@ -365,10 +366,10 @@ def test_criterion_7_online_regret():
         fleets *= horizon
         programs_seq *= horizon
         samples *= horizon
-        _, played, rep = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
+        _, played, rep = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
 
         def prefix_regret(t):
-            arrays = SlotBatch(fleets[:t], programs_seq[:t], samples[:t], 250.0)
+            arrays = slot_batch_of(fleets[:t], programs_seq[:t], samples[:t], 250.0)
             prefix_opt, _ = hindsight_optimum(arrays)
             return float(played[:t].sum() - arrays.total_costs(prefix_opt.c[None, :])[0])
 

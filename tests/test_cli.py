@@ -13,11 +13,12 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 
 
-def run_cli(*argv, check=True):
+def run_cli(*argv, check=True, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "minerflex.cli", *map(str, argv)],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -306,6 +307,32 @@ def test_solve_risk_zero_weight_matches_linear_rule(tmp_path):
     # zero weight reduces to the vertex rule: all capacity on the cheapest program
     assert values["regup"] == 250.0
     assert values["presp"] == 0.0
+
+
+@pytest.mark.parametrize("field", ["cap", "reward_rate"])
+def test_solve_risk_negative_field_exit_code(tmp_path, field):
+    # a negative cap once left the risk solve's bracket search doubling forever;
+    # a subprocess with a timeout turns a hang into a failure
+    config = tmp_path / "risk.json"
+    config.write_text(json.dumps(_edit(json.loads((CONFIGS / "risk.json").read_text()), (field,), -1)))
+    for weight in ([], ["--risk-weight", 0], ["--risk-weight", 1]):
+        proc = run_cli("solve-risk", "--config", config, *weight, "--out", tmp_path / "o", check=False, timeout=60)
+        assert proc.returncode == 2, (weight, proc.stderr)
+        assert proc.stderr.startswith(f"error: {config}: {field} must be >= 0, got -1.0"), proc.stderr
+    assert not (tmp_path / "o" / "profile.csv").exists()
+
+
+def test_negative_as_price_exit_code(traces_dir, tmp_path, capsys):
+    rows = (traces_dir / "as.csv").read_text().splitlines(keepends=True)
+    at = next(i for i, row in enumerate(rows) if row.startswith("2022-04-04T03:00:00Z,presp,"))
+    rows[at] = "2022-04-04T03:00:00Z,presp,-1.5," + rows[at].rsplit(",", 1)[1]
+    (tmp_path / "as.csv").write_text("".join(rows))
+    traces = ["--traces-market", traces_dir / "market.csv", "--traces-as", tmp_path / "as.csv"]
+    fleet_programs = ["--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json"]
+    for command in ("solve-offline", "simulate-online", "compare-strategies"):
+        rc = main([str(a) for a in [command, *fleet_programs, *traces, "--out", tmp_path / command]])
+        err = capsys.readouterr().err
+        assert rc == 2 and "program 'presp': price must be >= 0, got -1.5" in err, (command, err)
 
 
 def test_simulate_online_outputs(traces_dir, tmp_path):

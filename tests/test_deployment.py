@@ -16,11 +16,11 @@ from minerflex import (
     fleet_from_rewards,
     realized_cost,
 )
-from minerflex.deployment import FleetStack, SlotBatch, realized_cost_batch, slot_cost
+from minerflex.deployment import FleetStack, realized_cost_batch, slot_cost
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
 
-from conftest import random_instance
+from conftest import random_instance, slot_batch_of
 
 
 def brute_force_deployment_cost(fleet, programs, c, eps, step):
@@ -267,7 +267,7 @@ def test_batch_matches_scalar(rng):
         ])
         samples.append(rng.uniform(0.0, 1.0, 3))
         masks.append(np.array([False, t % 2 == 0, True]) if t % 3 == 0 else None)
-    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
+    batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
     cands = np.array([[60.0, 80.0, 40.0], [100.0, 100.0, 50.0]])
     costs = batch.costs_for(cands)
     for b, c in enumerate(cands):
@@ -327,7 +327,7 @@ def test_slot_rows_match_one_slot_calls(rng):
         ])
         samples.append(np.where(rng.random(3) < 0.2, 1.0, rng.uniform(0.0, 1.0, 3)))
         masks.append(rng.random(3) < 0.25 if t % 3 == 0 else None)
-    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
+    batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
     profiles = rng.dirichlet(np.ones(4), 40)[:, :3] * 250.0
     profiles[::5] = 0.0
     profiles[1::5] = [250.0, 0.0, 0.0]

@@ -45,6 +45,29 @@ def test_only_the_config_boundary_decodes_json():
     assert not offenders
 
 
+def test_no_unused_imports():
+    """Every name a module imports is used in it, unless its line is marked ``# noqa: F401``.
+
+    ``__init__.py`` is left out: its imports are the package's exports.
+    """
+    offenders = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text().splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert not offenders
+
+
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports this checkout's package."""
     import_root = str(Path(minerflex.__file__).resolve().parent.parent)

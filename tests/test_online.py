@@ -13,14 +13,14 @@ from minerflex import (
     ProgramSpec,
     fleet_from_rewards,
     hindsight_optimum,
-    ogd_step,
-    regret_bound,
     run_online,
 )
 from minerflex import verify
-from minerflex.deployment import Profile, SlotBatch, project_simplex, slot_cost
+from minerflex.deployment import Profile, project_simplex, slot_cost
 from minerflex.online import per_round_costs
 from minerflex.verify import check_online_regret
+
+from conftest import slot_batch_of
 
 
 def random_rounds(rng, horizon, caps=(150.0, 100.0), r_max=200.0, p_max=60.0, n=2):
@@ -88,7 +88,7 @@ def test_waves_match_the_serial_loop(rng):
     fleets, programs_seq, samples = random_rounds(rng, horizon, caps=(90.0, 60.0, 100.0), p_max=150.0, n=3)
     programs_seq = [[ps[0], dataclasses.replace(ps[1], direction="down"), ps[2]] for ps in programs_seq]
     masks = [rng.random(3) < 0.3 if t % 4 == 0 else None for t in range(horizon)]
-    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
+    batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
     start = datetime(2022, 3, 1, 17, tzinfo=timezone.utc)
     stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.choice([20, 60, 150], horizon))]
     for learners, timestamps in ((24, stamps), (7, stamps), (5, None), (1, None), (40, None)):
@@ -97,40 +97,55 @@ def test_waves_match_the_serial_loop(rng):
 
 
 def test_regret_bound_values():
-    assert regret_bound(100, 2, 250.0, 200.0, 50.0) == pytest.approx(1_500_000.0)
-    assert regret_bound(400, 2, 250.0, 200.0, 50.0) == pytest.approx(3_000_000.0)
-    assert regret_bound(1, 1, 250.0, 200.0, 50.0) == pytest.approx(1.5 * 250.0 * 200.0)
+    def bound(T, N):
+        return OgdConfig.from_bounds(T, N, 250.0, 200.0, 50.0).regret_bound(T)
+
+    assert bound(100, 2) == pytest.approx(1_500_000.0)
+    assert bound(400, 2) == pytest.approx(3_000_000.0)
+    assert bound(1, 1) == pytest.approx(1.5 * 250.0 * 200.0)
 
 
 def test_regret_bound_validation():
-    with pytest.raises(InvalidInputError):
-        regret_bound(0, 2, 250.0, 200.0, 50.0)
+    for T, N, cap in ((0, 2, 250.0), (100, 0, 250.0), (100, 2, 0.0)):
+        with pytest.raises(InvalidInputError):
+            OgdConfig.from_bounds(T, N, cap, 200.0, 50.0).regret_bound(T)
 
 
-def test_ogd_step_zero_gradient():
-    cfg = OgdConfig(horizon=10, grad_bound=100.0, diameter=250.0, cap=250.0)
-    out = ogd_step(np.array([10.0, 20.0]), np.zeros(2), 3, cfg)
-    np.testing.assert_allclose(out.c, [10.0, 20.0])
+def constant_gradient_rounds(prices_seq):
+    """Slots of a 150 + 100 MW fleet with no deployment (eps = 0): slot t's subgradient is -prices_seq[t]."""
+    horizon, fleet = len(prices_seq), fleet_from_rewards([150.0, 100.0], [50.0, 180.0])
+    programs_seq = [[ProgramSpec(id=f"p{i}", price=p) for i, p in enumerate(prices)] for prices in prices_seq]
+    return slot_batch_of([fleet] * horizon, programs_seq, [np.zeros(len(prices_seq[0]))] * horizon, 250.0)
 
 
-def test_ogd_step_constant_gradient_reaches_face():
+def test_online_zero_gradient_keeps_the_profile():
+    # three rounds at -p move the learner inside the simplex; zero-price rounds
+    # then have a zero subgradient, so every later round plays the same profile
+    batch = constant_gradient_rounds([[10.0, 20.0]] * 3 + [[0.0, 0.0]] * 7)
+    cfg = OgdConfig.from_bounds(10, 2, 250.0, 200.0, 50.0, learners=1)
+    played, _, _ = run_online(batch, cfg)
+    assert 0.0 < played[3].sum() < 250.0
+    for c in played[4:]:
+        assert c.tobytes() == played[3].tobytes()
+
+
+def test_online_constant_gradient_reaches_face():
+    batch = constant_gradient_rounds([[30.0, 50.0]] * 1000)
     cfg = OgdConfig.from_bounds(1000, 2, 250.0, r_max=200.0, p_max=50.0, learners=1)
-    c = np.zeros(2)
-    for t in range(1, 1001):
-        c = ogd_step(c, np.array([-30.0, -50.0]), t, cfg).c
-    assert c.sum() == pytest.approx(250.0, rel=1e-9)
+    played, _, _ = run_online(batch, cfg)
+    assert played[-1].sum() == pytest.approx(250.0, rel=1e-9)
 
 
-def test_ogd_step_outputs_feasible(rng):
-    cfg = OgdConfig(horizon=50, grad_bound=100.0, diameter=math.sqrt(2) * 250.0, cap=250.0)
-    c = np.zeros(3)
-    for t in range(1, 51):
-        c = ogd_step(c, rng.normal(0.0, 80.0, 3), t, cfg).c
-        assert np.all(c >= 0.0) and c.sum() <= 250.0 + 1e-9
+def test_online_plays_feasible_profiles(rng):
+    batch = slot_batch_of(*random_rounds(rng, 200, p_max=150.0, n=3), 250.0)
+    for learners in (1, 24):
+        cfg = OgdConfig.from_bounds(200, 3, 250.0, 200.0, 150.0, learners=learners)
+        played, _, _ = run_online(batch, cfg)
+        assert np.all(played >= 0.0) and np.all(played.sum(axis=1) <= 250.0 + 1e-9)
 
 
 def test_single_round_regret_nonnegative(rng):
-    batch = SlotBatch(*random_rounds(rng, 1), 250.0)
+    batch = slot_batch_of(*random_rounds(rng, 1), 250.0)
     cfg = OgdConfig.from_bounds(1, 2, 250.0, 200.0, 60.0, learners=1)
     _, _, report = run_online(batch, cfg)
     assert report.static_regret >= -1e-6 * max(1.0, abs(report.static_regret))
@@ -139,9 +154,9 @@ def test_single_round_regret_nonnegative(rng):
 def test_stationary_convergence(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 400)
     cfg = OgdConfig.from_bounds(400, 2, 250.0, 200.0, 60.0, learners=1)
-    played, _, report = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
+    played, _, report = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
     # average regret decays and the late profiles approach the per-round argmin
-    arrays = SlotBatch(fleets[:1], programs_seq[:1], samples[:1], 250.0)
+    arrays = slot_batch_of(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 501)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
@@ -159,8 +174,8 @@ def test_stationary_interior_kink_convergence():
     # after, so the optimum sits at the interior kink c = cap_1.
     fleet = fleet_from_rewards([150.0, 100.0], [50.0, 180.0])
     horizon = 600
-    batch = SlotBatch([fleet] * horizon, [[ProgramSpec(id="p", price=100.0)]] * horizon,
-                      [np.array([1.0])] * horizon, 250.0)
+    batch = slot_batch_of([fleet] * horizon, [[ProgramSpec(id="p", price=100.0)]] * horizon,
+                          [np.array([1.0])] * horizon, 250.0)
     cfg = OgdConfig.from_bounds(horizon, 1, 250.0, 180.0, 100.0, learners=1)
     played, _, _ = run_online(batch, cfg)
     eta_late = cfg.diameter / (cfg.grad_bound * math.sqrt(horizon))
@@ -170,7 +185,7 @@ def test_stationary_interior_kink_convergence():
 
 def test_static_regret_below_bound_random(rng):
     for _ in range(10):
-        batch = SlotBatch(*random_rounds(rng, 120), 250.0)
+        batch = slot_batch_of(*random_rounds(rng, 120), 250.0)
         cfg = OgdConfig.from_bounds(120, 2, 250.0, 200.0, 60.0, learners=1)
         played, _, report = run_online(batch, cfg)
         assert report.static_regret <= report.bound
@@ -186,13 +201,13 @@ def test_per_hour_isolation(rng):
     start = datetime(2022, 1, 1, tzinfo=timezone.utc)
     stamps = [start + timedelta(hours=i) for i in range(horizon)]
     cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=24)
-    played, _, _ = run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg, timestamps=stamps)
+    played, _, _ = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg, timestamps=stamps)
 
     # shuffle whole rounds while keeping each hour's internal order
     order = np.arange(horizon)
     blocks = order.reshape(4, 24).T.reshape(-1)  # interleave days
     shuffled = [int(i) for i in blocks]
-    shuffled_batch = SlotBatch(
+    shuffled_batch = slot_batch_of(
         [fleets[i] for i in shuffled],
         [programs_seq[i] for i in shuffled],
         [samples[i] for i in shuffled],
@@ -209,7 +224,7 @@ def test_per_hour_isolation(rng):
 
 def test_hindsight_matches_dense_grid(rng):
     for _ in range(3):
-        arrays = SlotBatch(*random_rounds(rng, 50), 250.0)
+        arrays = slot_batch_of(*random_rounds(rng, 50), 250.0)
         profile, _ = hindsight_optimum(arrays)
         value = float(arrays.total_costs(profile.c[None, :])[0])
         axis = np.linspace(0.0, 250.0, 500)
@@ -221,8 +236,8 @@ def test_hindsight_matches_dense_grid(rng):
 
 def test_hindsight_identical_rounds_single_round_argmin(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 30)
-    profile, _ = hindsight_optimum(SlotBatch(fleets, programs_seq, samples, 250.0))
-    arrays = SlotBatch(fleets[:1], programs_seq[:1], samples[:1], 250.0)
+    profile, _ = hindsight_optimum(slot_batch_of(fleets, programs_seq, samples, 250.0))
+    arrays = slot_batch_of(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 800)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
@@ -232,7 +247,7 @@ def test_hindsight_identical_rounds_single_round_argmin(rng):
 
 
 def test_hindsight_three_programs_beats_coarse_grid(rng):
-    arrays = SlotBatch(*random_rounds(rng, 40, n=3), 250.0)
+    arrays = slot_batch_of(*random_rounds(rng, 40, n=3), 250.0)
     profile, _ = hindsight_optimum(arrays)
     value = float(arrays.total_costs(profile.c[None, :])[0])
     axis = np.linspace(0.0, 250.0, 80)
@@ -264,25 +279,25 @@ def _oracle_cases():
     for n in (1, 2, 3, 5):
         for horizon in (1, 50, 200):
             rng = np.random.default_rng(1000 * n + horizon)
-            batch = SlotBatch(*random_rounds(rng, horizon, p_max=150.0, n=n), 250.0)
+            batch = slot_batch_of(*random_rounds(rng, horizon, p_max=150.0, n=n), 250.0)
             yield pytest.param(batch, id=f"random-n{n}-T{horizon}")
     rng = np.random.default_rng(7)
     fleets, programs_seq, samples = random_rounds(rng, 60, p_max=150.0, n=3)
     masks = [rng.random(3) < 0.3 if t % 4 == 0 else None for t in range(60)]
-    yield pytest.param(SlotBatch(fleets, programs_seq, samples, 250.0, masks), id="missing")
+    yield pytest.param(slot_batch_of(fleets, programs_seq, samples, 250.0, masks), id="missing")
     fleets, programs_seq, samples = random_rounds(rng, 80, p_max=150.0, n=2)
     programs_seq = [[ps[0], dataclasses.replace(ps[1], direction="down")] for ps in programs_seq]
-    yield pytest.param(SlotBatch(fleets, programs_seq, samples, 250.0), id="down")
+    yield pytest.param(slot_batch_of(fleets, programs_seq, samples, 250.0), id="down")
     # this seed's one repeated slot has its optimum at a kink inside the c_2 edge
     stationary = stationary_rounds(np.random.default_rng(9), 100, p_max=150.0)
-    yield pytest.param(SlotBatch(*stationary, 250.0), id="stationary")
+    yield pytest.param(slot_batch_of(*stationary, 250.0), id="stationary")
     fleet = fleet_from_rewards([150.0, 100.0], [50.0, 180.0])
-    kink = SlotBatch([fleet] * 600, [[ProgramSpec(id="p", price=100.0)]] * 600, [np.array([1.0])] * 600, 250.0)
+    kink = slot_batch_of([fleet] * 600, [[ProgramSpec(id="p", price=100.0)]] * 600, [np.array([1.0])] * 600, 250.0)
     yield pytest.param(kink, id="interior-kink")
     # zero rates and zero prices: every profile costs the same
     fleets, programs_seq, _ = random_rounds(rng, 30, n=2)
     free = [[dataclasses.replace(spec, price=0.0) for spec in ps] for ps in programs_seq]
-    yield pytest.param(SlotBatch(fleets, free, [np.zeros(2)] * 30, 250.0), id="flat")
+    yield pytest.param(slot_batch_of(fleets, free, [np.zeros(2)] * 30, 250.0), id="flat")
 
 
 @pytest.mark.parametrize("batch", _oracle_cases())
@@ -300,7 +315,7 @@ def test_hindsight_matches_lp_oracle(batch):
 
 
 def test_per_round_costs_shape(rng):
-    costs = per_round_costs(SlotBatch(*random_rounds(rng, 7), 250.0), np.array([50.0, 50.0]))
+    costs = per_round_costs(slot_batch_of(*random_rounds(rng, 7), 250.0), np.array([50.0, 50.0]))
     assert costs.shape == (7,)
 
 
@@ -309,22 +324,22 @@ def test_run_online_validates_dimensions(rng):
     programs_seq[3] = programs_seq[3][:1]
     cfg = OgdConfig.from_bounds(5, 2, 250.0, 200.0, 60.0)
     with pytest.raises(InvalidInputError):
-        run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
+        run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
     fleets, programs_seq, samples = random_rounds(rng, 5)
     samples[2] = np.array([1.5, 0.2])
     with pytest.raises(InvalidInputError):
-        run_online(SlotBatch(fleets, programs_seq, samples, 250.0), cfg)
+        run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
     with pytest.raises(InvalidInputError):
-        run_online(SlotBatch(*random_rounds(rng, 5), 250.0), cfg, timestamps=[])
+        run_online(slot_batch_of(*random_rounds(rng, 5), 250.0), cfg, timestamps=[])
     with pytest.raises(InvalidInputError):
-        run_online(SlotBatch(*random_rounds(rng, 5, caps=(100.0, 100.0)), 200.0), cfg)
+        run_online(slot_batch_of(*random_rounds(rng, 5, caps=(100.0, 100.0)), 200.0), cfg)
 
 
 def test_missing_programs_are_skipped(rng):
     fleets, programs_seq, samples = random_rounds(rng, 6)
     masks = [None] * 6
     masks[2] = np.array([False, True])
-    batch = SlotBatch(fleets, programs_seq, samples, 250.0, masks)
+    batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
     cfg = OgdConfig.from_bounds(6, 2, 250.0, 200.0, 60.0, learners=1)
     played, _, _ = run_online(batch, cfg)
     assert batch.cost_and_subgradient(2, played[2])[1][1] == 0.0
@@ -346,7 +361,7 @@ def test_regret_block_draws_match_per_slot_draws(horizon):
     # draw every slot with scalar rng.uniform calls and build one fleet per slot
     ref_rng, rng = np.random.default_rng(31), np.random.default_rng(31)
     for _ in range(3):
-        ref = SlotBatch(*random_rounds(ref_rng, horizon), 250.0)
+        ref = slot_batch_of(*random_rounds(ref_rng, horizon), 250.0)
         batch = verify.regret_slots(rng, horizon)
         tables = ("rewards", "capacities", "cum_capacities", "prefix_costs", "quoted_prices",
                   "raw_eps", "down", "missing", "eps", "prices")

@@ -252,3 +252,13 @@ def test_risk_config_validation():
             RiskConfig(weight)
     with pytest.raises(InvalidInputError):
         best_program([], 10.0, 100.0)
+
+
+def test_risk_solve_rejects_a_negative_reward_or_cap():
+    # checked before the solve branches on the weight: a negative cap never closes
+    # the multiplier bracket, and a negative reward is rejected at weight 0 too
+    stats = [ProgramStats(12.0, 0.12, 0.1056), ProgramStats(30.0, 0.18, 0.0225)]
+    for weight in (0.0, 4e-4):
+        for r, cap in ((-1.0, 250.0), (150.0, -1.0)):
+            with pytest.raises(InvalidInputError, match="reward and cap must be >= 0"):
+                risk_aware_solve(stats, r, cap, RiskConfig(weight))

@@ -28,7 +28,6 @@ from minerflex import (
     write_traces,
 )
 import minerflex.traces as traces_module
-from minerflex.deployment import SlotBatch
 from minerflex.programs import EPS_KINDS, ProgramSpec, parse_eps_model
 from minerflex.regulation import joint_pair
 from minerflex.traces import (
@@ -38,12 +37,13 @@ from minerflex.traces import (
     SynthProgram,
     SynthesisSpec,
     Traces,
-    deployment_for,
     format_timestamp,
     parse_timestamp,
     programs_for_record,
     slot_batch,
 )
+
+from conftest import slot_batch_of
 
 
 UTC = timezone.utc
@@ -598,11 +598,22 @@ def _programs(ids):
     return [ProgramSpec(id=i, price=0.0, direction="down" if i == "regdn" else "up") for i in ids]
 
 
+def deployment_for(traces, t, programs):
+    """(eps with zeros at holes, boolean missing mask) of the configured programs at slot t.
+
+    Columns follow the programs' order, matched by id like the prices of
+    :func:`programs_for_record`.
+    """
+    deps = traces.deployment[t, traces.columns(programs)]
+    missing = np.isnan(deps)
+    return np.where(missing, 0.0, deps), missing
+
+
 def _scalar_batch(traces, machines, programs, clamp):
     slots = range(len(traces))
     fleets = [per_slot_rewards(traces, t, machines, clamp) for t in slots]
     columns = [deployment_for(traces, t, programs) for t in slots]
-    return SlotBatch(
+    return slot_batch_of(
         fleets,
         [programs_for_record(traces, t, programs) for t in slots],
         [eps for eps, _ in columns],
@@ -649,11 +660,15 @@ def test_slot_batch_keeps_the_scalar_errors(rng):
     negative_coin = dataclasses.replace(traces, coin_price=coin)
     # a NaN intensity raises nothing on either path, so the coin error must still surface
     nan_intensity = [MachineType("nan", 10.0, energy_intensity=math.nan), *EDGE_FLEETS["shipped"]]
+    as_prices = traces.as_prices.copy()
+    as_prices[5, 1] = -1.5
+    negative_price = dataclasses.replace(traces, as_prices=as_prices)
     cases = [
         (traces.take(range(3, len(traces))), EDGE_FLEETS["ties"], False),  # afternoon rewards below zero, unclamped
         (negative_coin, EDGE_FLEETS["shipped"], True),
         (traces, no_intensity, True),
         (negative_coin, nan_intensity, True),
+        (negative_price, EDGE_FLEETS["shipped"], True),  # the program's own price error
     ]
     programs = _programs(EDGE_PROGRAMS["given"])
     for case, machines, clamp in cases:
