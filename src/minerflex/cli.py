@@ -38,7 +38,7 @@ from .regulation import (
     joint_pair,
     solve_reg_profile,
 )
-from .sgd import SgdConfig, solve as sgd_solve, suboptimality_bound
+from .sgd import SgdConfig, solve as sgd_solve
 from .single_machine import ProgramStats, RiskConfig, profile_risk, risk_aware_solve
 from .traces import (
     estimate_stats,
@@ -248,7 +248,6 @@ def cmd_synthesize(args) -> dict:
 
 def cmd_solve_offline(args) -> dict:
     machines, programs, joint, economics, traces = _load_fleet_inputs(args)
-    n = len(programs)
     rows = []
     if traces is not None:
         report = compare_strategies(
@@ -256,15 +255,13 @@ def cmd_solve_offline(args) -> dict:
             clamp_negative=args.clamp_negative_rewards,
             sgd_iterations=args.iterations, sgd_batch=args.batch, seed=args.seed,
         )
-        batch = report.batch
         hours = np.array([ts.hour for ts in report.timestamps])
-        bound = suboptimality_bound(
-            args.iterations, n, float(batch.rewards.max()), float(batch.prices.max()), batch.cap
-        )
         for h in range(24):
             rows_h = np.nonzero(hours == h)[0]
             in_sample = float(report.hour_costs[rows_h, h].mean()) if rows_h.size else math.nan
-            rows.append([h, *map(float, report.hour_profiles[h]), in_sample, bound])
+            rows.append([h, *map(float, report.hour_profiles[h]), in_sample, float(report.hour_gaps[h])])
+        # the largest certified gap over the hours that have slots
+        bound = float(np.nanmax(report.hour_gaps))
     else:
         fleet = _parametric_fleet(machines, economics)
         sampler = _build_sampler(programs, joint)
@@ -274,6 +271,7 @@ def cmd_solve_offline(args) -> dict:
         value, _ = mc_expected_cost(fleet, programs, result.profile, eff)
         for h in range(24):
             rows.append([h, *map(float, result.profile.c), value, result.bound])
+        bound = result.bound
 
     header = ["hour", *[f"c_{p.id}" for p in programs], "expected_cost", "bound"]
     return {
@@ -282,7 +280,7 @@ def cmd_solve_offline(args) -> dict:
             "iterations": args.iterations,
             "batch": args.batch,
             "programs": [p.id for p in programs],
-            "bound": rows[0][-1],
+            "bound": bound,
         },
     }
 
@@ -452,9 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("solve-offline", help="stochastic subgradient profile optimization")
+    p = sub.add_parser(
+        "solve-offline", help="per-hour profiles: exact on traces, stochastic subgradient otherwise"
+    )
     fleet_inputs(p, traces_required=False)
-    p.add_argument("--iterations", type=int, default=10000, help="SGD iterations J (default 10000)")
+    p.add_argument("--iterations", type=int, default=10000,
+                   help="SGD iterations J (default 10000); with traces, they train only the "
+                        "pooled (fixed) profile, and each hour's profile is solved exactly")
     p.add_argument("--batch", type=int, default=10, help="samples per iteration M (default 10)")
     common(p)
     p.set_defaults(func=cmd_solve_offline)
@@ -484,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-start", type=parse_timestamp, help="ISO timestamp, inclusive")
     p.add_argument("--window-end", type=parse_timestamp, help="ISO timestamp, exclusive")
     p.add_argument("--iterations", type=int, default=2000,
-                   help="training iterations per profile (default 2000)")
+                   help="SGD iterations of the pooled (fixed) profile (default 2000); "
+                        "each hour's profile is solved exactly")
     common(p)
     p.set_defaults(func=cmd_compare)
 

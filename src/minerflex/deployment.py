@@ -311,8 +311,8 @@ def realized_cost_batch(
 class FleetStack:
     """The tables of several fleets as rows of (F, K) arrays, by ascending reward.
 
-    A type of zero capacity changes no cost, so a fleet with fewer types is padded by
-    repeating its last reward with zero capacity. Cumulative capacities and prefix
+    A type of zero capacity changes no cost, so a fleet with fewer types comes padded
+    with its last reward at zero capacity. Cumulative capacities and prefix
     costs come from :func:`~minerflex.fleet.fleet_tables`, column by column, so
     row f holds fleet f's :class:`FleetSpec` tables bit for bit.
     """
@@ -321,18 +321,6 @@ class FleetStack:
         self.rewards, self.capacities = np.ascontiguousarray(rewards), np.ascontiguousarray(capacities)
         cum, prefix = fleet_tables(self.rewards.T, self.capacities.T)
         self.cum_capacities, self.prefix_costs = np.column_stack(cum), np.column_stack(prefix)
-
-    @staticmethod
-    def of(fleets: Sequence[FleetSpec]) -> "FleetStack":
-        k = max(f.n_types for f in fleets)
-
-        def padded(row: np.ndarray, fill: float) -> np.ndarray:
-            return row if row.size == k else np.append(row, [fill] * (k - row.size))
-
-        return FleetStack(
-            np.array([padded(f.rewards, f.rewards[-1]) for f in fleets]),
-            np.array([padded(f.capacities, 0.0) for f in fleets]),
-        )
 
     def row_costs(self, eps, prices, c, rows=slice(None)):
         """Costs prefix_k + r_k d - p.c and slopes r_k of fleet rows, one profile per row.

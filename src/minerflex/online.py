@@ -90,8 +90,24 @@ def hindsight_optimum(batch: SlotBatch) -> tuple[Profile, float]:
     return Profile(c), gap
 
 
-def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, N) profiles the learner bank plays and the (T,) costs it incurs.
+def hour_optima(batch: SlotBatch, hours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each hour's best fixed profile over its own slots, with its certified gap.
+
+    Row h of the (24, N) profiles is :func:`hindsight_optimum` of the slots t
+    with ``hours[t] == h``, and entry h of the (24,) gaps its certificate. An
+    hour without a slot gets a row of NaN and a NaN gap.
+    """
+    profiles, gaps = np.full((24, batch.n), np.nan), np.full(24, np.nan)
+    for h in range(24):
+        rows = np.flatnonzero(hours == h)
+        if rows.size:
+            profile, gaps[h] = hindsight_optimum(batch.take(rows))
+            profiles[h] = profile.c
+    return profiles, gaps
+
+
+def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (T, N) profiles the learner bank plays, the (T,) costs it incurs and each learner's round count.
 
     Wave j holds every learner's j-th round, so one step size serves the whole
     wave. Within a wave, learners go by falling round count (then index); the
@@ -121,7 +137,7 @@ def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarra
         played[rows], costs[rows] = c, cost
         states[live] = project_simplex(c - step_size(j, cfg.diameter, cfg.grad_bound) * grad, cfg.cap)
         start += size
-    return played, costs
+    return played, costs, counts
 
 
 def run_online(
@@ -131,8 +147,10 @@ def run_online(
 
     Rounds are keyed to learners by timestamp hour (mod bank size) or by
     round index when no timestamps are supplied. Each learner runs its own
-    step-size clock over its own subsequence. Returns the (T, N) profiles
-    played, the (T,) costs incurred and the regret report.
+    step-size clock over its own subsequence, so the regret bound is the sum
+    of :meth:`OgdConfig.regret_bound` over the learners that play, each at its
+    own round count. Returns the (T, N) profiles played, the (T,) costs
+    incurred and the regret report.
     """
     T = batch.T
     if timestamps is not None and len(timestamps) != T:
@@ -140,7 +158,7 @@ def run_online(
     if abs(batch.cap - cfg.cap) > 1e-6 * max(1.0, cfg.cap):
         raise InvalidInputError(f"batch capacity {batch.cap} != cap {cfg.cap}")
 
-    played, costs = _play_waves(batch, cfg, timestamps)
+    played, costs, counts = _play_waves(batch, cfg, timestamps)
     hindsight, gap = hindsight_optimum(batch)
     hindsight_cost = float(batch.total_costs(hindsight.c[None, :])[0])
     # costs summed in round order, as a running total would
@@ -150,7 +168,7 @@ def run_online(
         average_regret=static / T,
         hindsight_profile=hindsight,
         hindsight_gap=gap,
-        bound=cfg.regret_bound(T),
+        bound=math.fsum(cfg.regret_bound(rounds) for rounds in counts.tolist() if rounds),
     )
     return played, costs, report
 

@@ -19,8 +19,9 @@ import numpy as np
 from .deployment import Profile, SlotBatch, as_vector, flip_down, realized_cost_batch
 from .errors import InvalidInputError
 from .fleet import FleetSpec, MachineType, canonicalize
+from .online import hour_optima
 from .programs import ProgramSpec, directions_of, prices_of
-from .sgd import ResampledLearner, solve_bank
+from .sgd import resampled_solve
 from .sgd import solve as sgd_solve  # noqa: F401  (the benchmark's tracing test rebinds this alias)
 from .traces import Traces, reward_matrix, slot_batch
 
@@ -52,13 +53,15 @@ STRATEGIES = ("optimized", "fixed_profile", "even_split", "none")
 class StrategyReport:
     """Mean hourly profit per strategy over the evaluated window.
 
-    ``hour_costs[t, h]`` is slot t's cost under hour h's profile, and
-    ``batch`` the evaluated slots.
+    ``hour_costs[t, h]`` is slot t's cost under hour h's profile,
+    ``hour_gaps[h]`` the certified optimality gap of hour h's profile (NaN
+    for an hour without slots) and ``batch`` the evaluated slots.
     """
 
     mean_profit: dict[str, float]
     slot_profits: dict[str, np.ndarray]
     hour_profiles: np.ndarray
+    hour_gaps: np.ndarray
     fixed_profile: np.ndarray
     timestamps: tuple
     hour_costs: np.ndarray
@@ -207,11 +210,13 @@ def compare_strategies(
 ) -> StrategyReport:
     """In-sample profit of four participation strategies on a trace window.
 
-    Trains per-hour and pooled profiles by stochastic subgradient descent on
-    the window's empirical deployment distribution, then keeps whichever
-    feasible candidate (trained profile, no participation, even split)
-    minimizes the realized in-sample cost, so the reported ordering reflects
-    genuinely better optimization rather than sampling luck.
+    Each hour of day with a slot gets the exact minimizer of its slots' total
+    cost (:func:`~minerflex.online.hour_optima`, certified by its gap). The
+    fixed profile is pooled over all slots: a resampling SGD learner trained
+    on the window's empirical deployment distribution with ``sgd_iterations``
+    iterations of ``sgd_batch`` samples and ``seed``, or no participation or
+    the even split where either costs less in sample. An hour without slots
+    holds the fixed profile.
     """
     if window is not None:
         start, end = window
@@ -226,38 +231,21 @@ def compare_strategies(
         )
     batch = batch.take(observed)
     traces = traces.take(observed)
-    rewards = reward_matrix(traces, fleet_config, clamp_negative)
 
     n, cap = len(programs), batch.cap
-    zeros = np.zeros(n)
+    fleet = _mean_reward_fleet(reward_matrix(traces, fleet_config, clamp_negative), fleet_config)
+    trained = resampled_solve(
+        fleet, np.mean(batch.prices, axis=0), batch.raw_eps, directions_of(programs),
+        sgd_iterations, sgd_batch, seed,
+    )
     even = np.full(n, cap / n)
+    candidates = np.array([trained, np.zeros(n), even])
+    fixed = candidates[int(np.argmin(batch.total_costs(candidates)))]
 
-    def learner(rows: np.ndarray, learner_seed: int) -> ResampledLearner:
-        fleet = _mean_reward_fleet(rewards[rows], fleet_config)
-        return ResampledLearner(fleet, np.mean(batch.prices[rows], axis=0), batch.raw_eps[rows], learner_seed)
-
-    def pick(cands: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-        costs = batch.costs_for(np.array(cands))[rows].sum(axis=0)
-        return cands[int(np.argmin(costs))]
-
-    # One pooled learner, then one per hour of day with at least two slots.
     all_rows = np.arange(len(traces))
     hours = np.array([ts.hour for ts in traces.timestamps])
-    hour_rows = [all_rows[hours == h] for h in range(24)]
-    learners = [learner(all_rows, seed)]
-    learners += [learner(rows, seed + 1 + h) for h, rows in enumerate(hour_rows) if rows.size >= 2]
-    trained = iter(solve_bank(learners, directions_of(programs), sgd_iterations, sgd_batch))
-
-    fixed = pick([next(trained), zeros, even], all_rows)
-    hour_profiles = np.zeros((24, n))
-    for h, rows in enumerate(hour_rows):
-        if rows.size == 0:
-            hour_profiles[h] = fixed
-            continue
-        cands = [zeros, even, fixed]
-        if rows.size >= 2:
-            cands.insert(0, next(trained))
-        hour_profiles[h] = pick(cands, rows)
+    hour_profiles, hour_gaps = hour_optima(batch, hours)
+    hour_profiles[np.isnan(hour_gaps)] = fixed
 
     per_slot = {
         "none": np.zeros(len(traces)),
@@ -271,6 +259,7 @@ def compare_strategies(
         mean_profit={k: float(v.mean()) for k, v in per_slot.items()},
         slot_profits=per_slot,
         hour_profiles=hour_profiles,
+        hour_gaps=hour_gaps,
         fixed_profile=fixed,
         timestamps=traces.timestamps,
         hour_costs=hour_costs,

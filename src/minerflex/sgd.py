@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deployment import FleetStack, Profile, as_vector, flip_down, project_simplex, slot_piece
+from .deployment import Profile, as_vector, flip_down, project_simplex, slot_piece
 from .errors import InvalidInputError
 from .fleet import FleetSpec
 from .programs import ProgramSpec, prices_of
@@ -82,15 +82,10 @@ def project_feasible(point, cap: float) -> Profile:
 
 
 def _batch_subgradient(fleet, prices: np.ndarray, eps: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Average subgradient r_k * eps - p over the sample rows of eps.
-
-    One learner: a :class:`FleetSpec`, (N,) prices, (B, N) samples and an
-    (N,) profile. A bank: a :class:`FleetStack`, (L, N) prices, (L, B, N)
-    samples and (L, N) profiles, one learner per row.
-    """
-    _, k = slot_piece(fleet, (eps @ c[..., None])[..., 0])
-    # mean(axis=-2)'s own sum and division, without its per-call overhead
-    return np.add.reduce(fleet.rewards[k][..., None] * eps, axis=-2) / eps.shape[-2] - prices
+    """Average subgradient r_k * eps - p over the (B, N) sample rows of eps at the (N,) profile c."""
+    _, k = slot_piece(fleet, (eps @ c[:, None])[:, 0])
+    # mean(axis=0)'s own sum and division, without its per-call overhead
+    return np.add.reduce(fleet.rewards[k][:, None] * eps, axis=0) / eps.shape[0] - prices
 
 
 def sample_subgradient(
@@ -119,11 +114,10 @@ def sample_subgradient(
 def _descend(fleet, prices, num, cap, iterations: int, blocks, trajectory=None) -> np.ndarray:
     """Projected subgradient steps c <- P(c - num/sqrt(j) g_j) from c = 0.
 
-    ``blocks`` yields arrays whose leading axis runs over consecutive
-    iterations, each entry holding that iteration's effective samples;
-    shapes follow :func:`_batch_subgradient`, and for a bank ``num`` and
-    ``cap`` are (L, 1) columns. Appends each iterate to ``trajectory`` when
-    given and returns the iterate average.
+    ``blocks`` yields (m, B, N) arrays whose leading axis runs over
+    consecutive iterations, each entry holding that iteration's effective
+    samples. Appends each iterate to ``trajectory`` when given and returns
+    the iterate average.
     """
     c = np.zeros(prices.shape)
     acc = np.zeros(prices.shape)
@@ -143,7 +137,7 @@ def _descend(fleet, prices, num, cap, iterations: int, blocks, trajectory=None) 
 
 
 # Iterations whose samples are drawn in one generator call; drawing the
-# whole run at once would hold an (iterations, L, B, N) sample block.
+# whole run at once would hold an (iterations, B, N) sample block.
 _DRAW_CHUNK = 64
 
 
@@ -206,61 +200,34 @@ def solve(
     return SgdResult(profile=Profile(average), bound=bound, trajectory=trajectory)
 
 
-@dataclass(frozen=True)
-class ResampledLearner:
-    """One learner of a bank: its fleet, prices and raw deployment rows.
-
-    The learner trains on draws with replacement from ``rows`` (J, N),
-    using its own generator ``np.random.default_rng(seed)``.
-    """
-
-    fleet: FleetSpec
-    prices: np.ndarray
-    rows: np.ndarray
-    seed: int
-
-
-def solve_bank(
-    learners: Sequence[ResampledLearner],
+def resampled_solve(
+    fleet: FleetSpec,
+    prices: np.ndarray,
+    rows: np.ndarray,
     directions: Sequence[str],
     iterations: int,
     batch: int,
+    seed: int,
 ) -> np.ndarray:
-    """Train independent resampling learners together as one (L, N) iterate.
+    """Iterate average of projected SGD on draws with replacement from ``rows`` (J, N).
 
-    Row l of the result equals :func:`solve` run on learner l alone, with
-    ``SgdConfig(iterations, batch, seed=learner.seed)`` and a sampler that
+    Equals :func:`solve` with ``SgdConfig(iterations, batch, seed)``,
+    ``prices`` in place of the programs' quoted prices and a sampler that
     draws ``rows[rng.integers(0, J, batch)]``: same step numerator D / G,
-    same generator stream, same arithmetic per row.
+    same generator stream, same arithmetic.
     """
-    config = SgdConfig(iterations=iterations, batch=batch)  # validates both
+    SgdConfig(iterations=iterations, batch=batch)  # validates both
     n = len(directions)
-    if not learners:
-        raise InvalidInputError("need at least one learner")
-    for lr in learners:
-        if np.ndim(lr.rows) != 2 or len(lr.rows) == 0 or np.shape(lr.rows)[1] != n:
-            raise InvalidInputError(f"learner rows must be (J >= 1, {n}), got {np.shape(lr.rows)}")
-        if np.shape(lr.prices) != (n,):
-            raise InvalidInputError(f"learner prices must be ({n},), got {np.shape(lr.prices)}")
-    stack = FleetStack.of([lr.fleet for lr in learners])
-    prices = np.array([lr.prices for lr in learners], dtype=float)
-    caps = np.array([[lr.fleet.total_capacity_mw] for lr in learners])
-    nums = np.array(
-        [
-            [default_diameter(n, lr.fleet.total_capacity_mw)
-             / default_grad_bound(n, float(lr.fleet.rewards[-1]), float(np.max(lr.prices)))]
-            for lr in learners
-        ]
-    )
-    sizes = [len(lr.rows) for lr in learners]
-    offsets = np.cumsum([0, *sizes[:-1]])[None, :, None]
-    table = flip_down(np.concatenate([lr.rows for lr in learners]), np.asarray(directions) == "down")
-    rngs = [np.random.default_rng(lr.seed) for lr in learners]
+    if np.ndim(rows) != 2 or len(rows) == 0 or np.shape(rows)[1] != n:
+        raise InvalidInputError(f"rows must be (J >= 1, {n}), got {np.shape(rows)}")
+    if np.shape(prices) != (n,):
+        raise InvalidInputError(f"prices must be ({n},), got {np.shape(prices)}")
+    cap = fleet.total_capacity_mw
+    num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(np.max(prices)))
+    table = flip_down(np.asarray(rows, dtype=float), np.asarray(directions) == "down")
+    rng = np.random.default_rng(seed)
     # Bounded integers take 32-bit halves of the generator's 64-bit outputs and
     # keep the spare half in the generator state, so an (m, B) block of
     # resample indices is the same stream as m calls of size B.
-    blocks = (
-        table[np.stack([rng.integers(0, size, (m, batch)) for rng, size in zip(rngs, sizes)], axis=1) + offsets]
-        for m in _chunks(iterations)
-    )
-    return _descend(stack, prices, nums, caps, config.iterations, blocks)
+    blocks = (table[rng.integers(0, len(table), (m, batch))] for m in _chunks(iterations))
+    return _descend(fleet, np.asarray(prices, dtype=float), num, cap, iterations, blocks)

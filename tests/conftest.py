@@ -41,6 +41,19 @@ def random_instance(rng, k_max=4, n_max=3, cap_scale=100.0):
     return fleet, programs, c, raw
 
 
+def fleet_stack_of(fleets):
+    """A :class:`FleetStack` of fleets, each padded to the most types with its last reward at zero capacity."""
+    k = max(f.n_types for f in fleets)
+
+    def padded(row, fill):
+        return row if row.size == k else np.append(row, [fill] * (k - row.size))
+
+    return FleetStack(
+        np.array([padded(f.rewards, f.rewards[-1]) for f in fleets]),
+        np.array([padded(f.capacities, 0.0) for f in fleets]),
+    )
+
+
 def slot_batch_of(fleets, programs_seq, samples, cap, missing_masks=None):
     """A :class:`SlotBatch` from one canonical fleet, program list and raw rate vector per slot.
 
@@ -54,7 +67,7 @@ def slot_batch_of(fleets, programs_seq, samples, cap, missing_masks=None):
         if not len(programs) == row.size == n:
             raise InvalidInputError(f"round {t}: expected {n} programs and deployment rates")
     masks = [None] * len(fleets) if missing_masks is None else missing_masks
-    stack = FleetStack.of(fleets)
+    stack = fleet_stack_of(fleets)
     prices = np.array([prices_of(programs) for programs in programs_seq])
     down = np.array([[spec.direction == "down" for spec in programs] for programs in programs_seq])
     missing = np.array([np.zeros(n, dtype=bool) if m is None else m for m in masks], dtype=bool)

@@ -416,6 +416,13 @@ def test_solve_offline_traces_mode(traces_dir, tmp_path):
     )
     lines = (tmp_path / "o" / "profiles.csv").read_text().splitlines()
     assert len(lines) == 25
+    # each hour's bound is its certified cutting-plane gap, and the summary reports the largest
+    rows = [[float(x) for x in line.split(",")[-2:]] for line in lines[1:]]
+    bounds = [b for _, b in rows]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    # the solve stops at a gap of 1e-9 of the hour's total cost, at most 168 slots' worth on a week
+    assert all(0.0 <= b <= 1e-9 * max(1.0, 168 * abs(cost)) for cost, b in rows)
+    assert summary["bound"] == max(bounds)
 
 
 def test_solve_offline_with_joint_reg_pair(tmp_path):

@@ -16,11 +16,11 @@ from minerflex import (
     fleet_from_rewards,
     realized_cost,
 )
-from minerflex.deployment import FleetStack, realized_cost_batch, slot_cost
+from minerflex.deployment import realized_cost_batch, slot_cost
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
 
-from conftest import random_instance, slot_batch_of
+from conftest import fleet_stack_of, random_instance, slot_batch_of
 
 
 def brute_force_deployment_cost(fleet, programs, c, eps, step):
@@ -351,7 +351,7 @@ def test_fleet_stack_row_costs_match_one_slot_cost(rng):
         for _ in range(3):
             rewards = np.sort(rng.uniform(0.0, 200.0, k)) + np.arange(k) * 1e-6
             fleets.append(fleet_from_rewards(rng.uniform(1.0, 100.0, k), rewards))
-    stack = FleetStack.of(fleets)
+    stack = fleet_stack_of(fleets)
     assert len(set(stack.cum_capacities[:, -1].tolist())) == len(fleets)
     for n in range(1, 4):
         rows, eps, prices, profiles, full = [], [], [], [], []

@@ -13,7 +13,8 @@ from minerflex import (
     mining_revenue_rate,
     net_reward,
 )
-from minerflex.deployment import FleetStack
+
+from conftest import fleet_stack_of
 
 
 def test_revenue_rate_paper_example():
@@ -150,7 +151,7 @@ def test_tables_match_numpy_expressions_bit_for_bit(rng):
     fleets.append(FleetSpec((MachineType("a", 0.0, reward=7.5), MachineType("b", 80.0, reward=20)), 80.0))
     assert any("+" in m.id for f in fleets for m in f.machines)  # merged ties
     assert any(m.capacity_mw == 0.0 for f in fleets[:-2] for m in f.machines)
-    stack = FleetStack.of(fleets)
+    stack = fleet_stack_of(fleets)
     for f, fleet in enumerate(fleets):
         for name, expected in numpy_tables(fleet).items():
             table = getattr(fleet, name)

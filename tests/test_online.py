@@ -17,7 +17,7 @@ from minerflex import (
 )
 from minerflex import verify
 from minerflex.deployment import Profile, project_simplex, slot_cost
-from minerflex.online import per_round_costs
+from minerflex.online import hour_optima, per_round_costs
 from minerflex.verify import check_online_regret
 
 from conftest import slot_batch_of
@@ -78,7 +78,10 @@ def assert_matches_serial(batch, cfg, timestamps=None):
     static = ref_total - float(batch.total_costs(report.hindsight_profile.c[None, :])[0])
     assert np.float64(report.static_regret).tobytes() == np.float64(static).tobytes()
     assert np.float64(report.average_regret).tobytes() == np.float64(static / batch.T).tobytes()
-    assert report.bound == 1.5 * cfg.grad_bound * cfg.diameter * math.sqrt(batch.T)
+    # each learner's own (3/2) G D sqrt(T_l), summed over the learners that play
+    keys = np.arange(batch.T) if timestamps is None else np.array([ts.hour for ts in timestamps])
+    rounds = np.bincount(keys % cfg.learners).tolist()
+    assert report.bound == math.fsum(1.5 * cfg.grad_bound * cfg.diameter * math.sqrt(t) for t in rounds if t)
 
 
 def test_waves_match_the_serial_loop(rng):
@@ -103,6 +106,23 @@ def test_regret_bound_values():
     assert bound(100, 2) == pytest.approx(1_500_000.0)
     assert bound(400, 2) == pytest.approx(3_000_000.0)
     assert bound(1, 1) == pytest.approx(1.5 * 250.0 * 200.0)
+
+
+def test_bank_regret_bound_covers_the_one_learner_bound(rng):
+    # sqrt is subadditive, so the sum over learners of sqrt(T_l) is at least sqrt(T)
+    horizon = 150
+    batch = slot_batch_of(*random_rounds(rng, horizon), 250.0)
+    start = datetime(2022, 3, 1, 5, tzinfo=timezone.utc)
+    stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.choice([20, 60, 150], horizon))]
+    one = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=1)
+    single = one.regret_bound(horizon)
+    assert np.float64(run_online(batch, one)[2].bound).tobytes() == np.float64(single).tobytes()
+    for learners in (2, 5, 24):
+        cfg = dataclasses.replace(one, learners=learners)
+        for timestamps in (None, stamps):
+            bound = run_online(batch, cfg, timestamps)[2].bound
+            assert bound >= single
+            assert bound <= math.sqrt(learners) * single * (1.0 + 1e-12)  # Cauchy-Schwarz
 
 
 def test_regret_bound_validation():
@@ -312,6 +332,38 @@ def test_hindsight_matches_lp_oracle(batch):
     again, gap_again = hindsight_optimum(batch)
     assert again.c.tobytes() == profile.c.tobytes()
     assert np.float64(gap_again).tobytes() == np.float64(gap).tobytes()
+
+
+def assert_hour_optima_match_lp(batch, hours, profiles, gaps):
+    """Every hour with slots holds its slots' LP optimum, certified by its gap; every other hour a NaN gap."""
+    for h in range(24):
+        rows = np.flatnonzero(hours == h)
+        if not rows.size:
+            assert np.isnan(gaps[h]), f"hour {h}"
+            continue
+        sub = batch.take(rows)
+        star = lp_hindsight_value(sub)
+        tol = 1e-9 * max(1.0, abs(star))
+        value = float(sub.total_costs(profiles[h][None, :])[0])
+        assert abs(value - star) <= tol, f"hour {h}"
+        assert value - star - tol <= gaps[h] <= 1e-9 * max(1.0, abs(value)), f"hour {h}"
+
+
+def test_hour_optima_match_lp_oracle():
+    rng = np.random.default_rng(18)
+    fleets, programs_seq, samples = random_rounds(rng, 90, caps=(90.0, 60.0, 100.0), p_max=150.0, n=3)
+    programs_seq = [[ps[0], dataclasses.replace(ps[1], direction="down"), ps[2]] for ps in programs_seq]
+    batch = slot_batch_of(fleets, programs_seq, samples, 250.0)
+    hours = rng.integers(0, 24, 90)
+    hours[np.isin(hours, (5, 7))] = 6
+    hours[0] = 7  # hour 5 has no slot, hour 7 one
+    profiles, gaps = hour_optima(batch, hours)
+    assert profiles.shape == (24, 3) and gaps.shape == (24,)
+    assert np.isnan(profiles[5]).all() and np.flatnonzero(hours == 7).tolist() == [0]
+    assert_hour_optima_match_lp(batch, hours, profiles, gaps)
+    for h in np.unique(hours).tolist():
+        profile, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
+        assert profile.c.tobytes() == profiles[h].tobytes() and gap == gaps[h]
 
 
 def test_per_round_costs_shape(rng):

@@ -24,6 +24,8 @@ from minerflex.programs import ConstantEps, directions_of, independent_sampler, 
 from minerflex.regulation import sample_joint
 
 from conftest import random_instance
+from test_online import assert_hour_optima_match_lp
+from test_sgd import hot_afternoon_week
 from test_traces import synth_spec
 
 
@@ -174,6 +176,26 @@ def test_compare_strategies_dominance_and_baseline():
     assert mp["optimized"] >= mp["even_split"] - 1e-9
     assert set(mp) == {"optimized", "fixed_profile", "even_split", "none"}
     assert report.hour_profiles.shape == (24, 3)
+
+
+def test_compare_strategies_hours_are_lp_optima():
+    # the merged-type week, less all of hour 3's slots and all but one of hour 4's
+    traces, machines, spec_programs = hot_afternoon_week(seed=31)
+    programs = [ProgramSpec(id=p.id, price=0.0, direction=p.direction) for p in spec_programs]
+    hours = np.array([ts.hour for ts in traces.timestamps])
+    keep = np.flatnonzero(hours != 3)
+    keep = np.setdiff1d(keep, np.flatnonzero(hours == 4)[1:])
+    report = compare_strategies(traces.take(keep), machines, programs, clamp_negative=True, sgd_iterations=100)
+    hours = np.array([ts.hour for ts in report.timestamps])
+    assert (hours == 3).sum() == 0 and (hours == 4).sum() == 1
+    assert (report.batch.capacities == 0.0).any()  # merged afternoon types, padded at zero capacity
+    assert_hour_optima_match_lp(report.batch, hours, report.hour_profiles, report.hour_gaps)
+    assert report.hour_profiles[3].tobytes() == report.fixed_profile.tobytes()
+    # each hour's exact optimum costs its slots no more than the fixed profile does
+    fixed = report.batch.costs_for(report.fixed_profile[None, :])[:, 0]
+    for h in np.unique(hours).tolist():
+        rows = hours == h
+        assert report.hour_costs[rows, h].sum() <= fixed[rows].sum() + 1e-9 * max(1.0, abs(fixed[rows].sum()))
 
 
 def test_compare_strategies_zero_prices():

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -31,7 +32,7 @@ from minerflex.deployment import project_simplex
 from minerflex.fleet import MachineType, canonicalize
 from minerflex.programs import prices_of
 from minerflex.regulation import joint_pair
-from minerflex.sgd import ResampledLearner, default_diameter, default_grad_bound, solve_bank
+from minerflex.sgd import default_diameter, default_grad_bound, resampled_solve
 from minerflex.traces import PriceBlock
 
 from conftest import random_instance
@@ -253,7 +254,7 @@ def test_config_validation():
         SgdConfig(iterations=1, step_scale=-1.0)
 
 
-# ── The learner bank against the serial loop it replaced ─────────────────
+# ── The resampling learner against the serial loop ─────────────────────────
 
 
 def reference_projection(x, cap):
@@ -308,52 +309,61 @@ def clamped_mean_fleet(traces, machines):
     )
 
 
-def hot_afternoon_learners(seed):
-    """Pooled and per-hour learners on a week whose afternoons price mining out.
+# one resampling learner's inputs: its fleet, prices, raw deployment rows and seed
+Learner = namedtuple("Learner", "fleet prices rows seed")
+
+
+def hot_afternoon_week(seed):
+    """A 72 h trace whose afternoons price mining out, its three machines and its programs.
 
     Real-time prices near 170 $/MWh floor the two older machine types at
-    zero reward, so their mean-reward fleets merge them into one type.
+    zero reward, so mean-reward fleets merge them into one type.
     """
     hourly = [40.0] * 10 + [170.0] * 7 + [40.0] * 7
     spec = dataclasses.replace(
         synth_spec(hours=72), rt_price=PriceBlock(tuple(hourly), 4.0, 1.0, 200.0)
     )
-    traces = synthesize_traces(spec, seed=seed)
     machines = [
         MachineType("new", 100.0, energy_intensity=110.0),
         MachineType("old", 150.0, energy_intensity=130.0),
         MachineType("older", 60.0, energy_intensity=150.0),
     ]
-    order = traces.columns(spec.programs)
+    return synthesize_traces(spec, seed=seed), machines, spec.programs
+
+
+def hot_afternoon_learners(seed):
+    """Pooled and per-hour resampling learners on :func:`hot_afternoon_week`."""
+    traces, machines, programs = hot_afternoon_week(seed)
+    order = traces.columns(programs)
     hours = np.array([ts.hour for ts in traces.timestamps])
     groups = [(np.arange(len(traces)), seed)] + [(np.flatnonzero(hours == h), seed + 1 + h) for h in range(24)]
     learners = []
     for slots, learner_seed in groups:
         sub = traces.take(slots)
-        # C order, like the SlotBatch columns compare_strategies hands its learners
+        # C order, like the SlotBatch columns compare_strategies hands its learner
         rows = np.ascontiguousarray(sub.deployment[:, order])
         prices = np.ascontiguousarray(sub.as_prices[:, order]).mean(axis=0)
-        learners.append(ResampledLearner(clamped_mean_fleet(sub, machines), prices, rows, learner_seed))
-    return learners, [p.direction for p in spec.programs]
+        learners.append(Learner(clamped_mean_fleet(sub, machines), prices, rows, learner_seed))
+    return learners, [p.direction for p in programs]
 
 
-def test_bank_matches_serial_reference_per_learner():
+def test_resampled_solve_matches_serial_reference_per_learner():
     learners, directions = hot_afternoon_learners(seed=31)
     # merged-reward afternoon hours sit beside 3-type hours
     assert {lr.fleet.n_types for lr in learners} == {2, 3}
     assert "down" in directions
     # hand-made learners: one machine type, a single resample row, 13 rows
     rows = learners[0].rows
-    learners.append(ResampledLearner(fleet_from_rewards([310.0], [40.0]), np.array([30.0, 20.0, 9.0]), rows[:1], 5))
-    learners.append(ResampledLearner(fleet_from_rewards([60.0, 250.0], [0.0, 90.0]), np.array([3.0, 40.0, 12.0]), rows[:13], 6))
+    learners.append(Learner(fleet_from_rewards([310.0], [40.0]), np.array([30.0, 20.0, 9.0]), rows[:1], 5))
+    learners.append(Learner(fleet_from_rewards([60.0, 250.0], [0.0, 90.0]), np.array([3.0, 40.0, 12.0]), rows[:13], 6))
     down = np.array(directions) == "down"
     for iterations, batch in ((150, 7), (64, 8)):  # across and exactly at a draw chunk
-        bank = solve_bank(learners, directions, iterations, batch)
-        assert bank.shape == (len(learners), len(directions))
-        for lr, row in zip(learners, bank):
+        for lr in learners:
+            c = resampled_solve(lr.fleet, lr.prices, lr.rows, directions, iterations, batch, lr.seed)
+            assert c.shape == (len(directions),)
             cfg = SgdConfig(iterations=iterations, batch=batch, seed=lr.seed)
             ref = reference_solve(lr.fleet, lr.prices, down, resampling_sampler(lr.rows), cfg)
-            assert np.array_equal(row, ref)
+            assert c.tobytes() == ref.tobytes()
 
 
 def per_call_draws(model, rng, size):
@@ -447,19 +457,21 @@ def test_solve_signature_keeps_config_fourth():
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:4])
 
 
-def test_bank_validation():
-    fleet = fleet_from_rewards([100.0], [50.0])
-    good = ResampledLearner(fleet, np.array([10.0]), np.array([[0.5]]), 0)
+def test_resampled_solve_validation():
+    fleet, prices, rows = fleet_from_rewards([100.0], [50.0]), np.array([10.0]), np.array([[0.5]])
+    assert resampled_solve(fleet, prices, rows, ["up"], 10, 2, 0).shape == (1,)
     with pytest.raises(InvalidInputError):
-        solve_bank([], ["up"], 10, 2)
+        resampled_solve(fleet, prices, rows, ["up"], 0, 2, 0)
     with pytest.raises(InvalidInputError):
-        solve_bank([good], ["up"], 0, 2)
+        resampled_solve(fleet, prices, rows, ["up"], 10, 0, 0)
     with pytest.raises(InvalidInputError):
-        solve_bank([dataclasses.replace(good, rows=np.zeros((0, 1)))], ["up"], 10, 2)
+        resampled_solve(fleet, prices, np.zeros((0, 1)), ["up"], 10, 2, 0)
     with pytest.raises(InvalidInputError):
-        solve_bank([good], ["up", "up"], 10, 2)
+        resampled_solve(fleet, prices, np.array([0.5, 0.5]), ["up"], 10, 2, 0)
     with pytest.raises(InvalidInputError):
-        solve_bank([dataclasses.replace(good, prices=np.array([1.0, 2.0]))], ["up"], 10, 2)
+        resampled_solve(fleet, prices, rows, ["up", "up"], 10, 2, 0)
+    with pytest.raises(InvalidInputError):
+        resampled_solve(fleet, np.array([1.0, 2.0]), rows, ["up"], 10, 2, 0)
 
 
 def test_rowwise_projection_matches_per_row_calls(rng):
@@ -480,7 +492,7 @@ def test_rowwise_projection_matches_per_row_calls(rng):
 
 
 def test_chunked_integer_draws_match_per_call_draws():
-    """solve_bank draws (m, B) index blocks; they must be the per-call stream.
+    """resampled_solve draws (m, B) index blocks; they must be the per-call stream.
 
     2**31 + 1 rejects about half of its 32-bit candidates, and odd batches
     leave a spare half-word between calls: both must carry over identically.
