@@ -50,8 +50,8 @@ from .programs import (
     TruncatedExponential,
     UniformEps,
     fit_lambda,
-    independent_sampler,
     price_responsive_eps,
+    program_sampler,
 )
 from .regulation import (
     RegInstance,

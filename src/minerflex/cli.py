@@ -30,7 +30,7 @@ from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_ra
 from .fleet import MachineType, parse_machines
 from .online import OgdConfig, per_round_costs, run_online
 from .oracle import compare_strategies, draw_effective_samples, mc_expected_cost
-from .programs import ProgramSpec, Sampler, TruncatedExponential, fit_lambda, independent_sampler, parse_eps_model
+from .programs import ProgramSpec, TruncatedExponential, fit_lambda, parse_eps_model, program_sampler
 from .regulation import (
     RegInstance,
     RegJointModel,
@@ -205,29 +205,6 @@ def _load_fleet_inputs(args):
     return machines, programs, joint, economics, traces
 
 
-def _build_sampler(programs: list[ProgramSpec], joint):
-    """Joint raw-deployment sampler over all programs, honoring a reg pair.
-
-    The pair's uniforms come first, then the other programs' in order.
-    """
-    n = len(programs)
-    rest = [i for i in range(n) if joint is None or i not in joint[:2]]
-    independent = independent_sampler([programs[i] for i in rest])
-    head = 0 if joint is None else joint[2].width
-
-    def from_uniform(u: np.ndarray) -> np.ndarray:
-        out = np.zeros((*u.shape[:-2], u.shape[-1], n))
-        if joint is not None:
-            pair = joint[2].from_uniform(u[..., :head, :])
-            out[..., joint[0]] = pair[..., 0]
-            out[..., joint[1]] = pair[..., 1]
-        if rest:
-            out[..., rest] = independent.from_uniform(u[..., head:, :])
-        return out
-
-    return Sampler(head + independent.width, from_uniform)
-
-
 # ── Commands ─────────────────────────────────────────────────────────────
 # Each command loads its inputs (paths already resolved), solves, and returns
 # its outputs in order; ``main`` writes them and the manifest.
@@ -264,7 +241,7 @@ def cmd_solve_offline(args) -> dict:
         bound = float(np.nanmax(report.hour_gaps))
     else:
         fleet = _parametric_fleet(machines, economics)
-        sampler = _build_sampler(programs, joint)
+        sampler = program_sampler(programs, joint)
         cfg = SgdConfig(iterations=args.iterations, batch=args.batch, seed=args.seed)
         result = sgd_solve(fleet, programs, sampler, cfg)
         eff = draw_effective_samples(sampler, [p.direction for p in programs], 20000, args.seed + 1)
@@ -338,9 +315,7 @@ def cmd_simulate_online(args) -> dict:
     machines, programs, _, _, traces = _load_fleet_inputs(args)
     batch = slot_batch(traces, machines, programs, args.clamp_negative_rewards)
     r_max, p_max = float(batch.rewards.max()), float(batch.quoted_prices.max())
-    cfg = OgdConfig.from_bounds(
-        batch.T, len(programs), batch.cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners
-    )
+    cfg = OgdConfig.from_bounds(len(programs), batch.cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners)
     played, costs, report = run_online(batch, cfg, timestamps=traces.timestamps)
     T = batch.T
     cum = np.cumsum(costs - per_round_costs(batch, report.hindsight_profile))

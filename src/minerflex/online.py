@@ -30,15 +30,12 @@ class OgdConfig:
     D/(G sqrt(t)) schedule and normally come from :meth:`from_bounds`.
     """
 
-    horizon: int
     grad_bound: float
     diameter: float
     cap: float
     learners: int = 24
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidInputError(f"horizon must be >= 1, got {self.horizon}")
         if min(self.grad_bound, self.diameter, self.cap) <= 0:
             raise InvalidInputError("grad_bound, diameter and cap must be positive")
         if self.learners < 1:
@@ -47,7 +44,6 @@ class OgdConfig:
     @classmethod
     def from_bounds(
         cls,
-        horizon: int,
         n_programs: int,
         cap: float,
         r_max: float,
@@ -55,7 +51,6 @@ class OgdConfig:
         learners: int = 24,
     ) -> "OgdConfig":
         return cls(
-            horizon=horizon,
             grad_bound=default_grad_bound(n_programs, r_max, p_max),
             diameter=default_diameter(n_programs, cap),
             cap=cap,

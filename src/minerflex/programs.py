@@ -59,8 +59,23 @@ def prices_of(programs: Sequence[ProgramSpec]) -> np.ndarray:
     return np.array([p.price for p in programs], dtype=float)
 
 
+class _SampledEps:
+    """Base of the sampled models: each maps ``width`` uniform doubles to one value.
+
+    ``sample(rng, size)`` is ``from_uniform(rng.random(size))``, a float for
+    ``size=None``; a width-0 model draws nothing.
+    """
+
+    width: ClassVar[int]
+
+    def sample(self, rng: np.random.Generator, size=None):
+        u = rng.random(size) if self.width else np.zeros(() if size is None else size)
+        x = self.from_uniform(u)
+        return float(x) if size is None else x
+
+
 @dataclass(frozen=True)
-class BernoulliEps:
+class BernoulliEps(_SampledEps):
     """All-or-nothing deployment: eps = 1 with probability ``prob``."""
 
     prob: float
@@ -80,13 +95,9 @@ class BernoulliEps:
         # 1.0 or 0.0; a float u stays a Python float, an array a float64 array
         return (u < self.prob) * 1.0
 
-    def sample(self, rng: np.random.Generator, size=None):
-        x = self.from_uniform(rng.random(size))
-        return float(x) if size is None else x
-
 
 @dataclass(frozen=True)
-class ConstantEps:
+class ConstantEps(_SampledEps):
     value: float
     width: ClassVar[int] = 0
 
@@ -104,14 +115,9 @@ class ConstantEps:
         """``value`` in the shape of ``u``, whose entries are not read."""
         return np.full(np.shape(u), self.value)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
-
 
 @dataclass(frozen=True)
-class UniformEps:
+class UniformEps(_SampledEps):
     lo: float = 0.0
     hi: float = 1.0
     width: ClassVar[int] = 1
@@ -130,12 +136,9 @@ class UniformEps:
         # Generator.uniform's own formula, so sample() keeps its stream and bits
         return self.lo + (self.hi - self.lo) * u
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.from_uniform(rng.random(size))
-
 
 @dataclass(frozen=True)
-class TruncatedExponential:
+class TruncatedExponential(_SampledEps):
     """Exponential distribution truncated to [0, 1] with rate ``lam``."""
 
     lam: float
@@ -170,10 +173,6 @@ class TruncatedExponential:
     def from_uniform(self, u):
         """Inverse CDF: x = -log(1 - u (1 - e^-lam)) / lam."""
         return -np.log1p(u * math.expm1(-self.lam)) / self.lam
-
-    def sample(self, rng: np.random.Generator, size=None):
-        x = self.from_uniform(rng.random(size))
-        return float(x) if size is None else x
 
 
 def fit_lambda(target_mean: float) -> float:
@@ -253,30 +252,36 @@ class Sampler:
         return self.from_uniform(rng.random((self.width, size)))
 
 
-def independent_sampler(programs: Sequence[ProgramSpec]) -> Sampler:
-    """Joint sampler drawing each program's raw eps independently.
+def program_sampler(programs: Sequence[ProgramSpec], joint=None) -> Sampler:
+    """Joint raw-deployment sampler over all programs, honoring a reg pair.
 
-    Program i's model reads the next ``width`` rows of uniforms, in program
-    order: the stream of one ``model.sample(rng, size)`` call per program.
-    Every program must carry an ``eps_model`` that can be sampled without
-    real-time prices.
+    ``joint`` is an (up index, down index, joint model) pair or None. The
+    pair's uniforms come first; then each other program's model reads the
+    next ``width`` rows, in program order: the stream of one
+    ``model.sample(rng, size)`` call per program. Every program outside the
+    pair must carry an ``eps_model`` that can be sampled without real-time
+    prices.
     """
-    models = []
-    for p in programs:
-        if p.eps_model is None or isinstance(p.eps_model, PriceResponsiveModel):
+    rest = [i for i in range(len(programs)) if joint is None or i not in joint[:2]]
+    models = [programs[i].eps_model for i in rest]
+    for i, m in zip(rest, models):
+        if m is None or isinstance(m, PriceResponsiveModel):
             raise InvalidInputError(
-                f"program {p.id!r} has no sampled eps_model attached "
+                f"program {programs[i].id!r} has no sampled eps_model attached "
                 "(price_responsive deployment needs real-time prices from traces)"
             )
-        models.append(p.eps_model)
-
-    rows = np.cumsum([0] + [m.width for m in models])
+    head = 0 if joint is None else joint[2].width
+    rows = head + np.cumsum([0] + [m.width for m in models])
 
     def from_uniform(u: np.ndarray) -> np.ndarray:
-        out = np.empty((*u.shape[:-2], u.shape[-1], len(models)))
-        for i, m in enumerate(models):
+        out = np.zeros((*u.shape[:-2], u.shape[-1], len(programs)))
+        if joint is not None:
+            pair = joint[2].from_uniform(u[..., :head, :])
+            out[..., joint[0]] = pair[..., 0]
+            out[..., joint[1]] = pair[..., 1]
+        for i, m, row in zip(rest, models, rows):
             # a width-0 model reads only the shape of the column it fills
-            out[..., i] = m.from_uniform(u[..., rows[i], :] if m.width else out[..., i])
+            out[..., i] = m.from_uniform(u[..., row, :] if m.width else out[..., i])
         return out
 
     return Sampler(int(rows[-1]), from_uniform)

@@ -25,15 +25,12 @@ class SgdConfig:
     iterations: int
     batch: int = 10
     seed: int = 0
-    step_scale: float | None = None
 
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidInputError(f"iterations must be >= 1, got {self.iterations}")
         if self.batch < 1:
             raise InvalidInputError(f"batch must be >= 1, got {self.batch}")
-        if self.step_scale is not None and self.step_scale <= 0:
-            raise InvalidInputError(f"step_scale must be > 0, got {self.step_scale}")
 
 
 @dataclass(frozen=True)
@@ -175,11 +172,7 @@ def solve(
     p = prices_of(programs)
     down = np.array([spec.direction == "down" for spec in programs])
     cap = fleet.total_capacity_mw
-    num = (
-        config.step_scale
-        if config.step_scale is not None
-        else default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(p.max()))
-    )
+    num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(p.max()))
     rng = np.random.default_rng(config.seed)
     batch, width = config.batch, getattr(sampler, "width", None)
 

@@ -4,8 +4,8 @@ With one machine type (reward r) the expected slot cost is linear in c, so
 the risk-oblivious optimum sits at a vertex: everything on the program with
 the lowest per-unit cost r E[eps_i] - p_i, or nothing at all. Adding a
 mean-variance penalty turns the problem into a separable QP over the same
-feasible set, solved exactly through its KKT conditions with a bisection on
-the capacity multiplier.
+feasible set (a continuous quadratic knapsack), solved exactly in closed
+form by a search over the sorted breakpoints of the capacity multiplier.
 """
 
 from __future__ import annotations
@@ -100,15 +100,18 @@ def risk_aware_solve(
 ) -> Profile:
     """Exact minimizer of sum_i [c_i a_i + w c_i^2 r^2 Var(eps_i)] on the simplex.
 
-    a_i = r E[eps_i] - p_i. Per-program unconstrained optima are clipped at
-    zero; if they oversubscribe the capacity, a dual multiplier mu >= 0 on
-    the sum constraint is found by bisection over the positive-variance
-    coordinates. Zero-variance programs stay linear: they either sit at zero
-    or soak up the residual capacity, depending on the sign of a_i + mu.
+    a_i = r E[eps_i] - p_i; with b_i = w r^2 Var(eps_i) > 0 the KKT
+    conditions give c_i = max(0, (t_i - mu) / 2b_i) for t_i = -a_i and a
+    multiplier mu >= 0 on the sum constraint. Zero-variance programs stay
+    linear: they either sit at zero or soak up the residual capacity, so mu
+    starts at the best zero-variance margin. If the quadratic coordinates
+    still oversubscribe the capacity there, mu is found exactly among the
+    breakpoints t_i (Brucker, Oper. Res. Lett. 1984; Kiwiel, Math. Program.
+    2008), and the capacity is used up to rounding.
     """
     if not programs:
         raise InvalidInputError("need at least one program")
-    if not (r >= 0.0 and cap >= 0.0):  # a negative cap would never close the bracket below
+    if not (r >= 0.0 and cap >= 0.0):  # a negative cap leaves no feasible profile
         raise InvalidInputError(f"reward and cap must be >= 0, got {r}, {cap}")
     w = risk.risk_weight
     a = _unit_costs(programs, r)
@@ -117,34 +120,27 @@ def risk_aware_solve(
         return best_program(programs, r, cap)
 
     pos = b > 0.0
+    t, half = -a[pos], 2.0 * b[pos]
     zero_neg = (~pos) & (a < 0.0)
-
-    def demand(mu: float) -> float:
-        return float(np.maximum(0.0, -(a[pos] + mu) / (2.0 * b[pos])).sum())
-
-    mu_floor = float((-a[zero_neg]).max()) if zero_neg.any() else 0.0
-
+    mu = -float(a[zero_neg].min()) if zero_neg.any() else 0.0
     c = np.zeros(len(programs))
-    if not zero_neg.any() and demand(0.0) <= cap:
-        mu = 0.0
-    elif demand(mu_floor) >= cap:
-        lo, hi = mu_floor, max(mu_floor, float(-a[pos].min()), 0.0) + 1.0
-        while demand(hi) > cap:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if demand(mid) > cap:
-                lo = mid
-            else:
-                hi = mid
-        mu = hi
-    else:
+    c[pos] = np.maximum(0.0, (t - mu) / half)
+    if c[pos].sum() > cap:
+        # The cap binds on the quadratic coordinates alone. With t sorted in
+        # decreasing order, d_k = sum_j inv_j max(0, t_j - t_k) is the demand at
+        # mu = t_k; the top k are active for the largest k with d_k <= cap, where
+        # mu = t_k - (cap - d_k) / sum_{j<=k} inv_j. Then t_i - mu is the sum of
+        # t_i - t_k and (cap - d_k) / sum inv, both >= 0, so nothing cancels even
+        # where a tiny variance makes inv_i = 1 / 2b_i huge.
+        order = np.argsort(-t, kind="stable")
+        ts, inv = t[order], 1.0 / half[order]
+        d = np.maximum(0.0, ts - ts[:, None]) @ inv
+        k = int(np.flatnonzero(d <= cap)[-1]) + 1  # d_1 = 0 <= cap, so k >= 1
+        quad = np.zeros(t.size)
+        quad[order[:k]] = (ts[:k] - ts[k - 1] + (cap - d[k - 1]) / inv[:k].sum()) * inv[:k]
+        c[pos] = quad
+    elif zero_neg.any():
         # The sum constraint binds through a linear (zero-variance) program:
         # it absorbs whatever the quadratic coordinates leave on the table.
-        mu = mu_floor
-        residual = cap - demand(mu)
-        taker = int(np.nonzero(zero_neg & (-a == mu_floor))[0][0])
-        c[taker] = residual
-
-    c[pos] = np.maximum(0.0, -(a[pos] + mu) / (2.0 * b[pos]))
+        c[int(np.nonzero(zero_neg & (-a == mu))[0][0])] = cap - c[pos].sum()
     return Profile(c)

@@ -19,7 +19,7 @@ from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, realize
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, run_online
 from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
-from .programs import ProgramSpec, TruncatedExponential, fit_lambda, independent_sampler
+from .programs import ProgramSpec, TruncatedExponential, fit_lambda, program_sampler
 from .regulation import (
     RegInstance,
     RegJointModel,
@@ -351,7 +351,7 @@ def check_sgd_convergence(seed=9, fast=False) -> CheckResult:
         ProgramSpec(id="a", price=24.0, eps_model=up),
         ProgramSpec(id="b", price=30.0, eps_model=dn),
     ]
-    sampler = independent_sampler(programs)
+    sampler = program_sampler(programs)
     iters = 2000 if fast else 5000
     result = sgd_solve(fleet, programs, sampler, SgdConfig(iterations=iters, batch=10, seed=seed))
     grid = grid_mc_optimum(
@@ -390,7 +390,7 @@ def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
     worst_frac = 0.0
     for _ in range(runs):
         batch = regret_slots(rng, horizon)
-        cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=1)
+        cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
         played, _, report = run_online(batch, cfg)
         ok &= report.static_regret <= report.bound
         # Static regret may be negative: an adaptive learner can beat every fixed

@@ -1,11 +1,28 @@
 """Shared builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import minerflex
 from minerflex import InvalidInputError, ProgramSpec, fleet_from_rewards
 from minerflex.deployment import FleetStack, SlotBatch, as_vector
 from minerflex.programs import prices_of
+
+
+def child_env(base=None) -> dict:
+    """Environment for a child interpreter that imports the minerflex this process imported.
+
+    ``base`` (default: this process's environment) with that package's import
+    root (``src/`` when uninstalled, site-packages when installed) first on
+    PYTHONPATH, followed by any inherited entries.
+    """
+    import_root = str(Path(minerflex.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    path = f"{import_root}{os.pathsep}{inherited}" if inherited else import_root
+    return {**(os.environ if base is None else base), "PYTHONPATH": path}
 
 
 @pytest.fixture

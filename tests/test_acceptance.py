@@ -35,10 +35,10 @@ from minerflex import (
     fleet_from_rewards,
     grid_mc_optimum,
     hindsight_optimum,
-    independent_sampler,
     load_fleet_config,
     lp_deployment_oracle,
     profile_risk,
+    program_sampler,
     realized_cost,
     risk_aware_solve,
     run_online,
@@ -59,7 +59,7 @@ from minerflex.regulation import (
 )
 from minerflex.traces import load_synthesis_spec
 
-from conftest import slot_batch_of
+from conftest import child_env, slot_batch_of
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -149,7 +149,7 @@ def test_criterion_3_sgd_convergence():
     up = TruncatedExponential(fit_lambda(0.18))
     dn = TruncatedExponential(fit_lambda(0.27))
     programs = [ProgramSpec(id="a", price=24.0, eps_model=up), ProgramSpec(id="b", price=30.0, eps_model=dn)]
-    sampler = independent_sampler(programs)
+    sampler = program_sampler(programs)
 
     result = solve(fleet, programs, sampler, SgdConfig(iterations=10**4, batch=10, seed=103))
     grid = grid_mc_optimum(
@@ -332,7 +332,7 @@ def _bounded_rounds(rng, horizon, r_max=200.0, p_max=60.0):
 def test_criterion_7_online_regret():
     t0 = time.time()
     horizon, n = 500, 2
-    cfg = OgdConfig.from_bounds(horizon, n, 250.0, 200.0, 60.0, learners=1)
+    cfg = OgdConfig.from_bounds(n, 250.0, 200.0, 60.0, learners=1)
     bound = cfg.regret_bound(horizon)
     rng = np.random.default_rng(108)
     worst_ratio = -math.inf
@@ -446,7 +446,7 @@ def test_criterion_9_distribution_utilities():
 def _run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "minerflex.cli", *map(str, argv)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return proc

@@ -1,13 +1,13 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import minerflex
 from minerflex.cli import main
+
+from conftest import child_env
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -19,6 +19,7 @@ def run_cli(*argv, check=True, timeout=None):
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=child_env(),
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -210,14 +211,8 @@ def test_config_dir_env_var(tmp_path):
     env_dir = tmp_path / "cfgs"
     env_dir.mkdir()
     (env_dir / "risk.json").write_text((CONFIGS / "risk.json").read_text())
-    # Minimal env, plus the import path of the minerflex this process imported
-    # (src/ when uninstalled, site-packages when installed).
-    import_root = str(Path(minerflex.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    base_env = {
-        "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": f"{import_root}{os.pathsep}{inherited}" if inherited else import_root,
-    }
+    # minimal env, plus the import path of the minerflex this process imported
+    base_env = child_env({"PATH": "/usr/bin:/bin"})
 
     def solve_risk(out, env):
         # cwd holds no risk.json, so only the config-dir fallback can find it

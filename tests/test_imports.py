@@ -1,10 +1,11 @@
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import minerflex
+
+from conftest import child_env
 
 
 def _modules():
@@ -70,12 +71,7 @@ def test_no_unused_imports():
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports this checkout's package."""
-    import_root = str(Path(minerflex.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = {
-        "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": f"{import_root}{os.pathsep}{inherited}" if inherited else import_root,
-    }
+    env = child_env({"PATH": "/usr/bin:/bin"})
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
 
 

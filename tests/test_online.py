@@ -95,13 +95,13 @@ def test_waves_match_the_serial_loop(rng):
     start = datetime(2022, 3, 1, 17, tzinfo=timezone.utc)
     stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.choice([20, 60, 150], horizon))]
     for learners, timestamps in ((24, stamps), (7, stamps), (5, None), (1, None), (40, None)):
-        cfg = OgdConfig.from_bounds(horizon, 3, 250.0, 200.0, 150.0, learners=learners)
+        cfg = OgdConfig.from_bounds(3, 250.0, 200.0, 150.0, learners=learners)
         assert_matches_serial(batch, cfg, timestamps)
 
 
 def test_regret_bound_values():
     def bound(T, N):
-        return OgdConfig.from_bounds(T, N, 250.0, 200.0, 50.0).regret_bound(T)
+        return OgdConfig.from_bounds(N, 250.0, 200.0, 50.0).regret_bound(T)
 
     assert bound(100, 2) == pytest.approx(1_500_000.0)
     assert bound(400, 2) == pytest.approx(3_000_000.0)
@@ -114,7 +114,7 @@ def test_bank_regret_bound_covers_the_one_learner_bound(rng):
     batch = slot_batch_of(*random_rounds(rng, horizon), 250.0)
     start = datetime(2022, 3, 1, 5, tzinfo=timezone.utc)
     stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.choice([20, 60, 150], horizon))]
-    one = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=1)
+    one = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
     single = one.regret_bound(horizon)
     assert np.float64(run_online(batch, one)[2].bound).tobytes() == np.float64(single).tobytes()
     for learners in (2, 5, 24):
@@ -126,9 +126,9 @@ def test_bank_regret_bound_covers_the_one_learner_bound(rng):
 
 
 def test_regret_bound_validation():
-    for T, N, cap in ((0, 2, 250.0), (100, 0, 250.0), (100, 2, 0.0)):
+    for N, cap in ((0, 250.0), (2, 0.0)):
         with pytest.raises(InvalidInputError):
-            OgdConfig.from_bounds(T, N, cap, 200.0, 50.0).regret_bound(T)
+            OgdConfig.from_bounds(N, cap, 200.0, 50.0)
 
 
 def constant_gradient_rounds(prices_seq):
@@ -142,7 +142,7 @@ def test_online_zero_gradient_keeps_the_profile():
     # three rounds at -p move the learner inside the simplex; zero-price rounds
     # then have a zero subgradient, so every later round plays the same profile
     batch = constant_gradient_rounds([[10.0, 20.0]] * 3 + [[0.0, 0.0]] * 7)
-    cfg = OgdConfig.from_bounds(10, 2, 250.0, 200.0, 50.0, learners=1)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 50.0, learners=1)
     played, _, _ = run_online(batch, cfg)
     assert 0.0 < played[3].sum() < 250.0
     for c in played[4:]:
@@ -151,7 +151,7 @@ def test_online_zero_gradient_keeps_the_profile():
 
 def test_online_constant_gradient_reaches_face():
     batch = constant_gradient_rounds([[30.0, 50.0]] * 1000)
-    cfg = OgdConfig.from_bounds(1000, 2, 250.0, r_max=200.0, p_max=50.0, learners=1)
+    cfg = OgdConfig.from_bounds(2, 250.0, r_max=200.0, p_max=50.0, learners=1)
     played, _, _ = run_online(batch, cfg)
     assert played[-1].sum() == pytest.approx(250.0, rel=1e-9)
 
@@ -159,21 +159,21 @@ def test_online_constant_gradient_reaches_face():
 def test_online_plays_feasible_profiles(rng):
     batch = slot_batch_of(*random_rounds(rng, 200, p_max=150.0, n=3), 250.0)
     for learners in (1, 24):
-        cfg = OgdConfig.from_bounds(200, 3, 250.0, 200.0, 150.0, learners=learners)
+        cfg = OgdConfig.from_bounds(3, 250.0, 200.0, 150.0, learners=learners)
         played, _, _ = run_online(batch, cfg)
         assert np.all(played >= 0.0) and np.all(played.sum(axis=1) <= 250.0 + 1e-9)
 
 
 def test_single_round_regret_nonnegative(rng):
     batch = slot_batch_of(*random_rounds(rng, 1), 250.0)
-    cfg = OgdConfig.from_bounds(1, 2, 250.0, 200.0, 60.0, learners=1)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
     _, _, report = run_online(batch, cfg)
     assert report.static_regret >= -1e-6 * max(1.0, abs(report.static_regret))
 
 
 def test_stationary_convergence(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 400)
-    cfg = OgdConfig.from_bounds(400, 2, 250.0, 200.0, 60.0, learners=1)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
     played, _, report = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
     # average regret decays and the late profiles approach the per-round argmin
     arrays = slot_batch_of(fleets[:1], programs_seq[:1], samples[:1], 250.0)
@@ -196,7 +196,7 @@ def test_stationary_interior_kink_convergence():
     horizon = 600
     batch = slot_batch_of([fleet] * horizon, [[ProgramSpec(id="p", price=100.0)]] * horizon,
                           [np.array([1.0])] * horizon, 250.0)
-    cfg = OgdConfig.from_bounds(horizon, 1, 250.0, 180.0, 100.0, learners=1)
+    cfg = OgdConfig.from_bounds(1, 250.0, 180.0, 100.0, learners=1)
     played, _, _ = run_online(batch, cfg)
     eta_late = cfg.diameter / (cfg.grad_bound * math.sqrt(horizon))
     for c in played[-20:]:
@@ -206,7 +206,7 @@ def test_stationary_interior_kink_convergence():
 def test_static_regret_below_bound_random(rng):
     for _ in range(10):
         batch = slot_batch_of(*random_rounds(rng, 120), 250.0)
-        cfg = OgdConfig.from_bounds(120, 2, 250.0, 200.0, 60.0, learners=1)
+        cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
         played, _, report = run_online(batch, cfg)
         assert report.static_regret <= report.bound
         # Static regret itself may be negative (an adaptive learner can beat every
@@ -220,7 +220,7 @@ def test_per_hour_isolation(rng):
     fleets, programs_seq, samples = random_rounds(rng, horizon)
     start = datetime(2022, 1, 1, tzinfo=timezone.utc)
     stamps = [start + timedelta(hours=i) for i in range(horizon)]
-    cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=24)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=24)
     played, _, _ = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg, timestamps=stamps)
 
     # shuffle whole rounds while keeping each hour's internal order
@@ -374,7 +374,7 @@ def test_per_round_costs_shape(rng):
 def test_run_online_validates_dimensions(rng):
     fleets, programs_seq, samples = random_rounds(rng, 5)
     programs_seq[3] = programs_seq[3][:1]
-    cfg = OgdConfig.from_bounds(5, 2, 250.0, 200.0, 60.0)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0)
     with pytest.raises(InvalidInputError):
         run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
     fleets, programs_seq, samples = random_rounds(rng, 5)
@@ -392,7 +392,7 @@ def test_missing_programs_are_skipped(rng):
     masks = [None] * 6
     masks[2] = np.array([False, True])
     batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
-    cfg = OgdConfig.from_bounds(6, 2, 250.0, 200.0, 60.0, learners=1)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
     played, _, _ = run_online(batch, cfg)
     assert batch.cost_and_subgradient(2, played[2])[1][1] == 0.0
     assert batch.cost_and_subgradient(2, np.array([40.0, 60.0]))[1][1] == 0.0
@@ -400,11 +400,9 @@ def test_missing_programs_are_skipped(rng):
 
 def test_ogd_config_validation():
     with pytest.raises(InvalidInputError):
-        OgdConfig(horizon=0, grad_bound=1.0, diameter=1.0, cap=1.0)
+        OgdConfig(grad_bound=-1.0, diameter=1.0, cap=1.0)
     with pytest.raises(InvalidInputError):
-        OgdConfig(horizon=1, grad_bound=-1.0, diameter=1.0, cap=1.0)
-    with pytest.raises(InvalidInputError):
-        OgdConfig(horizon=1, grad_bound=1.0, diameter=1.0, cap=1.0, learners=0)
+        OgdConfig(grad_bound=1.0, diameter=1.0, cap=1.0, learners=0)
 
 
 @pytest.mark.parametrize("horizon", [1, 7, 200])
@@ -421,7 +419,7 @@ def test_regret_block_draws_match_per_slot_draws(horizon):
             a, b = getattr(batch, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         assert (batch.T, batch.n, batch.cap) == (ref.T, ref.n, ref.cap)
-        cfg = OgdConfig.from_bounds(horizon, 2, 250.0, 200.0, 60.0, learners=1)
+        cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
         played, costs, report = run_online(batch, cfg)
         ref_played, ref_costs, ref_report = run_online(ref, cfg)
         assert played.tobytes() == ref_played.tobytes()

@@ -37,7 +37,7 @@ def online_runs(draw):
     down[:, 0] = draw(st.booleans())
     missing = rng.random((T, n)) < draw(st.sampled_from([0.0, 0.2]))
     batch = SlotBatch(rewards, capacities, prices, raw_eps, down, missing)
-    cfg = OgdConfig.from_bounds(T, n, batch.cap, float(rewards.max()), float(prices.max()), learners=learners)
+    cfg = OgdConfig.from_bounds(n, batch.cap, float(rewards.max()), float(prices.max()), learners=learners)
     kind = draw(st.sampled_from(["none", "hourly", "gapped"]))
     start = datetime(2022, 3, 1, draw(st.integers(0, 23)), draw(st.integers(0, 59)), tzinfo=timezone.utc)
     if kind == "none":

@@ -20,7 +20,7 @@ from minerflex import (
 )
 from minerflex.fleet import MachineType
 from minerflex.oracle import draw_effective_samples, feasibility_grid, mc_expected_cost
-from minerflex.programs import ConstantEps, directions_of, independent_sampler, prices_of
+from minerflex.programs import ConstantEps, directions_of, prices_of, program_sampler
 from minerflex.regulation import sample_joint
 
 from conftest import random_instance
@@ -59,7 +59,7 @@ def test_reversed_fill_is_suboptimal(two_type_fleet):
 def test_grid_mc_never_deployed(two_type_fleet):
     programs = [ProgramSpec(id="p", price=25.0, eps_model=ConstantEps(0.0))]
     res = grid_mc_optimum(
-        two_type_fleet, programs, independent_sampler(programs), GridSpec(101, 200, seed=4)
+        two_type_fleet, programs, program_sampler(programs), GridSpec(101, 200, seed=4)
     )
     assert res.profile.c[0] == pytest.approx(250.0)
     assert res.value == pytest.approx(-250.0 * 25.0)
@@ -72,7 +72,7 @@ def test_grid_mc_zero_prices(two_type_fleet):
         ProgramSpec(id="b", price=0.0, eps_model=ConstantEps(0.6)),
     ]
     res = grid_mc_optimum(
-        two_type_fleet, programs, independent_sampler(programs), GridSpec(41, 100, seed=4)
+        two_type_fleet, programs, program_sampler(programs), GridSpec(41, 100, seed=4)
     )
     np.testing.assert_allclose(res.profile.c, [0.0, 0.0])
     assert res.value == 0.0
@@ -98,7 +98,7 @@ def test_grid_mc_deterministic(two_type_fleet):
         ProgramSpec(id="a", price=22.0, eps_model=ConstantEps(0.2)),
         ProgramSpec(id="b", price=9.0, eps_model=ConstantEps(0.8)),
     ]
-    sampler = independent_sampler(programs)
+    sampler = program_sampler(programs)
     r1 = grid_mc_optimum(two_type_fleet, programs, sampler, GridSpec(51, 500, seed=12))
     r2 = grid_mc_optimum(two_type_fleet, programs, sampler, GridSpec(51, 500, seed=12))
     assert np.array_equal(r1.profile.c, r2.profile.c)
@@ -141,7 +141,7 @@ def test_grid_mc_matches_the_allocating_loop(caps, rewards, n, points, samples):
         ProgramSpec(f"p{i}", 10.0 + 7.0 * i, "down" if i == 1 else "up", TruncatedExponential(lams[i]))
         for i in range(n)
     ]
-    sampler = independent_sampler(programs)
+    sampler = program_sampler(programs)
     grid = GridSpec(points, samples, seed=3)
     res = grid_mc_optimum(fleet, programs, sampler, grid)
     profile, value, stderr = allocating_grid_mc_optimum(fleet, programs, sampler, grid)

@@ -18,7 +18,7 @@ from minerflex import (
     UniformEps,
     fit_lambda,
     fleet_from_rewards,
-    independent_sampler,
+    program_sampler,
     project_feasible,
     sample_joint,
     sample_subgradient,
@@ -27,7 +27,6 @@ from minerflex import (
     suboptimality_bound,
     synthesize_traces,
 )
-from minerflex.cli import _build_sampler
 from minerflex.deployment import project_simplex
 from minerflex.fleet import MachineType, canonicalize
 from minerflex.programs import prices_of
@@ -211,16 +210,6 @@ def test_solve_deterministic(two_type_fleet):
     assert r1.bound == r2.bound
 
 
-def test_solve_respects_step_scale():
-    fleet = fleet_from_rewards([250.0], [150.0])
-    programs = [ProgramSpec(id="a", price=20.0)]
-    tiny = solve(
-        fleet, programs, lambda r, m: np.zeros((m, 1)),
-        SgdConfig(iterations=10, batch=1, seed=0, step_scale=1e-6),
-    )
-    assert tiny.profile.c[0] < 1e-3
-
-
 def test_averaged_iterate_gap_within_bound(two_type_fleet):
     # deterministic eps makes the expected cost an evaluable piecewise-linear
     # function; the averaged iterate must honor the reported guarantee
@@ -250,8 +239,6 @@ def test_config_validation():
         SgdConfig(iterations=0)
     with pytest.raises(InvalidInputError):
         SgdConfig(iterations=1, batch=0)
-    with pytest.raises(InvalidInputError):
-        SgdConfig(iterations=1, step_scale=-1.0)
 
 
 # ── The resampling learner against the serial loop ─────────────────────────
@@ -395,7 +382,7 @@ def sampler_cases():
     for model in models:
         programs = [ProgramSpec("p", 20.0, eps_model=model)]
         column = lambda rng, size, model=model: per_call_draws(model, rng, size)[:, None]  # noqa: E731
-        cases.append((programs, independent_sampler(programs), column))
+        cases.append((programs, program_sampler(programs), column))
     pair = [ProgramSpec("u", 26.0, eps_model=up), ProgramSpec("d", 19.0, "down", dn)]
     model = joint_pair(pair, 0.4, "u", "d")[2]
     cases.append((pair, Sampler(model.width, model.from_uniform), partial(sample_joint, model)))
@@ -416,7 +403,7 @@ def sampler_cases():
             out[:, i] = per_call_draws(programs[i].eps_model, rng, size)
         return out
 
-    cases.append((programs, _build_sampler(programs, composite), composite_reference))
+    cases.append((programs, program_sampler(programs, composite), composite_reference))
     return cases
 
 

@@ -12,6 +12,7 @@ from minerflex import (
     risk_aware_solve,
 )
 from minerflex.deployment import project_simplex
+from minerflex.verify import check_risk_kkt
 
 
 def axis_grid_best(programs, r, cap, points=1000):
@@ -255,10 +256,83 @@ def test_risk_config_validation():
 
 
 def test_risk_solve_rejects_a_negative_reward_or_cap():
-    # checked before the solve branches on the weight: a negative cap never closes
-    # the multiplier bracket, and a negative reward is rejected at weight 0 too
+    # checked before the solve branches on the weight: a negative cap leaves no
+    # feasible profile, and a negative reward is rejected at weight 0 too
     stats = [ProgramStats(12.0, 0.12, 0.1056), ProgramStats(30.0, 0.18, 0.0225)]
     for weight in (0.0, 4e-4):
         for r, cap in ((-1.0, 250.0), (150.0, -1.0)):
             with pytest.raises(InvalidInputError, match="reward and cap must be >= 0"):
                 risk_aware_solve(stats, r, cap, RiskConfig(weight))
+
+
+def bisection_solve(programs, r, cap, w):
+    """Reference: the mean-variance QP with its capacity multiplier found by bisection.
+
+    Bracket doubling and 200 halvings on the demand of the positive-variance
+    programs; the cap it returns can sit slack by about ulp(a_i) / 2b_i.
+    """
+    a = np.array([r * s.mean_eps - s.price for s in programs])
+    b = np.array([w * r**2 * s.var_eps for s in programs])
+    if w == 0.0 or not np.any(b > 0.0):
+        return best_program(programs, r, cap).c
+    pos = b > 0.0
+    zero_neg = (~pos) & (a < 0.0)
+
+    def demand(mu):
+        return float(np.maximum(0.0, -(a[pos] + mu) / (2.0 * b[pos])).sum())
+
+    mu_floor = float((-a[zero_neg]).max()) if zero_neg.any() else 0.0
+    c = np.zeros(len(programs))
+    if not zero_neg.any() and demand(0.0) <= cap:
+        mu = 0.0
+    elif demand(mu_floor) >= cap:
+        lo, hi = mu_floor, max(mu_floor, float(-a[pos].min()), 0.0) + 1.0
+        while demand(hi) > cap:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if demand(mid) > cap else (lo, mid)
+        mu = hi
+    else:
+        mu = mu_floor
+        c[int(np.nonzero(zero_neg & (-a == mu_floor))[0][0])] = cap - demand(mu)
+    c[pos] = np.maximum(0.0, -(a[pos] + mu) / (2.0 * b[pos]))
+    return c
+
+
+def test_risk_tiny_variance_uses_the_whole_cap():
+    # instance 57 of check_risk_kkt(1803012): the binding program has b = w r^2 var
+    # of 3.9e-9, where bisection on the multiplier left the cap 7.2e-7 slack
+    stats = [
+        ProgramStats(price=13.214321033915502, mean_eps=0.5574347983163981, var_eps=0.0),
+        ProgramStats(price=43.291865967855614, mean_eps=0.30168781357808244, var_eps=5.348171363754658e-06),
+    ]
+    r, cap = 8.49078172730562, 129.3646985908449
+    c = risk_aware_solve(stats, r, cap, RiskConfig(1e-5)).c
+    assert c[0] == 0.0 and c[1] > 0.0
+    assert abs(c.sum() - cap) <= 1e-12 * cap
+    assert cap - bisection_solve(stats, r, cap, 1e-5).sum() > 1e-7
+
+
+@pytest.mark.parametrize("seed", [622, 1647, 1874, 1975, 2064, 2291, 2880, 2890])
+def test_risk_kkt_check_passes_where_bisection_left_the_cap_slack(seed):
+    result = check_risk_kkt(seed + 8)
+    assert result.passed, result.detail
+
+
+def test_risk_solve_matches_or_beats_bisection(rng):
+    """Feasible, and never worse than the bisection reference beyond rounding."""
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        stats = []
+        for _ in range(n):
+            mean = float(rng.uniform(0.0, 1.0))
+            scale = rng.choice([0.0, 1.0, 10.0 ** rng.uniform(-10.0, -3.0)], p=[0.25, 0.5, 0.25])
+            var = float(scale * rng.uniform(0.0, 1.0) * mean * (1.0 - mean))
+            stats.append(ProgramStats(price=float(rng.uniform(0.0, 60.0)), mean_eps=mean, var_eps=var))
+        r, cap = float(rng.uniform(0.0, 200.0)), float(rng.uniform(0.0, 400.0))
+        w = float(10.0 ** rng.uniform(-6.0, -2.0))
+        c = risk_aware_solve(stats, r, cap, RiskConfig(w)).c
+        assert c.min() >= 0.0 and c.sum() <= cap * (1.0 + 1e-12)
+        ref = risk_objective(stats, r, w, bisection_solve(stats, r, cap, w))
+        assert risk_objective(stats, r, w, c) <= ref + 1e-12 * max(1.0, abs(ref))
