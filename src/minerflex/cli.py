@@ -28,8 +28,8 @@ from .config import load_config
 from .errors import InvalidInputError, MinerflexError, NumericalError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
 from .fleet import MachineType, parse_machines
-from .online import OgdConfig, per_round_costs, run_online
-from .oracle import compare_strategies, draw_effective_samples, mc_expected_cost
+from .online import OgdConfig, hour_optima, per_round_costs, run_online
+from .oracle import STRATEGIES, compare_strategies, draw_effective_samples, mc_expected_cost
 from .programs import ProgramSpec, TruncatedExponential, fit_lambda, parse_eps_model, program_sampler
 from .regulation import (
     RegInstance,
@@ -45,6 +45,7 @@ from .traces import (
     format_timestamp,
     load_synthesis_spec,
     load_traces,
+    observed_slots,
     parse_timestamp,
     slot_batch,
     synthesize_traces,
@@ -225,24 +226,22 @@ def cmd_synthesize(args) -> dict:
 
 def cmd_solve_offline(args) -> dict:
     machines, programs, joint, economics, traces = _load_fleet_inputs(args)
+    cfg = SgdConfig(iterations=args.iterations, batch=args.batch, seed=args.seed)
     rows = []
     if traces is not None:
-        report = compare_strategies(
-            traces, machines, programs,
-            clamp_negative=args.clamp_negative_rewards,
-            sgd_iterations=args.iterations, sgd_batch=args.batch, seed=args.seed,
-        )
-        hours = np.array([ts.hour for ts in report.timestamps])
+        traces, batch = observed_slots(traces, machines, programs, clamp_negative=args.clamp_negative_rewards)
+        hours = np.array([ts.hour for ts in traces.timestamps])
+        profiles, gaps = hour_optima(batch, hours)
+        costs = batch.costs_for(profiles)
         for h in range(24):
-            rows_h = np.nonzero(hours == h)[0]
-            in_sample = float(report.hour_costs[rows_h, h].mean()) if rows_h.size else math.nan
-            rows.append([h, *map(float, report.hour_profiles[h]), in_sample, float(report.hour_gaps[h])])
+            rows_h = np.flatnonzero(hours == h)
+            in_sample = float(costs[rows_h, h].mean()) if rows_h.size else math.nan
+            rows.append([h, *map(float, profiles[h]), in_sample, float(gaps[h])])
         # the largest certified gap over the hours that have slots
-        bound = float(np.nanmax(report.hour_gaps))
+        bound = float(np.nanmax(gaps))
     else:
         fleet = _parametric_fleet(machines, economics)
         sampler = program_sampler(programs, joint)
-        cfg = SgdConfig(iterations=args.iterations, batch=args.batch, seed=args.seed)
         result = sgd_solve(fleet, programs, sampler, cfg)
         eff = draw_effective_samples(sampler, [p.direction for p in programs], 20000, args.seed + 1)
         value, _ = mc_expected_cost(fleet, programs, result.profile, eff)
@@ -350,14 +349,13 @@ def cmd_compare(args) -> dict:
         window=(args.window_start, args.window_end) if args.window_start else None,
         clamp_negative=args.clamp_negative_rewards, sgd_iterations=args.iterations, seed=args.seed,
     )
-    strategies = ("optimized", "fixed_profile", "even_split", "none")
     slot_rows = [
-        [format_timestamp(ts), *(float(report.slot_profits[k][i]) for k in strategies)]
+        [format_timestamp(ts), *(float(report.slot_profits[k][i]) for k in STRATEGIES)]
         for i, ts in enumerate(report.timestamps)
     ]
     return {
         "strategies.csv": (
-            ["strategy", "mean_profit_per_hour"], [[k, report.mean_profit[k]] for k in strategies]
+            ["strategy", "mean_profit_per_hour"], [[k, report.mean_profit[k]] for k in STRATEGIES]
         ),
         "slots.csv": (
             ["timestamp", "profit_optimized", "profit_fixed", "profit_even_split", "profit_none"],
@@ -430,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_inputs(p, traces_required=False)
     p.add_argument("--iterations", type=int, default=10000,
-                   help="SGD iterations J (default 10000); with traces, they train only the "
-                        "pooled (fixed) profile, and each hour's profile is solved exactly")
-    p.add_argument("--batch", type=int, default=10, help="samples per iteration M (default 10)")
+                   help="SGD iterations J (default 10000), parametric mode only: with traces, "
+                        "each hour's profile is solved exactly")
+    p.add_argument("--batch", type=int, default=10,
+                   help="samples per iteration M (default 10), parametric mode only")
     common(p)
     p.set_defaults(func=cmd_solve_offline)
 

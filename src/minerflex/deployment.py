@@ -199,18 +199,17 @@ def _check_profile_feasible(c: np.ndarray, fleet: FleetSpec):
         raise InfeasibleError(f"profile total {total} exceeds fleet capacity {cap}")
 
 
-def slot_piece(fleet, deployed):
+def slot_piece(cum, deployed):
     """Clip deployment totals onto [0, cap] and locate their cost piece.
 
     On piece k (type k partially deployed) the slot cost is
-    prefix_k + r_k d - p.c, with subgradient r_k eps - p. ``fleet`` is a
-    :class:`FleetSpec`, whose tables serve every total, or a
-    :class:`FleetStack` (such as a :class:`SlotBatch`), whose row t serves
-    row t of ``deployed`` ((T,) or (T, B)). Returns the clipped totals and
-    an index into the fleet tables.
+    prefix_k + r_k d - p.c, with subgradient r_k eps - p. ``cum`` is one
+    fleet's (K,) cumulative capacities, which serve every total, or the
+    (F, K) table of a :class:`FleetStack` (such as a :class:`SlotBatch`),
+    whose row t serves row t of ``deployed`` ((F,) or (F, B)). Returns the
+    clipped totals and an index into the fleet tables.
     """
     # minimum/maximum, not np.clip: same values, far less per-call overhead
-    cum = fleet.cum_capacities
     if cum.ndim == 1:
         d = np.minimum(np.maximum(deployed, 0.0), cum[-1])
         return d, cum.searchsorted(d, side="left")
@@ -226,9 +225,9 @@ def slot_cost(fleet, eps, prices, c):
 
     ``eps`` and ``prices`` are one slot's (N,) vectors, (S, N) samples, or a
     :class:`SlotBatch`'s (T, N) rows; ``c`` is a profile (N,) or profiles as
-    columns (N, B). See :func:`slot_piece` for ``fleet``.
+    columns (N, B). See :func:`slot_piece` for ``fleet.cum_capacities``.
     """
-    d, k = slot_piece(fleet, eps @ c)
+    d, k = slot_piece(fleet.cum_capacities, eps @ c)
     slope, cost = fleet.rewards[k], fleet.prefix_costs[k]
     # (T, B) candidate batches are large: free each temporary as early as
     # possible and work in place, so no more than four are alive at once.
@@ -332,10 +331,7 @@ class FleetStack:
         :func:`realized_cost` in its order, so the two agree bit for bit.
         """
         # a stacked matmul sums each row dot in the order of the 1-D eps @ c
-        d = (eps[:, None, :] @ c[:, :, None])[:, 0, 0]
-        cum = self.cum_capacities[rows]
-        d = np.minimum(np.maximum(d, 0.0), cum[:, -1])
-        k = (np.arange(len(d)), (cum < d[:, None]).sum(1))
+        d, k = slot_piece(self.cum_capacities[rows], (eps[:, None, :] @ c[:, :, None])[:, 0, 0])
         slope = self.rewards[rows][k]
         revenue = (prices[:, None, :] @ c[:, :, None])[:, 0, 0]
         return self.prefix_costs[rows][k] + slope * d - revenue, slope
@@ -400,5 +396,5 @@ class SlotBatch(FleetStack):
         return self.costs_for(candidates).sum(axis=0)
 
     def total_subgradient(self, c: np.ndarray) -> np.ndarray:
-        _, k = slot_piece(self, self.eps @ c)
+        _, k = slot_piece(self.cum_capacities, self.eps @ c)
         return (self.rewards[k][:, None] * self.eps - self.prices).sum(axis=0)

@@ -90,14 +90,16 @@ def hour_optima(batch: SlotBatch, hours: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Row h of the (24, N) profiles is :func:`hindsight_optimum` of the slots t
     with ``hours[t] == h``, and entry h of the (24,) gaps its certificate. An
-    hour without a slot gets a row of NaN and a NaN gap.
+    hour without a slot holds the pooled optimum, :func:`hindsight_optimum` of
+    the whole batch (solved only when some hour is empty), with a NaN gap.
     """
-    profiles, gaps = np.full((24, batch.n), np.nan), np.full(24, np.nan)
-    for h in range(24):
-        rows = np.flatnonzero(hours == h)
-        if rows.size:
-            profile, gaps[h] = hindsight_optimum(batch.take(rows))
-            profiles[h] = profile.c
+    profiles, gaps = np.empty((24, batch.n)), np.full(24, np.nan)
+    empty = np.bincount(hours, minlength=24) == 0
+    for h in np.flatnonzero(~empty).tolist():
+        profile, gaps[h] = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
+        profiles[h] = profile.c
+    if empty.any():
+        profiles[empty] = hindsight_optimum(batch)[0].c
     return profiles, gaps
 
 
@@ -113,7 +115,7 @@ def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarra
     T, n = batch.T, batch.n
     keys = np.arange(T) if timestamps is None else np.array([ts.hour for ts in timestamps])
     learner = keys % cfg.learners
-    counts = np.bincount(learner, minlength=cfg.learners)
+    counts = np.bincount(learner)  # only learners that play are indexed
     # step[t]: how many rounds round t's learner has played before it
     step = np.empty(T, dtype=int)
     step[np.argsort(learner, kind="stable")] = np.arange(T) - np.repeat(np.cumsum(counts) - counts, counts)

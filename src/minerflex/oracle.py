@@ -23,7 +23,7 @@ from .online import hour_optima
 from .programs import ProgramSpec, directions_of, prices_of
 from .sgd import resampled_solve
 from .sgd import solve as sgd_solve  # noqa: F401  (the benchmark's tracing test rebinds this alias)
-from .traces import Traces, reward_matrix, slot_batch
+from .traces import Traces, observed_slots, reward_matrix
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ STRATEGIES = ("optimized", "fixed_profile", "even_split", "none")
 class StrategyReport:
     """Mean hourly profit per strategy over the evaluated window.
 
-    ``hour_costs[t, h]`` is slot t's cost under hour h's profile,
-    ``hour_gaps[h]`` the certified optimality gap of hour h's profile (NaN
+    ``hour_gaps[h]`` is the certified optimality gap of hour h's profile (NaN
     for an hour without slots) and ``batch`` the evaluated slots.
     """
 
@@ -64,7 +63,6 @@ class StrategyReport:
     hour_gaps: np.ndarray
     fixed_profile: np.ndarray
     timestamps: tuple
-    hour_costs: np.ndarray
     batch: SlotBatch
 
 
@@ -205,56 +203,35 @@ def compare_strategies(
     *,
     clamp_negative: bool = False,
     sgd_iterations: int = 2000,
-    sgd_batch: int = 8,
     seed: int = 0,
 ) -> StrategyReport:
     """In-sample profit of four participation strategies on a trace window.
 
-    Each hour of day with a slot gets the exact minimizer of its slots' total
-    cost (:func:`~minerflex.online.hour_optima`, certified by its gap). The
-    fixed profile is pooled over all slots: a resampling SGD learner trained
+    Each hour of day gets its profile from :func:`~minerflex.online.hour_optima`
+    on the window's fully observed slots (:func:`~minerflex.traces.observed_slots`).
+    The fixed profile is pooled over all slots: a resampling SGD learner trained
     on the window's empirical deployment distribution with ``sgd_iterations``
-    iterations of ``sgd_batch`` samples and ``seed``, or no participation or
-    the even split where either costs less in sample. An hour without slots
-    holds the fixed profile.
+    iterations of 8 samples and ``seed``, or no participation or the even split
+    where either costs less in sample.
     """
-    if window is not None:
-        start, end = window
-        traces = traces.take(np.flatnonzero([start <= ts < end for ts in traces.timestamps]))
-    observed = []
-    if len(traces):
-        batch = slot_batch(traces, fleet_config, programs, clamp_negative)
-        observed = np.flatnonzero(~batch.missing.any(axis=1))
-    if len(observed) < 24:
-        raise InvalidInputError(
-            f"need at least 24 fully observed slots in the window, got {len(observed)}"
-        )
-    batch = batch.take(observed)
-    traces = traces.take(observed)
-
+    traces, batch = observed_slots(traces, fleet_config, programs, window, clamp_negative)
     n, cap = len(programs), batch.cap
     fleet = _mean_reward_fleet(reward_matrix(traces, fleet_config, clamp_negative), fleet_config)
     trained = resampled_solve(
-        fleet, np.mean(batch.prices, axis=0), batch.raw_eps, directions_of(programs),
-        sgd_iterations, sgd_batch, seed,
+        fleet, np.mean(batch.prices, axis=0), batch.raw_eps, directions_of(programs), sgd_iterations, 8, seed
     )
     even = np.full(n, cap / n)
     candidates = np.array([trained, np.zeros(n), even])
     fixed = candidates[int(np.argmin(batch.total_costs(candidates)))]
 
-    all_rows = np.arange(len(traces))
     hours = np.array([ts.hour for ts in traces.timestamps])
     hour_profiles, hour_gaps = hour_optima(batch, hours)
-    hour_profiles[np.isnan(hour_gaps)] = fixed
-
     per_slot = {
-        "none": np.zeros(len(traces)),
-        "even_split": -batch.costs_for(even[None, :])[:, 0],
+        "optimized": -batch.costs_for(hour_profiles)[np.arange(len(traces)), hours],
         "fixed_profile": -batch.costs_for(fixed[None, :])[:, 0],
+        "even_split": -batch.costs_for(even[None, :])[:, 0],
+        "none": np.zeros(len(traces)),
     }
-    hour_costs = batch.costs_for(hour_profiles)
-    per_slot["optimized"] = -hour_costs[all_rows, hours]
-
     return StrategyReport(
         mean_profit={k: float(v.mean()) for k, v in per_slot.items()},
         slot_profits=per_slot,
@@ -262,6 +239,5 @@ def compare_strategies(
         hour_gaps=hour_gaps,
         fixed_profile=fixed,
         timestamps=traces.timestamps,
-        hour_costs=hour_costs,
         batch=batch,
     )

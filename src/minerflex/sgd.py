@@ -80,7 +80,7 @@ def project_feasible(point, cap: float) -> Profile:
 
 def _batch_subgradient(fleet, prices: np.ndarray, eps: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Average subgradient r_k * eps - p over the (B, N) sample rows of eps at the (N,) profile c."""
-    _, k = slot_piece(fleet, (eps @ c[:, None])[:, 0])
+    _, k = slot_piece(fleet.cum_capacities, (eps @ c[:, None])[:, 0])
     # mean(axis=0)'s own sum and division, without its per-call overhead
     return np.add.reduce(fleet.rewards[k][:, None] * eps, axis=0) / eps.shape[0] - prices
 

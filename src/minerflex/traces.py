@@ -571,3 +571,23 @@ def slot_batch(traces: Traces, fleet_config, programs, clamp_negative=False) -> 
     missing = np.isnan(deployment)
     down = np.broadcast_to([p.direction == "down" for p in programs], missing.shape)
     return SlotBatch(rewards, capacities, prices, np.where(missing, 0.0, deployment), down, missing)
+
+
+def observed_slots(traces: Traces, fleet_config, programs, window=None, clamp_negative=False):
+    """The fully observed slots at ``start <= timestamp < end`` of ``window`` (all without one) and their batch.
+
+    Returns the selected :class:`Traces` and :func:`slot_batch` of them, in
+    slot order. Raises ``InvalidInputError`` when fewer than 24 slots remain.
+    """
+    if window is not None:
+        start, end = window
+        traces = traces.take(np.flatnonzero([start <= ts < end for ts in traces.timestamps]))
+    observed = []
+    if len(traces):
+        batch = slot_batch(traces, fleet_config, programs, clamp_negative)
+        observed = np.flatnonzero(~batch.missing.any(axis=1))
+    if len(observed) < 24:
+        raise InvalidInputError(
+            f"need at least 24 fully observed slots in the window, got {len(observed)}"
+        )
+    return traces.take(observed), batch.take(observed)

@@ -3,11 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from minerflex import ProgramSpec, hindsight_optimum, load_fleet_config, load_traces
 from minerflex.cli import main
+from minerflex.traces import observed_slots
 
 from conftest import child_env
+from test_online import lp_hindsight_value
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -418,6 +422,46 @@ def test_solve_offline_traces_mode(traces_dir, tmp_path):
     # the solve stops at a gap of 1e-9 of the hour's total cost, at most 168 slots' worth on a week
     assert all(0.0 <= b <= 1e-9 * max(1.0, 168 * abs(cost)) for cost, b in rows)
     assert summary["bound"] == max(bounds)
+
+
+def test_solve_offline_empty_hour_holds_pooled_optimum(traces_dir, tmp_path):
+    # blank every hour-3 epsilon: no hour-3 slot is fully observed
+    lines = (traces_dir / "as.csv").read_text().splitlines()
+    holed = [lines[0]] + [line.rsplit(",", 1)[0] + "," if line[11:13] == "03" else line for line in lines[1:]]
+    (tmp_path / "as.csv").write_text("\n".join(holed) + "\n")
+    traces = ["--traces-market", traces_dir / "market.csv", "--traces-as", tmp_path / "as.csv"]
+    argv = ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+            *traces, "--out", tmp_path / "o"]
+    assert main([str(a) for a in argv]) == 0
+    rows = [line.split(",") for line in (tmp_path / "o" / "profiles.csv").read_text().splitlines()[1:]]
+
+    programs = [ProgramSpec(id=p["id"], price=p["price"], direction=p["direction"])
+                for p in json.loads((CONFIGS / "programs.json").read_text())["programs"]]
+    week, batch = observed_slots(
+        load_traces(traces_dir / "market.csv", tmp_path / "as.csv"), load_fleet_config(CONFIGS / "fleet.json"),
+        programs,
+    )
+    hours = np.array([ts.hour for ts in week.timestamps])
+    assert batch.T == 161 and not (hours == 3).any()
+    hour3 = np.array([float(x) for x in rows[3][1:3]])
+    star = lp_hindsight_value(batch)
+    assert abs(float(batch.total_costs(hour3[None, :])[0]) - star) <= 1e-9 * max(1.0, abs(star))
+    assert rows[3][3:] == ["nan", "nan"]
+    for h in set(range(24)) - {3}:
+        profile, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
+        assert rows[h][:3] + rows[h][4:] == [str(h), *map(repr, [*profile.c.tolist(), gap])], h
+        cost = batch.costs_for(profile.c[None, :])[hours == h, 0].mean()
+        assert float(rows[h][3]) == pytest.approx(cost, rel=1e-12), h
+
+
+def test_solve_offline_traces_mode_validates_sgd_flags(traces_dir, tmp_path, capsys):
+    # the SGD flags serve parametric runs only, but traces mode still checks them
+    traces = ["--traces-market", traces_dir / "market.csv", "--traces-as", traces_dir / "as.csv"]
+    for flag, message in (("--iterations", "iterations must be >= 1, got 0"), ("--batch", "batch must be >= 1, got 0")):
+        argv = ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+                *traces, flag, 0, "--out", tmp_path / "o"]
+        assert main([str(a) for a in argv]) == 2, flag
+        assert message in capsys.readouterr().err
 
 
 def test_solve_offline_with_joint_reg_pair(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -97,6 +98,26 @@ def test_waves_match_the_serial_loop(rng):
     for learners, timestamps in ((24, stamps), (7, stamps), (5, None), (1, None), (40, None)):
         cfg = OgdConfig.from_bounds(3, 250.0, 200.0, 150.0, learners=learners)
         assert_matches_serial(batch, cfg, timestamps)
+
+
+def test_learner_bank_memory_does_not_grow_with_its_size(rng):
+    # only the learners that play hold state: ten million on 48 slots cost what 48 do
+    batch = slot_batch_of(*random_rounds(rng, 48), 250.0)
+    runs = {}
+    for learners in (48, 10**7):
+        cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=learners)
+        tracemalloc.start()
+        try:
+            played, costs, report = run_online(batch, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs[learners] = [
+            played.tobytes(), costs.tobytes(), report.hindsight_profile.c.tobytes(),
+            *(np.float64(x).tobytes() for x in (report.static_regret, report.hindsight_gap, report.bound)),
+        ]
+    assert peak < 2**20, peak
+    assert runs[10**7] == runs[48]
 
 
 def test_regret_bound_values():
@@ -335,11 +356,17 @@ def test_hindsight_matches_lp_oracle(batch):
 
 
 def assert_hour_optima_match_lp(batch, hours, profiles, gaps):
-    """Every hour with slots holds its slots' LP optimum, certified by its gap; every other hour a NaN gap."""
+    """Every hour with slots holds its slots' LP optimum, certified by its gap.
+
+    Every other hour holds the LP optimum of all slots, with a NaN gap.
+    """
     for h in range(24):
         rows = np.flatnonzero(hours == h)
         if not rows.size:
             assert np.isnan(gaps[h]), f"hour {h}"
+            star = lp_hindsight_value(batch)
+            value = float(batch.total_costs(profiles[h][None, :])[0])
+            assert abs(value - star) <= 1e-9 * max(1.0, abs(star)), f"hour {h}"
             continue
         sub = batch.take(rows)
         star = lp_hindsight_value(sub)
@@ -359,8 +386,10 @@ def test_hour_optima_match_lp_oracle():
     hours[0] = 7  # hour 5 has no slot, hour 7 one
     profiles, gaps = hour_optima(batch, hours)
     assert profiles.shape == (24, 3) and gaps.shape == (24,)
-    assert np.isnan(profiles[5]).all() and np.flatnonzero(hours == 7).tolist() == [0]
+    assert np.flatnonzero(hours == 7).tolist() == [0]
     assert_hour_optima_match_lp(batch, hours, profiles, gaps)
+    # the empty hour holds the pooled optimum itself
+    assert profiles[5].tobytes() == hindsight_optimum(batch)[0].c.tobytes()
     for h in np.unique(hours).tolist():
         profile, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
         assert profile.c.tobytes() == profiles[h].tobytes() and gap == gaps[h]

@@ -14,6 +14,7 @@ from minerflex import (
     fit_lambda,
     fleet_from_rewards,
     grid_mc_optimum,
+    hindsight_optimum,
     lp_deployment_oracle,
     realized_cost,
     synthesize_traces,
@@ -190,12 +191,16 @@ def test_compare_strategies_hours_are_lp_optima():
     assert (hours == 3).sum() == 0 and (hours == 4).sum() == 1
     assert (report.batch.capacities == 0.0).any()  # merged afternoon types, padded at zero capacity
     assert_hour_optima_match_lp(report.batch, hours, report.hour_profiles, report.hour_gaps)
-    assert report.hour_profiles[3].tobytes() == report.fixed_profile.tobytes()
+    # the empty hour 3 holds the pooled exact optimum, which costs the window no more than the fixed profile
+    assert report.hour_profiles[3].tobytes() == hindsight_optimum(report.batch)[0].c.tobytes()
+    totals = report.batch.total_costs(np.array([report.hour_profiles[3], report.fixed_profile]))
+    assert totals[0] <= totals[1] + 1e-9 * max(1.0, abs(totals[1]))
     # each hour's exact optimum costs its slots no more than the fixed profile does
+    hour_costs = report.batch.costs_for(report.hour_profiles)
     fixed = report.batch.costs_for(report.fixed_profile[None, :])[:, 0]
     for h in np.unique(hours).tolist():
         rows = hours == h
-        assert report.hour_costs[rows, h].sum() <= fixed[rows].sum() + 1e-9 * max(1.0, abs(fixed[rows].sum()))
+        assert hour_costs[rows, h].sum() <= fixed[rows].sum() + 1e-9 * max(1.0, abs(fixed[rows].sum()))
 
 
 def test_compare_strategies_zero_prices():
