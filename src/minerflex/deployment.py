@@ -125,20 +125,7 @@ def project_simplex(x: np.ndarray, cap) -> np.ndarray:
     sort-and-threshold shift (Duchi et al. 2008). Inputs are not validated.
     """
     if x.ndim == 1 and 0 < x.size < 8:
-        # One short vector in Python floats: the same IEEE operations in the same
-        # order, at a fraction of the per-call cost. numpy sums fewer than 8
-        # entries left to right (more go pairwise), and its maximum(v, 0.0) keeps
-        # nan and turns -0.0 into 0.0.
-        v = x.tolist()
-        clipped = [0.0 if e <= 0.0 else e for e in v]
-        if not list(accumulate(clipped))[-1] > cap:
-            return np.array(clipped)
-        u = sorted(v, reverse=True)
-        css = [s - cap for s in accumulate(u)]
-        # rho as below: the last index where the shifted entry stays positive, else 0
-        rho = next((i for i in range(len(u) - 1, 0, -1) if u[i] - css[i] / (i + 1) > 0.0), 0)
-        tau = css[rho] / (rho + 1.0)
-        return np.array([0.0 if d <= 0.0 else d for d in (e - tau for e in v)])
+        return np.array(project_simplex_list(x.tolist(), cap))
     clipped = np.maximum(x, 0.0)
     over = clipped.sum(-1, keepdims=True) > cap
     if not np.count_nonzero(over):
@@ -153,6 +140,35 @@ def project_simplex(x: np.ndarray, cap) -> np.ndarray:
     rho = n - 1 - positive[..., ::-1].argmax(-1)[..., None]
     tau = np.take_along_axis(css, rho, -1) / (rho + 1.0)
     return np.where(over, np.maximum(x - tau, 0.0), clipped)
+
+
+def project_simplex_list(v: list, cap) -> list:
+    """:func:`project_simplex` of one vector given and returned as a list of floats, bit for bit.
+
+    Fewer than 8 entries run in Python floats: the same IEEE operations in the
+    same order, at a fraction of numpy's per-call cost. numpy sums fewer than 8
+    entries left to right (more go pairwise), and its maximum(v, 0.0) keeps nan
+    and turns -0.0 into 0.0. Longer vectors take the numpy path.
+    """
+    if not 0 < len(v) < 8:
+        return project_simplex(np.array(v), cap).tolist()
+    clipped = [0.0 if e <= 0.0 else e for e in v]
+    total = 0.0  # no clipped entry is -0.0, so 0.0 + e_0 is e_0, where numpy's sum starts
+    for e in clipped:
+        total += e
+    if not total > cap:
+        return clipped
+    u = sorted(v, reverse=True)
+    # rho and css[rho] as in project_simplex: the last index where the shifted entry
+    # stays positive, else 0, with css the running sum of u less cap
+    s = u[0]
+    rho, css = 0, s - cap
+    for i in range(1, len(u)):
+        s += u[i]
+        if u[i] - (s - cap) / (i + 1) > 0.0:
+            rho, css = i, s - cap
+    tau = css / (rho + 1.0)
+    return [0.0 if (d := e - tau) <= 0.0 else d for e in v]
 
 
 def _clamp_total(total: float, cap: float) -> float:
@@ -199,6 +215,18 @@ def _check_profile_feasible(c: np.ndarray, fleet: FleetSpec):
         raise InfeasibleError(f"profile total {total} exceeds fleet capacity {cap}")
 
 
+def capped_breaks(cum):
+    """The cumulative capacities strictly below the fleet's capacity ``cum[-1]``.
+
+    A left ``searchsorted`` of any non-NaN deployment total against these gives
+    the piece of that total clipped onto [0, cap]: below 0 no capacity is
+    smaller, and above cap every one of them is. The whole of ``cum[:-1]`` would
+    not do where zero-capacity types top the fleet: with cum = [100, 250, 250]
+    a total of 300 must land on piece 1, the last type with capacity, not 2.
+    """
+    return cum[: cum.searchsorted(cum[-1])]
+
+
 def slot_piece(cum, deployed):
     """Clip deployment totals onto [0, cap] and locate their cost piece.
 
@@ -207,12 +235,12 @@ def slot_piece(cum, deployed):
     fleet's (K,) cumulative capacities, which serve every total, or the
     (F, K) table of a :class:`FleetStack` (such as a :class:`SlotBatch`),
     whose row t serves row t of ``deployed`` ((F,) or (F, B)). Returns the
-    clipped totals and an index into the fleet tables.
+    clipped totals and an index into the fleet tables. One fleet's piece comes
+    from the unclipped totals through :func:`capped_breaks`.
     """
-    # minimum/maximum, not np.clip: same values, far less per-call overhead
     if cum.ndim == 1:
-        d = np.minimum(np.maximum(deployed, 0.0), cum[-1])
-        return d, cum.searchsorted(d, side="left")
+        # minimum/maximum, not np.clip: same values, far less per-call overhead
+        return np.minimum(np.maximum(deployed, 0.0), cum[-1]), capped_breaks(cum).searchsorted(deployed)
     tail = (1,) * (np.ndim(deployed) - 1)
     rows = np.arange(cum.shape[0]).reshape(-1, *tail)
     d = np.minimum(np.maximum(deployed, 0.0), cum[:, -1].reshape(-1, *tail))

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deployment import Profile, as_vector, flip_down, project_simplex, slot_piece
+from .deployment import Profile, as_vector, capped_breaks, flip_down, project_simplex, project_simplex_list
 from .errors import InvalidInputError
 from .fleet import FleetSpec
 from .programs import ProgramSpec, prices_of
@@ -78,11 +78,21 @@ def project_feasible(point, cap: float) -> Profile:
     return Profile(project_simplex(x, cap))
 
 
-def _batch_subgradient(fleet, prices: np.ndarray, eps: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Average subgradient r_k * eps - p over the (B, N) sample rows of eps at the (N,) profile c."""
-    _, k = slot_piece(fleet.cum_capacities, (eps @ c[:, None])[:, 0])
-    # mean(axis=0)'s own sum and division, without its per-call overhead
-    return np.add.reduce(fleet.rewards[k][:, None] * eps, axis=0) / eps.shape[0] - prices
+def _subgradient(rewards, breaks, prices: list, eps: np.ndarray, c: list) -> list:
+    """Average subgradient r_k eps - p over the (B, N) sample rows of eps at the profile c.
+
+    ``breaks`` are the fleet's :func:`~minerflex.deployment.capped_breaks`, so
+    each row's piece is :func:`~minerflex.deployment.slot_piece`'s, and
+    ``prices`` and ``c`` are lists of N floats, as is the result. Only the
+    batch rows take numpy calls: the row dot, whose BLAS rounding decides the
+    piece, one search and mean(axis=0)'s own sum. The division and the price
+    subtraction are its IEEE operations on Python floats.
+    """
+    # the row dot and its pieces stay (B, 1) columns, which broadcast against eps
+    k = breaks.searchsorted(eps @ np.array(c)[:, None])
+    sums = np.add.reduce(rewards[k] * eps, axis=0).tolist()
+    b = len(eps)
+    return [s / b - q for s, q in zip(sums, prices)]
 
 
 def sample_subgradient(
@@ -105,7 +115,11 @@ def sample_subgradient(
         raise InvalidInputError(
             f"dimension mismatch: samples {eps.shape}, profile {c.size}, programs {p.size}"
         )
-    return _batch_subgradient(fleet, p, eps, c)
+    for name, x in (("samples", eps), ("profile", c)):
+        if not np.isfinite(x).all():
+            raise InvalidInputError(f"{name} must be finite, got {x}")
+    breaks = capped_breaks(fleet.cum_capacities)
+    return np.array(_subgradient(fleet.rewards, breaks, p.tolist(), eps, c.tolist()))
 
 
 def _descend(fleet, prices, num, cap, iterations: int, blocks, trajectory=None) -> np.ndarray:
@@ -114,23 +128,27 @@ def _descend(fleet, prices, num, cap, iterations: int, blocks, trajectory=None) 
     ``blocks`` yields (m, B, N) arrays whose leading axis runs over
     consecutive iterations, each entry holding that iteration's effective
     samples. Appends each iterate to ``trajectory`` when given and returns
-    the iterate average.
+    the iterate average. The N-long profile, step and average are Python
+    floats, with numpy's elementwise IEEE operations in numpy's order, so
+    only :func:`_subgradient`'s batch-row work pays numpy's per-call cost.
     """
-    c = np.zeros(prices.shape)
-    acc = np.zeros(prices.shape)
+    rewards, breaks, p = fleet.rewards, capped_breaks(fleet.cum_capacities), prices.tolist()
+    c = [0.0] * len(p)
+    acc = [0.0] * len(p)
     j = 0
     for block in blocks:
         for eps in block:
             j += 1
-            acc += c
-            grad = _batch_subgradient(fleet, prices, eps, c)
+            acc = [a + x for a, x in zip(acc, c)]
+            grad = _subgradient(rewards, breaks, p, eps, c)
             # (D/G)/sqrt(j), not step_size's D/(G sqrt(j)): on the shipped
             # parametric fleet the two round apart in 2,598 of the first
             # 10,000 steps, so switching would change every solve's bits
-            c = project_simplex(c - (num / math.sqrt(j)) * grad, cap)
+            step = num / math.sqrt(j)
+            c = project_simplex_list([x - step * g for x, g in zip(c, grad)], cap)
             if trajectory is not None:
-                trajectory.append(c.copy())
-    return acc / iterations
+                trajectory.append(np.array(c))
+    return np.array([a / iterations for a in acc])
 
 
 # Iterations whose samples are drawn in one generator call; drawing the
@@ -147,6 +165,8 @@ def _shaped(samples, shape: tuple[int, ...]) -> np.ndarray:
     eps = np.asarray(samples, dtype=float)
     if eps.shape != shape:
         raise InvalidInputError(f"sampler returned shape {eps.shape}, expected {shape}")
+    if not np.isfinite(eps).all():
+        raise InvalidInputError("sampler returned non-finite deployment rates")
     return eps
 
 
@@ -213,6 +233,8 @@ def resampled_solve(
     n = len(directions)
     if np.ndim(rows) != 2 or len(rows) == 0 or np.shape(rows)[1] != n:
         raise InvalidInputError(f"rows must be (J >= 1, {n}), got {np.shape(rows)}")
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("rows must be finite")
     if np.shape(prices) != (n,):
         raise InvalidInputError(f"prices must be ({n},), got {np.shape(prices)}")
     cap = fleet.total_capacity_mw

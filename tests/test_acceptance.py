@@ -46,6 +46,7 @@ from minerflex import (
     solve,
     suboptimality_bound,
     synthesize_traces,
+    verify,
 )
 from minerflex.deployment import realized_cost_batch
 from minerflex.oracle import draw_effective_samples, mc_expected_cost
@@ -338,7 +339,8 @@ def test_criterion_7_online_regret():
     worst_ratio = -math.inf
     all_bounded = True
     for _ in range(200):
-        _, _, rep = run_online(slot_batch_of(*_bounded_rounds(rng, horizon), 250.0), cfg)
+        # one block draw of _bounded_rounds' slots (test_verify_draws.py pins the two equal)
+        _, _, rep = run_online(verify.regret_slots(rng, horizon), cfg)
         all_bounded &= rep.static_regret <= bound
         worst_ratio = max(worst_ratio, rep.static_regret / bound)
 

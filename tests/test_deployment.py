@@ -16,7 +16,7 @@ from minerflex import (
     fleet_from_rewards,
     realized_cost,
 )
-from minerflex.deployment import realized_cost_batch, slot_cost
+from minerflex.deployment import capped_breaks, realized_cost_batch, slot_cost, slot_piece
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
 
@@ -174,13 +174,46 @@ def test_cost_fixed_k_rejects_mismatched_sizes(two_type_fleet):
 
 
 def test_realized_cost_rejects_non_finite_inputs(two_type_fleet):
-    # numpy's searchsorted puts nan past the last type (an IndexError) and bisect puts it first
+    # numpy's searchsorted puts nan past the last breakpoint and bisect puts it first
     programs = [ProgramSpec(id="a", price=20.0), ProgramSpec(id="b", price=7.0)]
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidInputError, match="^profile .*finite"):
             realized_cost(two_type_fleet, programs, np.array([bad, 10.0]), np.array([0.5, 0.5]))
         with pytest.raises(InvalidInputError, match="^sample .*finite"):
             realized_cost(two_type_fleet, programs, np.array([10.0, 10.0]), np.array([0.5, bad]))
+
+
+def test_capped_breakpoint_search_is_the_clipped_search(rng):
+    """The piece of a raw total is the piece of the total clipped onto [0, cap]."""
+    top = fleet_from_rewards([100.0, 150.0, 0.0], [10.0, 20.0, 30.0])
+    fleets = [
+        top,  # a zero-capacity type at the top: cum = [100, 250, 250]
+        fleet_from_rewards([0.0, 100.0, 150.0], [10.0, 20.0, 30.0]),  # at the bottom
+        fleet_from_rewards([0.0, 60.0, 0.0, 90.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        fleet_from_rewards([250.0], [40.0]),
+        fleet_from_rewards([0.0, 0.0], [40.0, 50.0]),  # no capacity at all
+    ]
+    for _ in range(40):
+        k = int(rng.integers(1, 6))
+        caps = np.where(rng.random(k) < 0.3, 0.0, rng.uniform(1.0, 100.0, k))
+        fleets.append(fleet_from_rewards(caps, np.sort(rng.uniform(0.0, 200.0, k)) + np.arange(k) * 1e-6))
+    for fleet in fleets:
+        cum = fleet.cum_capacities
+        cap = float(cum[-1])
+        edges = [0.0, -0.0, -1.0, -1e300, -np.inf, np.nextafter(0.0, -1.0), 2.0 * cap + 1.0, 1e300, np.inf]
+        totals = np.concatenate([
+            rng.uniform(-0.5 * cap - 1.0, 1.5 * cap + 1.0, 300),
+            cum, np.nextafter(cum, np.inf), np.nextafter(cum, -np.inf), edges,
+        ])
+        clipped = cum.searchsorted(np.minimum(np.maximum(totals, 0.0), cap), side="left")
+        assert np.array_equal(capped_breaks(cum).searchsorted(totals), clipped)
+        assert np.array_equal(slot_piece(cum, totals)[1], clipped)
+        for t, k in zip(totals.tolist(), clipped.tolist()):
+            assert capped_breaks(cum).searchsorted(t) == k
+    # the plain breakpoints cum[:-1] put a total past a zero-capacity top type
+    assert top.cum_capacities.tolist() == [100.0, 250.0, 250.0]
+    assert top.cum_capacities[:-1].searchsorted(300.0) == 2
+    assert capped_breaks(top.cum_capacities).searchsorted(300.0) == 1
 
 
 def test_one_slot_costs_match_slot_cost_bit_for_bit(rng):

@@ -142,6 +142,15 @@ def test_subgradient_rejects_empty(two_type_fleet):
         sample_subgradient(two_type_fleet, programs, np.array([10.0]), [])
 
 
+def test_subgradient_rejects_non_finite_inputs(two_type_fleet):
+    programs = [ProgramSpec(id="a", price=20.0), ProgramSpec(id="b", price=7.0)]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="^samples must be finite"):
+            sample_subgradient(two_type_fleet, programs, np.array([10.0, 10.0]), np.array([[0.5, 0.5], [0.2, bad]]))
+        with pytest.raises(InvalidInputError, match="^profile must be finite"):
+            sample_subgradient(two_type_fleet, programs, np.array([bad, 10.0]), np.array([[0.5, 0.5]]))
+
+
 def test_subgradient_matches_finite_differences(rng):
     checked = 0
     while checked < 25:
@@ -258,14 +267,19 @@ def reference_projection(x, cap):
     return np.maximum(x - tau, 0.0)
 
 
-def reference_solve(fleet, prices, down, sampler, cfg):
-    """Serial projected SGD, one learner, as a plain loop (the iterate average)."""
+def reference_solve(fleet, prices, down, sampler, cfg, trajectory=None):
+    """Serial projected SGD, one learner, as a plain loop (the iterate average).
+
+    Appends c = 0 and then every iterate to ``trajectory`` when given.
+    """
     n = prices.size
     cap = fleet.total_capacity_mw
     num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(prices.max()))
     rng = np.random.default_rng(cfg.seed)
     c = np.zeros(n)
     acc = np.zeros(n)
+    if trajectory is not None:
+        trajectory.append(c)
     for j in range(1, cfg.iterations + 1):
         acc += c
         eps = np.asarray(sampler(rng, cfg.batch), dtype=float)
@@ -275,7 +289,15 @@ def reference_solve(fleet, prices, down, sampler, cfg):
         k = np.searchsorted(fleet.cum_capacities, d, side="left")
         grad = (fleet.rewards[k, None] * eps).mean(axis=0) - prices
         c = reference_projection(c - (num / math.sqrt(j)) * grad, cap)
+        if trajectory is not None:
+            trajectory.append(c)
     return acc / cfg.iterations
+
+
+def assert_same_iterates(trajectory, reference):
+    assert len(trajectory) == len(reference)
+    for j, (c, ref) in enumerate(zip(trajectory, reference)):
+        assert isinstance(c, np.ndarray) and c.tobytes() == ref.tobytes(), f"iterate {j}"
 
 
 def resampling_sampler(rows):
@@ -343,14 +365,22 @@ def test_resampled_solve_matches_serial_reference_per_learner():
     rows = learners[0].rows
     learners.append(Learner(fleet_from_rewards([310.0], [40.0]), np.array([30.0, 20.0, 9.0]), rows[:1], 5))
     learners.append(Learner(fleet_from_rewards([60.0, 250.0], [0.0, 90.0]), np.array([3.0, 40.0, 12.0]), rows[:13], 6))
+    # a zero-capacity type at the top, whose reward still sets the step
+    learners.append(Learner(fleet_from_rewards([60.0, 250.0, 0.0], [0.0, 90.0, 140.0]), learners[0].prices, rows, 8))
     down = np.array(directions) == "down"
     for iterations, batch in ((150, 7), (64, 8)):  # across and exactly at a draw chunk
         for lr in learners:
             c = resampled_solve(lr.fleet, lr.prices, lr.rows, directions, iterations, batch, lr.seed)
             assert c.shape == (len(directions),)
             cfg = SgdConfig(iterations=iterations, batch=batch, seed=lr.seed)
-            ref = reference_solve(lr.fleet, lr.prices, down, resampling_sampler(lr.rows), cfg)
+            reference = []
+            ref = reference_solve(lr.fleet, lr.prices, down, resampling_sampler(lr.rows), cfg, reference)
             assert c.tobytes() == ref.tobytes()
+            # the same loop records its iterates through solve on the resampling sampler
+            programs = [ProgramSpec(f"p{i}", float(q), d) for i, (q, d) in enumerate(zip(lr.prices, directions))]
+            result = solve(lr.fleet, programs, resampling_sampler(lr.rows), cfg, record_trajectory=True)
+            assert result.profile.c.tobytes() == ref.tobytes()
+            assert_same_iterates(result.trajectory, reference)
 
 
 def per_call_draws(model, rng, size):
@@ -424,16 +454,25 @@ def test_block_draws_match_per_call_draws():
 def test_solve_matches_serial_reference(two_type_fleet):
     two = [ProgramSpec(id="a", price=30.0), ProgramSpec(id="b", price=10.0, direction="down")]
     uniform = lambda r, m: r.uniform(0, 1, (m, 2))  # noqa: E731  a plain callable
-    cases = [(two, uniform, uniform), *sampler_cases()]
+    # nine programs take the numpy projection path
+    nine = [ProgramSpec(id=f"p{i}", price=4.0 + 3.0 * i, direction=("up", "down")[i % 2]) for i in range(9)]
+    uniform9 = lambda r, m: r.uniform(0, 1, (m, 9))  # noqa: E731
+    cases = [(two, uniform, uniform), (nine, uniform9, uniform9), *sampler_cases()]
+    # the desk fleet, and one topped by a zero-capacity type whose reward still sets the step
+    fleets = [two_type_fleet, fleet_from_rewards([150.0, 100.0, 0.0], [94.0, 150.0, 170.0])]
     for programs, sampler, reference in cases:
         prices = prices_of(programs)
         down = np.array([p.direction == "down" for p in programs])
-        for iterations in (1, 63, 64, 65, 300):  # around and across draw blocks
-            for batch, seed in ((3, 7), (10, 1)):
-                cfg = SgdConfig(iterations=iterations, batch=batch, seed=seed)
-                result = solve(two_type_fleet, programs, sampler, cfg)
-                expected = reference_solve(two_type_fleet, prices, down, reference, cfg)
-                assert result.profile.c.tobytes() == expected.tobytes()
+        for fleet in fleets:
+            for iterations in (1, 63, 64, 65, 300):  # around and across draw blocks
+                for batch, seed in ((3, 7), (10, 1)):
+                    cfg = SgdConfig(iterations=iterations, batch=batch, seed=seed)
+                    result = solve(fleet, programs, sampler, cfg, record_trajectory=iterations == 300)
+                    trajectory = [] if result.trajectory is not None else None
+                    expected = reference_solve(fleet, prices, down, reference, cfg, trajectory)
+                    assert result.profile.c.tobytes() == expected.tobytes()
+                    if trajectory is not None:
+                        assert_same_iterates(result.trajectory, trajectory)
 
 
 def test_solve_signature_keeps_config_fourth():
@@ -442,6 +481,33 @@ def test_solve_signature_keeps_config_fourth():
     assert params[3].name == "config"
     assert params[3].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:4])
+
+
+def test_solve_rejects_non_finite_samples(two_type_fleet):
+    programs = [ProgramSpec(id="a", price=30.0), ProgramSpec(id="b", price=10.0, direction="down")]
+    cfg = SgdConfig(iterations=100, batch=3, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        calls = []
+
+        def plain(rng, m, bad=bad):
+            # a bad rate on the 70th call, in the second draw block
+            calls.append(m)
+            out = rng.uniform(0.0, 1.0, (m, 2))
+            if len(calls) == 70:
+                out[-1, 1] = bad
+            return out
+
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            solve(two_type_fleet, programs, plain, cfg)
+        assert len(calls) == 70
+
+        def from_uniform(u, bad=bad):
+            out = np.stack([u[..., 0, :], u[..., 0, :]], axis=-1)
+            out[..., -1, :, 0] = bad  # the last iteration of every draw block
+            return out
+
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            solve(two_type_fleet, programs, Sampler(1, from_uniform), cfg)
 
 
 def test_resampled_solve_validation():
@@ -459,6 +525,9 @@ def test_resampled_solve_validation():
         resampled_solve(fleet, prices, rows, ["up", "up"], 10, 2, 0)
     with pytest.raises(InvalidInputError):
         resampled_solve(fleet, np.array([1.0, 2.0]), rows, ["up"], 10, 2, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="^rows must be finite"):
+            resampled_solve(fleet, prices, np.array([[0.5], [bad]]), ["up"], 10, 2, 0)
 
 
 def test_rowwise_projection_matches_per_row_calls(rng):

@@ -20,7 +20,8 @@ from minerflex import verify
 from minerflex.programs import prices_of
 from minerflex.verify import CheckResult
 
-from conftest import random_instance
+from conftest import random_instance, slot_batch_of
+from test_acceptance import _bounded_rounds
 
 
 def scalar_segment(rng):
@@ -155,3 +156,20 @@ def test_drawn_by_shape_groups_every_instance_once_in_draw_order():
                 assert np.array([inst[field] for inst in members]).tobytes() == stacked.tobytes()
         seen += len(shapes)
     assert seen == len(groups)
+
+
+@pytest.mark.parametrize("seed", [10, 108])
+def test_regret_slots_match_bounded_rounds(seed):
+    # criterion 7's bounded runs draw through regret_slots: the per-slot FleetSpec
+    # build it replaced must give the same batch and leave the same stream behind
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tables = ("rewards", "capacities", "cum_capacities", "prefix_costs", "quoted_prices", "raw_eps",
+              "down", "missing", "eps", "prices")
+    for horizon in (500, 1, 37, 500):
+        ref = slot_batch_of(*_bounded_rounds(ref_rng, horizon), 250.0)
+        got = verify.regret_slots(rng, horizon)
+        for name in tables:
+            x, y = getattr(ref, name), getattr(got, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert got.cap == ref.cap
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
