@@ -30,7 +30,7 @@ from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_ra
 from .fleet import MachineType, parse_machines
 from .online import OgdConfig, hour_optima, per_round_costs, run_online
 from .oracle import STRATEGIES, compare_strategies, draw_effective_samples, mc_expected_cost
-from .programs import ProgramSpec, TruncatedExponential, fit_lambda, parse_eps_model, program_sampler
+from .programs import ProgramSpec, TruncatedExponential, check_unique_ids, fit_lambda, parse_eps_model, program_sampler
 from .regulation import (
     RegInstance,
     RegJointModel,
@@ -86,10 +86,12 @@ def _write_columns(header, columns, path: Path):
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _write_json(path: Path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(name: str, obj) -> str:
+    """``obj`` as the JSON text of output ``name``; a non-finite number is a ``NumericalError``."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"{name}: {exc}") from None
 
 
 def _write_outputs(out: Path, outputs: dict) -> list[str]:
@@ -97,15 +99,17 @@ def _write_outputs(out: Path, outputs: dict) -> list[str]:
 
     Each key is a file name, or a tuple of names one writer fills. Each value
     is a JSON object (``dict``), a CSV ``(header, rows)`` pair, or a writer
-    called with the paths of its key's names.
+    called with the paths of its key's names. Every JSON object is rendered
+    before any file is written.
     """
+    texts = {key: _json_text(key, content) for key, content in outputs.items() if isinstance(content, dict)}
     names = []
     for key, content in outputs.items():
         paths = [out / name for name in ((key,) if isinstance(key, str) else key)]
         if callable(content):
             content(*paths)
-        elif isinstance(content, dict):
-            _write_json(paths[0], content)
+        elif key in texts:
+            paths[0].write_text(texts[key])
         else:
             _write_csv(paths[0], *content)
         names += [path.name for path in paths]
@@ -127,7 +131,10 @@ def _economics(cfg: dict):
     economics = cfg.get("economics")
     if economics is None:
         return None
-    return float(economics["coin_price"]), float(economics["electricity_price"])
+    coin_price = float(economics["coin_price"])
+    if coin_price < 0.0:
+        raise InvalidInputError(f"economics.coin_price must be >= 0, got {coin_price}")
+    return coin_price, float(economics["electricity_price"])
 
 
 def _parse_programs(cfg: dict):
@@ -144,6 +151,7 @@ def _parse_programs(cfg: dict):
         )
         for entry in entries
     ]
+    check_unique_ids(p.id for p in programs)
     joint = cfg.get("joint")
     if joint is not None:
         joint = joint_pair(programs, float(joint["theta"]), joint["up"], joint["down"])
@@ -163,8 +171,10 @@ def _parse_reg(cfg: dict) -> RegInstance:
 
 
 def _parse_risk(cfg: dict, with_stats: bool):
-    """(reward rate, cap, risk weight, program ids, stats or None) of a risk config."""
+    """(reward rate, cap, RiskConfig, program ids, stats or None) of a risk config."""
     entries = cfg["programs"]
+    if not entries:
+        raise InvalidInputError("need at least one program")
     stats = None
     if with_stats:
         stats = [
@@ -172,11 +182,12 @@ def _parse_risk(cfg: dict, with_stats: bool):
             for p in entries
         ]
     ids = [str(p["id"]) for p in entries]
+    check_unique_ids(ids)
     r, cap = float(cfg["reward_rate"]), float(cfg["cap"])
     for name, value in (("reward_rate", r), ("cap", cap)):
         if value < 0.0:
             raise InvalidInputError(f"{name} must be >= 0, got {value}")
-    return r, cap, float(cfg.get("risk_weight", 0.0)), ids, stats
+    return r, cap, RiskConfig(float(cfg.get("risk_weight", 0.0))), ids, stats
 
 
 def _parametric_fleet(machines: list[MachineType], economics) -> FleetSpec:
@@ -281,9 +292,9 @@ def cmd_solve_reg(args) -> dict:
 
 def cmd_solve_risk(args) -> dict:
     from_traces = bool(args.traces_market)
-    r, cap, weight, ids, stats = load_config(args.config, partial(_parse_risk, with_stats=not from_traces))
+    r, cap, risk, ids, stats = load_config(args.config, partial(_parse_risk, with_stats=not from_traces))
     if args.risk_weight is not None:
-        weight = args.risk_weight
+        risk = RiskConfig(args.risk_weight)
     if from_traces:
         traces = load_traces(args.traces_market, args.traces_as)
         stats = []
@@ -292,12 +303,12 @@ def cmd_solve_risk(args) -> dict:
                 raise InvalidInputError(f"traces carry no program {pid!r}")
             stats.append(estimate_stats(traces, traces.program_ids.index(pid)))
 
-    profile = risk_aware_solve(stats, r, cap, RiskConfig(weight))
+    profile = risk_aware_solve(stats, r, cap, risk)
     exp_cost, var = profile_risk(stats, r, profile)
     return {
         "profile.csv": (["program_id", "capacity_mw"], [[pid, float(c)] for pid, c in zip(ids, profile.c)]),
         "summary.json": {
-            "risk_weight": weight,
+            "risk_weight": risk.risk_weight,
             "reward_rate": r,
             "expected_cost": exp_cost,
             "expected_profit": -exp_cost,
@@ -502,7 +513,7 @@ def main(argv=None) -> int:
             "outputs": names,
             "wall_clock_s": round(time.time() - t0, 3),
         }
-        _write_json(out / "manifest.json", manifest)
+        (out / "manifest.json").write_text(_json_text("manifest.json", manifest))
         if failure is not None:
             raise failure
         return 0

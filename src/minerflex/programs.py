@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,15 @@ class ProgramSpec:
             raise InvalidInputError(
                 f"program {self.id!r}: price must be >= 0, got {self.price}"
             )
+
+
+def check_unique_ids(ids: Iterable[str]) -> None:
+    """Raise ``InvalidInputError`` at the first program id that repeats."""
+    seen = set()
+    for pid in ids:
+        if pid in seen:
+            raise InvalidInputError(f"duplicate program id {pid!r}")
+        seen.add(pid)
 
 
 def directions_of(programs: Sequence[ProgramSpec]) -> tuple[str, ...]:

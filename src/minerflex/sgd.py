@@ -237,6 +237,8 @@ def resampled_solve(
         raise InvalidInputError("rows must be finite")
     if np.shape(prices) != (n,):
         raise InvalidInputError(f"prices must be ({n},), got {np.shape(prices)}")
+    if not np.isfinite(prices).all():
+        raise InvalidInputError("prices must be finite")
     cap = fleet.total_capacity_mw
     num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(np.max(prices)))
     table = flip_down(np.asarray(rows, dtype=float), np.asarray(directions) == "down")

@@ -14,7 +14,6 @@ import io
 import math
 import operator
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, cycle, islice, repeat
@@ -26,7 +25,7 @@ from .config import load_config
 from .deployment import SlotBatch
 from .errors import InvalidInputError, ModelViolationError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
-from .programs import PriceResponsiveModel, ProgramSpec, parse_eps_model, price_responsive_eps
+from .programs import PriceResponsiveModel, ProgramSpec, check_unique_ids, parse_eps_model, price_responsive_eps
 from .regulation import joint_pair, sample_joint
 from .single_machine import ProgramStats
 
@@ -90,27 +89,6 @@ def parse_timestamp(raw: str) -> datetime:
         raise ValueError(f"{raw!r} is out of range in UTC") from None
 
 
-def _parse_timestamp(raw: str, path, line: int, parsed: dict[str, datetime]) -> datetime:
-    """:func:`parse_timestamp` memoized in ``parsed``; a bad string names its own file and line."""
-    ts = parsed.get(raw)
-    if ts is None:
-        try:
-            ts = parsed[raw] = parse_timestamp(raw)
-        except ValueError:
-            raise TraceFormatError(path, line, f"bad timestamp {raw!r}") from None
-    return ts
-
-
-def _parse_price(raw: str, field: str, path, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise TraceFormatError(path, line, f"bad {field} {raw!r}") from None
-    if not math.isfinite(value):
-        raise TraceFormatError(path, line, f"{field} must be finite, got {raw!r}")
-    return value
-
-
 def format_timestamp(ts: datetime) -> str:
     """UTC ISO-8601 text that :func:`parse_timestamp` reads back to ``ts``.
 
@@ -119,159 +97,166 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
-@contextmanager
-def _csv_reader(path, header: list[str]):
-    """A csv reader past ``header``; read, decode and csv errors in the block name the file."""
+def _read_chunks(path, header: list[str]):
+    """(lines, rows) blocks of up to :data:`CHUNK_ROWS` csv records under ``header``, blank ones dropped.
+
+    A read, decode or csv error names the file after the block of the records read before it.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             got = next(reader, None)
             if got != header:
                 raise TraceFormatError(path, 1, f"expected header {header}, got {got}")
-            yield reader
+            line, read = 2, CHUNK_ROWS
+            while read == CHUNK_ROWS:
+                rows, error = [], None
+                try:
+                    rows.extend(islice(reader, CHUNK_ROWS))  # keeps the records read before an error
+                except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                    error = exc
+                read = len(rows)
+                lines = range(line, line + read)
+                line += read
+                if not all(rows):
+                    lines = [n for n, row in zip(lines, rows) if row]
+                    rows = [row for row in rows if row]
+                if rows:
+                    yield lines, rows
+                if error is not None:
+                    raise error
     except FileNotFoundError:
         raise
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # the block's own errors are none of these
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # the consumer's own errors never reach here
         raise TraceFormatError(path, 0, f"cannot read trace file ({exc})") from None
 
 
-def _read_chunks(path, header: list[str]):
-    """(lines, rows) blocks of up to :data:`CHUNK_ROWS` csv records under ``header``, blank ones dropped."""
-    with _csv_reader(path, header) as reader:
-        line = 2
-        while rows := list(islice(reader, CHUNK_ROWS)):
-            lines = range(line, line + len(rows))
-            line += len(rows)
-            if not all(rows):
-                lines = [n for n, row in zip(lines, rows) if row]
-                rows = [row for row in rows if row]
-            if rows:
-                yield lines, rows
+def _check_blocks(path, header: list[str], check, *state) -> None:
+    """``check(path, lines, rows, *state)`` on each block of ``path``.
 
-
-def _read_rows(path, header: list[str]):
-    """(line, fields) of each non-blank row under ``header``; a wrong field count raises."""
-    with _csv_reader(path, header) as reader:
-        for line, row in enumerate(reader, start=2):
-            if row:
-                if len(row) != len(header):
-                    raise TraceFormatError(path, line, f"expected {len(header)} fields, got {len(row)}")
-                yield line, row
-
-
-def _floats(column) -> np.ndarray:
-    """A text column parsed by ``float()``'s own grammar; a bad entry raises ValueError."""
-    return np.fromiter(map(float, column), float, len(column))
-
-
-def _warn_disorder(path, line: int) -> None:
-    warnings.warn(f"{path}:{line}: timestamps out of order; sorting")
-
-
-def _market_columns(path, parsed: dict[str, datetime]):
-    """(timestamps, rt_price, coin_price, out-of-order lines) in file order, or None if a row check fails."""
-    stamps: list[datetime] = []
-    rt, coin, disorder = [], [], []
-    try:
-        for lines, rows in _read_chunks(path, MARKET_HEADER):
-            if set(map(len, rows)) != {len(MARKET_HEADER)}:
-                return None
-            raws, rt_text, coin_text = zip(*rows)
-            try:
-                block = list(map(parse_timestamp, raws))
-                rt.append(_floats(rt_text))
-                coin.append(_floats(coin_text))
-            except ValueError:
-                return None
-            if not (np.isfinite(rt[-1]).all() and np.isfinite(coin[-1]).all()):
-                return None
-            parsed.update(zip(raws, block))
-            # each stamp against the row before it (the file's first against itself)
-            before = (stamps[-1:] or block[:1]) + block[:-1]
-            disorder.extend(compress(lines, map(operator.lt, block, before)))
-            stamps += block
-    except TraceFormatError:  # unreadable: the row checks raise it after checking the rows before it
-        return None
-    if len(set(stamps)) != len(stamps):
-        return None
-    return stamps, _concat(rt), _concat(coin), disorder
-
-
-def _raise_market_error(path, parsed: dict[str, datetime]):
-    """Check the market file row by row: warn where it is out of order and raise at the first bad line."""
-    seen, prev = set(), None
-    for line, row in _read_rows(path, MARKET_HEADER):
-        ts = _parse_timestamp(row[0], path, line, parsed)
-        if ts in seen:
-            raise TraceFormatError(path, line, f"duplicate timestamp {row[0]}")
-        if prev is not None and ts < prev:
-            _warn_disorder(path, line)
-        seen.add(ts)
-        prev = ts
-        _parse_price(row[1], "rt_price", path, line)
-        _parse_price(row[2], "coin_price", path, line)
-    raise AssertionError(f"{path}: a column check failed where no row check does")
-
-
-def _as_columns(path, parsed: dict[str, datetime], slot: dict[datetime, int], program: dict[str, int]):
-    """Each row's (slot, program index, price, epsilon) as columns and the (slot, program) row counts.
-
-    Rows at timestamps the market lacks get new slots after its own, and new
-    program ids new indices. None if a row check fails or a cell repeats.
+    A check raises at the block's first line, so where a block of several rows
+    fails, its rows are checked again one at a time: the rows before the first
+    bad one pass in turn, and that row raises its own message at its own line.
     """
-    slot_of = {raw: slot[ts] for raw, ts in parsed.items()}
-    slots, programs, prices, eps = [], [], [], []
+    for lines, rows in _read_chunks(path, header):
+        try:
+            check(path, lines, rows, *state)
+        except TraceFormatError:
+            if len(rows) == 1:
+                raise
+            for line, row in zip(lines, rows):
+                check(path, [line], [row], *state)
+
+
+def _fields(path, lines, rows, header: list[str]):
+    """The block's columns; a record with the wrong field count raises."""
+    if set(map(len, rows)) != {len(header)}:
+        raise TraceFormatError(path, lines[0], f"expected {len(header)} fields, got {len(rows[0])}")
+    return zip(*rows)
+
+
+def _finite(path, lines, texts, field: str) -> np.ndarray:
+    """``texts`` parsed by ``float()``'s own grammar; a bad or non-finite entry raises."""
     try:
-        for _, rows in _read_chunks(path, AS_HEADER):
-            if set(map(len, rows)) != {len(AS_HEADER)}:
-                return None
-            raws, ids, price_text, eps_text = zip(*rows)
-            try:
-                for raw in set(raws).difference(slot_of):
-                    slot_of[raw] = slot.setdefault(parse_timestamp(raw), len(slot))
-                prices.append(_floats(price_text))
-                eps.append(_floats([text or "nan" for text in eps_text]))  # blank: not observed
-            except ValueError:
-                return None
-            rates = eps[-1]
-            if (
-                not np.isfinite(prices[-1]).all()
-                or np.count_nonzero(np.isnan(rates)) != eps_text.count("")
-                or np.isinf(rates).any()
-                or ((rates < 0.0) | (rates > 1.0)).any()
-            ):
-                return None
-            for pid in sorted(set(ids).difference(program)):
-                program[pid] = len(program)
-            slots.append(np.fromiter(map(slot_of.__getitem__, raws), np.intp, len(raws)))
-            programs.append(np.fromiter(map(program.__getitem__, ids), np.intp, len(ids)))
-    except TraceFormatError:  # unreadable: the row checks raise it after checking the rows before it
-        return None
-    slots, programs = _concat(slots, np.intp), _concat(programs, np.intp)
-    counts = np.bincount(slots * len(program) + programs, minlength=len(slot) * len(program))
-    if counts.max(initial=0) > 1:  # a duplicate (timestamp, program) cell
-        return None
-    return slots, programs, _concat(prices), _concat(eps), counts.reshape(len(slot), len(program))
+        values = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        raise TraceFormatError(path, lines[0], f"bad {field} {texts[0]!r}") from None
+    if not np.isfinite(values).all():
+        raise TraceFormatError(path, lines[0], f"{field} must be finite, got {texts[0]!r}")
+    return values
 
 
-def _raise_as_error(path, parsed: dict[str, datetime]):
-    """Check the ancillary-service file row by row and raise at the first bad line."""
-    seen = set()
-    for line, row in _read_rows(path, AS_HEADER):
-        key = (_parse_timestamp(row[0], path, line, parsed), row[1])
-        _parse_price(row[2], "price", path, line)
-        if row[3] != "":
-            eps = _parse_price(row[3], "epsilon", path, line)
-            if not 0.0 <= eps <= 1.0:
-                raise TraceFormatError(path, line, f"epsilon must be in [0,1], got {row[3]}")
-        if key in seen:
-            raise TraceFormatError(path, line, f"duplicate (timestamp, program) {row[:2]}")
-        seen.add(key)
-    raise AssertionError(f"{path}: a column check failed where no row check does")
+def _warn_disorder(path, lines) -> None:
+    for line in lines:
+        warnings.warn(f"{path}:{line}: timestamps out of order; sorting")
 
 
-def _concat(parts: list[np.ndarray], dtype=float) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype)
+def _market_columns(path, lines, rows, stamps: dict[datetime, str], rt: list, coin: list) -> None:
+    """Check a block of market records, each check over the whole block, in the row reference's order.
+
+    A block that passes adds each timestamp and its text to ``stamps`` and
+    its price columns to ``rt`` and ``coin``, then warns at each line whose
+    timestamp is before the one above it. A single row warns before its prices
+    are checked, as the row reference does.
+    """
+    raws, rt_text, coin_text = _fields(path, lines, rows, MARKET_HEADER)
+    try:
+        block = list(map(parse_timestamp, raws))
+    except ValueError:
+        raise TraceFormatError(path, lines[0], f"bad timestamp {raws[0]!r}") from None
+    if len(set(block)) < len(block) or not stamps.keys().isdisjoint(block):
+        raise TraceFormatError(path, lines[0], f"duplicate timestamp {raws[0]}")
+    # each stamp against the row above it (the file's first against itself)
+    disorder = list(compress(lines, map(operator.lt, block, [next(reversed(stamps), block[0]), *block[:-1]])))
+    if len(rows) == 1:
+        _warn_disorder(path, disorder)
+        disorder = []
+    rt_block, coin_block = _finite(path, lines, rt_text, "rt_price"), _finite(path, lines, coin_text, "coin_price")
+    stamps.update(zip(block, raws))
+    rt.append(rt_block)
+    coin.append(coin_block)
+    _warn_disorder(path, disorder)
+
+
+@dataclass(eq=False)
+class _Cells:
+    """The as.csv records checked so far, on a (slot, program) table.
+
+    ``table[0]`` holds prices and ``table[1]`` rates (``nan`` where blank);
+    a cell no record fills has a ``nan`` price, since a record's is finite.
+    """
+
+    slot: dict[datetime, int]  # the market's instants first, then new ones
+    slot_of: dict[str, int]  # each timestamp text's slot
+    program: dict[str, int]
+    table: np.ndarray  # (2, len(slot), len(program))
+
+
+def _indices(known: dict, added: dict, keys) -> np.ndarray:
+    """Each key's index in ``added``, or else in ``known``."""
+    if added:
+        known = {key: added[key] if key in added else known[key] for key in set(keys)}
+    return np.fromiter(map(known.__getitem__, keys), np.intp, len(keys))
+
+
+def _as_columns(path, lines, rows, cells: _Cells) -> None:
+    """Check a block of as.csv records as :func:`_market_columns` checks the market's.
+
+    A block that passes fills its cells of ``cells.table``: timestamps the
+    market lacks get new slots after its own, and new program ids new columns.
+    """
+    raws, ids, price_text, eps_text = _fields(path, lines, rows, AS_HEADER)
+    try:
+        fresh = {raw: parse_timestamp(raw) for raw in set(raws).difference(cells.slot_of)}
+    except ValueError:
+        raise TraceFormatError(path, lines[0], f"bad timestamp {raws[0]!r}") from None
+    prices = _finite(path, lines, price_text, "price")
+    observed = list(filter(None, eps_text))  # blank: not observed
+    rates = _finite(path, lines, observed, "epsilon")
+    if ((rates < 0.0) | (rates > 1.0)).any():
+        raise TraceFormatError(path, lines[0], f"epsilon must be in [0,1], got {observed[0]}")
+    new: dict[datetime, int] = {}  # instants and ids the block adds number on from the known ones
+    for raw, ts in fresh.items():
+        fresh[raw] = cells.slot[ts] if ts in cells.slot else new.setdefault(ts, len(cells.slot) + len(new))
+    added = {pid: len(cells.program) + i for i, pid in enumerate(sorted(set(ids).difference(cells.program)))}
+    slots, programs = _indices(cells.slot_of, fresh, raws), _indices(cells.program, added, ids)
+    table = cells.table
+    if new or added:
+        table = np.pad(table, ((0, 0), (0, len(new)), (0, len(added))), constant_values=np.nan)
+    cell = np.sort(slots * table.shape[2] + programs)
+    if (cell[1:] == cell[:-1]).any() or not np.isnan(table[0, slots, programs]).all():
+        raise TraceFormatError(path, lines[0], f"duplicate (timestamp, program) {rows[0][:2]}")
+    cells.slot.update(new)
+    cells.slot_of.update(fresh)
+    cells.program.update(added)
+    eps = np.full(len(rows), np.nan)
+    eps[np.fromiter(map(bool, eps_text), bool, len(rows))] = rates
+    table[:, slots, programs] = prices, eps
+    cells.table = table
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) -> Traces:
@@ -282,43 +267,34 @@ def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) 
     timestamp order; an out-of-order file triggers a warning and gets sorted.
 
     Each file is read :data:`CHUNK_ROWS` rows at a time and checked a column
-    at a time. Where a check fails, the file is checked again row by row, so
-    the error names the first bad line.
+    at a time. Where a check fails, that block is checked again row by row,
+    so the error names the first bad line.
     """
-    # both files repeat the market timestamps: parse each distinct string once
-    parsed: dict[str, datetime] = {}
-    market = _market_columns(market_path, parsed)
-    if market is None:
-        _raise_market_error(market_path, parsed)
-    stamps, rt, coin, disorder = market
-    for line in disorder:
-        _warn_disorder(market_path, line)
-    if disorder:
-        order = sorted(range(len(stamps)), key=stamps.__getitem__)
-        stamps = [stamps[i] for i in order]
+    stamps: dict[datetime, str] = {}
+    rt, coin = [], []
+    _check_blocks(market_path, MARKET_HEADER, _market_columns, stamps, rt, coin)
+    timestamps, rt, coin = list(stamps), _concat(rt), _concat(coin)
+    if any(map(operator.lt, timestamps[1:], timestamps)):
+        order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+        timestamps = [timestamps[i] for i in order]
         rt, coin = rt[order], coin[order]
-    T = len(stamps)
-    slot = dict(zip(stamps, range(T)))
+    T = len(timestamps)
+    slot = dict(zip(timestamps, range(T)))
 
     program: dict[str, int] = {}
     for pid in program_ids or ():
         program.setdefault(pid, len(program))
-    cells = _as_columns(as_path, parsed, slot, program)
-    if cells is None:
-        _raise_as_error(as_path, parsed)
-    slots, programs, prices, eps, counts = cells
+    # the as file repeats the market's timestamp texts: each maps to its slot without a parse
+    cells = _Cells(slot, {raw: slot[ts] for ts, raw in stamps.items()}, program, np.full((2, T, len(program)), np.nan))
+    _check_blocks(as_path, AS_HEADER, _as_columns, cells)
 
     ids = tuple(program_ids) if program_ids is not None else tuple(sorted(program))
-    columns = [program[pid] for pid in ids]
-    missing = counts[:T, columns] == 0
+    as_prices, deployment = cells.table[:, :T, [program[pid] for pid in ids]]
+    missing = np.isnan(as_prices)
     if missing.any():
         t, i = divmod(int(np.argmax(missing)), len(ids))
-        raise TraceFormatError(as_path, 0, f"missing program {ids[i]!r} at {format_timestamp(stamps[t])}")
-    market_rows = slots < T
-    as_prices, deployment = np.empty((2, T, len(program)))
-    as_prices[slots[market_rows], programs[market_rows]] = prices[market_rows]
-    deployment[slots[market_rows], programs[market_rows]] = eps[market_rows]
-    return Traces(tuple(stamps), rt, coin, ids, as_prices[:, columns], deployment[:, columns])
+        raise TraceFormatError(as_path, 0, f"missing program {ids[i]!r} at {format_timestamp(timestamps[t])}")
+    return Traces(tuple(timestamps), rt, coin, ids, as_prices, deployment)
 
 
 def write_traces(traces: Traces, market_path, as_path):
@@ -422,6 +398,7 @@ def _parse_synthesis_spec(cfg: dict) -> SynthesisSpec:
                 eps_model=parse_eps_model(p["eps"]),
             )
         )
+    check_unique_ids(p.id for p in programs)
     joint = cfg.get("joint")
     return SynthesisSpec(
         start=parse_timestamp(cfg["start"]),

@@ -99,6 +99,22 @@ def test_validation_error_exit_code(tmp_path):
         assert not (out / "summary.json").exists()
 
 
+def test_non_finite_json_output_exits_3_and_writes_nothing(tmp_path, capsys):
+    # a price near the float limit overflows the bound: summary.json would hold an Infinity literal
+    cfg = json.loads((CONFIGS / "programs.json").read_text())
+    cfg["programs"][0]["price"] = 1e308
+    programs = tmp_path / "programs.json"
+    programs.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    argv = ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", programs, "--iterations", 100,
+            "--out", out]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 3 and "error: summary.json: Out of range float values" in err, err
+    assert list(out.iterdir()) == []
+
+
 def test_unreadable_trace_exit_code(traces_dir, tmp_path, capsys):
     # files the csv reader cannot decode or split must fail like any bad trace: exit 2, file named
     market, as_csv = (traces_dir / name for name in ("market.csv", "as.csv"))
@@ -163,7 +179,20 @@ MALFORMED_CONFIGS = {
 }
 # Defects only the parser's own checks catch: config name -> defect -> (path, value, message).
 SEMANTIC_DEFECTS = {
+    "programs": {
+        "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
+        "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
+    },
+    "reg": {
+        "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
+    },
+    "risk": {
+        "negative_risk_weight": (("risk_weight",), -1, "risk_weight must be finite and >= 0, got -1.0"),
+        "no_programs": (("programs",), [], "need at least one program"),
+        "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
+    },
     "spec": {
+        "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
         "zero_hours": (("hours",), 0, "at least one hour"),
         "joint_unknown_program": (("joint",), {"theta": 0.5, "up": "regup", "down": "nope"},
                                   "unknown program"),

@@ -528,6 +528,8 @@ def test_resampled_solve_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidInputError, match="^rows must be finite"):
             resampled_solve(fleet, prices, np.array([[0.5], [bad]]), ["up"], 10, 2, 0)
+        with pytest.raises(InvalidInputError, match="^prices must be finite"):
+            resampled_solve(fleet, np.array([bad]), rows, ["up"], 10, 2, 0)
 
 
 def test_rowwise_projection_matches_per_row_calls(rng):

@@ -371,15 +371,27 @@ def test_field_values_load_as_the_row_reference_does(tmp_path, chunk):
                for h, ts in enumerate(stamps) for pid in "ab"]
     values = ["nan", "NaN", " nan ", "inf", "-inf", "1e400", "-0.25", "1.5", "-0.0", "1_0", " 0.5 ", "", "0x1p-2", "x"]
     fields = [(MARKET_HEADER, 1), (MARKET_HEADER, 2), (AS_HEADER, 2), (AS_HEADER, 3)]
+    # (edits, the reference's error text, its warnings): each edit sets a field of a row of one file
+    cases = [([(header, row, field, value)], None, None)
+             for (header, field), row, value in itertools.product(fields, (1, -2), values)]
+    # checks that span blocks: a duplicate or an out-of-order line in the first block, a bad value in a later one
+    cases += [
+        ([(MARKET_HEADER, 1, 0, stamps[0]), (MARKET_HEADER, -2, 1, "x")], f"{m}:3: duplicate timestamp", []),
+        ([(AS_HEADER, 1, 1, "a"), (AS_HEADER, -2, 2, "x")], f"{a}:3: duplicate (timestamp, program)", []),
+        ([(MARKET_HEADER, 0, 0, stamps[1]), (MARKET_HEADER, 1, 0, stamps[0]), (MARKET_HEADER, -2, 1, "nan")],
+         f"{m}:8: rt_price must be finite", [(UserWarning, f"{m}:3: timestamps out of order; sorting")]),
+    ]
     with mock.patch.object(traces_module, "CHUNK_ROWS", chunk):
-        for (header, field), first, value in itertools.product(fields, (True, False), values):
+        for edits, error, warned in cases:
             market_rows, as_csv_rows = [list(r) for r in market], [list(r) for r in as_rows]
-            rows = market_rows if header is MARKET_HEADER else as_csv_rows
-            rows[1 if first else -2][field] = value
+            for header, row, field, value in edits:
+                (market_rows if header is MARKET_HEADER else as_csv_rows)[row][field] = value
             write_csv(m, MARKET_HEADER, market_rows)
             write_csv(a, AS_HEADER, as_csv_rows)
             got, want = load_outcome(load_traces, m, a), load_outcome(serial_load_traces, m, a)
-            assert same_outcome(got, want), (header[field], first, value, got, want)
+            assert same_outcome(got, want), (edits, got, want)
+            if error is not None:
+                assert want[0][1].startswith(error) and want[1] == warned, want
 
 
 def test_load_warns_and_sorts_on_disorder(tmp_path):
