@@ -49,7 +49,8 @@ from .traces import (
     parse_timestamp,
     slot_batch,
     synthesize_traces,
-    write_traces,
+    trace_tables,
+    write_csv,
 )
 from .verify import run_verify
 
@@ -72,20 +73,6 @@ def _resolve(path: str) -> Path:
     return p
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
-
-
-def _write_columns(header, columns, path: Path):
-    """Write a CSV from columns whose cells are already formatted strings."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
-
-
 def _json_text(name: str, obj) -> str:
     """``obj`` as the JSON text of output ``name``; a non-finite number is a ``NumericalError``."""
     try:
@@ -97,23 +84,17 @@ def _json_text(name: str, obj) -> str:
 def _write_outputs(out: Path, outputs: dict) -> list[str]:
     """Write a command's outputs into ``out``; return the file names in order.
 
-    Each key is a file name, or a tuple of names one writer fills. Each value
-    is a JSON object (``dict``), a CSV ``(header, rows)`` pair, or a writer
-    called with the paths of its key's names. Every JSON object is rendered
-    before any file is written.
+    Each key is a file name and each value a JSON object (``dict``) or a CSV
+    ``(header, columns)`` table for :func:`~minerflex.traces.write_csv`.
+    Every JSON object is rendered before any file is written.
     """
-    texts = {key: _json_text(key, content) for key, content in outputs.items() if isinstance(content, dict)}
-    names = []
-    for key, content in outputs.items():
-        paths = [out / name for name in ((key,) if isinstance(key, str) else key)]
-        if callable(content):
-            content(*paths)
-        elif key in texts:
-            paths[0].write_text(texts[key])
+    texts = {name: _json_text(name, content) for name, content in outputs.items() if isinstance(content, dict)}
+    for name, content in outputs.items():
+        if name in texts:
+            (out / name).write_text(texts[name])
         else:
-            _write_csv(paths[0], *content)
-        names += [path.name for path in paths]
-    return names
+            write_csv(out / name, *content)
+    return list(outputs)
 
 
 class _FailedWithOutputs(NumericalError):
@@ -225,8 +206,10 @@ def _load_fleet_inputs(args):
 def cmd_synthesize(args) -> dict:
     spec = load_synthesis_spec(args.spec)
     traces = synthesize_traces(spec, args.seed)
+    market, ancillary = trace_tables(traces)
     return {
-        ("market.csv", "as.csv"): partial(write_traces, traces),
+        "market.csv": market,
+        "as.csv": ancillary,
         "summary.json": {
             "records": len(traces),
             "programs": [p.id for p in spec.programs],
@@ -238,31 +221,30 @@ def cmd_synthesize(args) -> dict:
 def cmd_solve_offline(args) -> dict:
     machines, programs, joint, economics, traces = _load_fleet_inputs(args)
     cfg = SgdConfig(iterations=args.iterations, batch=args.batch, seed=args.seed)
-    rows = []
     if traces is not None:
         traces, batch = observed_slots(traces, machines, programs, clamp_negative=args.clamp_negative_rewards)
         hours = np.array([ts.hour for ts in traces.timestamps])
         profiles, gaps = hour_optima(batch, hours)
         costs = batch.costs_for(profiles)
-        for h in range(24):
-            rows_h = np.flatnonzero(hours == h)
-            in_sample = float(costs[rows_h, h].mean()) if rows_h.size else math.nan
-            rows.append([h, *map(float, profiles[h]), in_sample, float(gaps[h])])
+        in_sample = [costs[hours == h, h].mean() if (hours == h).any() else math.nan for h in range(24)]
+        columns = [*profiles.T, np.array(in_sample), gaps]
         # the largest certified gap over the hours that have slots
         bound = float(np.nanmax(gaps))
     else:
-        fleet = _parametric_fleet(machines, economics)
+        try:
+            fleet = _parametric_fleet(machines, economics)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{args.fleet}, {args.programs}: {exc}") from None
         sampler = program_sampler(programs, joint)
         result = sgd_solve(fleet, programs, sampler, cfg)
         eff = draw_effective_samples(sampler, [p.direction for p in programs], 20000, args.seed + 1)
         value, _ = mc_expected_cost(fleet, programs, result.profile, eff)
-        for h in range(24):
-            rows.append([h, *map(float, result.profile.c), value, result.bound])
+        columns = [np.full(24, x) for x in (*result.profile.c.tolist(), value, result.bound)]
         bound = result.bound
 
     header = ["hour", *[f"c_{p.id}" for p in programs], "expected_cost", "bound"]
     return {
-        "profiles.csv": (header, rows),
+        "profiles.csv": (header, [np.arange(24), *columns]),
         "summary.json": {
             "iterations": args.iterations,
             "batch": args.batch,
@@ -278,7 +260,7 @@ def cmd_solve_reg(args) -> dict:
     c_up, c_dn = map(float, profile.c)
     value = expected_reg_cost(inst, c_up, c_dn)
     return {
-        "profile.csv": (["c_up", "c_dn", "expected_cost"], [[c_up, c_dn, value]]),
+        "profile.csv": (["c_up", "c_dn", "expected_cost"], np.array([[c_up], [c_dn], [value]])),
         "summary.json": {
             "theta": inst.model.theta,
             "lambda_up": inst.model.up.lam,
@@ -306,7 +288,7 @@ def cmd_solve_risk(args) -> dict:
     profile = risk_aware_solve(stats, r, cap, risk)
     exp_cost, var = profile_risk(stats, r, profile)
     return {
-        "profile.csv": (["program_id", "capacity_mw"], [[pid, float(c)] for pid, c in zip(ids, profile.c)]),
+        "profile.csv": (["program_id", "capacity_mw"], [ids, profile.c]),
         "summary.json": {
             "risk_weight": risk.risk_weight,
             "reward_rate": r,
@@ -329,18 +311,12 @@ def cmd_simulate_online(args) -> dict:
     played, costs, report = run_online(batch, cfg, timestamps=traces.timestamps)
     T = batch.T
     cum = np.cumsum(costs - per_round_costs(batch, report.hindsight_profile))
-    # each cell as _write_csv formats it (repr for floats, str for ints), one column at a
-    # time; the cells are made as the rows are written, so they never all exist at once
-    columns = [
-        map(str, range(T)),
-        (str(ts.hour) for ts in traces.timestamps),
-        *(map(repr, column) for column in played.T.tolist()),
-        *(map(repr, column.tolist()) for column in (costs, cum, cum / np.arange(1, T + 1))),
-        [repr(report.bound)] * T,
-    ]
+    hours = np.array([ts.hour for ts in traces.timestamps])
+    # the constant bound column is encoded once, as text
+    columns = [np.arange(T), hours, *played.T, costs, cum, cum / np.arange(1, T + 1), [repr(report.bound)] * T]
     header = ["round", "hour", *[f"c_{p.id}" for p in programs], "cost", "cum_regret", "avg_regret", "bound"]
     return {
-        "rounds.csv": partial(_write_columns, header, columns),
+        "rounds.csv": (header, columns),
         "summary.json": {
             "rounds": batch.T,
             "learners": args.learners,
@@ -360,17 +336,14 @@ def cmd_compare(args) -> dict:
         window=(args.window_start, args.window_end) if args.window_start else None,
         clamp_negative=args.clamp_negative_rewards, sgd_iterations=args.iterations, seed=args.seed,
     )
-    slot_rows = [
-        [format_timestamp(ts), *(float(report.slot_profits[k][i]) for k in STRATEGIES)]
-        for i, ts in enumerate(report.timestamps)
-    ]
     return {
         "strategies.csv": (
-            ["strategy", "mean_profit_per_hour"], [[k, report.mean_profit[k]] for k in STRATEGIES]
+            ["strategy", "mean_profit_per_hour"],
+            [list(STRATEGIES), np.array([report.mean_profit[k] for k in STRATEGIES])],
         ),
         "slots.csv": (
             ["timestamp", "profit_optimized", "profit_fixed", "profit_even_split", "profit_none"],
-            slot_rows,
+            [list(map(format_timestamp, report.timestamps)), *(report.slot_profits[k] for k in STRATEGIES)],
         ),
         "summary.json": {
             "slots": len(report.timestamps),
@@ -387,11 +360,9 @@ def cmd_verify(args) -> dict:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    rows = [(r.name, "PASS" if r.passed else "FAIL", r.detail) for r in results]
     outputs = {
-        "checks.csv": (
-            ["check", "status", "detail"],
-            [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in results],
-        ),
+        "checks.csv": (["check", "status", "detail"], list(zip(*rows))),
         "summary.json": {"checks": len(results), "failed": len(failed)},
     }
     if failed:

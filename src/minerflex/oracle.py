@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .deployment import Profile, SlotBatch, as_vector, flip_down, realized_cost_batch
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .fleet import FleetSpec, MachineType, canonicalize
 from .online import hour_optima
 from .programs import ProgramSpec, directions_of, prices_of
@@ -217,9 +217,11 @@ def compare_strategies(
     traces, batch = observed_slots(traces, fleet_config, programs, window, clamp_negative)
     n, cap = len(programs), batch.cap
     fleet = _mean_reward_fleet(reward_matrix(traces, fleet_config, clamp_negative), fleet_config)
-    trained = resampled_solve(
-        fleet, np.mean(batch.prices, axis=0), batch.raw_eps, directions_of(programs), sgd_iterations, 8, seed
-    )
+    with np.errstate(over="ignore"):
+        prices = np.mean(batch.prices, axis=0)
+    if not np.isfinite(prices).all():
+        raise NumericalError(f"the window's mean program prices overflow: {prices.tolist()}")
+    trained = resampled_solve(fleet, prices, batch.raw_eps, directions_of(programs), sgd_iterations, 8, seed)
     even = np.full(n, cap / n)
     candidates = np.array([trained, np.zeros(n), even])
     fixed = candidates[int(np.argmin(batch.total_costs(candidates)))]

@@ -10,13 +10,13 @@ timestamp into one :class:`Traces` table with one row per hourly slot.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,11 @@ MARKET_HEADER = ["timestamp", "rt_price", "coin_price"]
 AS_HEADER = ["timestamp", "program_id", "price", "epsilon"]
 # rows read and checked at a time; bounds the text held at once
 CHUNK_ROWS = 4096
+# rows joined and written at a time
+WRITE_ROWS = 512
+# csv.writer quotes a field of a row of two or more fields only if it holds one of these
+# (a superset: csv.writer may leave a carriage return unquoted)
+_QUOTABLE = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,37 +302,55 @@ def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) 
     return Traces(tuple(timestamps), rt, coin, ids, as_prices, deployment)
 
 
-def write_traces(traces: Traces, market_path, as_path):
-    """Write the two-file CSV representation; floats keep full precision.
+def write_csv(path, header: Sequence[str], columns) -> None:
+    """Write one table as a CSV file: the writer of every CSV the package writes.
 
-    Each file is one ``writelines`` over its columns. Timestamps and float
-    reprs never need csv quoting; each program id is quoted, where it must
-    be, once by the csv writer.
+    ``columns`` holds one column per ``header`` name: a float array, each
+    cell written by ``repr``; an integer array, each cell written by ``str``;
+    or a sequence of text cells, already encoded. Text cells, ``header``
+    included, are quoted as ``csv.writer(fh, lineterminator="\\n")`` quotes
+    them. Rows are made and written :data:`WRITE_ROWS` at a time, so the
+    cells never all exist at once.
+    """
+    cells = [
+        map(repr if column.dtype.kind == "f" else str, column.tolist()) if isinstance(column, np.ndarray) else column
+        for column in columns
+    ]
+    texts = [header, *(column for column in columns if not isinstance(column, np.ndarray))]
+    with open(path, "w", newline="") as fh:
+        if len(header) > 1 and not any(_QUOTABLE.search("".join(text)) for text in texts):
+            # no cell needs quoting: join the rows without the csv writer's per-field scan
+            fh.write(",".join(header) + "\n")
+            rows = zip(*cells)
+            while block := list(islice(rows, WRITE_ROWS)):
+                fh.write("\n".join(map(",".join, block)) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(zip(*cells))
+
+
+def trace_tables(traces: Traces):
+    """The market and ancillary-service ``(header, columns)`` tables of ``traces``, for :func:`write_csv`.
+
+    Timestamps are formatted once; an unobserved rate is a blank cell.
     """
     if not len(traces):
         raise InvalidInputError("cannot write empty traces")
     stamps = list(map(format_timestamp, traces.timestamps))
-    with open(market_path, "w", newline="") as fh:
-        fh.write(",".join(MARKET_HEADER) + "\n")
-        fh.writelines(map("{},{!r},{!r}\n".format, stamps, traces.rt_price.tolist(), traces.coin_price.tolist()))
-    ids = list(map(_csv_field, traces.program_ids))
-    rates = traces.deployment.ravel().tolist()
-    with open(as_path, "w", newline="") as fh:
-        fh.write(",".join(AS_HEADER) + "\n")
-        fh.writelines(map(
-            "{},{},{!r},{}\n".format,
-            chain.from_iterable(map(repeat, stamps, repeat(len(ids)))),  # one row per (slot, program)
-            cycle(ids),
-            traces.as_prices.ravel().tolist(),
-            ["" if math.isnan(eps) else repr(eps) for eps in rates],  # blank: not observed
-        ))
+    ancillary = [  # one row per (slot, program)
+        list(chain.from_iterable(map(repeat, stamps, repeat(len(traces.program_ids))))),
+        list(traces.program_ids) * len(stamps),
+        traces.as_prices.ravel(),
+        ["" if math.isnan(eps) else repr(eps) for eps in traces.deployment.ravel().tolist()],
+    ]
+    return (MARKET_HEADER, [stamps, traces.rt_price, traces.coin_price]), (AS_HEADER, ancillary)
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as the csv writer writes it among other fields of a row."""
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow([text, ""])
-    return line.getvalue()[: -len(",\n")]
+def write_traces(traces: Traces, market_path, as_path):
+    """Write the two-file CSV representation; floats keep full precision."""
+    for path, (header, columns) in zip((market_path, as_path), trace_tables(traces)):
+        write_csv(path, header, columns)
 
 
 # ── Synthesis ────────────────────────────────────────────────────────────

@@ -1,6 +1,8 @@
+import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +114,35 @@ def test_non_finite_json_output_exits_3_and_writes_nothing(tmp_path, capsys):
         rc = main([str(a) for a in argv])
     err = capsys.readouterr().err
     assert rc == 3 and "error: summary.json: Out of range float values" in err, err
+    assert list(out.iterdir()) == []
+
+
+def test_parametric_fleet_without_rewards_names_both_files(tmp_path, capsys):
+    # a machine's reward needs the fleet's intensity and the programs' economics: the message names both files
+    programs = tmp_path / "programs.json"
+    programs.write_text(json.dumps(_edit(json.loads((CONFIGS / "programs.json").read_text()), ("economics",))))
+    out = tmp_path / "o"
+    rc = main([str(a) for a in ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", programs,
+                                "--out", out]])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{CONFIGS / 'fleet.json'}, {programs}: machine 's19-class' has no reward" in err, err
+    assert list(out.iterdir()) == []
+
+
+def test_compare_strategies_overflowing_prices_exits_3(traces_dir, tmp_path, capsys):
+    # every price at 1e308 is a valid trace, but the window's mean price overflows
+    with open(traces_dir / "as.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(tmp_path / "as.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *([ts, pid, "1e308", eps] for ts, pid, _, eps in rows)])
+    out = tmp_path / "o"
+    argv = ["compare-strategies", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+            "--traces-market", traces_dir / "market.csv", "--traces-as", tmp_path / "as.csv", "--out", out]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would fail the run with its own message
+        rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 3 and "error: the window's mean program prices overflow: [inf, inf]" in err, err
     assert list(out.iterdir()) == []
 
 
@@ -284,6 +315,51 @@ def test_failed_verify_still_writes_its_outputs(tmp_path, monkeypatch, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "verify"
     assert manifest["outputs"] == ["checks.csv", "summary.json"]
+
+
+def test_every_csv_parses_back_with_quoted_program_ids(tmp_path):
+    # program ids holding a comma and a quote, and verify details holding commas, are quoted
+    # cells: every row of every CSV has the header's width, and each id comes back whole
+    ids = {"presp": 'p,"resp', "regup": 'reg,"up'}
+
+    def renamed(name):
+        cfg = json.loads((CONFIGS / name).read_text())
+        for program in cfg["programs"]:
+            program["id"] = ids[program["id"]]
+        (tmp_path / name).write_text(json.dumps(cfg))
+        return tmp_path / name
+
+    traces = tmp_path / "traces"
+    fleet_programs = ["--fleet", CONFIGS / "fleet.json", "--programs", renamed("programs.json")]
+    trace_files = ["--traces-market", traces / "market.csv", "--traces-as", traces / "as.csv"]
+    runs = {
+        "traces": ["synthesize-traces", "--spec", renamed("synthesis_week.json")],
+        "offline": ["solve-offline", *fleet_programs, *trace_files],
+        "param": ["solve-offline", *fleet_programs, "--iterations", 200],
+        "reg": ["solve-reg", "--config", CONFIGS / "reg.json"],
+        "risk": ["solve-risk", "--config", renamed("risk.json")],
+        "risk-traces": ["solve-risk", "--config", tmp_path / "risk.json", *trace_files],
+        "online": ["simulate-online", *fleet_programs, *trace_files],
+        "compare": ["compare-strategies", *fleet_programs, *trace_files, "--iterations", 200],
+        "verify": ["verify", "--fast"],
+    }
+    tables = {}
+    for name, argv in runs.items():
+        assert main([str(a) for a in [*argv, "--out", tmp_path / name]]) == 0, name
+        for path in (tmp_path / name).glob("*.csv"):
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and {len(row) for row in rows} == {len(header)}, path
+            tables[f"{name}/{path.name}"] = header, rows
+    assert len(tables) == 11
+    assert any("," in detail for _, _, detail in tables["verify/checks.csv"][1])
+    columns = [f"c_{pid}" for pid in ids.values()]
+    for name in ("offline/profiles.csv", "param/profiles.csv"):
+        assert tables[name][0] == ["hour", *columns, "expected_cost", "bound"]
+    assert tables["online/rounds.csv"][0] == ["round", "hour", *columns, "cost", "cum_regret", "avg_regret", "bound"]
+    assert {row[1] for row in tables["traces/as.csv"][1]} == set(ids.values())
+    for name in ("risk/profile.csv", "risk-traces/profile.csv"):
+        assert [row[0] for row in tables[name][1]] == list(ids.values())
 
 
 def test_synthesize_deterministic(tmp_path):

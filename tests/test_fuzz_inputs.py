@@ -18,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from minerflex import MinerflexError, Traces, load_traces, write_traces  # noqa: E402
 import minerflex.traces as traces_module  # noqa: E402
-from minerflex.traces import AS_HEADER, CHUNK_ROWS, MARKET_HEADER, format_timestamp  # noqa: E402
+from minerflex.traces import AS_HEADER, CHUNK_ROWS, MARKET_HEADER, format_timestamp, write_csv  # noqa: E402
 from test_traces import load_outcome, same_outcome, same_traces, serial_load_traces  # noqa: E402
 
 MARKET = (
@@ -144,6 +144,36 @@ def test_written_bytes_match_the_csv_row_writer(fuzz_dir, traces):
     csv_row_writer(traces, fuzz_dir / "r-market.csv", fuzz_dir / "r-as.csv")
     for name in ("market.csv", "as.csv"):
         assert (fuzz_dir / f"w-{name}").read_bytes() == (fuzz_dir / f"r-{name}").read_bytes()
+
+
+@st.composite
+def csv_tables(draw, text=st.text(',"\n\r ab', max_size=3)):
+    """A header of 1-4 names and as many columns of 0-5 rows: float arrays, integer arrays or text."""
+    width, rows = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    column = st.one_of(
+        st.lists(st.floats(), min_size=rows, max_size=rows).map(lambda v: np.array(v, dtype=float)),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=rows, max_size=rows).map(lambda v: np.array(v, np.int64)),
+        st.lists(text, min_size=rows, max_size=rows),
+    )
+    return draw(st.lists(text, min_size=width, max_size=width)), [draw(column) for _ in range(width)]
+
+
+@FUZZ
+@given(table=csv_tables())
+def test_write_csv_matches_the_csv_writer(fuzz_dir, table):
+    # floats by repr and ints by str; text, the header and a lone empty field quoted as csv.writer quotes them
+    header, columns = table
+    write_csv(fuzz_dir / "w.csv", header, columns)
+    cells = [
+        [repr(x) if isinstance(x, float) else str(x) for x in column.tolist()] if isinstance(column, np.ndarray)
+        else column
+        for column in columns
+    ]
+    with open(fuzz_dir / "r.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+    assert (fuzz_dir / "w.csv").read_bytes() == (fuzz_dir / "r.csv").read_bytes()
 
 
 # ── The columnar loader against the row-at-a-time reference ──────────────

@@ -46,6 +46,36 @@ def test_only_the_config_boundary_decodes_json():
     assert not offenders
 
 
+def _write_mode(node) -> bool:
+    """Whether ``node`` is a literal ``open`` mode that writes (``"w"``, ``"a"``, ``"x"``, ``"+"``)."""
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and set(node.value) <= set("rwxabt+") \
+        and bool(set(node.value) & set("wax+"))
+
+
+def _file_writes(node, function="<module>"):
+    """``(function, line)`` of each call under ``node`` that writes a file: a write-mode ``open``, or ``write_text``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "id", getattr(child.func, "attr", None))
+            args = [*child.args, *(k.value for k in child.keywords if k.arg == "mode")]
+            if name in ("write_text", "write_bytes") or name == "open" and any(map(_write_mode, args)):
+                yield function, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _file_writes(child, inner)
+
+
+def test_only_the_writers_open_files_for_writing():
+    """Every CSV goes through ``traces.write_csv``; only ``cli`` writes the JSON outputs and the manifest."""
+    allowed = {("traces.py", "write_csv"), ("cli.py", "_write_outputs"), ("cli.py", "main")}
+    offenders = [
+        f"{path.name}:{line}: in {where}"
+        for path, tree in _modules()
+        for where, line in _file_writes(tree)
+        if (path.name, where) not in allowed
+    ]
+    assert not offenders
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it, unless its line is marked ``# noqa: F401``.
 
