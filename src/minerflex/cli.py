@@ -30,7 +30,7 @@ from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_ra
 from .fleet import MachineType, parse_machines
 from .online import OgdConfig, hour_optima, per_round_costs, run_online
 from .oracle import STRATEGIES, compare_strategies, draw_effective_samples, mc_expected_cost
-from .programs import ProgramSpec, TruncatedExponential, check_unique_ids, fit_lambda, parse_eps_model, program_sampler
+from .programs import ProgramSpec, TruncatedExponential, check_program_ids, fit_lambda, parse_eps_model, program_sampler
 from .regulation import (
     RegInstance,
     RegJointModel,
@@ -132,7 +132,7 @@ def _parse_programs(cfg: dict):
         )
         for entry in entries
     ]
-    check_unique_ids(p.id for p in programs)
+    check_program_ids(p.id for p in programs)
     joint = cfg.get("joint")
     if joint is not None:
         joint = joint_pair(programs, float(joint["theta"]), joint["up"], joint["down"])
@@ -163,7 +163,7 @@ def _parse_risk(cfg: dict, with_stats: bool):
             for p in entries
         ]
     ids = [str(p["id"]) for p in entries]
-    check_unique_ids(ids)
+    check_program_ids(ids)
     r, cap = float(cfg["reward_rate"]), float(cfg["cap"])
     for name, value in (("reward_rate", r), ("cap", cap)):
         if value < 0.0:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .deployment import Profile, SlotBatch, as_vector, flip_down, realized_cost_batch
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 from .fleet import FleetSpec, MachineType, canonicalize
 from .online import hour_optima
 from .programs import ProgramSpec, directions_of, prices_of
@@ -156,22 +156,36 @@ def grid_mc_optimum(
     jumps = np.diff(r)
     breaks = fleet.cum_capacities[:-1]
     means = (float(r[0]) * eff.mean(axis=0) - prices) @ points.T
-    eff32 = eff.astype(np.float32)
-    s = grid.mc_samples
-    # about 1M float32 entries per block: larger blocks only raise peak memory.
-    # Each hinge is written into one buffer, a contiguous (s, b) view per block.
-    block = max(16, 1_000_000 // s)
-    buffer = np.empty(s * min(block, points.shape[0]), dtype=np.float32)
-    for lo in range(0, points.shape[0], block):
-        chunk32 = points[lo : lo + block].T.astype(np.float32)
-        deployed = eff32 @ chunk32
+    s, m = grid.mc_samples, points.shape[0]
+    # Only samples that can reach the first break B_0 <= B_q enter the hinge
+    # blocks. A grid point has x >= 0 and sum x <= cap (1 + 1e-12), so
+    # eps.x <= cap max_i|eps_i| (1 + 1e-12). The float32 path rounds eps and x
+    # (a factor 1 + u each, u = 2^-24), forms a dot of n <= 3 terms (a factor
+    # 1 + gamma_3 < 1 + 3.01u in any order, fused or not) and compares it with
+    # fl32(B_q) >= (1 - u) B_0. So a hinge can be positive only where
+    # cap max|eps| (1 + 6.01u + 1e-12) > B_0, and the 1e-6 margin covers that
+    # and the float64 rounding of the test. A NaN sample stays in; a fleet
+    # without breaks has no hinge term and no live sample.
+    reach = cap * (1.0 + 1e-6) * np.abs(eff).max(axis=1)
+    live = eff[~(reach <= breaks[0])] if breaks.size else eff[:0]
+    eff32 = live.astype(np.float32)
+    # About 1M float32 entries per block: larger blocks only raise peak memory.
+    # Each hinge is written into one buffer, a contiguous (live, b) view per
+    # block. numpy sums a block of two or more columns row by row in sample
+    # order, so the dropped exact zeros change no bit of a column sum, and the
+    # blocks split the columns evenly so that none is a single column, which
+    # numpy would sum pairwise. The sum is divided by all s samples, as `mean`
+    # divides it.
+    count = -(-m // max(16, 1_000_000 // max(len(live), 1)))  # blocks of at most that many columns
+    edges = np.arange(count + 1) * m // count
+    buffer = np.empty(len(live) * int(np.diff(edges).max()), dtype=np.float32)
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        deployed = eff32 @ points[lo:hi].T.astype(np.float32)
         hinge = buffer[: deployed.size].reshape(deployed.shape)
         for jump, brk in zip(jumps, breaks):
             np.subtract(deployed, np.float32(brk), out=hinge)
             np.maximum(hinge, np.float32(0.0), out=hinge)
-            means[lo : lo + chunk32.shape[1]] += float(jump) * hinge.mean(
-                axis=0, dtype=np.float64
-            )
+            means[lo:hi] += float(jump) * (np.add.reduce(hinge, axis=0, dtype=np.float64) / s)
 
     best = int(np.argmin(means))
     value, stderr = mc_expected_cost(fleet, programs, points[best], eff)
@@ -217,10 +231,7 @@ def compare_strategies(
     traces, batch = observed_slots(traces, fleet_config, programs, window, clamp_negative)
     n, cap = len(programs), batch.cap
     fleet = _mean_reward_fleet(reward_matrix(traces, fleet_config, clamp_negative), fleet_config)
-    with np.errstate(over="ignore"):
-        prices = np.mean(batch.prices, axis=0)
-    if not np.isfinite(prices).all():
-        raise NumericalError(f"the window's mean program prices overflow: {prices.tolist()}")
+    prices = np.mean(batch.prices, axis=0)  # finite: slot_batch rejects prices whose slot costs overflow
     trained = resampled_solve(fleet, prices, batch.raw_eps, directions_of(programs), sgd_iterations, 8, seed)
     even = np.full(n, cap / n)
     candidates = np.array([trained, np.zeros(n), even])

@@ -51,10 +51,17 @@ class ProgramSpec:
             )
 
 
-def check_unique_ids(ids: Iterable[str]) -> None:
-    """Raise ``InvalidInputError`` at the first program id that repeats."""
+def check_program_ids(ids: Iterable[str]) -> None:
+    """Raise ``InvalidInputError`` at the first program id that repeats or holds a control character.
+
+    A control character is one below U+0020, or U+007F. Ids name CSV columns
+    and cells, where a bare carriage return is written unquoted and the file
+    would not read back.
+    """
     seen = set()
     for pid in ids:
+        if any(ch < " " or ch == "\x7f" for ch in pid):
+            raise InvalidInputError(f"program id {pid!r} holds a control character")
         if pid in seen:
             raise InvalidInputError(f"duplicate program id {pid!r}")
         seen.add(pid)

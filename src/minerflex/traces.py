@@ -23,9 +23,9 @@ import numpy as np
 
 from .config import load_config
 from .deployment import SlotBatch
-from .errors import InvalidInputError, ModelViolationError, TraceFormatError
+from .errors import InvalidInputError, ModelViolationError, NumericalError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
-from .programs import PriceResponsiveModel, ProgramSpec, check_unique_ids, parse_eps_model, price_responsive_eps
+from .programs import PriceResponsiveModel, ProgramSpec, check_program_ids, parse_eps_model, price_responsive_eps
 from .regulation import joint_pair, sample_joint
 from .single_machine import ProgramStats
 
@@ -421,7 +421,7 @@ def _parse_synthesis_spec(cfg: dict) -> SynthesisSpec:
                 eps_model=parse_eps_model(p["eps"]),
             )
         )
-    check_unique_ids(p.id for p in programs)
+    check_program_ids(p.id for p in programs)
     joint = cfg.get("joint")
     return SynthesisSpec(
         start=parse_timestamp(cfg["start"]),
@@ -567,6 +567,18 @@ def slot_batch(traces: Traces, fleet_config, programs, clamp_negative=False) -> 
     prices = traces.as_prices[:, cols]
     if (prices < 0.0).any():  # the scalar path raises the program's own error
         programs_for_record(traces, int(np.argmax((prices < 0.0).any(axis=1))), programs)
+    # A slot cost is at most cap (3 max|r| + max p) in magnitude (rates lie in
+    # [0, 1]), and every sum over the slots that the solves and regret totals
+    # form (costs, subgradients, cut intercepts) at most 8 T cap (max|r| + max p);
+    # the test leaves a factor of two. With cap floored at 1 the pooled mean
+    # price is covered too. Python floats overflow to inf without a warning.
+    r_max, p_max = float(np.abs(rewards).max()), float(prices.max(initial=0.0))
+    cap = math.fsum(m.capacity_mw for m in fleet_config)
+    if not math.isfinite(16.0 * len(traces) * max(cap, 1.0) * (r_max + p_max)):
+        raise NumericalError(
+            f"slot costs overflow: {len(traces)} slots of {cap} MW at rewards up to {r_max} "
+            f"and program prices up to {p_max}"
+        )
     deployment = traces.deployment[:, cols]
     missing = np.isnan(deployment)
     down = np.broadcast_to([p.direction == "down" for p in programs], missing.shape)

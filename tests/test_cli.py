@@ -129,21 +129,57 @@ def test_parametric_fleet_without_rewards_names_both_files(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_compare_strategies_overflowing_prices_exits_3(traces_dir, tmp_path, capsys):
-    # every price at 1e308 is a valid trace, but the window's mean price overflows
+def _as_csv_at_price(traces_dir, tmp_path, price):
+    """Copy of the week's as.csv with every program price set to ``price``."""
     with open(traces_dir / "as.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
-    with open(tmp_path / "as.csv", "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header, *([ts, pid, "1e308", eps] for ts, pid, _, eps in rows)])
+    path = tmp_path / "as.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *([ts, pid, price, eps] for ts, pid, _, eps in rows)])
+    return path
+
+
+OVERFLOW_MESSAGE = "slot costs overflow: 168 slots of 250.0 MW at rewards up to "
+
+
+def test_compare_strategies_overflowing_prices_exits_3(traces_dir, tmp_path, capsys):
+    # every price at 1e308 is a valid trace, but the window's slot costs and mean price overflow
     out = tmp_path / "o"
     argv = ["compare-strategies", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
-            "--traces-market", traces_dir / "market.csv", "--traces-as", tmp_path / "as.csv", "--out", out]
+            "--traces-market", traces_dir / "market.csv", "--traces-as", _as_csv_at_price(traces_dir, tmp_path, "1e308"),
+            "--out", out]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning would fail the run with its own message
         rc = main([str(a) for a in argv])
     err = capsys.readouterr().err
-    assert rc == 3 and "error: the window's mean program prices overflow: [inf, inf]" in err, err
+    assert rc == 3 and f"error: {OVERFLOW_MESSAGE}" in err and "program prices up to 1e+308" in err, err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve-offline", "simulate-online"])
+def test_overflowing_trace_prices_exit_3_before_any_solve(command, traces_dir, tmp_path, capsys):
+    # the check runs where the fleet meets the traces: no solve runs on infinite costs, no warning is printed
+    out = tmp_path / "o"
+    argv = [command, "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+            "--traces-market", traces_dir / "market.csv", "--traces-as", _as_csv_at_price(traces_dir, tmp_path, "1e308"),
+            "--out", out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3 and err.startswith(f"error: {OVERFLOW_MESSAGE}") and err.count("\n") == 1, err
+    assert list(out.iterdir()) == []
+
+
+def test_trace_prices_that_cannot_overflow_still_solve(traces_dir, tmp_path):
+    # 1e300 $/MWh over a 168-slot week of a 250 MW fleet stays far inside the float range
+    argv = ["simulate-online", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+            "--traces-market", traces_dir / "market.csv", "--traces-as", _as_csv_at_price(traces_dir, tmp_path, "1e300"),
+            "--out", tmp_path / "o"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([str(a) for a in argv]) == 0
 
 
 def test_unreadable_trace_exit_code(traces_dir, tmp_path, capsys):
@@ -268,6 +304,24 @@ def test_malformed_config_exit_code(tmp_path, capsys):
             err = capsys.readouterr().err
             if rc != 2 or str(path) not in err or (message and message not in err):
                 failures.append(f"{name}/{defect}: exit {rc}: {err.strip()}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name", ["programs", "risk", "spec"])
+def test_program_id_with_control_character_exit_code(name, tmp_path, capsys):
+    # an id names CSV columns and cells: a bare carriage return would be written unquoted
+    shipped, argv, *_ = MALFORMED_CONFIGS[name]
+    cfg = json.loads((CONFIGS / shipped).read_text())
+    failures = []
+    for i, char in enumerate(["\r", "\n", "\t", "\x00", "\x1f", "\x7f"]):
+        pid = f"reg{char}up"
+        path = tmp_path / f"{name}-{i}.json"
+        path.write_text(json.dumps(_edit(cfg, ("programs", 1, "id"), pid)))
+        out = tmp_path / f"o{i}"
+        rc = main([str(a) for a in [*argv, path, "--out", out]])
+        err = capsys.readouterr().err
+        if rc != 2 or f"{path}: program id {pid!r} holds a control character" not in err or any(out.iterdir()):
+            failures.append(f"{char!r}: exit {rc}: {err.strip()}")
     assert not failures, "\n".join(failures)
 
 

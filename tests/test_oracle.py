@@ -21,7 +21,7 @@ from minerflex import (
 )
 from minerflex.fleet import MachineType
 from minerflex.oracle import draw_effective_samples, feasibility_grid, mc_expected_cost
-from minerflex.programs import ConstantEps, directions_of, prices_of, program_sampler
+from minerflex.programs import ConstantEps, UniformEps, directions_of, prices_of, program_sampler
 from minerflex.regulation import sample_joint
 
 from conftest import random_instance
@@ -125,23 +125,77 @@ def allocating_grid_mc_optimum(fleet, programs, sampler, grid):
     return points[best], value, stderr
 
 
+def truncexp_programs(n):
+    lams = (0.5, 2.0, 6.0)
+    return [
+        ProgramSpec(f"p{i}", 10.0 + 7.0 * i, "down" if i == 1 else "up", TruncatedExponential(lams[i]))
+        for i in range(n)
+    ]
+
+
+def constant_programs(*rates):
+    return [ProgramSpec(f"k{i}", 12.0 + 5.0 * i, "up", ConstantEps(float(v))) for i, v in enumerate(rates)]
+
+
+# The 100 + 300 MW fleet's first break is B_0 = 100 = cap / 4: a rate of 1/4 reaches it at c = (cap, 0).
+QUARTER_FLEET = ([100.0, 300.0], [50.0, 90.0])
+QUARTER = 0.25
+F32_ABOVE = float(np.nextafter(np.float32(QUARTER), np.float32(1.0)))
+
+
 @pytest.mark.parametrize(
-    "caps, rewards, n, points, samples",
+    "caps, rewards, programs, points, samples",
     [
+        # an int n stands for the first n of truncexp_programs
         ([150.0, 100.0], [103.8, 131.8], 1, 401, 5000),  # two blocks and a short one
         ([90.0, 60.0, 100.0], [40.0, 95.0, 170.0], 1, 41, 70000),  # 16-point blocks
         ([90.0, 60.0, 100.0], [40.0, 95.0, 170.0], 2, 41, 5000),
         ([80.0], [120.0], 2, 21, 3000),  # no breaks at all
         ([50.0, 0.0, 70.0, 30.0], [10.0, 60.0, 61.0, 150.0], 3, 21, 4000),  # a zero-capacity type
+        pytest.param(  # about 86% of its samples cannot reach B_0
+            [150.0, 100.0],
+            [103.846153846, 131.818181818],
+            [
+                ProgramSpec(id="a", price=24.0, eps_model=TruncatedExponential(fit_lambda(0.18))),
+                ProgramSpec(id="b", price=30.0, eps_model=TruncatedExponential(fit_lambda(0.27))),
+            ],
+            80,
+            20000,
+            id="check_sgd_convergence",
+        ),
+        # cap max(eps) one float64 ulp below B_0, on it and one ulp above: each keeps its samples
+        pytest.param(*QUARTER_FLEET, constant_programs(np.nextafter(QUARTER, 0.0), 0.1), 41, 500, id="ulp-below-B0"),
+        pytest.param(*QUARTER_FLEET, constant_programs(QUARTER, 0.1), 41, 500, id="on-B0"),
+        pytest.param(*QUARTER_FLEET, constant_programs(np.nextafter(QUARTER, 1.0), 0.1), 41, 500, id="ulp-above-B0"),
+        pytest.param(  # one float32 ulp above: only the 1.5e-5 MW hinge at c = cap keeps the argmin at 390 MW
+            *QUARTER_FLEET, [ProgramSpec("k", 50.0 * F32_ABOVE + 1e-5, "up", ConstantEps(F32_ABOVE))], 41, 500,
+            id="float32-ulp-above-B0",
+        ),
+        pytest.param(  # inside the pruning margin: every sample is dropped
+            *QUARTER_FLEET, constant_programs(QUARTER / (1.0 + 2e-6), 0.1), 41, 500, id="inside-margin",
+        ),
+        pytest.param(
+            *QUARTER_FLEET,
+            [ProgramSpec("u0", 15.0, "up", UniformEps(0.5, 1.0)), ProgramSpec("u1", 9.0, "up", UniformEps(0.6, 0.9))],
+            61,
+            20000,
+            id="every-sample-live",
+        ),
+        pytest.param(*QUARTER_FLEET, constant_programs(0.0, 0.0), 41, 500, id="no-sample-live"),
+        pytest.param(  # a quarter of the samples drop, and the hinge sets the optimum near 110 MW
+            [100.0, 300.0], [10.0, 200.0], [ProgramSpec("u", 20.0, "up", UniformEps(0.0, 1.0))], 201, 5000,
+            id="hinge-sets-the-optimum",
+        ),
+        pytest.param(
+            [300.0, 100.0], [50.0, 90.0], [ProgramSpec("u", 15.0, "up", UniformEps(0.0, 0.7))], 101, 9000,
+            id="no-sample-reaches-B0",
+        ),
     ],
 )
-def test_grid_mc_matches_the_allocating_loop(caps, rewards, n, points, samples):
+def test_grid_mc_matches_the_allocating_loop(caps, rewards, programs, points, samples):
     fleet = fleet_from_rewards(caps, rewards)
-    lams = (0.5, 2.0, 6.0)
-    programs = [
-        ProgramSpec(f"p{i}", 10.0 + 7.0 * i, "down" if i == 1 else "up", TruncatedExponential(lams[i]))
-        for i in range(n)
-    ]
+    if isinstance(programs, int):
+        programs = truncexp_programs(programs)
     sampler = program_sampler(programs)
     grid = GridSpec(points, samples, seed=3)
     res = grid_mc_optimum(fleet, programs, sampler, grid)
