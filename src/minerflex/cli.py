@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,8 @@ CONFIG_DIR_ENV = "MINERFLEX_CONFIG_DIR"
 INPUT_ARGS = ("spec", "fleet", "programs", "config", "traces_market", "traces_as")
 # Arguments that make sense only together.
 PAIRED_ARGS = (("traces_market", "traces_as"), ("window_start", "window_end"))
+# Samples of parametric solve-offline's Monte Carlo expected cost.
+MC_SAMPLES = 20000
 
 
 # ── Output writing ───────────────────────────────────────────────────────
@@ -190,6 +192,21 @@ def _parametric_fleet(machines: list[MachineType], economics) -> FleetSpec:
     return canonicalize(resolved)
 
 
+def _check_cost_range(cap: float, r_max: float, p_max: float, terms: int) -> None:
+    """Raise ``NumericalError`` before a parametric solve whose costs could overflow.
+
+    A cost is at most cap (3 max|r| + max p) in magnitude (rates lie in [0, 1]),
+    and the largest numbers a parametric command forms are sums of up to
+    ``terms`` squared costs: the Monte Carlo standard error and the risk
+    variance. The test squares 16 max(cap, 1) (max|r| + max p), the slack of
+    :func:`~minerflex.traces.slot_batch`'s bound. Python floats overflow to inf
+    without a warning.
+    """
+    m = 16.0 * max(cap, 1.0) * (r_max + p_max)
+    if not math.isfinite(terms * m * m):
+        raise NumericalError(f"costs overflow: {cap} MW at rewards up to {r_max} and program prices up to {p_max}")
+
+
 def _load_fleet_inputs(args):
     """Machines, programs, joint pair, economics and traces (None without --traces-market)."""
     machines = load_fleet_config(args.fleet)
@@ -235,9 +252,11 @@ def cmd_solve_offline(args) -> dict:
             fleet = _parametric_fleet(machines, economics)
         except InvalidInputError as exc:
             raise InvalidInputError(f"{args.fleet}, {args.programs}: {exc}") from None
+        r_max, p_max = float(np.abs(fleet.rewards).max()), max(p.price for p in programs)
+        _check_cost_range(fleet.total_capacity_mw, r_max, p_max, MC_SAMPLES)
         sampler = program_sampler(programs, joint)
         result = sgd_solve(fleet, programs, sampler, cfg)
-        eff = draw_effective_samples(sampler, [p.direction for p in programs], 20000, args.seed + 1)
+        eff = draw_effective_samples(sampler, [p.direction for p in programs], MC_SAMPLES, args.seed + 1)
         value, _ = mc_expected_cost(fleet, programs, result.profile, eff)
         columns = [np.full(24, x) for x in (*result.profile.c.tolist(), value, result.bound)]
         bound = result.bound
@@ -256,6 +275,8 @@ def cmd_solve_offline(args) -> dict:
 
 def cmd_solve_reg(args) -> dict:
     inst = load_config(args.config, _parse_reg)
+    fleet = inst.fleet
+    _check_cost_range(fleet.total_capacity_mw, float(np.abs(fleet.rewards).max()), max(inst.p_up, inst.p_dn), 1)
     profile, gap = solve_reg_profile(inst)
     c_up, c_dn = map(float, profile.c)
     value = expected_reg_cost(inst, c_up, c_dn)
@@ -285,6 +306,7 @@ def cmd_solve_risk(args) -> dict:
                 raise InvalidInputError(f"traces carry no program {pid!r}")
             stats.append(estimate_stats(traces, traces.program_ids.index(pid)))
 
+    _check_cost_range(cap, r, max(s.price for s in stats), len(stats))
     profile = risk_aware_solve(stats, r, cap, risk)
     exp_cost, var = profile_risk(stats, r, profile)
     return {
@@ -455,8 +477,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process.
+
+    argparse's objects hold reference cycles, which only the cyclic collector
+    frees: a parser built per command kept them, and the memory pages they sit
+    in, alive through the next command of a long-lived process.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     for first, second in PAIRED_ARGS:
         if bool(getattr(args, first, None)) != bool(getattr(args, second, None)):

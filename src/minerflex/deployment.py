@@ -138,7 +138,7 @@ def project_simplex(x: np.ndarray, cap) -> np.ndarray:
     positive = u - css / np.arange(1, n + 1) > 0.0
     positive[..., 0] = True
     rho = n - 1 - positive[..., ::-1].argmax(-1)[..., None]
-    tau = np.take_along_axis(css, rho, -1) / (rho + 1.0)
+    tau = (css[rho] if x.ndim == 1 else css[np.arange(len(css))[:, None], rho]) / (rho + 1.0)
     return np.where(over, np.maximum(x - tau, 0.0), clipped)
 
 

@@ -119,16 +119,23 @@ def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarra
     # step[t]: how many rounds round t's learner has played before it
     step = np.empty(T, dtype=int)
     step[np.argsort(learner, kind="stable")] = np.arange(T) - np.repeat(np.cumsum(counts) - counts, counts)
-    # the slots wave by wave; each wave's slots are indexed from the batch as they
-    # come, since a wave-ordered copy of the batch raised peak memory
+    # the slots wave by wave, read from the batch in place (a wave-ordered copy of
+    # the batch raised peak memory): a wave whose slots are one ascending run, as
+    # every wave of an hour-aligned trace is, as a slice, any other by index
     order = np.lexsort((learner, -counts[learner], step))
+    jumps = np.diff(order) != 1  # jumps[i]: slot order[i + 1] does not follow slot order[i]
 
     states = np.zeros((np.count_nonzero(counts), n))
     played, costs = np.empty((T, n)), np.empty(T)
     start = 0
     for j, size in enumerate(np.bincount(step).tolist(), start=1):
+        end = start + size
         # a one-slot wave steps a vector: 1-D dots and projection cost less per call
-        rows, live = (order[start], 0) if size == 1 else (order[start : start + size], slice(size))
+        if size == 1:
+            rows, live = order[start], 0
+        else:
+            rows = order[start:end] if jumps[start : end - 1].any() else slice(order[start], order[start] + size)
+            live = slice(size)
         c = states[live]
         cost, grad = batch.cost_and_subgradient(rows, c)
         played[rows], costs[rows] = c, cost

@@ -31,7 +31,7 @@ from .single_machine import ProgramStats
 
 MARKET_HEADER = ["timestamp", "rt_price", "coin_price"]
 AS_HEADER = ["timestamp", "program_id", "price", "epsilon"]
-# rows read and checked at a time; bounds the text held at once
+# lines (csv records, once a file needs csv.reader) read and checked at a time; bounds the text held at once
 CHUNK_ROWS = 4096
 # rows joined and written at a time
 WRITE_ROWS = 512
@@ -102,32 +102,91 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
-def _read_chunks(path, header: list[str]):
-    """(lines, rows) blocks of up to :data:`CHUNK_ROWS` csv records under ``header``, blank ones dropped.
+def _take(source, n: int):
+    """Up to ``n`` items of ``source``, and the read, decode or csv error that cut them short (or None)."""
+    items = []
+    try:
+        items.extend(islice(source, n))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        return items, exc
+    return items, None
 
-    A read, decode or csv error names the file after the block of the records read before it.
+
+def _fail(exc):
+    """An iterator that raises ``exc`` when it is read."""
+    raise exc
+    yield  # a generator, so nothing raises before the read
+
+
+def _split(lines: list[str], width: int, limit: int):
+    """The ``width`` columns of plain ``lines``, as ``csv.reader`` would give them, or None.
+
+    Lines are plain when none holds a double quote or a carriage return or is
+    longer than the csv field ``limit``, and each holds ``width - 1`` commas:
+    then each line is one record and ``csv.reader`` splits it at every comma.
+    Plain ``lines`` are emptied before the split, so that the block's text is
+    held once at a time: as lines, as one string, then as fields.
     """
+    text = "".join(lines).replace("\n", ",")
+    if '"' in text or "\r" in text or set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    if max(map(len, lines)) > limit:
+        return None
+    end = len(lines) * width  # a final line break leaves one more, empty, field
+    lines.clear()
+    fields = text.split(",")
+    return [fields[i:end:width] for i in range(width)]
+
+
+def _record_columns(path, lines, rows: list[list[str]], width: int):
+    """The columns of csv ``rows`` at record numbers ``lines``, blank records dropped.
+
+    A record without ``width`` fields raises, after the block of the records before it.
+    """
+    if not all(rows):
+        lines = [n for n, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    bad = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    if bad:
+        yield lines[:bad], list(zip(*rows[:bad]))
+    if bad < len(rows):
+        raise TraceFormatError(path, lines[bad], f"expected {width} fields, got {len(rows[bad])}")
+
+
+def _read_chunks(path, header: list[str]):
+    """(lines, columns) blocks of up to :data:`CHUNK_ROWS` csv records under ``header``, blank ones dropped.
+
+    ``lines`` are the block's record numbers (the header is 1) and ``columns``
+    one text sequence per header field. The header goes through ``csv.reader``;
+    then the file is read :data:`CHUNK_ROWS` lines at a time, each block of
+    plain lines (see :func:`_split`) split on its commas by hand, until the
+    first block that is not plain: from its first line on, ``csv.reader``
+    reads the rest of the file, since a quoted field may span lines. A record
+    with the wrong field count raises after the block of the records before
+    it. A read, decode or csv error names the file after the block of the
+    records read before it.
+    """
+    width = len(header)
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            got = next(reader, None)
+            got = next(csv.reader(fh), None)
             if got != header:
                 raise TraceFormatError(path, 1, f"expected header {header}, got {got}")
-            line, read = 2, CHUNK_ROWS
+            limit, source, line, read = csv.field_size_limit(), fh, 2, CHUNK_ROWS
             while read == CHUNK_ROWS:
-                rows, error = [], None
-                try:
-                    rows.extend(islice(reader, CHUNK_ROWS))  # keeps the records read before an error
-                except (OSError, UnicodeDecodeError, csv.Error) as exc:
-                    error = exc
-                read = len(rows)
-                lines = range(line, line + read)
+                block, error = _take(source, CHUNK_ROWS)  # keeps the lines read before an error
+                read = len(block)
+                columns = _split(block, width, limit) if source is fh else None
+                if columns is not None:
+                    yield range(line, line + read), columns
+                else:
+                    if source is fh:
+                        # past a read error the file has lost its place: the error comes back instead
+                        source = csv.reader(chain(block, fh if error is None else _fail(error)))
+                        block, error = _take(source, CHUNK_ROWS)
+                        read = len(block)
+                    yield from _record_columns(path, range(line, line + read), block, width)
                 line += read
-                if not all(rows):
-                    lines = [n for n, row in zip(lines, rows) if row]
-                    rows = [row for row in rows if row]
-                if rows:
-                    yield lines, rows
                 if error is not None:
                     raise error
     except FileNotFoundError:
@@ -137,27 +196,20 @@ def _read_chunks(path, header: list[str]):
 
 
 def _check_blocks(path, header: list[str], check, *state) -> None:
-    """``check(path, lines, rows, *state)`` on each block of ``path``.
+    """``check(path, lines, columns, *state)`` on each block of ``path``.
 
     A check raises at the block's first line, so where a block of several rows
     fails, its rows are checked again one at a time: the rows before the first
     bad one pass in turn, and that row raises its own message at its own line.
     """
-    for lines, rows in _read_chunks(path, header):
+    for lines, columns in _read_chunks(path, header):
         try:
-            check(path, lines, rows, *state)
+            check(path, lines, columns, *state)
         except TraceFormatError:
-            if len(rows) == 1:
+            if len(lines) == 1:
                 raise
-            for line, row in zip(lines, rows):
-                check(path, [line], [row], *state)
-
-
-def _fields(path, lines, rows, header: list[str]):
-    """The block's columns; a record with the wrong field count raises."""
-    if set(map(len, rows)) != {len(header)}:
-        raise TraceFormatError(path, lines[0], f"expected {len(header)} fields, got {len(rows[0])}")
-    return zip(*rows)
+            for i, line in enumerate(lines):
+                check(path, [line], [column[i : i + 1] for column in columns], *state)
 
 
 def _finite(path, lines, texts, field: str) -> np.ndarray:
@@ -176,7 +228,7 @@ def _warn_disorder(path, lines) -> None:
         warnings.warn(f"{path}:{line}: timestamps out of order; sorting")
 
 
-def _market_columns(path, lines, rows, stamps: dict[datetime, str], rt: list, coin: list) -> None:
+def _market_columns(path, lines, columns, stamps: dict[datetime, str], rt: list, coin: list) -> None:
     """Check a block of market records, each check over the whole block, in the row reference's order.
 
     A block that passes adds each timestamp and its text to ``stamps`` and
@@ -184,7 +236,7 @@ def _market_columns(path, lines, rows, stamps: dict[datetime, str], rt: list, co
     timestamp is before the one above it. A single row warns before its prices
     are checked, as the row reference does.
     """
-    raws, rt_text, coin_text = _fields(path, lines, rows, MARKET_HEADER)
+    raws, rt_text, coin_text = columns
     try:
         block = list(map(parse_timestamp, raws))
     except ValueError:
@@ -193,7 +245,7 @@ def _market_columns(path, lines, rows, stamps: dict[datetime, str], rt: list, co
         raise TraceFormatError(path, lines[0], f"duplicate timestamp {raws[0]}")
     # each stamp against the row above it (the file's first against itself)
     disorder = list(compress(lines, map(operator.lt, block, [next(reversed(stamps), block[0]), *block[:-1]])))
-    if len(rows) == 1:
+    if len(lines) == 1:
         _warn_disorder(path, disorder)
         disorder = []
     rt_block, coin_block = _finite(path, lines, rt_text, "rt_price"), _finite(path, lines, coin_text, "coin_price")
@@ -224,13 +276,13 @@ def _indices(known: dict, added: dict, keys) -> np.ndarray:
     return np.fromiter(map(known.__getitem__, keys), np.intp, len(keys))
 
 
-def _as_columns(path, lines, rows, cells: _Cells) -> None:
+def _as_columns(path, lines, columns, cells: _Cells) -> None:
     """Check a block of as.csv records as :func:`_market_columns` checks the market's.
 
     A block that passes fills its cells of ``cells.table``: timestamps the
     market lacks get new slots after its own, and new program ids new columns.
     """
-    raws, ids, price_text, eps_text = _fields(path, lines, rows, AS_HEADER)
+    raws, ids, price_text, eps_text = columns
     try:
         fresh = {raw: parse_timestamp(raw) for raw in set(raws).difference(cells.slot_of)}
     except ValueError:
@@ -250,12 +302,12 @@ def _as_columns(path, lines, rows, cells: _Cells) -> None:
         table = np.pad(table, ((0, 0), (0, len(new)), (0, len(added))), constant_values=np.nan)
     cell = np.sort(slots * table.shape[2] + programs)
     if (cell[1:] == cell[:-1]).any() or not np.isnan(table[0, slots, programs]).all():
-        raise TraceFormatError(path, lines[0], f"duplicate (timestamp, program) {rows[0][:2]}")
+        raise TraceFormatError(path, lines[0], f"duplicate (timestamp, program) {[raws[0], ids[0]]}")
     cells.slot.update(new)
     cells.slot_of.update(fresh)
     cells.program.update(added)
-    eps = np.full(len(rows), np.nan)
-    eps[np.fromiter(map(bool, eps_text), bool, len(rows))] = rates
+    eps = np.full(len(lines), np.nan)
+    eps[np.fromiter(map(bool, eps_text), bool, len(lines))] = rates
     table[:, slots, programs] = prices, eps
     cells.table = table
 
@@ -271,9 +323,11 @@ def load_traces(market_path, as_path, program_ids: Sequence[str] | None = None) 
     at other timestamps are checked and then ignored. Slots come back in
     timestamp order; an out-of-order file triggers a warning and gets sorted.
 
-    Each file is read :data:`CHUNK_ROWS` rows at a time and checked a column
-    at a time. Where a check fails, that block is checked again row by row,
-    so the error names the first bad line.
+    Each file is read :data:`CHUNK_ROWS` lines at a time, each block of
+    plain lines split on its commas by hand and any other text read by
+    ``csv.reader`` (see :func:`_read_chunks`), then checked a column at a
+    time. Where a check fails, that block is checked again row by row, so
+    the error names the first bad line.
     """
     stamps: dict[datetime, str] = {}
     rt, coin = [], []

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from minerflex import ProgramSpec, hindsight_optimum, load_fleet_config, load_traces
+import minerflex.cli as cli
 from minerflex.cli import main
 from minerflex.traces import observed_slots
 
@@ -101,19 +103,40 @@ def test_validation_error_exit_code(tmp_path):
         assert not (out / "summary.json").exists()
 
 
-def test_non_finite_json_output_exits_3_and_writes_nothing(tmp_path, capsys):
-    # a price near the float limit overflows the bound: summary.json would hold an Infinity literal
-    cfg = json.loads((CONFIGS / "programs.json").read_text())
-    cfg["programs"][0]["price"] = 1e308
-    programs = tmp_path / "programs.json"
-    programs.write_text(json.dumps(cfg))
+def test_non_finite_json_output_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the cost-range checks keep config inputs from reaching a non-finite output, so a
+    # patched solver supplies one: summary.json would hold an Infinity literal
+    monkeypatch.setattr(cli, "expected_reg_cost", lambda inst, c_up, c_dn: math.inf)
     out = tmp_path / "o"
-    argv = ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", programs, "--iterations", 100,
-            "--out", out]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main([str(a) for a in argv])
+    rc = main([str(a) for a in ["solve-reg", "--config", CONFIGS / "reg.json", "--out", out]])
     err = capsys.readouterr().err
     assert rc == 3 and "error: summary.json: Out of range float values" in err, err
+    assert list(out.iterdir()) == []
+
+
+# a config field at 1e308, and the other arguments of the command that reads it
+PARAMETRIC_OVERFLOWS = {
+    "solve-offline": ("programs.json", ("programs", 0, "price"),
+                      ["--fleet", CONFIGS / "fleet.json", "--iterations", 100, "--programs"]),
+    "solve-reg": ("reg.json", ("p_up",), ["--config"]),
+    "solve-risk": ("risk.json", ("programs", 0, "price"), ["--config"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARAMETRIC_OVERFLOWS))
+def test_overflowing_parametric_costs_exit_3_before_any_solve(command, tmp_path, capsys):
+    # the parametric counterpart of the trace check: one error line, no numpy warning, nothing written
+    name, field, args = PARAMETRIC_OVERFLOWS[command]
+    config = tmp_path / name
+    config.write_text(json.dumps(_edit(json.loads((CONFIGS / name).read_text()), field, 1e308)))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([str(a) for a in [command, *args, config, "--out", out]])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3 and err.startswith("error: costs overflow: 250.0 MW at rewards up to ") and err.count("\n") == 1, err
+    assert err.rstrip().endswith("program prices up to 1e+308"), err
     assert list(out.iterdir()) == []
 
 

@@ -394,6 +394,100 @@ def test_field_values_load_as_the_row_reference_does(tmp_path, chunk):
                 assert want[0][1].startswith(error) and want[1] == warned, want
 
 
+def _lines(hours=300):
+    """Market and ancillary-service lines, headers first: 300 slots, two programs, every seventh rate blank."""
+    stamps = [format_timestamp(datetime(2022, 4, 4, tzinfo=UTC) + timedelta(hours=h)) for h in range(hours)]
+    market = [",".join(MARKET_HEADER), *(f"{ts},{40.0 + h / 7!r},20000.0" for h, ts in enumerate(stamps))]
+    ancillary = [",".join(AS_HEADER)] + [
+        f"{ts},{pid},{10.0 + h / 3!r},{'' if h % 7 == 0 else repr(h % 10 / 10)}" for h, ts in enumerate(stamps)
+        for pid in "ab"
+    ]
+    return market, ancillary
+
+
+def _joined(lines, end="\n"):
+    return (end.join(lines) + end).encode()
+
+
+def _with_row(lines, record, edit):
+    """``lines`` with ``edit`` applied to the line of record number ``record`` (the header is 1)."""
+    return [*lines[: record - 1], edit(lines[record - 1]), *lines[record:]]
+
+
+def _undecodable(lines, record, quoted=False):
+    """``lines`` as bytes with a 0xff byte, which UTF-8 cannot decode, opening record ``record``.
+
+    The reader gets the lines of the 8 KiB decoder chunks before the byte's own.
+    With ``quoted``, the first record of the block those lines end in gets a
+    quoted id, so that block is the first to go through ``csv.reader``.
+    """
+    head = _joined(lines[: record - 1])
+    if quoted:
+        unread = head[: len(head) // 8192 * 8192].count(b"\n") + 1  # the first record not read
+        lines = _with_row(lines, 2 + (unread - 3) // 64 * 64, lambda line: line.replace(",a,", ',"a",'))
+        head = _joined(lines[: record - 1])
+    return head + b"\xff" + _joined(lines[record - 1 :])
+
+
+LIMIT = csv.field_size_limit()
+# Each case gives the two files' bytes from the lines of _lines(), and whether they load. CHUNK_ROWS
+# is patched to 64: records 2-65 form the first block, 66-129 the second and 130-193 the third.
+TOKENIZER_CASES = {
+    "crlf line ends": (lambda m, a: (_joined(m, "\r\n"), _joined(a, "\r\n")), True),
+    "lone-cr line ends": (lambda m, a: (_joined(m, "\r"), _joined(a, "\r")), True),
+    "quoted field in the second block only": (
+        lambda m, a: (_joined(m), _joined(_with_row(a, 102, lambda line: line.replace(",a,", ',"a",')))), True,
+    ),
+    # record 129 ends the second block; its quoted rate runs onto the next line
+    "quoted line break across a block boundary": (
+        lambda m, a: (_joined(m), _joined(_with_row(a, 129, lambda line: line.rsplit(",", 1)[0] + ',"0.5\n"'))),
+        True,
+    ),
+    "no final line break": (lambda m, a: (_joined(m)[:-1], _joined(a)[:-1]), True),
+    "leading and doubled blank lines": (
+        lambda m, a: (_joined([m[0], "", *m[1:150], "", "", *m[150:]]), _joined([a[0], "", "", *a[1:]])), True,
+    ),
+    **{
+        f"{name} inside a field": (
+            lambda m, a, char=char: (_joined(m), _joined([line.replace(",a,", f",a{char}b,") for line in a])), True,
+        )
+        for name, char in (("NUL", "\x00"), ("NEL", "\x85"), ("U+2028", "\u2028"))
+    },
+    "a field longer than the csv field limit": (
+        lambda m, a: (_joined(m), _joined(_with_row(a, 150, lambda line: line + "0" * LIMIT))), False,
+    ),
+    "a line longer than the csv field limit, each field shorter": (
+        lambda m, a: (
+            _joined(_with_row(m, 140, lambda line: line.replace(",20000.0", ",2." + "0" * (LIMIT // 2) + "e4"))),
+            _joined(_with_row(a, 150, lambda line: line.rsplit(",", 1)[0] + ",0." + "0" * (LIMIT // 2) + "5")),
+        ),
+        True,
+    ),
+    # past the decoder's first 8 KiB, so the lines decoded before the byte's chunk are read first
+    "undecodable bytes in the middle of a block": (lambda m, a: (_joined(m), _undecodable(a, 450)), False),
+    "undecodable bytes in the first block with a quote": (
+        lambda m, a: (_joined(m), _undecodable(a, 450, quoted=True)), False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TOKENIZER_CASES)
+def test_tokenizer_corners_load_as_the_row_reference_does(tmp_path, case):
+    # plain blocks are split by hand and every other one goes through csv.reader: the same bits or the same error
+    m, a = tmp_path / "market.csv", tmp_path / "as.csv"
+    build, loads = TOKENIZER_CASES[case]
+    market, ancillary = build(*_lines())
+    m.write_bytes(market)
+    a.write_bytes(ancillary)
+    with mock.patch.object(traces_module, "CHUNK_ROWS", 64):
+        got, want = load_outcome(load_traces, m, a), load_outcome(serial_load_traces, m, a)
+    assert same_outcome(got, want), (got, want)
+    if loads:
+        assert isinstance(want[0], Traces) and len(want[0]) == 300, want
+    else:
+        assert want[0][0] is TraceFormatError and want[0][1].startswith(f"{a}:0: cannot read trace file"), want
+
+
 def test_load_warns_and_sorts_on_disorder(tmp_path):
     m, a = tmp_path / "market.csv", tmp_path / "as.csv"
     m.write_text(
