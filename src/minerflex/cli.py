@@ -300,13 +300,18 @@ def cmd_solve_risk(args) -> dict:
         risk = RiskConfig(args.risk_weight)
     if from_traces:
         traces = load_traces(args.traces_market, args.traces_as)
-        stats = []
         for pid in ids:
             if pid not in traces.program_ids:
                 raise InvalidInputError(f"traces carry no program {pid!r}")
-            stats.append(estimate_stats(traces, traces.program_ids.index(pid)))
-
-    _check_cost_range(cap, r, max(s.price for s in stats), len(stats))
+        cols = [traces.program_ids.index(pid) for pid in ids]
+        # every traced price bounds the mean price, and the check leaves room to sum them
+        try:
+            _check_cost_range(cap, r, float(traces.as_prices[:, cols].max()), len(ids))
+        except NumericalError as exc:
+            raise NumericalError(f"{args.traces_as}: {exc}") from None
+        stats = [estimate_stats(traces, col) for col in cols]
+    else:
+        _check_cost_range(cap, r, max(s.price for s in stats), len(stats))
     profile = risk_aware_solve(stats, r, cap, risk)
     exp_cost, var = profile_risk(stats, r, profile)
     return {

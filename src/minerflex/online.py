@@ -156,25 +156,31 @@ def run_online(
     own round count. Returns the (T, N) profiles played, the (T,) costs
     incurred and the regret report.
     """
-    T = batch.T
-    if timestamps is not None and len(timestamps) != T:
+    if timestamps is not None and len(timestamps) != batch.T:
         raise InvalidInputError("timestamps must match the number of rounds")
     if abs(batch.cap - cfg.cap) > 1e-6 * max(1.0, cfg.cap):
         raise InvalidInputError(f"batch capacity {batch.cap} != cap {cfg.cap}")
 
     played, costs, counts = _play_waves(batch, cfg, timestamps)
+    bound = math.fsum(cfg.regret_bound(rounds) for rounds in counts.tolist() if rounds)
+    return played, costs, regret_report(batch, costs, bound)
+
+
+def regret_report(batch: SlotBatch, costs: np.ndarray, bound: float) -> RegretReport:
+    """Static regret of the (T,) ``costs`` played over ``batch`` against its best fixed profile.
+
+    The comparator is :func:`hindsight_optimum` of ``batch``; the costs are
+    summed in round order, as a running total would sum them.
+    """
     hindsight, gap = hindsight_optimum(batch)
-    hindsight_cost = float(batch.total_costs(hindsight.c[None, :])[0])
-    # costs summed in round order, as a running total would
-    static = float(np.cumsum(costs)[-1]) - hindsight_cost
-    report = RegretReport(
+    static = float(np.cumsum(costs)[-1]) - float(batch.total_costs(hindsight.c[None, :])[0])
+    return RegretReport(
         static_regret=static,
-        average_regret=static / T,
+        average_regret=static / batch.T,
         hindsight_profile=hindsight,
         hindsight_gap=gap,
-        bound=math.fsum(cfg.regret_bound(rounds) for rounds in counts.tolist() if rounds),
+        bound=bound,
     )
-    return played, costs, report
 
 
 def per_round_costs(batch: SlotBatch, profile) -> np.ndarray:

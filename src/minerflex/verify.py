@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, realized_cost_batch
 from .fleet import fleet_from_rewards
-from .online import OgdConfig, run_online
+from .online import OgdConfig, RegretReport, regret_report, run_online
 from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
 from .programs import ProgramSpec, TruncatedExponential, fit_lambda, program_sampler
 from .regulation import (
@@ -42,64 +41,59 @@ class CheckResult:
     detail: str
 
 
-def _random_instance(rng, segment=False, k_max=4, n_max=3):
-    """One random slot as plain float lists: (caps, rewards, prices, raw, c).
-
-    K and N take one ``rng.integers`` call each. Every later value comes from
-    one ``rng.random`` block, scaled as the ``rng.uniform`` call it stands for
-    would scale it, in this order: K capacities in [1, 100), K rewards in
-    [0, 200) (sorted, the i-th raised by i * 1e-6 so none tie), N prices in
-    [0, 60), N raw rates, N profile entries, then the share of the fleet's
-    capacity (a ``math.fsum``) the profile is scaled to. With ``segment``,
-    2N + 2 more doubles give the ends a and b of a segment of profiles and
-    then their shares, and (a, b) are appended to the tuple.
-    """
-    k = int(rng.integers(1, k_max + 1))
-    n = int(rng.integers(1, n_max + 1))
-    u = iter(rng.random(2 * k + 3 * n + 1 + (2 * n + 2 if segment else 0)).tolist())
-
-    def take(count, lo, hi):
-        return [_uniform(next(u), lo, hi) for _ in range(count)]
-
-    caps = take(k, 1.0, 100.0)
-    rewards = [r + i * 1e-6 for i, r in enumerate(sorted(take(k, 0.0, 200.0)))]
-    prices = take(n, 0.0, 60.0)
-    raw, c = take(n, 0.0, 1.0), take(n, 0.0, 1.0)
-    cap = math.fsum(caps)
-    drawn = caps, rewards, prices, raw, _scaled(c, next(u), cap)
-    if segment:
-        a, b = take(n, 0.0, 1.0), take(n, 0.0, 1.0)
-        drawn += _scaled(a, next(u), cap), _scaled(b, next(u), cap)
-    return drawn
-
-
-def _scaled(v, share, cap):
-    """``v *= uniform(0, 1) * cap / max(v.sum(), 1e-12)``, from the share's double.
-
-    numpy sums fewer than 8 entries left to right.
-    """
-    factor = _uniform(share, 0.0, 1.0) * cap / max(list(accumulate(v))[-1], 1e-12)
-    return [x * factor for x in v]
-
-
-# Instances drawn and costed per pass. The float lists of 2,000 instances held at
-# once leave about 2 MB of heap that the process keeps, on top of verify's peak
-# memory later on; passes of 256 reuse one pass's heap at about the same speed.
+# Instances drawn per pass: a pass's shape groups are scaled and costed before the
+# next pass is drawn, so few uniform rows are held at once.
 DRAW_PASS = 256
 
 
 def _drawn_by_shape(rng, count, segment=False):
-    """Draw ``count`` instances in passes of :data:`DRAW_PASS`; yield each pass's groups.
+    """Draw ``count`` random instances in passes of :data:`DRAW_PASS`; yield each pass's groups.
 
-    A group stacks the pass's instances of one (K, N) shape, in draw order: one
-    (G, K) or (G, N) array per field of :func:`_random_instance`.
+    An instance takes one ``rng.integers`` call for K in [1, 4] types, one for
+    N in [1, 3] programs, then one ``rng.random`` block. Its doubles are, in
+    order: K capacities in [1, 100), K rewards in [0, 200) (sorted, the i-th
+    raised by i * 1e-6 so none tie), N prices in [0, 60), N raw rates, N
+    profile entries, then the share of the fleet's capacity (a ``math.fsum``)
+    the profile is scaled to. With ``segment``, 2N + 2 more doubles give the
+    ends a and b of a segment of profiles and then their shares. Each double is
+    scaled as the ``rng.uniform`` call it stands for would scale it.
+
+    A group stacks the pass's instances of one (K, N) shape, in draw order:
+    (G, K) capacities and rewards, then (G, N) prices, raw rates and profiles
+    (and a, b). The scaling is elementwise, so each row holds the bits of its
+    instance drawn alone.
     """
     for start in range(0, count, DRAW_PASS):
-        groups = {}
+        blocks = {}
         for _ in range(min(DRAW_PASS, count - start)):
-            inst = _random_instance(rng, segment)
-            groups.setdefault((len(inst[0]), len(inst[2])), []).append(inst)
-        yield from (tuple(map(np.array, zip(*group))) for group in groups.values())
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 4))
+            blocks.setdefault((k, n), []).append(rng.random(2 * k + 3 * n + 1 + (2 * n + 2 if segment else 0)))
+        for (k, n), rows in blocks.items():
+            widths = [k, k, n, n, n, 1] + ([n, n, 1, 1] if segment else [])
+            caps, rewards, prices, raw, c, share, *ends = np.split(np.array(rows), np.cumsum(widths)[:-1], axis=1)
+            caps = _uniform(caps, 1.0, 100.0)
+            cap = np.array([math.fsum(row) for row in caps.tolist()])
+            drawn = (
+                caps,
+                np.sort(_uniform(rewards, 0.0, 200.0), axis=1) + np.arange(k) * 1e-6,
+                _uniform(prices, 0.0, 60.0),
+                _uniform(raw, 0.0, 1.0),
+                _scaled(_uniform(c, 0.0, 1.0), share, cap),
+            )
+            if segment:
+                a, b, share_a, share_b = ends
+                drawn += _scaled(_uniform(a, 0.0, 1.0), share_a, cap), _scaled(_uniform(b, 0.0, 1.0), share_b, cap)
+            yield drawn
+
+
+def _scaled(v, share, cap):
+    """``v *= uniform(0, 1) * cap / max(v.sum(), 1e-12)`` row by row, the uniform from the (G, 1) share's doubles.
+
+    Each row sums left to right, as numpy sums fewer than 8 entries.
+    """
+    factor = _uniform(share[:, 0], 0.0, 1.0) * cap / np.maximum(np.cumsum(v, axis=1)[:, -1], 1e-12)
+    return v * factor[:, None]
 
 
 def _max_of_affines(caps, rewards, prices, eps, c):
@@ -130,13 +124,14 @@ def _simpson_arr(ys, xs):
 def check_greedy_deployment(seed=0, instances=200) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(instances):
-        caps, rewards, prices, raw, c = _random_instance(rng)
-        fleet = fleet_from_rewards(caps, rewards)
-        programs = [ProgramSpec(id=f"p{i}", price=price) for i, price in enumerate(prices)]
-        greedy = realized_cost(fleet, programs, c, raw)
-        oracle = lp_deployment_oracle(fleet, programs, c, raw)
-        worst = max(worst, abs(greedy - oracle))
+    # one slot at a time, as plain floats; the max does not depend on the order
+    for group in _drawn_by_shape(rng, instances):
+        for caps, rewards, prices, raw, c in zip(*(field.tolist() for field in group)):
+            fleet = fleet_from_rewards(caps, rewards)
+            programs = [ProgramSpec(id=f"p{i}", price=price) for i, price in enumerate(prices)]
+            greedy = realized_cost(fleet, programs, c, raw)
+            oracle = lp_deployment_oracle(fleet, programs, c, raw)
+            worst = max(worst, abs(greedy - oracle))
     return CheckResult(
         "greedy deployment vs LP vertex oracle",
         worst <= 1e-9,
@@ -180,20 +175,31 @@ def check_projection(seed=3, points=40) -> CheckResult:
     cap = 250.0
     axis = np.linspace(0.0, cap, 201)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    grid = grid[grid.sum(axis=1) <= cap + 1e-9]
+    columns = np.ascontiguousarray(grid[grid.sum(axis=1) <= cap + 1e-9].T)
     ok = True
     worst = 0.0
     for _ in range(points):
         x = rng.uniform(-150.0, 450.0, 2)
         p = project_feasible(x, cap).c
         ok &= bool(np.all(p >= 0.0) and p.sum() <= cap + 1e-9)
-        excess = np.linalg.norm(p - x) - np.linalg.norm(grid - x, axis=1).min()
+        excess = np.linalg.norm(p - x) - _grid_distance(columns, x)
         worst = max(worst, float(excess))
     return CheckResult(
         "euclidean projection vs grid QP oracle",
         ok and worst <= 1e-9,
         f"max distance excess = {worst:.3e}",
     )
+
+
+def _grid_distance(columns, x) -> float:
+    """Distance from the point x to the nearest of the points held as the two ``columns``.
+
+    The bits of ``np.linalg.norm(grid - x, axis=1).min()``: norm squares each
+    row's two differences and adds them in that order, and a correctly rounded
+    sqrt is monotone, so it can follow the min.
+    """
+    d0, d1 = columns[0] - x[0], columns[1] - x[1]
+    return math.sqrt((d0 * d0 + d1 * d1).min())
 
 
 def check_truncexp_mean(seed=4) -> CheckResult:
@@ -369,13 +375,14 @@ def check_sgd_convergence(seed=9, fast=False) -> CheckResult:
 
 
 def regret_slots(rng, horizon: int) -> SlotBatch:
-    """One run of :func:`check_online_regret`: ``horizon`` random slots.
+    """``horizon`` random slots of :func:`regret_runs`.
 
     Each slot takes six doubles of the generator's stream, in order: the two
     rewards of a 150 + 100 MW fleet, the prices of two up programs and their
     deployment rates. One ``(horizon, 6)`` block holds them all, scaled as
     ``rng.uniform`` scales them, so every value is what one ``rng.uniform``
-    call per slot and quantity would return.
+    call per slot and quantity would return. The stream is consumed in slot
+    order, so one call for ``R * H`` slots draws what R calls for H draw in turn.
     """
     u = rng.random((horizon, 6))
     rewards = np.sort(_uniform(u[:, 0:2], 0.0, 200.0), axis=1) + np.array([0.0, 1e-9])
@@ -384,14 +391,37 @@ def regret_slots(rng, horizon: int) -> SlotBatch:
     return SlotBatch(rewards, caps, _uniform(u[:, 2:4], 0.0, 60.0), _uniform(u[:, 4:6], 0.0, 1.0), flags, flags)
 
 
+def regret_runs(rng, runs: int, horizon: int) -> list[tuple[SlotBatch, np.ndarray, np.ndarray, RegretReport]]:
+    """``runs`` independent online runs of ``horizon`` random slots, each with one learner.
+
+    Run r is ``regret_slots(rng, horizon)`` drawn r-th and played by its own
+    learner; this returns its batch, its (H, 2) played profiles, its (H,) costs
+    and its :func:`regret_report` against its own hindsight optimum. All of it
+    equals ``run_online(regret_slots(rng, horizon), cfg)`` at ``learners=1``,
+    run after run, bit for bit, and leaves the generator in the same state.
+
+    The runs play in lockstep: one ``regret_slots`` block draws them all, and
+    interleaved round-major, run r becomes learner r of one ``learners=runs``
+    bank, so one :func:`run_online` call steps all runs a round at a time.
+    Every learner keeps its own step-size clock, and a wave's rows do each
+    slot's arithmetic as a lone learner's step does.
+    """
+    drawn = regret_slots(rng, runs * horizon)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=runs)
+    played, costs, _ = run_online(drawn.take(np.arange(runs * horizon).reshape(runs, horizon).T.ravel()), cfg)
+    bound = cfg.regret_bound(horizon)
+    out = []
+    for r in range(runs):
+        batch = drawn.take(slice(r * horizon, (r + 1) * horizon))
+        out.append((batch, played[r::runs], costs[r::runs], regret_report(batch, costs[r::runs], bound)))
+    return out
+
+
 def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    """Every run of :func:`regret_runs` keeps its regret bound, and its comparator is the best fixed profile."""
     ok = True
     worst_frac = 0.0
-    for _ in range(runs):
-        batch = regret_slots(rng, horizon)
-        cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
-        played, _, report = run_online(batch, cfg)
+    for batch, played, _, report in regret_runs(np.random.default_rng(seed), runs, horizon):
         ok &= report.static_regret <= report.bound
         # Static regret may be negative: an adaptive learner can beat every fixed
         # profile. What must hold is that the hindsight profile is the best fixed

@@ -39,7 +39,7 @@ def rng():
 def random_instance(rng, k_max=4, n_max=3, cap_scale=100.0):
     """Random small (fleet, programs, profile, effective eps) quadruple.
 
-    At the default sizes this is the scalar draw that ``verify._random_instance``
+    At the default sizes this is the scalar draw that ``verify._drawn_by_shape``
     replaces with one block per instance; ``test_verify_draws.py`` holds the two
     to the same stream.
     """

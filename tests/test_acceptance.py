@@ -338,9 +338,9 @@ def test_criterion_7_online_regret():
     rng = np.random.default_rng(108)
     worst_ratio = -math.inf
     all_bounded = True
-    for _ in range(200):
-        # one block draw of _bounded_rounds' slots (test_verify_draws.py pins the two equal)
-        _, _, rep = run_online(verify.regret_slots(rng, horizon), cfg)
+    # 200 runs of _bounded_rounds' slots played in lockstep, each by its own learner
+    # (test_verify_draws.py pins the draws equal, test_online.py the runs)
+    for _, _, _, rep in verify.regret_runs(rng, 200, horizon):
         all_bounded &= rep.static_regret <= bound
         worst_ratio = max(worst_ratio, rep.static_regret / bound)
 
@@ -368,10 +368,12 @@ def test_criterion_7_online_regret():
         fleets *= horizon
         programs_seq *= horizon
         samples *= horizon
-        _, played, rep = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
+        batch = slot_batch_of(fleets, programs_seq, samples, 250.0)
+        _, played, rep = run_online(batch, cfg)
 
         def prefix_regret(t):
-            arrays = slot_batch_of(fleets[:t], programs_seq[:t], samples[:t], 250.0)
+            # the prefix's own batch (test_verify_draws.py pins it equal to a rebuild)
+            arrays = batch.take(slice(0, t))
             prefix_opt, _ = hindsight_optimum(arrays)
             return float(played[:t].sum() - arrays.total_costs(prefix_opt.c[None, :])[0])
 

@@ -195,6 +195,22 @@ def test_overflowing_trace_prices_exit_3_before_any_solve(command, traces_dir, t
     assert list(out.iterdir()) == []
 
 
+def test_solve_risk_overflowing_trace_prices_exit_3_naming_the_as_file(traces_dir, tmp_path, capsys):
+    # the price statistics would overflow: the check runs before them and names the file the prices came from
+    as_csv = _as_csv_at_price(traces_dir, tmp_path, "1e308")
+    out = tmp_path / "o"
+    argv = ["solve-risk", "--config", CONFIGS / "risk.json", "--traces-market", traces_dir / "market.csv",
+            "--traces-as", as_csv, "--out", out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3 and err.startswith(f"error: {as_csv}: costs overflow: 250.0 MW at rewards up to ") and err.count("\n") == 1, err
+    assert err.rstrip().endswith("program prices up to 1e+308"), err
+    assert list(out.iterdir()) == []
+
+
 def test_trace_prices_that_cannot_overflow_still_solve(traces_dir, tmp_path):
     # 1e300 $/MWh over a 168-slot week of a 250 MW fleet stays far inside the float range
     argv = ["simulate-online", "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",

@@ -18,7 +18,7 @@ from minerflex import (
 )
 from minerflex import verify
 from minerflex.deployment import Profile, project_simplex, slot_cost
-from minerflex.online import hour_optima, per_round_costs
+from minerflex.online import hour_optima, per_round_costs, regret_report
 from minerflex.verify import check_online_regret
 
 from conftest import slot_batch_of
@@ -468,10 +468,33 @@ def test_verify_regret_check_accepts_negative_static_regret():
 
 
 def test_verify_regret_check_rejects_a_hindsight_profile_that_is_not_best(monkeypatch):
+    # each run's comparator comes from its own regret_report: report zero participation as the best
     def no_participation_hindsight(*args, **kwargs):
-        played, costs, report = run_online(*args, **kwargs)
-        return played, costs, dataclasses.replace(report, hindsight_profile=Profile(np.zeros(2)))
+        report = regret_report(*args, **kwargs)
+        return dataclasses.replace(report, hindsight_profile=Profile(np.zeros(2)))
 
     assert check_online_regret(seed=10, runs=1, horizon=50).passed
-    monkeypatch.setattr(verify, "run_online", no_participation_hindsight)
+    monkeypatch.setattr(verify, "regret_report", no_participation_hindsight)
     assert not check_online_regret(seed=10, runs=1, horizon=50).passed
+
+
+@pytest.mark.parametrize("runs, horizon", [(1, 1), (1, 50), (3, 7), (20, 200)])
+def test_regret_runs_match_serial_one_learner_runs(runs, horizon):
+    # the lockstep bank plays each run as a lone learner on its own regret_slots draw would
+    ref_rng, rng = np.random.default_rng(33), np.random.default_rng(33)
+    cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
+    lockstep = verify.regret_runs(rng, runs, horizon)
+    assert len(lockstep) == runs
+    for r, (batch, played, costs, report) in enumerate(lockstep):
+        ref_batch = verify.regret_slots(ref_rng, horizon)
+        ref_played, ref_costs, ref_report = run_online(ref_batch, cfg)
+        for name in ("rewards", "capacities", "quoted_prices", "raw_eps", "eps", "prices"):
+            assert getattr(batch, name).tobytes() == getattr(ref_batch, name).tobytes(), (r, name)
+        assert played.shape == ref_played.shape and played.tobytes() == ref_played.tobytes(), r
+        assert costs.shape == ref_costs.shape and costs.tobytes() == ref_costs.tobytes(), r
+        assert report.hindsight_profile.c.tobytes() == ref_report.hindsight_profile.c.tobytes(), r
+        fields = ("static_regret", "average_regret", "hindsight_gap", "bound")
+        assert [np.float64(getattr(report, f)).tobytes() for f in fields] == [
+            np.float64(getattr(ref_report, f)).tobytes() for f in fields
+        ], r
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

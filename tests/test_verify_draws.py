@@ -1,8 +1,9 @@
 """verify's block-drawn random instances against the scalar draws they replace.
 
 The three piecewise-cost checks (greedy deployment, max of affines, midpoint
-convexity) draw each instance from one ``rng.random`` block and cost whole
-groups of instances through ``FleetStack.row_costs``. The scalar references
+convexity) draw each instance from one ``rng.random`` block and scale a shape
+group of instances at once; two of them cost whole groups through
+``FleetStack.row_costs``. The scalar references
 here draw with one ``rng.uniform`` call per quantity (``conftest.random_instance``
 is the scalar instance draw) and cost one slot at a time, as the checks used
 to. A check's detail alone cannot pin the stream: the max-of-affines detail
@@ -15,7 +16,14 @@ import math
 import numpy as np
 import pytest
 
-from minerflex import ProgramSpec, cost_fixed_k, fleet_from_rewards, lp_deployment_oracle, realized_cost
+from minerflex import (
+    ProgramSpec,
+    cost_fixed_k,
+    fleet_from_rewards,
+    hindsight_optimum,
+    lp_deployment_oracle,
+    realized_cost,
+)
 from minerflex import verify
 from minerflex.programs import prices_of
 from minerflex.verify import CheckResult
@@ -83,6 +91,12 @@ def scalar_midpoint(seed, segments):
     )
 
 
+def one_instance(rng, segment):
+    """One instance drawn alone: row 0 of each field of a one-instance draw."""
+    (group,) = verify._drawn_by_shape(rng, 1, segment=segment)
+    return [field[0] for field in group]
+
+
 def as_tuple(result):
     return result.name, bool(result.passed), result.detail
 
@@ -97,7 +111,7 @@ def test_drawn_arrays_and_stream_match_scalar_draws(seed, segment):
             fleet, programs, *ref_vectors = scalar_segment(ref_rng)
         else:
             fleet, programs, *ref_vectors = random_instance(ref_rng)
-        caps, rewards, prices, raw, c, *ends = verify._random_instance(rng, segment=segment)
+        caps, rewards, prices, raw, c, *ends = one_instance(rng, segment)
         ref = [fleet.capacities, fleet.rewards, prices_of(programs), ref_vectors[1], ref_vectors[0], *ref_vectors[2:]]
         got = [caps, rewards, prices, raw, c, *ends]
         assert len(got) == len(ref), f"instance {i}"
@@ -141,7 +155,7 @@ def test_drawn_by_shape_groups_every_instance_once_in_draw_order():
     # more than one pass, the last one short
     count = 2 * verify.DRAW_PASS + 37
     ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
-    drawn = [verify._random_instance(ref_rng, segment=True) for _ in range(count)]
+    drawn = [one_instance(ref_rng, True) for _ in range(count)]
     groups = list(verify._drawn_by_shape(rng, count, segment=True))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert sum(len(g[0]) for g in groups) == count
@@ -173,3 +187,54 @@ def test_regret_slots_match_bounded_rounds(seed):
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
         assert got.cap == ref.cap
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_grid_distance_matches_row_norms():
+    # check_projection's distance to its grid, column by column, against the row norms it replaced
+    cap = 250.0
+    axis = np.linspace(0.0, cap, 201)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = grid[grid.sum(axis=1) <= cap + 1e-9]
+    columns = np.ascontiguousarray(grid.T)
+    rng = np.random.default_rng(13)
+    t = rng.uniform(0.0, cap, 200)
+    inside = rng.uniform(0.0, cap, (600, 2))
+    points = [
+        rng.uniform(-150.0, 450.0, (1000, 2)),  # the check's own draws, mostly outside
+        inside[inside.sum(axis=1) <= cap],
+        np.column_stack([t, np.zeros_like(t)]),  # the three faces
+        np.column_stack([np.zeros_like(t), t]),
+        np.column_stack([t, cap - t]),
+        [[0.0, 0.0], [cap, 0.0], [0.0, cap]],  # the corners
+        grid[rng.choice(len(grid), 100)],  # grid points themselves, at distance 0
+    ]
+    points = np.concatenate(points)
+    assert len(points) >= 2000
+    for x in points:
+        ref = np.linalg.norm(grid - x, axis=1).min()
+        assert np.float64(verify._grid_distance(columns, x)).tobytes() == ref.tobytes(), x
+
+
+@pytest.mark.parametrize("stationary", [True, False], ids=["stationary", "fresh"])
+def test_prefix_take_matches_prefix_rebuild(stationary):
+    # criterion 7's stationary runs take each prefix of the run's batch: it must equal the
+    # batch rebuilt from the prefix's rounds, table for table, and solve to the same bits
+    rng = np.random.default_rng(108)
+    horizon = 500
+    if stationary:
+        fleets, programs_seq, samples = (rounds * horizon for rounds in _bounded_rounds(rng, 1))
+    else:
+        fleets, programs_seq, samples = _bounded_rounds(rng, horizon)
+    batch = slot_batch_of(fleets, programs_seq, samples, 250.0)
+    tables = ("rewards", "capacities", "cum_capacities", "prefix_costs", "quoted_prices", "raw_eps",
+              "down", "missing", "eps", "prices")
+    for t in (1, horizon // 4, int(horizon * 0.9), horizon):
+        ref = slot_batch_of(fleets[:t], programs_seq[:t], samples[:t], 250.0)
+        got = batch.take(slice(0, t))
+        for name in tables:
+            x, y = getattr(ref, name), getattr(got, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), (t, name)
+        assert (got.T, got.n, got.cap) == (ref.T, ref.n, ref.cap)
+        (ref_opt, ref_gap), (opt, gap) = hindsight_optimum(ref), hindsight_optimum(got)
+        assert opt.c.tobytes() == ref_opt.c.tobytes() and np.float64(gap).tobytes() == np.float64(ref_gap).tobytes()
+        assert got.total_costs(opt.c[None, :]).tobytes() == ref.total_costs(ref_opt.c[None, :]).tobytes()
