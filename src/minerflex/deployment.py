@@ -17,7 +17,6 @@ revenue, so negative cost is profit relative to mining-only operation.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -266,30 +265,14 @@ def slot_cost(fleet, eps, prices, c):
     return cost, slope
 
 
-def _piece_cost(cum, rewards, prefix_costs, deployed: float, revenue: float, k=None):
-    """One slot's cost prefix_k + r_k d - revenue and its slope r_k, in Python floats.
-
-    One fleet's tables (``cum`` a list) and the slot's dots ``deployed`` = eps.c
-    and ``revenue`` = p.c. The piece k is the first type whose cumulative
-    capacity reaches d, the total clipped onto [0, cap] (as in :func:`slot_piece`);
-    a given 0-based k prices the unclipped total on that piece instead. The float
-    operations are :func:`slot_cost`'s, in its order. The dots stay numpy's: on
-    some BLAS kernels a short dot is a chain of fused multiply-adds, which Python
-    floats cannot repeat.
-    """
-    if k is None:
-        deployed = min(max(deployed, 0.0), cum[-1])
-        k = bisect_left(cum, deployed)
-    slope = float(rewards[k])
-    return float(prefix_costs[k]) + slope * deployed - revenue, slope
-
-
 def realized_cost(fleet: FleetSpec, programs: Sequence[ProgramSpec], profile, sample) -> float:
     """Cost of the slot under the optimal (greedy) machine deployment.
 
     ``sample`` must already hold effective load-reduction fractions, i.e.
-    down-program components passed through :func:`effective_epsilon`.
-    ``profile`` and ``sample`` must be finite.
+    down-program components passed through :func:`effective_epsilon`. A
+    non-finite profile or sample raises ``InvalidInputError``; a negative
+    profile, or a profile or deployed total past the fleet capacity beyond the
+    float guard, ``InfeasibleError``. The cost is :func:`slot_cost`'s, bit for bit.
     """
     c = as_vector(profile, "profile")
     eps = as_vector(sample, "sample")
@@ -299,10 +282,8 @@ def realized_cost(fleet: FleetSpec, programs: Sequence[ProgramSpec], profile, sa
         if not all(map(math.isfinite, x.tolist())):
             raise InvalidInputError(f"{name} components must be finite, got {x}")
     _check_profile_feasible(c, fleet)
-    deployed = float(eps @ c)
-    _clamp_total(deployed, fleet.total_capacity_mw)  # raises beyond the float guard
-    cum = fleet.cum_capacities.tolist()
-    return _piece_cost(cum, fleet.rewards, fleet.prefix_costs, deployed, float(p @ c))[0]
+    _clamp_total(float(eps @ c), fleet.total_capacity_mw)  # raises beyond the float guard
+    return float(slot_cost(fleet, eps, p, c)[0])
 
 
 def cost_fixed_k(
@@ -321,7 +302,8 @@ def cost_fixed_k(
     eps = as_vector(sample, "sample")
     p = prices_of(programs)
     _check_sizes(c, eps, p)
-    return _piece_cost(None, fleet.rewards, fleet.prefix_costs, float(eps @ c), float(p @ c), k_prime - 1)[0]
+    k = k_prime - 1
+    return float(fleet.prefix_costs[k] + fleet.rewards[k] * float(eps @ c) - p @ c)
 
 
 def realized_cost_batch(
@@ -356,7 +338,8 @@ class FleetStack:
         row i of the (R, N) ``eps``, ``prices`` and ``c`` serves fleet ``rows[i]``,
         at d = eps.c clipped onto [0, cap] of that fleet, so rows may differ in
         capacity. Each row takes the arithmetic of the one-slot
-        :func:`realized_cost` in its order, so the two agree bit for bit.
+        :func:`realized_cost` in its order, so the two agree bit for bit, and a
+        row's bits do not depend on the other rows in the call.
         """
         # a stacked matmul sums each row dot in the order of the 1-D eps @ c
         d, k = slot_piece(self.cum_capacities[rows], (eps[:, None, :] @ c[:, :, None])[:, 0, 0])
@@ -398,21 +381,13 @@ class SlotBatch(FleetStack):
         return SlotBatch(*(table[rows] for table in tables))
 
     def cost_and_subgradient(self, rows, c: np.ndarray):
-        """Costs and subgradients r_k eps - p of slots at profiles, one profile per slot.
+        """(R,) costs and (R, N) subgradients r_k eps - p of R slots, one profile per slot.
 
-        ``rows`` is one slot t with c an (N,) profile, giving a float and an
-        (N,) subgradient, or R slots (an index array or a slice) with c an
-        (R, N) array, giving (R,) costs and (R, N) subgradients through
-        :meth:`row_costs`. Both forms do slot t's arithmetic in the same order,
-        so they agree bit for bit.
+        ``rows`` is an index array or a slice (one slot t is ``slice(t, t + 1)``)
+        and ``c`` the (R, N) profiles; costed through :meth:`row_costs`, so each
+        slot's bits are those of :func:`realized_cost` wherever it sits.
         """
         eps, prices = self.eps[rows], self.prices[rows]
-        if c.ndim == 1:
-            cum = self.cum_capacities[rows].tolist()
-            cost, slope = _piece_cost(
-                cum, self.rewards[rows], self.prefix_costs[rows], float(eps @ c), float(prices @ c)
-            )
-            return cost, slope * eps - prices
         cost, slope = self.row_costs(eps, prices, c, rows)
         return cost, slope[:, None] * eps - prices
 

@@ -103,15 +103,28 @@ def hour_optima(batch: SlotBatch, hours: np.ndarray) -> tuple[np.ndarray, np.nda
     return profiles, gaps
 
 
-def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (T, N) profiles the learner bank plays, the (T,) costs it incurs and each learner's round count.
+def play_bank(batch: SlotBatch, cfg: OgdConfig, timestamps=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The (T, N) profiles the learner bank plays, the (T,) costs it incurs and its regret bound.
 
-    Wave j holds every learner's j-th round, so one step size serves the whole
-    wave. Within a wave, learners go by falling round count (then index); the
-    learners still active in wave j are then the first ones of that ranking, so
-    each wave's iterates are a leading block of rows. Every slot's arithmetic is
-    the same as stepping its learner alone.
+    Rounds are keyed to learners by timestamp hour (mod bank size) or by
+    round index when no timestamps are supplied. Each learner runs its own
+    step-size clock over its own subsequence, so the bound is the
+    :func:`math.fsum` of :meth:`OgdConfig.regret_bound` over the learners that
+    play, each at its own round count.
+
+    Learners step in waves: wave j holds every learner's j-th round, so one
+    step size serves the whole wave. Within a wave, learners go by falling
+    round count (then index); the learners still active in wave j are then
+    the first ones of that ranking, so each wave's iterates are a leading
+    block of rows, costed by :meth:`SlotBatch.cost_and_subgradient` and
+    projected as one block. Every slot's arithmetic is the same as stepping
+    its learner alone, whatever the bank size and timestamps.
     """
+    if timestamps is not None and len(timestamps) != batch.T:
+        raise InvalidInputError("timestamps must match the number of rounds")
+    if abs(batch.cap - cfg.cap) > 1e-6 * max(1.0, cfg.cap):
+        raise InvalidInputError(f"batch capacity {batch.cap} != cap {cfg.cap}")
+
     T, n = batch.T, batch.n
     keys = np.arange(T) if timestamps is None else np.array([ts.hour for ts in timestamps])
     learner = keys % cfg.learners
@@ -130,39 +143,21 @@ def _play_waves(batch: SlotBatch, cfg: OgdConfig, timestamps) -> tuple[np.ndarra
     start = 0
     for j, size in enumerate(np.bincount(step).tolist(), start=1):
         end = start + size
-        # a one-slot wave steps a vector: 1-D dots and projection cost less per call
-        if size == 1:
-            rows, live = order[start], 0
-        else:
-            rows = order[start:end] if jumps[start : end - 1].any() else slice(order[start], order[start] + size)
-            live = slice(size)
-        c = states[live]
+        rows = order[start:end] if jumps[start : end - 1].any() else slice(order[start], order[start] + size)
+        c = states[:size]
         cost, grad = batch.cost_and_subgradient(rows, c)
         played[rows], costs[rows] = c, cost
-        states[live] = project_simplex(c - step_size(j, cfg.diameter, cfg.grad_bound) * grad, cfg.cap)
+        states[:size] = project_simplex(c - step_size(j, cfg.diameter, cfg.grad_bound) * grad, cfg.cap)
         start += size
-    return played, costs, counts
+    bound = math.fsum(cfg.regret_bound(rounds) for rounds in counts.tolist() if rounds)
+    return played, costs, bound
 
 
 def run_online(
     batch: SlotBatch, cfg: OgdConfig, timestamps=None
 ) -> tuple[np.ndarray, np.ndarray, RegretReport]:
-    """Play the whole sequence with per-hour learners and account regret.
-
-    Rounds are keyed to learners by timestamp hour (mod bank size) or by
-    round index when no timestamps are supplied. Each learner runs its own
-    step-size clock over its own subsequence, so the regret bound is the sum
-    of :meth:`OgdConfig.regret_bound` over the learners that play, each at its
-    own round count. Returns the (T, N) profiles played, the (T,) costs
-    incurred and the regret report.
-    """
-    if timestamps is not None and len(timestamps) != batch.T:
-        raise InvalidInputError("timestamps must match the number of rounds")
-    if abs(batch.cap - cfg.cap) > 1e-6 * max(1.0, cfg.cap):
-        raise InvalidInputError(f"batch capacity {batch.cap} != cap {cfg.cap}")
-
-    played, costs, counts = _play_waves(batch, cfg, timestamps)
-    bound = math.fsum(cfg.regret_bound(rounds) for rounds in counts.tolist() if rounds)
+    """:func:`play_bank`'s played profiles and costs, with the :func:`regret_report` of its bound."""
+    played, costs, bound = play_bank(batch, cfg, timestamps)
     return played, costs, regret_report(batch, costs, bound)
 
 

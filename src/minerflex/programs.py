@@ -31,6 +31,8 @@ EPS_KINDS = ("truncexp", "bernoulli", "constant", "uniform", "price_responsive")
 # cancellation; switch to series expansions (error O(lambda^5) for the mean,
 # O(lambda^4) for the variance, far below the 1e-9 acceptance tolerance).
 _SERIES_LAMBDA = 1e-4
+# math.expm1 overflows past lam = log(DBL_MAX), about 709.78; the mean switches a little below
+_EXPM1_LAMBDA = 700.0
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,10 @@ class TruncatedExponential(_SampledEps):
     def mean(self) -> float:
         if self.lam < _SERIES_LAMBDA:
             return 0.5 - self.lam / 12.0 + self.lam**3 / 720.0
-        return 1.0 / self.lam - 1.0 / math.expm1(self.lam)
+        if self.lam < _EXPM1_LAMBDA:
+            return 1.0 / self.lam - 1.0 / math.expm1(self.lam)
+        # 1/(e^lam - 1) = e^-lam / (1 - e^-lam), which cannot overflow
+        return 1.0 / self.lam - math.exp(-self.lam) / -math.expm1(-self.lam)
 
     def variance(self) -> float:
         # The closed form cancels catastrophically for small rates (three

@@ -107,7 +107,9 @@ def risk_aware_solve(
     starts at the best zero-variance margin. If the quadratic coordinates
     still oversubscribe the capacity there, mu is found exactly among the
     breakpoints t_i (Brucker, Oper. Res. Lett. 1984; Kiwiel, Math. Program.
-    2008), and the capacity is used up to rounding.
+    2008), and the capacity is used up to rounding. A subnormal b_i has lost
+    its precision, and 1 / 2b_i overflows or nearly does: that coordinate is
+    the zero-variance limit it approaches, and stays linear.
     """
     if not programs:
         raise InvalidInputError("need at least one program")
@@ -116,6 +118,7 @@ def risk_aware_solve(
     w = risk.risk_weight
     a = _unit_costs(programs, r)
     b = np.array([w * r**2 * s.var_eps for s in programs])
+    b[b < np.finfo(float).tiny] = 0.0
     if w == 0.0 or not np.any(b > 0.0):
         return best_program(programs, r, cap)
 
@@ -124,8 +127,11 @@ def risk_aware_solve(
     zero_neg = (~pos) & (a < 0.0)
     mu = -float(a[zero_neg].min()) if zero_neg.any() else 0.0
     c = np.zeros(len(programs))
-    c[pos] = np.maximum(0.0, (t - mu) / half)
-    if c[pos].sum() > cap:
+    # a demand past the largest double is a demand past any cap, and is handled as one
+    with np.errstate(over="ignore"):
+        c[pos] = np.maximum(0.0, (t - mu) / half)
+        oversubscribed = c[pos].sum() > cap
+    if oversubscribed:
         # The cap binds on the quadratic coordinates alone. With t sorted in
         # decreasing order, d_k = sum_j inv_j max(0, t_j - t_k) is the demand at
         # mu = t_k; the top k are active for the largest k with d_k <= cap, where
@@ -134,7 +140,8 @@ def risk_aware_solve(
         # where a tiny variance makes inv_i = 1 / 2b_i huge.
         order = np.argsort(-t, kind="stable")
         ts, inv = t[order], 1.0 / half[order]
-        d = np.maximum(0.0, ts - ts[:, None]) @ inv
+        with np.errstate(over="ignore"):
+            d = np.maximum(0.0, ts - ts[:, None]) @ inv
         k = int(np.flatnonzero(d <= cap)[-1]) + 1  # d_1 = 0 <= cap, so k >= 1
         quad = np.zeros(t.size)
         quad[order[:k]] = (ts[:k] - ts[k - 1] + (cap - d[k - 1]) / inv[:k].sum()) * inv[:k]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, realized_cost_batch
 from .fleet import fleet_from_rewards
-from .online import OgdConfig, RegretReport, regret_report, run_online
+from .online import OgdConfig, RegretReport, play_bank, regret_report
 from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
 from .programs import ProgramSpec, TruncatedExponential, fit_lambda, program_sampler
 from .regulation import (
@@ -310,6 +310,31 @@ def check_single_machine_vertex(seed=7, instances=100) -> CheckResult:
     )
 
 
+def risk_kkt_residual(stats, r: float, cap: float, w: float, c: np.ndarray) -> float:
+    """Largest KKT residual of profile ``c`` for the mean-variance QP of :func:`risk_aware_solve`.
+
+    Primal feasibility, complementary slackness of the cap and of each c_i >= 0,
+    and dual feasibility, with the cap multiplier read off the active gradients.
+    """
+    a = np.array([r * s.mean_eps - s.price for s in stats])
+    b = np.array([w * r**2 * s.var_eps for s in stats])
+    grad = a + 2.0 * b * c
+    slack = cap - c.sum()
+    mu = 0.0
+    if slack <= 1e-7 * cap:
+        active = c > 1e-9 * cap
+        if active.any():
+            mu = max(0.0, float(-grad[active].max()))
+    nu = grad + mu
+    return max(
+        max(0.0, -slack),
+        max(0.0, -float(c.min())),
+        abs(mu * slack) / max(1.0, cap),
+        float(np.max(np.abs(np.minimum(nu, 0.0)))),
+        float(np.max(np.abs(c * nu))) / max(1.0, cap),
+    )
+
+
 def check_risk_kkt(seed=8, instances=100) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -324,24 +349,7 @@ def check_risk_kkt(seed=8, instances=100) -> CheckResult:
         cap = float(rng.uniform(50.0, 400.0))
         w = float(rng.choice([0.0, 1e-5, 1e-4, 1e-3]))
         c = risk_aware_solve(stats, r, cap, RiskConfig(w)).c
-        a = np.array([r * s.mean_eps - s.price for s in stats])
-        b = np.array([w * r**2 * s.var_eps for s in stats])
-        grad = a + 2.0 * b * c
-        slack = cap - c.sum()
-        mu = 0.0
-        if slack <= 1e-7 * cap:
-            active = c > 1e-9 * cap
-            if active.any():
-                mu = max(0.0, float(-grad[active].max()))
-        nu = grad + mu
-        res = max(
-            max(0.0, -slack),
-            max(0.0, -float(c.min())),
-            abs(mu * slack) / max(1.0, cap),
-            float(np.max(np.abs(np.minimum(nu, 0.0)))),
-            float(np.max(np.abs(c * nu))) / max(1.0, cap),
-        )
-        worst = max(worst, res)
+        worst = max(worst, risk_kkt_residual(stats, r, cap, w, c))
     return CheckResult(
         "risk-aware QP KKT residuals",
         worst <= 1e-8,
@@ -402,13 +410,14 @@ def regret_runs(rng, runs: int, horizon: int) -> list[tuple[SlotBatch, np.ndarra
 
     The runs play in lockstep: one ``regret_slots`` block draws them all, and
     interleaved round-major, run r becomes learner r of one ``learners=runs``
-    bank, so one :func:`run_online` call steps all runs a round at a time.
+    bank, so one :func:`~minerflex.online.play_bank` call steps all runs a
+    round at a time, with no pooled report over the whole bank.
     Every learner keeps its own step-size clock, and a wave's rows do each
     slot's arithmetic as a lone learner's step does.
     """
     drawn = regret_slots(rng, runs * horizon)
     cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=runs)
-    played, costs, _ = run_online(drawn.take(np.arange(runs * horizon).reshape(runs, horizon).T.ravel()), cfg)
+    played, costs, _ = play_bank(drawn.take(np.arange(runs * horizon).reshape(runs, horizon).T.ravel()), cfg)
     bound = cfg.regret_bound(horizon)
     out = []
     for r in range(runs):

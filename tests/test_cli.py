@@ -140,6 +140,41 @@ def test_overflowing_parametric_costs_exit_3_before_any_solve(command, tmp_path,
     assert list(out.iterdir()) == []
 
 
+# a truncated-exponential mean, and the other arguments of the command that reads it
+TRUNCEXP_MEANS = {
+    "solve-offline": ("programs.json", ("programs", 1, "eps", "mean"),
+                      ["--fleet", CONFIGS / "fleet.json", "--iterations", 100, "--programs"]),
+    "solve-reg": ("reg.json", ("mean_up",), ["--config"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRUNCEXP_MEANS))
+def test_small_truncexp_means_fit_or_exit_2_naming_the_file(command, tmp_path, capsys):
+    # mean 0.001 needs a rate near 1000, past where expm1 overflows; no rate below 1e9 reaches 1e-320
+    name, field, args = TRUNCEXP_MEANS[command]
+    for mean, code in ((0.001, 0), (1e-320, 2)):
+        config = tmp_path / f"{mean}-{name}"
+        config.write_text(json.dumps(_edit(json.loads((CONFIGS / name).read_text()), field, mean)))
+        rc = main([str(a) for a in [command, *args, config, "--out", tmp_path / f"o-{mean}"]])
+        err = capsys.readouterr().err
+        assert rc == code, err
+        if code:
+            assert err == f"error: {config}: no rate reaches mean 1e-320\n", err
+
+
+@pytest.mark.parametrize("field, value", [(("programs", 1, "var_eps"), 1e-310), (("risk_weight",), 1e-320)])
+def test_solve_risk_tiny_variance_term_gives_the_vertex(field, value, tmp_path, capsys):
+    # b = w r^2 var_eps is subnormal, so 1 / 2b overflows: the zero-variance limit puts all on regup
+    config = tmp_path / "risk.json"
+    config.write_text(json.dumps(_edit(json.loads((CONFIGS / "risk.json").read_text()), field, value)))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([str(a) for a in ["solve-risk", "--config", config, "--out", out]])
+    assert rc == 0 and [str(w.message) for w in caught] == [], capsys.readouterr().err
+    assert (out / "profile.csv").read_text().splitlines() == ["program_id,capacity_mw", "presp,0.0", "regup,250.0"]
+
+
 def test_parametric_fleet_without_rewards_names_both_files(tmp_path, capsys):
     # a machine's reward needs the fleet's intensity and the programs' economics: the message names both files
     programs = tmp_path / "programs.json"

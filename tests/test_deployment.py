@@ -315,7 +315,7 @@ def test_batch_matches_scalar(rng):
                 ]
             cost = realized_cost(fleet, programs, c, eff)
             grad = sample_subgradient(fleet, programs, c, eff[None, :])
-            round_cost, round_grad = batch.cost_and_subgradient(t, c)
+            (round_cost,), (round_grad,) = batch.cost_and_subgradient(slice(t, t + 1), c[None])
             np.testing.assert_allclose([costs[t, b], round_cost], cost, rtol=0, atol=1e-9)
             np.testing.assert_allclose(round_grad, grad, rtol=0, atol=1e-9)
             total_grad += grad
@@ -334,9 +334,9 @@ def test_sample_and_profile_validation():
 
 
 def test_stacked_matmul_row_dots_match_vector_dots(rng):
-    # SlotBatch.cost_and_subgradient dots each row of a slice through one stacked
-    # matmul and a single slot through 1-D @; the two forms agree only while numpy
-    # and its BLAS sum a (1, N) @ (N, 1) product in the order of a 1-D dot.
+    # SlotBatch.cost_and_subgradient dots each row of its slots through one stacked
+    # matmul, and realized_cost dots one slot through 1-D @; the two agree only while
+    # numpy and its BLAS sum a (1, N) @ (N, 1) product in the order of a 1-D dot.
     for n in range(1, 6):
         a = rng.uniform(0.0, 1.0, (400, n)) * rng.choice([1e-9, 1.0, 1e6], (400, n))
         c = rng.uniform(0.0, 250.0, (400, n))
@@ -368,7 +368,7 @@ def test_slot_rows_match_one_slot_calls(rng):
         costs, grads = batch.cost_and_subgradient(rows, profiles[rows])
         assert costs.shape == (rows.stop - rows.start,) and grads.shape == (len(costs), 3)
         for i, t in enumerate(range(rows.start, rows.stop)):
-            cost, grad = batch.cost_and_subgradient(t, profiles[t])
+            (cost,), (grad,) = batch.cost_and_subgradient(slice(t, t + 1), profiles[t][None])
             assert isinstance(cost, float)
             assert np.float64(cost).tobytes() == costs[i].tobytes(), f"slot {t}"
             assert grad.tobytes() == grads[i].tobytes(), f"slot {t}"

@@ -423,8 +423,8 @@ def test_missing_programs_are_skipped(rng):
     batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
     cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
     played, _, _ = run_online(batch, cfg)
-    assert batch.cost_and_subgradient(2, played[2])[1][1] == 0.0
-    assert batch.cost_and_subgradient(2, np.array([40.0, 60.0]))[1][1] == 0.0
+    assert batch.cost_and_subgradient(slice(2, 3), played[2][None])[1][0, 1] == 0.0
+    assert batch.cost_and_subgradient(slice(2, 3), np.array([[40.0, 60.0]]))[1][0, 1] == 0.0
 
 
 def test_ogd_config_validation():

@@ -148,6 +148,16 @@ def test_fit_lambda_rejects_out_of_range():
             fit_lambda(bad)
 
 
+@pytest.mark.parametrize("lam", [700.0, 710.0, 1e3, 1e6])
+def test_large_rates_past_the_expm1_overflow(lam):
+    # expm1(lam) overflows past lam = 709.78; there the tail e^-lam lies below every
+    # rounding of 1/lam, so the moments are those of Exp(lam): 1/lam and 1/lam^2
+    dist = TruncatedExponential(lam)
+    assert dist.mean() == pytest.approx(1.0 / lam, rel=1e-15)
+    assert dist.variance() == pytest.approx(1.0 / lam**2, rel=1e-12)
+    assert fit_lambda(dist.mean()) == pytest.approx(lam, rel=1e-9)
+
+
 def test_sample_within_support(rng):
     dist = TruncatedExponential(3.0)
     draws = dist.sample(rng, 10000)

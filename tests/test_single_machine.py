@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from minerflex import (
     risk_aware_solve,
 )
 from minerflex.deployment import project_simplex
-from minerflex.verify import check_risk_kkt
+from minerflex.verify import check_risk_kkt, risk_kkt_residual
 
 
 def axis_grid_best(programs, r, cap, points=1000):
@@ -33,29 +34,6 @@ def axis_grid_best(programs, r, cap, points=1000):
 def risk_objective(programs, r, w, c):
     exp_cost, var = profile_risk(programs, r, c)
     return exp_cost + w * var
-
-
-def kkt_residuals(programs, r, cap, w, c):
-    """Max violation across stationarity, feasibility, complementary slackness."""
-    a = np.array([r * s.mean_eps - s.price for s in programs])
-    b = np.array([w * r**2 * s.var_eps for s in programs])
-    grad = a + 2.0 * b * c
-    slack = cap - c.sum()
-    # mu from an active coordinate if the sum constraint binds, else 0.
-    mu = 0.0
-    if slack <= 1e-7 * cap:
-        active = c > 1e-9 * cap
-        if active.any():
-            mu = max(0.0, float(-grad[active].max()))
-    nu = grad + mu
-    res = [
-        max(0.0, -slack),                      # primal feasibility (sum)
-        max(0.0, float(-(c.min()) if c.size else 0.0)),  # primal feasibility (sign)
-        abs(mu * slack) / max(1.0, cap),       # complementary slackness (cap)
-        float(np.max(np.abs(np.minimum(nu, 0.0)))),      # dual feasibility
-        float(np.max(np.abs(c * nu))) / max(1.0, cap),   # complementary slackness (sign)
-    ]
-    return max(res)
 
 
 def projected_gradient_oracle(programs, r, cap, w, iters=40000):
@@ -196,7 +174,19 @@ def test_risk_kkt_random_instances(rng):
         cap = float(rng.uniform(50.0, 400.0))
         w = float(rng.choice([0.0, 1e-5, 1e-4, 1e-3]))
         c = risk_aware_solve(stats, r, cap, RiskConfig(w)).c
-        assert kkt_residuals(stats, r, cap, w, c) <= 1e-8
+        assert risk_kkt_residual(stats, r, cap, w, c) <= 1e-8
+
+
+@pytest.mark.parametrize("var, weight, price", [(1e-310, 4e-4, 30.0), (0.0225, 1e-320, 30.0), (3e-308, 4e-4, 1e6)])
+def test_tiny_quadratic_terms_take_the_zero_variance_limit(var, weight, price):
+    # b = w r^2 var below the smallest normal double (the first two) cannot be inverted,
+    # and the third's demand (t - mu) / 2b overflows: each gives the vertex, with no warning
+    stats = [ProgramStats(12.0, 0.12, 0.1056), ProgramStats(price, 0.18, var)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = risk_aware_solve(stats, 150.0, 250.0, RiskConfig(weight)).c
+    assert c.tolist() == best_program(stats, 150.0, 250.0).c.tolist() == [0.0, 250.0]
+    assert risk_kkt_residual(stats, 150.0, 250.0, weight, c) <= 1e-8
 
 
 def test_risk_objective_never_worse_than_vertices(rng):

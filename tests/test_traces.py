@@ -746,8 +746,8 @@ def test_slot_batch_matches_scalar_path_bitwise(rng):
             for c in cands[:4]:
                 assert _same_bits(fast.total_subgradient(c), ref.total_subgradient(c)), where
                 for t in range(fast.T):
-                    cost, grad = fast.cost_and_subgradient(t, c)
-                    ref_cost, ref_grad = ref.cost_and_subgradient(t, c)
+                    (cost,), (grad,) = fast.cost_and_subgradient(slice(t, t + 1), c[None])
+                    (ref_cost,), (ref_grad,) = ref.cost_and_subgradient(slice(t, t + 1), c[None])
                     assert cost == ref_cost and _same_bits(grad, ref_grad), f"{where}: slot {t}"
             checked += 1
     assert checked == 6
