@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .errors import InvalidInputError, MinerflexError, NumericalError
+from .errors import InvalidInputError, MinerflexError, ModelViolationError, NumericalError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
 from .fleet import MachineType, parse_machines
 from .online import OgdConfig, hour_optima, per_round_costs, run_online
@@ -249,12 +249,11 @@ def cmd_solve_offline(args) -> dict:
         bound = float(np.nanmax(gaps))
     else:
         try:
-            fleet = _parametric_fleet(machines, economics)
-        except InvalidInputError as exc:
+            fleet, sampler = _parametric_fleet(machines, economics), program_sampler(programs, joint)
+        except (InvalidInputError, ModelViolationError) as exc:
             raise InvalidInputError(f"{args.fleet}, {args.programs}: {exc}") from None
         r_max, p_max = float(np.abs(fleet.rewards).max()), max(p.price for p in programs)
         _check_cost_range(fleet.total_capacity_mw, r_max, p_max, MC_SAMPLES)
-        sampler = program_sampler(programs, joint)
         result = sgd_solve(fleet, programs, sampler, cfg)
         eff = draw_effective_samples(sampler, [p.direction for p in programs], MC_SAMPLES, args.seed + 1)
         value, _ = mc_expected_cost(fleet, programs, result.profile, eff)

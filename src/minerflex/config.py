@@ -24,8 +24,8 @@ def load_config(path, parse):
     """Decode the JSON file at ``path`` and return ``parse(data)``.
 
     Non-finite numbers (``NaN``, ``Infinity``, overflowing literals) are
-    rejected. Unreadable files, invalid JSON and any lookup, type or value
-    error raised by ``parse`` become ``InvalidInputError`` naming the file.
+    rejected. Unreadable files, invalid JSON and any lookup, type, value or
+    overflow error raised by ``parse`` become ``InvalidInputError`` naming the file.
     """
     try:
         with open(path) as fh:
@@ -38,5 +38,6 @@ def load_config(path, parse):
         return parse(data)
     except KeyError as exc:
         raise InvalidInputError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError, AttributeError, IndexError, InvalidInputError, ModelViolationError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError, IndexError, InvalidInputError,
+            ModelViolationError) as exc:
         raise InvalidInputError(f"{path}: {exc}") from None

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .deployment import project_simplex
+from .deployment import dot, project_simplex
 
 # Kelley iterations before the solve stops and reports the gap it reached.
 MAX_CUTS = 200
@@ -64,8 +64,8 @@ def _master(b: np.ndarray, g: np.ndarray, cap: float) -> tuple[np.ndarray, float
     u[basis] = tab[:-1, -1]
     lam = np.maximum(tab[-1, n : n + m], 0.0)
     lam /= lam.sum()
-    slope = lam @ g
-    return cap * u[:n], float(lam @ b) + cap * min(0.0, float(slope.min()))
+    slope = dot(lam[:, None], g, axis=0)
+    return cap * u[:n], float(dot(lam, b, axis=0)) + cap * min(0.0, float(slope.min()))
 
 
 def minimize(evaluate, n: int, cap: float) -> tuple[np.ndarray, float, float]:
@@ -84,7 +84,7 @@ def minimize(evaluate, n: int, cap: float) -> tuple[np.ndarray, float, float]:
     values, slopes = evaluate(points)
     best = int(np.argmin(values))
     best_c, best_v = points[best], float(values[best])
-    b = values - np.einsum("ij,ij->i", slopes, points)
+    b = values - dot(slopes, points)
     for _ in range(MAX_CUTS):
         c, bound = _master(b, slopes, cap)
         gap = max(best_v - bound, 0.0)
@@ -95,5 +95,5 @@ def minimize(evaluate, n: int, cap: float) -> tuple[np.ndarray, float, float]:
         if v < best_v:
             best_c, best_v = c, float(v)
         slopes = np.vstack([slopes, g])
-        b = np.append(b, v - g @ c)
+        b = np.append(b, v - dot(g, c))
     return best_c, best_v, gap

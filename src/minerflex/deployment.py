@@ -247,21 +247,39 @@ def slot_piece(cum, deployed):
     return d, (rows, k)
 
 
+def dot(a, b, axis=-1):
+    """Sum over ``axis`` of the broadcast products a * b: term 0, then each later term added in order.
+
+    The one product rule: one IEEE multiply and add per term and never BLAS, so no bit
+    depends on the kernel numpy picks at run time or on which rows share a call. The
+    last axis (programs) adds column by column, axis 0 (cuts) accumulates in numpy.
+    Kept on BLAS, as no product value of theirs reaches an output: ``sgd._subgradient``'s
+    row dot (it only picks pieces) and the grid oracle's float32 hinge block (its argmin).
+    """
+    if axis == 0:
+        return np.cumsum(a * b, axis=0)[-1]
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total += a[..., i] * b[..., i]
+    return total
+
+
 def slot_cost(fleet, eps, prices, c):
     """(prefix_k + r_k d - p.c, r_k) at totals d = eps.c; unvalidated.
 
-    ``eps`` and ``prices`` are one slot's (N,) vectors, (S, N) samples, or a
-    :class:`SlotBatch`'s (T, N) rows; ``c`` is a profile (N,) or profiles as
-    columns (N, B). See :func:`slot_piece` for ``fleet.cum_capacities``.
+    ``eps``, ``prices`` and ``c`` are (..., N) rows that broadcast: one slot's vectors,
+    (S, N) samples against one profile, a batch's (T, 1, N) rows against (B, N)
+    profiles, or (R, N) rows with a profile each. See :func:`slot_piece` for
+    ``fleet.cum_capacities``.
     """
-    d, k = slot_piece(fleet.cum_capacities, eps @ c)
+    d, k = slot_piece(fleet.cum_capacities, dot(eps, c))
     slope, cost = fleet.rewards[k], fleet.prefix_costs[k]
     # (T, B) candidate batches are large: free each temporary as early as
     # possible and work in place, so no more than four are alive at once.
     del k
     cost += slope * d
     del d
-    cost -= prices @ c
+    cost -= dot(prices, c)
     return cost, slope
 
 
@@ -282,7 +300,7 @@ def realized_cost(fleet: FleetSpec, programs: Sequence[ProgramSpec], profile, sa
         if not all(map(math.isfinite, x.tolist())):
             raise InvalidInputError(f"{name} components must be finite, got {x}")
     _check_profile_feasible(c, fleet)
-    _clamp_total(float(eps @ c), fleet.total_capacity_mw)  # raises beyond the float guard
+    _clamp_total(float(dot(eps, c)), fleet.total_capacity_mw)  # raises beyond the float guard
     return float(slot_cost(fleet, eps, p, c)[0])
 
 
@@ -303,7 +321,7 @@ def cost_fixed_k(
     p = prices_of(programs)
     _check_sizes(c, eps, p)
     k = k_prime - 1
-    return float(fleet.prefix_costs[k] + fleet.rewards[k] * float(eps @ c) - p @ c)
+    return float(fleet.prefix_costs[k] + fleet.rewards[k] * float(dot(eps, c)) - dot(p, c))
 
 
 def realized_cost_batch(
@@ -326,26 +344,14 @@ class FleetStack:
     row f holds fleet f's :class:`FleetSpec` tables bit for bit.
     """
 
-    def __init__(self, rewards: np.ndarray, capacities: np.ndarray):
+    def __init__(self, rewards: np.ndarray, capacities: np.ndarray, tables=None):
         self.rewards, self.capacities = np.ascontiguousarray(rewards), np.ascontiguousarray(capacities)
-        cum, prefix = fleet_tables(self.rewards.T, self.capacities.T)
-        self.cum_capacities, self.prefix_costs = np.column_stack(cum), np.column_stack(prefix)
+        tables = tables or map(np.column_stack, fleet_tables(self.rewards.T, self.capacities.T))
+        self.cum_capacities, self.prefix_costs = tables
 
-    def row_costs(self, eps, prices, c, rows=slice(None)):
-        """Costs prefix_k + r_k d - p.c and slopes r_k of fleet rows, one profile per row.
-
-        ``rows`` picks R fleets (an index array or a slice; all by default), and
-        row i of the (R, N) ``eps``, ``prices`` and ``c`` serves fleet ``rows[i]``,
-        at d = eps.c clipped onto [0, cap] of that fleet, so rows may differ in
-        capacity. Each row takes the arithmetic of the one-slot
-        :func:`realized_cost` in its order, so the two agree bit for bit, and a
-        row's bits do not depend on the other rows in the call.
-        """
-        # a stacked matmul sums each row dot in the order of the 1-D eps @ c
-        d, k = slot_piece(self.cum_capacities[rows], (eps[:, None, :] @ c[:, :, None])[:, 0, 0])
-        slope = self.rewards[rows][k]
-        revenue = (prices[:, None, :] @ c[:, :, None])[:, 0, 0]
-        return self.prefix_costs[rows][k] + slope * d - revenue, slope
+    def select(self, rows) -> "FleetStack":
+        """The stack of the fleets in ``rows`` (an index array or a slice): tables selected, not recomputed."""
+        return FleetStack(self.rewards[rows], self.capacities[rows], (self.cum_capacities[rows], self.prefix_costs[rows]))
 
 
 class SlotBatch(FleetStack):
@@ -384,20 +390,20 @@ class SlotBatch(FleetStack):
         """(R,) costs and (R, N) subgradients r_k eps - p of R slots, one profile per slot.
 
         ``rows`` is an index array or a slice (one slot t is ``slice(t, t + 1)``)
-        and ``c`` the (R, N) profiles; costed through :meth:`row_costs`, so each
-        slot's bits are those of :func:`realized_cost` wherever it sits.
+        and ``c`` the (R, N) profiles, costed by :func:`slot_cost` on the
+        selected fleets.
         """
         eps, prices = self.eps[rows], self.prices[rows]
-        cost, slope = self.row_costs(eps, prices, c, rows)
+        cost, slope = slot_cost(self.select(rows), eps, prices, c)
         return cost, slope[:, None] * eps - prices
 
     def costs_for(self, candidates: np.ndarray) -> np.ndarray:
         """(T, B) per-slot costs for a (B, N) batch of profiles."""
-        return slot_cost(self, self.eps, self.prices, np.atleast_2d(candidates).T)[0]
+        return slot_cost(self, self.eps[:, None], self.prices[:, None], np.atleast_2d(candidates))[0]
 
     def total_costs(self, candidates: np.ndarray) -> np.ndarray:
         return self.costs_for(candidates).sum(axis=0)
 
     def total_subgradient(self, c: np.ndarray) -> np.ndarray:
-        _, k = slot_piece(self.cum_capacities, self.eps @ c)
+        _, k = slot_piece(self.cum_capacities, dot(self.eps, c))
         return (self.rewards[k][:, None] * self.eps - self.prices).sum(axis=0)

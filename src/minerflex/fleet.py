@@ -184,6 +184,8 @@ def parse_machines(raw) -> list[MachineType]:
                     reward=float(entry["reward"]) if "reward" in entry else None,
                 )
             )
+            if out[-1].id in {m.id for m in out[:-1]}:
+                raise InvalidInputError(f"duplicate machine id {out[-1].id!r}")
         except KeyError as exc:
             raise InvalidInputError(f"machine #{i} missing field {exc}") from None
     return out

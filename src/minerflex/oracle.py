@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -66,6 +67,11 @@ class StrategyReport:
     batch: SlotBatch
 
 
+def fixed_dot(a, b):
+    """The oracles' own product rule: the last axis's products a * b, added left to right."""
+    return reduce(np.add, map(np.multiply, np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)))
+
+
 def lp_deployment_oracle(
     fleet: FleetSpec, programs: Sequence[ProgramSpec], profile, sample
 ) -> float:
@@ -80,10 +86,10 @@ def lp_deployment_oracle(
     c = as_vector(profile, "profile")
     eps = as_vector(sample, "sample")
     p = prices_of(programs)
-    total = float(eps @ c)
+    total = float(fixed_dot(eps, c))
     caps = fleet.capacities
     rewards = fleet.rewards
-    revenue = float(p @ c)
+    revenue = float(fixed_dot(p, c))
     best = math.inf
     for order in permutations(range(fleet.n_types)):
         remaining = total
@@ -155,7 +161,7 @@ def grid_mc_optimum(
     r = fleet.rewards
     jumps = np.diff(r)
     breaks = fleet.cum_capacities[:-1]
-    means = (float(r[0]) * eff.mean(axis=0) - prices) @ points.T
+    means = fixed_dot(float(r[0]) * eff.mean(axis=0) - prices, points)
     s, m = grid.mc_samples, points.shape[0]
     # Only samples that can reach the first break B_0 <= B_q enter the hinge
     # blocks. A grid point has x >= 0 and sum x <= cap (1 + 1e-12), so

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deployment import Profile
+from .deployment import Profile, dot
 from .errors import InvalidInputError
 
 
@@ -90,7 +90,7 @@ def profile_risk(
         raise InvalidInputError(
             f"profile has {c.size} components for {len(programs)} programs"
         )
-    exp_cost = float(c @ _unit_costs(programs, r))
+    exp_cost = float(dot(c, _unit_costs(programs, r)))
     var = float(sum(ci**2 * r**2 * s.var_eps for ci, s in zip(c, programs)))
     return exp_cost, var
 
@@ -141,7 +141,7 @@ def risk_aware_solve(
         order = np.argsort(-t, kind="stable")
         ts, inv = t[order], 1.0 / half[order]
         with np.errstate(over="ignore"):
-            d = np.maximum(0.0, ts - ts[:, None]) @ inv
+            d = dot(np.maximum(0.0, ts - ts[:, None]), inv)
         k = int(np.flatnonzero(d <= cap)[-1]) + 1  # d_1 = 0 <= cap, so k >= 1
         quad = np.zeros(t.size)
         quad[order[:k]] = (ts[:k] - ts[k - 1] + (cap - d[k - 1]) / inv[:k].sum()) * inv[:k]

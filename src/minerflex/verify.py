@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, realized_cost_batch
+from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, realized_cost_batch, slot_cost
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, RegretReport, play_bank, regret_report
-from .oracle import GridSpec, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
+from .oracle import GridSpec, fixed_dot, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
 from .programs import ProgramSpec, TruncatedExponential, fit_lambda, program_sampler
 from .regulation import (
     RegInstance,
@@ -99,15 +99,15 @@ def _scaled(v, share, cap):
 def _max_of_affines(caps, rewards, prices, eps, c):
     """Each row's max over its own K affine surrogates prefix_k + r_k d - p.c, d = eps.c.
 
+    The (..., K) fleet rows and the (..., N) rates, prices and profiles broadcast.
     prefix_k = sum_{j<k} r_j cap_j - r_k sum_{j<k} cap_j comes from numpy cumsums
     over the row's types, not from the fleet tables under test.
     """
     prefix = np.zeros_like(rewards)
-    below = np.cumsum(caps, axis=1)[:, :-1]
-    prefix[:, 1:] = np.cumsum(rewards * caps, axis=1)[:, :-1] - rewards[:, 1:] * below
-    deployed = (eps[:, None, :] @ c[:, :, None])[:, 0]
-    revenue = (prices[:, None, :] @ c[:, :, None])[:, 0]
-    return (prefix + rewards * deployed - revenue).max(axis=1)
+    below = np.cumsum(caps, axis=-1)[..., :-1]
+    prefix[..., 1:] = np.cumsum(rewards * caps, axis=-1)[..., :-1] - rewards[..., 1:] * below
+    d, types = fixed_dot(eps, c), zip(np.moveaxis(prefix, -1, 0), np.moveaxis(rewards, -1, 0))
+    return np.maximum.reduce([p + r * d for p, r in types]) - fixed_dot(prices, c)
 
 
 def _uniform(u, lo, hi):
@@ -143,7 +143,7 @@ def check_max_of_affines(seed=1, points=2000) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for caps, rewards, prices, raw, c in _drawn_by_shape(rng, points):
-        cost = FleetStack(rewards, caps).row_costs(raw, prices, c)[0]
+        cost = slot_cost(FleetStack(rewards, caps), raw, prices, c)[0]
         best = _max_of_affines(caps, rewards, prices, raw, c)
         worst = max(worst, float(np.abs(cost - best).max()))
     return CheckResult(
@@ -157,11 +157,9 @@ def check_midpoint_convexity(seed=2, segments=2000) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for caps, rewards, prices, raw, _, a, b in _drawn_by_shape(rng, segments, segment=True):
-        # cost the midpoints, then a, then b: three rows per instance, one call
-        rows = np.tile(np.arange(len(caps)), 3)
-        points = np.concatenate([0.5 * (a + b), a, b])
-        costs = FleetStack(rewards, caps).row_costs(raw[rows], prices[rows], points, rows)[0]
-        mid, at_a, at_b = costs.reshape(3, -1)
+        # each instance's midpoint, a and b in one call
+        points = np.stack([0.5 * (a + b), a, b], axis=1)
+        mid, at_a, at_b = slot_cost(FleetStack(rewards, caps), raw[:, None], prices[:, None], points)[0].T
         worst = max(worst, float((mid - 0.5 * (at_a + at_b)).max()))
     return CheckResult(
         "midpoint convexity of the slot cost",
@@ -182,7 +180,7 @@ def check_projection(seed=3, points=40) -> CheckResult:
         x = rng.uniform(-150.0, 450.0, 2)
         p = project_feasible(x, cap).c
         ok &= bool(np.all(p >= 0.0) and p.sum() <= cap + 1e-9)
-        excess = np.linalg.norm(p - x) - _grid_distance(columns, x)
+        excess = math.sqrt(fixed_dot(p - x, p - x)) - _grid_distance(columns, x)
         worst = max(worst, float(excess))
     return CheckResult(
         "euclidean projection vs grid QP oracle",
@@ -194,9 +192,8 @@ def check_projection(seed=3, points=40) -> CheckResult:
 def _grid_distance(columns, x) -> float:
     """Distance from the point x to the nearest of the points held as the two ``columns``.
 
-    The bits of ``np.linalg.norm(grid - x, axis=1).min()``: norm squares each
-    row's two differences and adds them in that order, and a correctly rounded
-    sqrt is monotone, so it can follow the min.
+    Each point's two squared differences add in order, as :func:`~minerflex.oracle.fixed_dot`
+    adds them, and a correctly rounded sqrt is monotone, so it can follow the min.
     """
     d0, d1 = columns[0] - x[0], columns[1] - x[1]
     return math.sqrt((d0 * d0 + d1 * d1).min())
@@ -296,7 +293,7 @@ def check_single_machine_vertex(seed=7, instances=100) -> CheckResult:
             for _ in range(n)
         ]
         profile = best_program(stats, r, cap)
-        value = float(profile.c @ [r * s.mean_eps - s.price for s in stats])
+        value = float(fixed_dot(profile.c, [r * s.mean_eps - s.price for s in stats]))
         grid = np.linspace(0.0, cap, 1000)
         grid_best = 0.0
         for s in stats:
@@ -434,17 +431,11 @@ def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
         ok &= report.static_regret <= report.bound
         # Static regret may be negative: an adaptive learner can beat every fixed
         # profile. What must hold is that the hindsight profile is the best fixed
-        # one, so no played profile held fixed costs less over the horizon. Slot
-        # cost of a fixed c (up programs): max_k(prefix_k + r_k * eps.c) - p.c, where
-        # prefix_0 = 0 and prefix_1 = (r_0 - r_1) cap_0, written r_0 cap_0 - r_1 cap_0.
-        # The solver's certified gap must close to the same tolerance.
+        # one, so no played profile held fixed costs less over the horizon. The
+        # solver's certified gap must close to the same tolerance.
         c = np.vstack([played, report.hindsight_profile.c])
-        rewards, caps = batch.rewards, batch.capacities
-        prefix = np.zeros((horizon, 2, 1))
-        prefix[:, 1, 0] = rewards[:, 0] * caps[:, 0] - rewards[:, 1] * caps[:, 0]
-        deployed = (batch.raw_eps @ c.T)[:, None, :]  # (T, 1, P)
-        affines = prefix + rewards[:, :, None] * deployed  # (T, K, P)
-        totals = (affines.max(axis=1) - batch.quoted_prices @ c.T).sum(axis=0)
+        slots = (batch.capacities, batch.rewards, batch.quoted_prices, batch.raw_eps)
+        totals = _max_of_affines(*(x[:, None] for x in slots), c).sum(axis=0)
         tol = 1e-6 * max(1.0, abs(totals[-1]))
         ok &= bool(totals[-1] <= totals[:-1].min() + tol and report.hindsight_gap <= tol)
         worst_frac = max(worst_frac, report.static_regret / report.bound)

@@ -319,18 +319,30 @@ MALFORMED_CONFIGS = {
              ("hours",), ("hours",), "missing field 'hours'"),
 }
 # Defects only the parser's own checks catch: config name -> defect -> (path, value, message).
+HUGE = 10**400  # an integer literal past the largest double
 SEMANTIC_DEFECTS = {
+    "fleet": {
+        "duplicate_machine_id": ((1, "id"), "s19-class", "duplicate machine id 's19-class'"),
+        "huge_integer": ((0, "capacity_mw"), HUGE, "too large to convert to float"),
+    },
     "programs": {
         "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
+        # found by the config fuzzer: both exited 2 without naming a file
+        "no_eps_model": (("programs", 0, "eps"), None, "program 'presp' has no sampled eps_model"),
+        "negative_net_reward": (("economics", "electricity_price"), 500, "has negative net reward"),
+        "huge_integer": (("programs", 0, "price"), HUGE, "too large to convert to float"),
     },
     "reg": {
         "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
+        "duplicate_machine_id": (("fleet", 1, "id"), "s19-class", "duplicate machine id 's19-class'"),
+        "huge_integer": (("p_up",), HUGE, "too large to convert to float"),
     },
     "risk": {
         "negative_risk_weight": (("risk_weight",), -1, "risk_weight must be finite and >= 0, got -1.0"),
         "no_programs": (("programs",), [], "need at least one program"),
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
+        "huge_integer": (("cap",), HUGE, "too large to convert to float"),
     },
     "spec": {
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
@@ -340,6 +352,7 @@ SEMANTIC_DEFECTS = {
         "start_past_year_9999_in_utc": (("start",), "9999-12-31T23:00:00-05:00", "out of range"),
         "negative_sd": (("rt_price", "sd"), -1, "sd must be >= 0"),
         "min_above_max": (("coin_price", "min"), 23000, "exceeds max"),
+        "huge_integer": (("coin_price", "mean"), HUGE, "too large to convert to float"),
     },
 }
 
@@ -792,3 +805,45 @@ def test_program_columns_follow_configured_ids(traces_dir, tmp_path):
     for col in ("c_presp", "c_regup", "expected_cost"):
         assert rev[col] == pytest.approx(given[col], rel=1e-9, abs=1e-9)
     assert set(profiles("subset")) == {"hour", "c_regup", "expected_cost", "bound"}
+
+
+def test_quickstart_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """A small Quickstart writes the same CSV and summary bytes under OpenBLAS's Prescott kernel.
+
+    Prescott has no fused multiply-add, so a BLAS dot there rounds unlike the default
+    kernel of an FMA host. ``OPENBLAS_CORETYPE`` acts only where numpy's OpenBLAS is
+    built with ``DYNAMIC_ARCH``; elsewhere both children run one kernel and the test
+    cannot tell them apart. The two children run at once, each making its calls
+    in-process through ``cli.main``.
+    """
+    fleet_programs = ["--fleet", str(CONFIGS / "fleet.json"), "--programs", str(CONFIGS / "programs.json")]
+
+    def commands(out):
+        traces = ["--traces-market", f"{out}/traces/market.csv", "--traces-as", f"{out}/traces/as.csv"]
+        return [
+            ["synthesize-traces", "--spec", str(CONFIGS / "synthesis_week.json"), "--seed", "17", "--out", f"{out}/traces"],
+            ["solve-offline", *fleet_programs, *traces, "--out", f"{out}/offline"],
+            ["solve-offline", *fleet_programs, "--iterations", "400", "--seed", "1", "--out", f"{out}/parametric"],
+            ["solve-reg", "--config", str(CONFIGS / "reg.json"), "--out", f"{out}/reg"],
+            ["solve-risk", "--config", str(CONFIGS / "risk.json"), "--risk-weight", "0.0004", "--out", f"{out}/risk"],
+            ["simulate-online", *fleet_programs, *traces, "--out", f"{out}/online"],
+            ["compare-strategies", *fleet_programs, *traces, "--iterations", "300", "--seed", "4", "--out", f"{out}/compare"],
+            ["verify", "--fast", "--out", f"{out}/verify"],
+        ]
+
+    env = {k: v for k, v in child_env().items() if k != "OPENBLAS_CORETYPE"}
+    children = {}
+    for tag, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+        code = f"from minerflex.cli import main\nfor argv in {commands(tmp_path / tag)!r}:\n    assert main(argv) == 0, argv\n"
+        children[tag] = subprocess.Popen(
+            [sys.executable, "-c", code], env={**env, **extra}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+        )
+    outputs = []
+    for tag, child in children.items():
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        files = sorted(p for p in (tmp_path / tag).rglob("*") if p.suffix == ".csv" or p.name == "summary.json")
+        outputs.append({p.relative_to(tmp_path / tag): p.read_bytes() for p in files})
+    default, prescott = outputs
+    assert default.keys() == prescott.keys() and len(default) == 18
+    assert [str(name) for name in default if default[name] != prescott[name]] == []

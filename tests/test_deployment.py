@@ -16,11 +16,21 @@ from minerflex import (
     fleet_from_rewards,
     realized_cost,
 )
-from minerflex.deployment import capped_breaks, realized_cost_batch, slot_cost, slot_piece
+from minerflex.cutting import MAX_CUTS
+from minerflex.deployment import FleetStack, capped_breaks, dot, realized_cost_batch, slot_cost, slot_piece
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
 
 from conftest import fleet_stack_of, random_instance, slot_batch_of
+
+
+def rule(a, b):
+    """The product rule on Python floats: term 0 starts the sum, each later term is added in order."""
+    terms = [x * y for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist())]
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def brute_force_deployment_cost(fleet, programs, c, eps, step):
@@ -217,7 +227,8 @@ def test_capped_breakpoint_search_is_the_clipped_search(rng):
 
 
 def test_one_slot_costs_match_slot_cost_bit_for_bit(rng):
-    # realized_cost against slot_cost's numpy path; cost_fixed_k against its numpy formula
+    # realized_cost against slot_cost's numpy path; cost_fixed_k against its formula on
+    # Python floats, its products added left to right
     for k in range(1, 5):
         for n in range(1, 4):
             for trial in range(150):
@@ -237,7 +248,7 @@ def test_one_slot_costs_match_slot_cost_bit_for_bit(rng):
                 assert isinstance(cost, float)
                 assert np.float64(cost).tobytes() == np.float64(expected).tobytes(), (k, n, trial)
                 for kp in range(1, fleet.n_types + 1):
-                    expected = fleet.prefix_costs[kp - 1] + fleet.rewards[kp - 1] * float(eps @ c) - p @ c
+                    expected = fleet.prefix_costs[kp - 1] + fleet.rewards[kp - 1] * rule(eps, c) - rule(p, c)
                     assert np.float64(cost_fixed_k(fleet, programs, c, eps, kp)).tobytes() == expected.tobytes()
 
 
@@ -333,17 +344,46 @@ def test_sample_and_profile_validation():
     assert p.c[0] == 0.0
 
 
-def test_stacked_matmul_row_dots_match_vector_dots(rng):
-    # SlotBatch.cost_and_subgradient dots each row of its slots through one stacked
-    # matmul, and realized_cost dots one slot through 1-D @; the two agree only while
-    # numpy and its BLAS sum a (1, N) @ (N, 1) product in the order of a 1-D dot.
+def test_row_wise_and_shared_profile_costs_match(rng):
+    # one profile per row and one profile for all rows are the same broadcast
+    # expression, so a row's bits do not depend on how its profile reaches it
     for n in range(1, 6):
-        a = rng.uniform(0.0, 1.0, (400, n)) * rng.choice([1e-9, 1.0, 1e6], (400, n))
-        c = rng.uniform(0.0, 250.0, (400, n))
-        a[::7] = np.round(a[::7], 1)  # exact tenths, as coarse trace rates are
-        stacked = (a[:, None, :] @ c[:, :, None])[:, 0, 0]
-        single = np.array([row @ col for row, col in zip(a, c)])
-        assert stacked.tobytes() == single.tobytes(), f"N={n}"
+        k = 3
+        stack = FleetStack(np.sort(rng.uniform(0.0, 200.0, (400, k)), axis=1), rng.uniform(1.0, 100.0, (400, k)))
+        eps = rng.uniform(0.0, 1.0, (400, n)) * rng.choice([1e-9, 1.0, 1e6], (400, n))
+        eps[::7] = np.round(eps[::7], 1)  # exact tenths, as coarse trace rates are
+        prices = rng.uniform(0.0, 60.0, (400, n))
+        profiles = rng.uniform(0.0, 250.0, (3, n))
+        shared = slot_cost(stack, eps[:, None], prices[:, None], profiles)
+        for b, c in enumerate(profiles):
+            rows = slot_cost(stack, eps, prices, np.tile(c, (400, 1)))
+            one = slot_cost(stack, eps, prices, c)
+            for got in (rows, one):
+                assert got[0].tobytes() == shared[0][:, b].copy().tobytes(), f"N={n}"
+                assert got[1].tobytes() == shared[1][:, b].copy().tobytes(), f"N={n}"
+
+
+def test_dot_is_the_python_loop_bit_for_bit(rng):
+    # N = 1..8 program products, signed zeros included, and the cut axis up to MAX_CUTS terms
+    zeros = np.array([0.0, -0.0])
+    for n in range(1, 9):
+        a = rng.uniform(-1.0, 1.0, (300, n)) * rng.choice([1e-9, 1.0, 1e6], (300, n))
+        b = rng.uniform(-1.0, 1.0, (300, n)) * rng.choice([1e-9, 1.0, 1e6], (300, n))
+        a[::5], b[1::5] = rng.choice(zeros, (60, n)), rng.choice(zeros, (60, n))
+        got = dot(a, b)
+        assert got.tobytes() == np.array([rule(x, y) for x, y in zip(a, b)]).tobytes(), f"N={n}"
+        assert np.float64(dot(a[0], b[0])).tobytes() == np.float64(rule(a[0], b[0])).tobytes()
+    for m in (1, 2, 7, 8, 9, 50, MAX_CUTS):
+        lam = rng.dirichlet(np.ones(m))
+        lam[::3] = 0.0
+        for n in (1, 2, 3):
+            g = rng.uniform(-1.0, 1.0, (m, n)) * rng.choice([1e-6, 1.0, 1e6], (m, n))
+            g[::4] = rng.choice(zeros, (len(g[::4]), n))
+            got = dot(lam[:, None], g, axis=0)
+            assert got.tobytes() == np.array([rule(lam, col) for col in g.T]).tobytes(), (m, n)
+            assert np.float64(dot(lam, g[:, 0], axis=0)).tobytes() == np.float64(rule(lam, g[:, 0])).tobytes()
+    assert np.signbit(dot(np.array([-0.0, 0.0]), np.array([1.0, -1.0])))  # -0.0 + -0.0
+    assert np.signbit(dot(np.array([[-0.0], [0.0]]), np.array([[1.0], [-1.0]]), axis=0)[0])
 
 
 def test_slot_rows_match_one_slot_calls(rng):
@@ -375,7 +415,7 @@ def test_slot_rows_match_one_slot_calls(rng):
 
 
 
-def test_fleet_stack_row_costs_match_one_slot_cost(rng):
+def test_fleet_stack_rows_match_one_slot_cost(rng):
     # rows of different capacity totals (which no SlotBatch can hold), K of 1-4
     # padded to one width, N of 1-3; deployment totals exactly on every break,
     # at zero, at the fleet's full capacity and inside
@@ -405,8 +445,8 @@ def test_fleet_stack_row_costs_match_one_slot_cost(rng):
         assert [float(eps[i] @ profiles[i]) for i in full] == stack.cum_capacities[:, -1].tolist()
         perm = rng.permutation(len(rows))
         calls = [
-            (rows[perm], perm, stack.row_costs(eps[perm], prices[perm], profiles[perm], rows[perm])),
-            (np.arange(len(fleets)), full, stack.row_costs(eps[full], prices[full], profiles[full])),
+            (rows[perm], perm, slot_cost(stack.select(rows[perm]), eps[perm], prices[perm], profiles[perm])),
+            (np.arange(len(fleets)), full, slot_cost(stack, eps[full], prices[full], profiles[full])),
         ]
         for fleet_rows, picked, (costs, slopes) in calls:
             assert costs.shape == slopes.shape == (len(picked),)

@@ -1,12 +1,16 @@
-"""Property-based fuzzing of the trace CSV boundary.
+"""Property-based fuzzing of the trace CSV and JSON config boundaries.
 
 Kept in its own module so the rest of the suite collects where Hypothesis
 is not installed.
 """
 
+import contextlib
 import csv
+import io
+import json
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 from datetime import datetime, timedelta, timezone
 
@@ -17,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from minerflex import MinerflexError, Traces, load_traces, write_traces  # noqa: E402
+from minerflex.cli import main  # noqa: E402
 import minerflex.traces as traces_module  # noqa: E402
 from minerflex.traces import AS_HEADER, CHUNK_ROWS, MARKET_HEADER, format_timestamp, write_csv  # noqa: E402
 from test_traces import load_outcome, same_outcome, same_traces, serial_load_traces  # noqa: E402
@@ -293,3 +298,68 @@ def test_short_chunks_load_as_the_row_reference_does(fuzz_dir, data, chunk, rows
     as_edits = data.draw(line_edits(chunk))
     with mock.patch.object(traces_module, "CHUNK_ROWS", chunk):
         check_edited_long_files(fuzz_dir, rows, seed, market_edits, as_edits, program_ids)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# each shipped config kind, the file it mutates and the command that reads it (small and fast)
+CONFIG_COMMANDS = {
+    "fleet": ("fleet.json", lambda path: ["solve-offline", "--fleet", path, "--programs", CONFIGS / "programs.json",
+                                          "--iterations", 20]),
+    "programs": ("programs.json", lambda path: ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", path,
+                                                "--iterations", 20]),
+    "reg": ("reg.json", lambda path: ["solve-reg", "--config", path]),
+    "risk": ("risk.json", lambda path: ["solve-risk", "--config", path]),
+    "spec": ("synthesis_week.json", lambda path: ["synthesize-traces", "--spec", path, "--seed", 1]),
+}
+# literals json.dumps cannot write, spliced in for these marker strings
+LITERALS = {"\x01nan": "NaN", "\x01huge": "1e999", "\x01-huge": "-1e999"}
+CONFIG_VALUES = ["x", None, True, 0, [], {}, "a\rb", "\x00", *LITERALS]
+
+
+def json_paths(node, at=()):
+    """The path (keys and indices from the root) of every value in a decoded JSON tree."""
+    yield at
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_paths(child, (*at, key))
+
+
+@st.composite
+def config_edits(draw, tree):
+    """``tree`` after one to three edits, each dropping a value or setting it to another type or literal."""
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [at for at in json_paths(tree) if at]
+        if not paths:
+            break
+        *parent, key = draw(st.sampled_from(paths))
+        node = tree
+        for step in parent:
+            node = node[step]
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(st.sampled_from(CONFIG_VALUES))
+    return tree
+
+
+def config_text(tree) -> str:
+    text = json.dumps(tree)
+    for marker, literal in LITERALS.items():
+        text = text.replace(json.dumps(marker), literal)
+    return text
+
+
+@FUZZ
+@given(kind=st.sampled_from(sorted(CONFIG_COMMANDS)), data=st.data())
+def test_mutated_configs_run_or_exit_2_naming_the_file(fuzz_dir, kind, data):
+    name, command = CONFIG_COMMANDS[kind]
+    tree = data.draw(config_edits(json.loads((CONFIGS / name).read_text())))
+    path = fuzz_dir / f"mutated-{name}"
+    path.write_text(config_text(tree))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a numpy warning is an unguarded path too
+        code = main([*map(str, command(path)), "--out", str(fuzz_dir / "config-out")])
+    err = err.getvalue()
+    event(f"{kind}: exit {code}")
+    assert code == 0 and not err or code == 2 and str(path) in err, (code, err, config_text(tree))

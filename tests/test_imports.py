@@ -100,6 +100,40 @@ def test_only_the_trace_reader_uses_csv_reader():
     assert not offenders
 
 
+# numpy names whose products may go through BLAS, whose kernel numpy picks at run time
+_BLAS_PRODUCTS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def _blas_product(node) -> bool:
+    """Whether ``node`` is an ``@`` product, a numpy product call such as ``np.dot`` or ``a.dot``, or ``np.linalg.norm``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return True
+    if isinstance(node, ast.Attribute):
+        return node.attr in _BLAS_PRODUCTS or node.attr == "norm" and getattr(node.value, "attr", None) == "linalg"
+    return isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") and any(
+        a.name in _BLAS_PRODUCTS | {"norm"} for a in node.names
+    )
+
+
+def test_no_blas_kernel_decides_a_cost():
+    """Every cost-deciding product goes through ``deployment.dot`` (or the oracles' ``oracle.fixed_dot``).
+
+    Those add their products in a fixed order, so no output bit depends on the BLAS
+    kernel picked at run time. Two BLAS products are kept, as their product values
+    reach no output.
+    """
+    allowed = {
+        # the (B, N) sample-row dot only picks each row's piece; the sums are np.add.reduce
+        ("sgd.py", "_subgradient"),
+        # the float32 hinge block only picks the argmin, whose value is recosted in float64
+        ("oracle.py", "grid_mc_optimum"),
+    }
+    sites = [(path.name, where, line) for path, tree in _modules() for where, line in _found(tree, _blas_product)]
+    assert [site for site in sites if site[:2] not in allowed] == []
+    # one product in each allowed function, so no second one hides beside it
+    assert sorted(site[:2] for site in sites) == sorted(allowed)
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it, unless its line is marked ``# noqa: F401``.
 

@@ -3,7 +3,7 @@
 The three piecewise-cost checks (greedy deployment, max of affines, midpoint
 convexity) draw each instance from one ``rng.random`` block and scale a shape
 group of instances at once; two of them cost whole groups through
-``FleetStack.row_costs``. The scalar references
+``slot_cost`` on a ``FleetStack``. The scalar references
 here draw with one ``rng.uniform`` call per quantity (``conftest.random_instance``
 is the scalar instance draw) and cost one slot at a time, as the checks used
 to. A check's detail alone cannot pin the stream: the max-of-affines detail
