@@ -2,10 +2,12 @@
 
 At any instant only one regulation direction is deployed: reg-down with
 probability theta, reg-up otherwise, each with a truncated-exponential
-deployment rate on [0, 1]. For a two-type fleet the expected slot cost of a
-profile (c_up, c_dn) has a closed form assembled from partial moments of the
-truncated exponential; the Monte Carlo path through
-:func:`minerflex.deployment.realized_cost` arbitrates its correctness.
+deployment rate on [0, 1]. Either way the deployed total is linear in that
+one rate, so the expected slot cost of a profile (c_up, c_dn), on a fleet of
+any number of types, is a sum of partial moments of the truncated
+exponential over the fleet pieces the total crosses
+(:func:`expected_line_cost`). Quadrature and Monte Carlo through
+:func:`minerflex.deployment.realized_cost` arbitrate its correctness.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def joint_pair(programs, theta: float, up_id: str, down_id: str):
 
 @dataclass(frozen=True)
 class RegInstance:
-    """Two-type fleet participating only in reg-up (index 0) and reg-down (1)."""
+    """A fleet of any number of types in reg-up (index 0) and reg-down (1) only."""
 
     fleet: FleetSpec
     p_up: float
@@ -86,125 +88,98 @@ class RegInstance:
     model: RegJointModel
 
     def __post_init__(self):
-        if self.fleet.n_types != 2:
-            raise InvalidInputError(
-                f"closed form requires exactly 2 machine types, got {self.fleet.n_types}"
-            )
         if self.p_up < 0 or self.p_dn < 0:
             raise InvalidInputError("program prices must be >= 0")
 
 
 def _partial_moments(lam: float, a: float, b: float) -> tuple[float, float]:
-    """(integral of f, integral of x f) over [a, b] for the truncated exponential."""
+    """(integral of f, integral of x f) over [a, b] for the truncated exponential.
+
+    Given x in [a, b], (x - a) / (b - a) is truncated exponential with rate
+    lam (b - a), so the first moment reuses that mean's small-rate series.
+    """
     if b <= a:
         return 0.0, 0.0
-    norm = -math.expm1(-lam)
-    ea = math.exp(-lam * a)
-    p0 = ea * -math.expm1(-lam * (b - a)) / norm
-    m1 = (
-        ea * (a - b * math.exp(-lam * (b - a)) + -math.expm1(-lam * (b - a)) / lam)
-    ) / norm
-    return p0, m1
+    rate = lam * (b - a)
+    p0 = math.exp(-lam * a) * -math.expm1(-rate) / -math.expm1(-lam)
+    within = TruncatedExponential(rate).mean() if rate > 0.0 else 0.5
+    return p0, p0 * (a + (b - a) * within)
 
 
-# The five case expressions below are each valid on their named region; the
-# region selector _cases serves both the cost and its gradient. Keeping them
-# separate lets the tests check continuity across region boundaries by
-# evaluating both sides.
+def expected_line_cost(fleet: FleetSpec, lam: float, a: float, b: float) -> tuple[float, float, float]:
+    """E[cost(d)] at d = a + b e, e truncated exponential with rate ``lam``, and its a and b partials.
+
+    cost(d) = r_0 d + sum_{q>=1} (r_q - r_{q-1}) (d - cum_{q-1})^+ is the slot
+    cost before prices, prefix_q + r_q d on the piece q of
+    :func:`~minerflex.deployment.slot_piece`. Each hinge is affine in e on the
+    one interval of rates that takes d past cum_{q-1}, so its expectation is
+    (a - cum_{q-1}) P_q + b M_q with P_q and M_q the partial moments of e over
+    that interval. The partials are r_0 + sum (r_q - r_{q-1}) P_q and
+    r_0 E[e] + sum (r_q - r_{q-1}) M_q: the hinges are continuous, so the
+    moving limits add nothing. A constant line (b = 0) takes its total's piece.
+    Breaks at the fleet capacity (zero-capacity types on top) add nothing on
+    feasible totals.
+    """
+    rewards = fleet.rewards.tolist()
+    mean = TruncatedExponential(lam).mean()
+    value, d_a, d_b = rewards[0] * (a + b * mean), rewards[0], rewards[0] * mean
+    for below, r, x in zip(rewards, rewards[1:], fleet.cum_capacities.tolist()):
+        if b == 0.0:
+            p0, m1 = (1.0, mean) if a > x else (0.0, 0.0)
+        elif b > 0.0:
+            p0, m1 = _partial_moments(lam, max((x - a) / b, 0.0), 1.0)
+        else:
+            p0, m1 = _partial_moments(lam, 0.0, min((x - a) / b, 1.0))
+        value += (r - below) * ((a - x) * p0 + b * m1)
+        d_a += (r - below) * p0
+        d_b += (r - below) * m1
+    return value, d_a, d_b
 
 
-def down_cost_within_first(inst, c_up, c_dn):
-    """Down case, c_dn <= cap_1: the first machine type always absorbs it."""
-    # load reduction is (1 - eps_dn) c_dn, none from reg-up
-    r1 = float(inst.fleet.rewards[0])
-    return -inst.p_up * c_up + c_dn * (r1 * (1.0 - inst.model.down.mean()) - inst.p_dn)
+def _expected_reg(inst: RegInstance, c_up: float, c_dn: float) -> tuple[float, float, float]:
+    """Expected slot cost of committing (c_up, c_dn) and its two partials, from one kernel pass.
 
-
-def down_cost_beyond_first(inst, c_up, c_dn):
-    """Down case, c_dn > cap_1: reduction spills into the second type for small eps_dn."""
-    cap1 = float(inst.fleet.capacities[0])
-    r1, r2 = (float(v) for v in inst.fleet.rewards)
-    p0, m1 = _partial_moments(inst.model.down.lam, 0.0, 1.0 - cap1 / c_dn)
-    spill = (cap1 - c_dn) * p0 + c_dn * m1
-    return down_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
-
-
-def up_cost_within_first(inst, c_up, c_dn):
-    """Up case, c_up + c_dn <= cap_1: the first type always suffices."""
-    # load reduction is eps_up c_up plus the full c_dn headroom
-    r1 = float(inst.fleet.rewards[0])
-    return c_up * (r1 * inst.model.up.mean() - inst.p_up) + c_dn * (r1 - inst.p_dn)
-
-
-def up_cost_straddling(inst, c_up, c_dn):
-    """Up case, c_up + c_dn > cap_1 > c_dn: spill for large eps_up only."""
-    cap1 = float(inst.fleet.capacities[0])
-    r1, r2 = (float(v) for v in inst.fleet.rewards)
-    t = (cap1 - c_dn) / c_up
-    p0, m1 = _partial_moments(inst.model.up.lam, t, 1.0)
-    spill = (cap1 - c_dn) * p0 - c_up * m1
-    return up_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
-
-
-def up_cost_beyond_first(inst, c_up, c_dn):
-    """Up case, c_dn >= cap_1: the second type is always partially deployed."""
-    r1, r2 = (float(v) for v in inst.fleet.rewards)
-    cap1 = float(inst.fleet.capacities[0])
-    spill = cap1 - c_dn - c_up * inst.model.up.mean()
-    return up_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
-
-
-def _cases(inst: RegInstance, c_up: float, c_dn: float):
-    """The down-case and up-case expressions valid at a feasible (c_up, c_dn)."""
+    With reg-up deployed the total is d = c_dn + e_up c_up; with reg-down
+    deployed it is d = c_dn - e_dn c_dn.
+    """
     cap = inst.fleet.total_capacity_mw
     if c_up < 0 or c_dn < 0 or c_up + c_dn > cap + 1e-9 * max(1.0, cap):
         raise InfeasibleError(f"profile ({c_up}, {c_dn}) infeasible for fleet capacity {cap}")
-    cap1 = float(inst.fleet.capacities[0])
-    down = down_cost_within_first if c_dn <= cap1 else down_cost_beyond_first
-    if c_up + c_dn <= cap1:
-        return down, up_cost_within_first
-    return down, up_cost_beyond_first if c_dn >= cap1 else up_cost_straddling
+    model = inst.model
+    up, up_a, up_b = expected_line_cost(inst.fleet, model.up.lam, c_dn, c_up)
+    down, down_a, down_b = expected_line_cost(inst.fleet, model.down.lam, c_dn, -c_dn)
+    theta = model.theta
+    return (
+        theta * down + (1.0 - theta) * up - inst.p_up * c_up - inst.p_dn * c_dn,
+        (1.0 - theta) * up_b - inst.p_up,
+        theta * (down_a - down_b) + (1.0 - theta) * up_a - inst.p_dn,
+    )
 
 
 def expected_reg_cost(inst: RegInstance, c_up: float, c_dn: float) -> float:
     """Closed-form expected slot cost of committing (c_up, c_dn)."""
-    down, up = _cases(inst, c_up, c_dn)
-    theta = inst.model.theta
-    return theta * down(inst, c_up, c_dn) + (1.0 - theta) * up(inst, c_up, c_dn)
+    return _expected_reg(inst, c_up, c_dn)[0]
 
 
 def expected_reg_gradient(inst: RegInstance, c_up: float, c_dn: float) -> np.ndarray:
-    """Gradient E[r_k(eps) eps_eff] - p of :func:`expected_reg_cost`.
+    """Gradient E[r_k(eps) eps_eff] - p of :func:`expected_reg_cost`; a subgradient at kinks.
 
     eps_eff is (0, 1 - eps_dn) with reg-down deployed and (eps_up, 1) with
-    reg-up deployed. The marginal reward r_k is r_1 until the first type runs
-    out and r_2 beyond, so each spill region subtracts (r_1 - r_2) times the
-    partial moments of eps_eff over it.
+    reg-up deployed, and r_k is the reward of the piece the deployed total is on.
     """
-    down, up = _cases(inst, c_up, c_dn)
-    cap1 = float(inst.fleet.capacities[0])
-    r1, r2 = (float(v) for v in inst.fleet.rewards)
-    model = inst.model
-    g_down = np.array([-inst.p_up, r1 * (1.0 - model.down.mean()) - inst.p_dn])
-    if down is down_cost_beyond_first:  # spill while eps_dn < 1 - cap_1 / c_dn
-        p0, m1 = _partial_moments(model.down.lam, 0.0, 1.0 - cap1 / c_dn)
-        g_down[1] -= (r1 - r2) * (p0 - m1)
-    g_up = np.array([r1 * model.up.mean() - inst.p_up, r1 - inst.p_dn])
-    if up is up_cost_straddling:  # spill while eps_up > (cap_1 - c_dn) / c_up
-        p0, m1 = _partial_moments(model.up.lam, (cap1 - c_dn) / c_up, 1.0)
-        g_up -= (r1 - r2) * np.array([m1, p0])
-    elif up is up_cost_beyond_first:
-        g_up -= (r1 - r2) * np.array([model.up.mean(), 1.0])
-    return model.theta * g_down + (1.0 - model.theta) * g_up
+    return np.array(_expected_reg(inst, c_up, c_dn)[1:])
 
 
 def solve_reg_profile(inst: RegInstance) -> tuple[Profile, float]:
-    """Exact minimum of the convex, C^1 expected cost over the feasible set, with a certified gap."""
+    """Exact minimum of the expected cost over the feasible set, with a certified gap.
+
+    The cost is convex and piecewise smooth; its gradient is a subgradient at
+    kinks, such as where c_up = 0 puts the reg-up line on a cumulative capacity.
+    """
 
     def evaluate(points):
-        pairs = points.tolist()
-        return (np.array([expected_reg_cost(inst, *c) for c in pairs]),
-                np.array([expected_reg_gradient(inst, *c) for c in pairs]))
+        out = np.array([_expected_reg(inst, *c) for c in points.tolist()])
+        return out[:, 0], out[:, 1:]
 
     c, _, gap = minimize(evaluate, 2, inst.fleet.total_capacity_mw)
     return Profile(c), gap

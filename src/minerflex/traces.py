@@ -35,6 +35,8 @@ AS_HEADER = ["timestamp", "program_id", "price", "epsilon"]
 CHUNK_ROWS = 4096
 # rows joined and written at a time
 WRITE_ROWS = 512
+# longest synthetic trace in hours, a century of hourly slots; checked before any slot is built
+MAX_SYNTH_HOURS = 876_600
 # csv.writer quotes a field of a row of two or more fields only if it holds one of these
 # (a superset: csv.writer may leave a carriage return unquoted)
 _QUOTABLE = re.compile('[,"\r\n]')
@@ -457,6 +459,12 @@ class SynthesisSpec:
     def __post_init__(self):
         if self.hours < 1:
             raise InvalidInputError(f"synthesis needs at least one hour, got {self.hours}")
+        if self.hours > MAX_SYNTH_HOURS:
+            raise InvalidInputError(f"synthesis takes at most {MAX_SYNTH_HOURS} hours, got {self.hours}")
+        try:
+            self.start + timedelta(hours=self.hours - 1)
+        except OverflowError:
+            raise InvalidInputError(f"{self.hours} hours from {self.start} run past year 9999") from None
 
 
 def load_synthesis_spec(path) -> SynthesisSpec:

@@ -19,17 +19,7 @@ from .fleet import fleet_from_rewards
 from .online import OgdConfig, RegretReport, play_bank, regret_report
 from .oracle import GridSpec, fixed_dot, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
 from .programs import ProgramSpec, TruncatedExponential, fit_lambda, program_sampler
-from .regulation import (
-    RegInstance,
-    RegJointModel,
-    down_cost_beyond_first,
-    down_cost_within_first,
-    expected_reg_cost,
-    sample_joint,
-    up_cost_beyond_first,
-    up_cost_straddling,
-    up_cost_within_first,
-)
+from .regulation import RegInstance, RegJointModel, expected_reg_cost, sample_joint
 from .sgd import SgdConfig, project_feasible, solve as sgd_solve
 from .single_machine import ProgramStats, RiskConfig, best_program, risk_aware_solve
 
@@ -226,8 +216,8 @@ def check_fit_lambda(seed=5, targets=25) -> CheckResult:
     )
 
 
-def _reg_instance(theta):
-    fleet = fleet_from_rewards([150.0, 100.0], [103.846153846, 131.818181818])
+def _reg_instance(theta, capacities=(150.0, 100.0), rewards=(103.846153846, 131.818181818)):
+    fleet = fleet_from_rewards(capacities, rewards)
     model = RegJointModel(
         theta, TruncatedExponential(fit_lambda(0.18)), TruncatedExponential(fit_lambda(0.27))
     )
@@ -255,25 +245,35 @@ def check_regulation_mc(seed=6, samples=200_000) -> CheckResult:
 
 
 def check_regulation_continuity() -> CheckResult:
-    inst = _reg_instance(0.5)
-    cap1 = float(inst.fleet.capacities[0])
+    """No jump in the expected cost where a deployment line enters a new fleet piece.
+
+    The reg-up line d = c_dn + e c_up enters piece q + 1 at e = 0 where c_dn is
+    a cumulative capacity, at e = 1 where c_up + c_dn is; the reg-down line
+    d = (1 - e) c_dn where c_dn is. Across each such point the cost moves at
+    most (max r + max p) |dc| plus rounding, for two and three types.
+    """
     worst = 0.0
-    for c_up in (0.0, 30.0, 90.0):
-        a = down_cost_within_first(inst, c_up, cap1)
-        b = down_cost_beyond_first(inst, c_up, cap1)
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    for c_dn in (20.0, 80.0, 140.0):
-        a = up_cost_within_first(inst, cap1 - c_dn, c_dn)
-        b = up_cost_straddling(inst, cap1 - c_dn, c_dn)
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    for c_up in (15.0, 70.0):
-        a = up_cost_straddling(inst, c_up, cap1)
-        b = up_cost_beyond_first(inst, c_up, cap1)
-        worst = max(worst, abs(a - b) / max(1.0, abs(a)))
+    for caps, rewards in (((150.0, 100.0), (103.846153846, 131.818181818)),
+                          ((150.0, 100.0, 60.0), (103.846153846, 131.818181818, 160.0))):
+        inst = _reg_instance(0.5, caps, rewards)
+        cap = inst.fleet.total_capacity_mw
+        lip = float(inst.fleet.rewards.max()) + max(inst.p_up, inst.p_dn)
+        h = 1e-9 * cap
+        for x in inst.fleet.cum_capacities[:-1].tolist():
+            sides = []
+            for share in (0.0, 0.3, 0.9):  # c_dn = x, stepping c_dn
+                c_up = share * (cap - x - h)
+                sides.append(((c_up, x - h), (c_up, x + h)))
+            for share in (0.2, 0.5, 0.8):  # c_up + c_dn = x, stepping c_up
+                c_dn = share * x
+                sides.append(((x - c_dn - h, c_dn), (x - c_dn + h, c_dn)))
+            for below, above in sides:
+                jump = abs(expected_reg_cost(inst, *above) - expected_reg_cost(inst, *below))
+                worst = max(worst, jump / (lip * 2.0 * h + 1e-12 * lip * cap))
     return CheckResult(
         "regulation cost continuity across regions",
-        worst <= 1e-7,
-        f"max relative gap = {worst:.3e}",
+        worst <= 1.0,
+        f"max jump / Lipschitz allowance = {worst:.3f}",
     )
 
 
@@ -355,6 +355,16 @@ def check_risk_kkt(seed=8, instances=100) -> CheckResult:
 
 
 def check_sgd_convergence(seed=9, fast=False) -> CheckResult:
+    """Monte Carlo cost of the SGD profile against the grid Monte Carlo optimum on the same draws.
+
+    The allowance is SGD's a-priori bound plus 3 standard errors of the
+    profile's mean. The 3 se term alone would fire on correct code at the
+    one-sided normal rate of 1.3e-3, but the bound dominates it: over check
+    seeds 9-1008 (full runs) the bound was at least 1398 $ against gaps of at
+    most 46 $, with standard errors near 32 $. A false alarm so needs an
+    excursion of more than 45 standard errors, a rate far below what any run
+    can observe; the price is that only a grossly wrong solve fails.
+    """
     fleet = fleet_from_rewards([150.0, 100.0], [103.846153846, 131.818181818])
     up = TruncatedExponential(fit_lambda(0.18))
     dn = TruncatedExponential(fit_lambda(0.27))

@@ -51,13 +51,6 @@ from minerflex import (
 from minerflex.deployment import realized_cost_batch
 from minerflex.oracle import draw_effective_samples, mc_expected_cost
 from minerflex.programs import prices_of
-from minerflex.regulation import (
-    down_cost_beyond_first,
-    down_cost_within_first,
-    up_cost_beyond_first,
-    up_cost_straddling,
-    up_cost_within_first,
-)
 from minerflex.traces import load_synthesis_spec
 
 from conftest import child_env, slot_batch_of
@@ -206,27 +199,25 @@ def test_criterion_4_regulation_closed_form():
         fleet=fleet, p_up=15.0, p_dn=10.0,
         model=RegJointModel(0.5, TruncatedExponential(lam_up), TruncatedExponential(lam_dn)),
     )
-    worst_rel = 0.0
-    for c_up in (0.0, 30.0, 70.0, 99.0):
-        a = down_cost_within_first(inst, c_up, cap1)
-        b = down_cost_beyond_first(inst, c_up, cap1)
-        worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(a)))
-    for c_dn in (10.0, 60.0, 120.0, 149.0):
-        a = up_cost_within_first(inst, cap1 - c_dn, c_dn)
-        b = up_cost_straddling(inst, cap1 - c_dn, c_dn)
-        worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(a)))
-    for c_up in (10.0, 50.0, 99.0):
-        a = up_cost_straddling(inst, c_up, cap1)
-        b = up_cost_beyond_first(inst, c_up, cap1)
-        worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(a)))
+    # both sides of the region boundaries c_dn = cap_1 and c_up + c_dn = cap_1: the cost
+    # moves at most (max r + max p) |dc| between them, plus rounding
+    lip = float(fleet.rewards.max()) + max(inst.p_up, inst.p_dn)
+    h = 1e-9 * fleet.total_capacity_mw
+    sides = [((c_up, cap1 - h), (c_up, cap1 + h)) for c_up in (0.0, 10.0, 30.0, 50.0, 70.0, 99.0)]
+    sides += [((cap1 - c_dn - h, c_dn), (cap1 - c_dn + h, c_dn)) for c_dn in (10.0, 60.0, 120.0, 149.0)]
+    worst_jump = max(
+        abs(expected_reg_cost(inst, *above) - expected_reg_cost(inst, *below))
+        / (lip * 2.0 * h + 1e-12 * lip * fleet.total_capacity_mw)
+        for below, above in sides
+    )
     elapsed = time.time() - t0
     report(
         4, "regulation closed form agrees with Monte Carlo and is continuous",
         regions == {"within", "straddling", "beyond"}
         and worst_sigma <= 3.0
-        and worst_rel <= 1e-7
+        and worst_jump <= 1.0
         and elapsed < 120.0,
-        f"max deviation = {worst_sigma:.2f} se, max boundary gap = {worst_rel:.1e} rel",
+        f"max deviation = {worst_sigma:.2f} se, max boundary jump = {worst_jump:.2f} of the Lipschitz allowance",
         elapsed,
     )
 

@@ -347,6 +347,10 @@ SEMANTIC_DEFECTS = {
     "spec": {
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
         "zero_hours": (("hours",), 0, "at least one hour"),
+        # rejected on parsing, before a timestamp or an array of that many hours is built
+        "hours_past_the_bound": (("hours",), 10**15, "at most 876600 hours, got 1000000000000000"),
+        "hours_past_year_9999": (("start",), "9999-12-31T00:00:00Z",
+                                 "168 hours from 9999-12-31 00:00:00+00:00 run past year 9999"),
         "joint_unknown_program": (("joint",), {"theta": 0.5, "up": "regup", "down": "nope"},
                                   "unknown program"),
         "start_past_year_9999_in_utc": (("start",), "9999-12-31T23:00:00-05:00", "out of range"),
@@ -392,6 +396,27 @@ def test_malformed_config_exit_code(tmp_path, capsys):
             if rc != 2 or str(path) not in err or (message and message not in err):
                 failures.append(f"{name}/{defect}: exit {rc}: {err.strip()}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize(
+    "fleet",
+    [
+        pytest.param([{"id": "a", "capacity_mw": 100, "energy_intensity_mwh_per_coin": 110},
+                      {"id": "b", "capacity_mw": 90, "energy_intensity_mwh_per_coin": 120},
+                      {"id": "c", "capacity_mw": 60, "energy_intensity_mwh_per_coin": 130}], id="three_types"),
+        pytest.param([{"id": "a", "capacity_mw": 100, "energy_intensity_mwh_per_coin": 120},
+                      {"id": "b", "capacity_mw": 150, "energy_intensity_mwh_per_coin": 120}], id="merged_to_one_type"),
+    ],
+)
+def test_reg_config_takes_any_number_of_machine_types(fleet, tmp_path, capsys):
+    # the regulation cost takes any number of types: three, or two that canonicalize merges into one
+    cfg = json.loads((CONFIGS / "reg.json").read_text())
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps({**cfg, "fleet": fleet}))
+    rc = main([str(a) for a in ["solve-reg", "--config", path, "--out", tmp_path / "o"]])
+    assert rc == 0, capsys.readouterr().err
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert 0.0 <= summary["gap"] <= 1e-9 * abs(summary["expected_cost"])
 
 
 @pytest.mark.parametrize("name", ["programs", "risk", "spec"])

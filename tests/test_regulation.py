@@ -21,14 +21,7 @@ from minerflex import (
     solve_reg_profile,
 )
 from minerflex.deployment import realized_cost_batch
-from minerflex.regulation import (
-    _cases,
-    down_cost_beyond_first,
-    down_cost_within_first,
-    up_cost_beyond_first,
-    up_cost_straddling,
-    up_cost_within_first,
-)
+from minerflex.regulation import _partial_moments
 from minerflex.fleet import FleetSpec, MachineType
 
 
@@ -62,9 +55,81 @@ def quadrature_reg_cost(inst, c_up, c_dn):
         eff = effective_epsilon(np.array([0.0, e2]), ["up", "down"])
         return realized_cost(inst.fleet, programs, profile, eff) * inst.model.down.pdf(e2)
 
-    up_val, _ = integrate.quad(cost_up_branch, 0.0, 1.0, limit=200, epsabs=1e-11, epsrel=1e-11)
-    dn_val, _ = integrate.quad(cost_dn_branch, 0.0, 1.0, limit=200, epsabs=1e-11, epsrel=1e-11)
+    def kinks(a, b):
+        # the rates at which the deployed total a + b e crosses a cumulative capacity
+        return [t for x in inst.fleet.cum_capacities.tolist() if b and 0.0 < (t := (x - a) / b) < 1.0] or None
+
+    up_val, _ = integrate.quad(cost_up_branch, 0.0, 1.0, limit=200, epsabs=1e-11, epsrel=1e-11,
+                               points=kinks(c_dn, c_up))
+    dn_val, _ = integrate.quad(cost_dn_branch, 0.0, 1.0, limit=200, epsabs=1e-11, epsrel=1e-11,
+                               points=kinks(c_dn, -c_dn))
     return inst.model.theta * dn_val + (1.0 - inst.model.theta) * up_val
+
+
+# ── Two-type reference ───────────────────────────────────────────────────
+# The closed form for exactly two machine types: five case expressions, each
+# valid on its named region, and the region selector _cases. An independent
+# reference for the line-expectation kernel.
+
+
+def down_cost_within_first(inst, c_up, c_dn):
+    """Down case, c_dn <= cap_1: the first machine type always absorbs it."""
+    # load reduction is (1 - eps_dn) c_dn, none from reg-up
+    r1 = float(inst.fleet.rewards[0])
+    return -inst.p_up * c_up + c_dn * (r1 * (1.0 - inst.model.down.mean()) - inst.p_dn)
+
+
+def down_cost_beyond_first(inst, c_up, c_dn):
+    """Down case, c_dn > cap_1: reduction spills into the second type for small eps_dn."""
+    cap1 = float(inst.fleet.capacities[0])
+    r1, r2 = (float(v) for v in inst.fleet.rewards)
+    p0, m1 = _partial_moments(inst.model.down.lam, 0.0, 1.0 - cap1 / c_dn)
+    spill = (cap1 - c_dn) * p0 + c_dn * m1
+    return down_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
+
+
+def up_cost_within_first(inst, c_up, c_dn):
+    """Up case, c_up + c_dn <= cap_1: the first type always suffices."""
+    # load reduction is eps_up c_up plus the full c_dn headroom
+    r1 = float(inst.fleet.rewards[0])
+    return c_up * (r1 * inst.model.up.mean() - inst.p_up) + c_dn * (r1 - inst.p_dn)
+
+
+def up_cost_straddling(inst, c_up, c_dn):
+    """Up case, c_up + c_dn > cap_1 > c_dn: spill for large eps_up only."""
+    cap1 = float(inst.fleet.capacities[0])
+    r1, r2 = (float(v) for v in inst.fleet.rewards)
+    t = (cap1 - c_dn) / c_up
+    p0, m1 = _partial_moments(inst.model.up.lam, t, 1.0)
+    spill = (cap1 - c_dn) * p0 - c_up * m1
+    return up_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
+
+
+def up_cost_beyond_first(inst, c_up, c_dn):
+    """Up case, c_dn >= cap_1: the second type is always partially deployed."""
+    r1, r2 = (float(v) for v in inst.fleet.rewards)
+    cap1 = float(inst.fleet.capacities[0])
+    spill = cap1 - c_dn - c_up * inst.model.up.mean()
+    return up_cost_within_first(inst, c_up, c_dn) + (r1 - r2) * spill
+
+
+def _cases(inst, c_up, c_dn):
+    """The down-case and up-case expressions valid at a feasible (c_up, c_dn)."""
+    cap1 = float(inst.fleet.capacities[0])
+    down = down_cost_within_first if c_dn <= cap1 else down_cost_beyond_first
+    if c_up + c_dn <= cap1:
+        return down, up_cost_within_first
+    return down, up_cost_beyond_first if c_dn >= cap1 else up_cost_straddling
+
+
+def two_type_reg_cost(inst, c_up, c_dn):
+    down, up = _cases(inst, c_up, c_dn)
+    theta = inst.model.theta
+    return theta * down(inst, c_up, c_dn) + (1.0 - theta) * up(inst, c_up, c_dn)
+
+
+def cost_scale(inst):
+    return inst.fleet.total_capacity_mw * (float(inst.fleet.rewards.max()) + max(inst.p_up, inst.p_dn))
 
 
 # ── Truncated exponential ────────────────────────────────────────────────
@@ -113,10 +178,8 @@ def test_variance_series_continuity():
     assert below == pytest.approx(above, abs=1e-10)
 
 
-@pytest.mark.parametrize("lam", [0.05, 0.7, 2.7, 5.5, 25.0])
+@pytest.mark.parametrize("lam", [1e-14, 1e-12, 1e-9, 0.05, 0.7, 2.7, 5.5, 25.0])
 def test_partial_moments_match_quadrature(lam, rng):
-    from minerflex.regulation import _partial_moments
-
     dist = TruncatedExponential(lam)
     for _ in range(10):
         a, b = np.sort(rng.uniform(0.0, 1.0, 2))
@@ -340,11 +403,26 @@ def test_reg_cost_rejects_infeasible():
         expected_reg_cost(inst, -1.0, 0.0)
 
 
-def test_reg_instance_requires_two_types():
-    fleet = fleet_from_rewards([100.0], [120.0])
-    model = RegJointModel(0.5, TruncatedExponential(2.0), TruncatedExponential(3.0))
-    with pytest.raises(InvalidInputError):
-        RegInstance(fleet=fleet, p_up=1.0, p_dn=1.0, model=model)
+def test_kernel_matches_two_type_reference():
+    # random points and the region boundaries of the reference: c_up = 0, c_dn = 0,
+    # c_dn = cap_1, c_up + c_dn = cap_1 and c_up + c_dn = cap
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(150):
+        inst = random_instance(rng)
+        cap, cap1 = inst.fleet.total_capacity_mw, float(inst.fleet.capacities[0])
+        points = []
+        for _ in range(12):
+            c = rng.uniform(0.0, 1.0, 2)
+            points.append(c * rng.uniform() * cap / c.sum())
+        u = float(rng.uniform())
+        points += [(u * cap, 0.0), (0.0, u * cap), (u * (cap - cap1), cap1), (u * cap1, (1 - u) * cap1),
+                   (u * cap, (1 - u) * cap), (0.0, cap1), (cap1, 0.0), (cap, 0.0), (0.0, cap)]
+        for c_up, c_dn in points:
+            c_up, c_dn = float(c_up), min(float(c_dn), cap - float(c_up))
+            gap = abs(expected_reg_cost(inst, c_up, c_dn) - two_type_reg_cost(inst, c_up, c_dn))
+            worst = max(worst, gap / cost_scale(inst))
+    assert worst <= 1e-12
 
 
 # ── Profile optimization ─────────────────────────────────────────────────
@@ -384,9 +462,9 @@ def test_solve_reg_matches_dense_grid(theta, p_up, p_dn):
     assert value <= best + 1e-6 * scale
 
 
-def random_instance(rng):
-    caps = rng.uniform(20.0, 300.0, 2)
-    rewards = rng.uniform(20.0, 200.0, 2)
+def random_instance(rng, k=2):
+    caps = rng.uniform(20.0, 300.0, k)
+    rewards = rng.uniform(20.0, 200.0, k)
     model = RegJointModel(
         theta=float(rng.uniform()),
         up=TruncatedExponential(fit_lambda(float(rng.uniform(0.03, 0.47)))),
@@ -408,5 +486,87 @@ def test_solve_reg_gap_certifies_against_dense_grid():
         assert 0.0 <= gap <= 1e-9 * max(1.0, abs(value))
         cap = inst.fleet.total_capacity_mw
         axis = np.linspace(0.0, cap, 200).tolist()
+        best = min(expected_reg_cost(inst, cu, cd) for cu in axis for cd in axis if cu + cd <= cap)
+        assert value - gap <= best
+
+
+# ── Any number of machine types ──────────────────────────────────────────
+
+
+def feasible_points(rng, cap, n, margin=0.0):
+    """``n`` random profiles with both entries above ``margin`` and sum below cap - margin."""
+    c = rng.uniform(0.0, 1.0, (n, 2))
+    c *= (rng.uniform(0.0, 1.0, (n, 1)) * (cap - 3.0 * margin)) / c.sum(axis=1, keepdims=True)
+    return (c + margin).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_reg_cost_matches_quadrature_any_fleet(k):
+    rng = np.random.default_rng(500 + k)
+    for _ in range(3):
+        inst = random_instance(rng, k)
+        cap = inst.fleet.total_capacity_mw
+        cum = inst.fleet.cum_capacities.tolist()
+        points = feasible_points(rng, cap, 5) + [(0.0, cum[0]), (cum[0], 0.0), (0.0, cap), (cap, 0.0)]
+        for c_up, c_dn in points:
+            closed = expected_reg_cost(inst, c_up, c_dn)
+            assert closed == pytest.approx(quadrature_reg_cost(inst, c_up, c_dn), abs=1e-10 * cost_scale(inst))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_reg_gradient_matches_central_differences_any_fleet(k):
+    rng = np.random.default_rng(600 + k)
+    h = 1e-4
+    for _ in range(5):
+        inst = random_instance(rng, k)
+        for c_up, c_dn in feasible_points(rng, inst.fleet.total_capacity_mw, 10, margin=1.0):
+            grad = expected_reg_gradient(inst, c_up, c_dn)
+            fd = [
+                (expected_reg_cost(inst, c_up + h, c_dn) - expected_reg_cost(inst, c_up - h, c_dn)) / (2 * h),
+                (expected_reg_cost(inst, c_up, c_dn + h) - expected_reg_cost(inst, c_up, c_dn - h)) / (2 * h),
+            ]
+            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reg_gradient_is_a_subgradient_on_capacity_kinks(k):
+    # with c_up = 0 the reg-up line is a point, and on a cumulative capacity the cost
+    # has a kink: the gradient there must still support the convex cost from below
+    rng = np.random.default_rng(700 + k)
+    for _ in range(4):
+        inst = random_instance(rng, k)
+        cap = inst.fleet.total_capacity_mw
+        ys = feasible_points(rng, cap, 150) + [(0.0, 0.0), (cap, 0.0), (0.0, cap)]
+        fy = np.array([expected_reg_cost(inst, *y) for y in ys])
+        tol = 1e-9 * cost_scale(inst)
+        for x in inst.fleet.cum_capacities.tolist():
+            for point in ((0.0, x), (x, 0.0)):
+                g = expected_reg_gradient(inst, *point)
+                cut = expected_reg_cost(inst, *point) + (np.array(ys) - point) @ g
+                assert (fy >= cut - tol).all(), (point, float((cut - fy).max()))
+
+
+def test_reg_cost_has_a_kink_where_the_up_line_is_a_point_on_a_capacity():
+    # not C^1: at (0, cap_1) the one-sided c_dn slopes differ by about (r_2 - r_1)(1 - theta)
+    inst = make_instance()
+    cap1, h = float(inst.fleet.capacities[0]), 1e-3
+    f = expected_reg_cost(inst, 0.0, cap1)
+    left = (f - expected_reg_cost(inst, 0.0, cap1 - h)) / h
+    right = (expected_reg_cost(inst, 0.0, cap1 + h) - f) / h
+    r1, r2 = inst.fleet.rewards.tolist()
+    assert right - left == pytest.approx((r2 - r1) * (1.0 - inst.model.theta), rel=1e-2)
+    assert left - 1e-6 <= expected_reg_gradient(inst, 0.0, cap1)[1] <= right + 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_solve_reg_certifies_against_dense_grid_any_fleet(k):
+    rng = np.random.default_rng(800 + k)
+    for _ in range(3):
+        inst = random_instance(rng, k)
+        profile, gap = solve_reg_profile(inst)
+        value = expected_reg_cost(inst, *profile.c)
+        assert 0.0 <= gap <= 1e-9 * max(1.0, abs(value))
+        cap = inst.fleet.total_capacity_mw
+        axis = np.linspace(0.0, cap, 80).tolist()
         best = min(expected_reg_cost(inst, cu, cd) for cu in axis for cd in axis if cu + cd <= cap)
         assert value - gap <= best
