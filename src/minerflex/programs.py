@@ -155,6 +155,20 @@ class UniformEps(_SampledEps):
         return self.lo + (self.hi - self.lo) * u
 
 
+def truncexp_mean(lam: float) -> float:
+    """Mean of the exponential of rate ``lam`` >= 0 truncated to [0, 1]; ``lam`` is not validated.
+
+    :meth:`TruncatedExponential.mean` for callers that hold a checked rate;
+    ``lam`` = 0 gives the uniform limit 1/2.
+    """
+    if lam < _SERIES_LAMBDA:
+        return 0.5 - lam / 12.0 + lam**3 / 720.0
+    if lam < _EXPM1_LAMBDA:
+        return 1.0 / lam - 1.0 / math.expm1(lam)
+    # 1/(e^lam - 1) = e^-lam / (1 - e^-lam), which cannot overflow
+    return 1.0 / lam - math.exp(-lam) / -math.expm1(-lam)
+
+
 @dataclass(frozen=True)
 class TruncatedExponential(_SampledEps):
     """Exponential distribution truncated to [0, 1] with rate ``lam``."""
@@ -174,12 +188,7 @@ class TruncatedExponential(_SampledEps):
         return float(out) if out.ndim == 0 else out
 
     def mean(self) -> float:
-        if self.lam < _SERIES_LAMBDA:
-            return 0.5 - self.lam / 12.0 + self.lam**3 / 720.0
-        if self.lam < _EXPM1_LAMBDA:
-            return 1.0 / self.lam - 1.0 / math.expm1(self.lam)
-        # 1/(e^lam - 1) = e^-lam / (1 - e^-lam), which cannot overflow
-        return 1.0 / self.lam - math.exp(-self.lam) / -math.expm1(-self.lam)
+        return truncexp_mean(self.lam)
 
     def variance(self) -> float:
         # The closed form cancels catastrophically for small rates (three
@@ -207,13 +216,13 @@ def fit_lambda(target_mean: float) -> float:
             f"target mean must lie in (0, 0.5), got {target_mean}"
         )
     lo, hi = 1e-12, 1.0
-    while TruncatedExponential(hi).mean() > target_mean:
+    while truncexp_mean(hi) > target_mean:
         hi *= 2.0
         if hi > 1e9:
             raise InvalidInputError(f"no rate reaches mean {target_mean}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        m = TruncatedExponential(mid).mean()
+        m = truncexp_mean(mid)
         if abs(m - target_mean) <= 1e-12:
             return mid
         if m > target_mean:

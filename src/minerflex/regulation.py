@@ -6,8 +6,11 @@ deployment rate on [0, 1]. Either way the deployed total is linear in that
 one rate, so the expected slot cost of a profile (c_up, c_dn), on a fleet of
 any number of types, is a sum of partial moments of the truncated
 exponential over the fleet pieces the total crosses
-(:func:`expected_line_cost`). Quadrature and Monte Carlo through
-:func:`minerflex.deployment.realized_cost` arbitrate its correctness.
+(:func:`expected_line_cost`). ``minerflex verify`` arbitrates the value
+and its gradient with a Gauss-Legendre quadrature of the realized cost,
+taken through :meth:`RegJointModel.from_uniform` and
+:func:`minerflex.deployment.slot_cost`; the tests add scipy quadrature and
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .cutting import minimize
 from .deployment import Profile
 from .errors import InfeasibleError, InvalidInputError
 from .fleet import FleetSpec
-from .programs import TruncatedExponential
+from .programs import TruncatedExponential, truncexp_mean
 
 @dataclass(frozen=True)
 class RegJointModel:
@@ -102,8 +105,7 @@ def _partial_moments(lam: float, a: float, b: float) -> tuple[float, float]:
         return 0.0, 0.0
     rate = lam * (b - a)
     p0 = math.exp(-lam * a) * -math.expm1(-rate) / -math.expm1(-lam)
-    within = TruncatedExponential(rate).mean() if rate > 0.0 else 0.5
-    return p0, p0 * (a + (b - a) * within)
+    return p0, p0 * (a + (b - a) * truncexp_mean(rate))
 
 
 def expected_line_cost(fleet: FleetSpec, lam: float, a: float, b: float) -> tuple[float, float, float]:
@@ -121,7 +123,7 @@ def expected_line_cost(fleet: FleetSpec, lam: float, a: float, b: float) -> tupl
     feasible totals.
     """
     rewards = fleet.rewards.tolist()
-    mean = TruncatedExponential(lam).mean()
+    mean = truncexp_mean(lam)
     value, d_a, d_b = rewards[0] * (a + b * mean), rewards[0], rewards[0] * mean
     for below, r, x in zip(rewards, rewards[1:], fleet.cum_capacities.tolist()):
         if b == 0.0:

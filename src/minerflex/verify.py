@@ -1,10 +1,10 @@
 """Self-contained oracle-agreement checks runnable from the CLI.
 
 Each check pits an analytic component against an independent reference
-(vertex enumeration, numeric integration, Monte Carlo, dense grids) at a
-reduced scale; the pytest acceptance suite runs the same comparisons at full
-scale. Everything here is numpy-only so the installed package can verify
-itself without test dependencies.
+(vertex enumeration, Simpson and Gauss-Legendre quadrature, Monte Carlo,
+dense grids) at a reduced scale; the pytest acceptance suite runs the same
+comparisons at full scale. Everything here is numpy-only so the installed
+package can verify itself without test dependencies.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, realized_cost_batch, slot_cost
+from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, slot_cost
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, RegretReport, play_bank, regret_report
 from .oracle import GridSpec, fixed_dot, grid_mc_optimum, lp_deployment_oracle, mc_expected_cost, draw_effective_samples
 from .programs import ProgramSpec, TruncatedExponential, fit_lambda, program_sampler
-from .regulation import RegInstance, RegJointModel, expected_reg_cost, sample_joint
+from .regulation import RegInstance, RegJointModel, expected_reg_cost, expected_reg_gradient
 from .sgd import SgdConfig, project_feasible, solve as sgd_solve
 from .single_machine import ProgramStats, RiskConfig, best_program, risk_aware_solve
 
@@ -224,23 +224,110 @@ def _reg_instance(theta, capacities=(150.0, 100.0), rewards=(103.846153846, 131.
     return RegInstance(fleet=fleet, p_up=15.0, p_dn=10.0, model=model)
 
 
-def check_regulation_mc(seed=6, samples=200_000) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst_sigma = 0.0
+# The 12-node Gauss-Legendre rule on [-1, 1]: its positive nodes with their
+# weights, correctly rounded; the rule is symmetric about 0.
+_GAUSS_HALF = (
+    (0.1252334085114689, 0.24914704581340277),
+    (0.3678314989981802, 0.2334925365383548),
+    (0.5873179542866175, 0.20316742672306592),
+    (0.7699026741943047, 0.16007832854334622),
+    (0.9041172563704749, 0.10693932599531843),
+    (0.9815606342467192, 0.04717533638651183),
+)
+GAUSS_NODES = np.array([-x for x, _ in reversed(_GAUSS_HALF)] + [x for x, _ in _GAUSS_HALF])
+GAUSS_WEIGHTS = np.array([w for _, w in reversed(_GAUSS_HALF)] + [w for _, w in _GAUSS_HALF])
+# Each quadrature part spans at most PIECE_RATE / lam of the rate axis: lam h <= 6.
+PIECE_RATE = 6.0
+
+
+def line_nodes(lam: float, a: float, b: float, breaks) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes e in [0, 1] and weights integrating against lam e^(-lam e) / (1 - e^-lam) along d = a + b e.
+
+    [0, 1] is cut at each rate where d crosses one of ``breaks``, each piece
+    into equal parts no longer than PIECE_RATE / lam, and every part takes the
+    12 Gauss-Legendre nodes, weighted by the truncated-exponential density.
+    """
+    cuts = sorted({0.0, 1.0, *(t for x in breaks if b and 0.0 < (t := (x - a) / b) < 1.0)})
+    e, w = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        edges = np.linspace(lo, hi, math.ceil((hi - lo) * lam / PIECE_RATE) + 1)
+        half, mid = np.diff(edges)[:, None] / 2.0, (edges[:-1] + edges[1:])[:, None] / 2.0
+        e.append((mid + half * GAUSS_NODES).ravel())
+        w.append((half * GAUSS_WEIGHTS).ravel())
+    e, w = np.concatenate(e), np.concatenate(w)
+    return e, w * lam * np.exp(-lam * e) / -math.expm1(-lam)
+
+
+def reg_quadrature(inst: RegInstance, c_up: float, c_dn: float) -> tuple[float, np.ndarray]:
+    """E[cost] and E[r_k eps_eff] - p of the realized slot cost at (c_up, c_dn), by quadrature.
+
+    The reg-up line d = c_dn + e c_up has probability 1 - theta and the
+    reg-down line d = c_dn - e c_dn probability theta; each takes the nodes
+    of :func:`line_nodes`. Every node e maps through the truncated-exponential
+    CDF to the uniform u that ``inst.model.from_uniform`` turns back into e,
+    with the direction row pinned to 1 (reg-up deployed) or 0 (reg-down), so
+    the sampler, ``flip_down`` and ``slot_cost`` cost it as a drawn sample.
+    """
+    model, cum = inst.model, inst.fleet.cum_capacities.tolist()
+    lines = ((1.0, 1, 1.0 - model.theta, model.up.lam, c_up), (0.0, 2, model.theta, model.down.lam, -c_dn))
+    blocks, weights = [], []
+    for direction, row, prob, lam, b in lines:
+        e, w = line_nodes(lam, c_dn, b, cum)
+        u = np.zeros((model.width, e.size))
+        u[0] = direction
+        u[row] = np.expm1(-lam * e) / math.expm1(-lam)
+        blocks.append(u)
+        weights.append(prob * w)
+    w = np.concatenate(weights)
+    eff = flip_down(model.from_uniform(np.concatenate(blocks, axis=1)), np.array([False, True]))
+    prices = np.array([inst.p_up, inst.p_dn])
+    cost, slope = slot_cost(inst.fleet, eff, prices, np.array([c_up, c_dn]))
+    grad = [math.fsum((w * slope * x).tolist()) - p for x, p in zip(eff.T, prices.tolist())]
+    return math.fsum((w * cost).tolist()), np.array(grad)
+
+
+def check_regulation_mc() -> CheckResult:
+    """The regulation closed form and its gradient against :func:`reg_quadrature`.
+
+    Three thetas and four profiles on a 150 + 100 MW fleet, rates fit to means
+    0.18 (lam = 5.42) and 0.27 (lam = 3.20). With S = cap (max r + max p) the
+    gate is |closed - reference| <= 1e-12 S for the value and 1e-12 (max r +
+    max p) for each gradient entry. The gradient is compared where no line
+    ends on a break: at (0, 250) the reg-up line is the point d = cap, where
+    the cost has a kink.
+
+    The tolerance is derived, not tuned. On a part of length h the value's
+    integrand is g(e) = (alpha + beta e) lam e^(-lam e) / Z, Z = 1 - e^-lam,
+    where |alpha + beta e| <= S bounds the cost and |beta| <= max r cap <= S its
+    slope in e. Its 2n-th derivative is (lam / Z) e^(-lam e) (lam^(2n) (alpha +
+    beta e) - 2n lam^(2n-1) beta), at most S lam^(2n) (lam + 2n) / Z. The
+    n-node remainder is at most h^(2n+1) (n!)^4 / ((2n + 1) ((2n)!)^3) times
+    that; summed over parts whose lengths add to 1, with lam h <= 5.42, n = 12
+    bounds it by 1.1e-19 S. The gradient's integrand r_k eps_eff is affine in e
+    on each part too, with both coefficients at most max r, so its remainder
+    is below 1.1e-19 (max r + max p). Rounding through the CDF, the sampler and
+    the sums measured 2.0e-16 of S and 2.4e-17 of max r + max p: the gate sits
+    more than three orders above both, and no input moves it.
+
+    The check draws nothing, so it reads no seed. ``sample_joint``'s (3, size)
+    stream layout, which this check does not exercise, is pinned by
+    ``tests/test_sgd.py::test_block_draws_match_per_call_draws``.
+    """
+    worst_value = worst_grad = 0.0
     for theta in (0.3, 0.5, 0.7):
         inst = _reg_instance(theta)
-        raw = sample_joint(inst.model, rng, samples)
-        eff = flip_down(raw, np.array([False, True]))
-        prices = np.array([inst.p_up, inst.p_dn])
+        scale = float(inst.fleet.rewards.max()) + max(inst.p_up, inst.p_dn)
+        cap = inst.fleet.total_capacity_mw
         for c_up, c_dn in ((40.0, 40.0), (120.0, 60.0), (30.0, 190.0), (0.0, 250.0)):
-            costs = realized_cost_batch(inst.fleet, prices, eff, np.array([c_up, c_dn]))
-            se = costs.std(ddof=1) / math.sqrt(samples)
-            sigma = abs(expected_reg_cost(inst, c_up, c_dn) - costs.mean()) / se
-            worst_sigma = max(worst_sigma, sigma)
+            value, grad = reg_quadrature(inst, c_up, c_dn)
+            worst_value = max(worst_value, abs(expected_reg_cost(inst, c_up, c_dn) - value) / (cap * scale))
+            if c_up > 0.0:  # at (0, 250) the reg-up line is the point d = cap, a kink
+                closed = expected_reg_gradient(inst, c_up, c_dn)
+                worst_grad = max(worst_grad, float(np.abs(closed - grad).max()) / scale)
     return CheckResult(
-        "regulation closed form vs Monte Carlo",
-        worst_sigma <= 4.0,
-        f"max deviation = {worst_sigma:.2f} standard errors",
+        "regulation closed form and gradient vs Gauss-Legendre quadrature",
+        worst_value <= 1e-12 and worst_grad <= 1e-12,
+        f"max |diff| / scale = {worst_value:.1e} (value) and {worst_grad:.1e} (gradient)",
     )
 
 
@@ -465,7 +552,7 @@ def run_verify(fast: bool = False, seed: int = 0) -> list[CheckResult]:
         check_projection(seed + 3, 20 if fast else 40),
         check_truncexp_mean(seed + 4),
         check_fit_lambda(seed + 5, 10 if fast else 25),
-        check_regulation_mc(seed + 6, 50_000 if fast else 200_000),
+        check_regulation_mc(),
         check_regulation_continuity(),
         check_single_machine_vertex(seed + 7, 50 if fast else 100),
         check_risk_kkt(seed + 8, 50 if fast else 100),

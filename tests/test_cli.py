@@ -349,6 +349,7 @@ SEMANTIC_DEFECTS = {
         "zero_hours": (("hours",), 0, "at least one hour"),
         # rejected on parsing, before a timestamp or an array of that many hours is built
         "hours_past_the_bound": (("hours",), 10**15, "at most 876600 hours, got 1000000000000000"),
+        "hours_one_past_the_bound": (("hours",), 876601, "at most 876600 hours, got 876601"),
         "hours_past_year_9999": (("start",), "9999-12-31T00:00:00Z",
                                  "168 hours from 9999-12-31 00:00:00+00:00 run past year 9999"),
         "joint_unknown_program": (("joint",), {"theta": 0.5, "up": "regup", "down": "nope"},
