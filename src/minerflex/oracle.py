@@ -10,6 +10,7 @@ component can be arbitrated against an independent computation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
@@ -68,8 +69,12 @@ class StrategyReport:
 
 
 def fixed_dot(a, b):
-    """The oracles' own product rule: the last axis's products a * b, added left to right."""
-    return reduce(np.add, map(np.multiply, np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)))
+    """The oracles' own product rule: the last axis's products a * b, added left to right.
+
+    Every product has the full broadcast shape, so the sum accumulates in place
+    into the first (a fresh array), sparing a large temporary per term.
+    """
+    return reduce(operator.iadd, map(np.multiply, np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)))
 
 
 def lp_deployment_oracle(
@@ -87,8 +92,9 @@ def lp_deployment_oracle(
     eps = as_vector(sample, "sample")
     p = prices_of(programs)
     total = float(fixed_dot(eps, c))
-    caps = fleet.capacities
-    rewards = fleet.rewards
+    # Python floats: the same IEEE operations as numpy scalars, without their per-operation cost
+    caps = fleet.capacities.tolist()
+    rewards = fleet.rewards.tolist()
     revenue = float(fixed_dot(p, c))
     best = math.inf
     for order in permutations(range(fleet.n_types)):

@@ -30,14 +30,18 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # a check's verdict may be a numpy bool; callers get a Python one
+        object.__setattr__(self, "passed", bool(self.passed))
 
-# Instances drawn per pass: a pass's shape groups are scaled and costed before the
-# next pass is drawn, so few uniform rows are held at once.
+
+# Instances drawn per pass: a pass's raw rows are scaled before the next pass is
+# drawn, so few uniform rows are held at once.
 DRAW_PASS = 256
 
 
 def _drawn_by_shape(rng, count, segment=False):
-    """Draw ``count`` random instances in passes of :data:`DRAW_PASS`; yield each pass's groups.
+    """Draw ``count`` random instances in passes of :data:`DRAW_PASS`; yield one group per (K, N) shape.
 
     An instance takes one ``rng.integers`` call for K in [1, 4] types, one for
     N in [1, 3] programs, then one ``rng.random`` block. Its doubles are, in
@@ -48,11 +52,13 @@ def _drawn_by_shape(rng, count, segment=False):
     ends a and b of a segment of profiles and then their shares. Each double is
     scaled as the ``rng.uniform`` call it stands for would scale it.
 
-    A group stacks the pass's instances of one (K, N) shape, in draw order:
-    (G, K) capacities and rewards, then (G, N) prices, raw rates and profiles
-    (and a, b). The scaling is elementwise, so each row holds the bits of its
-    instance drawn alone.
+    A group stacks every instance of one (K, N) shape, in draw order: (G, K)
+    capacities and rewards, then (G, N) prices, raw rates and profiles (and
+    a, b); groups come in the order their shapes first appear. Each pass's
+    rows are scaled a shape at a time and only the scaled arrays are kept. The
+    scaling is row by row, so each row holds the bits of its instance drawn alone.
     """
+    groups = {}
     for start in range(0, count, DRAW_PASS):
         blocks = {}
         for _ in range(min(DRAW_PASS, count - start)):
@@ -74,7 +80,9 @@ def _drawn_by_shape(rng, count, segment=False):
             if segment:
                 a, b, share_a, share_b = ends
                 drawn += _scaled(_uniform(a, 0.0, 1.0), share_a, cap), _scaled(_uniform(b, 0.0, 1.0), share_b, cap)
-            yield drawn
+            groups.setdefault((k, n), []).append(drawn)
+    for parts in groups.values():
+        yield tuple(np.concatenate(field) for field in zip(*parts))
 
 
 def _scaled(v, share, cap):
@@ -96,8 +104,14 @@ def _max_of_affines(caps, rewards, prices, eps, c):
     prefix = np.zeros_like(rewards)
     below = np.cumsum(caps, axis=-1)[..., :-1]
     prefix[..., 1:] = np.cumsum(rewards * caps, axis=-1)[..., :-1] - rewards[..., 1:] * below
-    d, types = fixed_dot(eps, c), zip(np.moveaxis(prefix, -1, 0), np.moveaxis(rewards, -1, 0))
-    return np.maximum.reduce([p + r * d for p, r in types]) - fixed_dot(prices, c)
+    d, best = fixed_dot(eps, c), None
+    # one surrogate at a time, folded into the running max, so no (K, ...) stack is built
+    for p, r in zip(np.moveaxis(prefix, -1, 0), np.moveaxis(rewards, -1, 0)):
+        term = r * d
+        term += p
+        best = term if best is None else np.maximum(best, term, out=best)
+    best -= fixed_dot(prices, c)
+    return best
 
 
 def _uniform(u, lo, hi):

@@ -11,6 +11,8 @@ reads 0.000e+00 whatever the instances are, so the drawn arrays and the
 generator state are compared too.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +27,7 @@ from minerflex import (
     realized_cost,
 )
 from minerflex import verify
+from minerflex.oracle import fixed_dot
 from minerflex.programs import prices_of
 from minerflex.verify import CheckResult
 
@@ -152,24 +155,69 @@ def test_max_of_affines_reference_matches_surrogates():
 
 
 def test_drawn_by_shape_groups_every_instance_once_in_draw_order():
-    # more than one pass, the last one short
+    # more than one pass, the last one short: still one group per shape over the whole draw
     count = 2 * verify.DRAW_PASS + 37
     ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
     drawn = [one_instance(ref_rng, True) for _ in range(count)]
     groups = list(verify._drawn_by_shape(rng, count, segment=True))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert sum(len(g[0]) for g in groups) == count
-    seen = 0
-    for start in range(0, count, verify.DRAW_PASS):
-        passed = drawn[start : start + verify.DRAW_PASS]
-        shapes = list(dict.fromkeys((len(inst[0]), len(inst[2])) for inst in passed))
-        for shape, group in zip(shapes, groups[seen : seen + len(shapes)]):
-            members = [inst for inst in passed if (len(inst[0]), len(inst[2])) == shape]
-            assert group[0].shape[1] == shape[0] and group[2].shape[1] == shape[1]
-            for field, stacked in enumerate(group):
-                assert np.array([inst[field] for inst in members]).tobytes() == stacked.tobytes()
-        seen += len(shapes)
-    assert seen == len(groups)
+    shapes = list(dict.fromkeys((len(inst[0]), len(inst[2])) for inst in drawn))
+    assert [(g[0].shape[1], g[2].shape[1]) for g in groups] == shapes
+    for shape, group in zip(shapes, groups):
+        members = [inst for inst in drawn if (len(inst[0]), len(inst[2])) == shape]
+        for field, stacked in enumerate(group):
+            assert np.array([inst[field] for inst in members]).tobytes() == stacked.tobytes(), (shape, field)
+
+
+def numpy_scalar_lp_oracle(fleet, programs, c, eps):
+    """``lp_deployment_oracle`` as it walked fill orders on numpy scalars, before its Python-float walk."""
+    total = float(fixed_dot(eps, c))
+    revenue = float(fixed_dot(prices_of(programs), c))
+    best = math.inf
+    for order in itertools.permutations(range(fleet.n_types)):
+        remaining = total
+        mining_loss = 0.0
+        for k in order:
+            d = min(remaining, fleet.capacities[k])
+            mining_loss += fleet.rewards[k] * d
+            remaining -= d
+        best = min(best, mining_loss - revenue)
+    return best
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lp_oracle_is_the_numpy_scalar_walk_as_a_float(seed):
+    # the greedy check's 200 instances, as it builds them
+    for group in verify._drawn_by_shape(np.random.default_rng(seed), 200):
+        for caps, rewards, prices, raw, c in zip(*(field.tolist() for field in group)):
+            fleet = fleet_from_rewards(caps, rewards)
+            programs = [ProgramSpec(id=f"p{i}", price=price) for i, price in enumerate(prices)]
+            got = lp_deployment_oracle(fleet, programs, c, raw)
+            ref = numpy_scalar_lp_oracle(fleet, programs, np.array(c), np.array(raw))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shapes", [((3,), (3,)), ((7, 1, 2), (5, 2)), ((4, 3), (3,)), ((6, 1), (6, 1)), ((2, 5, 3), (2, 1, 3))]
+)
+def test_fixed_dot_matches_the_pairwise_sum_and_leaves_its_inputs(shapes):
+    # the in-place sum adds the same products in the same order as a fresh np.add per term
+    rng = np.random.default_rng(14)
+    a, b = (rng.normal(size=shape) for shape in shapes)
+    a_bytes, b_bytes = a.tobytes(), b.tobytes()
+    ref = functools.reduce(np.add, map(np.multiply, np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)))
+    got = fixed_dot(a, b)
+    assert np.shape(got) == np.shape(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    assert a.tobytes() == a_bytes and b.tobytes() == b_bytes
+    assert np.asarray(fixed_dot(a, b.tolist())).tobytes() == np.asarray(ref).tobytes()  # a list, as a vertex check passes
+
+
+def test_verify_verdicts_are_python_bools():
+    # checks.csv writes PASS or FAIL from these; callers get a bool, not a numpy.bool
+    results = verify.run_verify(fast=True)
+    assert [type(r.passed) for r in results] == [bool] * len(results)
+    assert type(CheckResult("x", np.bool_(True), "").passed) is bool
 
 
 @pytest.mark.parametrize("seed", [10, 108])
