@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import load_config
+from .config import finite, load_config
 from .errors import InvalidInputError, MinerflexError, ModelViolationError, NumericalError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
 from .fleet import MachineType, parse_machines
@@ -114,10 +114,10 @@ def _economics(cfg: dict):
     economics = cfg.get("economics")
     if economics is None:
         return None
-    coin_price = float(economics["coin_price"])
+    coin_price = finite(economics["coin_price"], "economics.coin_price")
     if coin_price < 0.0:
         raise InvalidInputError(f"economics.coin_price must be >= 0, got {coin_price}")
-    return coin_price, float(economics["electricity_price"])
+    return coin_price, finite(economics["electricity_price"], "economics.electricity_price")
 
 
 def _parse_programs(cfg: dict):
@@ -128,7 +128,7 @@ def _parse_programs(cfg: dict):
     programs = [
         ProgramSpec(
             id=str(entry["id"]),
-            price=float(entry.get("price", 0.0)),
+            price=finite(entry.get("price", 0.0), f"program {str(entry['id'])!r}: price"),
             direction=str(entry.get("direction", "up")),
             eps_model=parse_eps_model(entry["eps"]) if "eps" in entry else None,
         )
@@ -137,19 +137,23 @@ def _parse_programs(cfg: dict):
     check_program_ids(p.id for p in programs)
     joint = cfg.get("joint")
     if joint is not None:
-        joint = joint_pair(programs, float(joint["theta"]), joint["up"], joint["down"])
+        joint = joint_pair(programs, finite(joint["theta"], "joint.theta"), joint["up"], joint["down"])
     return programs, joint, _economics(cfg)
 
 
 def _parse_reg(cfg: dict) -> RegInstance:
     fleet = _parametric_fleet(parse_machines(cfg["fleet"]), _economics(cfg))
-    lam_up = float(cfg["lambda_up"]) if "lambda_up" in cfg else fit_lambda(float(cfg["mean_up"]))
-    lam_dn = float(cfg["lambda_dn"]) if "lambda_dn" in cfg else fit_lambda(float(cfg["mean_dn"]))
+
+    def number(key):
+        return finite(cfg[key], key)
+
+    lam_up = number("lambda_up") if "lambda_up" in cfg else fit_lambda(number("mean_up"))
+    lam_dn = number("lambda_dn") if "lambda_dn" in cfg else fit_lambda(number("mean_dn"))
     return RegInstance(
         fleet=fleet,
-        p_up=float(cfg["p_up"]),
-        p_dn=float(cfg["p_dn"]),
-        model=RegJointModel(float(cfg["theta"]), TruncatedExponential(lam_up), TruncatedExponential(lam_dn)),
+        p_up=number("p_up"),
+        p_dn=number("p_dn"),
+        model=RegJointModel(number("theta"), TruncatedExponential(lam_up), TruncatedExponential(lam_dn)),
     )
 
 
@@ -161,16 +165,16 @@ def _parse_risk(cfg: dict, with_stats: bool):
     stats = None
     if with_stats:
         stats = [
-            ProgramStats(price=float(p["price"]), mean_eps=float(p["mean_eps"]), var_eps=float(p["var_eps"]))
+            ProgramStats(**{key: finite(p[key], key) for key in ("price", "mean_eps", "var_eps")})
             for p in entries
         ]
     ids = [str(p["id"]) for p in entries]
     check_program_ids(ids)
-    r, cap = float(cfg["reward_rate"]), float(cfg["cap"])
+    r, cap = finite(cfg["reward_rate"], "reward_rate"), finite(cfg["cap"], "cap")
     for name, value in (("reward_rate", r), ("cap", cap)):
         if value < 0.0:
             raise InvalidInputError(f"{name} must be >= 0, got {value}")
-    return r, cap, RiskConfig(float(cfg.get("risk_weight", 0.0))), ids, stats
+    return r, cap, RiskConfig(finite(cfg.get("risk_weight", 0.0), "risk_weight")), ids, stats
 
 
 def _parametric_fleet(machines: list[MachineType], economics) -> FleetSpec:

@@ -3,6 +3,7 @@
 Every config (fleet, programs, regulation and risk instances, synthesis
 specs) goes through :func:`load_config`, so each malformed file fails the
 same way: an ``InvalidInputError`` whose message starts with the file name.
+Every parser reads its numbers through :func:`finite`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,16 @@ import math
 from .errors import InvalidInputError, ModelViolationError
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text} is not allowed")
-    return value
+def finite(value, name: str = "number") -> float:
+    """``float(value)``, raising ``ValueError`` that names ``name`` unless it is finite.
+
+    It checks JSON number literals as they decode, and the config fields,
+    where ``float()`` would also read strings such as ``"nan"`` and ``"-inf"``.
+    """
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def load_config(path, parse):
@@ -29,7 +35,7 @@ def load_config(path, parse):
     """
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            data = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot read config ({exc.strerror})") from None
     except ValueError as exc:

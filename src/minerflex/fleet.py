@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import load_config
+from .config import finite, load_config
 from .errors import InvalidInputError, ModelViolationError
 
 
@@ -175,13 +175,13 @@ def parse_machines(raw) -> list[MachineType]:
             out.append(
                 MachineType(
                     id=str(entry["id"]),
-                    capacity_mw=float(entry["capacity_mw"]),
+                    capacity_mw=finite(entry["capacity_mw"], f"machine #{i}: capacity_mw"),
                     energy_intensity=(
-                        float(entry["energy_intensity_mwh_per_coin"])
+                        finite(entry["energy_intensity_mwh_per_coin"], f"machine #{i}: energy_intensity_mwh_per_coin")
                         if "energy_intensity_mwh_per_coin" in entry
                         else None
                     ),
-                    reward=float(entry["reward"]) if "reward" in entry else None,
+                    reward=finite(entry["reward"], f"machine #{i}: reward") if "reward" in entry else None,
                 )
             )
             if out[-1].id in {m.id for m in out[:-1]}:

@@ -23,8 +23,8 @@ from .errors import InvalidInputError
 from .fleet import FleetSpec, MachineType, canonicalize
 from .online import hour_optima
 from .programs import ProgramSpec, directions_of, prices_of
-from .sgd import resampled_solve
-from .sgd import solve as sgd_solve  # noqa: F401  (the benchmark's tracing test rebinds this alias)
+from .sgd import SgdConfig
+from .sgd import solve as sgd_solve
 from .traces import Traces, observed_slots, reward_matrix
 
 
@@ -235,16 +235,25 @@ def compare_strategies(
 
     Each hour of day gets its profile from :func:`~minerflex.online.hour_optima`
     on the window's fully observed slots (:func:`~minerflex.traces.observed_slots`).
-    The fixed profile is pooled over all slots: a resampling SGD learner trained
-    on the window's empirical deployment distribution with ``sgd_iterations``
-    iterations of 8 samples and ``seed``, or no participation or the even split
-    where either costs less in sample.
+    The fixed profile is pooled over all slots: :func:`~minerflex.sgd.solve` at
+    the mean prices and mean rewards, drawing the window's raw deployment rows
+    with replacement, with ``sgd_iterations`` iterations of 8 samples and
+    ``seed``; or no participation or the even split where either costs less in
+    sample.
     """
     traces, batch = observed_slots(traces, fleet_config, programs, window, clamp_negative)
     n, cap = len(programs), batch.cap
     fleet = _mean_reward_fleet(reward_matrix(traces, fleet_config, clamp_negative), fleet_config)
-    prices = np.mean(batch.prices, axis=0)  # finite: slot_batch rejects prices whose slot costs overflow
-    trained = resampled_solve(fleet, prices, batch.raw_eps, directions_of(programs), sgd_iterations, 8, seed)
+    # finite and >= 0: slot_batch rejects negative prices and prices whose slot costs overflow
+    prices = np.mean(batch.prices, axis=0)
+    pooled = [ProgramSpec(p.id, float(q), p.direction) for p, q in zip(programs, prices)]
+    rows = batch.raw_eps
+    # Bounded integers keep the spare 32-bit half of a 64-bit output in the
+    # generator state, so an (m, B) index draw is the stream of m draws of B.
+    # The config stays positional: the benchmark's iteration counter reads it.
+    trained = sgd_solve(
+        fleet, pooled, lambda rng, size: rows[rng.integers(0, len(rows), size)], SgdConfig(sgd_iterations, 8, seed)
+    ).profile.c
     even = np.full(n, cap / n)
     candidates = np.array([trained, np.zeros(n), even])
     fixed = candidates[int(np.argmin(batch.total_costs(candidates)))]

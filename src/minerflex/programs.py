@@ -22,6 +22,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
+from .config import finite
 from .errors import InvalidInputError
 
 DIRECTIONS = ("up", "down")
@@ -47,6 +48,8 @@ class ProgramSpec:
             raise InvalidInputError(
                 f"program {self.id!r}: direction must be one of {DIRECTIONS}"
             )
+        if not math.isfinite(self.price):
+            raise InvalidInputError(f"program {self.id!r}: price must be finite, got {self.price}")
         if self.price < 0:
             raise InvalidInputError(
                 f"program {self.id!r}: price must be >= 0, got {self.price}"
@@ -251,17 +254,21 @@ def price_responsive_eps(model: PriceResponsiveModel, rt_price: float) -> float:
 def parse_eps_model(cfg: dict):
     """Deployment-rate model from a ``{"kind": ..., <params>}`` config block."""
     kind = cfg.get("kind")
+
+    def number(key, default=None):
+        return finite(cfg[key] if default is None else cfg.get(key, default), f"eps.{key}")
+
     if kind == "truncexp":
-        lam = float(cfg["lambda"]) if "lambda" in cfg else fit_lambda(float(cfg["mean"]))
+        lam = number("lambda") if "lambda" in cfg else fit_lambda(number("mean"))
         return TruncatedExponential(lam)
     if kind == "bernoulli":
-        return BernoulliEps(float(cfg["prob"]))
+        return BernoulliEps(number("prob"))
     if kind == "constant":
-        return ConstantEps(float(cfg["value"]))
+        return ConstantEps(number("value"))
     if kind == "uniform":
-        return UniformEps(float(cfg.get("lo", 0.0)), float(cfg.get("hi", 1.0)))
+        return UniformEps(number("lo", 0.0), number("hi", 1.0))
     if kind == "price_responsive":
-        return PriceResponsiveModel(float(cfg["threshold"]))
+        return PriceResponsiveModel(number("threshold"))
     raise InvalidInputError(f"unknown eps model kind {kind!r}; expected one of {EPS_KINDS}")
 
 
@@ -269,17 +276,19 @@ class Sampler:
     """Raw deployment vectors as a transform of ``width`` uniform doubles per vector.
 
     ``from_uniform(u)`` maps a (..., width, B) block of uniforms to (..., B, N)
-    raw rates; ``sampler(rng, size)`` is ``from_uniform(rng.random((width, size)))``,
-    an (size, N) array. So m calls of size B draw the generator stream of one
-    ``rng.random((m, width, B))`` block, value for value.
+    raw rates. ``sampler(rng, B)`` is ``from_uniform(rng.random((width, B)))``,
+    a (B, N) array, and ``sampler(rng, (m, B))`` draws one
+    ``rng.random((m, width, B))`` block: the generator stream of m calls of
+    size B, value for value.
     """
 
     def __init__(self, width: int, from_uniform: Callable[[np.ndarray], np.ndarray]):
         self.width = width
         self.from_uniform = from_uniform
 
-    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.from_uniform(rng.random((self.width, size)))
+    def __call__(self, rng: np.random.Generator, size: int | tuple[int, int]) -> np.ndarray:
+        *lead, batch = np.atleast_1d(size).tolist()
+        return self.from_uniform(rng.random((*lead, self.width, batch)))
 
 
 def program_sampler(programs: Sequence[ProgramSpec], joint=None) -> Sampler:

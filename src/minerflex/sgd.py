@@ -122,43 +122,9 @@ def sample_subgradient(
     return np.array(_subgradient(fleet.rewards, breaks, p.tolist(), eps, c.tolist()))
 
 
-def _descend(fleet, prices, num, cap, iterations: int, blocks, trajectory=None) -> np.ndarray:
-    """Projected subgradient steps c <- P(c - num/sqrt(j) g_j) from c = 0.
-
-    ``blocks`` yields (m, B, N) arrays whose leading axis runs over
-    consecutive iterations, each entry holding that iteration's effective
-    samples. Appends each iterate to ``trajectory`` when given and returns
-    the iterate average. The N-long profile, step and average are Python
-    floats, with numpy's elementwise IEEE operations in numpy's order, so
-    only :func:`_subgradient`'s batch-row work pays numpy's per-call cost.
-    """
-    rewards, breaks, p = fleet.rewards, capped_breaks(fleet.cum_capacities), prices.tolist()
-    c = [0.0] * len(p)
-    acc = [0.0] * len(p)
-    j = 0
-    for block in blocks:
-        for eps in block:
-            j += 1
-            acc = [a + x for a, x in zip(acc, c)]
-            grad = _subgradient(rewards, breaks, p, eps, c)
-            # (D/G)/sqrt(j), not step_size's D/(G sqrt(j)): on the shipped
-            # parametric fleet the two round apart in 2,598 of the first
-            # 10,000 steps, so switching would change every solve's bits
-            step = num / math.sqrt(j)
-            c = project_simplex_list([x - step * g for x, g in zip(c, grad)], cap)
-            if trajectory is not None:
-                trajectory.append(np.array(c))
-    return np.array([a / iterations for a in acc])
-
-
-# Iterations whose samples are drawn in one generator call; drawing the
+# Iterations whose samples are drawn in one sampler call; drawing the
 # whole run at once would hold an (iterations, B, N) sample block.
 _DRAW_CHUNK = 64
-
-
-def _chunks(iterations: int) -> list[int]:
-    """Sizes of the draw blocks that cover ``iterations``, in order."""
-    return [min(_DRAW_CHUNK, iterations - start) for start in range(0, iterations, _DRAW_CHUNK)]
 
 
 def _shaped(samples, shape: tuple[int, ...]) -> np.ndarray:
@@ -173,18 +139,17 @@ def _shaped(samples, shape: tuple[int, ...]) -> np.ndarray:
 def solve(
     fleet: FleetSpec,
     programs: Sequence[ProgramSpec],
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
+    sampler: Callable[[np.random.Generator, int | tuple[int, int]], np.ndarray],
     config: SgdConfig,
     record_trajectory: bool = False,
 ) -> SgdResult:
     """Run projected stochastic subgradient descent, returning the iterate average.
 
-    ``sampler(rng, m)`` must draw m i.i.d. raw deployment vectors, shape
-    (m, N); down-program components are direction-flipped here before the
-    subgradient is formed. A sampler with ``width`` and ``from_uniform``
-    (a :class:`~minerflex.programs.Sampler`) is drawn for up to 64
-    iterations from one ``rng.random`` block, which is the stream of one
-    call per iteration. Starts from c = 0 (no participation).
+    ``sampler(rng, size)`` draws i.i.d. raw deployment vectors of shape
+    (*size, N) for an int or (m, B) ``size``, where one (m, B) call draws the
+    generator stream of m calls of size B. Each block of up to 64 iterations
+    is one such call. Down-program components are direction-flipped here
+    before the subgradient is formed. Starts from c = 0 (no participation).
     """
     n = len(programs)
     if n == 0:
@@ -194,57 +159,30 @@ def solve(
     cap = fleet.total_capacity_mw
     num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(p.max()))
     rng = np.random.default_rng(config.seed)
-    batch, width = config.batch, getattr(sampler, "width", None)
-
-    def draw(m: int) -> np.ndarray:
-        if width is None:
-            eps = np.array([_shaped(sampler(rng, batch), (batch, n)) for _ in range(m)])
-        else:
-            # one block of uniforms is the stream of m sampler calls
-            eps = _shaped(sampler.from_uniform(rng.random((m, width, batch))), (m, batch, n))
-        return flip_down(eps, down) if down.any() else eps
-
-    blocks = map(draw, _chunks(config.iterations))
+    rewards, breaks, prices = fleet.rewards, capped_breaks(fleet.cum_capacities), p.tolist()
+    # The N-long profile, step and average are Python floats, with numpy's
+    # elementwise IEEE operations in numpy's order, so only _subgradient's
+    # batch-row work pays numpy's per-call cost.
+    c = [0.0] * n
+    acc = [0.0] * n
     trajectory: list[np.ndarray] | None = [np.zeros(n)] if record_trajectory else None
-    average = _descend(fleet, p, num, cap, config.iterations, blocks, trajectory)
+    j = 0
+    for start in range(0, config.iterations, _DRAW_CHUNK):
+        m = min(_DRAW_CHUNK, config.iterations - start)
+        block = _shaped(sampler(rng, (m, config.batch)), (m, config.batch, n))
+        for eps in flip_down(block, down) if down.any() else block:
+            j += 1
+            acc = [a + x for a, x in zip(acc, c)]
+            grad = _subgradient(rewards, breaks, prices, eps, c)
+            # (D/G)/sqrt(j), not step_size's D/(G sqrt(j)): on the shipped
+            # parametric fleet the two round apart in 2,598 of the first
+            # 10,000 steps, so switching would change every solve's bits
+            step = num / math.sqrt(j)
+            c = project_simplex_list([x - step * g for x, g in zip(c, grad)], cap)
+            if trajectory is not None:
+                trajectory.append(np.array(c))
+    average = np.array([a / config.iterations for a in acc])
     bound = suboptimality_bound(
         config.iterations, n, float(fleet.rewards[-1]), float(p.max()), cap
     )
     return SgdResult(profile=Profile(average), bound=bound, trajectory=trajectory)
-
-
-def resampled_solve(
-    fleet: FleetSpec,
-    prices: np.ndarray,
-    rows: np.ndarray,
-    directions: Sequence[str],
-    iterations: int,
-    batch: int,
-    seed: int,
-) -> np.ndarray:
-    """Iterate average of projected SGD on draws with replacement from ``rows`` (J, N).
-
-    Equals :func:`solve` with ``SgdConfig(iterations, batch, seed)``,
-    ``prices`` in place of the programs' quoted prices and a sampler that
-    draws ``rows[rng.integers(0, J, batch)]``: same step numerator D / G,
-    same generator stream, same arithmetic.
-    """
-    SgdConfig(iterations=iterations, batch=batch)  # validates both
-    n = len(directions)
-    if np.ndim(rows) != 2 or len(rows) == 0 or np.shape(rows)[1] != n:
-        raise InvalidInputError(f"rows must be (J >= 1, {n}), got {np.shape(rows)}")
-    if not np.isfinite(rows).all():
-        raise InvalidInputError("rows must be finite")
-    if np.shape(prices) != (n,):
-        raise InvalidInputError(f"prices must be ({n},), got {np.shape(prices)}")
-    if not np.isfinite(prices).all():
-        raise InvalidInputError("prices must be finite")
-    cap = fleet.total_capacity_mw
-    num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(np.max(prices)))
-    table = flip_down(np.asarray(rows, dtype=float), np.asarray(directions) == "down")
-    rng = np.random.default_rng(seed)
-    # Bounded integers take 32-bit halves of the generator's 64-bit outputs and
-    # keep the spare half in the generator state, so an (m, B) block of
-    # resample indices is the same stream as m calls of size B.
-    blocks = (table[rng.integers(0, len(table), (m, batch))] for m in _chunks(iterations))
-    return _descend(fleet, np.asarray(prices, dtype=float), num, cap, iterations, blocks)

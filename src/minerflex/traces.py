@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import load_config
+from .config import finite, load_config
 from .deployment import SlotBatch
 from .errors import InvalidInputError, ModelViolationError, NumericalError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
@@ -424,14 +424,15 @@ class PriceBlock:
     @classmethod
     def from_config(cls, cfg: dict, name: str) -> "PriceBlock":
         if "hourly_mean" in cfg:
-            means = tuple(float(x) for x in cfg["hourly_mean"])
+            means = tuple(finite(x, f"{name}: hourly_mean") for x in cfg["hourly_mean"])
             if len(means) != 24:
                 raise InvalidInputError(f"{name}: hourly_mean needs 24 entries")
         elif "mean" in cfg:
-            means = (float(cfg["mean"]),) * 24
+            means = (finite(cfg["mean"], f"{name}: mean"),) * 24
         else:
             raise InvalidInputError(f"{name}: need 'mean' or 'hourly_mean'")
-        sd, lo, hi = float(cfg.get("sd", 0.0)), float(cfg.get("min", 0.0)), float(cfg.get("max", math.inf))
+        sd, lo = finite(cfg.get("sd", 0.0), f"{name}: sd"), finite(cfg.get("min", 0.0), f"{name}: min")
+        hi = finite(cfg["max"], f"{name}: max") if "max" in cfg else math.inf
         if sd < 0:
             raise InvalidInputError(f"{name}: sd must be >= 0, got {sd}")
         if lo > hi:
@@ -491,7 +492,9 @@ def _parse_synthesis_spec(cfg: dict) -> SynthesisSpec:
         coin_price=PriceBlock.from_config(cfg["coin_price"], "coin_price"),
         rt_price=PriceBlock.from_config(cfg["rt_price"], "rt_price"),
         programs=tuple(programs),
-        joint=joint_pair(programs, float(joint["theta"]), str(joint["up"]), str(joint["down"])) if joint else None,
+        joint=joint_pair(programs, finite(joint["theta"], "joint.theta"), str(joint["up"]), str(joint["down"]))
+        if joint
+        else None,
     )
 
 

@@ -438,19 +438,23 @@ def test_criterion_9_distribution_utilities():
     )
 
 
-def _run_cli(*argv):
-    proc = subprocess.run(
+def _start_cli(*argv):
+    return subprocess.Popen(
         [sys.executable, "-m", "minerflex.cli", *map(str, argv)],
-        capture_output=True, text=True, env=child_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=child_env(),
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc
+
+
+def _finish(*children):
+    errors = [child.communicate(timeout=300)[1] for child in children]
+    for child, err in zip(children, errors):
+        assert child.returncode == 0, err
 
 
 def test_criterion_10_cli_determinism(tmp_path):
     t0 = time.time()
     tr = tmp_path / "tr"
-    _run_cli("synthesize-traces", "--spec", CONFIGS / "synthesis_week.json", "--seed", 17, "--out", tr)
+    _finish(_start_cli("synthesize-traces", "--spec", CONFIGS / "synthesis_week.json", "--seed", 17, "--out", tr))
     commands = {
         "synthesize-traces": ["synthesize-traces", "--spec", CONFIGS / "synthesis_week.json", "--seed", 9],
         "solve-offline": [
@@ -472,11 +476,10 @@ def test_criterion_10_cli_determinism(tmp_path):
     }
     identical = True
     for name, argv in commands.items():
-        outs = []
-        for tag in ("a", "b"):
-            out = tmp_path / f"{name}-{tag}"
-            _run_cli(*argv, "--out", out)
-            outs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        # the two runs of a command go at once, in separate interpreters (so separate hash seeds)
+        dirs = [tmp_path / f"{name}-{tag}" for tag in ("a", "b")]
+        _finish(*(_start_cli(*argv, "--out", out) for out in dirs))
+        outs = [{p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))} for out in dirs]
         if outs[0] != outs[1] or not outs[0]:
             identical = False
             print(f"  non-deterministic CSV output from {name}")

@@ -324,6 +324,8 @@ SEMANTIC_DEFECTS = {
     "fleet": {
         "duplicate_machine_id": ((1, "id"), "s19-class", "duplicate machine id 's19-class'"),
         "huge_integer": ((0, "capacity_mw"), HUGE, "too large to convert to float"),
+        # float() reads these strings as non-finite numbers; each once ran on to "costs overflow" (exit 3)
+        "nan_string": ((0, "capacity_mw"), "nan", "machine #0: capacity_mw must be finite, got 'nan'"),
     },
     "programs": {
         "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
@@ -332,17 +334,23 @@ SEMANTIC_DEFECTS = {
         "no_eps_model": (("programs", 0, "eps"), None, "program 'presp' has no sampled eps_model"),
         "negative_net_reward": (("economics", "electricity_price"), 500, "has negative net reward"),
         "huge_integer": (("programs", 0, "price"), HUGE, "too large to convert to float"),
+        "nan_string": (("programs", 0, "price"), "nan", "program 'presp': price must be finite, got 'nan'"),
     },
     "reg": {
         "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
         "duplicate_machine_id": (("fleet", 1, "id"), "s19-class", "duplicate machine id 's19-class'"),
         "huge_integer": (("p_up",), HUGE, "too large to convert to float"),
+        "nan_string_p_up": (("p_up",), "nan", "p_up must be finite, got 'nan'"),
+        # once exit 3 from writing a NaN into summary.json, naming no config
+        "nan_string_p_dn": (("p_dn",), "nan", "p_dn must be finite, got 'nan'"),
     },
     "risk": {
         "negative_risk_weight": (("risk_weight",), -1, "risk_weight must be finite and >= 0, got -1.0"),
         "no_programs": (("programs",), [], "need at least one program"),
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
         "huge_integer": (("cap",), HUGE, "too large to convert to float"),
+        "nan_string_cap": (("cap",), "nan", "cap must be finite, got 'nan'"),
+        "nan_string_reward_rate": (("reward_rate",), "nan", "reward_rate must be finite, got 'nan'"),
     },
     "spec": {
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
@@ -358,6 +366,10 @@ SEMANTIC_DEFECTS = {
         "negative_sd": (("rt_price", "sd"), -1, "sd must be >= 0"),
         "min_above_max": (("coin_price", "min"), 23000, "exceeds max"),
         "huge_integer": (("coin_price", "mean"), HUGE, "too large to convert to float"),
+        # each once exited 0; the first two wrote nan cells that load_traces refused, "max" switched clipping off
+        "nan_string_sd": (("coin_price", "sd"), "nan", "coin_price: sd must be finite, got 'nan'"),
+        "nan_string_mean": (("coin_price", "mean"), "nan", "coin_price: mean must be finite, got 'nan'"),
+        "nan_string_max": (("coin_price", "max"), "nan", "coin_price: max must be finite, got 'nan'"),
     },
 }
 

@@ -313,8 +313,8 @@ CONFIG_COMMANDS = {
 }
 # literals json.dumps cannot write, spliced in for these marker strings
 LITERALS = {"\x01nan": "NaN", "\x01huge": "1e999", "\x01-huge": "-1e999"}
-# one past the synthesis bound, which a spec's ``hours`` must refuse
-CONFIG_VALUES = ["x", None, True, 0, [], {}, "a\rb", "\x00", traces_module.MAX_SYNTH_HOURS + 1, *LITERALS]
+# one past the synthesis bound, which a spec's ``hours`` must refuse, and strings float() reads as non-finite
+CONFIG_VALUES = ["x", None, True, 0, [], {}, "a\rb", "\x00", traces_module.MAX_SYNTH_HOURS + 1, "nan", "-inf", *LITERALS]
 
 
 def json_paths(node, at=()):

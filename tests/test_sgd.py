@@ -3,6 +3,7 @@ import inspect
 import math
 from collections import namedtuple
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from minerflex import (
     SgdConfig,
     TruncatedExponential,
     UniformEps,
+    compare_strategies,
     fit_lambda,
     fleet_from_rewards,
+    load_fleet_config,
     program_sampler,
     project_feasible,
     sample_joint,
@@ -31,11 +34,18 @@ from minerflex.deployment import project_simplex
 from minerflex.fleet import MachineType, canonicalize
 from minerflex.programs import prices_of
 from minerflex.regulation import joint_pair
-from minerflex.sgd import default_diameter, default_grad_bound, resampled_solve
-from minerflex.traces import PriceBlock
+from minerflex.sgd import default_diameter, default_grad_bound
+from minerflex.traces import PriceBlock, load_synthesis_spec
 
 from conftest import random_instance
 from test_traces import synth_spec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def rates(size, n):
+    """The (*size, n) shape a sampler returns for an int or (m, B) ``size``."""
+    return (*np.atleast_1d(size).tolist(), n)
 
 
 def feasible_grid(cap, n, step):
@@ -184,7 +194,7 @@ def test_solve_pushes_to_capacity_when_never_deployed():
     fleet = fleet_from_rewards([250.0], [150.0])
     programs = [ProgramSpec(id="a", price=20.0)]
     cfg = SgdConfig(iterations=4000, batch=2, seed=1)
-    result = solve(fleet, programs, lambda rng, m: np.zeros((m, 1)), cfg, record_trajectory=True)
+    result = solve(fleet, programs, lambda rng, size: np.zeros(rates(size, 1)), cfg, record_trajectory=True)
     assert result.trajectory[-1][0] == pytest.approx(250.0)
     assert result.profile.c[0] > 240.0
 
@@ -193,14 +203,14 @@ def test_solve_stays_at_zero_when_unprofitable():
     fleet = fleet_from_rewards([250.0], [150.0])
     programs = [ProgramSpec(id="a", price=20.0)]
     cfg = SgdConfig(iterations=500, batch=2, seed=1)
-    result = solve(fleet, programs, lambda rng, m: np.ones((m, 1)), cfg)
+    result = solve(fleet, programs, lambda rng, size: np.ones(rates(size, 1)), cfg)
     assert result.profile.c[0] == 0.0
 
 
 def test_solve_iterates_feasible(two_type_fleet, rng):
     programs = [ProgramSpec(id="a", price=30.0), ProgramSpec(id="b", price=10.0, direction="down")]
     cfg = SgdConfig(iterations=300, batch=3, seed=7)
-    result = solve(two_type_fleet, programs, lambda r, m: r.uniform(0, 1, (m, 2)), cfg, record_trajectory=True)
+    result = solve(two_type_fleet, programs, lambda r, size: r.uniform(0, 1, rates(size, 2)), cfg, record_trajectory=True)
     cap = two_type_fleet.total_capacity_mw
     for c in result.trajectory:
         assert np.all(c >= 0.0)
@@ -211,7 +221,7 @@ def test_solve_iterates_feasible(two_type_fleet, rng):
 def test_solve_deterministic(two_type_fleet):
     programs = [ProgramSpec(id="a", price=30.0), ProgramSpec(id="b", price=10.0)]
     cfg = SgdConfig(iterations=200, batch=4, seed=99)
-    sampler = lambda r, m: r.uniform(0, 1, (m, 2))
+    sampler = lambda r, size: r.uniform(0, 1, rates(size, 2))
     r1 = solve(two_type_fleet, programs, sampler, cfg, record_trajectory=True)
     r2 = solve(two_type_fleet, programs, sampler, cfg, record_trajectory=True)
     assert all(np.array_equal(a, b) for a, b in zip(r1.trajectory, r2.trajectory))
@@ -224,7 +234,7 @@ def test_averaged_iterate_gap_within_bound(two_type_fleet):
     # function; the averaged iterate must honor the reported guarantee
     programs = [ProgramSpec(id="a", price=30.0), ProgramSpec(id="b", price=12.0)]
     eps = np.array([0.35, 0.8])
-    sampler = lambda r, m: np.tile(eps, (m, 1))
+    sampler = lambda r, size: np.full(rates(size, 2), eps)
 
     def cost(c):
         from minerflex import realized_cost
@@ -250,7 +260,7 @@ def test_config_validation():
         SgdConfig(iterations=1, batch=0)
 
 
-# ── The resampling learner against the serial loop ─────────────────────────
+# ── solve against the serial loop ──────────────────────────────────────────
 
 
 def reference_projection(x, cap):
@@ -301,10 +311,24 @@ def assert_same_iterates(trajectory, reference):
 
 
 def resampling_sampler(rows):
+    """compare_strategies' pooled sampler: ``rows`` drawn with replacement."""
     def sampler(rng, size):
-        return rows[rng.integers(0, rows.shape[0], size)]
+        return rows[rng.integers(0, len(rows), size)]
 
     return sampler
+
+
+class IndexRows:
+    """A resample table of ``size`` rows whose row i is [i], built only as rows are drawn."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, index):
+        return np.asarray(index, dtype=float)[..., None]
 
 
 def clamped_mean_fleet(traces, machines):
@@ -356,7 +380,7 @@ def hot_afternoon_learners(seed):
     return learners, [p.direction for p in programs]
 
 
-def test_resampled_solve_matches_serial_reference_per_learner():
+def test_solve_on_the_resampler_matches_serial_reference_per_learner():
     learners, directions = hot_afternoon_learners(seed=31)
     # merged-reward afternoon hours sit beside 3-type hours
     assert {lr.fleet.n_types for lr in learners} == {2, 3}
@@ -370,13 +394,10 @@ def test_resampled_solve_matches_serial_reference_per_learner():
     down = np.array(directions) == "down"
     for iterations, batch in ((150, 7), (64, 8)):  # across and exactly at a draw chunk
         for lr in learners:
-            c = resampled_solve(lr.fleet, lr.prices, lr.rows, directions, iterations, batch, lr.seed)
-            assert c.shape == (len(directions),)
             cfg = SgdConfig(iterations=iterations, batch=batch, seed=lr.seed)
             reference = []
             ref = reference_solve(lr.fleet, lr.prices, down, resampling_sampler(lr.rows), cfg, reference)
-            assert c.tobytes() == ref.tobytes()
-            # the same loop records its iterates through solve on the resampling sampler
+            # compare_strategies' pooled programs: the mean prices, with each program's direction
             programs = [ProgramSpec(f"p{i}", float(q), d) for i, (q, d) in enumerate(zip(lr.prices, directions))]
             result = solve(lr.fleet, programs, resampling_sampler(lr.rows), cfg, record_trajectory=True)
             assert result.profile.c.tobytes() == ref.tobytes()
@@ -438,25 +459,30 @@ def sampler_cases():
 
 
 def test_block_draws_match_per_call_draws():
-    """One rng.random((m, width, B)) block is the stream of m per-call draws, value for value."""
-    for _, sampler, reference in sampler_cases():
-        for batch in (1, 7, 10):
+    """A sampler's (m, B) call is the stream of m calls of size B, value for value.
+
+    The resampler runs at :func:`test_chunked_integer_draws_match_per_call_draws`'
+    table sizes, up to 2**31 + 1 rows, over rows that hold their own index.
+    """
+    samplers = [(sampler, reference) for _, sampler, reference in sampler_cases()]
+    for size in (1, 5, 7, 13, 168, 8760, 2**31 + 1):
+        samplers.append((resampling_sampler(IndexRows(size)), lambda rng, b, size=size: rng.integers(0, size, (b, 1))))
+    for sampler, reference in samplers:
+        for batch in (1, 7, 8, 10):
             one, calls, block = (np.random.default_rng(batch) for _ in range(3))
-            expected = np.array([reference(one, batch) for _ in range(150)])
+            expected = np.array([reference(one, batch) for _ in range(150)], dtype=float)
             per_call = np.array([sampler(calls, batch) for _ in range(150)])
-            chunked = np.concatenate(
-                [sampler.from_uniform(block.random((m, sampler.width, batch))) for m in (64, 64, 22)]
-            )
-            assert expected.tobytes() == per_call.tobytes() == chunked.tobytes()
+            blocks = np.concatenate([sampler(block, (m, batch)) for m in (64, 64, 22)])
+            assert expected.tobytes() == per_call.tobytes() == blocks.tobytes()
             assert one.bit_generator.state == calls.bit_generator.state == block.bit_generator.state
 
 
 def test_solve_matches_serial_reference(two_type_fleet):
     two = [ProgramSpec(id="a", price=30.0), ProgramSpec(id="b", price=10.0, direction="down")]
-    uniform = lambda r, m: r.uniform(0, 1, (m, 2))  # noqa: E731  a plain callable
+    uniform = lambda r, size: r.uniform(0, 1, rates(size, 2))  # noqa: E731  a plain callable
     # nine programs take the numpy projection path
     nine = [ProgramSpec(id=f"p{i}", price=4.0 + 3.0 * i, direction=("up", "down")[i % 2]) for i in range(9)]
-    uniform9 = lambda r, m: r.uniform(0, 1, (m, 9))  # noqa: E731
+    uniform9 = lambda r, size: r.uniform(0, 1, rates(size, 9))  # noqa: E731
     cases = [(two, uniform, uniform), (nine, uniform9, uniform9), *sampler_cases()]
     # the desk fleet, and one topped by a zero-capacity type whose reward still sets the step
     fleets = [two_type_fleet, fleet_from_rewards([150.0, 100.0, 0.0], [94.0, 150.0, 170.0])]
@@ -489,17 +515,17 @@ def test_solve_rejects_non_finite_samples(two_type_fleet):
     for bad in (np.nan, np.inf, -np.inf):
         calls = []
 
-        def plain(rng, m, bad=bad):
-            # a bad rate on the 70th call, in the second draw block
-            calls.append(m)
-            out = rng.uniform(0.0, 1.0, (m, 2))
-            if len(calls) == 70:
-                out[-1, 1] = bad
+        def plain(rng, size, bad=bad):
+            # a bad rate in the second draw block's call
+            calls.append(size)
+            out = rng.uniform(0.0, 1.0, rates(size, 2))
+            if len(calls) == 2:
+                out[-1, -1, 1] = bad
             return out
 
         with pytest.raises(InvalidInputError, match="non-finite"):
             solve(two_type_fleet, programs, plain, cfg)
-        assert len(calls) == 70
+        assert calls == [(64, 3), (36, 3)]
 
         def from_uniform(u, bad=bad):
             out = np.stack([u[..., 0, :], u[..., 0, :]], axis=-1)
@@ -510,26 +536,21 @@ def test_solve_rejects_non_finite_samples(two_type_fleet):
             solve(two_type_fleet, programs, Sampler(1, from_uniform), cfg)
 
 
-def test_resampled_solve_validation():
-    fleet, prices, rows = fleet_from_rewards([100.0], [50.0]), np.array([10.0]), np.array([[0.5]])
-    assert resampled_solve(fleet, prices, rows, ["up"], 10, 2, 0).shape == (1,)
-    with pytest.raises(InvalidInputError):
-        resampled_solve(fleet, prices, rows, ["up"], 0, 2, 0)
-    with pytest.raises(InvalidInputError):
-        resampled_solve(fleet, prices, rows, ["up"], 10, 0, 0)
-    with pytest.raises(InvalidInputError):
-        resampled_solve(fleet, prices, np.zeros((0, 1)), ["up"], 10, 2, 0)
-    with pytest.raises(InvalidInputError):
-        resampled_solve(fleet, prices, np.array([0.5, 0.5]), ["up"], 10, 2, 0)
-    with pytest.raises(InvalidInputError):
-        resampled_solve(fleet, prices, rows, ["up", "up"], 10, 2, 0)
-    with pytest.raises(InvalidInputError):
-        resampled_solve(fleet, np.array([1.0, 2.0]), rows, ["up"], 10, 2, 0)
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(InvalidInputError, match="^rows must be finite"):
-            resampled_solve(fleet, prices, np.array([[0.5], [bad]]), ["up"], 10, 2, 0)
-        with pytest.raises(InvalidInputError, match="^prices must be finite"):
-            resampled_solve(fleet, np.array([bad]), rows, ["up"], 10, 2, 0)
+def test_solve_rejects_misshapen_samples():
+    fleet, cfg = fleet_from_rewards([100.0], [50.0]), SgdConfig(iterations=10, batch=2)
+    two = [ProgramSpec("a", 10.0), ProgramSpec("b", 5.0)]
+    for programs, rows in (([two[0]], np.array([0.5, 0.5])), (two, np.array([[0.5]]))):  # 1-D rows; too few columns
+        with pytest.raises(InvalidInputError, match=r"^sampler returned shape \("):
+            solve(fleet, programs, resampling_sampler(rows), cfg)
+
+
+def test_program_spec_rejects_a_bad_price():
+    for bad, message in ((-1.0, "price must be >= 0, got -1.0"), (np.nan, "price must be finite, got nan"),
+                         (np.inf, "price must be finite, got inf")):
+        with pytest.raises(InvalidInputError, match=f"^program 'a': {message}$"):
+            ProgramSpec("a", bad)
+    with pytest.raises(InvalidInputError, match="direction must be one of"):
+        ProgramSpec("a", 1.0, "sideways")
 
 
 def test_rowwise_projection_matches_per_row_calls(rng):
@@ -550,7 +571,7 @@ def test_rowwise_projection_matches_per_row_calls(rng):
 
 
 def test_chunked_integer_draws_match_per_call_draws():
-    """resampled_solve draws (m, B) index blocks; they must be the per-call stream.
+    """compare_strategies' resampler draws (m, B) index blocks; they must be the per-call stream.
 
     2**31 + 1 rejects about half of its 32-bit candidates, and odd batches
     leave a spare half-word between calls: both must carry over identically.
@@ -562,3 +583,11 @@ def test_chunked_integer_draws_match_per_call_draws():
             chunked = np.concatenate([block.integers(0, size, (m, batch)) for m in (64, 64, 22)])
             assert np.array_equal(per_call, chunked)
             assert one.bit_generator.state == block.bit_generator.state
+
+
+def test_pooled_fixed_profile_keeps_its_bytes():
+    """Criterion 8's pooled learner, trained through ``solve`` on the resampler."""
+    traces = synthesize_traces(load_synthesis_spec(CONFIGS / "synthesis_week.json"), seed=17)
+    programs = [ProgramSpec(id="presp", price=12.0), ProgramSpec(id="regup", price=26.0)]
+    rep = compare_strategies(traces, load_fleet_config(CONFIGS / "fleet.json"), programs, sgd_iterations=2000, seed=7)
+    assert rep.fixed_profile.tobytes().hex() == "26eb978160a6b73fde38523baae86e40"
