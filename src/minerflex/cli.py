@@ -246,8 +246,8 @@ def cmd_solve_offline(args) -> dict:
         traces, batch = observed_slots(traces, machines, programs, clamp_negative=args.clamp_negative_rewards)
         hours = np.array([ts.hour for ts in traces.timestamps])
         profiles, gaps = hour_optima(batch, hours)
-        costs = batch.costs_for(profiles)
-        in_sample = [costs[hours == h, h].mean() if (hours == h).any() else math.nan for h in range(24)]
+        costs = batch.cost_and_subgradient(slice(None), profiles[hours])[0]
+        in_sample = [costs[hours == h].mean() if (hours == h).any() else math.nan for h in range(24)]
         columns = [*profiles.T, np.array(in_sample), gaps]
         # the largest certified gap over the hours that have slots
         bound = float(np.nanmax(gaps))

@@ -14,15 +14,21 @@ import math
 from .errors import InvalidInputError, ModelViolationError
 
 
-def finite(value, name: str = "number") -> float:
-    """``float(value)``, raising ``ValueError`` that names ``name`` unless it is finite.
+def _literal(text: str) -> float:
+    """A JSON number literal or constant as it decodes, unless it is not finite."""
+    if not math.isfinite(number := float(text)):
+        raise ValueError(f"number must be finite, got {text!r}")
+    return number
 
-    It checks JSON number literals as they decode, and the config fields,
-    where ``float()`` would also read strings such as ``"nan"`` and ``"-inf"``.
+
+def finite(value, name: str) -> float:
+    """``float(value)`` of a config field, raising ``ValueError`` that names ``name`` unless it is a finite number.
+
+    Booleans and strings are not numbers, though ``float()`` reads ``true`` as
+    1.0, ``"12"`` as 12.0 and ``"nan"`` as nan.
     """
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if isinstance(value, (bool, str)) or not math.isfinite(number := float(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
 
 
@@ -35,7 +41,7 @@ def load_config(path, parse):
     """
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_float=finite, parse_constant=finite)
+            data = json.load(fh, parse_float=_literal, parse_constant=_literal)
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot read config ({exc.strerror})") from None
     except ValueError as exc:

@@ -194,7 +194,7 @@ def allocate_deployment(fleet: FleetSpec, total_deployed: float) -> Allocation:
 def critical_type(fleet: FleetSpec, total_deployed: float) -> int:
     """Smallest 1-based q with total_deployed <= cap_1 + ... + cap_q."""
     total = _clamp_total(float(total_deployed), fleet.total_capacity_mw)
-    return int(np.searchsorted(fleet.cum_capacities, total, side="left")) + 1
+    return int(slot_piece(fleet.cum_capacities, total)[1]) + 1
 
 
 def _check_sizes(c: np.ndarray, eps: np.ndarray, p: np.ndarray):
@@ -338,10 +338,9 @@ def realized_cost_batch(
 class FleetStack:
     """The tables of several fleets as rows of (F, K) arrays, by ascending reward.
 
-    A type of zero capacity changes no cost, so a fleet with fewer types comes padded
-    with its last reward at zero capacity. Cumulative capacities and prefix
-    costs come from :func:`~minerflex.fleet.fleet_tables`, column by column, so
-    row f holds fleet f's :class:`FleetSpec` tables bit for bit.
+    Cumulative capacities and prefix costs come from
+    :func:`~minerflex.fleet.fleet_tables`, column by column, so row f holds
+    fleet f's :class:`FleetSpec` tables bit for bit.
     """
 
     def __init__(self, rewards: np.ndarray, capacities: np.ndarray, tables=None):
@@ -389,21 +388,19 @@ class SlotBatch(FleetStack):
     def cost_and_subgradient(self, rows, c: np.ndarray):
         """(R,) costs and (R, N) subgradients r_k eps - p of R slots, one profile per slot.
 
-        ``rows`` is an index array or a slice (one slot t is ``slice(t, t + 1)``)
-        and ``c`` the (R, N) profiles, costed by :func:`slot_cost` on the
-        selected fleets.
+        ``rows`` is an index array or a slice (one slot t is ``slice(t, t + 1)``,
+        every slot ``slice(None)``) and ``c`` the (R, N) profiles, or one (N,)
+        profile for every slot, costed by :func:`slot_cost` on the selected fleets.
         """
         eps, prices = self.eps[rows], self.prices[rows]
         cost, slope = slot_cost(self.select(rows), eps, prices, c)
         return cost, slope[:, None] * eps - prices
 
-    def costs_for(self, candidates: np.ndarray) -> np.ndarray:
-        """(T, B) per-slot costs for a (B, N) batch of profiles."""
-        return slot_cost(self, self.eps[:, None], self.prices[:, None], np.atleast_2d(candidates))[0]
+    def totals(self, points: np.ndarray):
+        """(P,) total costs and (P, N) subgradients at (P, N) profiles, from one :func:`slot_cost` pass.
 
-    def total_costs(self, candidates: np.ndarray) -> np.ndarray:
-        return self.costs_for(candidates).sum(axis=0)
-
-    def total_subgradient(self, c: np.ndarray) -> np.ndarray:
-        _, k = slot_piece(self.cum_capacities, dot(self.eps, c))
-        return (self.rewards[k][:, None] * self.eps - self.prices).sum(axis=0)
+        It is :func:`~minerflex.cutting.minimize`'s ``evaluate``. Each point sums its subgradient
+        over its own (T, N) block: a (T, P, N) sum would reduce in another order where N = 1.
+        """
+        cost, slope = slot_cost(self, self.eps[:, None], self.prices[:, None], points)
+        return cost.sum(axis=0), np.array([(r[:, None] * self.eps - self.prices).sum(axis=0) for r in slope.T])

@@ -77,11 +77,7 @@ def hindsight_optimum(batch: SlotBatch) -> tuple[Profile, float]:
     The total cost F(c) = sum_t max_k(prefix_tk + r_tk eps_t.c) - p_t.c is
     convex and polyhedral, so the cutting-plane core minimizes it exactly.
     """
-    c, _, gap = minimize(
-        lambda points: (batch.total_costs(points), np.array([batch.total_subgradient(c) for c in points])),
-        batch.n,
-        batch.cap,
-    )
+    c, _, gap = minimize(batch.totals, batch.n, batch.cap)
     return Profile(c), gap
 
 
@@ -168,7 +164,7 @@ def regret_report(batch: SlotBatch, costs: np.ndarray, bound: float) -> RegretRe
     summed in round order, as a running total would sum them.
     """
     hindsight, gap = hindsight_optimum(batch)
-    static = float(np.cumsum(costs)[-1]) - float(batch.total_costs(hindsight.c[None, :])[0])
+    static = float(np.cumsum(costs)[-1]) - float(batch.totals(hindsight.c[None, :])[0][0])
     return RegretReport(
         static_regret=static,
         average_regret=static / batch.T,
@@ -180,5 +176,4 @@ def regret_report(batch: SlotBatch, costs: np.ndarray, bound: float) -> RegretRe
 
 def per_round_costs(batch: SlotBatch, profile) -> np.ndarray:
     """Cost of holding one fixed profile in every round (for regret curves)."""
-    c = np.asarray(getattr(profile, "c", profile), dtype=float)
-    return batch.costs_for(c[None, :])[:, 0]
+    return batch.cost_and_subgradient(slice(None), np.asarray(getattr(profile, "c", profile), dtype=float))[0]

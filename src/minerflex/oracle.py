@@ -256,16 +256,15 @@ def compare_strategies(
     ).profile.c
     even = np.full(n, cap / n)
     candidates = np.array([trained, np.zeros(n), even])
-    fixed = candidates[int(np.argmin(batch.total_costs(candidates)))]
+    fixed = candidates[int(np.argmin(batch.totals(candidates)[0]))]
 
     hours = np.array([ts.hour for ts in traces.timestamps])
     hour_profiles, hour_gaps = hour_optima(batch, hours)
     per_slot = {
-        "optimized": -batch.costs_for(hour_profiles)[np.arange(len(traces)), hours],
-        "fixed_profile": -batch.costs_for(fixed[None, :])[:, 0],
-        "even_split": -batch.costs_for(even[None, :])[:, 0],
-        "none": np.zeros(len(traces)),
+        name: -batch.cost_and_subgradient(slice(None), c)[0]
+        for name, c in (("optimized", hour_profiles[hours]), ("fixed_profile", fixed), ("even_split", even))
     }
+    per_slot["none"] = np.zeros(len(traces))
     return StrategyReport(
         mean_profit={k: float(v.mean()) for k, v in per_slot.items()},
         slot_profits=per_slot,

@@ -443,7 +443,6 @@ class PriceBlock:
 @dataclass(frozen=True)
 class SynthProgram:
     id: str
-    direction: str
     price: PriceBlock
     eps_model: object
 
@@ -479,16 +478,18 @@ def _parse_synthesis_spec(cfg: dict) -> SynthesisSpec:
         programs.append(
             SynthProgram(
                 id=str(p["id"]),
-                direction=str(p.get("direction", "up")),
                 price=PriceBlock.from_config(p["price"], f"program {p['id']}"),
                 eps_model=parse_eps_model(p["eps"]),
             )
         )
     check_program_ids(p.id for p in programs)
     joint = cfg.get("joint")
+    hours = finite(cfg["hours"], "hours")
+    if not hours.is_integer():
+        raise InvalidInputError(f"hours must be a whole number, got {cfg['hours']!r}")
     return SynthesisSpec(
         start=parse_timestamp(cfg["start"]),
-        hours=int(cfg["hours"]),
+        hours=int(hours),
         coin_price=PriceBlock.from_config(cfg["coin_price"], "coin_price"),
         rt_price=PriceBlock.from_config(cfg["rt_price"], "rt_price"),
         programs=tuple(programs),

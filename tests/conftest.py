@@ -8,7 +8,7 @@ import pytest
 
 import minerflex
 from minerflex import InvalidInputError, ProgramSpec, fleet_from_rewards
-from minerflex.deployment import FleetStack, SlotBatch, as_vector
+from minerflex.deployment import FleetStack, SlotBatch, as_vector, dot, slot_cost, slot_piece
 from minerflex.programs import prices_of
 
 
@@ -92,3 +92,22 @@ def slot_batch_of(fleets, programs_seq, samples, cap, missing_masks=None):
     if batch.cap != cap:
         raise InvalidInputError(f"fleet capacity {batch.cap} != cap {cap}")
     return batch
+
+
+def slot_costs(batch, points):
+    """(T, P) per-slot costs of a :class:`SlotBatch` at each of a (P, N) block of profiles."""
+    return slot_cost(batch, batch.eps[:, None], batch.prices[:, None], np.atleast_2d(points))[0]
+
+
+def per_point_totals(batch, points):
+    """Reference for :meth:`SlotBatch.totals`: the per-point path it replaced.
+
+    The values are :func:`slot_costs` summed over slots; each point's subgradient
+    takes its pieces from :func:`slot_piece` of that point's own (T,) deployed
+    totals, then sums r_k eps - p over slots.
+    """
+    grads = []
+    for c in np.atleast_2d(points):
+        _, k = slot_piece(batch.cum_capacities, dot(batch.eps, c))
+        grads.append((batch.rewards[k][:, None] * batch.eps - batch.prices).sum(axis=0))
+    return slot_costs(batch, points).sum(axis=0), np.array(grads)

@@ -366,7 +366,7 @@ def test_criterion_7_online_regret():
             # the prefix's own batch (test_verify_draws.py pins it equal to a rebuild)
             arrays = batch.take(slice(0, t))
             prefix_opt, _ = hindsight_optimum(arrays)
-            return float(played[:t].sum() - arrays.total_costs(prefix_opt.c[None, :])[0])
+            return float(played[:t].sum() - arrays.totals(prefix_opt.c[None, :])[0][0])
 
         r_quarter = prefix_regret(horizon // 4)
         r_ninety = prefix_regret(int(horizon * 0.9))

@@ -325,7 +325,10 @@ SEMANTIC_DEFECTS = {
         "duplicate_machine_id": ((1, "id"), "s19-class", "duplicate machine id 's19-class'"),
         "huge_integer": ((0, "capacity_mw"), HUGE, "too large to convert to float"),
         # float() reads these strings as non-finite numbers; each once ran on to "costs overflow" (exit 3)
-        "nan_string": ((0, "capacity_mw"), "nan", "machine #0: capacity_mw must be finite, got 'nan'"),
+        "nan_string": ((0, "capacity_mw"), "nan", "machine #0: capacity_mw must be a finite number, got 'nan'"),
+        # float() reads true as 1.0 and "12" as 12.0; each once ran on and exited 0
+        "boolean": ((0, "capacity_mw"), True, "machine #0: capacity_mw must be a finite number, got True"),
+        "numeric_string": ((0, "capacity_mw"), "100", "machine #0: capacity_mw must be a finite number, got '100'"),
     },
     "programs": {
         "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
@@ -334,23 +337,29 @@ SEMANTIC_DEFECTS = {
         "no_eps_model": (("programs", 0, "eps"), None, "program 'presp' has no sampled eps_model"),
         "negative_net_reward": (("economics", "electricity_price"), 500, "has negative net reward"),
         "huge_integer": (("programs", 0, "price"), HUGE, "too large to convert to float"),
-        "nan_string": (("programs", 0, "price"), "nan", "program 'presp': price must be finite, got 'nan'"),
+        "nan_string": (("programs", 0, "price"), "nan", "program 'presp': price must be a finite number, got 'nan'"),
+        "boolean": (("programs", 0, "price"), True, "program 'presp': price must be a finite number, got True"),
+        "numeric_string": (("programs", 0, "price"), "12", "program 'presp': price must be a finite number, got '12'"),
     },
     "reg": {
         "negative_coin_price": (("economics", "coin_price"), -1, "coin_price must be >= 0, got -1.0"),
         "duplicate_machine_id": (("fleet", 1, "id"), "s19-class", "duplicate machine id 's19-class'"),
         "huge_integer": (("p_up",), HUGE, "too large to convert to float"),
-        "nan_string_p_up": (("p_up",), "nan", "p_up must be finite, got 'nan'"),
+        "nan_string_p_up": (("p_up",), "nan", "p_up must be a finite number, got 'nan'"),
         # once exit 3 from writing a NaN into summary.json, naming no config
-        "nan_string_p_dn": (("p_dn",), "nan", "p_dn must be finite, got 'nan'"),
+        "nan_string_p_dn": (("p_dn",), "nan", "p_dn must be a finite number, got 'nan'"),
+        "boolean": (("theta",), False, "theta must be a finite number, got False"),
+        "numeric_string": (("p_up",), "20", "p_up must be a finite number, got '20'"),
     },
     "risk": {
         "negative_risk_weight": (("risk_weight",), -1, "risk_weight must be finite and >= 0, got -1.0"),
         "no_programs": (("programs",), [], "need at least one program"),
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
         "huge_integer": (("cap",), HUGE, "too large to convert to float"),
-        "nan_string_cap": (("cap",), "nan", "cap must be finite, got 'nan'"),
-        "nan_string_reward_rate": (("reward_rate",), "nan", "reward_rate must be finite, got 'nan'"),
+        "nan_string_cap": (("cap",), "nan", "cap must be a finite number, got 'nan'"),
+        "nan_string_reward_rate": (("reward_rate",), "nan", "reward_rate must be a finite number, got 'nan'"),
+        "boolean": (("risk_weight",), True, "risk_weight must be a finite number, got True"),
+        "numeric_string": (("cap",), "10", "cap must be a finite number, got '10'"),
     },
     "spec": {
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
@@ -367,9 +376,14 @@ SEMANTIC_DEFECTS = {
         "min_above_max": (("coin_price", "min"), 23000, "exceeds max"),
         "huge_integer": (("coin_price", "mean"), HUGE, "too large to convert to float"),
         # each once exited 0; the first two wrote nan cells that load_traces refused, "max" switched clipping off
-        "nan_string_sd": (("coin_price", "sd"), "nan", "coin_price: sd must be finite, got 'nan'"),
-        "nan_string_mean": (("coin_price", "mean"), "nan", "coin_price: mean must be finite, got 'nan'"),
-        "nan_string_max": (("coin_price", "max"), "nan", "coin_price: max must be finite, got 'nan'"),
+        "nan_string_sd": (("coin_price", "sd"), "nan", "coin_price: sd must be a finite number, got 'nan'"),
+        "nan_string_mean": (("coin_price", "mean"), "nan", "coin_price: mean must be a finite number, got 'nan'"),
+        "nan_string_max": (("coin_price", "max"), "nan", "coin_price: max must be a finite number, got 'nan'"),
+        "boolean": (("coin_price", "sd"), True, "coin_price: sd must be a finite number, got True"),
+        "numeric_string": (("coin_price", "mean"), "20000", "coin_price: mean must be a finite number, got '20000'"),
+        # int() once read these as 168 and 1 hours, and exited 0
+        "fractional_hours": (("hours",), 168.7, "hours must be a whole number, got 168.7"),
+        "boolean_hours": (("hours",), True, "hours must be a finite number, got True"),
     },
 }
 
@@ -409,6 +423,17 @@ def test_malformed_config_exit_code(tmp_path, capsys):
             if rc != 2 or str(path) not in err or (message and message not in err):
                 failures.append(f"{name}/{defect}: exit {rc}: {err.strip()}")
     assert not failures, "\n".join(failures)
+
+
+def test_synthesis_hours_may_be_a_whole_float(tmp_path):
+    """A spec's "hours": 168.0 synthesizes the bytes of 168; SEMANTIC_DEFECTS holds a fractional and a boolean "hours"."""
+    cfg = json.loads((CONFIGS / "synthesis_week.json").read_text())
+    for name, hours in (("int", 168), ("whole", 168.0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**cfg, "hours": hours}))
+        assert main([str(a) for a in ["synthesize-traces", "--spec", path, "--seed", "17", "--out", tmp_path / name]]) == 0
+    for table in ("market.csv", "as.csv"):
+        assert (tmp_path / "whole" / table).read_bytes() == (tmp_path / "int" / table).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -729,12 +754,12 @@ def test_solve_offline_empty_hour_holds_pooled_optimum(traces_dir, tmp_path):
     assert batch.T == 161 and not (hours == 3).any()
     hour3 = np.array([float(x) for x in rows[3][1:3]])
     star = lp_hindsight_value(batch)
-    assert abs(float(batch.total_costs(hour3[None, :])[0]) - star) <= 1e-9 * max(1.0, abs(star))
+    assert abs(float(batch.totals(hour3[None, :])[0][0]) - star) <= 1e-9 * max(1.0, abs(star))
     assert rows[3][3:] == ["nan", "nan"]
     for h in set(range(24)) - {3}:
         profile, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
         assert rows[h][:3] + rows[h][4:] == [str(h), *map(repr, [*profile.c.tolist(), gap])], h
-        cost = batch.costs_for(profile.c[None, :])[hours == h, 0].mean()
+        cost = batch.cost_and_subgradient(slice(None), profile.c)[0][hours == h].mean()
         assert float(rows[h][3]) == pytest.approx(cost, rel=1e-12), h
 
 

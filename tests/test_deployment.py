@@ -21,7 +21,7 @@ from minerflex.deployment import FleetStack, capped_breaks, dot, realized_cost_b
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
 
-from conftest import fleet_stack_of, random_instance, slot_batch_of
+from conftest import fleet_stack_of, per_point_totals, random_instance, slot_batch_of
 
 
 def rule(a, b):
@@ -226,6 +226,60 @@ def test_capped_breakpoint_search_is_the_clipped_search(rng):
     assert capped_breaks(top.cum_capacities).searchsorted(300.0) == 1
 
 
+def test_critical_type_is_the_left_search_of_the_clamped_total(rng):
+    """critical_type's piece comes from slot_piece, and is the left search of the whole cum at every break."""
+    fleets = [
+        fleet_from_rewards([100.0, 150.0, 0.0], [10.0, 20.0, 30.0]),
+        fleet_from_rewards([0.0, 100.0, 150.0], [10.0, 20.0, 30.0]),
+        fleet_from_rewards([0.0, 60.0, 0.0, 90.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        fleet_from_rewards([250.0], [40.0]),
+        fleet_from_rewards([0.0, 0.0], [40.0, 50.0]),
+    ]
+    for _ in range(40):
+        k = int(rng.integers(1, 6))
+        caps = np.where(rng.random(k) < 0.3, 0.0, rng.uniform(1.0, 100.0, k))
+        fleets.append(fleet_from_rewards(caps, np.sort(rng.uniform(0.0, 200.0, k)) + np.arange(k) * 1e-6))
+    past = 0
+    for fleet in fleets:
+        cum = fleet.cum_capacities
+        cap = fleet.total_capacity_mw
+        # at, just below and just above every cumulative capacity; one ulp past 0 or cap snaps onto it
+        for total in np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf), [0.0]]).tolist():
+            want = int(np.searchsorted(cum, min(max(total, 0.0), cap), side="left")) + 1
+            if want > fleet.n_types:
+                # the search ran past the last type where the fsum capacity lies an ulp above cum[-1]:
+                # such a total is on the piece of cum[-1]
+                past += 1
+                want = int(np.searchsorted(cum, cum[-1], side="left")) + 1
+            assert critical_type(fleet, total) == want, (cum.tolist(), total)
+    assert past  # the seeded fleets hold such a case
+
+
+def test_totals_match_the_per_point_path_bit_for_bit(rng):
+    """SlotBatch.totals gives the bits of the per-point path it replaced, values and subgradients."""
+    # fleets of one to four types; two have a zero-capacity top type
+    layouts = [[250.0], [150.0, 100.0], [90.0, 60.0, 100.0], [150.0, 100.0, 0.0], [0.0, 100.0, 150.0, 0.0]]
+    for n in (1, 2, 3):
+        for trial in range(25):
+            T = int(rng.integers(1, 40))
+            fleets = []
+            for caps in (layouts[i] for i in rng.integers(0, len(layouts), T).tolist()):
+                rewards = np.sort(rng.uniform(0.0, 200.0, len(caps))) + np.arange(len(caps)) * 1e-6
+                fleets.append(fleet_from_rewards(caps, rewards))
+            programs_seq = [
+                [ProgramSpec(f"p{i}", float(rng.uniform(0.0, 60.0)), "down" if i == 1 else "up") for i in range(n)]
+                for _ in range(T)
+            ]
+            # some rates at the ends of [0, 1], so totals land on the breaks; about a fifth of the cells missing
+            raw = np.where(rng.random((T, n)) < 0.2, rng.integers(0, 2, (T, n)), rng.uniform(0.0, 1.0, (T, n)))
+            batch = slot_batch_of(fleets, programs_seq, list(raw), 250.0, list(rng.random((T, n)) < 0.2))
+            inner = rng.dirichlet(np.ones(n + 1), int(rng.integers(1, 6)))[:, :-1] * 250.0
+            for points in (np.vstack([np.zeros(n), 250.0 * np.eye(n), inner]), inner[:1]):
+                got, want = batch.totals(points), per_point_totals(batch, points)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (n, trial, len(points))
+
+
 def test_one_slot_costs_match_slot_cost_bit_for_bit(rng):
     # realized_cost against slot_cost's numpy path; cost_fixed_k against its formula on
     # Python floats, its products added left to right
@@ -313,8 +367,8 @@ def test_batch_matches_scalar(rng):
         masks.append(np.array([False, t % 2 == 0, True]) if t % 3 == 0 else None)
     batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
     cands = np.array([[60.0, 80.0, 40.0], [100.0, 100.0, 50.0]])
-    costs = batch.costs_for(cands)
-    for b, c in enumerate(cands):
+    for c in cands:
+        costs = batch.cost_and_subgradient(slice(None), c)[0]
         total_grad = np.zeros(3)
         for t, (fleet, programs) in enumerate(zip(fleets, programs_seq)):
             eff = effective_epsilon(samples[t], directions_of(programs)).epsilon.copy()
@@ -327,10 +381,10 @@ def test_batch_matches_scalar(rng):
             cost = realized_cost(fleet, programs, c, eff)
             grad = sample_subgradient(fleet, programs, c, eff[None, :])
             (round_cost,), (round_grad,) = batch.cost_and_subgradient(slice(t, t + 1), c[None])
-            np.testing.assert_allclose([costs[t, b], round_cost], cost, rtol=0, atol=1e-9)
+            np.testing.assert_allclose([costs[t], round_cost], cost, rtol=0, atol=1e-9)
             np.testing.assert_allclose(round_grad, grad, rtol=0, atol=1e-9)
             total_grad += grad
-        np.testing.assert_allclose(batch.total_subgradient(c), total_grad, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(batch.totals(c[None])[1][0], total_grad, rtol=0, atol=1e-9)
 
 
 def test_sample_and_profile_validation():

@@ -134,6 +134,23 @@ def test_no_blas_kernel_decides_a_cost():
     assert sorted(site[:2] for site in sites) == sorted(allowed)
 
 
+def _searchsorted(node) -> bool:
+    """Whether ``node`` names ``searchsorted``: ``np.searchsorted``, ``a.searchsorted`` or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "searchsorted"
+    return isinstance(node, ast.ImportFrom) and any(a.name == "searchsorted" for a in node.names)
+
+
+def test_slot_piece_is_the_one_piece_lookup():
+    """Every cost piece is found by ``deployment.slot_piece`` on ``capped_breaks``, or by SGD's own loop.
+
+    ``sgd._subgradient`` keeps its search on the breaks inline: its loop is at its floor.
+    """
+    allowed = {("deployment.py", "capped_breaks"), ("deployment.py", "slot_piece"), ("sgd.py", "_subgradient")}
+    sites = [(path.name, where, line) for path, tree in _modules() for where, line in _found(tree, _searchsorted)]
+    assert [site for site in sites if site[:2] not in allowed] == []
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it, unless its line is marked ``# noqa: F401``.
 

@@ -21,7 +21,7 @@ from minerflex.deployment import Profile, project_simplex, slot_cost
 from minerflex.online import hour_optima, per_round_costs, regret_report
 from minerflex.verify import check_online_regret
 
-from conftest import slot_batch_of
+from conftest import slot_batch_of, slot_costs
 
 
 def random_rounds(rng, horizon, caps=(150.0, 100.0), r_max=200.0, p_max=60.0, n=2):
@@ -76,7 +76,7 @@ def assert_matches_serial(batch, cfg, timestamps=None):
     ref_played, ref_costs, ref_total = serial_run_online(batch, cfg, timestamps)
     assert played.tobytes() == ref_played.tobytes()
     assert costs.tobytes() == ref_costs.tobytes()
-    static = ref_total - float(batch.total_costs(report.hindsight_profile.c[None, :])[0])
+    static = ref_total - float(batch.totals(report.hindsight_profile.c[None, :])[0][0])
     assert np.float64(report.static_regret).tobytes() == np.float64(static).tobytes()
     assert np.float64(report.average_regret).tobytes() == np.float64(static / batch.T).tobytes()
     # each learner's own (3/2) G D sqrt(T_l), summed over the learners that play
@@ -201,9 +201,9 @@ def test_stationary_convergence(rng):
     axis = np.linspace(0.0, 250.0, 501)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
-    best = float(arrays.total_costs(grid).min())
+    best = float(slot_costs(arrays, grid).sum(axis=0).min())
     late = played[-1]
-    late_cost = float(arrays.total_costs(late[None, :])[0])
+    late_cost = float(arrays.totals(late[None, :])[0][0])
     eta_late = cfg.diameter / (cfg.grad_bound * math.sqrt(400))
     assert late_cost - best <= cfg.grad_bound * (eta_late * cfg.grad_bound + 3.0)
     assert report.average_regret <= report.bound / 400.0
@@ -232,7 +232,7 @@ def test_static_regret_below_bound_random(rng):
         assert report.static_regret <= report.bound
         # Static regret itself may be negative (an adaptive learner can beat every
         # fixed profile); the hindsight profile must still be the best fixed one.
-        totals = batch.total_costs(np.vstack([played, report.hindsight_profile.c]))
+        totals = batch.totals(np.vstack([played, report.hindsight_profile.c]))[0]
         assert totals[-1] <= totals[:-1].min() + 1e-6 * max(1.0, abs(totals[-1]))
 
 
@@ -267,11 +267,11 @@ def test_hindsight_matches_dense_grid(rng):
     for _ in range(3):
         arrays = slot_batch_of(*random_rounds(rng, 50), 250.0)
         profile, _ = hindsight_optimum(arrays)
-        value = float(arrays.total_costs(profile.c[None, :])[0])
+        value = float(arrays.totals(profile.c[None, :])[0][0])
         axis = np.linspace(0.0, 250.0, 500)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
-        grid_best = float(arrays.total_costs(grid).min())
+        grid_best = float(slot_costs(arrays, grid).sum(axis=0).min())
         assert value <= grid_best + 1e-4 * 50 * 250.0 * 200.0
 
 
@@ -282,19 +282,19 @@ def test_hindsight_identical_rounds_single_round_argmin(rng):
     axis = np.linspace(0.0, 250.0, 800)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
-    assert float(arrays.total_costs(profile.c[None, :])[0]) <= float(
-        arrays.total_costs(grid).min()
+    assert float(arrays.totals(profile.c[None, :])[0][0]) <= float(
+        slot_costs(arrays, grid).sum(axis=0).min()
     ) + 1e-6 * 250.0 * 200.0
 
 
 def test_hindsight_three_programs_beats_coarse_grid(rng):
     arrays = slot_batch_of(*random_rounds(rng, 40, n=3), 250.0)
     profile, _ = hindsight_optimum(arrays)
-    value = float(arrays.total_costs(profile.c[None, :])[0])
+    value = float(arrays.totals(profile.c[None, :])[0][0])
     axis = np.linspace(0.0, 250.0, 80)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
-    assert value <= float(arrays.total_costs(grid).min()) + 1e-6
+    assert value <= float(slot_costs(arrays, grid).sum(axis=0).min()) + 1e-6
 
 
 def lp_hindsight_value(batch):
@@ -346,7 +346,7 @@ def test_hindsight_matches_lp_oracle(batch):
     profile, gap = hindsight_optimum(batch)
     star = lp_hindsight_value(batch)
     tol = 1e-9 * max(1.0, abs(star))
-    value = float(batch.total_costs(profile.c[None, :])[0])
+    value = float(batch.totals(profile.c[None, :])[0][0])
     assert abs(value - star) <= tol
     # the certificate bounds the true suboptimality and closes at the stopping tolerance
     assert value - star - tol <= gap <= 1e-9 * max(1.0, abs(value))
@@ -365,13 +365,13 @@ def assert_hour_optima_match_lp(batch, hours, profiles, gaps):
         if not rows.size:
             assert np.isnan(gaps[h]), f"hour {h}"
             star = lp_hindsight_value(batch)
-            value = float(batch.total_costs(profiles[h][None, :])[0])
+            value = float(batch.totals(profiles[h][None, :])[0][0])
             assert abs(value - star) <= 1e-9 * max(1.0, abs(star)), f"hour {h}"
             continue
         sub = batch.take(rows)
         star = lp_hindsight_value(sub)
         tol = 1e-9 * max(1.0, abs(star))
-        value = float(sub.total_costs(profiles[h][None, :])[0])
+        value = float(sub.totals(profiles[h][None, :])[0][0])
         assert abs(value - star) <= tol, f"hour {h}"
         assert value - star - tol <= gaps[h] <= 1e-9 * max(1.0, abs(value)), f"hour {h}"
 

@@ -247,20 +247,20 @@ def test_compare_strategies_hours_are_lp_optima():
     assert_hour_optima_match_lp(report.batch, hours, report.hour_profiles, report.hour_gaps)
     # the empty hour 3 holds the pooled exact optimum, which costs the window no more than the fixed profile
     assert report.hour_profiles[3].tobytes() == hindsight_optimum(report.batch)[0].c.tobytes()
-    totals = report.batch.total_costs(np.array([report.hour_profiles[3], report.fixed_profile]))
+    totals = report.batch.totals(np.array([report.hour_profiles[3], report.fixed_profile]))[0]
     assert totals[0] <= totals[1] + 1e-9 * max(1.0, abs(totals[1]))
     # each hour's exact optimum costs its slots no more than the fixed profile does
-    hour_costs = report.batch.costs_for(report.hour_profiles)
-    fixed = report.batch.costs_for(report.fixed_profile[None, :])[:, 0]
+    hour_costs = report.batch.cost_and_subgradient(slice(None), report.hour_profiles[hours])[0]
+    fixed = report.batch.cost_and_subgradient(slice(None), report.fixed_profile)[0]
     for h in np.unique(hours).tolist():
         rows = hours == h
-        assert hour_costs[rows, h].sum() <= fixed[rows].sum() + 1e-9 * max(1.0, abs(fixed[rows].sum()))
+        assert hour_costs[rows].sum() <= fixed[rows].sum() + 1e-9 * max(1.0, abs(fixed[rows].sum()))
 
 
 def test_compare_strategies_zero_prices():
     spec = synth_spec(hours=72)
     zero_programs = tuple(
-        type(p)(p.id, p.direction, type(p.price)((0.0,) * 24), p.eps_model)
+        type(p)(p.id, type(p.price)((0.0,) * 24), p.eps_model)
         for p in spec.programs
     )
     spec = type(spec)(
@@ -272,7 +272,7 @@ def test_compare_strategies_zero_prices():
         joint=spec.joint,
     )
     traces = synthesize_traces(spec, seed=2)
-    programs = [ProgramSpec(id=p.id, price=0.0, direction=p.direction) for p in spec.programs]
+    programs = [ProgramSpec(id=p.id, price=0.0, direction=p.direction) for p in base_programs()]
     report = compare_strategies(traces, fleet_config(), programs, sgd_iterations=400, seed=1)
     assert report.mean_profit["optimized"] == pytest.approx(0.0, abs=1e-9)
     assert report.mean_profit["none"] == 0.0

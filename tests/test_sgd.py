@@ -347,7 +347,7 @@ Learner = namedtuple("Learner", "fleet prices rows seed")
 
 
 def hot_afternoon_week(seed):
-    """A 72 h trace whose afternoons price mining out, its three machines and its programs.
+    """A 72 h trace whose afternoons price mining out, its three machines and its programs (unpriced).
 
     Real-time prices near 170 $/MWh floor the two older machine types at
     zero reward, so mean-reward fleets merge them into one type.
@@ -361,7 +361,9 @@ def hot_afternoon_week(seed):
         MachineType("old", 150.0, energy_intensity=130.0),
         MachineType("older", 60.0, energy_intensity=150.0),
     ]
-    return synthesize_traces(spec, seed=seed), machines, spec.programs
+    # the traces carry no direction; the programs take the usual ones of presp, regup and regdn
+    programs = [ProgramSpec(p.id, 0.0, "down" if p.id == "regdn" else "up") for p in spec.programs]
+    return synthesize_traces(spec, seed=seed), machines, programs
 
 
 def hot_afternoon_learners(seed):

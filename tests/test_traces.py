@@ -192,9 +192,9 @@ def same_outcome(a, b):
 
 def synth_spec(hours=24, joint=True):
     programs = (
-        SynthProgram("presp", "up", PriceBlock((12.0,) * 24, 1.0, 0.0, 100.0), PriceResponsiveModel(60.0)),
-        SynthProgram("regup", "up", PriceBlock((15.0,) * 24, 1.0, 0.0, 100.0), TruncatedExponential(fit_lambda(0.18))),
-        SynthProgram("regdn", "down", PriceBlock((9.0,) * 24, 1.0, 0.0, 100.0), TruncatedExponential(fit_lambda(0.27))),
+        SynthProgram("presp", PriceBlock((12.0,) * 24, 1.0, 0.0, 100.0), PriceResponsiveModel(60.0)),
+        SynthProgram("regup", PriceBlock((15.0,) * 24, 1.0, 0.0, 100.0), TruncatedExponential(fit_lambda(0.18))),
+        SynthProgram("regdn", PriceBlock((9.0,) * 24, 1.0, 0.0, 100.0), TruncatedExponential(fit_lambda(0.27))),
     )
     return SynthesisSpec(
         start=datetime(2022, 4, 4, tzinfo=UTC),
@@ -542,7 +542,7 @@ def test_synthesize_rejects_a_negative_sd():
 
 
 def test_synthesize_constant_prices():
-    programs = (SynthProgram("p", "up", PriceBlock((10.0,) * 24), ConstantEps(0.5)),)
+    programs = (SynthProgram("p", PriceBlock((10.0,) * 24), ConstantEps(0.5)),)
     spec = SynthesisSpec(
         start=datetime(2022, 1, 1, tzinfo=UTC),
         hours=48,
@@ -742,9 +742,10 @@ def test_slot_batch_matches_scalar_path_bitwise(rng):
             for name in ("raw_eps", "eps", "prices", "quoted_prices", "missing"):
                 assert _same_bits(getattr(fast, name), getattr(ref, name)), f"{where}: {name}"
             cands = rng.dirichlet(np.ones(len(ids) + 1), 16)[:, :-1] * fast.cap
-            assert _same_bits(fast.costs_for(cands), ref.costs_for(cands)), where
+            per_slot = [np.array([b.cost_and_subgradient(slice(None), c)[0] for c in cands]) for b in (fast, ref)]
+            assert _same_bits(*per_slot), where
             for c in cands[:4]:
-                assert _same_bits(fast.total_subgradient(c), ref.total_subgradient(c)), where
+                assert _same_bits(fast.totals(c[None])[1], ref.totals(c[None])[1]), where
                 for t in range(fast.T):
                     (cost,), (grad,) = fast.cost_and_subgradient(slice(t, t + 1), c[None])
                     (ref_cost,), (ref_grad,) = ref.cost_and_subgradient(slice(t, t + 1), c[None])
