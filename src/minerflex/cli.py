@@ -290,7 +290,7 @@ def cmd_solve_reg(args) -> dict:
             "lambda_up": inst.model.up.lam,
             "lambda_dn": inst.model.down.lam,
             "expected_cost": value,
-            "expected_profit": -value,
+            "expected_profit": 0.0 - value,
             "gap": gap,
         },
     }
@@ -323,7 +323,7 @@ def cmd_solve_risk(args) -> dict:
             "risk_weight": risk.risk_weight,
             "reward_rate": r,
             "expected_cost": exp_cost,
-            "expected_profit": -exp_cost,
+            "expected_profit": 0.0 - exp_cost,
             "profit_variance": var,
             "stats": [
                 {"id": pid, "price": s.price, "mean_eps": s.mean_eps, "var_eps": s.var_eps}

@@ -261,7 +261,7 @@ def compare_strategies(
     hours = np.array([ts.hour for ts in traces.timestamps])
     hour_profiles, hour_gaps = hour_optima(batch, hours)
     per_slot = {
-        name: -batch.cost_and_subgradient(slice(None), c)[0]
+        name: 0.0 - batch.cost_and_subgradient(slice(None), c)[0]
         for name, c in (("optimized", hour_profiles[hours]), ("fixed_profile", fixed), ("even_split", even))
     }
     per_slot["none"] = np.zeros(len(traces))

@@ -617,6 +617,22 @@ def test_solve_risk_zero_weight_matches_linear_rule(tmp_path):
     assert values["presp"] == 0.0
 
 
+@pytest.mark.parametrize("command, config", [
+    # r * mean_eps = 20 > price 1, so the risk-aware profile commits nothing and costs exactly 0
+    ("solve-risk", {"reward_rate": 100.0, "cap": 50.0, "risk_weight": 0.001,
+                    "programs": [{"id": "p", "price": 1.0, "mean_eps": 0.2, "var_eps": 0.01}]}),
+    ("solve-reg", {**json.loads((CONFIGS / "reg.json").read_text()),
+                   "fleet": [{"id": "idle", "capacity_mw": 0, "energy_intensity_mwh_per_coin": 110}]}),
+])
+def test_zero_expected_profit_is_a_positive_zero(command, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+    profit = json.loads((out / "summary.json").read_text())["expected_profit"]
+    assert profit == 0.0 and math.copysign(1.0, profit) == 1.0, profit
+
+
 @pytest.mark.parametrize("field", ["cap", "reward_rate"])
 def test_solve_risk_negative_field_exit_code(tmp_path, field):
     # a negative cap once left the risk solve's bracket search doubling forever;

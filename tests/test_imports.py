@@ -151,6 +151,21 @@ def test_slot_piece_is_the_one_piece_lookup():
     assert [site for site in sites if site[:2] not in allowed] == []
 
 
+def test_verify_takes_no_monte_carlo_estimate():
+    """``verify`` integrates and never samples: it names none of the oracle's Monte Carlo tools."""
+    monte_carlo = {"grid_mc_optimum", "mc_expected_cost", "draw_effective_samples", "GridSpec"}
+    tree = ast.parse((Path(minerflex.__file__).parent / "verify.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    assert names & monte_carlo == set()
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it, unless its line is marked ``# noqa: F401``.
 

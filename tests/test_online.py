@@ -271,7 +271,9 @@ def test_hindsight_matches_dense_grid(rng):
         axis = np.linspace(0.0, 250.0, 500)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
-        grid_best = float(slot_costs(arrays, grid).sum(axis=0).min())
+        # in chunks of 4096 profiles, so the (T, G, K) temporaries stay small
+        chunks = (grid[i : i + 4096] for i in range(0, len(grid), 4096))
+        grid_best = min(float(slot_costs(arrays, chunk).sum(axis=0).min()) for chunk in chunks)
         assert value <= grid_best + 1e-4 * 50 * 250.0 * 200.0
 
 

@@ -277,6 +277,9 @@ def test_compare_strategies_zero_prices():
     assert report.mean_profit["optimized"] == pytest.approx(0.0, abs=1e-9)
     assert report.mean_profit["none"] == 0.0
     assert report.mean_profit["even_split"] <= 1e-9
+    # a zero slot cost is a zero profit with its sign bit clear, as slots.csv writes it
+    for profits in report.slot_profits.values():
+        assert not np.signbit(profits[profits == 0.0]).any()
 
 
 def test_compare_strategies_window_filter():

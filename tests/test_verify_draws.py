@@ -155,8 +155,8 @@ def test_max_of_affines_reference_matches_surrogates():
 
 
 def test_drawn_by_shape_groups_every_instance_once_in_draw_order():
-    # more than one pass, the last one short: still one group per shape over the whole draw
-    count = 2 * verify.DRAW_PASS + 37
+    # every shape drawn many times over: still one group per shape over the whole draw
+    count = 2 * 256 + 37
     ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
     drawn = [one_instance(ref_rng, True) for _ in range(count)]
     groups = list(verify._drawn_by_shape(rng, count, segment=True))
