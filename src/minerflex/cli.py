@@ -220,8 +220,8 @@ def _load_fleet_inputs(args):
 
 
 # ── Commands ─────────────────────────────────────────────────────────────
-# Each command loads its inputs (paths already resolved), solves, and returns
-# its outputs in order; ``main`` writes them and the manifest.
+# Each command loads its inputs (paths already resolved), solves, and returns its
+# outputs in order; ``main`` writes them, and the manifest with any ``manifest.json`` keys.
 
 
 def cmd_synthesize(args) -> dict:
@@ -394,6 +394,7 @@ def cmd_verify(args) -> dict:
     outputs = {
         "checks.csv": (["check", "status", "detail"], list(zip(*rows))),
         "summary.json": {"checks": len(results), "failed": len(failed)},
+        "manifest.json": {"check_seconds": {r.name: round(r.seconds, 6) for r in results}},
     }
     if failed:
         raise _FailedWithOutputs(f"{len(failed)} verification checks failed", outputs)
@@ -515,6 +516,7 @@ def main(argv=None) -> int:
             outputs, failure = args.func(args), None
         except _FailedWithOutputs as exc:
             outputs, failure = exc.outputs, exc
+        extra = outputs.pop("manifest.json", {})
         names = _write_outputs(out, outputs)
         manifest = {
             "command": args.command,
@@ -524,6 +526,7 @@ def main(argv=None) -> int:
             "input_digests": {str(v): hashlib.sha256(v.read_bytes()).hexdigest() for v in inputs.values()},
             "outputs": names,
             "wall_clock_s": round(time.time() - t0, 3),
+            **extra,
         }
         (out / "manifest.json").write_text(_json_text("manifest.json", manifest))
         if failure is not None:

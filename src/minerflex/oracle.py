@@ -74,7 +74,8 @@ def fixed_dot(a, b):
     Every product has the full broadcast shape, so the sum accumulates in place
     into the first (a fresh array), sparing a large temporary per term.
     """
-    return reduce(operator.iadd, map(np.multiply, np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)))
+    a, b = np.asarray(a), np.asarray(b)
+    return reduce(operator.iadd, (a[..., i] * b[..., i] for i in range(min(a.shape[-1], b.shape[-1]))))
 
 
 def lp_deployment_oracle(

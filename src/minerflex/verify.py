@@ -10,14 +10,15 @@ without test dependencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .deployment import FleetStack, SlotBatch, flip_down, realized_cost, slot_cost
 from .fleet import fleet_from_rewards
 from .online import OgdConfig, RegretReport, play_bank, regret_report
-from .oracle import fixed_dot, lp_deployment_oracle
+from .oracle import feasibility_grid, fixed_dot, lp_deployment_oracle
 from .programs import ProgramSpec, TruncatedExponential, fit_lambda, program_sampler
 from .regulation import RegInstance, RegJointModel, expected_reg_cost, expected_reg_gradient
 from .sgd import SgdConfig, project_feasible, solve as sgd_solve
@@ -29,6 +30,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)  # wall time, set by run_verify
 
     def __post_init__(self):
         # a check's verdict may be a numpy bool; callers get a Python one
@@ -38,28 +40,29 @@ class CheckResult:
 def _drawn_by_shape(rng, count, segment=False):
     """Draw ``count`` random instances; yield one group per (K, N) shape.
 
-    An instance takes one ``rng.integers`` call for K in [1, 4] types, one for
-    N in [1, 3] programs, then one ``rng.random`` block. Its doubles are, in
-    order: K capacities in [1, 100), K rewards in [0, 200) (sorted, the i-th
-    raised by i * 1e-6 so none tie), N prices in [0, 60), N raw rates, N
-    profile entries, then the share of the fleet's capacity (a ``math.fsum``)
-    the profile is scaled to. With ``segment``, 2N + 2 more doubles give the
-    ends a and b of a segment of profiles and then their shares. Each double is
-    scaled as the ``rng.uniform`` call it stands for would scale it.
+    Three calls draw them all: ``rng.integers(1, 5, count)`` the K in [1, 4]
+    types, ``rng.integers(1, 4, count)`` the N in [1, 3] programs, and one
+    ``rng.random((count, 18))`` block (26 columns with ``segment``) the doubles.
+    Instance i reads row i from the left: K capacities in [1, 100), K rewards in
+    [0, 200) (sorted, the i-th raised by i * 1e-6 so none tie), N prices in
+    [0, 60), N raw rates, N profile entries and their share of the fleet's
+    capacity (a ``math.fsum``); with ``segment``, the ends a and b of a segment
+    of profiles and their two shares. The rest of the row goes unused. Each
+    double is scaled as the ``rng.uniform`` call it stands for would scale it.
 
     A group stacks every instance of one (K, N) shape, in draw order: (G, K)
     capacities and rewards, then (G, N) prices, raw rates and profiles (and
     a, b); groups come in the order their shapes first appear. The scaling is
     row by row, so each row holds the bits of its instance drawn alone.
     """
-    blocks = {}
-    for _ in range(count):
-        k = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 4))
-        blocks.setdefault((k, n), []).append(rng.random(2 * k + 3 * n + 1 + (2 * n + 2 if segment else 0)))
-    for (k, n), rows in blocks.items():
+    ks, ns = rng.integers(1, 5, count), rng.integers(1, 4, count)
+    u = rng.random((count, 26 if segment else 18))
+    shapes = 4 * ks + ns
+    for i in np.sort(np.unique(shapes, return_index=True)[1]):
+        k, n = int(ks[i]), int(ns[i])
         widths = [k, k, n, n, n, 1] + ([n, n, 1, 1] if segment else [])
-        caps, rewards, prices, raw, c, share, *ends = np.split(np.array(rows), np.cumsum(widths)[:-1], axis=1)
+        rows = u[shapes == shapes[i], : sum(widths)]
+        caps, rewards, prices, raw, c, share, *ends = np.split(rows, np.cumsum(widths)[:-1], axis=1)
         caps = _uniform(caps, 1.0, 100.0)
         cap = np.array([math.fsum(row) for row in caps.tolist()])
         drawn = (
@@ -159,9 +162,7 @@ def check_midpoint_convexity(seed=2, segments=2000) -> CheckResult:
 def check_projection(seed=3, points=40) -> CheckResult:
     rng = np.random.default_rng(seed)
     cap = 250.0
-    axis = np.linspace(0.0, cap, 201)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    columns = np.ascontiguousarray(grid[grid.sum(axis=1) <= cap + 1e-9].T)
+    columns = np.ascontiguousarray(feasibility_grid(cap, 2, 201).T)
     ok = True
     worst = 0.0
     for _ in range(points):
@@ -553,18 +554,23 @@ def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
 
 
 def run_verify(fast: bool = False, seed: int = 0) -> list[CheckResult]:
-    """Run every oracle-agreement check; scale down heavy ones when fast."""
-    return [
-        check_greedy_deployment(seed, 100 if fast else 200),
-        check_max_of_affines(seed + 1, 800 if fast else 2000),
-        check_midpoint_convexity(seed + 2, 800 if fast else 2000),
-        check_projection(seed + 3, 20 if fast else 40),
-        check_truncexp_mean(),
-        check_fit_lambda(seed + 5, 10 if fast else 25),
-        check_regulation_mc(),
-        check_regulation_continuity(),
-        check_single_machine_vertex(seed + 7, 50 if fast else 100),
-        check_risk_kkt(seed + 8, 50 if fast else 100),
-        check_sgd_convergence(seed + 9, fast=fast),
-        check_online_regret(seed + 10, 10 if fast else 20),
+    """Run every oracle-agreement check, timed, by its module-level name; scale down heavy ones when fast."""
+    checks = [
+        (check_greedy_deployment, seed, 100 if fast else 200),
+        (check_max_of_affines, seed + 1, 800 if fast else 2000),
+        (check_midpoint_convexity, seed + 2, 800 if fast else 2000),
+        (check_projection, seed + 3, 20 if fast else 40),
+        (check_truncexp_mean,),
+        (check_fit_lambda, seed + 5, 10 if fast else 25),
+        (check_regulation_mc,),
+        (check_regulation_continuity,),
+        (check_single_machine_vertex, seed + 7, 50 if fast else 100),
+        (check_risk_kkt, seed + 8, 50 if fast else 100),
+        (check_sgd_convergence, seed + 9, fast),
+        (check_online_regret, seed + 10, 10 if fast else 20),
     ]
+    results = []
+    for check, *args in checks:
+        start = time.perf_counter()
+        results.append(replace(check(*args), seconds=time.perf_counter() - start))
+    return results

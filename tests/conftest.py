@@ -36,15 +36,16 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_instance(rng, k_max=4, n_max=3, cap_scale=100.0):
+def random_instance(rng, k_max=4, n_max=3, cap_scale=100.0, shape=None):
     """Random small (fleet, programs, profile, effective eps) quadruple.
 
-    At the default sizes this is the scalar draw that ``verify._drawn_by_shape``
-    replaces with one block per instance; ``test_verify_draws.py`` holds the two
-    to the same stream.
+    K types and N programs come from one ``rng.integers`` call each, unless
+    ``shape`` gives (K, N). With ``shape`` and the default scale, this is the
+    scalar draw of one instance's doubles in ``verify._drawn_by_shape``'s
+    layout, which draws every K and N first; ``test_verify_draws.py`` holds the
+    two to the same stream.
     """
-    k = int(rng.integers(1, k_max + 1))
-    n = int(rng.integers(1, n_max + 1))
+    k, n = shape or (int(rng.integers(1, k_max + 1)), int(rng.integers(1, n_max + 1)))
     caps = rng.uniform(1.0, cap_scale, k)
     rewards = np.sort(rng.uniform(0.0, 200.0, k))
     rewards += np.arange(k) * 1e-6  # keep strictly ascending

@@ -519,6 +519,21 @@ def test_failed_verify_still_writes_its_outputs(tmp_path, monkeypatch, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "verify"
     assert manifest["outputs"] == ["checks.csv", "summary.json"]
+    assert manifest["check_seconds"] == {"holds": 0.0, "breaks": 0.0}
+
+
+def test_verify_manifest_times_every_check(tmp_path):
+    # per-check seconds go to the manifest only: one per checks.csv row, adding up to
+    # no more than the command's wall clock
+    out = tmp_path / "o"
+    assert main(["verify", "--fast", "--out", str(out)]) == 0
+    with open(out / "checks.csv", newline="") as fh:
+        names = [row[0] for row in list(csv.reader(fh))[1:]]
+    seconds = json.loads((out / "manifest.json").read_text())["check_seconds"]
+    assert sorted(seconds) == sorted(names) and len(names) == 12
+    assert all(s > 0.0 for s in seconds.values())
+    assert sum(seconds.values()) <= json.loads((out / "manifest.json").read_text())["wall_clock_s"] + 1e-3
+    assert "seconds" not in (out / "checks.csv").read_text() + (out / "summary.json").read_text()
 
 
 def test_every_csv_parses_back_with_quoted_program_ids(tmp_path):

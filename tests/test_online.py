@@ -263,18 +263,41 @@ def test_per_hour_isolation(rng):
             np.testing.assert_array_equal(a, b)
 
 
+# The dense-grid allowance: 250 $ over 50 slots.
+GRID_SLACK = 1e-4 * 50 * 250.0 * 200.0
+
+
+def dense_grid_rounds(rng):
+    """Five 50-slot batches: three at the default scales, where the optimum is not to
+    participate, then two with rewards below 100 $/MWh, where participation pays."""
+    return [slot_batch_of(*random_rounds(rng, 50, r_max=r_max), 250.0) for r_max in [200.0] * 3 + [100.0] * 2]
+
+
+def dense_grid_excess(arrays):
+    """The hindsight profile's total cost less the least total on a 500 x 500 grid, and that least total."""
+    profile, _ = hindsight_optimum(arrays)
+    value = float(arrays.totals(profile.c[None, :])[0][0])
+    axis = np.linspace(0.0, 250.0, 500)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
+    # in chunks of 4096 profiles, so the (T, G, K) temporaries stay small
+    chunks = (grid[i : i + 4096] for i in range(0, len(grid), 4096))
+    grid_best = min(float(slot_costs(arrays, chunk).sum(axis=0).min()) for chunk in chunks)
+    return value - grid_best, grid_best
+
+
 def test_hindsight_matches_dense_grid(rng):
-    for _ in range(3):
-        arrays = slot_batch_of(*random_rounds(rng, 50), 250.0)
-        profile, _ = hindsight_optimum(arrays)
-        value = float(arrays.totals(profile.c[None, :])[0][0])
-        axis = np.linspace(0.0, 250.0, 500)
-        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
-        # in chunks of 4096 profiles, so the (T, G, K) temporaries stay small
-        chunks = (grid[i : i + 4096] for i in range(0, len(grid), 4096))
-        grid_best = min(float(slot_costs(arrays, chunk).sum(axis=0).min()) for chunk in chunks)
-        assert value <= grid_best + 1e-4 * 50 * 250.0 * 200.0
+    for i, arrays in enumerate(dense_grid_rounds(rng)):
+        excess, grid_best = dense_grid_excess(arrays)
+        assert excess <= GRID_SLACK
+        # where participation pays, no profile near zero can pass
+        assert (grid_best < -4.0 * GRID_SLACK) == (i >= 3), (i, grid_best)
+
+
+def test_dense_grid_fails_a_solver_that_never_participates(rng, monkeypatch):
+    monkeypatch.setitem(globals(), "hindsight_optimum", lambda batch: (Profile(np.zeros(batch.n)), 0.0))
+    for arrays in dense_grid_rounds(rng)[3:]:
+        assert dense_grid_excess(arrays)[0] > 4.0 * GRID_SLACK
 
 
 def test_hindsight_identical_rounds_single_round_argmin(rng):

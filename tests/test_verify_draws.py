@@ -1,14 +1,17 @@
-"""verify's block-drawn random instances against the scalar draws they replace.
+"""verify's block-drawn random instances against scalar draws of the same stream.
 
 The three piecewise-cost checks (greedy deployment, max of affines, midpoint
-convexity) draw each instance from one ``rng.random`` block and scale a shape
-group of instances at once; two of them cost whole groups through
-``slot_cost`` on a ``FleetStack``. The scalar references
-here draw with one ``rng.uniform`` call per quantity (``conftest.random_instance``
-is the scalar instance draw) and cost one slot at a time, as the checks used
-to. A check's detail alone cannot pin the stream: the max-of-affines detail
-reads 0.000e+00 whatever the instances are, so the drawn arrays and the
-generator state are compared too.
+convexity) draw all of their instances in three generator calls: every K,
+every N, then one ``rng.random`` block of fixed-width rows, one per instance,
+each read from the left. They scale a shape group of instances at once, and
+two of them cost whole groups through ``slot_cost`` on a ``FleetStack``. The
+scalar references here follow the same layout with one ``rng.integers`` call
+per K and per N and one ``rng.uniform`` call per quantity
+(``conftest.random_instance`` at a given shape is the scalar instance draw),
+draw and drop the unused rest of each row, and cost one slot at a time, as the
+checks used to. A check's detail alone cannot pin the stream: the
+max-of-affines detail reads 0.000e+00 whatever the instances are, so the drawn
+arrays and the generator state are compared too.
 """
 
 import functools
@@ -35,23 +38,53 @@ from conftest import random_instance, slot_batch_of
 from test_acceptance import _bounded_rounds
 
 
-def scalar_segment(rng):
-    """The midpoint check's scalar draw: an instance, then the ends a and b of a segment."""
-    fleet, programs, c, raw = random_instance(rng)
-    n = len(programs)
-    cap = fleet.total_capacity_mw
-    a = rng.uniform(0.0, 1.0, n)
-    b = rng.uniform(0.0, 1.0, n)
-    a *= rng.uniform(0.0, 1.0) * cap / max(a.sum(), 1e-12)
-    b *= rng.uniform(0.0, 1.0) * cap / max(b.sum(), 1e-12)
-    return fleet, programs, c, raw, a, b
+# The width of the block's rows: 2K + 3N + 1 doubles at K = 4 and N = 3, and 2N + 2 more with a segment.
+ROW, SEGMENT_ROW = 18, 26
+
+
+def scalar_instances(rng, count, segment=False):
+    """``verify._drawn_by_shape(rng, count, segment)`` drawn scalar by scalar, in draw order.
+
+    Every K, then every N, one ``rng.integers`` call each; then, instance by
+    instance, its doubles in row order (``random_instance`` at its shape, and
+    with ``segment`` the ends a and b of a segment and their shares), and the
+    rest of its row drawn and dropped. Each instance is (fleet, programs, c,
+    raw), followed by a and b with ``segment``.
+    """
+    ks = [int(rng.integers(1, 5)) for _ in range(count)]
+    ns = [int(rng.integers(1, 4)) for _ in range(count)]
+    out = []
+    for k, n in zip(ks, ns):
+        inst = random_instance(rng, shape=(k, n))
+        used = 2 * k + 3 * n + 1
+        if segment:
+            cap = inst[0].total_capacity_mw
+            a = rng.uniform(0.0, 1.0, n)
+            b = rng.uniform(0.0, 1.0, n)
+            a *= rng.uniform(0.0, 1.0) * cap / max(a.sum(), 1e-12)
+            b *= rng.uniform(0.0, 1.0) * cap / max(b.sum(), 1e-12)
+            inst += (a, b)
+            used += 2 * n + 2
+        rng.random((SEGMENT_ROW if segment else ROW) - used)
+        out.append(inst)
+    return out
+
+
+def fields_of(inst):
+    """A scalar instance as ``_drawn_by_shape``'s fields: caps, rewards, prices, raw, c (and a, b)."""
+    fleet, programs, c, raw, *ends = inst
+    return [fleet.capacities, fleet.rewards, prices_of(programs), raw, c, *ends]
+
+
+def shape_of(fields):
+    """(K, N) of one instance's fields."""
+    return len(fields[0]), len(fields[2])
 
 
 def scalar_greedy(seed, instances):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(instances):
-        fleet, programs, c, raw = random_instance(rng)
+    for fleet, programs, c, raw in scalar_instances(rng, instances):
         greedy = realized_cost(fleet, programs, c, raw)
         oracle = lp_deployment_oracle(fleet, programs, c, raw)
         worst = max(worst, abs(greedy - oracle))
@@ -65,8 +98,7 @@ def scalar_greedy(seed, instances):
 def scalar_max_of_affines(seed, points):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(points):
-        fleet, programs, c, raw = random_instance(rng)
+    for fleet, programs, c, raw in scalar_instances(rng, points):
         cost = realized_cost(fleet, programs, c, raw)
         best = max(cost_fixed_k(fleet, programs, c, raw, k) for k in range(1, fleet.n_types + 1))
         worst = max(worst, abs(cost - best))
@@ -80,8 +112,7 @@ def scalar_max_of_affines(seed, points):
 def scalar_midpoint(seed, segments):
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    for _ in range(segments):
-        fleet, programs, _, raw, a, b = scalar_segment(rng)
+    for fleet, programs, _, raw, a, b in scalar_instances(rng, segments, segment=True):
         mid = 0.5 * (a + b)
         gap = realized_cost(fleet, programs, mid, raw) - 0.5 * (
             realized_cost(fleet, programs, a, raw) + realized_cost(fleet, programs, b, raw)
@@ -94,12 +125,6 @@ def scalar_midpoint(seed, segments):
     )
 
 
-def one_instance(rng, segment):
-    """One instance drawn alone: row 0 of each field of a one-instance draw."""
-    (group,) = verify._drawn_by_shape(rng, 1, segment=segment)
-    return [field[0] for field in group]
-
-
 def as_tuple(result):
     return result.name, bool(result.passed), result.detail
 
@@ -108,22 +133,20 @@ def as_tuple(result):
 @pytest.mark.parametrize("seed", range(6))
 def test_drawn_arrays_and_stream_match_scalar_draws(seed, segment):
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    shapes = set()
-    for i in range(400):
-        if segment:
-            fleet, programs, *ref_vectors = scalar_segment(ref_rng)
-        else:
-            fleet, programs, *ref_vectors = random_instance(ref_rng)
-        caps, rewards, prices, raw, c, *ends = one_instance(rng, segment)
-        ref = [fleet.capacities, fleet.rewards, prices_of(programs), ref_vectors[1], ref_vectors[0], *ref_vectors[2:]]
-        got = [caps, rewards, prices, raw, c, *ends]
-        assert len(got) == len(ref), f"instance {i}"
-        for name, x, y in zip(("caps", "rewards", "prices", "raw", "c", "a", "b"), ref, got):
-            assert np.asarray(y, dtype=float).tobytes() == np.asarray(x).tobytes(), f"instance {i}: {name}"
-        assert math.fsum(caps) == fleet.total_capacity_mw
-        assert rng.bit_generator.state == ref_rng.bit_generator.state, f"instance {i}"
-        shapes.add((len(caps), len(prices)))
-    assert shapes == {(k, n) for k in range(1, 5) for n in range(1, 4)}
+    ref = scalar_instances(ref_rng, 400, segment)
+    groups = list(verify._drawn_by_shape(rng, 400, segment=segment))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # instance i is the next unread row of its shape's group
+    rows = {(group[0].shape[1], group[2].shape[1]): zip(*group) for group in groups}
+    for i, inst in enumerate(ref):
+        want = fields_of(inst)
+        got = next(rows[shape_of(want)])
+        assert len(got) == len(want), f"instance {i}"
+        for name, x, y in zip(("caps", "rewards", "prices", "raw", "c", "a", "b"), want, got):
+            assert y.dtype == np.float64 and y.tobytes() == np.asarray(x).tobytes(), f"instance {i}: {name}"
+        assert math.fsum(got[0]) == inst[0].total_capacity_mw
+    assert set(rows) == {(k, n) for k in range(1, 5) for n in range(1, 4)}
+    assert all(next(left, None) is None for left in rows.values())
 
 
 @pytest.mark.parametrize("fast", [False, True], ids=["full", "fast"])
@@ -158,13 +181,13 @@ def test_drawn_by_shape_groups_every_instance_once_in_draw_order():
     # every shape drawn many times over: still one group per shape over the whole draw
     count = 2 * 256 + 37
     ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
-    drawn = [one_instance(ref_rng, True) for _ in range(count)]
+    drawn = [fields_of(inst) for inst in scalar_instances(ref_rng, count, segment=True)]
     groups = list(verify._drawn_by_shape(rng, count, segment=True))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    shapes = list(dict.fromkeys((len(inst[0]), len(inst[2])) for inst in drawn))
+    shapes = list(dict.fromkeys(map(shape_of, drawn)))
     assert [(g[0].shape[1], g[2].shape[1]) for g in groups] == shapes
     for shape, group in zip(shapes, groups):
-        members = [inst for inst in drawn if (len(inst[0]), len(inst[2])) == shape]
+        members = [inst for inst in drawn if shape_of(inst) == shape]
         for field, stacked in enumerate(group):
             assert np.array([inst[field] for inst in members]).tobytes() == stacked.tobytes(), (shape, field)
 
