@@ -336,6 +336,8 @@ def cmd_solve_risk(args) -> dict:
 def cmd_simulate_online(args) -> dict:
     machines, programs, _, _, traces = _load_fleet_inputs(args)
     batch = slot_batch(traces, machines, programs, args.clamp_negative_rewards)
+    if not batch.cap > 0.0:  # the step sizes scale with the capacity, so the learners need some
+        raise InvalidInputError(f"{args.fleet}: online learning needs a fleet capacity above 0, got {batch.cap} MW")
     r_max, p_max = float(batch.rewards.max()), float(batch.quoted_prices.max())
     cfg = OgdConfig.from_bounds(len(programs), batch.cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners)
     played, costs, report = run_online(batch, cfg, timestamps=traces.timestamps)

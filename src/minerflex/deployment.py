@@ -381,9 +381,22 @@ class SlotBatch(FleetStack):
         self.prices = np.where(missing, 0.0, prices)
 
     def take(self, rows) -> "SlotBatch":
-        """The batch of the selected slots, in order."""
-        tables = (self.rewards, self.capacities, self.quoted_prices, self.raw_eps, self.down, self.missing)
-        return SlotBatch(*(table[rows] for table in tables))
+        """The batch of the selected slots (an index array or a slice), in order.
+
+        Like :meth:`FleetStack.select`, every table is selected, not recomputed
+        or checked again: each row depends on its own slot alone, so it equals
+        a batch built from the selected raw tables, ``cap`` included.
+        """
+        index = np.arange(self.T)[rows]
+        if not index.size:
+            raise InvalidInputError("slot tables need at least one round and one row per round")
+        taken = object.__new__(SlotBatch)
+        tables = ("rewards", "capacities", "cum_capacities", "prefix_costs",
+                  "quoted_prices", "raw_eps", "down", "missing", "eps", "prices")
+        # take, not rows as a subscript: the same C-order copies, at a third of the per-call cost
+        vars(taken).update((name, getattr(self, name).take(index, 0)) for name in tables)
+        taken.T, taken.n, taken.cap = index.size, self.n, math.fsum(taken.capacities[0])
+        return taken
 
     def cost_and_subgradient(self, rows, c: np.ndarray):
         """(R,) costs and (R, N) subgradients r_k eps - p of R slots, one profile per slot.

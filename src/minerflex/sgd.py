@@ -78,21 +78,19 @@ def project_feasible(point, cap: float) -> Profile:
     return Profile(project_simplex(x, cap))
 
 
-def _subgradient(rewards, breaks, prices: list, eps: np.ndarray, c: list) -> list:
-    """Average subgradient r_k eps - p over the (B, N) sample rows of eps at the profile c.
+def _subgradient(rewards, breaks, eps: np.ndarray, c: list) -> list:
+    """Row sums of r_k eps over the (B, N) sample rows of eps at the profile c, as N floats.
 
     ``breaks`` are the fleet's :func:`~minerflex.deployment.capped_breaks`, so
-    each row's piece is :func:`~minerflex.deployment.slot_piece`'s, and
-    ``prices`` and ``c`` are lists of N floats, as is the result. Only the
-    batch rows take numpy calls: the row dot, whose BLAS rounding decides the
-    piece, one search and mean(axis=0)'s own sum. The division and the price
-    subtraction are its IEEE operations on Python floats.
+    each row's piece is :func:`~minerflex.deployment.slot_piece`'s, and ``c``
+    is a list of N floats. The subgradient r_k eps - p averages the sums: its
+    division and price subtraction are left to the caller, as IEEE operations
+    on Python floats. Only the batch rows take numpy calls: the row dot, whose
+    BLAS rounding decides the piece, one search and one sum over the rows.
     """
     # the row dot and its pieces stay (B, 1) columns, which broadcast against eps
     k = breaks.searchsorted(eps @ np.array(c)[:, None])
-    sums = np.add.reduce(rewards[k] * eps, axis=0).tolist()
-    b = len(eps)
-    return [s / b - q for s, q in zip(sums, prices)]
+    return np.add.reduce(rewards[k] * eps, axis=0).tolist()
 
 
 def sample_subgradient(
@@ -118,8 +116,8 @@ def sample_subgradient(
     for name, x in (("samples", eps), ("profile", c)):
         if not np.isfinite(x).all():
             raise InvalidInputError(f"{name} must be finite, got {x}")
-    breaks = capped_breaks(fleet.cum_capacities)
-    return np.array(_subgradient(fleet.rewards, breaks, p.tolist(), eps, c.tolist()))
+    sums = _subgradient(fleet.rewards, capped_breaks(fleet.cum_capacities), eps, c.tolist())
+    return np.array([s / len(eps) - q for s, q in zip(sums, p.tolist())])
 
 
 # Iterations whose samples are drawn in one sampler call; drawing the
@@ -148,8 +146,11 @@ def solve(
     ``sampler(rng, size)`` draws i.i.d. raw deployment vectors of shape
     (*size, N) for an int or (m, B) ``size``, where one (m, B) call draws the
     generator stream of m calls of size B. Each block of up to 64 iterations
-    is one such call. Down-program components are direction-flipped here
-    before the subgradient is formed. Starts from c = 0 (no participation).
+    is one such call, and also takes its step sizes in one numpy call and
+    adds its iterates into the running sum in one ``cumsum``. Down-program
+    components are direction-flipped here before the subgradient is formed.
+    Starts from c = 0 (no participation). Where every reward and price is
+    zero, so is every subgradient: the profile stays at 0, with bound 0.
     """
     n = len(programs)
     if n == 0:
@@ -157,32 +158,34 @@ def solve(
     p = prices_of(programs)
     down = np.array([spec.direction == "down" for spec in programs])
     cap = fleet.total_capacity_mw
-    num = default_diameter(n, cap) / default_grad_bound(n, float(fleet.rewards[-1]), float(p.max()))
+    grad_bound = default_grad_bound(n, float(fleet.rewards[-1]), float(p.max()))
+    num = default_diameter(n, cap) / grad_bound if grad_bound else 0.0
     rng = np.random.default_rng(config.seed)
-    rewards, breaks, prices = fleet.rewards, capped_breaks(fleet.cum_capacities), p.tolist()
-    # The N-long profile, step and average are Python floats, with numpy's
-    # elementwise IEEE operations in numpy's order, so only _subgradient's
-    # batch-row work pays numpy's per-call cost.
+    rewards, breaks, prices, b = fleet.rewards, capped_breaks(fleet.cum_capacities), p.tolist(), config.batch
+    # The N-long profile and step are Python floats, with numpy's elementwise
+    # IEEE operations in numpy's order, so per iteration only _subgradient's
+    # batch-row work pays numpy's per-call cost; the rest is paid per block.
     c = [0.0] * n
-    acc = [0.0] * n
+    acc = np.zeros(n)
     trajectory: list[np.ndarray] | None = [np.zeros(n)] if record_trajectory else None
-    j = 0
-    for start in range(0, config.iterations, _DRAW_CHUNK):
-        m = min(_DRAW_CHUNK, config.iterations - start)
-        block = _shaped(sampler(rng, (m, config.batch)), (m, config.batch, n))
-        for eps in flip_down(block, down) if down.any() else block:
-            j += 1
-            acc = [a + x for a, x in zip(acc, c)]
-            grad = _subgradient(rewards, breaks, prices, eps, c)
-            # (D/G)/sqrt(j), not step_size's D/(G sqrt(j)): on the shipped
-            # parametric fleet the two round apart in 2,598 of the first
-            # 10,000 steps, so switching would change every solve's bits
-            step = num / math.sqrt(j)
-            c = project_simplex_list([x - step * g for x, g in zip(c, grad)], cap)
+    for j0 in range(1, config.iterations + 1, _DRAW_CHUNK):
+        j1 = min(j0 + _DRAW_CHUNK, config.iterations + 1)
+        block = _shaped(sampler(rng, (j1 - j0, b)), (j1 - j0, b, n))
+        # (D/G)/sqrt(j), not step_size's D/(G sqrt(j)): on the shipped
+        # parametric fleet the two round apart in 2,598 of the first 10,000
+        # steps, so switching would change every solve's bits. numpy's sqrt
+        # and division round correctly, as math.sqrt and Python's do.
+        steps = (num / np.sqrt(np.arange(j0, j1, dtype=float))).tolist()
+        iterates = [acc]
+        for eps, step in zip(flip_down(block, down) if down.any() else block, steps):
+            iterates.append(c)
+            sums = _subgradient(rewards, breaks, eps, c)
+            c = project_simplex_list([x - step * (s / b - q) for x, s, q in zip(c, sums, prices)], cap)
             if trajectory is not None:
                 trajectory.append(np.array(c))
-    average = np.array([a / config.iterations for a in acc])
+        # the iterates' running sum, one add per iterate in iteration order
+        acc = np.cumsum(iterates, axis=0)[-1]
     bound = suboptimality_bound(
         config.iterations, n, float(fleet.rewards[-1]), float(p.max()), cap
     )
-    return SgdResult(profile=Profile(average), bound=bound, trajectory=trajectory)
+    return SgdResult(profile=Profile(acc / config.iterations), bound=bound, trajectory=trajectory)

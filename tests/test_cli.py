@@ -614,6 +614,21 @@ def test_solve_offline_single_iteration(tmp_path):
     assert bound > 10000.0  # J=1 leaves a large guarantee
 
 
+def test_zero_rewards_and_prices_solve_to_the_zero_profile(tmp_path, capsys):
+    # every net reward and price is 0, so are every subgradient and the gradient bound SGD divides by
+    programs = tmp_path / "programs.json"
+    programs.write_text(json.dumps({
+        "economics": {"coin_price": 0, "electricity_price": 0},
+        "programs": [{"id": "a", "price": 0, "eps": {"kind": "truncexp", "mean": 0.2}}],
+    }))
+    out = tmp_path / "o"
+    argv = ["solve-offline", "--fleet", CONFIGS / "fleet.json", "--programs", programs, "--iterations", 50, "--out", out]
+    assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    rows = list(csv.DictReader((out / "profiles.csv").open()))
+    assert len(rows) == 24 and {(r["c_a"], r["expected_cost"], r["bound"]) for r in rows} == {("0.0", "0.0", "0.0")}
+    assert json.loads((out / "summary.json").read_text())["bound"] == 0.0
+
+
 def test_solve_reg_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -691,6 +706,24 @@ def test_simulate_online_outputs(traces_dir, tmp_path):
     assert all(r >= -1e-6 for r in regrets)
     summary = json.loads((a / "summary.json").read_text())
     assert summary["static_regret"] <= summary["bound"]
+
+
+def test_simulate_online_on_a_zero_capacity_fleet_exits_2_naming_the_fleet(traces_dir, tmp_path, capsys):
+    # solve-offline and compare-strategies commit nothing on this fleet; online learning has no steps to take
+    fleet = tmp_path / "fleet.json"
+    fleet.write_text(json.dumps([{**m, "capacity_mw": 0} for m in json.loads((CONFIGS / "fleet.json").read_text())]))
+    out = tmp_path / "o"
+    traces = ["--traces-market", traces_dir / "market.csv", "--traces-as", traces_dir / "as.csv"]
+    argv = ["simulate-online", "--fleet", fleet, "--programs", CONFIGS / "programs.json", *traces, "--out", out]
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {fleet}: online learning needs a fleet capacity above 0, got 0.0 MW\n"
+    assert not (out / "rounds.csv").exists()
+    for command in ("solve-offline", "compare-strategies"):
+        argv = [command, "--fleet", fleet, "--programs", CONFIGS / "programs.json", *traces, "--out", tmp_path / command]
+        assert main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    rows = list(csv.DictReader((tmp_path / "solve-offline" / "profiles.csv").open()))
+    assert {(r["c_presp"], r["c_regup"]) for r in rows} == {("0.0", "0.0")}
+    assert json.loads((tmp_path / "compare-strategies" / "summary.json").read_text())["fixed_profile"] == [0.0, 0.0]
 
 
 def test_compare_strategies_outputs(traces_dir, tmp_path):

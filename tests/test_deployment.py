@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ from minerflex import (
     DeploymentSample,
     InfeasibleError,
     InvalidInputError,
+    MachineType,
     Profile,
     ProgramSpec,
     allocate_deployment,
@@ -15,13 +17,16 @@ from minerflex import (
     effective_epsilon,
     fleet_from_rewards,
     realized_cost,
+    synthesize_traces,
 )
 from minerflex.cutting import MAX_CUTS
-from minerflex.deployment import FleetStack, capped_breaks, dot, realized_cost_batch, slot_cost, slot_piece
+from minerflex.deployment import FleetStack, SlotBatch, capped_breaks, dot, realized_cost_batch, slot_cost, slot_piece
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
+from minerflex.traces import slot_batch
 
 from conftest import fleet_stack_of, per_point_totals, random_instance, slot_batch_of
+from test_traces import synth_spec
 
 
 def rule(a, b):
@@ -510,3 +515,34 @@ def test_fleet_stack_rows_match_one_slot_cost(rng):
                 cost = realized_cost(fleet, programs, c, e)
                 assert np.float64(cost).tobytes() == costs[i].tobytes(), f"N={n}, fleet {f}, row {t}"
                 assert slopes[i] == fleet.rewards[critical_type(fleet, float(e @ c)) - 1], f"N={n}, row {t}"
+
+
+def test_taken_slot_batch_equals_the_batch_built_from_its_rows():
+    """``SlotBatch.take`` selects every table, ``cap`` included, as a batch built from the selected raw tables has it."""
+    traces = synthesize_traces(synth_spec(hours=72), seed=4)
+    deployment = traces.deployment.copy()
+    deployment[np.random.default_rng(4).random(deployment.shape) < 0.1] = np.nan  # missing cells
+    traces = dataclasses.replace(traces, deployment=deployment)
+    # two machine types tie in every slot, so each row zeroes one capacity
+    machines = [MachineType("a", 100.0, 110.0), MachineType("b", 40.0, 110.0), MachineType("c", 150.0, 130.0)]
+    programs = [ProgramSpec("presp", 0.0), ProgramSpec("regdn", 0.0, "down"), ProgramSpec("regup", 0.0)]
+    full = slot_batch(traces, machines, programs)
+    assert full.missing.any() and full.down.any() and (full.capacities == 0.0).any()
+    raw = ("rewards", "capacities", "quoted_prices", "raw_eps", "down", "missing")
+    selections = [
+        np.array([5, 2, 2, 71, 0]), np.flatnonzero(np.arange(72) % 24 == 3), np.array([-1]),
+        slice(None), slice(10, 11), slice(3, 40), slice(1, None, 5), slice(None, None, -7),
+    ]
+    for rows in selections:
+        taken = full.take(rows)
+        built = SlotBatch(*(getattr(full, name)[rows] for name in raw))
+        assert vars(taken).keys() == vars(built).keys()
+        for name, value in vars(built).items():
+            got = getattr(taken, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.shape == value.shape, name
+                assert got.flags.c_contiguous and got.tobytes() == value.tobytes(), (rows, name)
+            else:
+                assert type(got) is type(value) and got == value, (rows, name)
+    with pytest.raises(InvalidInputError, match="at least one round"):
+        full.take(slice(5, 5))

@@ -144,7 +144,8 @@ def _searchsorted(node) -> bool:
 def test_slot_piece_is_the_one_piece_lookup():
     """Every cost piece is found by ``deployment.slot_piece`` on ``capped_breaks``, or by SGD's own loop.
 
-    ``sgd._subgradient`` keeps its search on the breaks inline: its loop is at its floor.
+    ``sgd._subgradient`` keeps its search on the breaks inline: it runs once per SGD
+    iteration, where ``slot_piece``'s clip would add two numpy calls to each.
     """
     allowed = {("deployment.py", "capped_breaks"), ("deployment.py", "slot_piece"), ("sgd.py", "_subgradient")}
     sites = [(path.name, where, line) for path, tree in _modules() for where, line in _found(tree, _searchsorted)]

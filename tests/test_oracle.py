@@ -1,3 +1,4 @@
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -23,6 +24,7 @@ from minerflex.fleet import MachineType
 from minerflex.oracle import draw_effective_samples, feasibility_grid, mc_expected_cost
 from minerflex.programs import ConstantEps, UniformEps, directions_of, prices_of, program_sampler
 from minerflex.regulation import sample_joint
+from minerflex.traces import PriceBlock
 
 from conftest import random_instance
 from test_online import assert_hour_optima_match_lp
@@ -280,6 +282,21 @@ def test_compare_strategies_zero_prices():
     # a zero slot cost is a zero profit with its sign bit clear, as slots.csv writes it
     for profits in report.slot_profits.values():
         assert not np.signbit(profits[profits == 0.0]).any()
+
+
+def test_compare_strategies_zero_rewards_and_prices():
+    # real-time prices above every machine's revenue clamp each reward to 0, and no program pays:
+    # every subgradient of the pooled learner is 0, as is the gradient bound its steps divide by
+    spec = synth_spec(hours=72)
+    spec = dataclasses.replace(
+        spec, rt_price=PriceBlock((1000.0,) * 24, 0.0, 1000.0, 1000.0),
+        programs=tuple(dataclasses.replace(p, price=PriceBlock((0.0,) * 24)) for p in spec.programs),
+    )
+    programs = [ProgramSpec(id=p.id, price=0.0, direction=p.direction) for p in base_programs()]
+    report = compare_strategies(synthesize_traces(spec, seed=2), fleet_config(), programs,
+                                clamp_negative=True, sgd_iterations=100, seed=1)
+    assert report.fixed_profile.tolist() == [0.0, 0.0, 0.0]
+    assert set(report.mean_profit.values()) == {0.0}
 
 
 def test_compare_strategies_window_filter():

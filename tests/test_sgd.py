@@ -30,6 +30,8 @@ from minerflex import (
     suboptimality_bound,
     synthesize_traces,
 )
+from minerflex import cli, sgd
+from minerflex.config import load_config
 from minerflex.deployment import project_simplex
 from minerflex.fleet import MachineType, canonicalize
 from minerflex.programs import prices_of
@@ -205,6 +207,17 @@ def test_solve_stays_at_zero_when_unprofitable():
     cfg = SgdConfig(iterations=500, batch=2, seed=1)
     result = solve(fleet, programs, lambda rng, size: np.ones(rates(size, 1)), cfg)
     assert result.profile.c[0] == 0.0
+
+
+def test_zero_rewards_and_prices_leave_the_profile_at_zero():
+    """Every subgradient is then zero, as is the gradient bound G the steps divide by: no step moves, and the bound is 0."""
+    fleet = fleet_from_rewards([100.0, 150.0], [0.0, 0.0])
+    programs = [ProgramSpec("a", 0.0), ProgramSpec("b", 0.0, "down")]
+    for n in (1, 2):
+        sampler = lambda r, size, n=n: r.uniform(0, 1, rates(size, n))  # noqa: E731
+        result = solve(fleet, programs[:n], sampler, SgdConfig(iterations=70, batch=3), record_trajectory=True)
+        assert result.bound == 0.0
+        assert all(c.tobytes() == np.zeros(n).tobytes() for c in [result.profile.c, *result.trajectory])
 
 
 def test_solve_iterates_feasible(two_type_fleet, rng):
@@ -593,3 +606,73 @@ def test_pooled_fixed_profile_keeps_its_bytes():
     programs = [ProgramSpec(id="presp", price=12.0), ProgramSpec(id="regup", price=26.0)]
     rep = compare_strategies(traces, load_fleet_config(CONFIGS / "fleet.json"), programs, sgd_iterations=2000, seed=7)
     assert rep.fixed_profile.tobytes().hex() == "26eb978160a6b73fde38523baae86e40"
+
+
+# ── long horizons and work per iteration ───────────────────────────────────
+
+
+def shipped_parametric_instance():
+    """The fleet, programs and sampler of parametric ``solve-offline`` on the shipped configs."""
+    programs, joint, economics = load_config(CONFIGS / "programs.json", cli._parse_programs)
+    fleet = cli._parametric_fleet(load_fleet_config(CONFIGS / "fleet.json"), economics)
+    return fleet, programs, program_sampler(programs, joint)
+
+
+def verify_sgd_instance():
+    """``verify.check_sgd_convergence``'s fleet and programs."""
+    fleet = fleet_from_rewards([150.0, 100.0], [103.846153846, 131.818181818])
+    programs = [ProgramSpec(pid, p, eps_model=TruncatedExponential(fit_lambda(mean)))
+                for pid, p, mean in (("a", 24.0, 0.18), ("b", 30.0, 0.27))]
+    return fleet, programs
+
+
+def step_numerator(fleet, programs):
+    """``solve``'s D/G: each step is this over sqrt(j)."""
+    n, prices = len(programs), prices_of(programs)
+    return default_diameter(n, fleet.total_capacity_mw) / default_grad_bound(
+        n, float(fleet.rewards[-1]), float(prices.max())
+    )
+
+
+def test_block_step_schedule_matches_the_scalar_one_for_a_million_iterations():
+    """``solve`` takes a draw block's steps as ``num / np.sqrt(np.arange(j0, j1, dtype=float))``.
+
+    Each element is one correctly rounded sqrt and division, as ``num / math.sqrt(j)`` is,
+    so the blocks' split cannot matter: one array over j <= 10**6 covers every block.
+    """
+    nums = [step_numerator(*shipped_parametric_instance()[:2]), step_numerator(*verify_sgd_instance())]
+    nums += (np.random.default_rng(38).random(4) * 10.0 ** np.arange(-3, 5)[::2]).tolist()
+    j = np.arange(1, 10**6 + 1, dtype=float)
+    for num in nums:
+        block = (num / np.sqrt(j)).tolist()
+        assert block == [num / math.sqrt(i) for i in range(1, 10**6 + 1)], num
+
+
+def test_shipped_parametric_solve_matches_serial_reference_over_10000_iterations():
+    fleet, programs, sampler = shipped_parametric_instance()
+    cfg = SgdConfig(iterations=10000, batch=10, seed=0)  # solve-offline's defaults
+    reference = []
+    down = np.array([p.direction == "down" for p in programs])
+    expected = reference_solve(fleet, prices_of(programs), down, sampler, cfg, reference)
+    result = solve(fleet, programs, sampler, cfg, record_trajectory=True)
+    assert result.profile.c.tobytes() == expected.tobytes()
+    assert_same_iterates(result.trajectory, reference)
+
+
+@pytest.mark.parametrize("iterations", [1, 63, 64, 65, 300])
+def test_solve_draws_once_per_block_and_forms_one_subgradient_per_iteration(iterations, monkeypatch):
+    """A J-iteration solve calls its sampler ceil(J / 64) times and ``_subgradient`` J times."""
+    fleet, programs = verify_sgd_instance()
+    sampler, kernel, counts = program_sampler(programs), sgd._subgradient, {"draws": 0, "subgradients": 0}
+
+    def counted_sampler(rng, size):
+        counts["draws"] += 1
+        return sampler(rng, size)
+
+    def counted_kernel(*args):
+        counts["subgradients"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(sgd, "_subgradient", counted_kernel)
+    solve(fleet, programs, counted_sampler, SgdConfig(iterations=iterations, batch=4, seed=1))
+    assert counts == {"draws": -(-iterations // 64), "subgradients": iterations}
