@@ -1,5 +1,6 @@
 """Profit-maximizing ancillary-service capacity profiles for mining fleets."""
 
+from .cutting import Optimum
 from .deployment import (
     Allocation,
     DeploymentSample,
@@ -16,6 +17,7 @@ from .errors import (
     MinerflexError,
     ModelViolationError,
     NumericalError,
+    ShortWindowError,
     TraceFormatError,
 )
 from .fleet import (

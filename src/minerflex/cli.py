@@ -25,19 +25,13 @@ import numpy as np
 
 from . import __version__
 from .config import finite, load_config
-from .errors import InvalidInputError, MinerflexError, ModelViolationError, NumericalError
+from .errors import InvalidInputError, MinerflexError, ModelViolationError, NumericalError, ShortWindowError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
 from .fleet import MachineType, parse_machines
 from .online import OgdConfig, hour_optima, per_round_costs, run_online
 from .oracle import STRATEGIES, compare_strategies, draw_effective_samples, mc_expected_cost
 from .programs import ProgramSpec, TruncatedExponential, check_program_ids, fit_lambda, parse_eps_model, program_sampler
-from .regulation import (
-    RegInstance,
-    RegJointModel,
-    expected_reg_cost,
-    joint_pair,
-    solve_reg_profile,
-)
+from .regulation import RegInstance, RegJointModel, joint_pair, solve_reg_profile
 from .sgd import SgdConfig, solve as sgd_solve
 from .single_machine import ProgramStats, RiskConfig, profile_risk, risk_aware_solve
 from .traces import (
@@ -280,9 +274,7 @@ def cmd_solve_reg(args) -> dict:
     inst = load_config(args.config, _parse_reg)
     fleet = inst.fleet
     _check_cost_range(fleet.total_capacity_mw, float(np.abs(fleet.rewards).max()), max(inst.p_up, inst.p_dn), 1)
-    profile, gap = solve_reg_profile(inst)
-    c_up, c_dn = map(float, profile.c)
-    value = expected_reg_cost(inst, c_up, c_dn)
+    (c_up, c_dn), value, gap = solve_reg_profile(inst)
     return {
         "profile.csv": (["c_up", "c_dn", "expected_cost"], np.array([[c_up], [c_dn], [value]])),
         "summary.json": {
@@ -310,9 +302,9 @@ def cmd_solve_risk(args) -> dict:
         # every traced price bounds the mean price, and the check leaves room to sum them
         try:
             _check_cost_range(cap, r, float(traces.as_prices[:, cols].max()), len(ids))
-        except NumericalError as exc:
-            raise NumericalError(f"{args.traces_as}: {exc}") from None
-        stats = [estimate_stats(traces, col) for col in cols]
+            stats = [estimate_stats(traces, col) for col in cols]
+        except (NumericalError, InvalidInputError) as exc:
+            raise type(exc)(f"{args.traces_as}: {exc}") from None
     else:
         _check_cost_range(cap, r, max(s.price for s in stats), len(stats))
     profile = risk_aware_solve(stats, r, cap, risk)
@@ -340,10 +332,10 @@ def cmd_simulate_online(args) -> dict:
         raise InvalidInputError(f"{args.fleet}: online learning needs a fleet capacity above 0, got {batch.cap} MW")
     r_max, p_max = float(batch.rewards.max()), float(batch.quoted_prices.max())
     cfg = OgdConfig.from_bounds(len(programs), batch.cap, max(r_max, 1e-9), max(p_max, 1e-9), learners=args.learners)
-    played, costs, report = run_online(batch, cfg, timestamps=traces.timestamps)
-    T = batch.T
-    cum = np.cumsum(costs - per_round_costs(batch, report.hindsight_profile))
     hours = np.array([ts.hour for ts in traces.timestamps])
+    played, costs, report = run_online(batch, cfg, hours)
+    T = batch.T
+    cum = np.cumsum(costs - per_round_costs(batch, report.hindsight.point))
     # the constant bound column is encoded once, as text
     columns = [np.arange(T), hours, *played.T, costs, cum, cum / np.arange(1, T + 1), [repr(report.bound)] * T]
     header = ["round", "hour", *[f"c_{p.id}" for p in programs], "cost", "cum_regret", "avg_regret", "bound"]
@@ -355,8 +347,8 @@ def cmd_simulate_online(args) -> dict:
             "static_regret": report.static_regret,
             "average_regret": report.average_regret,
             "bound": report.bound,
-            "hindsight_profile": [float(x) for x in report.hindsight_profile.c],
-            "hindsight_gap": report.hindsight_gap,
+            "hindsight_profile": report.hindsight.point.tolist(),
+            "hindsight_gap": report.hindsight.gap,
         },
     }
 
@@ -537,6 +529,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ShortWindowError as exc:  # only traces-mode fits raise it
+        print(f"error: {args.traces_market}, {args.traces_as}: {exc}", file=sys.stderr)
+        return 2
     except (MinerflexError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,8 @@ function over {c >= 0, sum c <= cap} through :func:`minimize`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .deployment import dot, project_simplex
@@ -14,6 +16,14 @@ from .deployment import dot, project_simplex
 MAX_CUTS = 200
 # Relative optimality gap at which the cutting-plane solve stops.
 GAP_TOL = 1e-9
+
+
+class Optimum(NamedTuple):
+    """A certified solve: the best point found (read-only), its value, and how far that value can be from optimal."""
+
+    point: np.ndarray
+    value: float
+    gap: float
 
 
 def _master(b: np.ndarray, g: np.ndarray, cap: float) -> tuple[np.ndarray, float]:
@@ -68,8 +78,8 @@ def _master(b: np.ndarray, g: np.ndarray, cap: float) -> tuple[np.ndarray, float
     return cap * u[:n], float(dot(lam, b, axis=0)) + cap * min(0.0, float(slope.min()))
 
 
-def minimize(evaluate, n: int, cap: float) -> tuple[np.ndarray, float, float]:
-    """Best point, its value and a certified optimality gap of a convex F over {c >= 0, sum c <= cap}.
+def minimize(evaluate, n: int, cap: float) -> Optimum:
+    """The :class:`Optimum` of a convex F over {c >= 0, sum c <= cap}: best point, its value and a certified gap.
 
     ``evaluate`` maps a (P, n) block of feasible points to their (P,) values
     and (P, n) subgradients. Kelley's method (Kelley 1960) adds the cut
@@ -96,4 +106,5 @@ def minimize(evaluate, n: int, cap: float) -> tuple[np.ndarray, float, float]:
             best_c, best_v = c, float(v)
         slopes = np.vstack([slopes, g])
         b = np.append(b, v - dot(g, c))
-    return best_c, best_v, gap
+    best_c.setflags(write=False)
+    return Optimum(best_c, best_v, gap)

@@ -26,5 +26,9 @@ class TraceFormatError(InvalidInputError):
         super().__init__(f"{path}:{line}: {message}")
 
 
+class ShortWindowError(InvalidInputError):
+    """A trace window holds too few fully observed slots to fit; the command line names its trace files."""
+
+
 class NumericalError(MinerflexError):
     """A numerical routine failed to converge or produced non-finite values."""

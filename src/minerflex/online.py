@@ -2,8 +2,8 @@
 
 Protocol per round: commit a profile, then observe (eps, r, p), suffer the
 realized cost, and update with the exact subgradient of that round's cost at
-the committed point. A bank of independent learners keyed by hour of day
-captures the strong diurnal structure of ancillary prices; static regret is
+the committed point. A bank of independent learners, keyed by the caller
+(by hour of day on the command line), plays the rounds; static regret is
 always measured against the single best fixed profile in hindsight. That
 profile is exact: the total cost is polyhedral in the profile, so a
 cutting-plane solve finds its minimum and certifies it with a lower bound.
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutting import minimize
-from .deployment import Profile, SlotBatch, project_simplex
+from .cutting import Optimum, minimize
+from .deployment import SlotBatch, project_simplex
 from .errors import InvalidInputError
 from .sgd import default_diameter, default_grad_bound, step_size
 
@@ -66,19 +66,17 @@ class OgdConfig:
 class RegretReport:
     static_regret: float
     average_regret: float
-    hindsight_profile: Profile
-    hindsight_gap: float
+    hindsight: Optimum
     bound: float
 
 
-def hindsight_optimum(batch: SlotBatch) -> tuple[Profile, float]:
-    """Best fixed profile over the whole sequence, with a certified optimality gap.
+def hindsight_optimum(batch: SlotBatch) -> Optimum:
+    """Best fixed profile over the whole sequence, its total cost and its certified optimality gap.
 
     The total cost F(c) = sum_t max_k(prefix_tk + r_tk eps_t.c) - p_t.c is
     convex and polyhedral, so the cutting-plane core minimizes it exactly.
     """
-    c, _, gap = minimize(batch.totals, batch.n, batch.cap)
-    return Profile(c), gap
+    return minimize(batch.totals, batch.n, batch.cap)
 
 
 def hour_optima(batch: SlotBatch, hours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,18 +90,17 @@ def hour_optima(batch: SlotBatch, hours: np.ndarray) -> tuple[np.ndarray, np.nda
     profiles, gaps = np.empty((24, batch.n)), np.full(24, np.nan)
     empty = np.bincount(hours, minlength=24) == 0
     for h in np.flatnonzero(~empty).tolist():
-        profile, gaps[h] = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
-        profiles[h] = profile.c
+        profiles[h], _, gaps[h] = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
     if empty.any():
-        profiles[empty] = hindsight_optimum(batch)[0].c
+        profiles[empty] = hindsight_optimum(batch).point
     return profiles, gaps
 
 
-def play_bank(batch: SlotBatch, cfg: OgdConfig, timestamps=None) -> tuple[np.ndarray, np.ndarray, float]:
+def play_bank(batch: SlotBatch, cfg: OgdConfig, keys=None) -> tuple[np.ndarray, np.ndarray, float]:
     """The (T, N) profiles the learner bank plays, the (T,) costs it incurs and its regret bound.
 
-    Rounds are keyed to learners by timestamp hour (mod bank size) or by
-    round index when no timestamps are supplied. Each learner runs its own
+    Round t plays learner ``keys[t] % cfg.learners`` for (T,) integer
+    ``keys``, or ``t % cfg.learners`` without them. Each learner runs its own
     step-size clock over its own subsequence, so the bound is the
     :func:`math.fsum` of :meth:`OgdConfig.regret_bound` over the learners that
     play, each at its own round count.
@@ -114,32 +111,33 @@ def play_bank(batch: SlotBatch, cfg: OgdConfig, timestamps=None) -> tuple[np.nda
     the first ones of that ranking, so each wave's iterates are a leading
     block of rows, costed by :meth:`SlotBatch.cost_and_subgradient` and
     projected as one block. Every slot's arithmetic is the same as stepping
-    its learner alone, whatever the bank size and timestamps.
+    its learner alone, whatever the bank size and keys.
     """
-    if timestamps is not None and len(timestamps) != batch.T:
-        raise InvalidInputError("timestamps must match the number of rounds")
+    if keys is not None and len(keys) != batch.T:
+        raise InvalidInputError(f"keys must match the number of rounds: {len(keys)} != {batch.T}")
     if abs(batch.cap - cfg.cap) > 1e-6 * max(1.0, cfg.cap):
         raise InvalidInputError(f"batch capacity {batch.cap} != cap {cfg.cap}")
 
     T, n = batch.T, batch.n
-    keys = np.arange(T) if timestamps is None else np.array([ts.hour for ts in timestamps])
-    learner = keys % cfg.learners
+    learner = (np.arange(T) if keys is None else np.asarray(keys)) % cfg.learners
     counts = np.bincount(learner)  # only learners that play are indexed
     # step[t]: how many rounds round t's learner has played before it
     step = np.empty(T, dtype=int)
     step[np.argsort(learner, kind="stable")] = np.arange(T) - np.repeat(np.cumsum(counts) - counts, counts)
-    # the slots wave by wave, read from the batch in place (a wave-ordered copy of
-    # the batch raised peak memory): a wave whose slots are one ascending run, as
-    # every wave of an hour-aligned trace is, as a slice, any other by index
+    # the slots wave by wave, read from the batch in place (a wave-ordered copy of the
+    # batch raised peak memory): a wave whose slots rise by one stride, as the waves of
+    # an hour-aligned trace and of block-keyed runs do, as a slice, any other by index
     order = np.lexsort((learner, -counts[learner], step))
-    jumps = np.diff(order) != 1  # jumps[i]: slot order[i + 1] does not follow slot order[i]
+    spacing = np.append(np.diff(order), 1)  # spacing[i]: slot order[i + 1] less slot order[i]
+    uneven = np.diff(spacing) != 0
 
     states = np.zeros((np.count_nonzero(counts), n))
     played, costs = np.empty((T, n)), np.empty(T)
     start = 0
     for j, size in enumerate(np.bincount(step).tolist(), start=1):
         end = start + size
-        rows = order[start:end] if jumps[start : end - 1].any() else slice(order[start], order[start] + size)
+        even = spacing[start] > 0 and not uneven[start : end - 2].any()
+        rows = slice(order[start], order[end - 1] + 1, spacing[start]) if even else order[start:end]
         c = states[:size]
         cost, grad = batch.cost_and_subgradient(rows, c)
         played[rows], costs[rows] = c, cost
@@ -149,11 +147,9 @@ def play_bank(batch: SlotBatch, cfg: OgdConfig, timestamps=None) -> tuple[np.nda
     return played, costs, bound
 
 
-def run_online(
-    batch: SlotBatch, cfg: OgdConfig, timestamps=None
-) -> tuple[np.ndarray, np.ndarray, RegretReport]:
+def run_online(batch: SlotBatch, cfg: OgdConfig, keys=None) -> tuple[np.ndarray, np.ndarray, RegretReport]:
     """:func:`play_bank`'s played profiles and costs, with the :func:`regret_report` of its bound."""
-    played, costs, bound = play_bank(batch, cfg, timestamps)
+    played, costs, bound = play_bank(batch, cfg, keys)
     return played, costs, regret_report(batch, costs, bound)
 
 
@@ -163,17 +159,13 @@ def regret_report(batch: SlotBatch, costs: np.ndarray, bound: float) -> RegretRe
     The comparator is :func:`hindsight_optimum` of ``batch``; the costs are
     summed in round order, as a running total would sum them.
     """
-    hindsight, gap = hindsight_optimum(batch)
-    static = float(np.cumsum(costs)[-1]) - float(batch.totals(hindsight.c[None, :])[0][0])
-    return RegretReport(
-        static_regret=static,
-        average_regret=static / batch.T,
-        hindsight_profile=hindsight,
-        hindsight_gap=gap,
-        bound=bound,
-    )
+    hindsight = hindsight_optimum(batch)
+    # re-costed, not hindsight.value: where the best point is a starting vertex, that
+    # value is a column of a (T, P) sum and can differ from the (T, 1) sum in the last bit
+    static = float(np.cumsum(costs)[-1]) - float(batch.totals(hindsight.point[None, :])[0][0])
+    return RegretReport(static_regret=static, average_regret=static / batch.T, hindsight=hindsight, bound=bound)
 
 
-def per_round_costs(batch: SlotBatch, profile) -> np.ndarray:
-    """Cost of holding one fixed profile in every round (for regret curves)."""
-    return batch.cost_and_subgradient(slice(None), np.asarray(getattr(profile, "c", profile), dtype=float))[0]
+def per_round_costs(batch: SlotBatch, c: np.ndarray) -> np.ndarray:
+    """(T,) costs of holding the one fixed (N,) profile ``c`` in every round (for regret curves)."""
+    return batch.cost_and_subgradient(slice(None), c)[0]

@@ -21,8 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cutting import minimize
-from .deployment import Profile
+from .cutting import Optimum, minimize
 from .errors import InfeasibleError, InvalidInputError
 from .fleet import FleetSpec
 from .programs import TruncatedExponential, truncexp_mean
@@ -172,8 +171,8 @@ def expected_reg_gradient(inst: RegInstance, c_up: float, c_dn: float) -> np.nda
     return np.array(_expected_reg(inst, c_up, c_dn)[1:])
 
 
-def solve_reg_profile(inst: RegInstance) -> tuple[Profile, float]:
-    """Exact minimum of the expected cost over the feasible set, with a certified gap.
+def solve_reg_profile(inst: RegInstance) -> Optimum:
+    """Exact minimizer (c_up, c_dn) of the expected cost over the feasible set, its cost and a certified gap.
 
     The cost is convex and piecewise smooth; its gradient is a subgradient at
     kinks, such as where c_up = 0 puts the reg-up line on a cumulative capacity.
@@ -183,5 +182,4 @@ def solve_reg_profile(inst: RegInstance) -> tuple[Profile, float]:
         out = np.array([_expected_reg(inst, *c) for c in points.tolist()])
         return out[:, 0], out[:, 1:]
 
-    c, _, gap = minimize(evaluate, 2, inst.fleet.total_capacity_mw)
-    return Profile(c), gap
+    return minimize(evaluate, 2, inst.fleet.total_capacity_mw)

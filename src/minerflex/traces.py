@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import finite, load_config
 from .deployment import SlotBatch
-from .errors import InvalidInputError, ModelViolationError, NumericalError, TraceFormatError
+from .errors import InvalidInputError, ModelViolationError, NumericalError, ShortWindowError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
 from .programs import PriceResponsiveModel, ProgramSpec, check_program_ids, parse_eps_model, price_responsive_eps
 from .regulation import joint_pair, sample_joint
@@ -548,9 +548,8 @@ def estimate_stats(traces: Traces, program_index: int) -> ProgramStats:
     column = traces.deployment[:, program_index]
     arr = column[~np.isnan(column)]
     if arr.size < 2:
-        raise InvalidInputError(
-            f"need at least 2 deployment observations for program {program_index}, got {arr.size}"
-        )
+        pid = traces.program_ids[program_index]
+        raise InvalidInputError(f"need at least 2 deployment observations for program {pid!r}, got {arr.size}")
     n = arr.size
     return ProgramStats(
         price=float(traces.as_prices[:, program_index].mean()),
@@ -655,7 +654,7 @@ def observed_slots(traces: Traces, fleet_config, programs, window=None, clamp_ne
     """The fully observed slots at ``start <= timestamp < end`` of ``window`` (all without one) and their batch.
 
     Returns the selected :class:`Traces` and :func:`slot_batch` of them, in
-    slot order. Raises ``InvalidInputError`` when fewer than 24 slots remain.
+    slot order. Raises :class:`~minerflex.errors.ShortWindowError` when fewer than 24 slots remain.
     """
     if window is not None:
         start, end = window
@@ -665,7 +664,5 @@ def observed_slots(traces: Traces, fleet_config, programs, window=None, clamp_ne
         batch = slot_batch(traces, fleet_config, programs, clamp_negative)
         observed = np.flatnonzero(~batch.missing.any(axis=1))
     if len(observed) < 24:
-        raise InvalidInputError(
-            f"need at least 24 fully observed slots in the window, got {len(observed)}"
-        )
+        raise ShortWindowError(f"need at least 24 fully observed slots in the window, got {len(observed)}")
     return traces.take(observed), batch.take(observed)

@@ -512,21 +512,19 @@ def regret_runs(rng, runs: int, horizon: int) -> list[tuple[SlotBatch, np.ndarra
     equals ``run_online(regret_slots(rng, horizon), cfg)`` at ``learners=1``,
     run after run, bit for bit, and leaves the generator in the same state.
 
-    The runs play in lockstep: one ``regret_slots`` block draws them all, and
-    interleaved round-major, run r becomes learner r of one ``learners=runs``
-    bank, so one :func:`~minerflex.online.play_bank` call steps all runs a
-    round at a time, with no pooled report over the whole bank.
-    Every learner keeps its own step-size clock, and a wave's rows do each
-    slot's arithmetic as a lone learner's step does.
+    One ``regret_slots`` block draws all the runs, and one
+    :func:`~minerflex.online.play_bank` call plays them, run r's rows keyed to
+    learner r, with no pooled report over the whole bank.
     """
     drawn = regret_slots(rng, runs * horizon)
     cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=runs)
-    played, costs, _ = play_bank(drawn.take(np.arange(runs * horizon).reshape(runs, horizon).T.ravel()), cfg)
+    played, costs, _ = play_bank(drawn, cfg, np.repeat(np.arange(runs), horizon))
     bound = cfg.regret_bound(horizon)
     out = []
     for r in range(runs):
-        batch = drawn.take(slice(r * horizon, (r + 1) * horizon))
-        out.append((batch, played[r::runs], costs[r::runs], regret_report(batch, costs[r::runs], bound)))
+        rows = slice(r * horizon, (r + 1) * horizon)
+        batch = drawn.take(rows)
+        out.append((batch, played[rows], costs[rows], regret_report(batch, costs[rows], bound)))
     return out
 
 
@@ -540,11 +538,11 @@ def check_online_regret(seed=10, runs=20, horizon=200) -> CheckResult:
         # profile. What must hold is that the hindsight profile is the best fixed
         # one, so no played profile held fixed costs less over the horizon. The
         # solver's certified gap must close to the same tolerance.
-        c = np.vstack([played, report.hindsight_profile.c])
+        c = np.vstack([played, report.hindsight.point])
         slots = (batch.capacities, batch.rewards, batch.quoted_prices, batch.raw_eps)
         totals = _max_of_affines(*(x[:, None] for x in slots), c).sum(axis=0)
         tol = 1e-6 * max(1.0, abs(totals[-1]))
-        ok &= bool(totals[-1] <= totals[:-1].min() + tol and report.hindsight_gap <= tol)
+        ok &= bool(totals[-1] <= totals[:-1].min() + tol and report.hindsight.gap <= tol)
         worst_frac = max(worst_frac, report.static_regret / report.bound)
     return CheckResult(
         "online regret within the worst-case bound",

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minerflex import ProgramSpec, hindsight_optimum, load_fleet_config, load_traces
+from minerflex import Optimum, ProgramSpec, expected_reg_cost, hindsight_optimum, load_fleet_config, load_traces
+from minerflex.config import load_config
 import minerflex.cli as cli
 from minerflex.cli import main
 from minerflex.traces import observed_slots
@@ -106,7 +107,7 @@ def test_validation_error_exit_code(tmp_path):
 def test_non_finite_json_output_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     # the cost-range checks keep config inputs from reaching a non-finite output, so a
     # patched solver supplies one: summary.json would hold an Infinity literal
-    monkeypatch.setattr(cli, "expected_reg_cost", lambda inst, c_up, c_dn: math.inf)
+    monkeypatch.setattr(cli, "solve_reg_profile", lambda inst: Optimum(np.zeros(2), math.inf, 0.0))
     out = tmp_path / "o"
     rc = main([str(a) for a in ["solve-reg", "--config", CONFIGS / "reg.json", "--out", out]])
     err = capsys.readouterr().err
@@ -243,6 +244,41 @@ def test_solve_risk_overflowing_trace_prices_exit_3_naming_the_as_file(traces_di
     assert [str(w.message) for w in caught] == []
     assert rc == 3 and err.startswith(f"error: {as_csv}: costs overflow: 250.0 MW at rewards up to ") and err.count("\n") == 1, err
     assert err.rstrip().endswith("program prices up to 1e+308"), err
+    assert list(out.iterdir()) == []
+
+
+def _as_csv_without_regup_rates(traces_dir, tmp_path):
+    """Copy of the week's as.csv with every ``regup`` epsilon blank (unobserved)."""
+    with open(traces_dir / "as.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    path = tmp_path / "as.csv"
+    with open(path, "w", newline="") as fh:
+        blanked = ([ts, pid, price, "" if pid == "regup" else eps] for ts, pid, price, eps in rows)
+        csv.writer(fh, lineterminator="\n").writerows([header, *blanked])
+    return path
+
+
+def test_solve_risk_unobserved_program_exits_2_naming_the_as_file_and_program(traces_dir, tmp_path, capsys):
+    as_csv = _as_csv_without_regup_rates(traces_dir, tmp_path)
+    out = tmp_path / "o"
+    argv = ["solve-risk", "--config", CONFIGS / "risk.json", "--traces-market", traces_dir / "market.csv",
+            "--traces-as", as_csv, "--out", out]
+    rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == f"error: {as_csv}: need at least 2 deployment observations for program 'regup', got 0\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["solve-offline", "compare-strategies"])
+def test_window_without_observed_slots_exits_2_naming_both_traces(command, traces_dir, tmp_path, capsys):
+    # every slot misses a regup rate, so the fit has no fully observed slot
+    market, as_csv = traces_dir / "market.csv", _as_csv_without_regup_rates(traces_dir, tmp_path)
+    out = tmp_path / "o"
+    argv = [command, "--fleet", CONFIGS / "fleet.json", "--programs", CONFIGS / "programs.json",
+            "--traces-market", market, "--traces-as", as_csv, "--out", out]
+    rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == f"error: {market}, {as_csv}: need at least 24 fully observed slots in the window, got 0\n"
     assert list(out.iterdir()) == []
 
 
@@ -455,6 +491,27 @@ def test_reg_config_takes_any_number_of_machine_types(fleet, tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert 0.0 <= summary["gap"] <= 1e-9 * abs(summary["expected_cost"])
+
+
+@pytest.mark.parametrize(
+    "fleet",
+    [None, [{"id": "a", "capacity_mw": 100, "energy_intensity_mwh_per_coin": 110},
+            {"id": "b", "capacity_mw": 150, "energy_intensity_mwh_per_coin": 130},
+            {"id": "c", "capacity_mw": 60, "energy_intensity_mwh_per_coin": 160}]],
+    ids=["shipped", "three_types"],
+)
+def test_solve_reg_expected_cost_is_the_closed_form_at_its_profile(fleet, tmp_path):
+    # solve-reg writes the solve's own value: a fresh closed-form cost of the written profile, bit for bit
+    path = CONFIGS / "reg.json"
+    if fleet is not None:
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps({**json.loads((CONFIGS / "reg.json").read_text()), "fleet": fleet}))
+    assert main([str(a) for a in ["solve-reg", "--config", path, "--out", tmp_path / "o"]]) == 0
+    with open(tmp_path / "o" / "profile.csv", newline="") as fh:
+        (c_up, c_dn, cost), = (map(float, row) for row in list(csv.reader(fh))[1:])
+    value = expected_reg_cost(load_config(path, cli._parse_reg), c_up, c_dn)
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["expected_cost"].hex() == cost.hex() == value.hex()
 
 
 @pytest.mark.parametrize("name", ["programs", "risk", "spec"])
@@ -821,9 +878,9 @@ def test_solve_offline_empty_hour_holds_pooled_optimum(traces_dir, tmp_path):
     assert abs(float(batch.totals(hour3[None, :])[0][0]) - star) <= 1e-9 * max(1.0, abs(star))
     assert rows[3][3:] == ["nan", "nan"]
     for h in set(range(24)) - {3}:
-        profile, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
-        assert rows[h][:3] + rows[h][4:] == [str(h), *map(repr, [*profile.c.tolist(), gap])], h
-        cost = batch.cost_and_subgradient(slice(None), profile.c)[0][hours == h].mean()
+        profile, _, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
+        assert rows[h][:3] + rows[h][4:] == [str(h), *map(repr, [*profile.tolist(), gap])], h
+        cost = batch.cost_and_subgradient(slice(None), profile)[0][hours == h].mean()
         assert float(rows[h][3]) == pytest.approx(cost, rel=1e-12), h
 
 

@@ -167,6 +167,23 @@ def test_verify_takes_no_monte_carlo_estimate():
     assert names & monte_carlo == set()
 
 
+def test_online_learner_keys_are_the_callers_decision():
+    """``online`` plays the learner keys it is given: it names no ``timestamps`` and reads no ``.hour``.
+
+    The command line keys its bank by hour of day, and ``verify`` by run.
+    """
+    tree = ast.parse((Path(minerflex.__file__).parent / "online.py").read_text())
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+    assert "timestamps" not in names | attrs and "hour" not in attrs
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it, unless its line is marked ``# noqa: F401``.
 

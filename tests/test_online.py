@@ -11,13 +11,14 @@ from scipy.optimize import linprog
 from minerflex import (
     InvalidInputError,
     OgdConfig,
+    Optimum,
     ProgramSpec,
     fleet_from_rewards,
     hindsight_optimum,
     run_online,
 )
 from minerflex import verify
-from minerflex.deployment import Profile, project_simplex, slot_cost
+from minerflex.deployment import project_simplex, slot_cost
 from minerflex.online import hour_optima, per_round_costs, regret_report
 from minerflex.verify import check_online_regret
 
@@ -43,9 +44,10 @@ def stationary_rounds(rng, horizon, caps=(150.0, 100.0), r_max=200.0, p_max=60.0
     return fleets * horizon, programs_seq * horizon, samples * horizon
 
 
-def serial_run_online(batch, cfg, timestamps=None):
+def serial_run_online(batch, cfg, keys=None):
     """Reference learner loop: one round at a time, each learner with its own step clock.
 
+    Round t plays learner ``keys[t] % cfg.learners``, or ``t % cfg.learners`` without keys.
     Slot t's cost goes through ``slot_cost`` on slot t's fleet row, the step is
     eta = D / (G sqrt(clock)), the projection is 1-D, and the incurred costs are
     summed in round order. Returns the played profiles, the costs and their total.
@@ -56,7 +58,7 @@ def serial_run_online(batch, cfg, timestamps=None):
     played, costs = np.empty((T, n)), np.empty(T)
     total = 0.0
     for t in range(T):
-        h = (t if timestamps is None else timestamps[t].hour) % cfg.learners
+        h = int(t if keys is None else keys[t]) % cfg.learners
         c = states[h]
         row = SimpleNamespace(
             rewards=batch.rewards[t], cum_capacities=batch.cum_capacities[t], prefix_costs=batch.prefix_costs[t]
@@ -70,18 +72,23 @@ def serial_run_online(batch, cfg, timestamps=None):
     return played, costs, total
 
 
-def assert_matches_serial(batch, cfg, timestamps=None):
+def report_bytes(report):
+    """The bytes of every number in a regret report, its hindsight profile first."""
+    numbers = (report.static_regret, report.average_regret, report.hindsight.gap, report.bound)
+    return [report.hindsight.point.tobytes(), *(np.float64(x).tobytes() for x in numbers)]
+
+
+def assert_matches_serial(batch, cfg, keys=None):
     """``run_online`` equals :func:`serial_run_online` bit for bit, regret report included."""
-    played, costs, report = run_online(batch, cfg, timestamps)
-    ref_played, ref_costs, ref_total = serial_run_online(batch, cfg, timestamps)
+    played, costs, report = run_online(batch, cfg, keys)
+    ref_played, ref_costs, ref_total = serial_run_online(batch, cfg, keys)
     assert played.tobytes() == ref_played.tobytes()
     assert costs.tobytes() == ref_costs.tobytes()
-    static = ref_total - float(batch.totals(report.hindsight_profile.c[None, :])[0][0])
+    static = ref_total - float(batch.totals(report.hindsight.point[None, :])[0][0])
     assert np.float64(report.static_regret).tobytes() == np.float64(static).tobytes()
     assert np.float64(report.average_regret).tobytes() == np.float64(static / batch.T).tobytes()
     # each learner's own (3/2) G D sqrt(T_l), summed over the learners that play
-    keys = np.arange(batch.T) if timestamps is None else np.array([ts.hour for ts in timestamps])
-    rounds = np.bincount(keys % cfg.learners).tolist()
+    rounds = np.bincount((np.arange(batch.T) if keys is None else keys) % cfg.learners).tolist()
     assert report.bound == math.fsum(1.5 * cfg.grad_bound * cfg.diameter * math.sqrt(t) for t in rounds if t)
 
 
@@ -95,9 +102,22 @@ def test_waves_match_the_serial_loop(rng):
     batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
     start = datetime(2022, 3, 1, 17, tzinfo=timezone.utc)
     stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.choice([20, 60, 150], horizon))]
-    for learners, timestamps in ((24, stamps), (7, stamps), (5, None), (1, None), (40, None)):
+    hours = np.array([ts.hour for ts in stamps])
+    for learners, keys in ((24, hours), (7, hours), (5, None), (1, None), (40, None)):
         cfg = OgdConfig.from_bounds(3, 250.0, 200.0, 150.0, learners=learners)
-        assert_matches_serial(batch, cfg, timestamps)
+        assert_matches_serial(batch, cfg, keys)
+
+
+def test_arbitrary_integer_keys_match_the_serial_loop(rng):
+    # keys need not be hours: any integers, repeated and skipped, each played mod the bank size
+    horizon = 120
+    fleets, programs_seq, samples = random_rounds(rng, horizon, caps=(90.0, 60.0, 100.0), p_max=150.0, n=3)
+    programs_seq = [[ps[0], dataclasses.replace(ps[1], direction="down"), ps[2]] for ps in programs_seq]
+    masks = [rng.random(3) < 0.3 if t % 3 == 0 else None for t in range(horizon)]
+    batch = slot_batch_of(fleets, programs_seq, samples, 250.0, masks)
+    keys = rng.integers(0, 50, horizon)
+    cfg = OgdConfig.from_bounds(3, 250.0, 200.0, 150.0, learners=7)
+    assert_matches_serial(batch, cfg, keys)
 
 
 def test_learner_bank_memory_does_not_grow_with_its_size(rng):
@@ -112,10 +132,7 @@ def test_learner_bank_memory_does_not_grow_with_its_size(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        runs[learners] = [
-            played.tobytes(), costs.tobytes(), report.hindsight_profile.c.tobytes(),
-            *(np.float64(x).tobytes() for x in (report.static_regret, report.hindsight_gap, report.bound)),
-        ]
+        runs[learners] = [played.tobytes(), costs.tobytes(), *report_bytes(report)]
     assert peak < 2**20, peak
     assert runs[10**7] == runs[48]
 
@@ -135,13 +152,14 @@ def test_bank_regret_bound_covers_the_one_learner_bound(rng):
     batch = slot_batch_of(*random_rounds(rng, horizon), 250.0)
     start = datetime(2022, 3, 1, 5, tzinfo=timezone.utc)
     stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.choice([20, 60, 150], horizon))]
+    hours = np.array([ts.hour for ts in stamps])
     one = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=1)
     single = one.regret_bound(horizon)
     assert np.float64(run_online(batch, one)[2].bound).tobytes() == np.float64(single).tobytes()
     for learners in (2, 5, 24):
         cfg = dataclasses.replace(one, learners=learners)
-        for timestamps in (None, stamps):
-            bound = run_online(batch, cfg, timestamps)[2].bound
+        for keys in (None, hours):
+            bound = run_online(batch, cfg, keys)[2].bound
             assert bound >= single
             assert bound <= math.sqrt(learners) * single * (1.0 + 1e-12)  # Cauchy-Schwarz
 
@@ -232,7 +250,7 @@ def test_static_regret_below_bound_random(rng):
         assert report.static_regret <= report.bound
         # Static regret itself may be negative (an adaptive learner can beat every
         # fixed profile); the hindsight profile must still be the best fixed one.
-        totals = batch.totals(np.vstack([played, report.hindsight_profile.c]))[0]
+        totals = batch.totals(np.vstack([played, report.hindsight.point]))[0]
         assert totals[-1] <= totals[:-1].min() + 1e-6 * max(1.0, abs(totals[-1]))
 
 
@@ -242,7 +260,8 @@ def test_per_hour_isolation(rng):
     start = datetime(2022, 1, 1, tzinfo=timezone.utc)
     stamps = [start + timedelta(hours=i) for i in range(horizon)]
     cfg = OgdConfig.from_bounds(2, 250.0, 200.0, 60.0, learners=24)
-    played, _, _ = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg, timestamps=stamps)
+    hours = np.array([ts.hour for ts in stamps])
+    played, _, _ = run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg, hours)
 
     # shuffle whole rounds while keeping each hour's internal order
     order = np.arange(horizon)
@@ -254,7 +273,7 @@ def test_per_hour_isolation(rng):
         [samples[i] for i in shuffled],
         250.0,
     )
-    played2, _, _ = run_online(shuffled_batch, cfg, timestamps=[stamps[i] for i in shuffled])
+    played2, _, _ = run_online(shuffled_batch, cfg, hours[shuffled])
     for hour in range(24):
         seq1 = [c for i, c in enumerate(played) if stamps[i].hour == hour]
         seq2 = [c for i, c in enumerate(played2) if stamps[shuffled[i]].hour == hour]
@@ -275,8 +294,8 @@ def dense_grid_rounds(rng):
 
 def dense_grid_excess(arrays):
     """The hindsight profile's total cost less the least total on a 500 x 500 grid, and that least total."""
-    profile, _ = hindsight_optimum(arrays)
-    value = float(arrays.totals(profile.c[None, :])[0][0])
+    profile = hindsight_optimum(arrays).point
+    value = float(arrays.totals(profile[None, :])[0][0])
     axis = np.linspace(0.0, 250.0, 500)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
@@ -295,27 +314,28 @@ def test_hindsight_matches_dense_grid(rng):
 
 
 def test_dense_grid_fails_a_solver_that_never_participates(rng, monkeypatch):
-    monkeypatch.setitem(globals(), "hindsight_optimum", lambda batch: (Profile(np.zeros(batch.n)), 0.0))
+    # zero participation, reported at the cost of none and certified exact
+    monkeypatch.setitem(globals(), "hindsight_optimum", lambda batch: Optimum(np.zeros(batch.n), 0.0, 0.0))
     for arrays in dense_grid_rounds(rng)[3:]:
         assert dense_grid_excess(arrays)[0] > 4.0 * GRID_SLACK
 
 
 def test_hindsight_identical_rounds_single_round_argmin(rng):
     fleets, programs_seq, samples = stationary_rounds(rng, 30)
-    profile, _ = hindsight_optimum(slot_batch_of(fleets, programs_seq, samples, 250.0))
+    profile = hindsight_optimum(slot_batch_of(fleets, programs_seq, samples, 250.0)).point
     arrays = slot_batch_of(fleets[:1], programs_seq[:1], samples[:1], 250.0)
     axis = np.linspace(0.0, 250.0, 800)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
-    assert float(arrays.totals(profile.c[None, :])[0][0]) <= float(
+    assert float(arrays.totals(profile[None, :])[0][0]) <= float(
         slot_costs(arrays, grid).sum(axis=0).min()
     ) + 1e-6 * 250.0 * 200.0
 
 
 def test_hindsight_three_programs_beats_coarse_grid(rng):
     arrays = slot_batch_of(*random_rounds(rng, 40, n=3), 250.0)
-    profile, _ = hindsight_optimum(arrays)
-    value = float(arrays.totals(profile.c[None, :])[0][0])
+    profile = hindsight_optimum(arrays).point
+    value = float(arrays.totals(profile[None, :])[0][0])
     axis = np.linspace(0.0, 250.0, 80)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     grid = grid[grid.sum(axis=1) <= 250.0 + 1e-9]
@@ -368,15 +388,15 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("batch", _oracle_cases())
 def test_hindsight_matches_lp_oracle(batch):
-    profile, gap = hindsight_optimum(batch)
+    profile, _, gap = hindsight_optimum(batch)
     star = lp_hindsight_value(batch)
     tol = 1e-9 * max(1.0, abs(star))
-    value = float(batch.totals(profile.c[None, :])[0][0])
+    value = float(batch.totals(profile[None, :])[0][0])
     assert abs(value - star) <= tol
     # the certificate bounds the true suboptimality and closes at the stopping tolerance
     assert value - star - tol <= gap <= 1e-9 * max(1.0, abs(value))
-    again, gap_again = hindsight_optimum(batch)
-    assert again.c.tobytes() == profile.c.tobytes()
+    again, _, gap_again = hindsight_optimum(batch)
+    assert again.tobytes() == profile.tobytes()
     assert np.float64(gap_again).tobytes() == np.float64(gap).tobytes()
 
 
@@ -414,10 +434,10 @@ def test_hour_optima_match_lp_oracle():
     assert np.flatnonzero(hours == 7).tolist() == [0]
     assert_hour_optima_match_lp(batch, hours, profiles, gaps)
     # the empty hour holds the pooled optimum itself
-    assert profiles[5].tobytes() == hindsight_optimum(batch)[0].c.tobytes()
+    assert profiles[5].tobytes() == hindsight_optimum(batch).point.tobytes()
     for h in np.unique(hours).tolist():
-        profile, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
-        assert profile.c.tobytes() == profiles[h].tobytes() and gap == gaps[h]
+        profile, _, gap = hindsight_optimum(batch.take(np.flatnonzero(hours == h)))
+        assert profile.tobytes() == profiles[h].tobytes() and gap == gaps[h]
 
 
 def test_per_round_costs_shape(rng):
@@ -435,8 +455,10 @@ def test_run_online_validates_dimensions(rng):
     samples[2] = np.array([1.5, 0.2])
     with pytest.raises(InvalidInputError):
         run_online(slot_batch_of(fleets, programs_seq, samples, 250.0), cfg)
-    with pytest.raises(InvalidInputError):
-        run_online(slot_batch_of(*random_rounds(rng, 5), 250.0), cfg, timestamps=[])
+    batch = slot_batch_of(*random_rounds(rng, 5), 250.0)
+    for keys in ([], np.arange(4), np.arange(6)):  # one key per round, no more and no fewer
+        with pytest.raises(InvalidInputError):
+            run_online(batch, cfg, keys)
     with pytest.raises(InvalidInputError):
         run_online(slot_batch_of(*random_rounds(rng, 5, caps=(100.0, 100.0)), 200.0), cfg)
 
@@ -478,11 +500,7 @@ def test_regret_block_draws_match_per_slot_draws(horizon):
         ref_played, ref_costs, ref_report = run_online(ref, cfg)
         assert played.tobytes() == ref_played.tobytes()
         assert costs.tobytes() == ref_costs.tobytes()
-        assert report.hindsight_profile.c.tobytes() == ref_report.hindsight_profile.c.tobytes()
-        fields = ("static_regret", "average_regret", "hindsight_gap", "bound")
-        assert [np.float64(getattr(report, f)).tobytes() for f in fields] == [
-            np.float64(getattr(ref_report, f)).tobytes() for f in fields
-        ]
+        assert report_bytes(report) == report_bytes(ref_report)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -496,7 +514,7 @@ def test_verify_regret_check_rejects_a_hindsight_profile_that_is_not_best(monkey
     # each run's comparator comes from its own regret_report: report zero participation as the best
     def no_participation_hindsight(*args, **kwargs):
         report = regret_report(*args, **kwargs)
-        return dataclasses.replace(report, hindsight_profile=Profile(np.zeros(2)))
+        return dataclasses.replace(report, hindsight=report.hindsight._replace(point=np.zeros(2)))
 
     assert check_online_regret(seed=10, runs=1, horizon=50).passed
     monkeypatch.setattr(verify, "regret_report", no_participation_hindsight)
@@ -517,9 +535,5 @@ def test_regret_runs_match_serial_one_learner_runs(runs, horizon):
             assert getattr(batch, name).tobytes() == getattr(ref_batch, name).tobytes(), (r, name)
         assert played.shape == ref_played.shape and played.tobytes() == ref_played.tobytes(), r
         assert costs.shape == ref_costs.shape and costs.tobytes() == ref_costs.tobytes(), r
-        assert report.hindsight_profile.c.tobytes() == ref_report.hindsight_profile.c.tobytes(), r
-        fields = ("static_regret", "average_regret", "hindsight_gap", "bound")
-        assert [np.float64(getattr(report, f)).tobytes() for f in fields] == [
-            np.float64(getattr(ref_report, f)).tobytes() for f in fields
-        ], r
+        assert report_bytes(report) == report_bytes(ref_report), r
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -22,7 +22,7 @@ WAVES = settings(derandomize=True, database=None, max_examples=60, deadline=None
 
 @st.composite
 def online_runs(draw):
-    """A slot batch, a config and timestamps (none, hourly or gapped) for one run."""
+    """A slot batch, a config and learner keys for one run: none, or the hours of hourly or gapped timestamps."""
     T, n, K = draw(st.integers(1, 300)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     learners = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -46,7 +46,7 @@ def online_runs(draw):
         stamps = [start + timedelta(hours=t) for t in range(T)]
     else:  # gaps from 10 minutes to 5 hours: hours repeat and are skipped
         stamps = [start + timedelta(minutes=int(m)) for m in np.cumsum(rng.integers(10, 300, T))]
-    return batch, cfg, stamps
+    return batch, cfg, None if stamps is None else np.array([ts.hour for ts in stamps])
 
 
 @WAVES

@@ -248,7 +248,7 @@ def test_compare_strategies_hours_are_lp_optima():
     assert (report.batch.capacities == 0.0).any()  # merged afternoon types, padded at zero capacity
     assert_hour_optima_match_lp(report.batch, hours, report.hour_profiles, report.hour_gaps)
     # the empty hour 3 holds the pooled exact optimum, which costs the window no more than the fixed profile
-    assert report.hour_profiles[3].tobytes() == hindsight_optimum(report.batch)[0].c.tobytes()
+    assert report.hour_profiles[3].tobytes() == hindsight_optimum(report.batch).point.tobytes()
     totals = report.batch.totals(np.array([report.hour_profiles[3], report.fixed_profile]))[0]
     assert totals[0] <= totals[1] + 1e-9 * max(1.0, abs(totals[1]))
     # each hour's exact optimum costs its slots no more than the fixed profile does

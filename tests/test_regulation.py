@@ -430,16 +430,16 @@ def test_kernel_matches_two_type_reference():
 
 def test_solve_reg_zero_prices_no_participation():
     inst = make_instance(p_up=0.0, p_dn=0.0)
-    profile, _ = solve_reg_profile(inst)
-    np.testing.assert_allclose(profile.c, [0.0, 0.0], atol=1e-9)
+    profile = solve_reg_profile(inst).point
+    np.testing.assert_allclose(profile, [0.0, 0.0], atol=1e-9)
 
 
 def test_solve_reg_dominant_up_price():
     inst = make_instance(p_up=140.0, p_dn=0.0)
-    profile, _ = solve_reg_profile(inst)
+    profile = solve_reg_profile(inst).point
     cap = inst.fleet.total_capacity_mw
-    assert profile.c[0] == pytest.approx(cap, rel=1e-6)
-    assert profile.c[1] == pytest.approx(0.0, abs=1e-6)
+    assert profile[0] == pytest.approx(cap, rel=1e-6)
+    assert profile[1] == pytest.approx(0.0, abs=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -448,8 +448,8 @@ def test_solve_reg_dominant_up_price():
 )
 def test_solve_reg_matches_dense_grid(theta, p_up, p_dn):
     inst = make_instance(theta=theta, p_up=p_up, p_dn=p_dn)
-    profile, _ = solve_reg_profile(inst)
-    value = expected_reg_cost(inst, *profile.c)
+    profile = solve_reg_profile(inst).point
+    value = expected_reg_cost(inst, *profile)
     cap = inst.fleet.total_capacity_mw
     axis = np.linspace(0.0, cap, 200)
     best = min(
@@ -481,8 +481,8 @@ def test_solve_reg_gap_certifies_against_dense_grid():
     rng = np.random.default_rng(14)
     for _ in range(40):
         inst = random_instance(rng)
-        profile, gap = solve_reg_profile(inst)
-        value = expected_reg_cost(inst, *profile.c)
+        profile, _, gap = solve_reg_profile(inst)
+        value = expected_reg_cost(inst, *profile)
         assert 0.0 <= gap <= 1e-9 * max(1.0, abs(value))
         cap = inst.fleet.total_capacity_mw
         axis = np.linspace(0.0, cap, 200).tolist()
@@ -563,8 +563,8 @@ def test_solve_reg_certifies_against_dense_grid_any_fleet(k):
     rng = np.random.default_rng(800 + k)
     for _ in range(3):
         inst = random_instance(rng, k)
-        profile, gap = solve_reg_profile(inst)
-        value = expected_reg_cost(inst, *profile.c)
+        profile, _, gap = solve_reg_profile(inst)
+        value = expected_reg_cost(inst, *profile)
         assert 0.0 <= gap <= 1e-9 * max(1.0, abs(value))
         cap = inst.fleet.total_capacity_mw
         axis = np.linspace(0.0, cap, 80).tolist()
