@@ -2,9 +2,6 @@
 
 from .cutting import Optimum
 from .deployment import (
-    Allocation,
-    DeploymentSample,
-    Profile,
     allocate_deployment,
     cost_fixed_k,
     critical_type,

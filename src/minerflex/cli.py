@@ -255,7 +255,7 @@ def cmd_solve_offline(args) -> dict:
         result = sgd_solve(fleet, programs, sampler, cfg)
         eff = draw_effective_samples(sampler, [p.direction for p in programs], MC_SAMPLES, args.seed + 1)
         value, _ = mc_expected_cost(fleet, programs, result.profile, eff)
-        columns = [np.full(24, x) for x in (*result.profile.c.tolist(), value, result.bound)]
+        columns = [np.full(24, x) for x in (*result.profile.tolist(), value, result.bound)]
         bound = result.bound
 
     header = ["hour", *[f"c_{p.id}" for p in programs], "expected_cost", "bound"]
@@ -310,7 +310,7 @@ def cmd_solve_risk(args) -> dict:
     profile = risk_aware_solve(stats, r, cap, risk)
     exp_cost, var = profile_risk(stats, r, profile)
     return {
-        "profile.csv": (["program_id", "capacity_mw"], [ids, profile.c]),
+        "profile.csv": (["program_id", "capacity_mw"], [ids, profile]),
         "summary.json": {
             "risk_weight": risk.risk_weight,
             "reward_rate": r,

@@ -17,7 +17,6 @@ revenue, so negative cost is profit relative to mining-only operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -32,64 +31,10 @@ EDGE_GUARD = 1e-12
 
 
 def as_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(getattr(x, "epsilon", getattr(x, "c", x)), dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class DeploymentSample:
-    """One realized deployment-rate vector, componentwise in [0, 1]."""
-
-    epsilon: np.ndarray
-
-    def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=float)
-        if eps.ndim != 1:
-            raise InvalidInputError(f"epsilon must be a vector, got shape {eps.shape}")
-        if np.any(~np.isfinite(eps)) or np.any(eps < 0.0) or np.any(eps > 1.0):
-            raise InvalidInputError(f"epsilon components must lie in [0,1], got {eps}")
-        eps.setflags(write=False)
-        object.__setattr__(self, "epsilon", eps)
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Committed capacity per program (MW), componentwise nonnegative."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).copy()
-        if c.ndim != 1:
-            raise InvalidInputError(f"profile must be a vector, got shape {c.shape}")
-        if np.any(~np.isfinite(c)):
-            raise InvalidInputError("profile components must be finite")
-        tiny = (c < 0.0) & (c >= -EDGE_GUARD)
-        c[tiny] = 0.0
-        if np.any(c < 0.0):
-            raise InvalidInputError(f"profile components must be >= 0, got {c}")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-    def total(self) -> float:
-        return float(self.c.sum())
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Deployed capacity covered by each machine type (MW)."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
-
-    def total(self) -> float:
-        return float(self.d.sum())
 
 
 def flip_down(eps: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -102,8 +47,8 @@ def flip_down(eps: np.ndarray, down: np.ndarray) -> np.ndarray:
     return np.where(down, 1.0 - eps, eps)
 
 
-def effective_epsilon(sample, directions: Sequence[str]) -> DeploymentSample:
-    """Validated :func:`flip_down` of one raw deployment-rate vector."""
+def effective_epsilon(sample, directions: Sequence[str]) -> np.ndarray:
+    """Validated :func:`flip_down` of one raw deployment-rate vector, read-only."""
     eps = as_vector(sample, "sample")
     if len(directions) != eps.size:
         raise InvalidInputError(
@@ -112,7 +57,11 @@ def effective_epsilon(sample, directions: Sequence[str]) -> DeploymentSample:
     for direction in directions:
         if direction not in DIRECTIONS:
             raise InvalidInputError(f"unknown direction {direction!r}")
-    return DeploymentSample(flip_down(eps, np.asarray(directions) == "down"))
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):  # false for NaN
+        raise InvalidInputError(f"epsilon components must lie in [0,1], got {eps}")
+    eff = flip_down(eps, np.asarray(directions) == "down")
+    eff.setflags(write=False)
+    return eff
 
 
 def project_simplex(x: np.ndarray, cap) -> np.ndarray:
@@ -183,12 +132,13 @@ def _clamp_total(total: float, cap: float) -> float:
     return total
 
 
-def allocate_deployment(fleet: FleetSpec, total_deployed: float) -> Allocation:
-    """Greedy fill of the deployment total, least-rewarding types first."""
+def allocate_deployment(fleet: FleetSpec, total_deployed: float) -> np.ndarray:
+    """Per-type deployed MW (read-only): greedy fill of the total, least-rewarding types first."""
     total = _clamp_total(float(total_deployed), fleet.total_capacity_mw)
     already_filled = np.concatenate(([0.0], fleet.cum_capacities[:-1]))
     d = np.minimum(fleet.capacities, np.maximum(0.0, total - already_filled))
-    return Allocation(d)
+    d.setflags(write=False)
+    return d
 
 
 def critical_type(fleet: FleetSpec, total_deployed: float) -> int:

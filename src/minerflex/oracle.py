@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deployment import Profile, SlotBatch, as_vector, flip_down, realized_cost_batch
+from .deployment import SlotBatch, as_vector, flip_down, realized_cost_batch
 from .errors import InvalidInputError
 from .fleet import FleetSpec, MachineType, canonicalize
 from .online import hour_optima
@@ -43,7 +43,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridMcResult:
-    profile: Profile
+    profile: np.ndarray
     value: float
     stderr: float
 
@@ -200,9 +200,10 @@ def grid_mc_optimum(
             np.maximum(hinge, np.float32(0.0), out=hinge)
             means[lo:hi] += float(jump) * (np.add.reduce(hinge, axis=0, dtype=np.float64) / s)
 
-    best = int(np.argmin(means))
-    value, stderr = mc_expected_cost(fleet, programs, points[best], eff)
-    return GridMcResult(profile=Profile(points[best]), value=value, stderr=stderr)
+    best = points[int(np.argmin(means))].copy()  # a copy: the profile does not keep the grid alive
+    best.setflags(write=False)
+    value, stderr = mc_expected_cost(fleet, programs, best, eff)
+    return GridMcResult(profile=best, value=value, stderr=stderr)
 
 
 # ── Strategy comparison ──────────────────────────────────────────────────
@@ -254,7 +255,7 @@ def compare_strategies(
     # The config stays positional: the benchmark's iteration counter reads it.
     trained = sgd_solve(
         fleet, pooled, lambda rng, size: rows[rng.integers(0, len(rows), size)], SgdConfig(sgd_iterations, 8, seed)
-    ).profile.c
+    ).profile
     even = np.full(n, cap / n)
     candidates = np.array([trained, np.zeros(n), even])
     fixed = candidates[int(np.argmin(batch.totals(candidates)[0]))]

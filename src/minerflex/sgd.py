@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deployment import Profile, as_vector, capped_breaks, flip_down, project_simplex, project_simplex_list
+from .deployment import as_vector, capped_breaks, flip_down, project_simplex, project_simplex_list
 from .errors import InvalidInputError
 from .fleet import FleetSpec
 from .programs import ProgramSpec, prices_of
@@ -35,7 +35,7 @@ class SgdConfig:
 
 @dataclass(frozen=True)
 class SgdResult:
-    profile: Profile
+    profile: np.ndarray
     bound: float
     trajectory: list[np.ndarray] | None = None
 
@@ -68,14 +68,16 @@ def suboptimality_bound(
     return 3.0 * d * g / (2.0 * math.sqrt(iterations))
 
 
-def project_feasible(point, cap: float) -> Profile:
-    """Project an arbitrary point onto the feasible capacity set."""
+def project_feasible(point, cap: float) -> np.ndarray:
+    """Project an arbitrary point onto the feasible capacity set; the result is read-only."""
     x = as_vector(point, "point")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"point must be finite, got {x}")
     if cap < 0:
         raise InvalidInputError(f"cap must be >= 0, got {cap}")
-    return Profile(project_simplex(x, cap))
+    c = project_simplex(x, cap)
+    c.setflags(write=False)
+    return c
 
 
 def _subgradient(rewards, breaks, eps: np.ndarray, c: list) -> list:
@@ -188,4 +190,6 @@ def solve(
     bound = suboptimality_bound(
         config.iterations, n, float(fleet.rewards[-1]), float(p.max()), cap
     )
-    return SgdResult(profile=Profile(acc / config.iterations), bound=bound, trajectory=trajectory)
+    profile = acc / config.iterations
+    profile.setflags(write=False)
+    return SgdResult(profile=profile, bound=bound, trajectory=trajectory)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deployment import Profile, dot
+from .deployment import dot
 from .errors import InvalidInputError
 
 
@@ -63,29 +63,30 @@ def _unit_costs(programs: Sequence[ProgramStats], r: float) -> np.ndarray:
     return np.array([r * s.mean_eps - s.price for s in programs])
 
 
-def best_program(programs: Sequence[ProgramStats], r: float, cap: float) -> Profile:
-    """Vertex rule: full capacity on the cheapest program if it profits.
+def best_program(programs: Sequence[ProgramStats], r: float, cap: float) -> np.ndarray:
+    """Vertex rule, as a read-only profile: full capacity on the cheapest program if it profits.
 
     Ties on per-unit cost go to the lowest index; a program exactly at
     break-even still gets full capacity.
     """
     if not programs:
         raise InvalidInputError("need at least one program")
-    if r < 0:
-        raise InvalidInputError(f"reward must be >= 0, got {r}")
+    if not (r >= 0.0 and cap >= 0.0):  # a negative cap leaves no feasible profile
+        raise InvalidInputError(f"reward and cap must be >= 0, got {r}, {cap}")
     unit = _unit_costs(programs, r)
     i_star = int(np.argmin(unit))
     c = np.zeros(len(programs))
     if -unit[i_star] >= 0.0:
         c[i_star] = cap
-    return Profile(c)
+    c.setflags(write=False)
+    return c
 
 
 def profile_risk(
     programs: Sequence[ProgramStats], r: float, profile
 ) -> tuple[float, float]:
     """(expected cost, cost variance) of a profile under independent programs."""
-    c = np.asarray(getattr(profile, "c", profile), dtype=float)
+    c = np.asarray(profile, dtype=float)
     if c.size != len(programs):
         raise InvalidInputError(
             f"profile has {c.size} components for {len(programs)} programs"
@@ -97,8 +98,8 @@ def profile_risk(
 
 def risk_aware_solve(
     programs: Sequence[ProgramStats], r: float, cap: float, risk: RiskConfig
-) -> Profile:
-    """Exact minimizer of sum_i [c_i a_i + w c_i^2 r^2 Var(eps_i)] on the simplex.
+) -> np.ndarray:
+    """Exact minimizer of sum_i [c_i a_i + w c_i^2 r^2 Var(eps_i)] on the simplex, read-only.
 
     a_i = r E[eps_i] - p_i; with b_i = w r^2 Var(eps_i) > 0 the KKT
     conditions give c_i = max(0, (t_i - mu) / 2b_i) for t_i = -a_i and a
@@ -150,4 +151,5 @@ def risk_aware_solve(
         # The sum constraint binds through a linear (zero-variance) program:
         # it absorbs whatever the quadratic coordinates leave on the table.
         c[int(np.nonzero(zero_neg & (-a == mu))[0][0])] = cap - c[pos].sum()
-    return Profile(c)
+    c.setflags(write=False)
+    return c

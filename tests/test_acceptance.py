@@ -90,7 +90,7 @@ def test_criterion_1_greedy_deployment_optimality():
     for _ in range(1000):
         fleet, programs, c, raw = random_instance(rng)
         total = float(raw @ c)
-        d = allocate_deployment(fleet, total).d
+        d = allocate_deployment(fleet, total)
         greedy = float(fleet.rewards @ d) - float(prices_of(programs) @ c)
         oracle = lp_deployment_oracle(fleet, programs, c, raw)
         worst = max(worst, abs(greedy - oracle))
@@ -239,7 +239,7 @@ def test_criterion_5_single_machine_vertex_rule():
             for _ in range(n)
         ]
         profile = best_program(stats, r, cap)
-        value = float(profile.c @ [r * s.mean_eps - s.price for s in stats])
+        value = float(profile @ [r * s.mean_eps - s.price for s in stats])
         grid = np.linspace(0.0, cap, 1000)
         grid_best = 0.0
         for s in stats:
@@ -269,7 +269,7 @@ def test_criterion_6_risk_aware_qp():
         r = float(rng.uniform(1.0, 200.0))
         cap = float(rng.uniform(50.0, 400.0))
         w = float(rng.choice([0.0, 1e-5, 1e-4, 1e-3]))
-        c = risk_aware_solve(stats, r, cap, RiskConfig(w)).c
+        c = risk_aware_solve(stats, r, cap, RiskConfig(w))
         a = np.array([r * s.mean_eps - s.price for s in stats])
         b = np.array([w * r**2 * s.var_eps for s in stats])
         grad = a + 2.0 * b * c
@@ -289,7 +289,7 @@ def test_criterion_6_risk_aware_qp():
             float(np.max(np.abs(c * nu))) / max(1.0, cap),
         )
         if w == 0.0:
-            reduction_ok &= bool(np.array_equal(c, best_program(stats, r, cap).c))
+            reduction_ok &= bool(np.array_equal(c, best_program(stats, r, cap)))
 
     # variance of the optimum is non-increasing along a rising risk grid
     stats = [
@@ -298,7 +298,7 @@ def test_criterion_6_risk_aware_qp():
     ]
     variances = []
     for w in np.geomspace(1e-6, 1e-2, 20):
-        c = risk_aware_solve(stats, 150.0, 250.0, RiskConfig(float(w))).c
+        c = risk_aware_solve(stats, 150.0, 250.0, RiskConfig(float(w)))
         variances.append(profile_risk(stats, 150.0, c)[1])
     monotone = all(a >= b - 1e-9 * max(1.0, a) for a, b in zip(variances, variances[1:]))
     elapsed = time.time() - t0

@@ -5,21 +5,31 @@ import numpy as np
 import pytest
 
 from minerflex import (
-    DeploymentSample,
+    ConstantEps,
+    GridSpec,
     InfeasibleError,
     InvalidInputError,
     MachineType,
-    Profile,
     ProgramSpec,
+    ProgramStats,
+    RiskConfig,
+    SgdConfig,
+    TruncatedExponential,
     allocate_deployment,
+    best_program,
     cost_fixed_k,
     critical_type,
     effective_epsilon,
     fleet_from_rewards,
+    grid_mc_optimum,
+    program_sampler,
+    project_feasible,
     realized_cost,
+    risk_aware_solve,
+    solve,
     synthesize_traces,
 )
-from minerflex.cutting import MAX_CUTS
+from minerflex.cutting import MAX_CUTS, minimize
 from minerflex.deployment import FleetStack, SlotBatch, capped_breaks, dot, realized_cost_batch, slot_cost, slot_piece
 from minerflex.programs import directions_of, prices_of
 from minerflex.sgd import sample_subgradient
@@ -56,18 +66,18 @@ def brute_force_deployment_cost(fleet, programs, c, eps, step):
 
 
 def test_effective_epsilon_up_identity():
-    out = effective_epsilon(DeploymentSample(np.array([0.3])), ["up"])
-    np.testing.assert_allclose(out.epsilon, [0.3])
+    out = effective_epsilon(np.array([0.3]), ["up"])
+    np.testing.assert_allclose(out, [0.3])
 
 
 def test_effective_epsilon_down_flip():
-    out = effective_epsilon(DeploymentSample(np.array([0.3])), ["down"])
-    np.testing.assert_allclose(out.epsilon, [0.7])
+    out = effective_epsilon(np.array([0.3]), ["down"])
+    np.testing.assert_allclose(out, [0.7])
 
 
 def test_effective_epsilon_endpoints():
     out = effective_epsilon(np.array([0.0, 1.0]), ["up", "down"])
-    np.testing.assert_allclose(out.epsilon, [0.0, 0.0])
+    np.testing.assert_allclose(out, [0.0, 0.0])
 
 
 def test_effective_epsilon_validates():
@@ -78,16 +88,16 @@ def test_effective_epsilon_validates():
 
 
 def test_allocate_greedy(two_type_fleet):
-    np.testing.assert_allclose(allocate_deployment(two_type_fleet, 200.0).d, [150.0, 50.0])
-    np.testing.assert_allclose(allocate_deployment(two_type_fleet, 0.0).d, [0.0, 0.0])
+    np.testing.assert_allclose(allocate_deployment(two_type_fleet, 200.0), [150.0, 50.0])
+    np.testing.assert_allclose(allocate_deployment(two_type_fleet, 0.0), [0.0, 0.0])
 
 
 def test_allocate_three_types_matches_grid_oracle():
     fleet = fleet_from_rewards([50.0, 50.0, 50.0], [10.0, 20.0, 30.0])
     alloc = allocate_deployment(fleet, 120.0)
-    np.testing.assert_allclose(alloc.d, [50.0, 50.0, 20.0])
+    np.testing.assert_allclose(alloc, [50.0, 50.0, 20.0])
     programs = [ProgramSpec(id="p0", price=0.0)]
-    cost = float(fleet.rewards @ alloc.d)
+    cost = float(fleet.rewards @ alloc)
     oracle = brute_force_deployment_cost(fleet, programs, np.array([120.0]), np.array([1.0]), 1.0)
     assert cost == pytest.approx(oracle, abs=1e-9)
 
@@ -99,9 +109,9 @@ def test_allocate_rejects_overflow(two_type_fleet):
 
 def test_allocation_monotone_in_total(two_type_fleet, rng):
     totals = np.sort(rng.uniform(0.0, 250.0, 50))
-    previous = allocate_deployment(two_type_fleet, totals[0]).d
+    previous = allocate_deployment(two_type_fleet, totals[0])
     for t in totals[1:]:
-        current = allocate_deployment(two_type_fleet, float(t)).d
+        current = allocate_deployment(two_type_fleet, float(t))
         assert np.all(current >= previous - 1e-12)
         previous = current
 
@@ -111,9 +121,9 @@ def test_allocation_sums_to_total(rng):
         fleet, _, _, _ = random_instance(rng)
         total = float(rng.uniform(0.0, fleet.total_capacity_mw))
         alloc = allocate_deployment(fleet, total)
-        assert alloc.total() == pytest.approx(total, abs=1e-9)
-        assert np.all(alloc.d >= 0.0)
-        assert np.all(alloc.d <= fleet.capacities + 1e-12)
+        assert alloc.sum() == pytest.approx(total, abs=1e-9)
+        assert np.all(alloc >= 0.0)
+        assert np.all(alloc <= fleet.capacities + 1e-12)
 
 
 def test_critical_type_boundaries(two_type_fleet):
@@ -144,7 +154,7 @@ def test_realized_cost_worked_example(two_type_fleet):
     eps = np.array([0.8])
     cost = realized_cost(two_type_fleet, programs, c, eps)
     alloc = allocate_deployment(two_type_fleet, 200.0)
-    direct = float(two_type_fleet.rewards @ alloc.d) - 20.0 * 250.0
+    direct = float(two_type_fleet.rewards @ alloc) - 20.0 * 250.0
     assert cost == pytest.approx(16600.0, abs=1e-9)
     assert direct == pytest.approx(16600.0, abs=1e-9)
 
@@ -376,7 +386,7 @@ def test_batch_matches_scalar(rng):
         costs = batch.cost_and_subgradient(slice(None), c)[0]
         total_grad = np.zeros(3)
         for t, (fleet, programs) in enumerate(zip(fleets, programs_seq)):
-            eff = effective_epsilon(samples[t], directions_of(programs)).epsilon.copy()
+            eff = effective_epsilon(samples[t], directions_of(programs)).copy()
             if masks[t] is not None:
                 eff[masks[t]] = 0.0
                 programs = [
@@ -394,13 +404,31 @@ def test_batch_matches_scalar(rng):
 
 def test_sample_and_profile_validation():
     with pytest.raises(InvalidInputError):
-        DeploymentSample(np.array([1.2]))
+        effective_epsilon(np.array([1.2]), ["up"])
     with pytest.raises(InvalidInputError):
-        DeploymentSample(np.array([-0.1]))
-    with pytest.raises(InvalidInputError):
-        Profile(np.array([-1.0]))
-    p = Profile(np.array([-1e-13, 2.0]))  # tiny negative clamps to zero
-    assert p.c[0] == 0.0
+        effective_epsilon(np.array([-0.1]), ["up"])
+
+
+def test_returned_profiles_and_rates_are_read_only_float_arrays(two_type_fleet):
+    programs = [
+        ProgramSpec("a", 25.0, eps_model=TruncatedExponential(2.0)),
+        ProgramSpec("b", 30.0, "down", eps_model=ConstantEps(0.4)),
+    ]
+    stats = [ProgramStats(30.0, 0.18, 0.0225), ProgramStats(12.0, 0.12, 0.1056)]
+    target = np.array([40.0, 70.0])
+    vectors = {
+        "sgd.solve": solve(two_type_fleet, programs, program_sampler(programs), SgdConfig(50)).profile,
+        "project_feasible, 2 entries": project_feasible([300.0, -5.0], 250.0),
+        "project_feasible, 9 entries": project_feasible(np.arange(9.0) * 10.0, 250.0),
+        "best_program": best_program(stats, 150.0, 250.0),
+        "risk_aware_solve": risk_aware_solve(stats, 150.0, 250.0, RiskConfig(4e-4)),
+        "grid_mc_optimum": grid_mc_optimum(two_type_fleet, programs, program_sampler(programs), GridSpec(11, 50)).profile,
+        "allocate_deployment": allocate_deployment(two_type_fleet, 200.0),
+        "effective_epsilon": effective_epsilon([0.3, 0.6], ["up", "down"]),
+        "cutting.minimize": minimize(lambda x: (((x - target) ** 2).sum(1), 2.0 * (x - target)), 2, 250.0).point,
+    }
+    for name, v in vectors.items():
+        assert type(v) is np.ndarray and v.dtype == np.float64 and not v.flags.writeable, name
 
 
 def test_row_wise_and_shared_profile_costs_match(rng):

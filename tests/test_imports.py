@@ -184,6 +184,20 @@ def test_online_learner_keys_are_the_callers_decision():
     assert "timestamps" not in names | attrs and "hour" not in attrs
 
 
+def test_vectors_are_plain_arrays():
+    """Profiles and rates travel as arrays: no module reads a ``.c``, ``.d`` or ``.epsilon``
+    attribute, and none calls ``getattr`` with a literal name to unwrap one."""
+    offenders = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("c", "d", "epsilon"):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                offenders.append(f"{path.name}:{node.lineno}: getattr(..., {node.args[1].value!r})")
+    assert not offenders
+
+
 def test_no_unused_imports():
     """Every name a module imports is used in it, unless its line is marked ``# noqa: F401``.
 

@@ -64,7 +64,7 @@ def test_grid_mc_never_deployed(two_type_fleet):
     res = grid_mc_optimum(
         two_type_fleet, programs, program_sampler(programs), GridSpec(101, 200, seed=4)
     )
-    assert res.profile.c[0] == pytest.approx(250.0)
+    assert res.profile[0] == pytest.approx(250.0)
     assert res.value == pytest.approx(-250.0 * 25.0)
     assert res.stderr == 0.0
 
@@ -77,7 +77,7 @@ def test_grid_mc_zero_prices(two_type_fleet):
     res = grid_mc_optimum(
         two_type_fleet, programs, program_sampler(programs), GridSpec(41, 100, seed=4)
     )
-    np.testing.assert_allclose(res.profile.c, [0.0, 0.0])
+    np.testing.assert_allclose(res.profile, [0.0, 0.0])
     assert res.value == 0.0
 
 
@@ -92,7 +92,7 @@ def test_grid_mc_matches_reg_closed_form(two_type_fleet):
         ProgramSpec(id="dn", price=10.0, direction="down"),
     ]
     res = grid_mc_optimum(fleet, programs, partial(sample_joint, model), GridSpec(60, 30000, seed=9))
-    closed = expected_reg_cost(inst, float(res.profile.c[0]), float(res.profile.c[1]))
+    closed = expected_reg_cost(inst, float(res.profile[0]), float(res.profile[1]))
     assert abs(res.value - closed) <= 3.0 * res.stderr
 
 
@@ -104,7 +104,7 @@ def test_grid_mc_deterministic(two_type_fleet):
     sampler = program_sampler(programs)
     r1 = grid_mc_optimum(two_type_fleet, programs, sampler, GridSpec(51, 500, seed=12))
     r2 = grid_mc_optimum(two_type_fleet, programs, sampler, GridSpec(51, 500, seed=12))
-    assert np.array_equal(r1.profile.c, r2.profile.c)
+    assert np.array_equal(r1.profile, r2.profile)
     assert r1.value == r2.value
 
 
@@ -202,7 +202,7 @@ def test_grid_mc_matches_the_allocating_loop(caps, rewards, programs, points, sa
     grid = GridSpec(points, samples, seed=3)
     res = grid_mc_optimum(fleet, programs, sampler, grid)
     profile, value, stderr = allocating_grid_mc_optimum(fleet, programs, sampler, grid)
-    assert res.profile.c.tobytes() == profile.tobytes()
+    assert res.profile.tobytes() == profile.tobytes()
     assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
     assert np.float64(res.stderr).tobytes() == np.float64(stderr).tobytes()
 

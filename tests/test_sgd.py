@@ -58,7 +58,7 @@ def feasible_grid(cap, n, step):
 
 def assert_projection_optimal(x, cap, step=2.5):
     """The projection must be feasible and at least as close as any grid point."""
-    p = project_feasible(x, cap).c
+    p = project_feasible(x, cap)
     assert np.all(p >= 0.0) and p.sum() <= cap + 1e-9
     dist = np.linalg.norm(p - x)
     grid = feasible_grid(cap, x.size, step)
@@ -68,27 +68,27 @@ def assert_projection_optimal(x, cap, step=2.5):
 
 def test_projection_interior_identity():
     x = np.array([10.0, 20.0])
-    np.testing.assert_allclose(project_feasible(x, 250.0).c, x)
+    np.testing.assert_allclose(project_feasible(x, 250.0), x)
 
 
 def test_projection_single_axis_overflow():
-    np.testing.assert_allclose(project_feasible(np.array([300.0, 0.0]), 250.0).c, [250.0, 0.0])
+    np.testing.assert_allclose(project_feasible(np.array([300.0, 0.0]), 250.0), [250.0, 0.0])
     assert_projection_optimal(np.array([300.0, 0.0]), 250.0)
 
 
 def test_projection_symmetric_shift():
-    np.testing.assert_allclose(project_feasible(np.array([200.0, 200.0]), 250.0).c, [125.0, 125.0])
+    np.testing.assert_allclose(project_feasible(np.array([200.0, 200.0]), 250.0), [125.0, 125.0])
     assert_projection_optimal(np.array([200.0, 200.0]), 250.0)
 
 
 def test_projection_clips_negatives():
-    np.testing.assert_allclose(project_feasible(np.array([-5.0, 30.0]), 100.0).c, [0.0, 30.0])
+    np.testing.assert_allclose(project_feasible(np.array([-5.0, 30.0]), 100.0), [0.0, 30.0])
 
 
 def test_projection_onto_cap_zero_is_the_origin():
     # no sorted entry stays positive at cap 0, so rho falls back to 0 and tau is the largest entry
     for x in ([1.0, 2.0], [3.0, -1.0, 2.0, 0.5, 4.0, 1.0, 2.0, 0.0, 1.5]):  # the Python-float and numpy paths
-        assert project_feasible(np.array(x), 0.0).c.tolist() == [0.0] * len(x)
+        assert project_feasible(np.array(x), 0.0).tolist() == [0.0] * len(x)
     rows = project_simplex(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([[0.0], [1.0]]))
     assert rows.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
@@ -105,9 +105,9 @@ def test_projection_idempotent_nonexpansive(rng):
         cap = float(rng.uniform(10.0, 300.0))
         x = rng.uniform(-2.0 * cap, 2.0 * cap, n)
         y = rng.uniform(-2.0 * cap, 2.0 * cap, n)
-        px = project_feasible(x, cap).c
-        py = project_feasible(y, cap).c
-        np.testing.assert_allclose(project_feasible(px, cap).c, px, atol=1e-12)
+        px = project_feasible(x, cap)
+        py = project_feasible(y, cap)
+        np.testing.assert_allclose(project_feasible(px, cap), px, atol=1e-12)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -198,7 +198,7 @@ def test_solve_pushes_to_capacity_when_never_deployed():
     cfg = SgdConfig(iterations=4000, batch=2, seed=1)
     result = solve(fleet, programs, lambda rng, size: np.zeros(rates(size, 1)), cfg, record_trajectory=True)
     assert result.trajectory[-1][0] == pytest.approx(250.0)
-    assert result.profile.c[0] > 240.0
+    assert result.profile[0] > 240.0
 
 
 def test_solve_stays_at_zero_when_unprofitable():
@@ -206,7 +206,7 @@ def test_solve_stays_at_zero_when_unprofitable():
     programs = [ProgramSpec(id="a", price=20.0)]
     cfg = SgdConfig(iterations=500, batch=2, seed=1)
     result = solve(fleet, programs, lambda rng, size: np.ones(rates(size, 1)), cfg)
-    assert result.profile.c[0] == 0.0
+    assert result.profile[0] == 0.0
 
 
 def test_zero_rewards_and_prices_leave_the_profile_at_zero():
@@ -217,7 +217,7 @@ def test_zero_rewards_and_prices_leave_the_profile_at_zero():
         sampler = lambda r, size, n=n: r.uniform(0, 1, rates(size, n))  # noqa: E731
         result = solve(fleet, programs[:n], sampler, SgdConfig(iterations=70, batch=3), record_trajectory=True)
         assert result.bound == 0.0
-        assert all(c.tobytes() == np.zeros(n).tobytes() for c in [result.profile.c, *result.trajectory])
+        assert all(c.tobytes() == np.zeros(n).tobytes() for c in [result.profile, *result.trajectory])
 
 
 def test_solve_iterates_feasible(two_type_fleet, rng):
@@ -228,7 +228,7 @@ def test_solve_iterates_feasible(two_type_fleet, rng):
     for c in result.trajectory:
         assert np.all(c >= 0.0)
         assert c.sum() <= cap + 1e-9
-    assert result.profile.c.sum() <= cap + 1e-9
+    assert result.profile.sum() <= cap + 1e-9
 
 
 def test_solve_deterministic(two_type_fleet):
@@ -238,7 +238,7 @@ def test_solve_deterministic(two_type_fleet):
     r1 = solve(two_type_fleet, programs, sampler, cfg, record_trajectory=True)
     r2 = solve(two_type_fleet, programs, sampler, cfg, record_trajectory=True)
     assert all(np.array_equal(a, b) for a, b in zip(r1.trajectory, r2.trajectory))
-    assert np.array_equal(r1.profile.c, r2.profile.c)
+    assert np.array_equal(r1.profile, r2.profile)
     assert r1.bound == r2.bound
 
 
@@ -263,7 +263,7 @@ def test_averaged_iterate_gap_within_bound(two_type_fleet):
     best = float((affines.max(axis=0) - grid @ prices).min())
     for iters in (100, 2000):
         result = solve(two_type_fleet, programs, sampler, SgdConfig(iterations=iters, batch=1, seed=3))
-        assert cost(result.profile.c) - best <= result.bound
+        assert cost(result.profile) - best <= result.bound
 
 
 def test_config_validation():
@@ -415,7 +415,7 @@ def test_solve_on_the_resampler_matches_serial_reference_per_learner():
             # compare_strategies' pooled programs: the mean prices, with each program's direction
             programs = [ProgramSpec(f"p{i}", float(q), d) for i, (q, d) in enumerate(zip(lr.prices, directions))]
             result = solve(lr.fleet, programs, resampling_sampler(lr.rows), cfg, record_trajectory=True)
-            assert result.profile.c.tobytes() == ref.tobytes()
+            assert result.profile.tobytes() == ref.tobytes()
             assert_same_iterates(result.trajectory, reference)
 
 
@@ -511,7 +511,7 @@ def test_solve_matches_serial_reference(two_type_fleet):
                     result = solve(fleet, programs, sampler, cfg, record_trajectory=iterations == 300)
                     trajectory = [] if result.trajectory is not None else None
                     expected = reference_solve(fleet, prices, down, reference, cfg, trajectory)
-                    assert result.profile.c.tobytes() == expected.tobytes()
+                    assert result.profile.tobytes() == expected.tobytes()
                     if trajectory is not None:
                         assert_same_iterates(result.trajectory, trajectory)
 
@@ -655,7 +655,7 @@ def test_shipped_parametric_solve_matches_serial_reference_over_10000_iterations
     down = np.array([p.direction == "down" for p in programs])
     expected = reference_solve(fleet, prices_of(programs), down, sampler, cfg, reference)
     result = solve(fleet, programs, sampler, cfg, record_trajectory=True)
-    assert result.profile.c.tobytes() == expected.tobytes()
+    assert result.profile.tobytes() == expected.tobytes()
     assert_same_iterates(result.trajectory, reference)
 
 

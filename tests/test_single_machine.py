@@ -49,7 +49,7 @@ def projected_gradient_oracle(programs, r, cap, w, iters=40000):
 def test_best_program_unprofitable():
     stats = [ProgramStats(price=10.0, mean_eps=0.18, var_eps=0.0)]
     profile = best_program(stats, 150.0, 250.0)
-    np.testing.assert_allclose(profile.c, [0.0])
+    np.testing.assert_allclose(profile, [0.0])
     oracle_c, oracle_v = axis_grid_best(stats, 150.0, 250.0)
     assert oracle_v >= -1e-9
 
@@ -57,7 +57,7 @@ def test_best_program_unprofitable():
 def test_best_program_profitable():
     stats = [ProgramStats(price=30.0, mean_eps=0.18, var_eps=0.0)]
     profile = best_program(stats, 150.0, 250.0)
-    np.testing.assert_allclose(profile.c, [250.0])
+    np.testing.assert_allclose(profile, [250.0])
     oracle_c, _ = axis_grid_best(stats, 150.0, 250.0)
     np.testing.assert_allclose(oracle_c, [250.0])
 
@@ -65,7 +65,7 @@ def test_best_program_profitable():
 def test_best_program_breakeven_tie_participates():
     stats = [ProgramStats(price=27.0, mean_eps=0.18, var_eps=0.0)]
     profile = best_program(stats, 150.0, 250.0)
-    np.testing.assert_allclose(profile.c, [250.0])
+    np.testing.assert_allclose(profile, [250.0])
 
 
 def test_best_program_vertex_and_grid_agreement(rng):
@@ -82,11 +82,11 @@ def test_best_program_vertex_and_grid_agreement(rng):
             for _ in range(n)
         ]
         profile = best_program(stats, r, cap)
-        nz = np.nonzero(profile.c)[0]
+        nz = np.nonzero(profile)[0]
         assert nz.size <= 1
         if nz.size == 1:
-            assert profile.c[nz[0]] == cap
-        value = float(profile.c @ [r * s.mean_eps - s.price for s in stats])
+            assert profile[nz[0]] == cap
+        value = float(profile @ [r * s.mean_eps - s.price for s in stats])
         _, grid_val = axis_grid_best(stats, r, cap)
         assert value <= grid_val + (cap / 999.0) * max(r, *(s.price for s in stats), 1.0)
 
@@ -138,7 +138,7 @@ def test_risk_zero_weight_reduces_to_best_program(rng):
         r, cap = float(rng.uniform(10.0, 200.0)), 250.0
         a = risk_aware_solve(stats, r, cap, RiskConfig(0.0))
         b = best_program(stats, r, cap)
-        np.testing.assert_allclose(a.c, b.c)
+        np.testing.assert_allclose(a, b)
 
 
 def test_risk_interior_optimum_matches_pg_oracle():
@@ -146,9 +146,9 @@ def test_risk_interior_optimum_matches_pg_oracle():
     # 3 / (2 * 1e-4 * 150^2 * 0.02) = 33.33 MW.
     stats = [ProgramStats(price=30.0, mean_eps=0.18, var_eps=0.02)]
     profile = risk_aware_solve(stats, 150.0, 250.0, RiskConfig(1e-4))
-    assert profile.c[0] == pytest.approx(33.3333333, rel=1e-6)
+    assert profile[0] == pytest.approx(33.3333333, rel=1e-6)
     oracle = projected_gradient_oracle(stats, 150.0, 250.0, 1e-4)
-    np.testing.assert_allclose(profile.c, oracle, atol=1e-6)
+    np.testing.assert_allclose(profile, oracle, atol=1e-6)
 
 
 def test_risk_prefers_lower_variance(rng):
@@ -157,7 +157,7 @@ def test_risk_prefers_lower_variance(rng):
         ProgramStats(price=30.0, mean_eps=0.18, var_eps=0.01),
     ]
     profile = risk_aware_solve(stats, 150.0, 250.0, RiskConfig(5e-4))
-    assert profile.c[1] > profile.c[0] > 0.0
+    assert profile[1] > profile[0] > 0.0
 
 
 def test_risk_kkt_random_instances(rng):
@@ -173,7 +173,7 @@ def test_risk_kkt_random_instances(rng):
         r = float(rng.uniform(1.0, 200.0))
         cap = float(rng.uniform(50.0, 400.0))
         w = float(rng.choice([0.0, 1e-5, 1e-4, 1e-3]))
-        c = risk_aware_solve(stats, r, cap, RiskConfig(w)).c
+        c = risk_aware_solve(stats, r, cap, RiskConfig(w))
         assert risk_kkt_residual(stats, r, cap, w, c) <= 1e-8
 
 
@@ -184,8 +184,8 @@ def test_tiny_quadratic_terms_take_the_zero_variance_limit(var, weight, price):
     stats = [ProgramStats(12.0, 0.12, 0.1056), ProgramStats(price, 0.18, var)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        c = risk_aware_solve(stats, 150.0, 250.0, RiskConfig(weight)).c
-    assert c.tolist() == best_program(stats, 150.0, 250.0).c.tolist() == [0.0, 250.0]
+        c = risk_aware_solve(stats, 150.0, 250.0, RiskConfig(weight))
+    assert c.tolist() == best_program(stats, 150.0, 250.0).tolist() == [0.0, 250.0]
     assert risk_kkt_residual(stats, 150.0, 250.0, weight, c) <= 1e-8
 
 
@@ -202,9 +202,9 @@ def test_risk_objective_never_worse_than_vertices(rng):
         ]
         r, cap = float(rng.uniform(10.0, 200.0)), 250.0
         w = float(rng.uniform(0.0, 1e-3))
-        c = risk_aware_solve(stats, r, cap, RiskConfig(w)).c
+        c = risk_aware_solve(stats, r, cap, RiskConfig(w))
         obj = risk_objective(stats, r, w, c)
-        vertex_obj = risk_objective(stats, r, w, best_program(stats, r, cap).c)
+        vertex_obj = risk_objective(stats, r, w, best_program(stats, r, cap))
         assert obj <= vertex_obj + 1e-9 * max(1.0, abs(vertex_obj))
         assert obj <= 1e-9
 
@@ -217,7 +217,7 @@ def test_risk_variance_monotone_in_weight():
     r, cap = 150.0, 250.0
     variances = []
     for w in np.geomspace(1e-6, 1e-2, 20):
-        c = risk_aware_solve(stats, r, cap, RiskConfig(float(w))).c
+        c = risk_aware_solve(stats, r, cap, RiskConfig(float(w)))
         variances.append(profile_risk(stats, r, c)[1])
     assert all(a >= b - 1e-9 * max(1.0, a) for a, b in zip(variances, variances[1:]))
 
@@ -255,6 +255,13 @@ def test_risk_solve_rejects_a_negative_reward_or_cap():
                 risk_aware_solve(stats, r, cap, RiskConfig(weight))
 
 
+@pytest.mark.parametrize("price", [30.0, 10.0])  # profitable and unprofitable at r = 150
+def test_best_program_rejects_a_negative_cap(price):
+    stats = [ProgramStats(price=price, mean_eps=0.18, var_eps=0.0)]
+    with pytest.raises(InvalidInputError, match=r"cap must be >= 0, got 150.0, -1.0"):
+        best_program(stats, 150.0, -1.0)
+
+
 def bisection_solve(programs, r, cap, w):
     """Reference: the mean-variance QP with its capacity multiplier found by bisection.
 
@@ -264,7 +271,7 @@ def bisection_solve(programs, r, cap, w):
     a = np.array([r * s.mean_eps - s.price for s in programs])
     b = np.array([w * r**2 * s.var_eps for s in programs])
     if w == 0.0 or not np.any(b > 0.0):
-        return best_program(programs, r, cap).c
+        return best_program(programs, r, cap)
     pos = b > 0.0
     zero_neg = (~pos) & (a < 0.0)
 
@@ -298,7 +305,7 @@ def test_risk_tiny_variance_uses_the_whole_cap():
         ProgramStats(price=43.291865967855614, mean_eps=0.30168781357808244, var_eps=5.348171363754658e-06),
     ]
     r, cap = 8.49078172730562, 129.3646985908449
-    c = risk_aware_solve(stats, r, cap, RiskConfig(1e-5)).c
+    c = risk_aware_solve(stats, r, cap, RiskConfig(1e-5))
     assert c[0] == 0.0 and c[1] > 0.0
     assert abs(c.sum() - cap) <= 1e-12 * cap
     assert cap - bisection_solve(stats, r, cap, 1e-5).sum() > 1e-7
@@ -322,7 +329,7 @@ def test_risk_solve_matches_or_beats_bisection(rng):
             stats.append(ProgramStats(price=float(rng.uniform(0.0, 60.0)), mean_eps=mean, var_eps=var))
         r, cap = float(rng.uniform(0.0, 200.0)), float(rng.uniform(0.0, 400.0))
         w = float(10.0 ** rng.uniform(-6.0, -2.0))
-        c = risk_aware_solve(stats, r, cap, RiskConfig(w)).c
+        c = risk_aware_solve(stats, r, cap, RiskConfig(w))
         assert c.min() >= 0.0 and c.sum() <= cap * (1.0 + 1e-12)
         ref = risk_objective(stats, r, w, bisection_solve(stats, r, cap, w))
         assert risk_objective(stats, r, w, c) <= ref + 1e-12 * max(1.0, abs(ref))

@@ -6,8 +6,8 @@ that holds it, through ``monkeypatch`` (the source is never edited), and
 beside it. The table covers the slot cost (the rows whose instances
 ``verify._drawn_by_shape`` draws: greedy deployment, max of affines and
 midpoint convexity), the simplex projection, the single-machine vertex rule,
-the mean-variance solve, the truncated-exponential mean and its rate fit. A
-mutant that ``verify`` cannot catch does not belong in it.
+the mean-variance solve, the truncated-exponential mean and its rate fit, and
+the regulation kernel. A mutant that ``verify`` cannot catch does not belong in it.
 """
 
 import math
@@ -17,8 +17,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from minerflex import RiskConfig, deployment, fleet, programs, single_machine, verify
-from minerflex.deployment import Profile
+from minerflex import RiskConfig, deployment, fleet, programs, regulation, single_machine, verify
 
 GREEDY = "greedy deployment vs LP vertex oracle"
 AFFINES = "piecewise cost = max of affine surrogates"
@@ -28,10 +27,12 @@ TRUNCEXP = "truncated-exponential mean vs Gauss-Legendre quadrature"
 FIT = "deployment-mean fitting round trip"
 VERTEX = "single-machine vertex rule vs axis grids"
 KKT = "risk-aware QP KKT residuals"
+REGULATION = "regulation closed form and gradient vs Gauss-Legendre quadrature"
 
 SLOT_PIECE, SLOT_COST, FLEET_TABLES = deployment.slot_piece, deployment.slot_cost, fleet.fleet_tables
 PROJECT, BEST_PROGRAM = deployment.project_simplex, single_machine.best_program
 RISK_AWARE_SOLVE, TRUNCEXP_MEAN, FIT_LAMBDA = single_machine.risk_aware_solve, programs.truncexp_mean, programs.fit_lambda
+LINE_COST = regulation.expected_line_cost
 
 
 def shifted_piece(step):
@@ -90,7 +91,7 @@ def dearest_program(stats, r, cap):
     i = int(np.argmax(unit))
     if unit[i] <= 0.0:
         c[i] = cap
-    return Profile(c)
+    return c
 
 
 def riskless_solve(stats, r, cap, risk):
@@ -105,6 +106,39 @@ def truncexp_mean_without_expm1(lam):
     if lam < programs._EXPM1_LAMBDA:
         return 1.0 / lam - 1.0 / (math.exp(lam) - 1.0)
     return 1.0 / lam - math.exp(-lam) / (1.0 - math.exp(-lam))
+
+
+def truncexp_series_sign_flipped(lam):
+    """``truncexp_mean`` whose small-rate series adds lam / 12 where it subtracts it."""
+    if lam < programs._SERIES_LAMBDA:
+        return 0.5 + lam / 12.0 + lam**3 / 720.0
+    return TRUNCEXP_MEAN(lam)
+
+
+def line_cost(b_moment=lambda p0, m1: m1, down_rates=lambda t: (0.0, min(t, 1.0))):
+    """``expected_line_cost`` with the moment its b partial adds and the reg-down line's rate interval swappable.
+
+    The defaults rebuild the original: the b partial adds the partial moment M_q, and a
+    line with b < 0 is past the break x for rates in [0, min((x - a) / b, 1)].
+    """
+
+    def cost(fleet_, lam, a, b):
+        rewards = fleet_.rewards.tolist()
+        mean = programs.truncexp_mean(lam)
+        value, d_a, d_b = rewards[0] * (a + b * mean), rewards[0], rewards[0] * mean
+        for below, r, x in zip(rewards, rewards[1:], fleet_.cum_capacities.tolist()):
+            if b == 0.0:
+                p0, m1 = (1.0, mean) if a > x else (0.0, 0.0)
+            elif b > 0.0:
+                p0, m1 = regulation._partial_moments(lam, max((x - a) / b, 0.0), 1.0)
+            else:
+                p0, m1 = regulation._partial_moments(lam, *down_rates((x - a) / b))
+            value += (r - below) * ((a - x) * p0 + b * m1)
+            d_a += (r - below) * p0
+            d_b += (r - below) * b_moment(p0, m1)
+        return value, d_a, d_b
+
+    return cost
 
 
 def fit_lambda_off(target_mean):
@@ -125,6 +159,11 @@ MUTANTS = {
     "mean-variance solve ignores the risk weight": (RISK_AWARE_SOLVE, riskless_solve, {KKT}),
     "truncated-exponential mean with exp for expm1": (TRUNCEXP_MEAN, truncexp_mean_without_expm1, {TRUNCEXP}),
     "rate fit off by 1e-6 relative": (FIT_LAMBDA, fit_lambda_off, {FIT}),
+    "small-rate series with lam / 12 added": (TRUNCEXP_MEAN, truncexp_series_sign_flipped, {TRUNCEXP}),
+    "regulation b partial adds P_q for M_q": (LINE_COST, line_cost(b_moment=lambda p0, m1: p0), {REGULATION}),
+    "reg-down line over the rates above its break": (
+        LINE_COST, line_cost(down_rates=lambda t: (max(t, 0.0), 1.0)), {REGULATION}
+    ),
 }
 
 

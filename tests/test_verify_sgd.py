@@ -81,7 +81,7 @@ def sgd_profile(seed):
     programs = [ProgramSpec(f"p{i}", p, eps_model=TruncatedExponential(lam))
                 for i, (p, lam) in enumerate(zip(PRICES.tolist(), LAMS))]
     cfg = SgdConfig(iterations=5000, batch=10, seed=seed)
-    return solve(FLEET, programs, program_sampler(programs), cfg).profile.c
+    return solve(FLEET, programs, program_sampler(programs), cfg).profile
 
 
 def test_frank_wolfe_gap_bounds_the_gap_to_a_dense_grid():
