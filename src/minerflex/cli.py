@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import finite, load_config
+from .config import at_least, finite, load_config
 from .errors import InvalidInputError, MinerflexError, ModelViolationError, NumericalError, ShortWindowError
 from .fleet import FleetSpec, canonicalize, load_fleet_config, mining_revenue_rate, net_reward
 from .fleet import MachineType, parse_machines
@@ -108,9 +108,7 @@ def _economics(cfg: dict):
     economics = cfg.get("economics")
     if economics is None:
         return None
-    coin_price = finite(economics["coin_price"], "economics.coin_price")
-    if coin_price < 0.0:
-        raise InvalidInputError(f"economics.coin_price must be >= 0, got {coin_price}")
+    coin_price = at_least(finite(economics["coin_price"], "economics.coin_price"), "economics.coin_price")
     return coin_price, finite(economics["electricity_price"], "economics.electricity_price")
 
 
@@ -164,10 +162,7 @@ def _parse_risk(cfg: dict, with_stats: bool):
         ]
     ids = [str(p["id"]) for p in entries]
     check_program_ids(ids)
-    r, cap = finite(cfg["reward_rate"], "reward_rate"), finite(cfg["cap"], "cap")
-    for name, value in (("reward_rate", r), ("cap", cap)):
-        if value < 0.0:
-            raise InvalidInputError(f"{name} must be >= 0, got {value}")
+    r, cap = (at_least(finite(cfg[key], key), key) for key in ("reward_rate", "cap"))
     return r, cap, RiskConfig(finite(cfg.get("risk_weight", 0.0), "risk_weight")), ids, stats
 
 
@@ -499,8 +494,7 @@ def main(argv=None) -> int:
             flags = [f"--{name.replace('_', '-')}" for name in (first, second)]
             parser.error(f"{flags[0]} and {flags[1]} must be given together")
     try:
-        if args.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {args.seed}")
+        at_least(args.seed, "seed")
         t0 = time.time()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

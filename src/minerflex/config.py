@@ -3,13 +3,15 @@
 Every config (fleet, programs, regulation and risk instances, synthesis
 specs) goes through :func:`load_config`, so each malformed file fails the
 same way: an ``InvalidInputError`` whose message starts with the file name.
-Every parser reads its numbers through :func:`finite`.
+Every parser reads its numbers through :func:`finite`; every scalar
+precondition, read from a config or passed by a caller, is :func:`at_least`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import index
 
 from .errors import InvalidInputError, ModelViolationError
 
@@ -30,6 +32,25 @@ def finite(value, name: str) -> float:
     if isinstance(value, (bool, str)) or not math.isfinite(number := float(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def at_least(value, name: str, lo: float = 0.0, strict: bool = False, integer: bool = False):
+    """``value`` unchanged if it is finite and at least ``lo`` (above it when ``strict``), else ``InvalidInputError``.
+
+    NaN fails as infinities do, where a bare ``value < lo`` passes it. With
+    ``integer`` the value must also be an integer (``operator.index`` takes
+    it), so a count of 1.5 fails here and not in a later ``range``.
+    """
+    if integer:
+        try:
+            index(value)
+        except TypeError:
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if not -math.inf < value < math.inf:
+        raise InvalidInputError(f"{name} must be finite, got {value}")
+    if not (value > lo if strict else value >= lo):
+        raise InvalidInputError(f"{name} must be {'>' if strict else '>='} {lo:g}, got {value}")
+    return value
 
 
 def load_config(path, parse):

@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import at_least
 from .deployment import dot, project_simplex
 
 # Kelley iterations before the solve stops and reports the gap it reached.
@@ -90,6 +91,7 @@ def minimize(evaluate, n: int, cap: float) -> Optimum:
     is from optimal. The solve stops once the gap is within ``GAP_TOL`` of the
     best value, or after ``MAX_CUTS`` cuts.
     """
+    at_least(cap, "cap")
     points = project_simplex(np.vstack([np.zeros(n), cap * np.eye(n)]), cap)
     values, slopes = evaluate(points)
     best = int(np.argmin(values))

@@ -31,9 +31,12 @@ EDGE_GUARD = 1e-12
 
 
 def as_vector(x, name: str) -> np.ndarray:
+    """``x`` as a float array, raising ``InvalidInputError`` unless it is one-dimensional and finite."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
+    if not all(map(math.isfinite, arr.tolist())):
+        raise InvalidInputError(f"{name} must be finite, got {arr}")
     return arr
 
 
@@ -57,7 +60,7 @@ def effective_epsilon(sample, directions: Sequence[str]) -> np.ndarray:
     for direction in directions:
         if direction not in DIRECTIONS:
             raise InvalidInputError(f"unknown direction {direction!r}")
-    if not np.all((eps >= 0.0) & (eps <= 1.0)):  # false for NaN
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise InvalidInputError(f"epsilon components must lie in [0,1], got {eps}")
     eff = flip_down(eps, np.asarray(directions) == "down")
     eff.setflags(write=False)
@@ -246,9 +249,6 @@ def realized_cost(fleet: FleetSpec, programs: Sequence[ProgramSpec], profile, sa
     eps = as_vector(sample, "sample")
     p = prices_of(programs)
     _check_sizes(c, eps, p)
-    for name, x in (("profile", c), ("sample", eps)):
-        if not all(map(math.isfinite, x.tolist())):
-            raise InvalidInputError(f"{name} components must be finite, got {x}")
     _check_profile_feasible(c, fleet)
     _clamp_total(float(dot(eps, c)), fleet.total_capacity_mw)  # raises beyond the float guard
     return float(slot_cost(fleet, eps, p, c)[0])

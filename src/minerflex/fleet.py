@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import finite, load_config
-from .errors import InvalidInputError, ModelViolationError
+from .config import at_least, finite, load_config
+from .errors import InvalidInputError, ModelViolationError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,9 @@ class MachineType:
     reward: float | None = None
 
     def __post_init__(self):
-        if self.capacity_mw < 0:
-            raise InvalidInputError(
-                f"machine {self.id!r}: capacity_mw must be >= 0, got {self.capacity_mw}"
-            )
-        if self.energy_intensity is not None and self.energy_intensity <= 0:
-            raise InvalidInputError(
-                f"machine {self.id!r}: energy_intensity must be > 0, got {self.energy_intensity}"
-            )
+        at_least(self.capacity_mw, f"machine {self.id!r}: capacity_mw")
+        if self.energy_intensity is not None:
+            at_least(self.energy_intensity, f"machine {self.id!r}: energy_intensity", strict=True)
 
 
 @dataclass(frozen=True)
@@ -98,13 +93,7 @@ def fleet_tables(rewards, capacities) -> tuple[list, list]:
 
 def mining_revenue_rate(coin_price: float, energy_intensity: float) -> float:
     """Coin revenue per MWh: coin price ($/coin) over intensity (MWh/coin)."""
-    if energy_intensity <= 0:
-        raise InvalidInputError(
-            f"energy_intensity must be > 0, got {energy_intensity}"
-        )
-    if coin_price < 0:
-        raise InvalidInputError(f"coin_price must be >= 0, got {coin_price}")
-    return coin_price / energy_intensity
+    return at_least(coin_price, "coin_price") / at_least(energy_intensity, "energy_intensity", strict=True)
 
 
 def net_reward(revenue_rate: float, electricity_price: float) -> float:
@@ -115,16 +104,17 @@ def net_reward(revenue_rate: float, electricity_price: float) -> float:
 def canonicalize(machines: Iterable[MachineType]) -> FleetSpec:
     """Sort machine types by ascending reward and merge exact ties.
 
-    Raises ``InvalidInputError`` on an empty fleet or missing rewards and
+    Raises ``InvalidInputError`` on an empty fleet or a missing or NaN reward,
     ``ModelViolationError`` on any negative reward (the deployment model
-    assumes mining is never run at a loss).
+    assumes mining is never run at a loss) and ``NumericalError`` where tied
+    capacities sum past the largest double. An infinite reward passes.
     """
     machines = list(machines)
     if not machines:
         raise InvalidInputError("cannot canonicalize an empty fleet")
     for m in machines:
-        if m.reward is None:
-            raise InvalidInputError(f"machine {m.id!r} has no reward computed")
+        if m.reward is None or math.isnan(m.reward):
+            raise InvalidInputError(f"machine {m.id!r} has no reward computed, got {m.reward}")
         if m.reward < 0:
             raise ModelViolationError(
                 f"machine {m.id!r} has negative net reward {m.reward}; "
@@ -136,9 +126,11 @@ def canonicalize(machines: Iterable[MachineType]) -> FleetSpec:
         if merged and merged[-1].reward == m.reward:
             prev = merged[-1]
             same_intensity = prev.energy_intensity == m.energy_intensity
+            if (capacity := prev.capacity_mw + m.capacity_mw) == math.inf:  # each is finite: the sum overflowed
+                raise NumericalError(f"tied machines {prev.id!r} and {m.id!r}: capacities overflow: {prev.capacity_mw} + {m.capacity_mw} MW")
             merged[-1] = MachineType(
                 id=f"{prev.id}+{m.id}",
-                capacity_mw=prev.capacity_mw + m.capacity_mw,
+                capacity_mw=capacity,
                 energy_intensity=prev.energy_intensity if same_intensity else None,
                 reward=prev.reward,
             )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import at_least
 from .cutting import Optimum, minimize
 from .deployment import SlotBatch, project_simplex
 from .errors import InvalidInputError
@@ -36,10 +37,10 @@ class OgdConfig:
     learners: int = 24
 
     def __post_init__(self):
-        if min(self.grad_bound, self.diameter, self.cap) <= 0:
-            raise InvalidInputError("grad_bound, diameter and cap must be positive")
-        if self.learners < 1:
-            raise InvalidInputError(f"learners must be >= 1, got {self.learners}")
+        at_least(self.grad_bound, "grad_bound", strict=True)
+        at_least(self.diameter, "diameter", strict=True)
+        at_least(self.cap, "cap", strict=True)
+        at_least(self.learners, "learners", 1, integer=True)
 
     @classmethod
     def from_bounds(

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import at_least
 from .deployment import SlotBatch, as_vector, flip_down, realized_cost_batch
 from .errors import InvalidInputError
 from .fleet import FleetSpec, MachineType, canonicalize
@@ -35,10 +36,8 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise InvalidInputError(f"points_per_axis must be >= 2, got {self.points_per_axis}")
-        if self.mc_samples < 1:
-            raise InvalidInputError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        at_least(self.points_per_axis, "points_per_axis", 2, integer=True)
+        at_least(self.mc_samples, "mc_samples", 1, integer=True)
 
 
 @dataclass(frozen=True)

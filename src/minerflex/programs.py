@@ -22,7 +22,7 @@ from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .config import finite
+from .config import at_least, finite
 from .errors import InvalidInputError
 
 DIRECTIONS = ("up", "down")
@@ -48,12 +48,7 @@ class ProgramSpec:
             raise InvalidInputError(
                 f"program {self.id!r}: direction must be one of {DIRECTIONS}"
             )
-        if not math.isfinite(self.price):
-            raise InvalidInputError(f"program {self.id!r}: price must be finite, got {self.price}")
-        if self.price < 0:
-            raise InvalidInputError(
-                f"program {self.id!r}: price must be >= 0, got {self.price}"
-            )
+        at_least(self.price, f"program {self.id!r}: price")
 
 
 def check_program_ids(ids: Iterable[str]) -> None:
@@ -180,8 +175,7 @@ class TruncatedExponential(_SampledEps):
     width: ClassVar[int] = 1
 
     def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InvalidInputError(f"lam must be a positive finite real, got {self.lam}")
+        at_least(self.lam, "lam", strict=True)
 
     def pdf(self, x):
         """Density lam * exp(-lam x) / (1 - exp(-lam)), zero outside [0, 1]."""
@@ -242,8 +236,7 @@ class PriceResponsiveModel:
     threshold: float
 
     def __post_init__(self):
-        if not math.isfinite(self.threshold):
-            raise InvalidInputError(f"threshold must be finite, got {self.threshold}")
+        at_least(self.threshold, "threshold", -math.inf)
 
 
 def price_responsive_eps(model: PriceResponsiveModel, rt_price: float) -> float:

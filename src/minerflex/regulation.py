@@ -21,6 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .config import at_least
 from .cutting import Optimum, minimize
 from .errors import InfeasibleError, InvalidInputError
 from .fleet import FleetSpec
@@ -90,8 +91,8 @@ class RegInstance:
     model: RegJointModel
 
     def __post_init__(self):
-        if self.p_up < 0 or self.p_dn < 0:
-            raise InvalidInputError("program prices must be >= 0")
+        at_least(self.p_up, "p_up")
+        at_least(self.p_dn, "p_dn")
 
 
 def _partial_moments(lam: float, a: float, b: float) -> tuple[float, float]:

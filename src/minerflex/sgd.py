@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import at_least
 from .deployment import as_vector, capped_breaks, flip_down, project_simplex, project_simplex_list
 from .errors import InvalidInputError
 from .fleet import FleetSpec
@@ -27,10 +28,8 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise InvalidInputError(f"iterations must be >= 1, got {self.iterations}")
-        if self.batch < 1:
-            raise InvalidInputError(f"batch must be >= 1, got {self.batch}")
+        at_least(self.iterations, "iterations", 1, integer=True)
+        at_least(self.batch, "batch", 1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,9 @@ def default_grad_bound(n_programs: int, max_reward: float, max_price: float) -> 
 
 def step_size(j: int, diameter: float, grad_bound: float) -> float:
     """Step alpha_j = D / (G * sqrt(j)) for iteration j >= 1."""
-    if j < 1:
-        raise InvalidInputError(f"iteration index must be >= 1, got {j}")
-    if diameter <= 0 or grad_bound <= 0:
-        raise InvalidInputError("diameter and grad_bound must be positive")
+    at_least(j, "iteration index", 1)
+    at_least(diameter, "diameter", strict=True)
+    at_least(grad_bound, "grad_bound", strict=True)
     return diameter / (grad_bound * math.sqrt(j))
 
 
@@ -70,12 +68,7 @@ def suboptimality_bound(
 
 def project_feasible(point, cap: float) -> np.ndarray:
     """Project an arbitrary point onto the feasible capacity set; the result is read-only."""
-    x = as_vector(point, "point")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"point must be finite, got {x}")
-    if cap < 0:
-        raise InvalidInputError(f"cap must be >= 0, got {cap}")
-    c = project_simplex(x, cap)
+    c = project_simplex(as_vector(point, "point"), at_least(cap, "cap"))
     c.setflags(write=False)
     return c
 
@@ -115,9 +108,8 @@ def sample_subgradient(
         raise InvalidInputError(
             f"dimension mismatch: samples {eps.shape}, profile {c.size}, programs {p.size}"
         )
-    for name, x in (("samples", eps), ("profile", c)):
-        if not np.isfinite(x).all():
-            raise InvalidInputError(f"{name} must be finite, got {x}")
+    if not np.isfinite(eps).all():
+        raise InvalidInputError(f"samples must be finite, got {eps}")
     sums = _subgradient(fleet.rewards, capped_breaks(fleet.cum_capacities), eps, c.tolist())
     return np.array([s / len(eps) - q for s, q in zip(sums, p.tolist())])
 

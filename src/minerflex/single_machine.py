@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import at_least
 from .deployment import dot
 from .errors import InvalidInputError
 
@@ -35,9 +36,9 @@ class ProgramStats:
     var_slack: float = 0.0
 
     def __post_init__(self):
-        # non-finite mean_eps and var_eps fail their range checks below
-        if not (0.0 <= self.price < math.inf and math.isfinite(self.var_slack)):
-            raise InvalidInputError(f"need a finite price >= 0 and var_slack, got {self.price}, {self.var_slack}")
+        at_least(self.price, "price")
+        at_least(self.var_slack, "var_slack", -math.inf)
+        # a non-finite mean_eps or var_eps fails its range check
         if not 0.0 <= self.mean_eps <= 1.0:
             raise InvalidInputError(f"mean_eps must be in [0,1], got {self.mean_eps}")
         limit = self.mean_eps * (1.0 - self.mean_eps) * (1.0 + self.var_slack) + 1e-12
@@ -55,8 +56,7 @@ class RiskConfig:
     risk_weight: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.risk_weight < math.inf:
-            raise InvalidInputError(f"risk_weight must be finite and >= 0, got {self.risk_weight}")
+        at_least(self.risk_weight, "risk_weight")
 
 
 def _unit_costs(programs: Sequence[ProgramStats], r: float) -> np.ndarray:
@@ -71,8 +71,8 @@ def best_program(programs: Sequence[ProgramStats], r: float, cap: float) -> np.n
     """
     if not programs:
         raise InvalidInputError("need at least one program")
-    if not (r >= 0.0 and cap >= 0.0):  # a negative cap leaves no feasible profile
-        raise InvalidInputError(f"reward and cap must be >= 0, got {r}, {cap}")
+    at_least(r, "r")
+    at_least(cap, "cap")  # a negative cap leaves no feasible profile
     unit = _unit_costs(programs, r)
     i_star = int(np.argmin(unit))
     c = np.zeros(len(programs))
@@ -114,8 +114,8 @@ def risk_aware_solve(
     """
     if not programs:
         raise InvalidInputError("need at least one program")
-    if not (r >= 0.0 and cap >= 0.0):  # a negative cap leaves no feasible profile
-        raise InvalidInputError(f"reward and cap must be >= 0, got {r}, {cap}")
+    at_least(r, "r")
+    at_least(cap, "cap")  # a negative cap leaves no feasible profile
     w = risk.risk_weight
     a = _unit_costs(programs, r)
     b = np.array([w * r**2 * s.var_eps for s in programs])

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import finite, load_config
+from .config import at_least, finite, load_config
 from .deployment import SlotBatch
 from .errors import InvalidInputError, ModelViolationError, NumericalError, ShortWindowError, TraceFormatError
 from .fleet import FleetSpec, MachineType, canonicalize, mining_revenue_rate, net_reward
@@ -431,10 +431,9 @@ class PriceBlock:
             means = (finite(cfg["mean"], f"{name}: mean"),) * 24
         else:
             raise InvalidInputError(f"{name}: need 'mean' or 'hourly_mean'")
-        sd, lo = finite(cfg.get("sd", 0.0), f"{name}: sd"), finite(cfg.get("min", 0.0), f"{name}: min")
+        sd = at_least(finite(cfg.get("sd", 0.0), f"{name}: sd"), f"{name}: sd")
+        lo = finite(cfg.get("min", 0.0), f"{name}: min")
         hi = finite(cfg["max"], f"{name}: max") if "max" in cfg else math.inf
-        if sd < 0:
-            raise InvalidInputError(f"{name}: sd must be >= 0, got {sd}")
         if lo > hi:
             raise InvalidInputError(f"{name}: min {lo} exceeds max {hi}")
         return cls(hourly_mean=means, sd=sd, lo=lo, hi=hi)
@@ -600,12 +599,17 @@ def programs_for_record(
     ]
 
 
+def _not_price(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` fail :func:`~minerflex.config.at_least`'s default rule: NaN, infinite or negative."""
+    return ~((values >= 0.0) & (values < math.inf))
+
+
 def reward_matrix(traces: Traces, fleet_config, clamp_negative=False) -> np.ndarray:
     """(T, M) rewards of the configured machines; the float ops and errors of :func:`per_slot_rewards`."""
     no_intensity = np.array([m.energy_intensity is None for m in fleet_config])
     intensity = np.array([m.energy_intensity for m in fleet_config], dtype=float)  # None -> nan
     rewards = traces.coin_price[:, None] / intensity - traces.rt_price[:, None]
-    bad = no_intensity | (traces.coin_price < 0.0)[:, None] | ((rewards < 0.0) & (not clamp_negative))
+    bad = no_intensity | _not_price(traces.coin_price)[:, None] | np.isnan(rewards) | ((rewards < 0.0) & (not clamp_negative))
     if bad.any():  # exactly where the scalar path raises: let it raise its own error
         per_slot_rewards(traces, int(np.argmax(bad.any(axis=1))), fleet_config, clamp_negative)
     return np.where(rewards < 0.0, 0.0, rewards) if clamp_negative else rewards
@@ -630,8 +634,8 @@ def slot_batch(traces: Traces, fleet_config, programs, clamp_negative=False) -> 
         tie = rewards[:, j] == rewards[:, j - 1]
         capacities[tie, j], capacities[tie, j - 1] = capacities[tie, j - 1] + capacities[tie, j], 0.0
     prices = traces.as_prices[:, cols]
-    if (prices < 0.0).any():  # the scalar path raises the program's own error
-        programs_for_record(traces, int(np.argmax((prices < 0.0).any(axis=1))), programs)
+    if _not_price(prices).any():  # the scalar path raises the program's own error
+        programs_for_record(traces, int(np.argmax(_not_price(prices).any(axis=1))), programs)
     # A slot cost is at most cap (3 max|r| + max p) in magnitude (rates lie in
     # [0, 1]), and every sum over the slots that the solves and regret totals
     # form (costs, subgradients, cut intercepts) at most 8 T cap (max|r| + max p);

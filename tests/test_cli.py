@@ -141,6 +141,21 @@ def test_overflowing_parametric_costs_exit_3_before_any_solve(command, tmp_path,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["solve-offline", "solve-reg"])
+def test_tied_machines_whose_capacities_overflow_exit_3(command, tmp_path, capsys):
+    # each capacity is a valid config number, but the merged type's sum overflows: exit 3, as every cost overflow
+    machines = [{"id": k, "capacity_mw": 1e308, "energy_intensity_mwh_per_coin": 110} for k in "ab"]
+    if command == "solve-offline":
+        (tmp_path / "fleet.json").write_text(json.dumps(machines))
+        args = ["--fleet", tmp_path / "fleet.json", "--programs", CONFIGS / "programs.json", "--iterations", 100]
+    else:
+        (tmp_path / "reg.json").write_text(json.dumps({**json.loads((CONFIGS / "reg.json").read_text()), "fleet": machines}))
+        args = ["--config", tmp_path / "reg.json"]
+    rc = main([str(a) for a in [command, *args, "--out", tmp_path / "o"]])
+    err = capsys.readouterr().err
+    assert rc == 3 and err == "error: tied machines 'a' and 'b': capacities overflow: 1e+308 + 1e+308 MW\n", err
+
+
 # a truncated-exponential mean, and the other arguments of the command that reads it
 TRUNCEXP_MEANS = {
     "solve-offline": ("programs.json", ("programs", 1, "eps", "mean"),
@@ -388,7 +403,7 @@ SEMANTIC_DEFECTS = {
         "numeric_string": (("p_up",), "20", "p_up must be a finite number, got '20'"),
     },
     "risk": {
-        "negative_risk_weight": (("risk_weight",), -1, "risk_weight must be finite and >= 0, got -1.0"),
+        "negative_risk_weight": (("risk_weight",), -1, "risk_weight must be >= 0, got -1.0"),
         "no_programs": (("programs",), [], "need at least one program"),
         "duplicate_program_id": (("programs", 1, "id"), "presp", "duplicate program id 'presp'"),
         "huge_integer": (("cap",), HUGE, "too large to convert to float"),

@@ -8,6 +8,7 @@ from minerflex import (
     InvalidInputError,
     MachineType,
     ModelViolationError,
+    NumericalError,
     canonicalize,
     load_fleet_config,
     mining_revenue_rate,
@@ -72,6 +73,12 @@ def test_canonicalize_merges_equal_rewards():
     assert fleet.n_types == 1
     assert fleet.machines[0].capacity_mw == 150.0
     assert fleet.total_capacity_mw == 150.0
+
+
+def test_canonicalize_refuses_tied_capacities_that_overflow():
+    # each capacity is finite, so the merged type's infinite one is an overflow, not a bad input
+    with pytest.raises(NumericalError, match=r"^tied machines 'a' and 'b': capacities overflow: 1e\+308 \+ 1e\+308 MW$"):
+        canonicalize([MachineType("a", 1e308, reward=5.0), MachineType("b", 1e308, reward=5.0)])
 
 
 def test_canonicalize_single_machine_identity():

@@ -221,6 +221,40 @@ def test_no_unused_imports():
     assert not offenders
 
 
+# the words of the finiteness and range rule, which only ``config.at_least`` may raise
+_GUARD_PHRASES = ("must be >=", "must be >", "must be finite", "must be positive")
+
+
+def _message_text(node) -> str:
+    """The literal text of a message expression: its string constants, an f-string's included."""
+    return "".join(n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def _raises_in_guard_words(node) -> bool:
+    """Whether ``node`` raises ``InvalidInputError`` with a message in the guard's words."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+        return False
+    if getattr(node.exc.func, "id", None) != "InvalidInputError":
+        return False
+    return any(phrase in _message_text(arg) for arg in node.exc.args for phrase in _GUARD_PHRASES)
+
+
+def test_one_guard_words_every_scalar_rule():
+    """Every scalar precondition goes through ``config.at_least``: no other module raises its words.
+
+    The vector checks keep their own raise, as ``at_least`` takes one scalar.
+    """
+    allowed = {("deployment.py", "as_vector"), ("sgd.py", "sample_subgradient")}
+    sites = {
+        (path.name, where)
+        for path, tree in _modules()
+        if path.name != "config.py"
+        for where, _ in _found(tree, _raises_in_guard_words)
+    }
+    assert sites - allowed == set()
+    assert allowed <= sites, "a vector check left: drop it from the list"
+
+
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports this checkout's package."""
     env = child_env({"PATH": "/usr/bin:/bin"})

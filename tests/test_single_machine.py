@@ -250,15 +250,15 @@ def test_risk_solve_rejects_a_negative_reward_or_cap():
     # feasible profile, and a negative reward is rejected at weight 0 too
     stats = [ProgramStats(12.0, 0.12, 0.1056), ProgramStats(30.0, 0.18, 0.0225)]
     for weight in (0.0, 4e-4):
-        for r, cap in ((-1.0, 250.0), (150.0, -1.0)):
-            with pytest.raises(InvalidInputError, match="reward and cap must be >= 0"):
+        for r, cap, message in ((-1.0, 250.0, "r must be >= 0, got -1.0"), (150.0, -1.0, "cap must be >= 0, got -1.0")):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
                 risk_aware_solve(stats, r, cap, RiskConfig(weight))
 
 
 @pytest.mark.parametrize("price", [30.0, 10.0])  # profitable and unprofitable at r = 150
 def test_best_program_rejects_a_negative_cap(price):
     stats = [ProgramStats(price=price, mean_eps=0.18, var_eps=0.0)]
-    with pytest.raises(InvalidInputError, match=r"cap must be >= 0, got 150.0, -1.0"):
+    with pytest.raises(InvalidInputError, match=r"^cap must be >= 0, got -1.0$"):
         best_program(stats, 150.0, -1.0)
 
 

@@ -765,17 +765,23 @@ def test_slot_batch_keeps_the_scalar_errors(rng):
     coin = traces.coin_price.copy()
     coin[7] = -1.0
     negative_coin = dataclasses.replace(traces, coin_price=coin)
-    # a NaN intensity raises nothing on either path, so the coin error must still surface
-    nan_intensity = [MachineType("nan", 10.0, energy_intensity=math.nan), *EDGE_FLEETS["shipped"]]
+    # a library caller's Traces may hold what the loaders refuse: a NaN coin price, and
+    # a NaN RT price, whose NaN reward canonicalize refuses
+    nan_coin, nan_rt = traces.coin_price.copy(), traces.rt_price.copy()
+    nan_coin[9], nan_rt[4] = math.nan, math.nan
     as_prices = traces.as_prices.copy()
     as_prices[5, 1] = -1.5
     negative_price = dataclasses.replace(traces, as_prices=as_prices)
+    nan_prices = traces.as_prices.copy()
+    nan_prices[6, 0] = math.nan
     cases = [
         (traces.take(range(3, len(traces))), EDGE_FLEETS["ties"], False),  # afternoon rewards below zero, unclamped
         (negative_coin, EDGE_FLEETS["shipped"], True),
         (traces, no_intensity, True),
-        (negative_coin, nan_intensity, True),
+        (dataclasses.replace(traces, coin_price=nan_coin), EDGE_FLEETS["shipped"], True),
+        (dataclasses.replace(traces, rt_price=nan_rt), EDGE_FLEETS["shipped"], True),
         (negative_price, EDGE_FLEETS["shipped"], True),  # the program's own price error
+        (dataclasses.replace(traces, as_prices=nan_prices), EDGE_FLEETS["shipped"], True),
     ]
     programs = _programs(EDGE_PROGRAMS["given"])
     for case, machines, clamp in cases:
